@@ -9,7 +9,7 @@ perturbed system; a direct fast-time run is included for validation.
 """
 from .model import (AuxiliaryBundle, BoundBundle, DomainError, SystemSpec,
                     TaylorPair, frobenius, growth_bound, offset_bound)
-from .ode import IvpProblem, Status, Trajectory, integrate, sample
+from .ode import IvpProblem, Status, Trajectory, integrate
 from .estimator import (ContractionWindow, EstimatorStatus,
                         EstimatorTrajectory, ViolationKind, analytic_crosscheck,
                         assemble_slow_rhs, auto_window, find_fixed_point,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuxiliaryBundle", "BoundBundle", "DomainError", "SystemSpec",
     "TaylorPair", "frobenius", "growth_bound", "offset_bound",
-    "IvpProblem", "Status", "Trajectory", "integrate", "sample",
+    "IvpProblem", "Status", "Trajectory", "integrate",
     "ContractionWindow", "EstimatorStatus", "EstimatorTrajectory",
     "ViolationKind", "analytic_crosscheck", "assemble_slow_rhs",
     "auto_window", "find_fixed_point", "run_averaged", "run_estimator",

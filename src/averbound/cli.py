@@ -407,8 +407,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     win = cfg.env_window if cfg.env_window else cfg.u / 50.0
     report = verify_headline_bound(est, dtraj, window=win)
-    env = envelope(dtraj, win)
-    rows = np.array([[tau, est.sample_n(tau), peak] for tau, peak in env])
+    taus, peaks = np.array(envelope(dtraj, win)).T
+    rows = np.column_stack([taus, est.traj.sample_many(taus)[:, -1], peaks])
 
     out = _out_path(cfg, "compare")
     export.write_table(out, ["tau", "n", "envelope_absL"], rows, cfg.fmt)

@@ -70,6 +70,9 @@ class ViolationKind(str, Enum):
     N_NONPOSITIVE = "n_nonpositive"
     N_EXCEEDS_RHO_OVER_EPS = "n_exceeds_rho_over_eps"
     DALPHA_DR_EXCEEDS_INV_EPS = "dalpha_dr_exceeds_inv_eps"
+    # The run stopped, but the stop state names no failed condition: a bound
+    # function raised there, or the localized stop lies a hair inside.
+    UNDETERMINED = "undetermined"
 
 
 class EstimatorStatus(str, Enum):
@@ -413,11 +416,7 @@ class EstimatorTrajectory:
     def report_grid(self, n_points: int = REPORT_GRID_POINTS) -> np.ndarray:
         """Uniform dense-output resampling: rows [tau, J, R, K, m, n]."""
         taus = np.linspace(self.tau[0], self.tau[-1], n_points)
-        rows = np.empty((n_points, self.traj.states.shape[1] + 1))
-        for i, t in enumerate(taus):
-            rows[i, 0] = t
-            rows[i, 1:] = self.traj.sample(t)
-        return rows
+        return np.column_stack([taus, self.traj.sample_many(taus)])
 
 
 def _make_stop_predicate(spec, bounds, fd_step):
@@ -483,10 +482,9 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
         try:
             kind = margins(traj.states[-1])
         except (ArithmeticError, ValueError):
-            kind = ViolationKind.N_EXCEEDS_RHO_OVER_EPS
+            kind = None
         if kind is None:
-            # localization landed a hair inside the region; flag the nearest
-            kind = ViolationKind.N_EXCEEDS_RHO_OVER_EPS
+            kind = ViolationKind.UNDETERMINED
     else:
         status, kind = EstimatorStatus.STEP_FAILURE, None
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["Status", "IvpProblem", "Trajectory", "integrate", "sample"]
+__all__ = ["Status", "IvpProblem", "Trajectory", "integrate"]
 
 # Dormand-Prince 5(4) stage coefficients.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
@@ -38,6 +38,9 @@ _FAC_MAX = 10.0               # largest allowed step growth factor
 _HMIN_REL = 1e-14             # step underflow threshold, relative to the span
 _STOP_REL = 1e-10             # relative localization width for stop times
 _STOP_BISECTIONS = 40
+# Times per block in Trajectory.sample_many: bounds its (block, dim)
+# temporaries whatever the batch size, e.g. every node of a fast-time run.
+_SAMPLE_BLOCK = 256
 
 _RHS_ERRORS = (ArithmeticError, ValueError)
 
@@ -164,35 +167,49 @@ class Trajectory:
         return float(self.times[-1])
 
     def sample(self, t: float) -> np.ndarray:
-        """Dense-output state at time t inside the covered span.
-
-        At a stored node this returns exactly the stored state.
-        """
-        times = self.times
-        t0, t1 = times[0], times[-1]
-        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        if t < t0 - slack or t > t1 + slack:
-            raise ValueError(f"sample time {t} outside trajectory span [{t0}, {t1}]")
-        t = min(max(t, t0), t1)
-        idx = int(np.searchsorted(times, t, side="right") - 1)
-        if idx >= len(times) - 1:
-            return self.states[-1].copy()
-        if t == times[idx]:
-            return self.states[idx].copy()
-        return _hermite(t, times[idx], times[idx + 1], self.states[idx],
-                        self.states[idx + 1], self.derivs[idx], self.derivs[idx + 1])
+        """Dense-output state at time t inside the covered span (see
+        :meth:`sample_many`)."""
+        return self.sample_many((t,))[0]
 
     def sample_many(self, ts) -> np.ndarray:
-        return np.array([self.sample(t) for t in np.asarray(ts, dtype=float)])
+        """Dense-output states at the times ``ts``, one row per time.
+
+        At a stored node, and at the end of the span, a row is exactly the
+        stored state.  Times up to 1e-12 (relative) outside the span are
+        clamped onto it; farther ones raise ``ValueError``.
+        """
+        times, states, derivs = self.times, self.states, self.derivs
+        ts = np.asarray(ts, dtype=float)
+        t0, t1 = times[0], times[-1]
+        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+        outside = (ts < t0 - slack) | (ts > t1 + slack)
+        if outside.any():
+            t = ts[np.argmax(outside)]
+            raise ValueError(f"sample time {t} outside trajectory span [{t0}, {t1}]")
+        last = len(times) - 1
+        out = np.empty((ts.size, states.shape[1]))
+        for lo in range(0, ts.size, _SAMPLE_BLOCK):
+            t = np.minimum(np.maximum(ts[lo:lo + _SAMPLE_BLOCK], t0), t1)
+            idx = np.searchsorted(times, t, side="right") - 1
+            out[lo:lo + t.size] = states[idx]
+            inner = np.flatnonzero((idx < last) & (t != times[idx]))
+            if inner.size:
+                i = idx[inner]
+                out[lo + inner] = _hermite(
+                    t[inner, None], times[i, None], times[i + 1, None],
+                    states[i], states[i + 1], derivs[i], derivs[i + 1])
+        return out
 
     def sampler(self) -> CubicSampler:
-        """Cursor-based dense-output evaluator for hot loops."""
+        """Cursor-based evaluator for one query at a time, for the direct
+        right-hand side only.
+
+        A query near the previous one costs a few float operations, far less
+        than a one-point :meth:`sample`.  Its Horner form rounds differently
+        from :meth:`sample_many`, and the direct run's results depend on it
+        bit for bit; batches of times go through :meth:`sample_many`.
+        """
         return CubicSampler(self)
-
-
-def sample(traj: Trajectory, t: float) -> np.ndarray:
-    """Dense-output state of ``traj`` at time ``t``."""
-    return traj.sample(t)
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .direct import DirectTrajectory, envelope
-from .estimator import EstimatorTrajectory
+from .estimator import EstimatorTrajectory, unpack_state
 from .model import AuxiliaryBundle, BoundBundle, SystemSpec, frobenius
 
 __all__ = [
@@ -264,10 +264,8 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
     worst = {"margin": -np.inf}
     monotone_bad = 0
 
-    for tau in taus:
-        j = est.sample_j(tau)
-        rmat = est.sample_r(tau)
-        kvec = est.sample_k(tau)
+    for tau, packed in zip(taus, est.traj.sample_many(taus)):
+        j, rmat, kvec, _, _ = unpack_state(packed, d)
         dfb = aux.dfbar(j)
         msc = aux.m_script(j)
         rho = bounds.rho_hat(j)
@@ -355,11 +353,9 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     resid = np.empty(ts.size)
 
     samples_fast = dtraj.traj.sample_many(ts)
-    for idx, t in enumerate(ts):
-        tau = eps * t
-        packed = est.traj.sample(tau)
-        j = packed[:d]
-        rmat = packed[d:d + d * d].reshape(d, d)
+    samples_slow = est.traj.sample_many(eps * ts)
+    for idx, packed in enumerate(samples_slow):
+        j, rmat, _, _, _ = unpack_state(packed, d)
         lvec = samples_fast[idx, :d]
         theta = samples_fast[idx, d]
         actions = j + eps * lvec
@@ -380,12 +376,8 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
         0.5 * (integrand[1:] + integrand[:-1]) * dt[:, None], axis=0)
 
     s0 = aux.s(spec.i0, spec.theta0)
-    for idx, t in enumerate(ts):
-        tau = eps * t
-        packed = est.traj.sample(tau)
-        j = packed[:d]
-        rmat = packed[d:d + d * d].reshape(d, d)
-        kvec = packed[d + d * d:2 * d + d * d]
+    for idx, packed in enumerate(samples_slow):
+        j, rmat, kvec, _, _ = unpack_state(packed, d)
         lvec = ell[idx]
         theta = samples_fast[idx, d]
         actions = j + eps * lvec
@@ -423,7 +415,7 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     ts = dtraj.t[mask]
     mags = dtraj.abs_l[mask]
 
-    n_vals = np.array([est.sample_n(eps * t) for t in ts])
+    n_vals = est.traj.sample_many(eps * ts)[:, -1]
     gap = mags - n_vals
     bad = gap > rel_slack * np.abs(n_vals)
     violations = int(np.count_nonzero(bad))
@@ -434,11 +426,13 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     tightness = 0.0
     tight_at = None
     if span > 0.0:
-        for tau_peak, peak in envelope(dtraj, win):
-            if eps * ts[0] <= tau_peak <= span:
-                ratio = peak / est.sample_n(tau_peak)
-                if ratio > tightness:
-                    tightness, tight_at = ratio, tau_peak
+        taus, peaks = np.array(envelope(dtraj, win)).T
+        inside = (eps * ts[0] <= taus) & (taus <= span)
+        taus, peaks = taus[inside], peaks[inside]
+        ratios = peaks / est.traj.sample_many(taus)[:, -1]
+        if ratios.size and ratios.max() > 0.0:
+            best = int(np.argmax(ratios))
+            tightness, tight_at = float(ratios[best]), float(taus[best])
 
     return ValidationReport(
         name="headline-bound",

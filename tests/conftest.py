@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import averbound as ab
+from averbound.ode import _hermite
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,25 @@ def resonant_run(resonant):
     avg = ab.run_averaged(spec, resonant.aux, 1.0)
     dtraj = ab.run_direct(spec, resonant.aux, avg, 1.0)
     return spec, est, avg, dtraj
+
+
+def hermite_reference(traj, t):
+    """Dense output at one time by the per-point loop that
+    ``Trajectory.sample_many`` replaced: the reference it must match bit for
+    bit."""
+    times = traj.times
+    t0, t1 = times[0], times[-1]
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+    if t < t0 - slack or t > t1 + slack:
+        raise ValueError(f"sample time {t} outside trajectory span [{t0}, {t1}]")
+    t = min(max(t, t0), t1)
+    idx = int(np.searchsorted(times, t, side="right") - 1)
+    if idx >= len(times) - 1:
+        return traj.states[-1].copy()
+    if t == times[idx]:
+        return traj.states[idx].copy()
+    return _hermite(t, times[idx], times[idx + 1], traj.states[idx],
+                    traj.states[idx + 1], traj.derivs[idx], traj.derivs[idx + 1])
 
 
 def toy_linear_decay(eps=1e-2, i0=2.0):

@@ -10,6 +10,7 @@ import averbound as ab
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, assemble_slow_rhs, pack_state,
                                  unpack_state)
+from conftest import hermite_reference, toy_linear_decay
 
 
 def test_pack_unpack_roundtrip():
@@ -125,6 +126,23 @@ def test_blowup_terminates_with_domain_violation(af_plus):
         assert est.violation_kind is ViolationKind.N_EXCEEDS_RHO_OVER_EPS
 
 
+def test_raising_bound_gives_undetermined_violation():
+    # J decays from 2 as 2*exp(-tau); rho_hat raises once J drops below 1.5,
+    # so the stop state names no failed condition.
+    spec, aux, bounds = toy_linear_decay()
+
+    def rho_hat(j):
+        if j[0] < 1.5:
+            raise ValueError("rho_hat undefined below J = 1.5")
+        return float(j[0])
+
+    bounds = dataclasses.replace(bounds, rho_hat=rho_hat)
+    est = ab.run_estimator(spec, aux, bounds, 1.0)
+    assert est.status is EstimatorStatus.DOMAIN_VIOLATION
+    assert est.violation_kind is ViolationKind.UNDETERMINED
+    assert est.tau_final == pytest.approx(math.log(2.0 / 1.5), abs=1e-6)
+
+
 @pytest.mark.parametrize("fig", ["1a", "2a", "4a"])
 def test_bound_equation_conserves_self_consistency(fig):
     # The bound ODE is constructed so that n - offset(tau, eps*n) - eps|R|m
@@ -151,6 +169,9 @@ def test_report_grid_shape(resonant_run):
     assert rows.shape == (256, 6)
     assert rows[0, 0] == 0.0 and rows[-1, 0] == pytest.approx(est.tau_final)
     assert np.all(np.diff(rows[:, 0]) > 0)
+    taus = np.linspace(est.tau[0], est.tau[-1], 256)
+    loop = np.array([[t, *hermite_reference(est.traj, t)] for t in taus])
+    assert np.array_equal(rows, loop)
 
 
 def test_dense_accessors_match_grid(resonant_run):

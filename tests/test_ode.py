@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from averbound import ode
+from conftest import hermite_reference
 
 
 def problem(rhs, y0, t_end, dim=None, t0=0.0):
@@ -139,8 +140,48 @@ def test_cursor_sampler_matches_sample():
 
 
 def test_module_level_sample_alias():
+    # the module-level ode.sample alias is gone; Trajectory.sample is the
+    # one-point entry point and must still interpolate between nodes.
     traj = ode.integrate(problem(lambda t, y: np.zeros(1), [2.0], 1.0))
-    assert ode.sample(traj, 0.5)[0] == 2.0
+    assert not hasattr(ode, "sample")
+    assert traj.sample(0.5)[0] == 2.0
+
+
+def _assert_matches_reference(traj, ts):
+    want = np.array([hermite_reference(traj, t) for t in ts])
+    assert np.array_equal(traj.sample_many(ts), want)
+
+
+def test_sample_many_matches_pointwise_loop():
+    def rhs(t, y):
+        return np.array([math.cos(3 * t) * y[1], -y[1]])
+    traj = ode.integrate(problem(rhs, [0.0, 1.0], 5.0))
+    slack = 1e-12 * 5.0
+    rng = np.random.default_rng(7)
+    inner = rng.uniform(0.0, 5.0, 3 * ode._SAMPLE_BLOCK)
+    ts = np.concatenate([traj.times, [-0.5 * slack, 5.0 + 0.5 * slack], inner])
+    rng.shuffle(ts)
+    assert ts.size > ode._SAMPLE_BLOCK
+    _assert_matches_reference(traj, ts)
+    # every node and both ends give the stored state; the slack clamps onto it
+    assert np.array_equal(traj.sample_many(traj.times), traj.states)
+    clamped = traj.sample_many([-0.5 * slack, 5.0 + 0.5 * slack])
+    assert np.array_equal(clamped, traj.states[[0, -1]])
+    assert traj.sample_many([]).shape == (0, 2)
+    for outside in ([1.0, -0.1], [5.1], [5.0 + 2 * slack]):
+        with pytest.raises(ValueError):
+            traj.sample_many(outside)
+
+
+def test_sample_many_on_stopped_trajectory():
+    traj = ode.integrate(problem(lambda t, y: np.array([math.cos(t), y[0]]),
+                                 [0.0, 0.0], 3.0),
+                         stop=lambda t, y: y[0] >= 0.9)
+    assert traj.status is ode.Status.STOPPED
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([traj.times, rng.uniform(0.0, traj.stop_time, 100)])
+    _assert_matches_reference(traj, ts)
+    assert np.array_equal(traj.sample(traj.stop_time), traj.states[-1])
 
 
 def test_nonfinite_rhs_region_triggers_failure_not_crash():
