@@ -15,10 +15,9 @@ from .estimator import (ContractionWindow, EstimatorStatus,
                         assemble_slow_rhs, auto_window, find_fixed_point,
                         run_averaged, run_estimator)
 from .direct import DirectTrajectory, envelope, run_direct
-from .examples import (ExampleDefinition, FigurePreset, angle_to_physical,
-                       figure_ids, figure_preset, make_action_freq,
-                       make_euler_top, make_example, make_resonant, make_vdp,
-                       register_system)
+from .examples import (ExampleDefinition, FigurePreset, figure_ids,
+                       figure_preset, make_action_freq, make_euler_top,
+                       make_example, make_resonant, make_vdp, register_system)
 from .validation import (ValidationReport, verify_bound_domination,
                          verify_headline_bound, verify_identities,
                          verify_integral_identity)
@@ -33,7 +32,7 @@ __all__ = [
     "ViolationKind", "analytic_crosscheck", "assemble_slow_rhs",
     "auto_window", "find_fixed_point", "run_averaged", "run_estimator",
     "DirectTrajectory", "envelope", "run_direct",
-    "ExampleDefinition", "FigurePreset", "angle_to_physical", "figure_ids",
+    "ExampleDefinition", "FigurePreset", "figure_ids",
     "figure_preset", "make_action_freq", "make_euler_top", "make_example",
     "make_resonant", "make_vdp", "register_system",
     "ValidationReport", "verify_bound_domination", "verify_headline_bound",

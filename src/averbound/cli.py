@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -41,9 +41,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
-
-_PARAM_KEYS = {"kappa": "kappa", "mu": "mu", "l1": "lambda1", "l2": "lambda2",
-               "lambda1": "lambda1", "lambda2": "lambda2"}
 
 
 class ConfigError(ValueError):
@@ -66,7 +63,7 @@ class RunConfig:
     window: Optional[ContractionWindow] = None
     env_window: Optional[float] = None
     out: Optional[str] = None
-    fmt: str = "csv"
+    format: str = "csv"
 
     def system(self) -> SystemSpec:
         return self.example.make_system(self.i0, self.eps, self.theta0)
@@ -74,24 +71,152 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # Config resolution
+#
+# Flags and config-file lines both become ``key -> (raw text, origin)``
+# entries, and one resolver turns them into a RunConfig.  A key's parser
+# raises ValueError with the reason that follows the key's name.
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+
+
+def _positive(text: str) -> float:
+    val = _number(text)
+    if not val > 0:
+        raise ValueError("must be positive")
+    return val
 
 
 def _parse_i0(text: str) -> np.ndarray:
     try:
         return np.array([float(x) for x in text.split(",") if x.strip() != ""])
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse i0 {text!r}: {exc}") from None
+    except ValueError:
+        raise ValueError(f"must be comma-separated numbers, got {text!r}") from None
 
 
 def _parse_window(text: str) -> ContractionWindow:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError('--window expects "lstar,sigma,M"')
     try:
-        lstar, sigma, m = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse window {text!r}: {exc}") from None
+        lstar, sigma, m = (float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f'must be "lstar,sigma,M", got {text!r}') from None
     return ContractionWindow(ell_star=lstar, sigma=sigma, slope_bound=m)
+
+
+def _table_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"must be csv or json, got {text!r}")
+    return text
+
+
+# Every key of a run, with its parser.  All but ``figure``, ``example`` and
+# the system parameters are RunConfig fields.
+_KEYS = {
+    "figure": str, "example": str,
+    "i0": _parse_i0, "theta0": _number, "eps": _positive, "u": _positive,
+    "kappa": _number, "mu": _number, "lambda1": _number, "lambda2": _number,
+    "rtol": _positive, "atol": _positive, "budget": _number,
+    "window": _parse_window, "env_window": _number,
+    "out": str, "format": _table_format,
+}
+_ALIASES = {"system": "example", "l1": "lambda1", "l2": "lambda2"}
+_PARAMS = ("kappa", "mu", "lambda1", "lambda2")
+# A figure preset fixes these, so no other entry may set them.
+_PRESET_KEYS = ("example", "i0", "theta0", "eps", "u") + _PARAMS
+
+
+def _resolve(raw: Mapping[str, Tuple[str, str]], command: Optional[str],
+             where: str) -> RunConfig:
+    """Resolve ``key -> (text, origin)`` entries into a run configuration.
+
+    ``origin`` names where an entry came from (``run.cfg:3``, ``--eps``) and
+    prefixes the errors it causes; ``where`` prefixes the errors no single
+    entry causes.  A ``figure`` preset is complete and excludes every key it
+    fixes.  Otherwise ``example`` names a registered system, which must list
+    every parameter given, and ``i0``, ``eps`` and ``u`` are required;
+    ``verify`` fills in defaults for them.
+    """
+    vals, origin = {}, {}
+    for name, (text, src) in raw.items():
+        key = _ALIASES.get(name, name)
+        if key not in _KEYS:
+            raise ConfigError(f"{src}: unknown key {name!r}")
+        if key in origin:
+            raise ConfigError(
+                f"{src}: duplicate key {name!r}; {origin[key]} already sets {key!r}")
+        try:
+            vals[key] = _KEYS[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"{src}: {name} {exc}") from None
+        origin[key] = src
+
+    figure = vals.pop("figure", None)
+    if figure is not None:
+        clash = [origin[k] for k in _PRESET_KEYS if k in vals]
+        if clash:
+            raise ConfigError(f"{origin['figure']}: figure preset conflicts with "
+                              f"{', '.join(clash)}")
+        try:
+            example, preset = figure_preset(figure)
+        except KeyError as exc:
+            raise ConfigError(f"{origin['figure']}: {exc}") from None
+        label = f"figure-{preset.figure}"
+        vals.update(i0=np.array(preset.i0), eps=preset.eps, u=preset.u,
+                    theta0=preset.theta0)
+    else:
+        label = vals.pop("example", None)
+        if label is None:
+            raise ConfigError(f"{where}: select a figure preset or a system "
+                              f"(--figure/--example, or figure/system in a "
+                              f"--config file)")
+        params = {k: vals.pop(k) for k in _PARAMS if k in vals}
+        try:
+            example = make_example(label, params)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{origin['example']}: {exc}") from None
+        for key in params:
+            if key not in example.params:
+                raise ConfigError(f"{origin[key]}: {label} has no parameter {key!r}")
+        if command == "verify":
+            vals = {**_verify_defaults(example), **vals}
+        missing = [k for k in ("i0", "eps", "u") if k not in vals]
+        if missing:
+            raise ConfigError(f"{where}: missing required key "
+                              f"{', '.join(map(repr, missing))}")
+
+    cfg = RunConfig(example=example, label=label, **vals)
+    if cfg.i0.shape != (example.d,):
+        raise ConfigError(f"{origin.get('i0', where)}: i0 must have {example.d} "
+                          f"component(s), got {cfg.i0.size}")
+    return cfg
+
+
+def _read_config(path: Path) -> Dict[str, Tuple[str, str]]:
+    """The entries of a ``key = value`` file, each with its line as origin."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    raw = {}
+    for no, line in enumerate(text.splitlines(), start=1):
+        entry = line.strip()
+        if not entry or entry.startswith("#"):
+            continue
+        if "=" not in entry:
+            raise ConfigError(f"{path}:{no}: expected 'key = value', got {line!r}")
+        key, _, val = entry.partition("=")
+        key, val = key.strip().lower(), val.strip()
+        if not key or not val:
+            raise ConfigError(f"{path}:{no}: empty key or value")
+        if key in raw:
+            raise ConfigError(f"{path}:{no}: duplicate key {key!r}")
+        raw[key] = (val, f"{path}:{no}")
+    if not raw:
+        raise ConfigError(f"{path}: empty config file")
+    return raw
 
 
 def load_user_system(path) -> RunConfig:
@@ -104,171 +229,24 @@ def load_user_system(path) -> RunConfig:
     offending line.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-
-    values: Dict[str, str] = {}
-    lines: Dict[str, int] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{no}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if not key or not val:
-            raise ConfigError(f"{path}:{no}: empty key or value")
-        if key in values:
-            raise ConfigError(f"{path}:{no}: duplicate key {key!r}")
-        values[key] = val
-        lines[key] = no
-    if not values:
-        raise ConfigError(f"{path}: empty config file")
-
-    known = {"figure", "system", "example", "i0", "theta0", "eps", "u",
-             "rtol", "atol", "budget", "out", "format", "window",
-             "env_window"} | set(_PARAM_KEYS)
-    for key in values:
-        if key not in known:
-            raise ConfigError(f"{path}:{lines[key]}: unknown key {key!r}")
-
-    def fval(key, default=None):
-        if key not in values:
-            return default
-        try:
-            return float(values[key])
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lines[key]}: {key} must be a number, "
-                f"got {values[key]!r}") from None
-
-    if "figure" in values:
-        clash = {"system", "example", "i0", "eps", "u"} & set(values)
-        if clash:
-            raise ConfigError(f"{path}: figure preset conflicts with keys {sorted(clash)}")
-        example, preset = _resolve_figure(values["figure"])
-        cfg = RunConfig(example=example, label=f"figure-{preset.figure}",
-                        i0=np.array(preset.i0), eps=preset.eps, u=preset.u,
-                        theta0=preset.theta0)
-    else:
-        name = values.get("system") or values.get("example")
-        if not name:
-            raise ConfigError(f"{path}: config must set 'figure' or 'system'")
-        params = {_PARAM_KEYS[k]: fval(k) for k in values if k in _PARAM_KEYS}
-        try:
-            example = make_example(name, params)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        for key in ("i0", "eps", "u"):
-            if key not in values:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-        cfg = RunConfig(example=example, label=name, i0=_parse_i0(values["i0"]),
-                        eps=fval("eps"), u=fval("u"), theta0=fval("theta0", 0.0))
-
-    _apply_numeric(cfg, fval)
-    if "window" in values:
-        cfg.window = _parse_window(values["window"])
-    if "out" in values:
-        cfg.out = values["out"]
-    if "format" in values:
-        cfg.fmt = values["format"]
-    _validate(cfg, where=str(path))
-    return cfg
-
-
-def _apply_numeric(cfg: RunConfig, fval) -> None:
-    cfg.rtol = fval("rtol", cfg.rtol)
-    cfg.atol = fval("atol", cfg.atol)
-    cfg.budget = fval("budget", cfg.budget)
-    cfg.env_window = fval("env_window", cfg.env_window)
-
-
-def _validate(cfg: RunConfig, where: str = "arguments") -> None:
-    if not cfg.eps > 0:
-        raise ConfigError(f"{where}: eps must be positive")
-    if not cfg.u > 0:
-        raise ConfigError(f"{where}: U must be positive")
-    if not (cfg.rtol > 0 and cfg.atol > 0):
-        raise ConfigError(f"{where}: tolerances must be positive")
-    if cfg.i0.shape != (cfg.example.d,):
-        raise ConfigError(
-            f"{where}: i0 must have {cfg.example.d} component(s), "
-            f"got {cfg.i0.size}")
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"{where}: format must be csv or json")
-
-
-def _resolve_figure(figure: str):
-    try:
-        return figure_preset(figure)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+    return _resolve(_read_config(path), None, str(path))
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Build a :class:`RunConfig` from parsed command-line flags."""
-    if args.config:
-        if args.figure or args.example:
-            raise ConfigError("--config excludes --figure/--example")
-        cfg = load_user_system(args.config)
-    elif args.figure:
-        explicit = [n for n in ("i0", "theta0", "eps", "u", "kappa", "mu",
-                                "l1", "l2")
-                    if getattr(args, n, None) is not None]
-        if args.example or explicit:
-            raise ConfigError(
-                f"--figure is a complete preset; drop --example/{explicit}")
-        example, preset = _resolve_figure(args.figure)
-        cfg = RunConfig(example=example, label=f"figure-{preset.figure}",
-                        i0=np.array(preset.i0), eps=preset.eps, u=preset.u,
-                        theta0=preset.theta0)
-    elif args.example:
-        params = {}
-        for flag in ("kappa", "mu", "l1", "l2"):
-            val = getattr(args, flag, None)
-            if val is not None:
-                params[_PARAM_KEYS[flag]] = val
-        if args.example == "action-freq" and "kappa" in params:
-            params["kappa"] = int(params["kappa"])
-        try:
-            example = make_example(args.example, params)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        defaults = _verify_defaults(example) if args.command == "verify" else {}
-        i0 = args.i0 if args.i0 is not None else defaults.get("i0")
-        eps = args.eps if args.eps is not None else defaults.get("eps")
-        u = args.u if args.u is not None else defaults.get("u")
-        missing = [n for n, v in (("--i0", i0), ("--eps", eps), ("--u", u))
-                   if v is None]
-        if missing:
-            raise ConfigError(f"missing {' '.join(missing)} for --example runs")
-        cfg = RunConfig(example=example, label=args.example,
-                        i0=_parse_i0(i0) if isinstance(i0, str) else np.asarray(i0, float),
-                        eps=float(eps), u=float(u),
-                        theta0=args.theta0 or 0.0)
-    else:
-        raise ConfigError("select a run with --figure, --example or --config")
+    """Build a :class:`RunConfig` from parsed command-line flags.
 
-    if args.rtol is not None:
-        cfg.rtol = args.rtol
-    if args.atol is not None:
-        cfg.atol = args.atol
-    if args.budget is not None:
-        cfg.budget = args.budget
-    if getattr(args, "env_window", None) is not None:
-        cfg.env_window = args.env_window
-    if args.window:
-        cfg.window = _parse_window(args.window)
-    if args.out:
-        cfg.out = args.out
-    if args.format:
-        cfg.fmt = args.format
-    _validate(cfg)
-    return cfg
+    With ``--config`` the file's entries are read first, and each flag given
+    replaces the file's key of the same name.
+    """
+    flags = {key: (val, "--" + key.replace("_", "-"))
+             for key, val in vars(args).items()
+             if key not in ("command", "config") and val is not None}
+    if not args.config:
+        return _resolve(flags, args.command, "arguments")
+    if args.figure or args.example:
+        raise ConfigError("--config excludes --figure/--example")
+    path = Path(args.config)
+    return _resolve({**_read_config(path), **flags}, args.command, str(path))
 
 
 def _verify_defaults(example: ExampleDefinition) -> Dict:
@@ -310,7 +288,7 @@ def _direct_table(dtraj: DirectTrajectory) -> np.ndarray:
 def _out_path(cfg: RunConfig, command: str) -> Path:
     if cfg.out:
         return Path(cfg.out)
-    suffix = "json" if command == "verify" else cfg.fmt
+    suffix = "json" if command == "verify" else cfg.format
     return Path(f"averbound_{command}_{cfg.label}.{suffix}")
 
 
@@ -347,7 +325,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
                         window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
     out = _out_path(cfg, "estimate")
     export.write_table(out, _estimate_columns(spec.d), _estimator_table(est),
-                       cfg.fmt)
+                       cfg.format)
     export.write_json(_sidecar_path(out), {
         "ell0": est.ell0,
         "status": est.status.value,
@@ -379,7 +357,7 @@ def cmd_direct(cfg: RunConfig) -> int:
     out = _out_path(cfg, "direct")
     cols = (["t", "tau"] + [f"L_{i + 1}" for i in range(spec.d)]
             + ["absL", "theta_mod_2pi"])
-    export.write_table(out, cols, _direct_table(dtraj), cfg.fmt)
+    export.write_table(out, cols, _direct_table(dtraj), cfg.format)
     export.write_json(_sidecar_path(out), {
         "status": dtraj.status.value,
         "budget_exceeded": dtraj.budget_exceeded,
@@ -411,7 +389,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     rows = np.column_stack([taus, est.traj.sample_many(taus)[:, -1], peaks])
 
     out = _out_path(cfg, "compare")
-    export.write_table(out, ["tau", "n", "envelope_absL"], rows, cfg.fmt)
+    export.write_table(out, ["tau", "n", "envelope_absL"], rows, cfg.format)
     export.write_json(_sidecar_path(out), {
         "headline": report.to_dict(),
         "ell0": est.ell0,
@@ -481,8 +459,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with EXIT_ERROR, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Flags are kept as raw text; ``resolve_config`` parses them."""
+    parser = _Parser(
         prog="averbound",
         description="Certified error bounds for one-frequency averaging.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -496,22 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
                                          "resonant, euler-top, or registered)")
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--i0", help="initial actions, comma-separated")
-        p.add_argument("--theta0", type=float, help="initial angle (default 0)")
-        p.add_argument("--eps", type=float, help="perturbation size")
-        p.add_argument("--u", type=float, help="slow-time horizon U")
-        p.add_argument("--kappa", type=float, help="action-freq sign (+1/-1)")
-        p.add_argument("--mu", type=float, help="euler-top damping asymmetry")
-        p.add_argument("--l1", type=float, help="euler-top first decay rate")
-        p.add_argument("--l2", type=float, help="euler-top second decay rate")
-        p.add_argument("--rtol", type=float, help="relative tolerance (1e-9)")
-        p.add_argument("--atol", type=float, help="absolute tolerance (1e-12)")
-        p.add_argument("--budget", type=float, help="direct-run wall budget, s")
+        p.add_argument("--theta0", help="initial angle (default 0)")
+        p.add_argument("--eps", help="perturbation size")
+        p.add_argument("--u", help="slow-time horizon U")
+        p.add_argument("--kappa", help="action-freq sign (+1/-1)")
+        p.add_argument("--mu", help="euler-top damping asymmetry")
+        p.add_argument("--l1", help="euler-top first decay rate")
+        p.add_argument("--l2", help="euler-top second decay rate")
+        p.add_argument("--rtol", help="relative tolerance (1e-9)")
+        p.add_argument("--atol", help="absolute tolerance (1e-12)")
+        p.add_argument("--budget", help="direct-run wall budget, s")
         p.add_argument("--window", help='fixed-point window "lstar,sigma,M"')
-        p.add_argument("--env-window", dest="env_window", type=float,
+        p.add_argument("--env-window", dest="env_window",
                        help="envelope window width in slow time (U/50)")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="table format (csv)")
+        p.add_argument("--format", help="table format, csv or json (csv)")
     return parser
 
 
@@ -525,9 +511,6 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (ValueError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import ode
-from .model import (AuxiliaryBundle, BoundBundle, SystemSpec, frobenius)
+from .model import (AuxiliaryBundle, BoundBundle, SystemSpec, frobenius,
+                    growth_value, offset_value)
 
 __all__ = [
     "ContractionError",
@@ -85,19 +86,14 @@ class EstimatorStatus(str, Enum):
 # Bound-function derivatives
 
 
-def _alpha_at(bounds: BoundBundle, j, rmat, k, r, eps) -> float:
-    """Unguarded a_hat + eps*b_hat, for internal finite differencing."""
-    return float(bounds.a_hat(j, rmat, k, r) + eps * bounds.b_hat(j, r))
-
-
 def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps, step) -> float:
     if bounds.a_grad is not None:
         ga = bounds.a_grad(j, rmat, k, r)[3]
         gb = bounds.b_grad(j, r)[1] if bounds.b_grad is not None else _fd_b_r(bounds, j, r, step)
         return float(ga + eps * gb)
     h = step * max(1.0, abs(r))
-    return (_alpha_at(bounds, j, rmat, k, r + h, eps)
-            - _alpha_at(bounds, j, rmat, k, r - h, eps)) / (2 * h)
+    return (offset_value(bounds, j, rmat, k, r + h, eps)
+            - offset_value(bounds, j, rmat, k, r - h, eps)) / (2 * h)
 
 
 def _fd_b_r(bounds, j, r, step):
@@ -129,8 +125,8 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
         h = step * max(1.0, abs(j[i]))
         jp = j.copy(); jp[i] += h
         jm = j.copy(); jm[i] -= h
-        total += dj[i] * (_alpha_at(bounds, jp, rmat, k, r, eps)
-                          - _alpha_at(bounds, jm, rmat, k, r, eps)) / (2 * h)
+        total += dj[i] * (offset_value(bounds, jp, rmat, k, r, eps)
+                          - offset_value(bounds, jm, rmat, k, r, eps)) / (2 * h)
     for a in range(d):
         for b in range(d):
             if drmat[a, b] == 0.0:
@@ -234,7 +230,7 @@ def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
         raise ContractionError(
             f"sampled level-map slope {worst} exceeds supplied bound "
             f"{window.slope_bound}")
-    a_star = _alpha_at(bounds, j0, rmat0, k0, eps * window.ell_star, eps)
+    a_star = offset_value(bounds, j0, rmat0, k0, eps * window.ell_star, eps)
     if not (abs(a_star - window.ell_star) + eps * window.slope_bound * window.sigma
             < window.sigma):
         raise ContractionError("window does not map into itself")
@@ -250,7 +246,7 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle,
     """
     eps = spec.epsilon
     j0, rmat0, k0 = _window_alpha0(spec, bounds)
-    ell_star = _alpha_at(bounds, j0, rmat0, k0, 0.0, eps)
+    ell_star = offset_value(bounds, j0, rmat0, k0, 0.0, eps)
     if not ell_star > 0.0:
         raise WindowError("offset bound at radius 0 must be positive")
     sigma = 0.5 * ell_star
@@ -288,7 +284,7 @@ def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
     ell = window.ell_star
     first_gap = None
     for it in range(1, max_iter + 1):
-        nxt = _alpha_at(bounds, j0, rmat0, k0, eps * ell, eps)
+        nxt = offset_value(bounds, j0, rmat0, k0, eps * ell, eps)
         if first_gap is None:
             first_gap = abs(nxt - ell)
         residual = abs(nxt - ell)
@@ -346,8 +342,7 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
         norm_r = frobenius(rmat)
         norm_rinv = frobenius(rinv)
         radius = eps * n
-        gam = (bounds.c_hat(j, radius) + bounds.d_hat(j, radius) * n
-               + 0.5 * bounds.e_hat(j, radius) * n * n)
+        gam = growth_value(bounds, j, radius, n)
         dm = norm_rinv * gam
 
         dal_dr = _dalpha_dr(bounds, j, rmat, k, radius, eps, fd_step)

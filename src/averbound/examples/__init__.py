@@ -31,7 +31,6 @@ __all__ = [
     "registered_systems",
     "figure_preset",
     "figure_ids",
-    "angle_to_physical",
 ]
 
 
@@ -115,7 +114,7 @@ def _vdp_factory(params: Mapping[str, float]) -> ExampleDefinition:
 
 
 def _action_freq_factory(params: Mapping[str, float]) -> ExampleDefinition:
-    return make_action_freq(int(params.get("kappa", 1)))
+    return make_action_freq(params.get("kappa", 1))
 
 
 def _resonant_factory(params: Mapping[str, float]) -> ExampleDefinition:
@@ -195,16 +194,3 @@ def figure_preset(figure: str) -> Tuple[ExampleDefinition, FigurePreset]:
                        f"{', '.join(_PRESETS)}") from None
     return make_example(preset.example_id, preset.params), preset
 
-
-def angle_to_physical(example_id: str, i, theta: float):
-    """Map action-angle coordinates to an example's physical coordinates.
-
-    Supported: "vdp" -> (x, v); "euler-top" -> (p, q, r) with the inertia
-    prefactor of the third component taken as 1 by convention.
-    """
-    i = np.atleast_1d(np.asarray(i, dtype=float))
-    if example_id == "vdp":
-        return vdp.to_physical(i, theta)
-    if example_id == "euler-top":
-        return euler_top.to_physical(i, theta)
-    raise ValueError(f"no physical coordinate map for example {example_id!r}")

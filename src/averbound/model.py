@@ -33,6 +33,8 @@ __all__ = [
     "BoundBundle",
     "TaylorPair",
     "frobenius",
+    "offset_value",
+    "growth_value",
     "offset_bound",
     "growth_bound",
 ]
@@ -198,22 +200,33 @@ def _check_radius(bounds: BoundBundle, j: np.ndarray, r: float) -> None:
         raise DomainError(f"radius r={r} outside the tube [0, {rho})")
 
 
+def offset_value(bounds: BoundBundle, j: np.ndarray, r_mat: np.ndarray,
+                 k: np.ndarray, r: float, eps: float) -> float:
+    """Offset term of the error inequality, a_hat + eps * b_hat, unguarded.
+
+    The estimator evaluates it inside its right-hand side and finite
+    differences, where the tube check is left to the stop predicate.
+    """
+    return float(bounds.a_hat(j, r_mat, k, r) + eps * bounds.b_hat(j, r))
+
+
+def growth_value(bounds: BoundBundle, j: np.ndarray, r: float, ell: float) -> float:
+    """Growth kernel of the error inequality, c_hat + d_hat*ell + e_hat*ell^2/2,
+    unguarded."""
+    return float(bounds.c_hat(j, r) + bounds.d_hat(j, r) * ell
+                 + 0.5 * bounds.e_hat(j, r) * ell * ell)
+
+
 def offset_bound(bounds: BoundBundle, j: np.ndarray, r_mat: np.ndarray,
                  k: np.ndarray, r: float, eps: float) -> float:
-    """Offset term of the error inequality: a_hat + eps * b_hat.
-
-    Requires 0 <= r < rho_hat(j); raises :class:`DomainError` at or beyond
-    the tube radius.
-    """
+    """:func:`offset_value` for 0 <= r < rho_hat(j); raises
+    :class:`DomainError` at or beyond the tube radius."""
     _check_radius(bounds, j, r)
-    val = bounds.a_hat(j, r_mat, k, r)
-    if eps != 0.0:
-        val += eps * bounds.b_hat(j, r)
-    return float(val)
+    return offset_value(bounds, j, r_mat, k, r, eps)
 
 
 def growth_bound(bounds: BoundBundle, j: np.ndarray, r: float, ell: float) -> float:
-    """Growth kernel of the error inequality: c_hat + d_hat*ell + e_hat*ell^2/2."""
+    """:func:`growth_value` for 0 <= r < rho_hat(j); raises
+    :class:`DomainError` at or beyond the tube radius."""
     _check_radius(bounds, j, r)
-    return float(bounds.c_hat(j, r) + bounds.d_hat(j, r) * ell
-                 + 0.5 * bounds.e_hat(j, r) * ell * ell)
+    return growth_value(bounds, j, r, ell)

@@ -190,12 +190,74 @@ def test_config_file_explicit_system(tmp_path):
     ("system = resonant\nsystem = vdp\ni0 = 2\neps = 1e-2\nu = 1\n",
      "duplicate key"),
     ("just some text\n", "expected 'key = value'"),
+    ("figure = 2d\ntheta0 = 1.0\n", "conflicts"),
+    ("figure = 2d\nkappa = 1\n", "conflicts"),
+    ("system = vdp\nexample = resonant\ni0 = 2\neps = 1e-2\nu = 1\n",
+     "duplicate key"),
+    ("system = euler-top\nmu = 1\nl1 = 2\nlambda1 = 5\nl2 = -1\n"
+     "i0 = 4,4\neps = 1e-2\nu = 1\n", "duplicate key"),
+    ("system = vdp\nmu = 3\ni0 = 2\neps = 1e-2\nu = 1\n", "no parameter"),
+    ("system = action-freq\nkappa = 1.7\ni0 = 1\neps = 1e-2\nu = 0.5\n",
+     "kappa must be"),
 ])
 def test_config_file_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(body)
     with pytest.raises(ConfigError, match=fragment):
         load_user_system(cfg_path)
+
+
+_RESONANT = ["--i0", "2", "--eps", "1e-2", "--u", "1"]
+
+
+@pytest.mark.parametrize("flags,body,fragment", [
+    (["--figure", "2d", "--theta0", "1.0"], None, "conflicts"),
+    (["--figure", "2d", "--kappa", "1"], None, "conflicts"),
+    (["--example", "resonant"], "system = vdp\n", "excludes"),
+    (["--l1", "2"], "system = euler-top\nmu = 1\nlambda1 = 5\nl2 = -1\n"
+     "i0 = 4,4\neps = 1e-2\nu = 1\n", "duplicate key"),
+    (["--example", "vdp", "--mu", "3"] + _RESONANT, None, "no parameter"),
+    (["--example", "action-freq", "--kappa", "1.7"] + _RESONANT, None,
+     "kappa must be"),
+    (["--example", "resonant", "--eps", "abc", "--i0", "2", "--u", "1"], None,
+     "must be a number"),
+])
+def test_flag_errors(tmp_path, flags, body, fragment):
+    if body is not None:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(body)
+        flags = flags + ["--config", str(cfg_path)]
+    args = build_parser().parse_args(["estimate"] + flags)
+    with pytest.raises(ConfigError, match=fragment):
+        resolve_config(args)
+
+
+def test_config_file_flags_override(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("system = resonant\ni0 = 2\neps = 1e-2\nu = 1\n")
+    parser = build_parser()
+    cfg = resolve_config(parser.parse_args(
+        ["estimate", "--config", str(cfg_path), "--i0", "3", "--eps", "0.5",
+         "--u", "7", "--theta0", "1"]))
+    assert cfg.example.id == "resonant"
+    assert cfg.i0.tolist() == [3.0]
+    assert (cfg.eps, cfg.u, cfg.theta0) == (0.5, 7.0, 1.0)
+    # verify fills in i0, eps and u for a file as it does for flags
+    cfg_path.write_text("system = vdp\n")
+    cfg = resolve_config(parser.parse_args(["verify", "--config", str(cfg_path)]))
+    assert (cfg.eps, cfg.u) == (1e-2, 1.0)
+
+
+def test_usage_errors_exit_1():
+    def code(*argv):
+        try:
+            return run_cli(*argv)
+        except SystemExit as exc:
+            return exc.code
+    assert code("estimate", "--figure", "3e", "--no-such-flag") == 1
+    assert code("estimate", "--figure", "3e", "--format", "xml") == 1
+    assert code("no-such-command") == 1
+    assert code("estimate", "--help") == 0
 
 
 def test_cli_requires_a_selection():

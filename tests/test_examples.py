@@ -122,15 +122,15 @@ def test_register_custom_system():
 
 
 def test_angle_to_physical_maps():
-    x, v = ab.angle_to_physical("vdp", [2.0], 0.0)
+    x, v = ab.make_vdp().to_physical([2.0], 0.0)
     assert (x, v) == (pytest.approx(2.0), pytest.approx(0.0))
-    x, v = ab.angle_to_physical("vdp", [2.0], math.pi / 2)
+    x, v = ab.make_vdp().to_physical([2.0], math.pi / 2)
     assert x == pytest.approx(0.0, abs=1e-15) and v == pytest.approx(2.0)
-    p, q, r = ab.angle_to_physical("euler-top", [1.0, 1.0], 0.0)
+    top = ab.make_euler_top(1.0, 2.0, -1.0)
+    p, q, r = top.to_physical([1.0, 1.0], 0.0)
     assert (p, q, r) == (pytest.approx(1.0), pytest.approx(0.0),
                          pytest.approx(1.0))
-    with pytest.raises(ValueError):
-        ab.angle_to_physical("resonant", [1.0], 0.0)
+    assert ab.make_resonant().to_physical is None
 
 
 def _resample(traj, ts):
