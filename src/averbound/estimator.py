@@ -88,17 +88,10 @@ class EstimatorStatus(str, Enum):
 
 def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps, step) -> float:
     if bounds.a_grad is not None:
-        ga = bounds.a_grad(j, rmat, k, r)[3]
-        gb = bounds.b_grad(j, r)[1] if bounds.b_grad is not None else _fd_b_r(bounds, j, r, step)
-        return float(ga + eps * gb)
+        return float(bounds.a_grad(j, rmat, k, r)[3] + eps * bounds.b_grad(j, r)[1])
     h = step * max(1.0, abs(r))
     return (offset_value(bounds, j, rmat, k, r + h, eps)
             - offset_value(bounds, j, rmat, k, r - h, eps)) / (2 * h)
-
-
-def _fd_b_r(bounds, j, r, step):
-    h = step * max(1.0, abs(r))
-    return (bounds.b_hat(j, r + h) - bounds.b_hat(j, r - h)) / (2 * h)
 
 
 def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
@@ -111,11 +104,7 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
     if bounds.a_grad is not None:
         ga_j, ga_r, ga_k, _ = bounds.a_grad(j, rmat, k, r)
         total = (np.sum(ga_j * dj) + np.sum(ga_r * drmat) + np.sum(ga_k * dk))
-        if bounds.b_grad is not None:
-            gb_j = bounds.b_grad(j, r)[0]
-        else:
-            gb_j = _fd_b_j(bounds, j, r, step)
-        return float(total + eps * np.sum(gb_j * dj))
+        return float(total + eps * np.sum(bounds.b_grad(j, r)[0] * dj))
 
     total = 0.0
     d = j.shape[0]
@@ -147,18 +136,8 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
     return float(total)
 
 
-def _fd_b_j(bounds, j, r, step):
-    d = j.shape[0]
-    g = np.zeros(d)
-    for i in range(d):
-        h = step * max(1.0, abs(j[i]))
-        jp = j.copy(); jp[i] += h
-        jm = j.copy(); jm[i] -= h
-        g[i] = (bounds.b_hat(jp, r) - bounds.b_hat(jm, r)) / (2 * h)
-    return g
-
-
-def _invert(rmat: np.ndarray) -> np.ndarray:
+def _invert(rmat: np.ndarray):
+    """R^-1 with the Frobenius norms |R| and |R^-1| of the condition check."""
     d = rmat.shape[0]
     if d == 1:
         val = rmat[0, 0]
@@ -176,9 +155,10 @@ def _invert(rmat: np.ndarray) -> np.ndarray:
             inv = np.linalg.solve(rmat, np.eye(d))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(str(exc)) from exc
-    if frobenius(rmat) * frobenius(inv) > _COND_LIMIT:
+    norm_r, norm_inv = frobenius(rmat), frobenius(inv)
+    if norm_r * norm_inv > _COND_LIMIT:
         raise SingularMatrixError("condition estimate of R exceeds 1e12")
-    return inv
+    return inv, norm_r, norm_inv
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +182,30 @@ class ContractionWindow:
         return self.ell_star - self.sigma, self.ell_star + self.sigma
 
 
-def _window_alpha0(spec: SystemSpec, bounds: BoundBundle):
+def _window_alpha0(spec: SystemSpec):
     d = spec.d
-    j0 = spec.i0
-    rmat0 = np.eye(d)
-    k0 = np.zeros(d)
-    return j0, rmat0, k0
+    return spec.i0, np.eye(d), np.zeros(d)
 
 
-def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
-                  n_samples: int = 101, fd_step: float = 1e-6) -> None:
-    """Check the contraction preconditions by sampling, raising on failure."""
+def _sampled_slope(spec: SystemSpec, bounds: BoundBundle, lo: float, hi: float,
+                   n_samples: int, fd_step: float) -> float:
+    """Largest |d(offset)/dr| at radius eps*ell over ``n_samples`` levels
+    ell evenly spaced in [lo, hi]."""
     eps = spec.epsilon
-    j0, rmat0, k0 = _window_alpha0(spec, bounds)
+    j0, rmat0, k0 = _window_alpha0(spec)
+    worst = 0.0
+    for ell in np.linspace(lo, hi, n_samples):
+        worst = max(worst, abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps, fd_step)))
+    return worst
+
+
+def _check_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
+                  n_samples: int, fd_step: float, worst: Optional[float] = None) -> None:
+    """Raise :class:`ContractionError` unless ``window`` lies in the tube, has
+    slope bound below 1/eps, bounds the sampled slope ``worst`` (sampled
+    here when not given) and maps into itself."""
+    eps = spec.epsilon
+    j0, rmat0, k0 = _window_alpha0(spec)
     lo, hi = window.interval()
     rho0 = bounds.rho_hat(j0)
     if not (0.0 < lo and hi < rho0 / eps):
@@ -222,10 +213,8 @@ def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
             f"window [{lo}, {hi}] not inside (0, rho(0)/eps={rho0 / eps})")
     if not window.slope_bound < 1.0 / eps:
         raise ContractionError("slope bound must stay below 1/eps")
-    worst = 0.0
-    for ell in np.linspace(lo, hi, n_samples):
-        slope = abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps, fd_step))
-        worst = max(worst, slope)
+    if worst is None:
+        worst = _sampled_slope(spec, bounds, lo, hi, n_samples, fd_step)
     if worst > window.slope_bound + 1e-12:
         raise ContractionError(
             f"sampled level-map slope {worst} exceeds supplied bound "
@@ -234,6 +223,12 @@ def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
     if not (abs(a_star - window.ell_star) + eps * window.slope_bound * window.sigma
             < window.sigma):
         raise ContractionError("window does not map into itself")
+
+
+def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
+                  n_samples: int = 101, fd_step: float = 1e-6) -> None:
+    """Check the contraction preconditions by sampling, raising on failure."""
+    _check_window(spec, bounds, window, n_samples, fd_step)
 
 
 def auto_window(spec: SystemSpec, bounds: BoundBundle,
@@ -245,22 +240,19 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle,
     :class:`WindowError` when no valid window results.
     """
     eps = spec.epsilon
-    j0, rmat0, k0 = _window_alpha0(spec, bounds)
+    j0, rmat0, k0 = _window_alpha0(spec)
     ell_star = offset_value(bounds, j0, rmat0, k0, 0.0, eps)
     if not ell_star > 0.0:
         raise WindowError("offset bound at radius 0 must be positive")
     sigma = 0.5 * ell_star
     lo, hi = ell_star - sigma, ell_star + sigma
-    rho0 = bounds.rho_hat(j0)
-    if not hi < rho0 / eps:
+    if not hi < bounds.rho_hat(j0) / eps:
         raise WindowError("proposed window exceeds the tube radius")
-    worst = 0.0
-    for ell in np.linspace(lo, hi, n_samples):
-        worst = max(worst, abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps, fd_step)))
+    worst = _sampled_slope(spec, bounds, lo, hi, n_samples, fd_step)
     slope = worst * (1.0 + 1e-9) + 1e-15
     window = ContractionWindow(ell_star=ell_star, sigma=sigma, slope_bound=slope)
     try:
-        verify_window(spec, bounds, window, n_samples=n_samples, fd_step=fd_step)
+        _check_window(spec, bounds, window, n_samples, fd_step, worst)
     except ContractionError as exc:
         raise WindowError(f"auto window construction failed: {exc}") from exc
     return window
@@ -278,7 +270,7 @@ def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
     """
     verify_window(spec, bounds, window, fd_step=fd_step)
     eps = spec.epsilon
-    j0, rmat0, k0 = _window_alpha0(spec, bounds)
+    j0, rmat0, k0 = _window_alpha0(spec)
     eps_m = eps * window.slope_bound
 
     ell = window.ell_star
@@ -305,12 +297,13 @@ def pack_state(j, rmat, k, m, n) -> np.ndarray:
 
 
 def unpack_state(y: np.ndarray, d: int):
-    j = y[:d]
-    rmat = y[d:d + d * d].reshape(d, d)
-    k = y[d + d * d:2 * d + d * d]
-    m = y[-2]
-    n = y[-1]
-    return j, rmat, k, m, n
+    """Views (J, R, K, m, n) of a packed state, or of a grid of them with one
+    state per row.  For a single state m and n are scalars."""
+    j = y[..., :d]
+    rmat = y[..., d:d + d * d].reshape(y.shape[:-1] + (d, d))
+    k = y[..., d + d * d:2 * d + d * d]
+    # y.T[-1] is a scalar for one state and a column view for a grid.
+    return j, rmat, k, y.T[-2], y.T[-1]
 
 
 def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
@@ -338,9 +331,7 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
         drmat = amat @ rmat
         dk = amat @ k + aux.pbar(j)
 
-        rinv = _invert(rmat)
-        norm_r = frobenius(rmat)
-        norm_rinv = frobenius(rinv)
+        _, norm_r, norm_rinv = _invert(rmat)
         radius = eps * n
         gam = growth_value(bounds, j, radius, n)
         dm = norm_rinv * gam
@@ -352,15 +343,20 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
         dn = (dal_dtau + eps * norm_r * norm_rinv * gam
               + eps * float(np.sum(rmat * drmat)) / norm_r * m) / denom
 
-        out = np.empty_like(y)
-        out[:d] = dj
-        out[d:d + d * d] = drmat.ravel()
-        out[d + d * d:2 * d + d * d] = dk
-        out[-2] = dm
-        out[-1] = dn
-        return out
+        return pack_state(dj, drmat, dk, dm, dn)
 
     return rhs
+
+
+def _frozen(view: np.ndarray) -> np.ndarray:
+    view = view.view()
+    view.flags.writeable = False
+    return view
+
+
+def _state_view(part: int, shape: str) -> property:
+    return property(lambda self: _frozen(unpack_state(self.traj.states, self.d)[part]),
+                    doc=f"Read-only view {shape} of ``traj.states``.")
 
 
 @dataclass
@@ -370,17 +366,13 @@ class EstimatorTrajectory:
     The grid is the integrator's accepted steps; ``sample_*`` use dense
     output in between.  ``n`` is the certified bound: on a completed run,
     |I(t) - J(eps*t)| <= eps * n(eps*t) holds for t in [0, U/eps).
+    ``tau``, ``j``, ``r``, ``k``, ``m`` and ``n`` are read-only views of
+    ``traj``, which holds the only copy of the grid.
     """
 
     d: int
     eps: float
     ell0: float
-    tau: np.ndarray            # (ngrid,)
-    j: np.ndarray              # (ngrid, d)
-    r: np.ndarray              # (ngrid, d, d)
-    k: np.ndarray              # (ngrid, d)
-    m: np.ndarray              # (ngrid,)
-    n: np.ndarray              # (ngrid,)
     status: EstimatorStatus
     violation_kind: Optional[ViolationKind]
     window: ContractionWindow
@@ -388,25 +380,29 @@ class EstimatorTrajectory:
     wall_time_s: float
     traj: ode.Trajectory
 
+    tau = property(lambda self: _frozen(self.traj.times),
+                   doc="Read-only view (ngrid,) of ``traj.times``.")
+    j = _state_view(0, "(ngrid, d)")
+    r = _state_view(1, "(ngrid, d, d)")
+    k = _state_view(2, "(ngrid, d)")
+    m = _state_view(3, "(ngrid,)")
+    n = _state_view(4, "(ngrid,)")
+
     @property
     def tau_final(self) -> float:
         return float(self.tau[-1])
 
-    def sample_packed(self, tau: float) -> np.ndarray:
-        return self.traj.sample(tau)
-
     def sample_j(self, tau: float) -> np.ndarray:
-        return self.traj.sample(tau)[:self.d]
+        return unpack_state(self.traj.sample(tau), self.d)[0]
 
     def sample_r(self, tau: float) -> np.ndarray:
-        return self.traj.sample(tau)[self.d:self.d + self.d * self.d].reshape(self.d, self.d)
+        return unpack_state(self.traj.sample(tau), self.d)[1]
 
     def sample_k(self, tau: float) -> np.ndarray:
-        d = self.d
-        return self.traj.sample(tau)[d + d * d:2 * d + d * d]
+        return unpack_state(self.traj.sample(tau), self.d)[2]
 
     def sample_n(self, tau: float) -> float:
-        return float(self.traj.sample(tau)[-1])
+        return float(unpack_state(self.traj.sample(tau), self.d)[4])
 
     def report_grid(self, n_points: int = REPORT_GRID_POINTS) -> np.ndarray:
         """Uniform dense-output resampling: rows [tau, J, R, K, m, n]."""
@@ -483,17 +479,10 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     else:
         status, kind = EstimatorStatus.STEP_FAILURE, None
 
-    states = traj.states
     return EstimatorTrajectory(
         d=d,
         eps=spec.epsilon,
         ell0=ell0,
-        tau=traj.times.copy(),
-        j=states[:, :d].copy(),
-        r=states[:, d:d + d * d].reshape(-1, d, d).copy(),
-        k=states[:, d + d * d:2 * d + d * d].copy(),
-        m=states[:, -2].copy(),
-        n=states[:, -1].copy(),
         status=status,
         violation_kind=kind,
         window=window,
@@ -543,9 +532,9 @@ def analytic_crosscheck(example, traj: EstimatorTrajectory) -> CrosscheckResult:
         raise ValueError(f"example {example.id!r} has no closed-form slow flow")
     i0 = traj.j[0]
     max_j = max_r = max_k = 0.0
-    for idx, tau in enumerate(traj.tau):
-        max_j = max(max_j, float(np.max(np.abs(traj.j[idx] - example.closed_j(i0, tau)))))
-        max_r = max(max_r, float(np.max(np.abs(traj.r[idx] - example.closed_r(i0, tau)))))
-        max_k = max(max_k, float(np.max(np.abs(traj.k[idx] - example.closed_k(i0, tau)))))
+    for tau, j, r, k in zip(traj.tau, traj.j, traj.r, traj.k):
+        max_j = max(max_j, float(np.max(np.abs(j - example.closed_j(i0, tau)))))
+        max_r = max(max_r, float(np.max(np.abs(r - example.closed_r(i0, tau)))))
+        max_k = max(max_k, float(np.max(np.abs(k - example.closed_k(i0, tau)))))
     return CrosscheckResult(max_j=max_j, max_r=max_r, max_k=max_k,
                             grid_points=len(traj.tau))

@@ -8,14 +8,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-__all__ = ["format_float", "write_table", "read_table", "write_json"]
-
-# 17 significant digits round-trip any IEEE double exactly.
-_FMT = "{:.17g}"
-
-
-def format_float(x: float) -> str:
-    return _FMT.format(float(x))
+__all__ = ["write_table", "read_table", "write_json"]
 
 
 def write_table(path, columns: Sequence[str], rows: np.ndarray,
@@ -27,11 +20,10 @@ def write_table(path, columns: Sequence[str], rows: np.ndarray,
         raise ValueError(f"{rows.shape[1]} row fields vs {len(columns)} columns")
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
+        # 17 significant digits round-trip any IEEE double exactly.
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([format_float(x) for x in row])
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(columns),
+                       comments="", newline="\r\n")
     elif fmt == "json":
         payload = {"columns": list(columns),
                    "data": {c: rows[:, k].tolist() for k, c in enumerate(columns)}}

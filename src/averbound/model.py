@@ -162,8 +162,8 @@ class BoundBundle:
     over all |dJ| <= r and all angles; c, d, e must be non-decreasing in r.
 
     ``a_grad`` / ``b_grad`` optionally supply analytic partial derivatives
-    (with respect to J, R, K, r and J, r respectively); when absent the
-    estimator falls back to central finite differences.
+    (with respect to J, R, K, r and J, r respectively), both or neither;
+    without them the estimator takes central finite differences.
     """
 
     rho_hat: Callable[[np.ndarray], float]
@@ -174,6 +174,10 @@ class BoundBundle:
     e_hat: Callable[[np.ndarray, float], float]
     a_grad: Optional[Callable] = None
     b_grad: Optional[Callable] = None
+
+    def __post_init__(self):
+        if (self.a_grad is None) != (self.b_grad is None):
+            raise ValueError("a_grad and b_grad must be given together or not at all")
 
 
 @dataclass(frozen=True)

@@ -86,31 +86,29 @@ class ValidationReport:
 # Finite differences (5-point central: roundoff stays far below the 1e-8 gate)
 
 
-def _d_theta(fn, i, th, h=_FD_REL):
-    return (-fn(i, th + 2 * h) + 8 * fn(i, th + h)
-            - 8 * fn(i, th - h) + fn(i, th - 2 * h)) / (12 * h)
-
-
-def _d_action(fn, i, th, j):
-    h = _FD_REL * abs(i[j])
-    def at(dx):
-        ip = i.copy()
-        ip[j] += dx
-        return fn(ip, th)
+def _five_point(at, h):
+    """Derivative at 0 of ``at``, a function of the offset, with step h."""
     return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
 
-def _jac_action(fn, i, th, d):
-    return np.stack([_d_action(fn, i, th, j) for j in range(d)], axis=1)
+def _d_theta(fn, i, th, h=_FD_REL):
+    return _five_point(lambda dx: fn(i, th + dx), h)
 
 
 def _d_plain(fn, i, j):
-    h = _FD_REL * abs(i[j])
     def at(dx):
         ip = i.copy()
         ip[j] += dx
         return fn(ip)
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+    return _five_point(at, _FD_REL * abs(i[j]))
+
+
+def _d_action(fn, i, th, j):
+    return _d_plain(lambda ip: fn(ip, th), i, j)
+
+
+def _jac_action(fn, i, th, d):
+    return np.stack([_d_action(fn, i, th, j) for j in range(d)], axis=1)
 
 
 def _action_grid(box, per_axis: int) -> List[np.ndarray]:
@@ -350,12 +348,15 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
 
     ell = np.empty((ts.size, d))
     integrand = np.empty((ts.size, d))
-    resid = np.empty(ts.size)
+    # The identity's right side without its memory term eps^2 R cumulative.
+    local = np.empty((ts.size, d))
 
+    s0 = aux.s(spec.i0, spec.theta0)
     samples_fast = dtraj.traj.sample_many(ts)
     samples_slow = est.traj.sample_many(eps * ts)
+    rmats = unpack_state(samples_slow, d)[1]
     for idx, packed in enumerate(samples_slow):
-        j, rmat, _, _, _ = unpack_state(packed, d)
+        j, rmat, kvec, _, _ = unpack_state(packed, d)
         lvec = samples_fast[idx, :d]
         theta = samples_fast[idx, d]
         actions = j + eps * lvec
@@ -363,28 +364,23 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
         rinv = np.linalg.inv(rmat)
         gsc = aux.g_script(j, eps * lvec)
         hsc = aux.h_script(j, eps * lvec)
+        dfb = aux.dfbar(j)
+        wv = aux.w(actions, theta)
+        vv = aux.v(actions, theta)
         term = (aux.u(actions, theta)
-                - aux.dfbar(j) @ (aux.w(actions, theta) + aux.q(actions, theta))
-                - aux.m_script(j) @ aux.v(actions, theta)
+                - dfb @ (wv + aux.q(actions, theta))
+                - aux.m_script(j) @ vv
                 - gsc @ lvec
                 + 0.5 * np.einsum("ijk,j,k->i", hsc, lvec, lvec))
         integrand[idx] = rinv @ term
+        local[idx] = aux.s(actions, theta) - rmat @ s0 - kvec - eps * (wv - dfb @ vv)
 
     dt = np.diff(ts)
     cumulative = np.zeros((ts.size, d))
     cumulative[1:] = np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * dt[:, None], axis=0)
-
-    s0 = aux.s(spec.i0, spec.theta0)
-    for idx, packed in enumerate(samples_slow):
-        j, rmat, kvec, _, _ = unpack_state(packed, d)
-        lvec = ell[idx]
-        theta = samples_fast[idx, d]
-        actions = j + eps * lvec
-        rhs = (aux.s(actions, theta) - rmat @ s0 - kvec
-               - eps * (aux.w(actions, theta) - aux.dfbar(j) @ aux.v(actions, theta))
-               + eps ** 2 * (rmat @ cumulative[idx]))
-        resid[idx] = np.max(np.abs(lvec - rhs))
+    memory = np.array([rmat @ c for rmat, c in zip(rmats, cumulative)])
+    resid = np.max(np.abs(ell - (local + eps ** 2 * memory)), axis=1)
 
     worst_idx = int(np.argmax(resid))
     return ValidationReport(

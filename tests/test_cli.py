@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, file outputs, config handling."""
+import csv
+import io
 import json
 import math
 
@@ -143,11 +145,21 @@ def test_verify_euler_top_params(tmp_path):
 
 
 def test_csv_roundtrip_is_lossless(tmp_path):
-    rows = np.array([[1 / 3, math.pi], [1e-17, -2.5000000000000004]])
+    rows = np.array([[1 / 3, math.pi], [1e-17, -2.5000000000000004],
+                     [math.inf, -math.inf], [math.nan, -0.0],
+                     [5e-324, 2.2250738585072014e-308], [1e300, -1e300]])
     path = export.write_table(tmp_path / "t.csv", ["a", "b"], rows)
     back = export.read_table(path)
-    assert back["a"][0] == rows[0, 0] and back["b"][0] == rows[0, 1]
-    assert back["a"][1] == rows[1, 0] and back["b"][1] == rows[1, 1]
+    for name, column in zip(("a", "b"), rows.T):
+        assert np.array_equal(back[name], column, equal_nan=True)
+        assert np.array_equal(np.signbit(back[name]), np.signbit(column))
+    # Byte for byte what csv.writer writes with 17 significant digits.
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["a", "b"])
+    for row in rows:
+        writer.writerow(["{:.17g}".format(x) for x in row])
+    assert path.read_bytes() == ref.getvalue().encode()
 
 
 def test_json_table_roundtrip(tmp_path):

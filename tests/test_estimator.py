@@ -21,6 +21,11 @@ def test_pack_unpack_roundtrip():
     jj, rr, kk, m, n = unpack_state(y, 2)
     assert np.array_equal(jj, j) and np.array_equal(rr, r)
     assert np.array_equal(kk, k) and (m, n) == (0.5, 0.25)
+    assert np.ndim(m) == 0 and type(m) is type(n) is np.float64
+    grid = np.stack([y, 2 * y])
+    gj, gr, gk, gm, gn = unpack_state(grid, 2)
+    assert np.array_equal(gr[1], 2 * r) and np.array_equal(gn, [0.25, 0.5])
+    assert all(np.shares_memory(part, grid) for part in (gj, gr, gk, gm, gn))
 
 
 def test_slow_rhs_vdp_initial_drift(vdp):
@@ -70,6 +75,11 @@ def test_run_estimator_invariants_vdp(vdp):
     assert est.m[0] == 0.0 and est.n[0] == est.ell0
     assert np.array_equal(est.r[0], np.eye(1))
     assert np.array_equal(est.k[0], np.zeros(1))
+    for name in ("tau", "j", "r", "k", "m", "n"):
+        view = getattr(est, name)
+        assert not view.flags.writeable
+        assert np.shares_memory(view, est.traj.times if name == "tau"
+                                else est.traj.states)
     dets = [np.linalg.det(r) for r in est.r]
     assert all(abs(d) > 0 for d in dets)
     # validity conditions hold on the grid

@@ -1,4 +1,6 @@
 """Fixed point of the level map: oracles, windows, convergence control."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -100,6 +102,30 @@ def test_analytic_gradients_take_precedence():
     verify_window(spec, lying, tight)          # passes only via a_grad
     with pytest.raises(ContractionError):
         verify_window(spec, bounds, tight)     # finite differences see 0.5
+
+
+@pytest.mark.parametrize("given", ["a_grad", "b_grad"])
+def test_bundle_rejects_a_single_gradient(vdp, given):
+    grads = {"a_grad": lambda j, rmat, k, r: (np.zeros(1), np.zeros((1, 1)),
+                                              np.zeros(1), 0.0),
+             "b_grad": lambda j, r: (np.zeros(1), 0.0)}
+    with pytest.raises(ValueError, match="together"):
+        dataclasses.replace(vdp.bounds, **{given: grads[given]})
+
+
+def test_auto_window_samples_the_slope_once(vdp):
+    # One 101-point sample of |d(offset)/dr| (two a_hat calls per point by
+    # central differences), ell* and the self-map check.
+    calls = []
+
+    def a_hat(*args):
+        calls.append(args)
+        return vdp.bounds.a_hat(*args)
+
+    counting = dataclasses.replace(vdp.bounds, a_hat=a_hat)
+    window = ab.auto_window(vdp.make_system([4.0], 1e-2), counting)
+    assert window == ab.auto_window(vdp.make_system([4.0], 1e-2), vdp.bounds)
+    assert len(calls) <= 2 * 101 + 2
 
 
 def _synthetic(slope, offset, eps=1e-2):

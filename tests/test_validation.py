@@ -116,9 +116,7 @@ def _flat_estimator(n_value, tau_end=10.0):
     from averbound.estimator import (ContractionWindow, EstimatorStatus,
                                      EstimatorTrajectory)
     return EstimatorTrajectory(
-        d=1, eps=1e-2, ell0=n_value, tau=grid, j=states[:, :1],
-        r=states[:, 1:2].reshape(-1, 1, 1), k=states[:, 2:3],
-        m=states[:, 3], n=states[:, 4], status=EstimatorStatus.COMPLETED,
+        d=1, eps=1e-2, ell0=n_value, status=EstimatorStatus.COMPLETED,
         violation_kind=None,
         window=ContractionWindow(n_value, n_value / 2, 0.0),
         window_mode="explicit", wall_time_s=0.0, traj=traj)
