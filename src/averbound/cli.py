@@ -26,12 +26,13 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import export
-from .direct import DirectTrajectory, envelope, run_direct
+from .direct import DEFAULT_BUDGET_S, DirectTrajectory, envelope, run_direct
 from .estimator import (ContractionWindow, EstimatorStatus, EstimatorTrajectory,
-                        analytic_crosscheck, run_averaged, run_estimator)
+                        analytic_crosscheck, run_averaged, run_estimator,
+                        unpack_state)
 from .examples import ExampleDefinition, figure_ids, figure_preset, make_example
 from .model import SystemSpec
-from .ode import Status
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, Status
 from .validation import (verify_bound_domination, verify_headline_bound,
                          verify_identities, verify_integral_identity)
 
@@ -57,9 +58,9 @@ class RunConfig:
     eps: float
     u: float
     theta0: float = 0.0
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    budget: Optional[float] = 240.0
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
+    budget: Optional[float] = DEFAULT_BUDGET_S
     window: Optional[ContractionWindow] = None
     env_window: Optional[float] = None
     out: Optional[str] = None
@@ -118,8 +119,8 @@ _KEYS = {
     "figure": str, "example": str,
     "i0": _parse_i0, "theta0": _number, "eps": _positive, "u": _positive,
     "kappa": _number, "mu": _number, "lambda1": _number, "lambda2": _number,
-    "rtol": _positive, "atol": _positive, "budget": _number,
-    "window": _parse_window, "env_window": _number,
+    "rtol": _positive, "atol": _positive, "budget": _positive,
+    "window": _parse_window, "env_window": _positive,
     "out": str, "format": _table_format,
 }
 _ALIASES = {"system": "example", "l1": "lambda1", "l2": "lambda2"}
@@ -268,10 +269,6 @@ def _estimate_columns(d: int):
     return cols
 
 
-def _estimator_table(est: EstimatorTrajectory) -> np.ndarray:
-    return est.report_grid()
-
-
 def _direct_table(dtraj: DirectTrajectory) -> np.ndarray:
     t = dtraj.t
     l = dtraj.l
@@ -324,7 +321,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     est = run_estimator(spec, cfg.example.aux, cfg.example.bounds, cfg.u,
                         window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
     out = _out_path(cfg, "estimate")
-    export.write_table(out, _estimate_columns(spec.d), _estimator_table(est),
+    export.write_table(out, _estimate_columns(spec.d), est.report_grid(),
                        cfg.format)
     export.write_json(_sidecar_path(out), {
         "ell0": est.ell0,
@@ -383,10 +380,11 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     _, dtraj, t_direct = _run_direct_pipeline(cfg)
 
-    win = cfg.env_window if cfg.env_window else cfg.u / 50.0
+    win = cfg.env_window if cfg.env_window is not None else cfg.u / 50.0
     report = verify_headline_bound(est, dtraj, window=win)
     taus, peaks = np.array(envelope(dtraj, win)).T
-    rows = np.column_stack([taus, est.traj.sample_many(taus)[:, -1], peaks])
+    n_vals = unpack_state(est.traj.sample_many(taus), spec.d)[4]
+    rows = np.column_stack([taus, n_vals, peaks])
 
     out = _out_path(cfg, "compare")
     export.write_table(out, ["tau", "n", "envelope_absL"], rows, cfg.format)
@@ -490,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", help="euler-top damping asymmetry")
         p.add_argument("--l1", help="euler-top first decay rate")
         p.add_argument("--l2", help="euler-top second decay rate")
-        p.add_argument("--rtol", help="relative tolerance (1e-9)")
-        p.add_argument("--atol", help="absolute tolerance (1e-12)")
+        p.add_argument("--rtol", help=f"relative tolerance ({DEFAULT_RTOL:g})")
+        p.add_argument("--atol", help=f"absolute tolerance ({DEFAULT_ATOL:g})")
         p.add_argument("--budget", help="direct-run wall budget, s")
         p.add_argument("--window", help='fixed-point window "lstar,sigma,M"')
         p.add_argument("--env-window", dest="env_window",

@@ -23,8 +23,9 @@ from .model import AuxiliaryBundle, SystemSpec
 
 __all__ = ["DirectTrajectory", "run_direct", "envelope"]
 
-_DEFAULT_BUDGET_S = 240.0
+DEFAULT_BUDGET_S = 240.0
 _BUDGET_CHUNKS = 256
+_MAX_STEPS_PER_CHUNK = 50_000_000
 
 
 @dataclass
@@ -60,14 +61,10 @@ class DirectTrajectory:
     def sample_l(self, t: float) -> np.ndarray:
         return self.traj.sample(t)[:self.d]
 
-    def sample_theta(self, t: float) -> float:
-        return float(self.traj.sample(t)[self.d])
-
 
 def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
-               u: float, rtol: float = 1e-9, atol: float = 1e-12,
-               time_budget: Optional[float] = _DEFAULT_BUDGET_S,
-               max_steps: int = 50_000_000) -> DirectTrajectory:
+               u: float, rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL,
+               time_budget: Optional[float] = DEFAULT_BUDGET_S) -> DirectTrajectory:
     """Integrate the error system on [0, u/eps) against ``avg_traj``.
 
     ``avg_traj`` must span [0, u] in slow time with the averaged actions in
@@ -139,7 +136,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         problem = ode.IvpProblem(dimension=d + 1, rhs=rhs, t0=t, y0=y,
                                  t_end=t_next)
         piece = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop,
-                              max_steps=max_steps, first_step=h_warm)
+                              max_steps=_MAX_STEPS_PER_CHUNK, first_step=h_warm)
         pieces.append(piece)
         status = piece.status
         if piece.status is not ode.Status.COMPLETED:

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_FD_STEP = 1e-6               # central differences: step * max(1, |argument|)
+_WINDOW_SAMPLES = 101         # level-map slope samples per window check
+_FIXED_POINT_MAX_ITER = 200
 REPORT_GRID_POINTS = 2048
 
 
@@ -56,7 +59,7 @@ class ContractionError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Fixed-point iteration did not meet the tolerance within max_iter."""
+    """Fixed-point iteration did not meet the tolerance within its cap."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -86,16 +89,16 @@ class EstimatorStatus(str, Enum):
 # Bound-function derivatives
 
 
-def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps, step) -> float:
+def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps) -> float:
     if bounds.a_grad is not None:
         return float(bounds.a_grad(j, rmat, k, r)[3] + eps * bounds.b_grad(j, r)[1])
-    h = step * max(1.0, abs(r))
+    h = _FD_STEP * max(1.0, abs(r))
     return (offset_value(bounds, j, rmat, k, r + h, eps)
             - offset_value(bounds, j, rmat, k, r - h, eps)) / (2 * h)
 
 
 def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
-                          dj, drmat, dk, step) -> float:
+                          dj, drmat, dk) -> float:
     """Chain-rule derivative of the offset bound along the slow flow.
 
     Contracts the partial derivatives with respect to J, R and K with the
@@ -111,7 +114,7 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
     for i in range(d):
         if dj[i] == 0.0:
             continue
-        h = step * max(1.0, abs(j[i]))
+        h = _FD_STEP * max(1.0, abs(j[i]))
         jp = j.copy(); jp[i] += h
         jm = j.copy(); jm[i] -= h
         total += dj[i] * (offset_value(bounds, jp, rmat, k, r, eps)
@@ -120,7 +123,7 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
         for b in range(d):
             if drmat[a, b] == 0.0:
                 continue
-            h = step * max(1.0, abs(rmat[a, b]))
+            h = _FD_STEP * max(1.0, abs(rmat[a, b]))
             rp = rmat.copy(); rp[a, b] += h
             rm = rmat.copy(); rm[a, b] -= h
             total += drmat[a, b] * (bounds.a_hat(j, rp, k, r)
@@ -128,7 +131,7 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
     for i in range(d):
         if dk[i] == 0.0:
             continue
-        h = step * max(1.0, abs(k[i]))
+        h = _FD_STEP * max(1.0, abs(k[i]))
         kp = k.copy(); kp[i] += h
         km = k.copy(); km[i] -= h
         total += dk[i] * (bounds.a_hat(j, rmat, kp, r)
@@ -187,20 +190,19 @@ def _window_alpha0(spec: SystemSpec):
     return spec.i0, np.eye(d), np.zeros(d)
 
 
-def _sampled_slope(spec: SystemSpec, bounds: BoundBundle, lo: float, hi: float,
-                   n_samples: int, fd_step: float) -> float:
-    """Largest |d(offset)/dr| at radius eps*ell over ``n_samples`` levels
-    ell evenly spaced in [lo, hi]."""
+def _sampled_slope(spec: SystemSpec, bounds: BoundBundle, lo: float, hi: float) -> float:
+    """Largest |d(offset)/dr| at radius eps*ell over ``_WINDOW_SAMPLES``
+    levels ell evenly spaced in [lo, hi]."""
     eps = spec.epsilon
     j0, rmat0, k0 = _window_alpha0(spec)
     worst = 0.0
-    for ell in np.linspace(lo, hi, n_samples):
-        worst = max(worst, abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps, fd_step)))
+    for ell in np.linspace(lo, hi, _WINDOW_SAMPLES):
+        worst = max(worst, abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps)))
     return worst
 
 
 def _check_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
-                  n_samples: int, fd_step: float, worst: Optional[float] = None) -> None:
+                  worst: Optional[float] = None) -> None:
     """Raise :class:`ContractionError` unless ``window`` lies in the tube, has
     slope bound below 1/eps, bounds the sampled slope ``worst`` (sampled
     here when not given) and maps into itself."""
@@ -214,7 +216,7 @@ def _check_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
     if not window.slope_bound < 1.0 / eps:
         raise ContractionError("slope bound must stay below 1/eps")
     if worst is None:
-        worst = _sampled_slope(spec, bounds, lo, hi, n_samples, fd_step)
+        worst = _sampled_slope(spec, bounds, lo, hi)
     if worst > window.slope_bound + 1e-12:
         raise ContractionError(
             f"sampled level-map slope {worst} exceeds supplied bound "
@@ -225,14 +227,13 @@ def _check_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
         raise ContractionError("window does not map into itself")
 
 
-def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
-                  n_samples: int = 101, fd_step: float = 1e-6) -> None:
+def verify_window(spec: SystemSpec, bounds: BoundBundle,
+                  window: ContractionWindow) -> None:
     """Check the contraction preconditions by sampling, raising on failure."""
-    _check_window(spec, bounds, window, n_samples, fd_step)
+    _check_window(spec, bounds, window)
 
 
-def auto_window(spec: SystemSpec, bounds: BoundBundle,
-                n_samples: int = 101, fd_step: float = 1e-6) -> ContractionWindow:
+def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
     """Propose a window around the unperturbed level ell* = offset(0, 0).
 
     Heuristic: sigma = ell*/2 and the slope bound is the sampled maximum of
@@ -248,34 +249,33 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle,
     lo, hi = ell_star - sigma, ell_star + sigma
     if not hi < bounds.rho_hat(j0) / eps:
         raise WindowError("proposed window exceeds the tube radius")
-    worst = _sampled_slope(spec, bounds, lo, hi, n_samples, fd_step)
+    worst = _sampled_slope(spec, bounds, lo, hi)
     slope = worst * (1.0 + 1e-9) + 1e-15
     window = ContractionWindow(ell_star=ell_star, sigma=sigma, slope_bound=slope)
     try:
-        _check_window(spec, bounds, window, n_samples, fd_step, worst)
+        _check_window(spec, bounds, window, worst)
     except ContractionError as exc:
         raise WindowError(f"auto window construction failed: {exc}") from exc
     return window
 
 
 def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
-                     window: ContractionWindow, tol: float = 1e-12,
-                     max_iter: int = 200, fd_step: float = 1e-6) -> float:
+                     window: ContractionWindow, tol: float = 1e-12) -> float:
     """Initial bound level: the fixed point of ell -> offset_bound(0, eps*ell).
 
     Iterates the map from ell_star after verifying the contraction window by
     sampling.  Convergence requires both the fixed-point residual and the
     a-posteriori contraction bound (eps*M)^(N-1) |l2 - l1| / (1 - eps*M) to
-    fall below ``tol``.
+    fall below ``tol`` within ``_FIXED_POINT_MAX_ITER`` iterations.
     """
-    verify_window(spec, bounds, window, fd_step=fd_step)
+    verify_window(spec, bounds, window)
     eps = spec.epsilon
     j0, rmat0, k0 = _window_alpha0(spec)
     eps_m = eps * window.slope_bound
 
     ell = window.ell_star
     first_gap = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FIXED_POINT_MAX_ITER + 1):
         nxt = offset_value(bounds, j0, rmat0, k0, eps * ell, eps)
         if first_gap is None:
             first_gap = abs(nxt - ell)
@@ -285,7 +285,8 @@ def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
         if residual <= tol and posterior <= tol:
             return float(ell)
     raise NoConvergenceError(
-        f"fixed point not located within {max_iter} iterations (tol={tol})")
+        f"fixed point not located within {_FIXED_POINT_MAX_ITER} iterations "
+        f"(tol={tol})")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def unpack_state(y: np.ndarray, d: int):
 
 
 def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
-                      bounds: BoundBundle, fd_step: float = 1e-6) -> Callable:
+                      bounds: BoundBundle) -> Callable:
     """Right side of the packed slow system [J, R, K, m, n].
 
     Implements dJ = fbar(J), dR = dfbar(J) R, dK = dfbar(J) K + pbar(J),
@@ -318,7 +319,7 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
 
     with growth evaluated at (J, eps*n, n) and the offset partials taken at
     (J, R, K, eps*n), by the bundle's analytic gradients when present and by
-    central differences with step ``fd_step`` times the argument scale
+    central differences with step ``_FD_STEP`` times the argument scale
     otherwise.
     """
     eps = spec.epsilon
@@ -336,9 +337,9 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
         gam = growth_value(bounds, j, radius, n)
         dm = norm_rinv * gam
 
-        dal_dr = _dalpha_dr(bounds, j, rmat, k, radius, eps, fd_step)
+        dal_dr = _dalpha_dr(bounds, j, rmat, k, radius, eps)
         dal_dtau = _alpha_tau_derivative(bounds, j, rmat, k, radius, eps,
-                                         dj, drmat, dk, fd_step)
+                                         dj, drmat, dk)
         denom = 1.0 - eps * dal_dr
         dn = (dal_dtau + eps * norm_r * norm_rinv * gam
               + eps * float(np.sum(rmat * drmat)) / norm_r * m) / denom
@@ -404,13 +405,13 @@ class EstimatorTrajectory:
     def sample_n(self, tau: float) -> float:
         return float(unpack_state(self.traj.sample(tau), self.d)[4])
 
-    def report_grid(self, n_points: int = REPORT_GRID_POINTS) -> np.ndarray:
-        """Uniform dense-output resampling: rows [tau, J, R, K, m, n]."""
-        taus = np.linspace(self.tau[0], self.tau[-1], n_points)
+    def report_grid(self) -> np.ndarray:
+        """Rows [tau, J, R, K, m, n] at ``REPORT_GRID_POINTS`` uniform slow times."""
+        taus = np.linspace(self.tau[0], self.tau[-1], REPORT_GRID_POINTS)
         return np.column_stack([taus, self.traj.sample_many(taus)])
 
 
-def _make_stop_predicate(spec, bounds, fd_step):
+def _make_stop_predicate(spec, bounds):
     eps = spec.epsilon
     d = spec.d
 
@@ -423,7 +424,7 @@ def _make_stop_predicate(spec, bounds, fd_step):
             rho = np.inf
         if not n < rho / eps:
             return ViolationKind.N_EXCEEDS_RHO_OVER_EPS
-        dal = _dalpha_dr(bounds, j, rmat, k, eps * n, eps, fd_step)
+        dal = _dalpha_dr(bounds, j, rmat, k, eps * n, eps)
         if not dal < 1.0 / eps:
             return ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
         return None
@@ -439,9 +440,8 @@ def _make_stop_predicate(spec, bounds, fd_step):
 
 def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
                   u: float, window: Optional[ContractionWindow] = None,
-                  rtol: float = 1e-9, atol: float = 1e-12,
-                  fixed_point_tol: float = 1e-12, fd_step: float = 1e-6,
-                  max_steps: int = 10_000_000) -> EstimatorTrajectory:
+                  rtol: float = ode.DEFAULT_RTOL,
+                  atol: float = ode.DEFAULT_ATOL) -> EstimatorTrajectory:
     """Run the full slow-time estimator on [0, u].
 
     Computes the fixed point ell0, integrates the coupled system from
@@ -453,18 +453,16 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     t_start = time.perf_counter()
     window_mode = "explicit"
     if window is None:
-        window = auto_window(spec, bounds, fd_step=fd_step)
+        window = auto_window(spec, bounds)
         window_mode = "auto"
-    ell0 = find_fixed_point(spec, bounds, window, tol=fixed_point_tol,
-                            fd_step=fd_step)
+    ell0 = find_fixed_point(spec, bounds, window)
 
     d = spec.d
     y0 = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, ell0)
-    rhs = assemble_slow_rhs(spec, aux, bounds, fd_step=fd_step)
-    stop, margins = _make_stop_predicate(spec, bounds, fd_step)
+    rhs = assemble_slow_rhs(spec, aux, bounds)
+    stop, margins = _make_stop_predicate(spec, bounds)
     problem = ode.IvpProblem(dimension=y0.size, rhs=rhs, t0=0.0, y0=y0, t_end=u)
-    traj = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop,
-                         max_steps=max_steps)
+    traj = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop)
 
     if traj.status is ode.Status.COMPLETED:
         status, kind = EstimatorStatus.COMPLETED, None
@@ -493,8 +491,7 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
 
 
 def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
-                 rtol: float = 1e-10, atol: float = 1e-13,
-                 max_steps: int = 10_000_000) -> ode.Trajectory:
+                 rtol: float = 1e-10, atol: float = 1e-13) -> ode.Trajectory:
     """Integrate the averaged actions dJ/dtau = fbar(J) alone on [0, u]."""
     problem = ode.IvpProblem(
         dimension=spec.d,
@@ -504,8 +501,7 @@ def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
         t_end=u,
     )
     stop = lambda tau, j: not spec.in_domain(j)
-    return ode.integrate(problem, rtol=rtol, atol=atol, stop=stop,
-                         max_steps=max_steps)
+    return ode.integrate(problem, rtol=rtol, atol=atol, stop=stop)
 
 
 class CrosscheckResult(NamedTuple):

@@ -18,6 +18,8 @@ import numpy as np
 
 __all__ = ["Status", "IvpProblem", "Trajectory", "integrate"]
 
+DEFAULT_RTOL, DEFAULT_ATOL = 1e-9, 1e-12
+
 # Dormand-Prince 5(4) stage coefficients.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
@@ -226,7 +228,8 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end - t0)
 
 
-def integrate(problem: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
+def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
+              atol: float = DEFAULT_ATOL,
               stop: Optional[Callable[[float, np.ndarray], bool]] = None,
               max_steps: int = 10_000_000,
               first_step: Optional[float] = None) -> Trajectory:

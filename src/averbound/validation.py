@@ -33,8 +33,13 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 IDENTITY_TOL = 1e-8
+_INTEGRAL_TOL = 1e-4      # largest passing integral-identity residual
+_HEADLINE_REL_SLACK = 1e-12  # |L| - n beyond this * n is a violation
 _FD_REL = 2.5e-4          # 5-point stencil step, relative to the argument
 _QUAD_THETA = 256         # torus quadrature nodes (exact for short trig polys)
+# Domination grid: slow times, radii up to a fraction of rho, and angles.
+_DOM_TAUS, _DOM_RADII, _DOM_THETAS = 25, 10, 20
+_DOM_MAX_RADIUS_FRAC = 0.98
 # Domination slack: only count exceedances beyond roundoff, the a-majorants
 # of several examples are attained suprema.
 _DOM_REL_SLACK = 1e-12
@@ -119,8 +124,7 @@ def _action_grid(box, per_axis: int) -> List[np.ndarray]:
 
 
 def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
-                      sample_box, grid_size: int = 0,
-                      tol: float = IDENTITY_TOL) -> ValidationReport:
+                      sample_box) -> ValidationReport:
     """Residuals of every defining identity of the auxiliary bundle.
 
     Samples a grid of at least 100 (I, theta) points inside the given action
@@ -128,8 +132,7 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
     ``details["per_identity"]``.
     """
     d = spec.d
-    per_axis = grid_size or (10 if d == 1 else 4)
-    points = _action_grid(sample_box, per_axis)
+    points = _action_grid(sample_box, 10 if d == 1 else 4)
     thetas = np.linspace(0.0, TWO_PI, 13)[:-1]
     th_quad = np.linspace(0.0, TWO_PI, _QUAD_THETA + 1)[:-1]
 
@@ -216,7 +219,7 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
     return ValidationReport(
         name="auxiliary-identities",
         samples=len(points) * len(thetas),
-        tolerance=tol,
+        tolerance=IDENTITY_TOL,
         max_residual=overall,
         details={
             "per_identity": worst,
@@ -241,9 +244,8 @@ def _directions(d: int, count: int = 16) -> np.ndarray:
 
 
 def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
-                            bounds: BoundBundle, est: EstimatorTrajectory,
-                            n_tau: int = 25, n_r: int = 10, n_theta: int = 20,
-                            max_radius_frac: float = 0.98) -> ValidationReport:
+                            bounds: BoundBundle,
+                            est: EstimatorTrajectory) -> ValidationReport:
     """Count violations of the five majorant inequalities along ``est``.
 
     Stratified deterministic sampling in (tau, r/rho, theta) with increment
@@ -252,9 +254,9 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
     """
     d = spec.d
     s0 = aux.s(spec.i0, spec.theta0)
-    taus = (np.arange(n_tau) + 0.5) / n_tau * est.tau_final
-    fracs = (np.arange(n_r) + 0.5) / n_r * max_radius_frac
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    taus = (np.arange(_DOM_TAUS) + 0.5) / _DOM_TAUS * est.tau_final
+    fracs = (np.arange(_DOM_RADII) + 0.5) / _DOM_RADII * _DOM_MAX_RADIUS_FRAC
+    thetas = np.linspace(0.0, TWO_PI, _DOM_THETAS, endpoint=False)
     dirs = _directions(d)
 
     violations = 0
@@ -331,8 +333,7 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
 
 def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
                              est: EstimatorTrajectory, dtraj: DirectTrajectory,
-                             n_quad: int = 2048,
-                             tol: float = 1e-4) -> ValidationReport:
+                             n_quad: int = 2048) -> ValidationReport:
     """Residual of the exact integral representation of the scaled error.
 
     Reconstructs I(t) = J(eps*t) + eps*L(t) on a uniform fast grid of
@@ -386,7 +387,7 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     return ValidationReport(
         name="integral-identity",
         samples=ts.size,
-        tolerance=tol,
+        tolerance=_INTEGRAL_TOL,
         max_residual=float(resid[worst_idx]),
         details={"worst_t": float(ts[worst_idx]), "n_quad": n_quad,
                  "residual_at_t0": float(resid[0])},
@@ -397,11 +398,10 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
 
 
 def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
-                          window: Optional[float] = None,
-                          rel_slack: float = 1e-12) -> ValidationReport:
+                          window: Optional[float] = None) -> ValidationReport:
     """Check |L(t)| <= n(eps*t) on the direct run's grid.
 
-    Violations are counted only beyond ``rel_slack * n`` to absorb roundoff.
+    Violations are counted only beyond ``_HEADLINE_REL_SLACK * n`` (roundoff).
     ``details`` reports the envelope tightness max(peak |L| / n) per window
     (window defaults to a fiftieth of the covered slow span).
     """
@@ -411,9 +411,9 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     ts = dtraj.t[mask]
     mags = dtraj.abs_l[mask]
 
-    n_vals = est.traj.sample_many(eps * ts)[:, -1]
+    n_vals = unpack_state(est.traj.sample_many(eps * ts), est.d)[4]
     gap = mags - n_vals
-    bad = gap > rel_slack * np.abs(n_vals)
+    bad = gap > _HEADLINE_REL_SLACK * np.abs(n_vals)
     violations = int(np.count_nonzero(bad))
     worst_idx = int(np.argmax(gap))
 
@@ -425,7 +425,7 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
         taus, peaks = np.array(envelope(dtraj, win)).T
         inside = (eps * ts[0] <= taus) & (taus <= span)
         taus, peaks = taus[inside], peaks[inside]
-        ratios = peaks / est.traj.sample_many(taus)[:, -1]
+        ratios = peaks / unpack_state(est.traj.sample_many(taus), est.d)[4]
         if ratios.size and ratios.max() > 0.0:
             best = int(np.argmax(ratios))
             tightness, tight_at = float(ratios[best]), float(taus[best])

@@ -211,6 +211,10 @@ def test_config_file_explicit_system(tmp_path):
     ("system = vdp\nmu = 3\ni0 = 2\neps = 1e-2\nu = 1\n", "no parameter"),
     ("system = action-freq\nkappa = 1.7\ni0 = 1\neps = 1e-2\nu = 0.5\n",
      "kappa must be"),
+    ("figure = 3e\nenv_window = 0\n", "env_window must be positive"),
+    ("figure = 3e\nenv_window = -1\n", "env_window must be positive"),
+    ("figure = 3e\nbudget = 0\n", "budget must be positive"),
+    ("figure = 3e\nbudget = -5\n", "budget must be positive"),
 ])
 def test_config_file_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "bad.cfg"
@@ -233,6 +237,12 @@ _RESONANT = ["--i0", "2", "--eps", "1e-2", "--u", "1"]
      "kappa must be"),
     (["--example", "resonant", "--eps", "abc", "--i0", "2", "--u", "1"], None,
      "must be a number"),
+    (["--figure", "3e", "--env-window", "0"], None,
+     "env_window must be positive"),
+    (["--figure", "3e", "--env-window", "-1"], None,
+     "env_window must be positive"),
+    (["--figure", "3e", "--budget", "0"], None, "budget must be positive"),
+    (["--figure", "3e", "--budget", "-5"], None, "budget must be positive"),
 ])
 def test_flag_errors(tmp_path, flags, body, fragment):
     if body is not None:

@@ -175,11 +175,11 @@ def test_bound_equation_conserves_self_consistency(fig):
 
 def test_report_grid_shape(resonant_run):
     _, est, _, _ = resonant_run
-    rows = est.report_grid(256)
-    assert rows.shape == (256, 6)
+    rows = est.report_grid()
+    assert rows.shape == (2048, 6)
     assert rows[0, 0] == 0.0 and rows[-1, 0] == pytest.approx(est.tau_final)
     assert np.all(np.diff(rows[:, 0]) > 0)
-    taus = np.linspace(est.tau[0], est.tau[-1], 256)
+    taus = np.linspace(est.tau[0], est.tau[-1], 2048)
     loop = np.array([[t, *hermite_reference(est.traj, t)] for t in taus])
     assert np.array_equal(rows, loop)
 

@@ -73,8 +73,8 @@ def test_window_outside_tube_rejected(resonant):
 def test_slow_contraction_hits_iteration_cap():
     spec, aux, bounds = _synthetic(slope=0.9, offset=0.6, eps=1.0)
     window = ContractionWindow(ell_star=5.5, sigma=1.0, slope_bound=0.905)
-    with pytest.raises(NoConvergenceError):
-        ab.find_fixed_point(spec, bounds, window, tol=1e-12, max_iter=3)
+    with pytest.raises(NoConvergenceError, match="within 200 iterations"):
+        ab.find_fixed_point(spec, bounds, window, tol=1e-12)
 
 
 def test_auto_window_is_valid_and_flagged(vdp):
