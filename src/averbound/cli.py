@@ -27,9 +27,9 @@ import numpy as np
 
 from . import export
 from .direct import DEFAULT_BUDGET_S, DirectTrajectory, envelope, run_direct
-from .estimator import (ContractionWindow, EstimatorStatus, EstimatorTrajectory,
-                        analytic_crosscheck, run_averaged, run_estimator,
-                        unpack_state)
+from .estimator import (AVERAGED_TIGHTENING, ContractionWindow, EstimatorStatus,
+                        EstimatorTrajectory, analytic_crosscheck, run_averaged,
+                        run_estimator, unpack_state)
 from .examples import ExampleDefinition, figure_ids, figure_preset, make_example
 from .model import SystemSpec
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL, Status
@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
+
+# Largest closed-form residual of J, R and K that ``verify`` accepts.
+CROSSCHECK_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -60,7 +63,7 @@ class RunConfig:
     theta0: float = 0.0
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    budget: Optional[float] = DEFAULT_BUDGET_S
+    budget: float = DEFAULT_BUDGET_S
     window: Optional[ContractionWindow] = None
     env_window: Optional[float] = None
     out: Optional[str] = None
@@ -337,11 +340,13 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def _run_direct_pipeline(cfg: RunConfig):
-    """Slow averaged solve (tolerances tightened tenfold) plus the fast run."""
+    """Slow averaged solve (tolerances tightened by ``AVERAGED_TIGHTENING``)
+    plus the fast run."""
     spec = cfg.system()
     start = time.perf_counter()
     avg = run_averaged(spec, cfg.example.aux, cfg.u,
-                       rtol=cfg.rtol / 10.0, atol=cfg.atol / 10.0)
+                       rtol=cfg.rtol / AVERAGED_TIGHTENING,
+                       atol=cfg.atol / AVERAGED_TIGHTENING)
     if avg.status is not Status.COMPLETED:
         raise RuntimeError("averaged actions left the domain before U")
     dtraj = run_direct(spec, cfg.example.aux, avg, cfg.u, rtol=cfg.rtol,
@@ -424,8 +429,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         crosscheck = {
             "name": "analytic-crosscheck",
             "max_j": res.max_j, "max_r": res.max_r, "max_k": res.max_k,
-            "tolerance": 1e-8,
-            "passed": bool(res.max_residual < 1e-8),
+            "tolerance": CROSSCHECK_TOL,
+            "passed": bool(res.max_residual < CROSSCHECK_TOL),
         }
 
     _, dtraj, _ = _run_direct_pipeline(cfg)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,13 +58,10 @@ class DirectTrajectory:
     def status(self) -> ode.Status:
         return self.traj.status
 
-    def sample_l(self, t: float) -> np.ndarray:
-        return self.traj.sample(t)[:self.d]
-
 
 def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
                u: float, rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL,
-               time_budget: Optional[float] = DEFAULT_BUDGET_S) -> DirectTrajectory:
+               time_budget: float = DEFAULT_BUDGET_S) -> DirectTrajectory:
     """Integrate the error system on [0, u/eps) against ``avg_traj``.
 
     ``avg_traj`` must span [0, u] in slow time with the averaged actions in
@@ -146,7 +143,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         if len(piece.times) > 1:
             # last step is clipped to the chunk end; take the recent maximum
             h_warm = float(np.max(np.diff(piece.times[-6:])))
-        if time_budget is not None and time.perf_counter() - start > time_budget:
+        if time.perf_counter() - start > time_budget:
             budget_hit = True
             status = ode.Status.STEP_FAILURE
             break

@@ -7,7 +7,7 @@ Solves, in the slow time tau = eps*t, the coupled system for
 * its inhomogeneous companion K driven by pbar,
 * the accumulated growth integral m,
 * the certified bound n, with n(0) = ell0 the fixed point of the
-  self-consistent level map ell -> offset_bound(tau=0, eps*ell).
+  self-consistent level map ell -> offset_value(tau=0, eps*ell).
 
 A successful run certifies |I(t) - J(eps*t)| <= eps * n(eps*t) for
 t in [0, U/eps); the run stops early (status ``domain_violation``) as soon
@@ -52,6 +52,9 @@ _FD_STEP = 1e-6               # central differences: step * max(1, |argument|)
 _WINDOW_SAMPLES = 101         # level-map slope samples per window check
 _FIXED_POINT_MAX_ITER = 200
 REPORT_GRID_POINTS = 2048
+# The averaged solve that feeds a direct run is this many times tighter in
+# rtol and atol than the run itself.
+AVERAGED_TIGHTENING = 10.0
 
 
 class ContractionError(RuntimeError):
@@ -172,7 +175,7 @@ def _invert(rmat: np.ndarray):
 class ContractionWindow:
     """Interval data certifying the level map is a contraction.
 
-    The map ell -> offset_bound(0, eps*ell) is required to send
+    The map ell -> offset_value(0, eps*ell) is required to send
     ``[ell_star - sigma, ell_star + sigma]`` into itself with Lipschitz
     constant eps*slope_bound < 1.
     """
@@ -201,9 +204,11 @@ def _sampled_slope(spec: SystemSpec, bounds: BoundBundle, lo: float, hi: float) 
     return worst
 
 
-def _check_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
+def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
                   worst: Optional[float] = None) -> None:
-    """Raise :class:`ContractionError` unless ``window`` lies in the tube, has
+    """Check the contraction preconditions by sampling.
+
+    Raise :class:`ContractionError` unless ``window`` lies in the tube, has
     slope bound below 1/eps, bounds the sampled slope ``worst`` (sampled
     here when not given) and maps into itself."""
     eps = spec.epsilon
@@ -227,12 +232,6 @@ def _check_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
         raise ContractionError("window does not map into itself")
 
 
-def verify_window(spec: SystemSpec, bounds: BoundBundle,
-                  window: ContractionWindow) -> None:
-    """Check the contraction preconditions by sampling, raising on failure."""
-    _check_window(spec, bounds, window)
-
-
 def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
     """Propose a window around the unperturbed level ell* = offset(0, 0).
 
@@ -253,7 +252,7 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
     slope = worst * (1.0 + 1e-9) + 1e-15
     window = ContractionWindow(ell_star=ell_star, sigma=sigma, slope_bound=slope)
     try:
-        _check_window(spec, bounds, window, worst)
+        verify_window(spec, bounds, window, worst)
     except ContractionError as exc:
         raise WindowError(f"auto window construction failed: {exc}") from exc
     return window
@@ -261,7 +260,7 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
 
 def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
                      window: ContractionWindow, tol: float = 1e-12) -> float:
-    """Initial bound level: the fixed point of ell -> offset_bound(0, eps*ell).
+    """Initial bound level: the fixed point of ell -> offset_value(0, eps*ell).
 
     Iterates the map from ell_star after verifying the contraction window by
     sampling.  Convergence requires both the fixed-point residual and the
@@ -364,9 +363,10 @@ def _state_view(part: int, shape: str) -> property:
 class EstimatorTrajectory:
     """Slow-time grid of the estimator run.
 
-    The grid is the integrator's accepted steps; ``sample_*`` use dense
-    output in between.  ``n`` is the certified bound: on a completed run,
-    |I(t) - J(eps*t)| <= eps * n(eps*t) holds for t in [0, U/eps).
+    The grid is the integrator's accepted steps; ``traj.sample_many`` gives
+    dense output in between, unpacked by :func:`unpack_state`.  ``n`` is the
+    certified bound: on a completed run, |I(t) - J(eps*t)| <= eps * n(eps*t)
+    holds for t in [0, U/eps).
     ``tau``, ``j``, ``r``, ``k``, ``m`` and ``n`` are read-only views of
     ``traj``, which holds the only copy of the grid.
     """
@@ -392,18 +392,6 @@ class EstimatorTrajectory:
     @property
     def tau_final(self) -> float:
         return float(self.tau[-1])
-
-    def sample_j(self, tau: float) -> np.ndarray:
-        return unpack_state(self.traj.sample(tau), self.d)[0]
-
-    def sample_r(self, tau: float) -> np.ndarray:
-        return unpack_state(self.traj.sample(tau), self.d)[1]
-
-    def sample_k(self, tau: float) -> np.ndarray:
-        return unpack_state(self.traj.sample(tau), self.d)[2]
-
-    def sample_n(self, tau: float) -> float:
-        return float(unpack_state(self.traj.sample(tau), self.d)[4])
 
     def report_grid(self) -> np.ndarray:
         """Rows [tau, J, R, K, m, n] at ``REPORT_GRID_POINTS`` uniform slow times."""
@@ -491,7 +479,8 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
 
 
 def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
-                 rtol: float = 1e-10, atol: float = 1e-13) -> ode.Trajectory:
+                 rtol: float = ode.DEFAULT_RTOL / AVERAGED_TIGHTENING,
+                 atol: float = ode.DEFAULT_ATOL / AVERAGED_TIGHTENING) -> ode.Trajectory:
     """Integrate the averaged actions dJ/dtau = fbar(J) alone on [0, u]."""
     problem = ode.IvpProblem(
         dimension=spec.d,
@@ -510,7 +499,6 @@ class CrosscheckResult(NamedTuple):
     max_j: float
     max_r: float
     max_k: float
-    grid_points: int
 
     @property
     def max_residual(self) -> float:
@@ -532,5 +520,4 @@ def analytic_crosscheck(example, traj: EstimatorTrajectory) -> CrosscheckResult:
         max_j = max(max_j, float(np.max(np.abs(j - example.closed_j(i0, tau)))))
         max_r = max(max_r, float(np.max(np.abs(r - example.closed_r(i0, tau)))))
         max_k = max(max_k, float(np.max(np.abs(k - example.closed_k(i0, tau)))))
-    return CrosscheckResult(max_j=max_j, max_r=max_r, max_k=max_k,
-                            grid_points=len(traj.tau))
+    return CrosscheckResult(max_j=max_j, max_r=max_r, max_k=max_k)

@@ -64,7 +64,6 @@ class ExampleDefinition:
     closed_j: Optional[Callable] = None
     closed_r: Optional[Callable] = None
     closed_k: Optional[Callable] = None
-    to_physical: Optional[Callable] = None
 
     def make_system(self, i0, eps: float, theta0: float = 0.0) -> SystemSpec:
         return SystemSpec(d=self.d, epsilon=float(eps), omega=self.omega,
@@ -81,7 +80,7 @@ def make_vdp() -> ExampleDefinition:
     return ExampleDefinition(
         id="vdp", d=1, params={}, aux=vdp.aux_bundle(), bounds=vdp.bound_bundle(),
         sample_box=vdp.SAMPLE_BOX, closed_j=vdp.closed_j, closed_r=vdp.closed_r,
-        closed_k=vdp.closed_k, to_physical=vdp.to_physical, **vdp.SYSTEM)
+        closed_k=vdp.closed_k, **vdp.SYSTEM)
 
 
 def make_action_freq(kappa: int) -> ExampleDefinition:
@@ -106,7 +105,7 @@ def make_euler_top(mu: float, lambda1: float, lambda2: float) -> ExampleDefiniti
         id="euler-top", d=2,
         params={"mu": float(mu), "lambda1": float(lambda1), "lambda2": float(lambda2)},
         aux=aux, bounds=bounds, sample_box=euler_top.SAMPLE_BOX, closed_j=cj,
-        closed_r=cr, closed_k=ck, to_physical=euler_top.to_physical, **system)
+        closed_r=cr, closed_k=ck, **system)
 
 
 def _vdp_factory(params: Mapping[str, float]) -> ExampleDefinition:

@@ -184,9 +184,4 @@ def make(mu: float, lambda1: float, lambda2: float):
     return system, aux, bounds, closed_j, closed_r, closed_k
 
 
-def to_physical(i, theta):
-    """Angular-velocity components (p, q, r) with unit inertia prefactor."""
-    return i[0] * math.cos(theta), i[0] * math.sin(theta), i[0] * i[1]
-
-
 SAMPLE_BOX = (np.array([0.4, 0.4]), np.array([4.0, 4.0]))

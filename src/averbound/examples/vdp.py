@@ -168,11 +168,5 @@ def closed_k(i0, tau):
     return np.zeros(1)
 
 
-def to_physical(i, theta):
-    """Map (I, Theta) to the oscillator coordinates (x, v)."""
-    amp = math.sqrt(2 * i[0])
-    return amp * math.cos(theta), amp * math.sin(theta)
-
-
 SYSTEM = dict(omega=_omega, f=_f, g=_g, in_domain=_in_domain)
 SAMPLE_BOX = (np.array([0.3]), np.array([5.0]))

@@ -27,26 +27,18 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "DomainError",
     "SystemSpec",
     "AuxiliaryBundle",
     "BoundBundle",
-    "TaylorPair",
     "frobenius",
     "offset_value",
     "growth_value",
-    "offset_bound",
-    "growth_bound",
 ]
 
 TWO_PI = 2.0 * np.pi
 
 Vec = np.ndarray
 VecFun = Callable[[np.ndarray, float], np.ndarray]
-
-
-class DomainError(ValueError):
-    """Raised when a bound function is evaluated outside its tube 0 <= r < rho."""
 
 
 def frobenius(x) -> float:
@@ -180,57 +172,18 @@ class BoundBundle:
             raise ValueError("a_grad and b_grad must be given together or not at all")
 
 
-@dataclass(frozen=True)
-class TaylorPair:
-    """A base point and increment whose whole segment stays in the domain."""
-
-    base: np.ndarray
-    increment: np.ndarray
-
-    def check_segment(self, spec: SystemSpec, n_points: int = 17) -> bool:
-        """True when [base, base+increment] lies in the domain, sampled at
-        ``n_points`` equispaced points."""
-        base = np.asarray(self.base, dtype=float)
-        inc = np.asarray(self.increment, dtype=float)
-        for x in np.linspace(0.0, 1.0, n_points):
-            if not spec.in_domain(base + x * inc):
-                return False
-        return True
-
-
-def _check_radius(bounds: BoundBundle, j: np.ndarray, r: float) -> None:
-    rho = bounds.rho_hat(j)
-    if not r < rho:
-        raise DomainError(f"radius r={r} outside the tube [0, {rho})")
-
-
 def offset_value(bounds: BoundBundle, j: np.ndarray, r_mat: np.ndarray,
                  k: np.ndarray, r: float, eps: float) -> float:
-    """Offset term of the error inequality, a_hat + eps * b_hat, unguarded.
+    """Offset term of the error inequality, a_hat + eps * b_hat.
 
-    The estimator evaluates it inside its right-hand side and finite
-    differences, where the tube check is left to the stop predicate.
+    Meaningful for 0 <= r < rho_hat(j), which it does not check: the
+    estimator's stop predicate enforces the tube.
     """
     return float(bounds.a_hat(j, r_mat, k, r) + eps * bounds.b_hat(j, r))
 
 
 def growth_value(bounds: BoundBundle, j: np.ndarray, r: float, ell: float) -> float:
     """Growth kernel of the error inequality, c_hat + d_hat*ell + e_hat*ell^2/2,
-    unguarded."""
+    for 0 <= r < rho_hat(j) (not checked)."""
     return float(bounds.c_hat(j, r) + bounds.d_hat(j, r) * ell
                  + 0.5 * bounds.e_hat(j, r) * ell * ell)
-
-
-def offset_bound(bounds: BoundBundle, j: np.ndarray, r_mat: np.ndarray,
-                 k: np.ndarray, r: float, eps: float) -> float:
-    """:func:`offset_value` for 0 <= r < rho_hat(j); raises
-    :class:`DomainError` at or beyond the tube radius."""
-    _check_radius(bounds, j, r)
-    return offset_value(bounds, j, r_mat, k, r, eps)
-
-
-def growth_bound(bounds: BoundBundle, j: np.ndarray, r: float, ell: float) -> float:
-    """:func:`growth_value` for 0 <= r < rho_hat(j); raises
-    :class:`DomainError` at or beyond the tube radius."""
-    _check_radius(bounds, j, r)
-    return growth_value(bounds, j, r, ell)

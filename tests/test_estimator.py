@@ -53,7 +53,7 @@ def test_slow_rhs_scalar_norm_identities(resonant):
     n_val = 0.5
     y = pack_state(spec.i0, 2.0 * np.eye(1), np.zeros(1), 0.0, n_val)
     out = rhs(0.0, y)
-    gam = ab.growth_bound(resonant.bounds, spec.i0, 1e-2 * n_val, n_val)
+    gam = ab.growth_value(resonant.bounds, spec.i0, 1e-2 * n_val, n_val)
     assert out[-2] == pytest.approx(0.5 * gam)
 
 
@@ -96,11 +96,13 @@ def test_scalar_fundamental_matrix_is_exponential(vdp):
     est = ab.run_estimator(spec, vdp.aux, vdp.bounds, 10.0)
     assert np.all(est.r[:, 0, 0] > 0.0)
     taus = np.linspace(0.0, 10.0, 4001)
-    vals = np.array([vdp.aux.dfbar(est.sample_j(t))[0, 0] for t in taus])
-    for tau_chk in (2.5, 10.0):
+    js = unpack_state(est.traj.sample_many(taus), 1)[0]
+    vals = np.array([vdp.aux.dfbar(j)[0, 0] for j in js])
+    checks = (2.5, 10.0)
+    r_chk = unpack_state(est.traj.sample_many(checks), 1)[1]
+    for tau_chk, r_num in zip(checks, r_chk[:, 0, 0]):
         mask = taus <= tau_chk + 1e-12
         integral = simpson(vals[mask], x=taus[mask])
-        r_num = est.sample_r(tau_chk)[0, 0]
         assert abs(r_num - math.exp(integral)) / abs(r_num) < 1e-6
 
 
@@ -108,8 +110,9 @@ def test_wronskian_identity_euler(euler):
     spec = euler.make_system([4.0, 4.0], 1e-2)
     est = ab.run_estimator(spec, euler.aux, euler.bounds, 1.0)
     taus = np.linspace(0.0, 1.0, 2001)
-    trace = np.array([np.trace(euler.aux.dfbar(est.sample_j(t))) for t in taus])
-    det_num = np.linalg.det(est.sample_r(1.0))
+    js, rs = unpack_state(est.traj.sample_many(taus), 2)[:2]
+    trace = np.array([np.trace(euler.aux.dfbar(j)) for j in js])
+    det_num = np.linalg.det(rs[-1])
     det_ref = math.exp(simpson(trace, x=taus))
     assert abs(det_num - det_ref) / abs(det_ref) < 1e-6
 
@@ -119,11 +122,11 @@ def test_inhomogeneous_term_matches_quadrature(af_plus):
     spec = af_plus.make_system([1.0], 1e-2)
     est = ab.run_estimator(spec, af_plus.aux, af_plus.bounds, 0.8)
     taus = np.linspace(0.0, 0.8, 4001)
-    vals = np.array([
-        (np.linalg.inv(est.sample_r(t)) @ af_plus.aux.pbar(est.sample_j(t)))[0]
-        for t in taus])
-    k_ref = est.sample_r(0.8)[0, 0] * simpson(vals, x=taus)
-    k_num = est.sample_k(0.8)[0]
+    js, rs, ks = unpack_state(est.traj.sample_many(taus), 1)[:3]
+    vals = np.array([(np.linalg.inv(r) @ af_plus.aux.pbar(j))[0]
+                     for j, r in zip(js, rs)])
+    k_ref = rs[-1, 0, 0] * simpson(vals, x=taus)
+    k_num = ks[-1, 0]
     assert abs(k_num - k_ref) / abs(k_ref) < 1e-6
 
 
@@ -187,11 +190,11 @@ def test_report_grid_shape(resonant_run):
 def test_dense_accessors_match_grid(resonant_run):
     _, est, _, _ = resonant_run
     idx = len(est.tau) // 2
-    tau = est.tau[idx]
-    assert np.allclose(est.sample_j(tau), est.j[idx], atol=1e-14)
-    assert np.allclose(est.sample_r(tau), est.r[idx], atol=1e-14)
-    assert np.allclose(est.sample_k(tau), est.k[idx], atol=1e-14)
-    assert est.sample_n(tau) == pytest.approx(est.n[idx], abs=1e-14)
+    j, r, k, _, n = unpack_state(est.traj.sample_many([est.tau[idx]]), est.d)
+    assert np.allclose(j[0], est.j[idx], atol=1e-14)
+    assert np.allclose(r[0], est.r[idx], atol=1e-14)
+    assert np.allclose(k[0], est.k[idx], atol=1e-14)
+    assert n[0] == pytest.approx(est.n[idx], abs=1e-14)
 
 
 def test_crosscheck_requires_closed_forms(resonant, resonant_run):

@@ -35,7 +35,7 @@ def test_vdp_fixed_point_against_root_bracketing(vdp):
     spec = vdp.make_system([4.0], eps)
 
     def gap(ell):
-        return ab.offset_bound(vdp.bounds, spec.i0, np.eye(1), np.zeros(1),
+        return ab.offset_value(vdp.bounds, spec.i0, np.eye(1), np.zeros(1),
                                eps * ell, eps) - ell
 
     oracle = brentq(gap, 0.0, 10.0, xtol=1e-13)
@@ -50,7 +50,7 @@ def test_fixed_point_residual_invariant(resonant):
     window = ab.auto_window(spec, resonant.bounds)
     tol = 1e-12
     ell0 = ab.find_fixed_point(spec, resonant.bounds, window, tol=tol)
-    alpha0 = ab.offset_bound(resonant.bounds, spec.i0, np.eye(1), np.zeros(1),
+    alpha0 = ab.offset_value(resonant.bounds, spec.i0, np.eye(1), np.zeros(1),
                              eps * ell0, eps)
     assert abs(alpha0 - ell0) <= tol
 
