@@ -321,8 +321,7 @@ def _direct_exit(dtraj: DirectTrajectory) -> int:
 
 def cmd_estimate(cfg: RunConfig) -> int:
     spec = cfg.system()
-    est = run_estimator(spec, cfg.example.aux, cfg.example.bounds, cfg.u,
-                        window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
+    est = _run_estimator_pipeline(cfg, spec)
     out = _out_path(cfg, "estimate")
     export.write_table(out, _estimate_columns(spec.d), est.report_grid(),
                        cfg.format)
@@ -337,6 +336,12 @@ def cmd_estimate(cfg: RunConfig) -> int:
     print(f"estimate [{cfg.label}] status={est.status.value} "
           f"ell0={est.ell0:.9g} tau_final={est.tau_final:.6g} -> {out}")
     return _estimator_exit(est)
+
+
+def _run_estimator_pipeline(cfg: RunConfig, spec: SystemSpec) -> EstimatorTrajectory:
+    """The estimator run on ``spec`` with the config's window and tolerances."""
+    return run_estimator(spec, cfg.example.aux, cfg.example.bounds, cfg.u,
+                         window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
 
 
 def _run_direct_pipeline(cfg: RunConfig):
@@ -375,8 +380,7 @@ def cmd_direct(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     spec = cfg.system()
     t0 = time.perf_counter()
-    est = run_estimator(spec, cfg.example.aux, cfg.example.bounds, cfg.u,
-                        window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
+    est = _run_estimator_pipeline(cfg, spec)
     t_estimate = time.perf_counter() - t0
     if est.status is not EstimatorStatus.COMPLETED:
         print(f"compare [{cfg.label}] estimator stopped early: "
@@ -419,8 +423,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     reports.append(verify_identities(spec, example.aux, example.sample_box))
 
-    est = run_estimator(spec, example.aux, example.bounds, cfg.u,
-                        window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
+    est = _run_estimator_pipeline(cfg, spec)
     reports.append(verify_bound_domination(spec, example.aux, example.bounds, est))
 
     crosscheck = None

@@ -86,6 +86,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     # only, so reusing them across evaluations is safe.
     jbuf = np.empty(d)
     abuf = np.empty(d)
+    stop_jbuf = np.empty(d)
 
     if d == 1:
         value1 = sample_avg.value1
@@ -116,8 +117,8 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
 
     def stop(t: float, y: np.ndarray) -> bool:
         tau = eps * t
-        j = sample_avg(tau if tau < tau_max else tau_max)[:d]
-        return not spec.in_domain(j + eps * y[:d])
+        sample_avg.into(tau if tau < tau_max else tau_max, stop_jbuf, d)
+        return not spec.in_domain(stop_jbuf + eps * y[:d])
 
     chunk = t_end / _BUDGET_CHUNKS
     y = np.concatenate([np.zeros(d), [spec.theta0]])
@@ -130,8 +131,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         t_next = min(t + chunk, t_end)
         if t_end - t_next < 0.5 * chunk:
             t_next = t_end
-        problem = ode.IvpProblem(dimension=d + 1, rhs=rhs, t0=t, y0=y,
-                                 t_end=t_next)
+        problem = ode.IvpProblem(rhs=rhs, t0=t, y0=y, t_end=t_next)
         piece = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop,
                               max_steps=_MAX_STEPS_PER_CHUNK, first_step=h_warm)
         pieces.append(piece)
@@ -166,13 +166,13 @@ def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Traject
         times.append(piece.times[1:])
         states.append(piece.states[1:])
         derivs.append(piece.derivs[1:])
-    stop_time = pieces[-1].stop_time
     return ode.Trajectory(
         times=np.concatenate(times),
         states=np.vstack(states),
         derivs=np.vstack(derivs),
         status=status,
-        stop_time=stop_time,
+        stop_time=pieces[-1].stop_time,
+        stop_reason=pieces[-1].stop_reason,
     )
 
 

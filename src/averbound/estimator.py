@@ -77,8 +77,8 @@ class ViolationKind(str, Enum):
     N_NONPOSITIVE = "n_nonpositive"
     N_EXCEEDS_RHO_OVER_EPS = "n_exceeds_rho_over_eps"
     DALPHA_DR_EXCEEDS_INV_EPS = "dalpha_dr_exceeds_inv_eps"
-    # The run stopped, but the stop state names no failed condition: a bound
-    # function raised there, or the localized stop lies a hair inside.
+    # The run stopped because a bound function raised at the stop state, so
+    # no condition could be checked there.
     UNDETERMINED = "undetermined"
 
 
@@ -400,10 +400,12 @@ class EstimatorTrajectory:
 
 
 def _make_stop_predicate(spec, bounds):
+    """The stop predicate of the slow solve: the first failed validity
+    condition at a state, as a :class:`ViolationKind`, or None."""
     eps = spec.epsilon
     d = spec.d
 
-    def margins(y):
+    def violation(tau, y):
         j, rmat, k, m, n = unpack_state(y, d)
         if n <= 0.0:
             return ViolationKind.N_NONPOSITIVE
@@ -417,13 +419,7 @@ def _make_stop_predicate(spec, bounds):
             return ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
         return None
 
-    def stop(tau, y):
-        try:
-            return margins(y) is not None
-        except (ArithmeticError, ValueError):
-            return True
-
-    return stop, margins
+    return violation
 
 
 def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
@@ -448,19 +444,16 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     d = spec.d
     y0 = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, ell0)
     rhs = assemble_slow_rhs(spec, aux, bounds)
-    stop, margins = _make_stop_predicate(spec, bounds)
-    problem = ode.IvpProblem(dimension=y0.size, rhs=rhs, t0=0.0, y0=y0, t_end=u)
-    traj = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop)
+    problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u)
+    traj = ode.integrate(problem, rtol=rtol, atol=atol,
+                         stop=_make_stop_predicate(spec, bounds))
 
     if traj.status is ode.Status.COMPLETED:
         status, kind = EstimatorStatus.COMPLETED, None
     elif traj.status is ode.Status.STOPPED:
         status = EstimatorStatus.DOMAIN_VIOLATION
-        try:
-            kind = margins(traj.states[-1])
-        except (ArithmeticError, ValueError):
-            kind = None
-        if kind is None:
+        kind = traj.stop_reason
+        if not isinstance(kind, ViolationKind):   # a bound function raised
             kind = ViolationKind.UNDETERMINED
     else:
         status, kind = EstimatorStatus.STEP_FAILURE, None
@@ -483,7 +476,6 @@ def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
                  atol: float = ode.DEFAULT_ATOL / AVERAGED_TIGHTENING) -> ode.Trajectory:
     """Integrate the averaged actions dJ/dtau = fbar(J) alone on [0, u]."""
     problem = ode.IvpProblem(
-        dimension=spec.d,
         rhs=lambda tau, j: aux.fbar(j),
         t0=0.0,
         y0=spec.i0,

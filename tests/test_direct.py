@@ -58,7 +58,7 @@ def test_consistency_with_unscaled_system(resonant):
         out[1] = spec.omega(i) + eps * spec.g(i, th)
         return out
 
-    problem = ode.IvpProblem(2, pert_rhs, 0.0, np.array([2.0, 0.0]), u / eps)
+    problem = ode.IvpProblem(pert_rhs, 0.0, np.array([2.0, 0.0]), u / eps)
     raw = ode.integrate(problem, rtol=rtol, atol=atol)
     ts = raw.times[::7]
     l_oracle = (raw.states[::7, 0] - avg.sample_many(eps * ts)[:, 0]) / eps

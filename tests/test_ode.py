@@ -8,10 +8,8 @@ from averbound import ode
 from conftest import hermite_reference
 
 
-def problem(rhs, y0, t_end, dim=None, t0=0.0):
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    return ode.IvpProblem(dimension=dim or y0.size, rhs=rhs, t0=t0, y0=y0,
-                          t_end=t_end)
+def problem(rhs, y0, t_end, t0=0.0):
+    return ode.IvpProblem(rhs=rhs, t0=t0, y0=y0, t_end=t_end)
 
 
 def test_constant_rhs_completes():
@@ -25,6 +23,38 @@ def test_exponential_endpoint_error():
     traj = ode.integrate(problem(lambda t, y: y, [1.0], 1.0), rtol=1e-9)
     assert traj.status is ode.Status.COMPLETED
     assert abs(traj.states[-1, 0] - math.e) < 1e-7
+
+
+def test_one_step_is_the_dormand_prince_stability_polynomial():
+    # On y' = y one step multiplies y by R(h), the method's stability
+    # polynomial; every tableau row enters its coefficients.  At h = 0.05,
+    # R(h) differs from exp(h) by 4e-12 relative, so this tells them apart.
+    traj = ode.integrate(problem(lambda t, y: y, [1.0], 1.0), first_step=0.05)
+    h = traj.times[1] - traj.times[0]
+    want = sum(h ** k / math.factorial(k) for k in range(6)) + h ** 6 / 600
+    assert traj.states[1, 0] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert abs(want / math.exp(h) - 1.0) > 1e-12
+
+
+def test_stop_reason_is_the_predicate_value():
+    rising = problem(lambda t, y: np.ones(1), [0.0], 2.0)
+    traj = ode.integrate(rising, stop=lambda t, y: "crossed" if y[0] >= 0.5 else "")
+    assert traj.status is ode.Status.STOPPED
+    assert traj.stop_reason == "crossed"
+
+    def raises_once_crossed(t, y):
+        if y[0] >= 0.5:
+            raise ValueError("past the domain")
+        return False
+
+    traj = ode.integrate(rising, stop=raises_once_crossed)
+    assert traj.status is ode.Status.STOPPED
+    assert traj.stop_reason is True
+    assert traj.stop_time == pytest.approx(0.5, abs=1e-9)
+
+    traj = ode.integrate(rising, stop=lambda t, y: y[0] >= 5.0)
+    assert traj.status is ode.Status.COMPLETED
+    assert traj.stop_reason is None
 
 
 def test_linear_crossing_stop_time():
@@ -99,9 +129,9 @@ def test_blowup_gives_step_failure():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        ode.IvpProblem(1, lambda t, y: y, 0.0, np.zeros(1), -1.0)
+        ode.IvpProblem(lambda t, y: y, 0.0, np.zeros(1), -1.0)
     with pytest.raises(ValueError):
-        ode.IvpProblem(2, lambda t, y: y, 0.0, np.zeros(3), 1.0)
+        ode.IvpProblem(lambda t, y: y, 0.0, np.zeros((2, 2)), 1.0)
 
 
 def test_stop_true_at_start_rejected():
