@@ -11,16 +11,16 @@ from .model import (AuxiliaryBundle, BoundBundle, SystemSpec, frobenius,
                     growth_value, offset_value)
 from .ode import IvpProblem, Status, Trajectory, integrate
 from .estimator import (ContractionWindow, EstimatorStatus,
-                        EstimatorTrajectory, ViolationKind, analytic_crosscheck,
-                        assemble_slow_rhs, auto_window, find_fixed_point,
-                        run_averaged, run_estimator)
+                        EstimatorTrajectory, ViolationKind, assemble_slow_rhs,
+                        auto_window, find_fixed_point, run_averaged,
+                        run_estimator)
 from .direct import DirectTrajectory, envelope, run_direct
 from .examples import (ExampleDefinition, FigurePreset, figure_ids,
                        figure_preset, make_action_freq, make_euler_top,
                        make_example, make_resonant, make_vdp, register_system)
-from .validation import (ValidationReport, verify_bound_domination,
-                         verify_headline_bound, verify_identities,
-                         verify_integral_identity)
+from .validation import (ValidationReport, analytic_crosscheck,
+                         verify_bound_domination, verify_headline_bound,
+                         verify_identities, verify_integral_identity)
 
 __version__ = "0.1.0"
 

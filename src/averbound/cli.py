@@ -28,12 +28,13 @@ import numpy as np
 from . import export
 from .direct import DEFAULT_BUDGET_S, DirectTrajectory, envelope, run_direct
 from .estimator import (AVERAGED_TIGHTENING, ContractionWindow, EstimatorStatus,
-                        EstimatorTrajectory, analytic_crosscheck, run_averaged,
-                        run_estimator, unpack_state)
+                        EstimatorTrajectory, run_averaged, run_estimator,
+                        unpack_state)
 from .examples import ExampleDefinition, figure_ids, figure_preset, make_example
 from .model import SystemSpec
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL, Status
-from .validation import (verify_bound_domination, verify_headline_bound,
+from .validation import (ENVELOPE_WINDOWS, analytic_crosscheck,
+                         verify_bound_domination, verify_headline_bound,
                          verify_identities, verify_integral_identity)
 
 __all__ = ["main", "load_user_system", "ConfigError"]
@@ -42,9 +43,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
-
-# Largest closed-form residual of J, R and K that ``verify`` accepts.
-CROSSCHECK_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -389,7 +387,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     _, dtraj, t_direct = _run_direct_pipeline(cfg)
 
-    win = cfg.env_window if cfg.env_window is not None else cfg.u / 50.0
+    win = cfg.env_window if cfg.env_window is not None else cfg.u / ENVELOPE_WINDOWS
     report = verify_headline_bound(est, dtraj, window=win)
     taus, peaks = np.array(envelope(dtraj, win)).T
     n_vals = unpack_state(est.traj.sample_many(taus), spec.d)[4]
@@ -411,8 +409,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     print(f"compare [{cfg.label}] violations={report.violations} "
           f"tightness={tight:.3f} T_estimate={t_estimate:.3g}s "
           f"T_direct={t_direct:.3g}s ratio={t_estimate / t_direct:.3g} -> {out}")
-    if dtraj.budget_exceeded:
-        return EXIT_BUDGET
+    code = _direct_exit(dtraj)
+    if code != EXIT_OK:
+        return code
     return EXIT_OK if report.passed else EXIT_ERROR
 
 
@@ -426,16 +425,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     est = _run_estimator_pipeline(cfg, spec)
     reports.append(verify_bound_domination(spec, example.aux, example.bounds, est))
 
-    crosscheck = None
-    if example.closed_j is not None:
-        res = analytic_crosscheck(example, est)
-        crosscheck = {
-            "name": "analytic-crosscheck",
-            "max_j": res.max_j, "max_r": res.max_r, "max_k": res.max_k,
-            "tolerance": CROSSCHECK_TOL,
-            "passed": bool(res.max_residual < CROSSCHECK_TOL),
-        }
-
     _, dtraj, _ = _run_direct_pipeline(cfg)
     base = verify_integral_identity(spec, example.aux, est, dtraj)
     fine = verify_integral_identity(spec, example.aux, est, dtraj,
@@ -444,22 +433,20 @@ def cmd_verify(cfg: RunConfig) -> int:
     base.details["refinement_ratio"] = (
         base.max_residual / fine.max_residual if fine.max_residual else None)
     reports.append(base)
+    if example.closed_j is not None:
+        reports.append(analytic_crosscheck(example, est))
 
     payload = {"example": example.id, "params": dict(example.params),
                "i0": cfg.i0.tolist(), "eps": cfg.eps, "u": cfg.u,
                "estimator_status": est.status.value,
                "checks": [r.to_dict() for r in reports]}
-    if crosscheck:
-        payload["checks"].append(crosscheck)
 
     out = _out_path(cfg, "verify")
     export.write_json(out, payload)
-    ok = all(c["passed"] for c in payload["checks"])
-    for c in payload["checks"]:
-        print(f"verify [{cfg.label}] {c['name']}: "
-              f"{'pass' if c['passed'] else 'FAIL'}")
+    for r in reports:
+        print(f"verify [{cfg.label}] {r.name}: {'pass' if r.passed else 'FAIL'}")
     print(f"verify [{cfg.label}] -> {out}")
-    return EXIT_OK if ok else EXIT_ERROR
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "assemble_slow_rhs",
     "run_estimator",
     "run_averaged",
-    "analytic_crosscheck",
 ]
 
 _COND_LIMIT = 1e12
@@ -483,33 +482,3 @@ def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
     )
     stop = lambda tau, j: not spec.in_domain(j)
     return ode.integrate(problem, rtol=rtol, atol=atol, stop=stop)
-
-
-class CrosscheckResult(NamedTuple):
-    """Maximum deviations of the numeric slow flow from closed forms."""
-
-    max_j: float
-    max_r: float
-    max_k: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_j, self.max_r, self.max_k)
-
-
-def analytic_crosscheck(example, traj: EstimatorTrajectory) -> CrosscheckResult:
-    """Compare J, R, K along ``traj`` with an example's closed forms.
-
-    ``example`` must carry closed-form callables (see
-    :class:`averbound.examples.ExampleDefinition`); raises ``ValueError``
-    otherwise.  Residuals are measured on the accepted integration grid.
-    """
-    if example.closed_j is None:
-        raise ValueError(f"example {example.id!r} has no closed-form slow flow")
-    i0 = traj.j[0]
-    max_j = max_r = max_k = 0.0
-    for tau, j, r, k in zip(traj.tau, traj.j, traj.r, traj.k):
-        max_j = max(max_j, float(np.max(np.abs(j - example.closed_j(i0, tau)))))
-        max_r = max(max_r, float(np.max(np.abs(r - example.closed_r(i0, tau)))))
-        max_k = max(max_k, float(np.max(np.abs(k - example.closed_k(i0, tau)))))
-    return CrosscheckResult(max_j=max_j, max_r=max_r, max_k=max_k)

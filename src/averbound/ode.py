@@ -245,10 +245,11 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     the first node where it returns a truthy value ends the run, with the
     crossing localized on the dense output of the final step and the value
     there kept as ``stop_reason``.  A ``stop`` that raises ``ArithmeticError``
-    or ``ValueError`` counts as returning True.  Failure modes: step-size
-    underflow below 1e-14 times the span, or ``max_steps`` step attempts.
-    Exceptions and non-finite values from the right side make the step
-    retry at half size rather than abort.
+    or ``ValueError`` counts as returning True, except at the initial state,
+    where its exception propagates.  Failure modes: step-size underflow below
+    1e-14 times the span, or ``max_steps`` step attempts.  Exceptions and
+    non-finite values from the right side make the step retry at half size
+    rather than abort.
     """
     rhs = problem.rhs
     t_end = problem.t_end
@@ -257,7 +258,8 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     f = np.asarray(rhs(t, y), dtype=float)
     if f.shape != y.shape:
         raise ValueError(f"rhs must return shape {y.shape}, got {f.shape}")
-    if stop is not None and _safe_stop(stop, t, y):
+    # Called directly: a predicate that raises here propagates its own error.
+    if stop is not None and stop(t, y):
         raise ValueError("stop predicate already true at the initial state")
 
     span = t_end - problem.t0

@@ -1,6 +1,6 @@
 """Cross-checks for bundles, bounds and computed trajectories.
 
-Four independent verification layers:
+Five checks, each returning a :class:`ValidationReport`:
 
 * :func:`verify_identities` -- the auxiliary bundle satisfies its defining
   equations (finite differences in the actions and the angle, quadrature
@@ -9,7 +9,9 @@ Four independent verification layers:
   inequality left sides on stratified samples along a computed trajectory;
 * :func:`verify_integral_identity` -- the exact integral representation of
   the scaled error holds along a direct run, with trapezoid quadrature;
-* :func:`verify_headline_bound` -- |L(t)| <= n(eps*t) on the full fast grid.
+* :func:`verify_headline_bound` -- |L(t)| <= n(eps*t) on the full fast grid;
+* :func:`analytic_crosscheck` -- J, R and K of the slow solve match an
+  example's closed forms.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .direct import DirectTrajectory, envelope
 from .estimator import EstimatorTrajectory, unpack_state
-from .model import AuxiliaryBundle, BoundBundle, SystemSpec, frobenius
+from .model import TWO_PI, AuxiliaryBundle, BoundBundle, SystemSpec, frobenius
 
 __all__ = [
     "ValidationReport",
@@ -28,13 +30,15 @@ __all__ = [
     "verify_bound_domination",
     "verify_integral_identity",
     "verify_headline_bound",
+    "analytic_crosscheck",
 ]
 
-TWO_PI = 2.0 * np.pi
-
 IDENTITY_TOL = 1e-8
+CROSSCHECK_TOL = 1e-8     # largest passing closed-form residual of J, R, K
 _INTEGRAL_TOL = 1e-4      # largest passing integral-identity residual
 _HEADLINE_REL_SLACK = 1e-12  # |L| - n beyond this * n is a violation
+# The default envelope window is the covered slow span over this count.
+ENVELOPE_WINDOWS = 50
 _FD_REL = 2.5e-4          # 5-point stencil step, relative to the argument
 _QUAD_THETA = 256         # torus quadrature nodes (exact for short trig polys)
 # Domination grid: slow times, radii up to a fraction of rho, and angles.
@@ -55,15 +59,15 @@ class ValidationReport:
     tolerance: float
     max_residual: Optional[float] = None
     violations: Optional[int] = None
-    passed: bool = False
     details: Dict = field(default_factory=dict)
 
-    def finalize(self) -> "ValidationReport":
+    @property
+    def passed(self) -> bool:
+        """No violations if they are counted, else the residual within
+        tolerance; a report with neither fails."""
         if self.violations is not None:
-            self.passed = self.violations == 0
-        elif self.max_residual is not None:
-            self.passed = self.max_residual <= self.tolerance
-        return self
+            return self.violations == 0
+        return self.max_residual is not None and self.max_residual <= self.tolerance
 
     def to_dict(self) -> Dict:
         def clean(x):
@@ -150,17 +154,13 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
             raise ValueError(f"identity sample point {i} outside the domain")
         om = spec.omega(i)
         # torus averages (trapezoid is exact for trigonometric polynomials)
-        record("fbar_is_mean_f",
-               np.max(np.abs(np.mean([spec.f(i, t) for t in th_quad], axis=0)
-                             - aux.fbar(i))), (i, None))
-        record("pbar_is_mean_p",
-               np.max(np.abs(np.mean([aux.p(i, t) for t in th_quad], axis=0)
-                             - aux.pbar(i))), (i, None))
-        record("s_has_zero_mean",
-               np.max(np.abs(np.mean([aux.s(i, t) for t in th_quad], axis=0))),
-               (i, None))
-        record("v_zero_at_theta0", np.max(np.abs(aux.v(i, spec.theta0))), (i, spec.theta0))
-        record("w_zero_at_theta0", np.max(np.abs(aux.w(i, spec.theta0))), (i, spec.theta0))
+        for key, fn, mean in (("fbar_is_mean_f", spec.f, aux.fbar(i)),
+                              ("pbar_is_mean_p", aux.p, aux.pbar(i)),
+                              ("s_has_zero_mean", aux.s, 0.0)):
+            record(key, np.max(np.abs(np.mean([fn(i, t) for t in th_quad], axis=0)
+                                      - mean)), (i, None))
+        for key, fn in (("v_zero_at_theta0", aux.v), ("w_zero_at_theta0", aux.w)):
+            record(key, np.max(np.abs(fn(i, spec.theta0))), (i, spec.theta0))
         record("dfbar_is_jacobian",
                np.max(np.abs(np.stack([_d_plain(aux.fbar, i, j) for j in range(d)],
                                        axis=1) - aux.dfbar(i))), (i, None))
@@ -182,18 +182,14 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
             record("p_decomposition",
                    np.max(np.abs(aux.p(i, th) - aux.pbar(i)
                                  - om * _d_theta(aux.w, i, th))), (i, th))
-            record("p_definition",
-                   np.max(np.abs(aux.p(i, th) - (_jac_action(aux.s, i, th, d) @ fv
-                                                 + _d_theta(aux.s, i, th) * gv))),
-                   (i, th))
-            record("q_definition",
-                   np.max(np.abs(aux.q(i, th) - (_jac_action(aux.v, i, th, d) @ fv
-                                                 + _d_theta(aux.v, i, th) * gv))),
-                   (i, th))
-            record("u_definition",
-                   np.max(np.abs(aux.u(i, th) - (_jac_action(aux.w, i, th, d) @ fv
-                                                 + _d_theta(aux.w, i, th) * gv))),
-                   (i, th))
+            # p, q, u are the transports of s, v, w along the flow.
+            for key, moved, fn in (("p_definition", aux.p, aux.s),
+                                   ("q_definition", aux.q, aux.v),
+                                   ("u_definition", aux.u, aux.w)):
+                record(key,
+                       np.max(np.abs(moved(i, th) - (_jac_action(fn, i, th, d) @ fv
+                                                     + _d_theta(fn, i, th) * gv))),
+                       (i, th))
 
     # Taylor identities on segment increments inside the box.
     lo, hi = sample_box
@@ -226,7 +222,7 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
             "worst_identity": key,
             "worst_point": repr(worst_point[key]),
         },
-    ).finalize()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +283,28 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
             for direction in dirs:
                 dj = r * direction
                 i_pt = j + dj
-                lhs_d = frobenius(aux.g_script(j, dj))
-                lhs_e = frobenius(aux.h_script(j, dj))
-                for name, lhs, bound in (("d", lhs_d, d_val), ("e", lhs_e, e_val)):
-                    samples += 1
-                    margin = lhs - bound
-                    if margin > _DOM_REL_SLACK * max(1.0, bound) + _DOM_ABS_SLACK:
-                        violations += 1
-                    if margin > worst["margin"]:
-                        worst = {"margin": margin, "which": name, "tau": tau,
-                                 "r": r, "direction": direction.tolist()}
+                rows = [("d", frobenius(aux.g_script(j, dj)), d_val, None),
+                        ("e", frobenius(aux.h_script(j, dj)), e_val, None)]
                 for th in thetas:
                     sv = aux.s(i_pt, th)
                     wv = aux.w(i_pt, th)
                     vv = aux.v(i_pt, th)
                     uv = aux.u(i_pt, th)
                     qv = aux.q(i_pt, th)
-                    lhs_a = frobenius(sv - base)
-                    lhs_b = frobenius(wv - dfb @ vv)
-                    lhs_c = frobenius(uv - dfb @ (wv + qv) - msc @ vv)
-                    for name, lhs, bound in (("a", lhs_a, a_val),
-                                             ("b", lhs_b, b_val),
-                                             ("c", lhs_c, c_val)):
-                        samples += 1
-                        margin = lhs - bound
-                        if margin > _DOM_REL_SLACK * max(1.0, bound) + _DOM_ABS_SLACK:
-                            violations += 1
-                        if margin > worst["margin"]:
-                            worst = {"margin": margin, "which": name, "tau": tau,
-                                     "r": r, "theta": th,
-                                     "direction": direction.tolist()}
+                    rows += [("a", frobenius(sv - base), a_val, th),
+                             ("b", frobenius(wv - dfb @ vv), b_val, th),
+                             ("c", frobenius(uv - dfb @ (wv + qv) - msc @ vv),
+                              c_val, th)]
+                for name, lhs, bound, th in rows:
+                    samples += 1
+                    margin = lhs - bound
+                    if margin > _DOM_REL_SLACK * max(1.0, bound) + _DOM_ABS_SLACK:
+                        violations += 1
+                    if margin > worst["margin"]:
+                        worst = {"margin": margin, "which": name, "tau": tau, "r": r}
+                        if th is not None:
+                            worst["theta"] = th
+                        worst["direction"] = direction.tolist()
 
     violations += monotone_bad
     return ValidationReport(
@@ -325,7 +313,7 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
         tolerance=0.0,
         violations=violations,
         details={"worst": worst, "monotonicity_failures": monotone_bad},
-    ).finalize()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +379,7 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
         max_residual=float(resid[worst_idx]),
         details={"worst_t": float(ts[worst_idx]), "n_quad": n_quad,
                  "residual_at_t0": float(resid[0])},
-    ).finalize()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +391,7 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
 
     Violations are counted only beyond ``_HEADLINE_REL_SLACK * n`` (roundoff).
     ``details`` reports the envelope tightness max(peak |L| / n) per window
-    (window defaults to a fiftieth of the covered slow span).
+    (window defaults to the covered slow span over ``ENVELOPE_WINDOWS``).
     """
     eps = dtraj.eps
     t_hi = min(dtraj.t[-1], est.tau_final / eps)
@@ -418,7 +406,7 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     worst_idx = int(np.argmax(gap))
 
     span = eps * float(ts[-1]) if ts.size else 0.0
-    win = window if window is not None else max(span / 50.0, 1e-12)
+    win = window if window is not None else max(span / ENVELOPE_WINDOWS, 1e-12)
     tightness = 0.0
     tight_at = None
     if span > 0.0:
@@ -442,4 +430,32 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
             "tightness_at_tau": tight_at,
             "envelope_window": win,
         },
-    ).finalize()
+    )
+
+
+# ---------------------------------------------------------------------------
+
+
+def analytic_crosscheck(example, traj: EstimatorTrajectory) -> ValidationReport:
+    """Compare J, R, K along ``traj`` with an example's closed forms.
+
+    ``example`` must carry closed-form callables (see
+    :class:`averbound.examples.ExampleDefinition`); raises ``ValueError``
+    otherwise.  Residuals are measured on the accepted integration grid;
+    ``details`` holds the largest deviation of each of J, R and K.
+    """
+    if example.closed_j is None:
+        raise ValueError(f"example {example.id!r} has no closed-form slow flow")
+    i0 = traj.j[0]
+    max_j = max_r = max_k = 0.0
+    for tau, j, r, k in zip(traj.tau, traj.j, traj.r, traj.k):
+        max_j = max(max_j, float(np.max(np.abs(j - example.closed_j(i0, tau)))))
+        max_r = max(max_r, float(np.max(np.abs(r - example.closed_r(i0, tau)))))
+        max_k = max(max_k, float(np.max(np.abs(k - example.closed_k(i0, tau)))))
+    return ValidationReport(
+        name="analytic-crosscheck",
+        samples=len(traj.tau),
+        tolerance=CROSSCHECK_TOL,
+        max_residual=max(max_j, max_r, max_k),
+        details={"max_j": max_j, "max_r": max_r, "max_k": max_k},
+    )

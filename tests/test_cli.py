@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from averbound import export
+from averbound import cli, export, ode
+from averbound.direct import run_direct
 from averbound.cli import (ConfigError, load_user_system, main, resolve_config,
                            build_parser)
 
@@ -121,6 +122,20 @@ def test_compare_domain_violation_propagates(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("status, want", [(ode.Status.STOPPED, 2),
+                                          (ode.Status.STEP_FAILURE, 1)])
+def test_compare_exits_with_an_incomplete_direct_run(tmp_path, monkeypatch,
+                                                     status, want):
+    def cut_short(*args, **kwargs):
+        dtraj = run_direct(*args, **kwargs)
+        dtraj.traj.status = status
+        return dtraj
+
+    monkeypatch.setattr(cli, "run_direct", cut_short)
+    code = run_cli("compare", "--figure", "3e", "--out", str(tmp_path / "c.csv"))
+    assert code == want
+
+
 def test_verify_vdp_all_pass(tmp_path):
     out = tmp_path / "verify.json"
     code = run_cli("verify", "--example", "vdp", "--out", str(out))
@@ -130,6 +145,9 @@ def test_verify_vdp_all_pass(tmp_path):
     assert names == ["auxiliary-identities", "bound-domination",
                      "integral-identity", "analytic-crosscheck"]
     assert all(c["passed"] for c in payload["checks"])
+    assert all(set(c) == {"name", "samples", "tolerance", "max_residual",
+                          "violations", "passed", "details"}
+               for c in payload["checks"])
 
 
 def test_verify_euler_top_params(tmp_path):

@@ -135,9 +135,17 @@ def test_problem_validation():
 
 
 def test_stop_true_at_start_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="already true at the initial state"):
         ode.integrate(problem(lambda t, y: y, [1.0], 1.0),
                       stop=lambda t, y: True)
+
+
+def test_stop_raising_at_start_keeps_its_message():
+    def undefined(t, y):
+        raise ValueError("bound undefined here")
+
+    with pytest.raises(ValueError, match="bound undefined here"):
+        ode.integrate(problem(lambda t, y: y, [1.0], 1.0), stop=undefined)
 
 
 def test_rhs_shape_mismatch_raises():

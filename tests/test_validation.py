@@ -163,15 +163,18 @@ def test_report_serializes_to_json(resonant, resonant_run):
                for p in parsed)
 
 
-def test_report_finalize_rules():
+def test_report_passed_rule():
     r = ValidationReport(name="x", samples=1, tolerance=1e-8, violations=0)
-    assert r.finalize().passed
+    assert r.passed
     r = ValidationReport(name="x", samples=1, tolerance=1e-8, violations=2)
-    assert not r.finalize().passed
+    assert not r.passed
     r = ValidationReport(name="x", samples=1, tolerance=1e-8, max_residual=1e-9)
-    assert r.finalize().passed
+    assert r.passed
     r = ValidationReport(name="x", samples=1, tolerance=1e-8, max_residual=1e-7)
-    assert not r.finalize().passed
+    assert not r.passed
+    assert not ValidationReport(name="x", samples=1, tolerance=1e-8).passed
+    with pytest.raises(AttributeError):
+        r.passed = True
 
 
 def test_identity_grid_rejects_outside_domain(resonant):
