@@ -79,11 +79,20 @@ class RunConfig:
 # raises ValueError with the reason that follows the key's name.
 
 
+def _finite(values, text: str):
+    """``values`` unchanged if every one is finite; NaN and infinity from
+    outside are usage errors, not inputs to a run."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return values
+
+
 def _number(text: str) -> float:
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         raise ValueError(f"must be a number, got {text!r}") from None
+    return _finite(val, text)
 
 
 def _positive(text: str) -> float:
@@ -95,9 +104,10 @@ def _positive(text: str) -> float:
 
 def _parse_i0(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+        i0 = np.array([float(x) for x in text.split(",") if x.strip() != ""])
     except ValueError:
         raise ValueError(f"must be comma-separated numbers, got {text!r}") from None
+    return _finite(i0, text)
 
 
 def _parse_window(text: str) -> ContractionWindow:
@@ -105,6 +115,7 @@ def _parse_window(text: str) -> ContractionWindow:
         lstar, sigma, m = (float(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f'must be "lstar,sigma,M", got {text!r}') from None
+    _finite((lstar, sigma, m), text)
     return ContractionWindow(ell_star=lstar, sigma=sigma, slope_bound=m)
 
 
@@ -342,10 +353,10 @@ def _run_estimator_pipeline(cfg: RunConfig, spec: SystemSpec) -> EstimatorTrajec
                          window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
 
 
-def _run_direct_pipeline(cfg: RunConfig):
+def _run_direct_pipeline(cfg: RunConfig,
+                         spec: SystemSpec) -> Tuple[DirectTrajectory, float]:
     """Slow averaged solve (tolerances tightened by ``AVERAGED_TIGHTENING``)
-    plus the fast run."""
-    spec = cfg.system()
+    plus the fast run on ``spec``, and the seconds both took."""
     start = time.perf_counter()
     avg = run_averaged(spec, cfg.example.aux, cfg.u,
                        rtol=cfg.rtol / AVERAGED_TIGHTENING,
@@ -354,11 +365,12 @@ def _run_direct_pipeline(cfg: RunConfig):
         raise RuntimeError("averaged actions left the domain before U")
     dtraj = run_direct(spec, cfg.example.aux, avg, cfg.u, rtol=cfg.rtol,
                        atol=cfg.atol, time_budget=cfg.budget)
-    return spec, dtraj, time.perf_counter() - start
+    return dtraj, time.perf_counter() - start
 
 
 def cmd_direct(cfg: RunConfig) -> int:
-    spec, dtraj, elapsed = _run_direct_pipeline(cfg)
+    spec = cfg.system()
+    dtraj, elapsed = _run_direct_pipeline(cfg, spec)
     out = _out_path(cfg, "direct")
     cols = (["t", "tau"] + [f"L_{i + 1}" for i in range(spec.d)]
             + ["absL", "theta_mod_2pi"])
@@ -382,10 +394,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     t_estimate = time.perf_counter() - t0
     if est.status is not EstimatorStatus.COMPLETED:
         print(f"compare [{cfg.label}] estimator stopped early: "
-              f"{est.status.value} ({est.violation_kind})")
+              f"{est.status.value} "
+              f"({est.violation_kind.value if est.violation_kind else None})")
         return _estimator_exit(est)
 
-    _, dtraj, t_direct = _run_direct_pipeline(cfg)
+    dtraj, t_direct = _run_direct_pipeline(cfg, spec)
 
     win = cfg.env_window if cfg.env_window is not None else cfg.u / ENVELOPE_WINDOWS
     report = verify_headline_bound(est, dtraj, window=win)
@@ -425,7 +438,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     est = _run_estimator_pipeline(cfg, spec)
     reports.append(verify_bound_domination(spec, example.aux, example.bounds, est))
 
-    _, dtraj, _ = _run_direct_pipeline(cfg)
+    dtraj = _run_direct_pipeline(cfg, spec)[0]
     base = verify_integral_identity(spec, example.aux, est, dtraj)
     fine = verify_integral_identity(spec, example.aux, est, dtraj,
                                     n_quad=2 * base.details["n_quad"])
@@ -433,7 +446,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     base.details["refinement_ratio"] = (
         base.max_residual / fine.max_residual if fine.max_residual else None)
     reports.append(base)
-    if example.closed_j is not None:
+    if example.closed_flow is not None:
         reports.append(analytic_crosscheck(example, est))
 
     payload = {"example": example.id, "params": dict(example.params),

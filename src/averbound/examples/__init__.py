@@ -1,9 +1,10 @@
 """Built-in example systems with their bundles, closed forms and presets.
 
-Each example ships the full function set needed by the estimator: the system
-right-hand sides, the auxiliary conjugation bundle, the majorant bundle,
-closed-form expressions for the averaged flow where available, and the
-canned parameter presets addressed by figure labels ("1a" ... "4d").
+Each example module has one shape: a ``SAMPLE_BOX`` constant and a function
+``make(params) -> ExampleDefinition`` that checks its parameters and returns
+the system right-hand sides, the auxiliary conjugation bundle, the majorant
+bundle and, where known, the closed-form averaged flow.  The canned
+parameter presets are addressed by figure labels ("1a" ... "4d").
 
 User-defined systems plug in through :func:`register_system`; configuration
 files can then select them by name (parameters only -- the callables always
@@ -17,7 +18,6 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle, SystemSpec
-from . import action_freq, euler_top, resonant, vdp
 
 __all__ = [
     "ExampleDefinition",
@@ -61,9 +61,8 @@ class ExampleDefinition:
     aux: AuxiliaryBundle
     bounds: BoundBundle
     sample_box: Tuple[np.ndarray, np.ndarray]
-    closed_j: Optional[Callable] = None
-    closed_r: Optional[Callable] = None
-    closed_k: Optional[Callable] = None
+    # closed_flow(i0, tau) -> (J, R, K) of the averaged flow, where known.
+    closed_flow: Optional[Callable] = None
 
     def make_system(self, i0, eps: float, theta0: float = 0.0) -> SystemSpec:
         return SystemSpec(d=self.d, epsilon=float(eps), omega=self.omega,
@@ -76,68 +75,39 @@ class ExampleDefinition:
                      if p.example_id == self.id and dict(p.params) == dict(self.params))
 
 
+# The example modules import ExampleDefinition, so they load after it.
+from . import action_freq, euler_top, resonant, vdp  # noqa: E402
+
+
 def make_vdp() -> ExampleDefinition:
-    return ExampleDefinition(
-        id="vdp", d=1, params={}, aux=vdp.aux_bundle(), bounds=vdp.bound_bundle(),
-        sample_box=vdp.SAMPLE_BOX, closed_j=vdp.closed_j, closed_r=vdp.closed_r,
-        closed_k=vdp.closed_k, **vdp.SYSTEM)
+    return vdp.make({})
 
 
 def make_action_freq(kappa: int) -> ExampleDefinition:
-    system, aux, bounds, cj, cr, ck = action_freq.make(kappa)
-    return ExampleDefinition(
-        id="action-freq", d=1, params={"kappa": int(kappa)}, aux=aux,
-        bounds=bounds, sample_box=action_freq.SAMPLE_BOX, closed_j=cj,
-        closed_r=cr, closed_k=ck, **system)
+    return action_freq.make({"kappa": kappa})
 
 
 def make_resonant() -> ExampleDefinition:
-    return ExampleDefinition(
-        id="resonant", d=1, params={}, aux=resonant.aux_bundle(),
-        bounds=resonant.bound_bundle(), sample_box=resonant.SAMPLE_BOX,
-        closed_j=resonant.closed_j, closed_r=resonant.closed_r,
-        closed_k=resonant.closed_k, **resonant.SYSTEM)
+    return resonant.make({})
 
 
 def make_euler_top(mu: float, lambda1: float, lambda2: float) -> ExampleDefinition:
-    system, aux, bounds, cj, cr, ck = euler_top.make(mu, lambda1, lambda2)
-    return ExampleDefinition(
-        id="euler-top", d=2,
-        params={"mu": float(mu), "lambda1": float(lambda1), "lambda2": float(lambda2)},
-        aux=aux, bounds=bounds, sample_box=euler_top.SAMPLE_BOX, closed_j=cj,
-        closed_r=cr, closed_k=ck, **system)
-
-
-def _vdp_factory(params: Mapping[str, float]) -> ExampleDefinition:
-    return make_vdp()
-
-
-def _action_freq_factory(params: Mapping[str, float]) -> ExampleDefinition:
-    return make_action_freq(params.get("kappa", 1))
-
-
-def _resonant_factory(params: Mapping[str, float]) -> ExampleDefinition:
-    return make_resonant()
-
-
-def _euler_top_factory(params: Mapping[str, float]) -> ExampleDefinition:
-    missing = [k for k in ("mu", "lambda1", "lambda2") if k not in params]
-    if missing:
-        raise ValueError(f"euler-top requires parameters {missing}")
-    return make_euler_top(params["mu"], params["lambda1"], params["lambda2"])
+    return euler_top.make({"mu": mu, "lambda1": lambda1, "lambda2": lambda2})
 
 
 _REGISTRY: Dict[str, Callable[[Mapping[str, float]], ExampleDefinition]] = {
-    "vdp": _vdp_factory,
-    "action-freq": _action_freq_factory,
-    "resonant": _resonant_factory,
-    "euler-top": _euler_top_factory,
+    "vdp": vdp.make,
+    "action-freq": action_freq.make,
+    "resonant": resonant.make,
+    "euler-top": euler_top.make,
 }
 
 
 def register_system(name: str,
                     factory: Callable[[Mapping[str, float]], ExampleDefinition]) -> None:
-    """Register a user system factory under ``name`` for config-file use."""
+    """Register ``factory(params) -> ExampleDefinition`` under ``name`` for
+    config-file use.  It raises ``ValueError`` for invalid parameters; the
+    optional ``closed_flow`` of its result enables the analytic crosscheck."""
     _REGISTRY[name] = factory
 
 

@@ -12,12 +12,17 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
+from . import ExampleDefinition
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def make(kappa: int):
-    """Build the callables for one sign choice."""
+SAMPLE_BOX = (np.array([0.3]), np.array([3.0]))
+
+
+def make(params) -> ExampleDefinition:
+    """The system for one sign choice, ``params["kappa"]`` (default +1)."""
+    kappa = params.get("kappa", 1)
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
     kap = float(kappa)
@@ -83,9 +88,6 @@ def make(kappa: int):
         x, dx = i[0], di[0]
         return np.array([[-0.5 * (3 * x * x + 3 * x * dx + dx * dx)]])
 
-    def h_script(i, di):
-        return np.full((1, 1, 1), 2.0 * kap)
-
     def a_hat(j, rmat, k, r):
         return 0.5 * (j[0] + r) - k[0]
 
@@ -118,30 +120,22 @@ def make(kappa: int):
         x = j[0]
         return 0.5 * (3 * x * x + 3 * x * r + r * r)
 
-    def e_hat(j, r):
-        return 2.0
-
     def rho_hat(j):
         return float(j[0])
 
+    def closed_flow(i0, tau):
+        den = 1 - kap * i0[0] * tau
+        return (np.array([i0[0] / den]),
+                np.array([[1.0 / den ** 2]]),
+                np.array([kap * i0[0] ** 2 * math.log(den) / (2 * den * den)]))
+
     aux = AuxiliaryBundle(fbar=fbar, dfbar=dfbar, s=s, v=v, p=p, pbar=pbar,
                           q=q, w=w, u=u, m_script=m_script,
-                          g_script=g_script, h_script=h_script)
+                          g_script=g_script,
+                          h_script=lambda i, di: np.full((1, 1, 1), 2.0 * kap))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
-                         c_hat=c_hat, d_hat=d_hat, e_hat=e_hat)
-    system = dict(omega=omega, f=f, g=g, in_domain=in_domain)
-
-    def closed_j(i0, tau):
-        return np.array([i0[0] / (1 - kap * tau * i0[0])])
-
-    def closed_r(i0, tau):
-        return np.array([[1.0 / (1 - kap * i0[0] * tau) ** 2]])
-
-    def closed_k(i0, tau):
-        den = 1 - kap * i0[0] * tau
-        return np.array([kap * i0[0] ** 2 * math.log(den) / (2 * den * den)])
-
-    return system, aux, bounds, closed_j, closed_r, closed_k
-
-
-SAMPLE_BOX = (np.array([0.3]), np.array([3.0]))
+                         c_hat=c_hat, d_hat=d_hat, e_hat=lambda j, r: 2.0)
+    return ExampleDefinition(
+        id="action-freq", d=1, params={"kappa": int(kappa)}, omega=omega, f=f,
+        g=g, in_domain=in_domain, aux=aux, bounds=bounds,
+        sample_box=SAMPLE_BOX, closed_flow=closed_flow)

@@ -15,21 +15,25 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
+from . import ExampleDefinition
 
 
-def check_params(mu: float, lambda1: float, lambda2: float) -> None:
-    if not lambda1 > 0:
+_PARAMS = ("mu", "lambda1", "lambda2")
+SAMPLE_BOX = (np.array([0.4, 0.4]), np.array([4.0, 4.0]))
+
+
+def make(params) -> ExampleDefinition:
+    """The system for ``params`` ``mu``, ``lambda1`` and ``lambda2``."""
+    missing = [k for k in _PARAMS if k not in params]
+    if missing:
+        raise ValueError(f"euler-top requires parameters {missing}")
+    mu, l1, l2 = (float(params[k]) for k in _PARAMS)
+    if not l1 > 0:
         raise ValueError("lambda1 must be positive")
-    if not (-lambda1 < mu < lambda1):
+    if not (-l1 < mu < l1):
         raise ValueError("mu must satisfy -lambda1 < mu < lambda1")
-    if not lambda2 > -lambda1:
+    if not l2 > -l1:
         raise ValueError("lambda2 must exceed -lambda1")
-
-
-def make(mu: float, lambda1: float, lambda2: float):
-    check_params(mu, lambda1, lambda2)
-    l1, l2 = float(lambda1), float(lambda2)
-    mu = float(mu)
     am, al2 = abs(mu), abs(l2)
 
     def omega(i):
@@ -48,9 +52,6 @@ def make(mu: float, lambda1: float, lambda2: float):
     def fbar(i):
         return np.array([-l1 * i[0], -l2 * i[1]])
 
-    def dfbar(i):
-        return np.array([[-l1, 0.0], [0.0, -l2]])
-
     def s(i, th):
         pre = mu / 2 * math.sin(2 * th)
         return pre * np.array([-1 / i[1], 1 / i[0]])
@@ -63,9 +64,6 @@ def make(mu: float, lambda1: float, lambda2: float):
         c = math.cos(2 * th)
         pre = mu * math.sin(2 * th) / 2
         return pre * np.array([-(l2 + mu * c) / i[1], (l1 + 3 * mu * c) / i[0]])
-
-    def pbar(i):
-        return np.zeros(2)
 
     def q(i, th):
         c = math.cos(2 * th)
@@ -86,15 +84,6 @@ def make(mu: float, lambda1: float, lambda2: float):
         second = (3 * l2 * mu + 2 * l2 * l1 + 10 * mu * l1 + 4 * l1 ** 2
                   + 3 * mu * (l2 + 5 * mu + 4 * l1) * c + 15 * mu ** 2 * c * c)
         return pre * np.array([-first / i[1], second / i[0]])
-
-    def m_script(i):
-        return np.array([[-l1 ** 2, 0.0], [0.0, -l2 ** 2]])
-
-    def g_script(i, di):
-        return np.zeros((2, 2))
-
-    def h_script(i, di):
-        return np.zeros((2, 2, 2))
 
     # Quadratic-form coefficients of the w- and u-type majorants.
     b11 = (16 * (l1 ** 2 + l2 ** 2) + l1 * (12 * l2 + 20 * al2)
@@ -164,24 +153,21 @@ def make(mu: float, lambda1: float, lambda2: float):
                + c2 * j[1] * r + c0 * r * r)
         return am * math.sqrt(num) / (32 * (j[0] - r) ** 2 * (j[1] - r) ** 2)
 
-    aux = AuxiliaryBundle(fbar=fbar, dfbar=dfbar, s=s, v=v, p=p, pbar=pbar,
-                          q=q, w=w, u=u, m_script=m_script,
-                          g_script=g_script, h_script=h_script)
+    def closed_flow(i0, tau):
+        e1, e2 = math.exp(-l1 * tau), math.exp(-l2 * tau)
+        return (np.array([i0[0] * e1, i0[1] * e2]), np.diag([e1, e2]),
+                np.zeros(2))
+
+    aux = AuxiliaryBundle(
+        fbar=fbar, dfbar=lambda i: np.array([[-l1, 0.0], [0.0, -l2]]), s=s,
+        v=v, p=p, pbar=lambda i: np.zeros(2), q=q, w=w, u=u,
+        m_script=lambda i: np.array([[-l1 ** 2, 0.0], [0.0, -l2 ** 2]]),
+        g_script=lambda i, di: np.zeros((2, 2)),
+        h_script=lambda i, di: np.zeros((2, 2, 2)))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
                          c_hat=c_hat, d_hat=lambda j, r: 0.0,
                          e_hat=lambda j, r: 0.0)
-    system = dict(omega=omega, f=f, g=g, in_domain=in_domain)
-
-    def closed_j(i0, tau):
-        return np.array([i0[0] * math.exp(-l1 * tau), i0[1] * math.exp(-l2 * tau)])
-
-    def closed_r(i0, tau):
-        return np.diag([math.exp(-l1 * tau), math.exp(-l2 * tau)])
-
-    def closed_k(i0, tau):
-        return np.zeros(2)
-
-    return system, aux, bounds, closed_j, closed_r, closed_k
-
-
-SAMPLE_BOX = (np.array([0.4, 0.4]), np.array([4.0, 4.0]))
+    return ExampleDefinition(
+        id="euler-top", d=2, params={"mu": mu, "lambda1": l1, "lambda2": l2},
+        omega=omega, f=f, g=g, in_domain=in_domain, aux=aux, bounds=bounds,
+        sample_box=SAMPLE_BOX, closed_flow=closed_flow)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
+from . import ExampleDefinition
 
 
 def _omega(i):
@@ -29,17 +30,6 @@ def _in_domain(i):
     return bool(i[0] > 0.0)
 
 
-_ONE = np.ones(1)
-
-
-def _fbar(i):
-    return _ONE.copy()
-
-
-def _dfbar(i):
-    return np.zeros((1, 1))
-
-
 def _s(i, th):
     return np.array([-math.sin(th) / i[0]])
 
@@ -50,10 +40,6 @@ def _v(i, th):
 
 def _p(i, th):
     return np.array([(2 * math.sin(th) - math.sin(2 * th)) / (2 * i[0] ** 2)])
-
-
-def _pbar(i):
-    return np.zeros(1)
 
 
 def _q(i, th):
@@ -69,26 +55,22 @@ def _u(i, th):
                      * (-10 + 15 * math.cos(th) - 6 * math.cos(2 * th) + math.cos(3 * th))])
 
 
-def _zero_mat(i):
-    return np.zeros((1, 1))
+def _closed_flow(i0, tau):
+    return np.array([i0[0] + tau]), np.ones((1, 1)), np.zeros(1)
 
 
-def _g_script(i, di):
-    return np.zeros((1, 1))
+SAMPLE_BOX = (np.array([0.5]), np.array([4.0]))
 
 
-def _h_script(i, di):
-    return np.zeros((1, 1, 1))
-
-
-def aux_bundle() -> AuxiliaryBundle:
-    return AuxiliaryBundle(fbar=_fbar, dfbar=_dfbar, s=_s, v=_v, p=_p,
-                           pbar=_pbar, q=_q, w=_w, u=_u, m_script=_zero_mat,
-                           g_script=_g_script, h_script=_h_script)
-
-
-def bound_bundle() -> BoundBundle:
-    return BoundBundle(
+def make(params) -> ExampleDefinition:
+    """The resonant drift system; it has no parameters."""
+    aux = AuxiliaryBundle(
+        fbar=lambda i: np.ones(1), dfbar=lambda i: np.zeros((1, 1)), s=_s,
+        v=_v, p=_p, pbar=lambda i: np.zeros(1), q=_q, w=_w, u=_u,
+        m_script=lambda i: np.zeros((1, 1)),
+        g_script=lambda i, di: np.zeros((1, 1)),
+        h_script=lambda i, di: np.zeros((1, 1, 1)))
+    bounds = BoundBundle(
         rho_hat=lambda j: float(j[0]),
         a_hat=lambda j, rmat, k, r: 1.0 / (j[0] - r),
         b_hat=lambda j, r: 2.0 / (j[0] - r) ** 3,
@@ -96,19 +78,7 @@ def bound_bundle() -> BoundBundle:
         d_hat=lambda j, r: 0.0,
         e_hat=lambda j, r: 0.0,
     )
-
-
-def closed_j(i0, tau):
-    return np.array([i0[0] + tau])
-
-
-def closed_r(i0, tau):
-    return np.ones((1, 1))
-
-
-def closed_k(i0, tau):
-    return np.zeros(1)
-
-
-SYSTEM = dict(omega=_omega, f=_f, g=_g, in_domain=_in_domain)
-SAMPLE_BOX = (np.array([0.5]), np.array([4.0]))
+    return ExampleDefinition(
+        id="resonant", d=1, params={}, omega=_omega, f=_f, g=_g,
+        in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,
+        closed_flow=_closed_flow)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
+from . import ExampleDefinition
 
 
 def _omega(i):
@@ -59,10 +60,6 @@ def _p(i, th):
                               + x * x * math.sin(6 * th))])
 
 
-def _pbar(i):
-    return np.zeros(1)
-
-
 def _q(i, th):
     x = i[0]
     return np.array([-x / 32 * (16 - 10 * x + 2 * x * x
@@ -92,15 +89,6 @@ def _u(i, th):
 def _m_script(i):
     x = i[0]
     return np.array([[-1.0 + x - x * x / 2]])
-
-
-def _g_script(i, di):
-    return np.zeros((1, 1))
-
-
-def _h_script(i, di):
-    # fbar is quadratic, so the second-order remainder is the constant -1.
-    return np.full((1, 1, 1), -1.0)
 
 
 def _a_hat(j, rmat, k, r):
@@ -142,31 +130,29 @@ def _rho_hat(j):
     return float(j[0])
 
 
-def aux_bundle() -> AuxiliaryBundle:
-    return AuxiliaryBundle(fbar=_fbar, dfbar=_dfbar, s=_s, v=_v, p=_p,
-                           pbar=_pbar, q=_q, w=_w, u=_u, m_script=_m_script,
-                           g_script=_g_script, h_script=_h_script)
-
-
-def bound_bundle() -> BoundBundle:
-    return BoundBundle(rho_hat=_rho_hat, a_hat=_a_hat, b_hat=_b_hat,
-                       c_hat=_c_hat, d_hat=lambda j, r: 0.0,
-                       e_hat=lambda j, r: 1.0)
-
-
-def closed_j(i0, tau):
+def _closed_flow(i0, tau):
     x0 = i0[0]
-    return np.array([2 * x0 / (x0 + (2 - x0) * math.exp(-tau))])
+    decay = math.exp(-tau)
+    den = x0 + (2 - x0) * decay
+    return (np.array([2 * x0 / den]), np.array([[4 * decay / den ** 2]]),
+            np.zeros(1))
 
 
-def closed_r(i0, tau):
-    x0 = i0[0]
-    return np.array([[4 * math.exp(-tau) / (x0 + (2 - x0) * math.exp(-tau)) ** 2]])
-
-
-def closed_k(i0, tau):
-    return np.zeros(1)
-
-
-SYSTEM = dict(omega=_omega, f=_f, g=_g, in_domain=_in_domain)
 SAMPLE_BOX = (np.array([0.3]), np.array([5.0]))
+
+
+def make(params) -> ExampleDefinition:
+    """The van der Pol system; it has no parameters."""
+    aux = AuxiliaryBundle(
+        fbar=_fbar, dfbar=_dfbar, s=_s, v=_v, p=_p, pbar=lambda i: np.zeros(1),
+        q=_q, w=_w, u=_u, m_script=_m_script,
+        g_script=lambda i, di: np.zeros((1, 1)),
+        # fbar is quadratic, so the second-order remainder is the constant -1.
+        h_script=lambda i, di: np.full((1, 1, 1), -1.0))
+    bounds = BoundBundle(rho_hat=_rho_hat, a_hat=_a_hat, b_hat=_b_hat,
+                         c_hat=_c_hat, d_hat=lambda j, r: 0.0,
+                         e_hat=lambda j, r: 1.0)
+    return ExampleDefinition(
+        id="vdp", d=1, params={}, omega=_omega, f=_f, g=_g,
+        in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,
+        closed_flow=_closed_flow)

@@ -247,7 +247,8 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     there kept as ``stop_reason``.  A ``stop`` that raises ``ArithmeticError``
     or ``ValueError`` counts as returning True, except at the initial state,
     where its exception propagates.  Failure modes: step-size underflow below
-    1e-14 times the span, or ``max_steps`` step attempts.  Exceptions and
+    1e-14 times the span (a NaN step size, as a non-finite initial state or
+    slope gives, counts as one), or ``max_steps`` step attempts.  Exceptions and
     non-finite values from the right side make the step retry at half size
     rather than abort.
     """
@@ -284,7 +285,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
               for s, (c, row) in enumerate(_STAGES, start=1)]
 
     while t < t_end:
-        if steps >= max_steps or h < h_min:
+        if steps >= max_steps or not h >= h_min:   # rejects NaN as well
             status = Status.STEP_FAILURE
             break
         h = min(h, t_end - t)

@@ -439,19 +439,20 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
 def analytic_crosscheck(example, traj: EstimatorTrajectory) -> ValidationReport:
     """Compare J, R, K along ``traj`` with an example's closed forms.
 
-    ``example`` must carry closed-form callables (see
+    ``example`` must carry a ``closed_flow`` (see
     :class:`averbound.examples.ExampleDefinition`); raises ``ValueError``
     otherwise.  Residuals are measured on the accepted integration grid;
     ``details`` holds the largest deviation of each of J, R and K.
     """
-    if example.closed_j is None:
+    if example.closed_flow is None:
         raise ValueError(f"example {example.id!r} has no closed-form slow flow")
     i0 = traj.j[0]
     max_j = max_r = max_k = 0.0
     for tau, j, r, k in zip(traj.tau, traj.j, traj.r, traj.k):
-        max_j = max(max_j, float(np.max(np.abs(j - example.closed_j(i0, tau)))))
-        max_r = max(max_r, float(np.max(np.abs(r - example.closed_r(i0, tau)))))
-        max_k = max(max_k, float(np.max(np.abs(k - example.closed_k(i0, tau)))))
+        cj, cr, ck = example.closed_flow(i0, tau)
+        max_j = max(max_j, float(np.max(np.abs(j - cj))))
+        max_r = max(max_r, float(np.max(np.abs(r - cr))))
+        max_k = max(max_k, float(np.max(np.abs(k - ck))))
     return ValidationReport(
         name="analytic-crosscheck",
         samples=len(traj.tau),

@@ -115,11 +115,14 @@ def test_compare_outputs(tmp_path):
     assert sidecar["wall_time_direct_s"] > 0
 
 
-def test_compare_domain_violation_propagates(tmp_path):
+def test_compare_domain_violation_propagates(tmp_path, capsys):
     code = run_cli("compare", "--example", "action-freq", "--kappa", "1",
                    "--i0", "1", "--eps", "0.01", "--u", "1.0",
                    "--out", str(tmp_path / "c.csv"))
     assert code == 2
+    printed = capsys.readouterr().out
+    assert "n_exceeds_rho_over_eps" in printed
+    assert "ViolationKind." not in printed
 
 
 @pytest.mark.parametrize("status, want", [(ode.Status.STOPPED, 2),
@@ -233,6 +236,10 @@ def test_config_file_explicit_system(tmp_path):
     ("figure = 3e\nenv_window = -1\n", "env_window must be positive"),
     ("figure = 3e\nbudget = 0\n", "budget must be positive"),
     ("figure = 3e\nbudget = -5\n", "budget must be positive"),
+    ("system = resonant\ni0 = 2\neps = nan\nu = 1\n",
+     "eps must be a finite number"),
+    ("system = euler-top\nmu = 1\ni0 = 4,4\neps = 1e-2\nu = 1\n",
+     "requires parameters"),
 ])
 def test_config_file_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "bad.cfg"
@@ -261,6 +268,14 @@ _RESONANT = ["--i0", "2", "--eps", "1e-2", "--u", "1"]
      "env_window must be positive"),
     (["--figure", "3e", "--budget", "0"], None, "budget must be positive"),
     (["--figure", "3e", "--budget", "-5"], None, "budget must be positive"),
+    (["--example", "vdp", "--i0", "1", "--eps", "1e-2", "--u", "1",
+      "--theta0", "nan"], None, "theta0 must be a finite number"),
+    (["--example", "resonant", "--i0", "2", "--eps", "1e-2", "--u", "inf"],
+     None, "u must be a finite number"),
+    (["--example", "resonant", "--i0", "inf", "--eps", "1e-2", "--u", "1"],
+     None, "i0 must be a finite number"),
+    (["--figure", "3e", "--window", "0.5,nan,0.26"], None,
+     "window must be a finite number"),
 ])
 def test_flag_errors(tmp_path, flags, body, fragment):
     if body is not None:

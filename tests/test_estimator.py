@@ -203,7 +203,7 @@ def test_crosscheck_requires_closed_forms(resonant, resonant_run):
     assert res.max_residual < 1e-8
     assert res.name == "analytic-crosscheck"
     assert set(res.details) == {"max_j", "max_r", "max_k"}
-    stripped = dataclasses.replace(resonant, closed_j=None)
+    stripped = dataclasses.replace(resonant, closed_flow=None)
     with pytest.raises(ValueError):
         ab.analytic_crosscheck(stripped, est)
 

@@ -21,10 +21,23 @@ def test_vdp_table_spot_values(vdp):
 
 def test_vdp_closed_forms_at_origin(vdp):
     i0 = np.array([0.5])
-    assert vdp.closed_j(i0, 0.0)[0] == pytest.approx(0.5)
-    assert vdp.closed_r(i0, 0.0)[0, 0] == pytest.approx(1.0)
-    assert np.all(vdp.closed_k(i0, 0.0) == 0.0)
-    assert vdp.closed_j(i0, 50.0)[0] == pytest.approx(2.0, abs=1e-8)
+    j, r, k = vdp.closed_flow(i0, 0.0)
+    assert j[0] == pytest.approx(0.5)
+    assert r[0, 0] == pytest.approx(1.0)
+    assert np.all(k == 0.0)
+    assert vdp.closed_flow(i0, 50.0)[0][0] == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant",
+                                  "euler"])
+def test_closed_flow_starts_at_the_identity(request, name):
+    # At tau = 0 the averaged flow is J = I0 with R = I and K = 0.
+    ex = request.getfixturevalue(name)
+    i0 = np.linspace(1.0, 2.0, ex.d)
+    j, r, k = ex.closed_flow(i0, 0.0)
+    assert np.array_equal(j, i0)
+    assert np.array_equal(r, np.eye(ex.d))
+    assert np.array_equal(k, np.zeros(ex.d))
 
 
 def test_action_freq_table_spot_values(af_plus, af_minus):
@@ -42,7 +55,7 @@ def test_action_freq_inhomogeneous_term_nonpositive(af_plus, af_minus):
     for ex, taus in ((af_plus, np.linspace(0.0, 0.95, 40)),
                      (af_minus, np.linspace(0.0, 150.0, 40))):
         for tau in taus:
-            assert ex.closed_k(i0, tau)[0] <= 1e-15
+            assert ex.closed_flow(i0, tau)[2][0] <= 1e-15
 
 
 def test_action_freq_rejects_bad_kappa():
@@ -113,6 +126,22 @@ def test_unknown_figure_or_system():
         figure_preset("9z")
     with pytest.raises(KeyError):
         make_example("nope")
+
+
+@pytest.mark.parametrize("name, params, public", [
+    ("vdp", {}, lambda: ab.make_vdp()),
+    ("action-freq", {"kappa": 1}, lambda: ab.make_action_freq(1)),
+    ("action-freq", {}, lambda: ab.make_action_freq(1)),    # kappa defaults to +1
+    ("action-freq", {"kappa": -1}, lambda: ab.make_action_freq(-1)),
+    ("resonant", {}, lambda: ab.make_resonant()),
+    ("euler-top", {"mu": 1.0, "lambda1": 2.0, "lambda2": -1.0},
+     lambda: ab.make_euler_top(1.0, 2.0, -1.0)),
+])
+def test_registry_and_public_constructors_agree(name, params, public):
+    by_name, direct = make_example(name, params), public()
+    assert by_name.id == direct.id == name
+    assert dict(by_name.params) == dict(direct.params)
+    assert by_name.d == direct.d
 
 
 def test_register_custom_system():

@@ -127,6 +127,19 @@ def test_blowup_gives_step_failure():
     assert traj.times[-1] < 1.0 + 1e-6
 
 
+def test_nan_rhs_fails_at_once():
+    # A NaN slope makes the first step size NaN; the step guard must read
+    # that as a failure instead of spending every attempt of max_steps.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.full(1, np.nan)
+    traj = ode.integrate(problem(rhs, [1.0], 1.0), max_steps=1000)
+    assert traj.status is ode.Status.STEP_FAILURE
+    assert len(calls) < 10
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         ode.IvpProblem(lambda t, y: y, 0.0, np.zeros(1), -1.0)
