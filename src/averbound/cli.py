@@ -190,9 +190,6 @@ def _resolve(raw: Mapping[str, Tuple[str, str]], command: Optional[str],
             example = make_example(label, params)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{origin['example']}: {exc}") from None
-        for key in params:
-            if key not in example.params:
-                raise ConfigError(f"{origin[key]}: {label} has no parameter {key!r}")
         if command == "verify":
             vals = {**_verify_defaults(example), **vals}
         missing = [k for k in ("i0", "eps", "u") if k not in vals]
@@ -341,6 +338,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         "wall_time_s": est.wall_time_s,
         "window_mode": est.window_mode,
         "tau_final": est.tau_final,
+        "stats": est.traj.stats.to_dict(),
     })
     print(f"estimate [{cfg.label}] status={est.status.value} "
           f"ell0={est.ell0:.9g} tau_final={est.tau_final:.6g} -> {out}")
@@ -380,6 +378,7 @@ def cmd_direct(cfg: RunConfig) -> int:
         "budget_exceeded": dtraj.budget_exceeded,
         "wall_time_s": elapsed,
         "t_final": float(dtraj.t[-1]),
+        "direct_stats": dtraj.traj.stats.to_dict(),
     })
     print(f"direct [{cfg.label}] status={dtraj.status.value} "
           f"budget_exceeded={dtraj.budget_exceeded} "
@@ -417,6 +416,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         "wall_time_estimate_s": t_estimate,
         "wall_time_direct_s": t_direct,
         "time_ratio": t_estimate / t_direct if t_direct > 0 else None,
+        "direct_stats": dtraj.traj.stats.to_dict(),
     })
     tight = report.details["tightness"]
     print(f"compare [{cfg.label}] violations={report.violations} "

@@ -162,10 +162,12 @@ def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Traject
     times = [pieces[0].times]
     states = [pieces[0].states]
     derivs = [pieces[0].derivs]
+    stats = pieces[0].stats
     for piece in pieces[1:]:
         times.append(piece.times[1:])
         states.append(piece.states[1:])
         derivs.append(piece.derivs[1:])
+        stats += piece.stats
     return ode.Trajectory(
         times=np.concatenate(times),
         states=np.vstack(states),
@@ -173,6 +175,7 @@ def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Traject
         status=status,
         stop_time=pieces[-1].stop_time,
         stop_reason=pieces[-1].stop_reason,
+        stats=stats,
     )
 
 

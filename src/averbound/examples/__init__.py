@@ -106,8 +106,10 @@ _REGISTRY: Dict[str, Callable[[Mapping[str, float]], ExampleDefinition]] = {
 def register_system(name: str,
                     factory: Callable[[Mapping[str, float]], ExampleDefinition]) -> None:
     """Register ``factory(params) -> ExampleDefinition`` under ``name`` for
-    config-file use.  It raises ``ValueError`` for invalid parameters; the
-    optional ``closed_flow`` of its result enables the analytic crosscheck."""
+    config-file use.  It raises ``ValueError`` for invalid parameters; a
+    parameter missing from its result's ``params`` is rejected as unknown.
+    The optional ``closed_flow`` of its result enables the analytic
+    crosscheck."""
     _REGISTRY[name] = factory
 
 
@@ -116,13 +118,22 @@ def registered_systems() -> Tuple[str, ...]:
 
 
 def make_example(name: str, params: Optional[Mapping[str, float]] = None) -> ExampleDefinition:
-    """Build a registered system by name with the given parameters."""
+    """Build a registered system by name with the given parameters.
+
+    Raises ``ValueError`` for a parameter the built system does not list
+    in its ``params``.
+    """
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown system {name!r}; registered: "
                        f"{', '.join(registered_systems())}") from None
-    return factory(params or {})
+    params = params or {}
+    example = factory(params)
+    for key in params:
+        if key not in example.params:
+            raise ValueError(f"{name} has no parameter {key!r}")
+    return example
 
 
 _ET_A = {"mu": 1.0, "lambda1": 2.0, "lambda2": -1.0}

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from averbound import cli, export, ode
+from averbound import cli, direct, export, ode
 from averbound.direct import run_direct
 from averbound.cli import (ConfigError, load_user_system, main, resolve_config,
                            build_parser)
@@ -15,6 +15,18 @@ from averbound.cli import (ConfigError, load_user_system, main, resolve_config,
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+_STATS_KEYS = {"accepted", "rejected", "nan_retries", "rhs_evals", "h_min", "h_max"}
+
+
+def assert_step_stats(stats, initial_calls):
+    """A sidecar's step counts, of a run in which no rhs call raised."""
+    assert set(stats) == _STATS_KEYS
+    assert stats["accepted"] > 0 and stats["nan_retries"] == 0
+    attempts = stats["accepted"] + stats["rejected"]
+    assert stats["rhs_evals"] == 6 * attempts + initial_calls
+    assert 0 < stats["h_min"] <= stats["h_max"]
 
 
 def test_estimate_writes_table_and_sidecar(tmp_path):
@@ -33,6 +45,8 @@ def test_estimate_writes_table_and_sidecar(tmp_path):
     assert sidecar["ell0"] > 0 and sidecar["wall_time_s"] > 0
     assert sidecar["violation_kind"] is None
     assert sidecar["window_mode"] == "auto"
+    # the slow solve: its slope and the initial step's probe come first
+    assert_step_stats(sidecar["stats"], initial_calls=2)
 
 
 def test_estimate_rejects_nonpositive_horizon(tmp_path):
@@ -87,6 +101,11 @@ def test_direct_output_columns(tmp_path):
     assert np.all(table["theta_mod_2pi"] >= 0)
     assert np.all(table["theta_mod_2pi"] < 2 * math.pi)
     assert np.allclose(table["absL"], np.abs(table["L_1"]))
+    sidecar = json.loads((tmp_path / "dir.json").read_text())
+    # one slope per chunk, plus the initial step's probe in the first
+    stats = sidecar["direct_stats"]
+    assert_step_stats(stats, initial_calls=direct._BUDGET_CHUNKS + 1)
+    assert stats["accepted"] == table["t"].size - 1
 
 
 def test_direct_budget_exit(tmp_path):
@@ -113,6 +132,8 @@ def test_compare_outputs(tmp_path):
     assert sidecar["time_ratio"] < 1.0
     assert sidecar["wall_time_estimate_s"] > 0
     assert sidecar["wall_time_direct_s"] > 0
+    assert_step_stats(sidecar["direct_stats"],
+                      initial_calls=direct._BUDGET_CHUNKS + 1)
 
 
 def test_compare_domain_violation_propagates(tmp_path, capsys):

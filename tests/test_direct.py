@@ -1,11 +1,12 @@
 """Fast-time comparison run: exactness, envelope, domain exit, budget."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import averbound as ab
-from averbound import ode
+from averbound import direct, ode
 from averbound.direct import DirectTrajectory, envelope
 
 from conftest import toy_linear_decay
@@ -19,6 +20,29 @@ def test_angle_free_perturbation_keeps_error_zero():
     assert dtraj.abs_l.max() < 1e-10
     assert dtraj.l[0, 0] == 0.0
     assert dtraj.theta[0] == spec.theta0
+
+
+def test_stats_sum_over_the_chunks():
+    spec, aux, _ = toy_linear_decay()
+    avg = ab.run_averaged(spec, aux, 5.0)
+    calls = []
+
+    def f(i, th):      # the direct rhs calls f once per evaluation
+        calls.append(th)
+        return -i
+    dtraj = ab.run_direct(dataclasses.replace(spec, f=f), aux, avg, 5.0)
+    assert dtraj.status is ode.Status.COMPLETED
+    stats = dtraj.traj.stats
+    assert stats.accepted == len(dtraj.t) - 1
+    assert stats.rhs_evals == len(calls)
+    # No rhs call raised: six per attempt, two to start the first chunk
+    # and one, its slope, to start each later one.
+    attempts = stats.accepted + stats.rejected
+    assert stats.rhs_evals == 6 * attempts + direct._BUDGET_CHUNKS + 1
+    assert stats.nan_retries == 0
+    steps = np.diff(dtraj.t)
+    assert stats.h_min == pytest.approx(steps.min(), rel=1e-9)
+    assert stats.h_max == pytest.approx(steps.max(), rel=1e-9)
 
 
 def test_initial_angle_rate_is_unperturbed_frequency(resonant_run):

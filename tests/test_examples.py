@@ -150,6 +150,18 @@ def test_register_custom_system():
     assert make_example("custom-test") is marker
 
 
+@pytest.mark.parametrize("name, params, unknown", [
+    ("vdp", {"mu": 3}, "mu"),
+    ("action-freq", {"kappa": -1, "mu": 2}, "mu"),
+    ("euler-top", {"mu": 1.0, "lambda1": 2.0, "lambda2": -1.0, "l3": 0.5}, "l3"),
+    ("custom-unknown", {"gain": 2.0}, "gain"),     # a registered factory
+])
+def test_make_example_rejects_unknown_parameters(name, params, unknown):
+    register_system("custom-unknown", lambda params: ab.make_resonant())
+    with pytest.raises(ValueError, match=f"^{name} has no parameter '{unknown}'$"):
+        make_example(name, params)
+
+
 def _resample(traj, ts):
     samp = traj.sampler()
     return np.array([samp(t) for t in ts])

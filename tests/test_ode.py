@@ -25,14 +25,24 @@ def test_exponential_endpoint_error():
     assert abs(traj.states[-1, 0] - math.e) < 1e-7
 
 
-def test_one_step_is_the_dormand_prince_stability_polynomial():
+# State sizes that select each step kernel: the float one and the array one.
+KERNEL_SIZES = [2, ode._FLOAT_KERNEL_MAX_DIM + 1]
+
+
+def test_kernel_sizes_select_both_kernels():
+    assert KERNEL_SIZES[0] <= ode._FLOAT_KERNEL_MAX_DIM < KERNEL_SIZES[1]
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_one_step_is_the_dormand_prince_stability_polynomial(size):
     # On y' = y one step multiplies y by R(h), the method's stability
     # polynomial; every tableau row enters its coefficients.  At h = 0.05,
     # R(h) differs from exp(h) by 4e-12 relative, so this tells them apart.
-    traj = ode.integrate(problem(lambda t, y: y, [1.0], 1.0), first_step=0.05)
+    traj = ode.integrate(problem(lambda t, y: y, np.ones(size), 1.0),
+                         first_step=0.05)
     h = traj.times[1] - traj.times[0]
     want = sum(h ** k / math.factorial(k) for k in range(6)) + h ** 6 / 600
-    assert traj.states[1, 0] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert traj.states[1] == pytest.approx(np.full(size, want), rel=1e-14, abs=0.0)
     assert abs(want / math.exp(h) - 1.0) > 1e-12
 
 
@@ -104,14 +114,19 @@ def test_convergence_with_tolerance():
     assert errs[0] / errs[-1] > 10.0 ** (6 * 0.7)
 
 
-def test_determinism_bitwise():
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_determinism_bitwise(size):
     def rhs(t, y):
-        return np.array([math.sin(t) * y[0], -y[1] + y[0] ** 2])
-    a = ode.integrate(problem(rhs, [1.0, 0.5], 3.0))
-    b = ode.integrate(problem(rhs, [1.0, 0.5], 3.0))
+        return np.array([math.sin(t) * y[0], -y[1] + y[0] ** 2]
+                        + [-0.5 * v for v in y[2:]])
+    y0 = [1.0, 0.5] + [0.25] * (size - 2)
+    a = ode.integrate(problem(rhs, y0, 3.0))
+    b = ode.integrate(problem(rhs, y0, 3.0))
+    assert a.states.shape[1] == size
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.derivs, b.derivs)
+    assert a.stats == b.stats
 
 
 def test_max_steps_exhaustion():
@@ -138,6 +153,56 @@ def test_nan_rhs_fails_at_once():
     traj = ode.integrate(problem(rhs, [1.0], 1.0), max_steps=1000)
     assert traj.status is ode.Status.STEP_FAILURE
     assert len(calls) < 10
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_nan_in_one_component_halves_the_step(size):
+    # Past t_nan the second component of the FSAL stage (the last of each
+    # attempt, at t + h) is NaN.  That stage enters the error estimate but
+    # not y_new, so only the NaN error of that one component can reject the
+    # step; a max over the components that drops it would accept the step.
+    t_nan = 0.5
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        out = -y
+        if t > t_nan and (len(calls) - 2) % 6 == 0:
+            out[1] = math.nan
+        return out
+    traj = ode.integrate(problem(rhs, np.ones(size), 1.0), max_steps=2000)
+    assert traj.status is ode.Status.STEP_FAILURE
+    assert traj.t_final <= t_nan
+    assert np.all(np.isfinite(traj.derivs))
+    stats = traj.stats
+    assert stats.nan_retries > 0
+    # No rhs call raised: two initial calls, then six per attempt.
+    attempts = stats.accepted + stats.rejected
+    assert stats.rhs_evals == len(calls) == 2 + 6 * attempts
+    # The first attempt that ends past t_nan is retried at half its size.
+    ends = calls[7::6]
+    first = next(i for i, t in enumerate(ends) if t > t_nan)
+    h = (ends[first] - calls[2 + 6 * first]) / (1 - 1 / 5)
+    h_next = (ends[first + 1] - calls[2 + 6 * (first + 1)]) / (1 - 1 / 5)
+    assert h_next == pytest.approx(h / 2, rel=1e-6)
+    assert ends[first + 1] - h_next == pytest.approx(ends[first] - h, abs=1e-12)
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_overflowing_state_halves_the_step(size):
+    # y' = 1e308 in the second component overflows the state near t = 1.8,
+    # while the error estimate stays finite (0 over an infinite scale), so
+    # only the check on y_new can reject the step.  The first step is given:
+    # the initial-step heuristic fails at once on this slope.
+    def rhs(t, y):
+        out = np.zeros(size)
+        out[1] = 1e308
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = ode.integrate(problem(rhs, np.zeros(size), 10.0), first_step=0.1)
+    assert traj.status is ode.Status.STEP_FAILURE
+    assert np.all(np.isfinite(traj.states))
+    assert traj.stats.nan_retries > 0
 
 
 def test_problem_validation():
