@@ -75,7 +75,18 @@ class ExampleDefinition:
                      if p.example_id == self.id and dict(p.params) == dict(self.params))
 
 
-# The example modules import ExampleDefinition, so they load after it.
+def constant(value) -> Callable:
+    """A bundle member whose value does not depend on its arguments.
+
+    Every call returns the same read-only array, built once from ``value``.
+    """
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return lambda *args: arr
+
+
+# The example modules import ExampleDefinition and constant, so they load
+# after them.
 from . import action_freq, euler_top, resonant, vdp  # noqa: E402
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
-from . import ExampleDefinition
+from . import ExampleDefinition, constant
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -132,7 +132,7 @@ def make(params) -> ExampleDefinition:
     aux = AuxiliaryBundle(fbar=fbar, dfbar=dfbar, s=s, v=v, p=p, pbar=pbar,
                           q=q, w=w, u=u, m_script=m_script,
                           g_script=g_script,
-                          h_script=lambda i, di: np.full((1, 1, 1), 2.0 * kap))
+                          h_script=constant(np.full((1, 1, 1), 2.0 * kap)))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
                          c_hat=c_hat, d_hat=d_hat, e_hat=lambda j, r: 2.0)
     return ExampleDefinition(

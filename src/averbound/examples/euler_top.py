@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
-from . import ExampleDefinition
+from . import ExampleDefinition, constant
 
 
 _PARAMS = ("mu", "lambda1", "lambda2")
@@ -159,11 +159,11 @@ def make(params) -> ExampleDefinition:
                 np.zeros(2))
 
     aux = AuxiliaryBundle(
-        fbar=fbar, dfbar=lambda i: np.array([[-l1, 0.0], [0.0, -l2]]), s=s,
-        v=v, p=p, pbar=lambda i: np.zeros(2), q=q, w=w, u=u,
-        m_script=lambda i: np.array([[-l1 ** 2, 0.0], [0.0, -l2 ** 2]]),
-        g_script=lambda i, di: np.zeros((2, 2)),
-        h_script=lambda i, di: np.zeros((2, 2, 2)))
+        fbar=fbar, dfbar=constant([[-l1, 0.0], [0.0, -l2]]), s=s,
+        v=v, p=p, pbar=constant(np.zeros(2)), q=q, w=w, u=u,
+        m_script=constant([[-l1 ** 2, 0.0], [0.0, -l2 ** 2]]),
+        g_script=constant(np.zeros((2, 2))),
+        h_script=constant(np.zeros((2, 2, 2))))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
                          c_hat=c_hat, d_hat=lambda j, r: 0.0,
                          e_hat=lambda j, r: 0.0)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
-from . import ExampleDefinition
+from . import ExampleDefinition, constant
 
 
 def _omega(i):
@@ -65,11 +65,11 @@ SAMPLE_BOX = (np.array([0.5]), np.array([4.0]))
 def make(params) -> ExampleDefinition:
     """The resonant drift system; it has no parameters."""
     aux = AuxiliaryBundle(
-        fbar=lambda i: np.ones(1), dfbar=lambda i: np.zeros((1, 1)), s=_s,
-        v=_v, p=_p, pbar=lambda i: np.zeros(1), q=_q, w=_w, u=_u,
-        m_script=lambda i: np.zeros((1, 1)),
-        g_script=lambda i, di: np.zeros((1, 1)),
-        h_script=lambda i, di: np.zeros((1, 1, 1)))
+        fbar=constant(np.ones(1)), dfbar=constant(np.zeros((1, 1))), s=_s,
+        v=_v, p=_p, pbar=constant(np.zeros(1)), q=_q, w=_w, u=_u,
+        m_script=constant(np.zeros((1, 1))),
+        g_script=constant(np.zeros((1, 1))),
+        h_script=constant(np.zeros((1, 1, 1))))
     bounds = BoundBundle(
         rho_hat=lambda j: float(j[0]),
         a_hat=lambda j, rmat, k, r: 1.0 / (j[0] - r),

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..model import AuxiliaryBundle, BoundBundle
-from . import ExampleDefinition
+from . import ExampleDefinition, constant
 
 
 def _omega(i):
@@ -144,11 +144,11 @@ SAMPLE_BOX = (np.array([0.3]), np.array([5.0]))
 def make(params) -> ExampleDefinition:
     """The van der Pol system; it has no parameters."""
     aux = AuxiliaryBundle(
-        fbar=_fbar, dfbar=_dfbar, s=_s, v=_v, p=_p, pbar=lambda i: np.zeros(1),
+        fbar=_fbar, dfbar=_dfbar, s=_s, v=_v, p=_p, pbar=constant(np.zeros(1)),
         q=_q, w=_w, u=_u, m_script=_m_script,
-        g_script=lambda i, di: np.zeros((1, 1)),
+        g_script=constant(np.zeros((1, 1))),
         # fbar is quadratic, so the second-order remainder is the constant -1.
-        h_script=lambda i, di: np.full((1, 1, 1), -1.0))
+        h_script=constant(np.full((1, 1, 1), -1.0)))
     bounds = BoundBundle(rho_hat=_rho_hat, a_hat=_a_hat, b_hat=_b_hat,
                          c_hat=_c_hat, d_hat=lambda j, r: 0.0,
                          e_hat=lambda j, r: 1.0)

@@ -87,24 +87,6 @@ class SystemSpec:
         if not self.in_domain(i0):
             raise ValueError("initial actions i0 lie outside the action domain")
 
-    def spot_check(self, points=None, n_theta: int = 7, tol: float = 1e-12) -> None:
-        """Spot-check omega != 0 and 2*pi-periodicity of f, g at sample points.
-
-        ``points`` defaults to the initial actions only.
-        """
-        pts = [self.i0] if points is None else list(points)
-        for i in pts:
-            i = np.asarray(i, dtype=float)
-            if not self.in_domain(i):
-                raise ValueError("spot-check point outside the action domain")
-            if self.omega(i) == 0.0:
-                raise ValueError(f"omega vanishes at {i}")
-            for th in np.linspace(0.0, TWO_PI, n_theta, endpoint=False):
-                df = np.max(np.abs(np.asarray(self.f(i, th)) - self.f(i, th + TWO_PI)))
-                dg = abs(self.g(i, th) - self.g(i, th + TWO_PI))
-                if df > tol or dg > tol:
-                    raise ValueError("f or g is not 2*pi-periodic in the angle")
-
 
 @dataclass(frozen=True)
 class AuxiliaryBundle:

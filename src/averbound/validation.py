@@ -4,7 +4,8 @@ Five checks, each returning a :class:`ValidationReport`:
 
 * :func:`verify_identities` -- the auxiliary bundle satisfies its defining
   equations (finite differences in the actions and the angle, quadrature
-  over the torus, algebraic Taylor identities);
+  over the torus, algebraic Taylor identities), and f and g are
+  2*pi-periodic in the angle;
 * :func:`verify_bound_domination` -- the majorants a..e dominate the five
   inequality left sides on stratified samples along a computed trajectory;
 * :func:`verify_integral_identity` -- the exact integral representation of
@@ -129,7 +130,8 @@ def _action_grid(box, per_axis: int) -> List[np.ndarray]:
 
 def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
                       sample_box) -> ValidationReport:
-    """Residuals of every defining identity of the auxiliary bundle.
+    """Residuals of every defining identity of the auxiliary bundle, and of
+    the 2*pi-periodicity of f and g in the angle.
 
     Samples a grid of at least 100 (I, theta) points inside the given action
     box (assumed inside the domain); per-identity maxima land in
@@ -173,6 +175,9 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
         for th in thetas:
             fv = spec.f(i, th)
             gv = spec.g(i, th)
+            record("f_g_periodic",
+                   max(np.max(np.abs(fv - spec.f(i, th + TWO_PI))),
+                       abs(gv - spec.g(i, th + TWO_PI))), (i, th))
             record("f_decomposition",
                    np.max(np.abs(fv - aux.fbar(i) - om * _d_theta(aux.s, i, th))),
                    (i, th))

@@ -60,28 +60,29 @@ def hermite_reference(traj, t):
                     traj.states[idx + 1], traj.derivs[idx], traj.derivs[idx + 1])
 
 
-def toy_linear_decay(eps=1e-2, i0=2.0):
+def toy_linear_decay(eps=1e-2, i0=2.0, d=1):
     """System with f independent of the angle: the scaled error vanishes.
 
-    f = fbar = -I, omega = 1, g = 0; all conjugation functions are zero and
-    constant bounds keep the estimator well-posed.
+    f = fbar = -I on d actions, each starting at i0, omega = 1, g = 0; all
+    conjugation functions are zero and constant bounds keep the estimator
+    well-posed.
     """
     aux = ab.AuxiliaryBundle(
         fbar=lambda i: -i,
-        dfbar=lambda i: -np.eye(1),
-        s=lambda i, th: np.zeros(1),
-        v=lambda i, th: np.zeros(1),
-        p=lambda i, th: np.zeros(1),
-        pbar=lambda i: np.zeros(1),
-        q=lambda i, th: np.zeros(1),
-        w=lambda i, th: np.zeros(1),
-        u=lambda i, th: np.zeros(1),
-        m_script=lambda i: -np.eye(1),
-        g_script=lambda i, di: np.zeros((1, 1)),
-        h_script=lambda i, di: np.zeros((1, 1, 1)),
+        dfbar=lambda i: -np.eye(d),
+        s=lambda i, th: np.zeros(d),
+        v=lambda i, th: np.zeros(d),
+        p=lambda i, th: np.zeros(d),
+        pbar=lambda i: np.zeros(d),
+        q=lambda i, th: np.zeros(d),
+        w=lambda i, th: np.zeros(d),
+        u=lambda i, th: np.zeros(d),
+        m_script=lambda i: -np.eye(d),
+        g_script=lambda i, di: np.zeros((d, d)),
+        h_script=lambda i, di: np.zeros((d, d, d)),
     )
     bounds = ab.BoundBundle(
-        rho_hat=lambda j: float(j[0]),
+        rho_hat=lambda j: float(np.min(j)),
         a_hat=lambda j, r_mat, k, r: 0.01,
         b_hat=lambda j, r: 0.01,
         c_hat=lambda j, r: 0.01,
@@ -89,11 +90,11 @@ def toy_linear_decay(eps=1e-2, i0=2.0):
         e_hat=lambda j, r: 0.0,
     )
     spec = ab.SystemSpec(
-        d=1, epsilon=eps,
+        d=d, epsilon=eps,
         omega=lambda i: 1.0,
         f=lambda i, th: -i,
         g=lambda i, th: 0.0,
-        in_domain=lambda i: bool(i[0] > 0.0),
-        i0=np.array([i0]),
+        in_domain=lambda i: bool(np.all(i > 0.0)),
+        i0=np.full(d, i0),
     )
     return spec, aux, bounds

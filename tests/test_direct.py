@@ -12,13 +12,16 @@ from averbound.direct import DirectTrajectory, envelope
 from conftest import toy_linear_decay
 
 
-def test_angle_free_perturbation_keeps_error_zero():
-    spec, aux, bounds = toy_linear_decay()
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_angle_free_perturbation_keeps_error_zero(d):
+    # At d = 4 the direct state has five components, past the float kernel.
+    spec, aux, bounds = toy_linear_decay(d=d)
     avg = ab.run_averaged(spec, aux, 5.0)
     dtraj = ab.run_direct(spec, aux, avg, 5.0)
     assert dtraj.status is ode.Status.COMPLETED
+    assert dtraj.traj.states.shape[1] == d + 1
     assert dtraj.abs_l.max() < 1e-10
-    assert dtraj.l[0, 0] == 0.0
+    assert np.all(dtraj.l[0] == 0.0)
     assert dtraj.theta[0] == spec.theta0
 
 

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import averbound as ab
 from averbound import frobenius, growth_value, offset_value
 
 
@@ -80,32 +79,3 @@ def test_system_spec_rejects_bad_initial_data(vdp):
 def test_system_spec_reduces_theta0(vdp):
     spec = vdp.make_system([1.0], 1e-2, theta0=2 * math.pi + 0.5)
     assert spec.theta0 == pytest.approx(0.5)
-
-
-def test_spot_check_periodicity(vdp):
-    spec = vdp.make_system([1.0], 1e-2)
-    spec.spot_check(points=[np.array([0.5]), np.array([3.0])])
-
-    bad = ab.SystemSpec(
-        d=1, epsilon=1e-2,
-        omega=lambda i: 1.0,
-        f=lambda i, th: np.array([th]),     # not periodic
-        g=lambda i, th: 0.0,
-        in_domain=lambda i: True,
-        i0=np.array([1.0]),
-    )
-    with pytest.raises(ValueError):
-        bad.spot_check()
-
-
-def test_spot_check_flags_vanishing_frequency():
-    spec = ab.SystemSpec(
-        d=1, epsilon=1e-2,
-        omega=lambda i: float(i[0] - 1.0),
-        f=lambda i, th: np.zeros(1),
-        g=lambda i, th: 0.0,
-        in_domain=lambda i: True,
-        i0=np.array([1.0]),
-    )
-    with pytest.raises(ValueError):
-        spec.spot_check()

@@ -31,7 +31,17 @@ def test_identity_suite_passes(example, request):
     report = verify_identities(spec, ex.aux, ex.sample_box)
     assert report.passed, report.details
     assert report.max_residual < 1e-8
+    assert report.details["per_identity"]["f_g_periodic"] < 1e-12
     assert report.samples >= 100
+
+
+def test_identity_suite_flags_non_periodic_f(vdp):
+    spec = dataclasses.replace(vdp.make_system([1.0], 1e-2),
+                               f=lambda i, th: np.array([th]))
+    report = verify_identities(spec, vdp.aux, vdp.sample_box)
+    assert not report.passed
+    # f(I, theta + 2 pi) - f(I, theta) = 2 pi at every sample
+    assert report.details["per_identity"]["f_g_periodic"] == pytest.approx(2 * math.pi)
 
 
 def test_injected_fault_in_s_detected(vdp):
