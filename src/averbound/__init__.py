@@ -7,8 +7,8 @@ solves the averaged system.  The bound comes from slow-time differential
 equations only, so it costs a factor ~eps less than integrating the
 perturbed system; a direct fast-time run is included for validation.
 """
-from .model import (AuxiliaryBundle, BoundBundle, SystemSpec, frobenius,
-                    growth_value, offset_value)
+from .model import (AuxiliaryBundle, BoundBundle, FloatForms, SystemSpec,
+                    array_form, frobenius, growth_value, offset_value)
 from .ode import IvpProblem, Status, Trajectory, integrate
 from .estimator import (ContractionWindow, EstimatorStatus,
                         EstimatorTrajectory, ViolationKind, assemble_slow_rhs,
@@ -25,8 +25,8 @@ from .validation import (ValidationReport, analytic_crosscheck,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryBundle", "BoundBundle", "SystemSpec", "frobenius",
-    "growth_value", "offset_value",
+    "AuxiliaryBundle", "BoundBundle", "FloatForms", "SystemSpec",
+    "array_form", "frobenius", "growth_value", "offset_value",
     "IvpProblem", "Status", "Trajectory", "integrate",
     "ContractionWindow", "EstimatorStatus", "EstimatorTrajectory",
     "ViolationKind", "analytic_crosscheck", "assemble_slow_rhs",

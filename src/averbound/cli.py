@@ -32,7 +32,7 @@ from .estimator import (AVERAGED_TIGHTENING, ContractionWindow, EstimatorStatus,
                         unpack_state)
 from .examples import ExampleDefinition, figure_ids, figure_preset, make_example
 from .model import SystemSpec
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, Status
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, Status, Trajectory
 from .validation import (ENVELOPE_WINDOWS, analytic_crosscheck,
                          verify_bound_domination, verify_headline_bound,
                          verify_identities, verify_integral_identity)
@@ -351,10 +351,12 @@ def _run_estimator_pipeline(cfg: RunConfig, spec: SystemSpec) -> EstimatorTrajec
                          window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
 
 
-def _run_direct_pipeline(cfg: RunConfig,
-                         spec: SystemSpec) -> Tuple[DirectTrajectory, float]:
+def _run_direct_pipeline(
+        cfg: RunConfig,
+        spec: SystemSpec) -> Tuple[Trajectory, DirectTrajectory, float]:
     """Slow averaged solve (tolerances tightened by ``AVERAGED_TIGHTENING``)
-    plus the fast run on ``spec``, and the seconds both took."""
+    plus the fast run on ``spec``: both trajectories and the seconds they
+    took."""
     start = time.perf_counter()
     avg = run_averaged(spec, cfg.example.aux, cfg.u,
                        rtol=cfg.rtol / AVERAGED_TIGHTENING,
@@ -363,12 +365,12 @@ def _run_direct_pipeline(cfg: RunConfig,
         raise RuntimeError("averaged actions left the domain before U")
     dtraj = run_direct(spec, cfg.example.aux, avg, cfg.u, rtol=cfg.rtol,
                        atol=cfg.atol, time_budget=cfg.budget)
-    return dtraj, time.perf_counter() - start
+    return avg, dtraj, time.perf_counter() - start
 
 
 def cmd_direct(cfg: RunConfig) -> int:
     spec = cfg.system()
-    dtraj, elapsed = _run_direct_pipeline(cfg, spec)
+    avg, dtraj, elapsed = _run_direct_pipeline(cfg, spec)
     out = _out_path(cfg, "direct")
     cols = (["t", "tau"] + [f"L_{i + 1}" for i in range(spec.d)]
             + ["absL", "theta_mod_2pi"])
@@ -378,6 +380,7 @@ def cmd_direct(cfg: RunConfig) -> int:
         "budget_exceeded": dtraj.budget_exceeded,
         "wall_time_s": elapsed,
         "t_final": float(dtraj.t[-1]),
+        "averaged_stats": avg.stats.to_dict(),
         "direct_stats": dtraj.traj.stats.to_dict(),
     })
     print(f"direct [{cfg.label}] status={dtraj.status.value} "
@@ -397,7 +400,7 @@ def cmd_compare(cfg: RunConfig) -> int:
               f"({est.violation_kind.value if est.violation_kind else None})")
         return _estimator_exit(est)
 
-    dtraj, t_direct = _run_direct_pipeline(cfg, spec)
+    avg, dtraj, t_direct = _run_direct_pipeline(cfg, spec)
 
     win = cfg.env_window if cfg.env_window is not None else cfg.u / ENVELOPE_WINDOWS
     report = verify_headline_bound(est, dtraj, window=win)
@@ -416,6 +419,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         "wall_time_estimate_s": t_estimate,
         "wall_time_direct_s": t_direct,
         "time_ratio": t_estimate / t_direct if t_direct > 0 else None,
+        "averaged_stats": avg.stats.to_dict(),
         "direct_stats": dtraj.traj.stats.to_dict(),
     })
     tight = report.details["tightness"]
@@ -438,7 +442,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     est = _run_estimator_pipeline(cfg, spec)
     reports.append(verify_bound_domination(spec, example.aux, example.bounds, est))
 
-    dtraj = _run_direct_pipeline(cfg, spec)[0]
+    avg, dtraj, _ = _run_direct_pipeline(cfg, spec)
     base = verify_integral_identity(spec, example.aux, est, dtraj)
     fine = verify_integral_identity(spec, example.aux, est, dtraj,
                                     n_quad=2 * base.details["n_quad"])
@@ -452,6 +456,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = {"example": example.id, "params": dict(example.params),
                "i0": cfg.i0.tolist(), "eps": cfg.eps, "u": cfg.u,
                "estimator_status": est.status.value,
+               "averaged_stats": avg.stats.to_dict(),
+               "direct_stats": dtraj.traj.stats.to_dict(),
                "checks": [r.to_dict() for r in reports]}
 
     out = _out_path(cfg, "verify")

@@ -7,6 +7,8 @@ and the angle against a precomputed averaged trajectory:
     dTheta/dt = omega(I) + eps * g(I, Theta),        I := J(eps*t) + eps*L
 
 The averaged actions are sampled from the slow trajectory's dense output.
+The state is stepped as a list of Python floats, and the system is called
+through its float forms (:meth:`SystemSpec.float_forms`).
 This is the expensive comparison run used to validate the certified bound;
 it honours a wall-clock budget and flags runs cut short by it.
 """
@@ -80,38 +82,38 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     start = time.perf_counter()
     sample_avg = avg_traj.sampler()
     tau_max = avg_traj.t_final
-    f_sys, g_sys, omega, fbar = spec.f, spec.g, spec.omega, aux.fbar
+    forms = spec.float_forms(aux)
+    f_sys, g_sys, omega, fbar = forms.f, forms.g, forms.omega, forms.fbar
+    in_domain = forms.in_domain
     sample_into = sample_avg.into
-    # j/actions buffers are read by the system callables during the call
-    # only, so reusing them across evaluations is safe.  They are filled one
-    # component at a time from Python floats: slice ufuncs over them cost
-    # 1.25-1.45x more per call at d = 1.
+    # J(eps*t) as Python floats; every rhs and stop call fills it first.
+    # The lists are built by plain loops: comprehensions cost about a third
+    # more per call at d = 1 and 2.
     jl = [0.0] * d
-    jbuf = np.empty(d)
-    abuf = np.empty(d)
-    stop_jbuf = np.empty(d)
     comps = range(d)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: list) -> list:
         tau = eps * t
         sample_into(tau if tau < tau_max else tau_max, jl, d)
-        yl = y.tolist()
+        actions = []
         for k in comps:
-            jbuf[k] = jl[k]
-            abuf[k] = jl[k] + eps * yl[k]
-        theta = yl[d]
-        fa = f_sys(abuf, theta)
-        fb = fbar(jbuf)
-        out = np.empty(d + 1)
+            actions.append(jl[k] + eps * y[k])
+        theta = y[d]
+        fa = f_sys(actions, theta)
+        fb = fbar(jl)
+        out = []
         for k in comps:
-            out[k] = fa[k] - fb[k]
-        out[d] = omega(abuf) + eps * g_sys(abuf, theta)
+            out.append(fa[k] - fb[k])
+        out.append(omega(actions) + eps * g_sys(actions, theta))
         return out
 
-    def stop(t: float, y: np.ndarray) -> bool:
+    def stop(t: float, y: list) -> bool:
         tau = eps * t
-        sample_avg.into(tau if tau < tau_max else tau_max, stop_jbuf, d)
-        return not spec.in_domain(stop_jbuf + eps * y[:d])
+        sample_into(tau if tau < tau_max else tau_max, jl, d)
+        actions = []
+        for k in comps:
+            actions.append(jl[k] + eps * y[k])
+        return not in_domain(actions)
 
     chunk = t_end / _BUDGET_CHUNKS
     y = np.concatenate([np.zeros(d), [spec.theta0]])
@@ -124,7 +126,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         t_next = min(t + chunk, t_end)
         if t_end - t_next < 0.5 * chunk:
             t_next = t_end
-        problem = ode.IvpProblem(rhs=rhs, t0=t, y0=y, t_end=t_next)
+        problem = ode.IvpProblem(rhs=rhs, t0=t, y0=y, t_end=t_next, lists=True)
         piece = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop,
                               first_step=h_warm)
         pieces.append(piece)

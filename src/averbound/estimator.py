@@ -473,12 +473,16 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
 def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
                  rtol: float = ode.DEFAULT_RTOL / AVERAGED_TIGHTENING,
                  atol: float = ode.DEFAULT_ATOL / AVERAGED_TIGHTENING) -> ode.Trajectory:
-    """Integrate the averaged actions dJ/dtau = fbar(J) alone on [0, u]."""
+    """Integrate the averaged actions dJ/dtau = fbar(J) alone on [0, u],
+    on the float forms of fbar and the domain (:meth:`SystemSpec.float_forms`)."""
+    forms = spec.float_forms(aux)
+    fbar, in_domain = forms.fbar, forms.in_domain
     problem = ode.IvpProblem(
-        rhs=lambda tau, j: aux.fbar(j),
+        rhs=lambda tau, j: fbar(j),
         t0=0.0,
         y0=spec.i0,
         t_end=u,
+        lists=True,
     )
-    stop = lambda tau, j: not spec.in_domain(j)
+    stop = lambda tau, j: not in_domain(j)
     return ode.integrate(problem, rtol=rtol, atol=atol, stop=stop)

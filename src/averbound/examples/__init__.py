@@ -3,8 +3,10 @@
 Each example module has one shape: a ``SAMPLE_BOX`` constant and a function
 ``make(params) -> ExampleDefinition`` that checks its parameters and returns
 the system right-hand sides, the auxiliary conjugation bundle, the majorant
-bundle and, where known, the closed-form averaged flow.  The canned
-parameter presets are addressed by figure labels ("1a" ... "4d").
+bundle and, where known, the closed-form averaged flow.  The built-in
+examples write ``f`` and ``fbar`` once, on lists of floats; their array
+members are :func:`~averbound.model.array_form` of those float forms.  The
+canned parameter presets are addressed by figure labels ("1a" ... "4d").
 
 User-defined systems plug in through :func:`register_system`; configuration
 files can then select them by name (parameters only -- the callables always
@@ -17,7 +19,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle, SystemSpec
+from ..model import AuxiliaryBundle, BoundBundle, FloatForms, SystemSpec
 
 __all__ = [
     "ExampleDefinition",
@@ -49,7 +51,11 @@ class FigurePreset:
 
 @dataclass(frozen=True)
 class ExampleDefinition:
-    """A fully assembled example system."""
+    """A fully assembled example system.
+
+    ``floats``, optional, are the fast-time callables on lists of floats;
+    without them the direct and averaged runs call the array callables.
+    """
 
     id: str
     d: int
@@ -63,12 +69,13 @@ class ExampleDefinition:
     sample_box: Tuple[np.ndarray, np.ndarray]
     # closed_flow(i0, tau) -> (J, R, K) of the averaged flow, where known.
     closed_flow: Optional[Callable] = None
+    floats: Optional[FloatForms] = None
 
     def make_system(self, i0, eps: float, theta0: float = 0.0) -> SystemSpec:
         return SystemSpec(d=self.d, epsilon=float(eps), omega=self.omega,
                           f=self.f, g=self.g, in_domain=self.in_domain,
                           i0=np.atleast_1d(np.asarray(i0, dtype=float)),
-                          theta0=theta0)
+                          theta0=theta0, floats=self.floats)
 
     def presets(self) -> Tuple[FigurePreset, ...]:
         return tuple(p for p in _PRESETS.values()
@@ -120,7 +127,8 @@ def register_system(name: str,
     config-file use.  It raises ``ValueError`` for invalid parameters; a
     parameter missing from its result's ``params`` is rejected as unknown.
     The optional ``closed_flow`` of its result enables the analytic
-    crosscheck."""
+    crosscheck, and its optional ``floats`` speed up the fast-time runs;
+    without them those runs hand the array callables ndarrays."""
     _REGISTRY[name] = factory
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle
+from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
 from . import ExampleDefinition, constant
 
 _SQRT2 = math.sqrt(2.0)
@@ -31,7 +31,7 @@ def make(params) -> ExampleDefinition:
         return float(i[0])
 
     def f(i, th):
-        return np.array([kap * i[0] ** 2 * (1 - math.cos(2 * th))])
+        return [kap * i[0] ** 2 * (1 - math.cos(2 * th))]
 
     def g(i, th):
         return kap * i[0] ** 2 * (1 + math.cos(2 * th))
@@ -40,7 +40,7 @@ def make(params) -> ExampleDefinition:
         return bool(i[0] > 0.0)
 
     def fbar(i):
-        return np.array([kap * i[0] ** 2])
+        return [kap * i[0] ** 2]
 
     def dfbar(i):
         return np.array([[2 * kap * i[0]]])
@@ -129,13 +129,15 @@ def make(params) -> ExampleDefinition:
                 np.array([[1.0 / den ** 2]]),
                 np.array([kap * i0[0] ** 2 * math.log(den) / (2 * den * den)]))
 
-    aux = AuxiliaryBundle(fbar=fbar, dfbar=dfbar, s=s, v=v, p=p, pbar=pbar,
-                          q=q, w=w, u=u, m_script=m_script,
+    aux = AuxiliaryBundle(fbar=array_form(fbar), dfbar=dfbar, s=s, v=v, p=p,
+                          pbar=pbar, q=q, w=w, u=u, m_script=m_script,
                           g_script=g_script,
                           h_script=constant(np.full((1, 1, 1), 2.0 * kap)))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
                          c_hat=c_hat, d_hat=d_hat, e_hat=lambda j, r: 2.0)
     return ExampleDefinition(
-        id="action-freq", d=1, params={"kappa": int(kappa)}, omega=omega, f=f,
-        g=g, in_domain=in_domain, aux=aux, bounds=bounds,
-        sample_box=SAMPLE_BOX, closed_flow=closed_flow)
+        id="action-freq", d=1, params={"kappa": int(kappa)}, omega=omega,
+        f=array_form(f), g=g, in_domain=in_domain, aux=aux, bounds=bounds,
+        sample_box=SAMPLE_BOX, closed_flow=closed_flow,
+        floats=FloatForms(omega=omega, f=f, g=g, in_domain=in_domain,
+                          fbar=fbar))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle
+from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
 from . import ExampleDefinition, constant
 
 
@@ -41,7 +41,7 @@ def make(params) -> ExampleDefinition:
 
     def f(i, th):
         c = math.cos(2 * th)
-        return np.array([-i[0] * (l1 + mu * c), -i[1] * (l2 - mu * c)])
+        return [-i[0] * (l1 + mu * c), -i[1] * (l2 - mu * c)]
 
     def g(i, th):
         return mu * math.sin(2 * th)
@@ -50,7 +50,7 @@ def make(params) -> ExampleDefinition:
         return bool(i[0] > 0.0 and i[1] > 0.0)
 
     def fbar(i):
-        return np.array([-l1 * i[0], -l2 * i[1]])
+        return [-l1 * i[0], -l2 * i[1]]
 
     def s(i, th):
         pre = mu / 2 * math.sin(2 * th)
@@ -159,7 +159,7 @@ def make(params) -> ExampleDefinition:
                 np.zeros(2))
 
     aux = AuxiliaryBundle(
-        fbar=fbar, dfbar=constant([[-l1, 0.0], [0.0, -l2]]), s=s,
+        fbar=array_form(fbar), dfbar=constant([[-l1, 0.0], [0.0, -l2]]), s=s,
         v=v, p=p, pbar=constant(np.zeros(2)), q=q, w=w, u=u,
         m_script=constant([[-l1 ** 2, 0.0], [0.0, -l2 ** 2]]),
         g_script=constant(np.zeros((2, 2))),
@@ -169,5 +169,7 @@ def make(params) -> ExampleDefinition:
                          e_hat=lambda j, r: 0.0)
     return ExampleDefinition(
         id="euler-top", d=2, params={"mu": mu, "lambda1": l1, "lambda2": l2},
-        omega=omega, f=f, g=g, in_domain=in_domain, aux=aux, bounds=bounds,
-        sample_box=SAMPLE_BOX, closed_flow=closed_flow)
+        omega=omega, f=array_form(f), g=g, in_domain=in_domain, aux=aux,
+        bounds=bounds, sample_box=SAMPLE_BOX, closed_flow=closed_flow,
+        floats=FloatForms(omega=omega, f=f, g=g, in_domain=in_domain,
+                          fbar=fbar))

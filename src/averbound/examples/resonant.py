@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle
+from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
 from . import ExampleDefinition, constant
 
 
@@ -19,7 +19,7 @@ def _omega(i):
 
 
 def _f(i, th):
-    return np.array([1.0 - math.cos(th)])
+    return [1.0 - math.cos(th)]
 
 
 def _g(i, th):
@@ -28,6 +28,10 @@ def _g(i, th):
 
 def _in_domain(i):
     return bool(i[0] > 0.0)
+
+
+def _fbar(i):
+    return [1.0]
 
 
 def _s(i, th):
@@ -65,7 +69,7 @@ SAMPLE_BOX = (np.array([0.5]), np.array([4.0]))
 def make(params) -> ExampleDefinition:
     """The resonant drift system; it has no parameters."""
     aux = AuxiliaryBundle(
-        fbar=constant(np.ones(1)), dfbar=constant(np.zeros((1, 1))), s=_s,
+        fbar=array_form(_fbar), dfbar=constant(np.zeros((1, 1))), s=_s,
         v=_v, p=_p, pbar=constant(np.zeros(1)), q=_q, w=_w, u=_u,
         m_script=constant(np.zeros((1, 1))),
         g_script=constant(np.zeros((1, 1))),
@@ -79,6 +83,8 @@ def make(params) -> ExampleDefinition:
         e_hat=lambda j, r: 0.0,
     )
     return ExampleDefinition(
-        id="resonant", d=1, params={}, omega=_omega, f=_f, g=_g,
+        id="resonant", d=1, params={}, omega=_omega, f=array_form(_f), g=_g,
         in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,
-        closed_flow=_closed_flow)
+        closed_flow=_closed_flow,
+        floats=FloatForms(omega=_omega, f=_f, g=_g, in_domain=_in_domain,
+                          fbar=_fbar))

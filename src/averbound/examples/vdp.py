@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle
+from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
 from . import ExampleDefinition, constant
 
 
@@ -21,8 +21,8 @@ def _omega(i):
 
 def _f(i, th):
     x = i[0]
-    return np.array([x * (1 - x / 2) - x * math.cos(2 * th)
-                     + x * x / 2 * math.cos(4 * th)])
+    return [x * (1 - x / 2) - x * math.cos(2 * th)
+            + x * x / 2 * math.cos(4 * th)]
 
 
 def _g(i, th):
@@ -36,7 +36,7 @@ def _in_domain(i):
 
 def _fbar(i):
     x = i[0]
-    return np.array([x * (1 - x / 2)])
+    return [x * (1 - x / 2)]
 
 
 def _dfbar(i):
@@ -144,8 +144,8 @@ SAMPLE_BOX = (np.array([0.3]), np.array([5.0]))
 def make(params) -> ExampleDefinition:
     """The van der Pol system; it has no parameters."""
     aux = AuxiliaryBundle(
-        fbar=_fbar, dfbar=_dfbar, s=_s, v=_v, p=_p, pbar=constant(np.zeros(1)),
-        q=_q, w=_w, u=_u, m_script=_m_script,
+        fbar=array_form(_fbar), dfbar=_dfbar, s=_s, v=_v, p=_p,
+        pbar=constant(np.zeros(1)), q=_q, w=_w, u=_u, m_script=_m_script,
         g_script=constant(np.zeros((1, 1))),
         # fbar is quadratic, so the second-order remainder is the constant -1.
         h_script=constant(np.full((1, 1, 1), -1.0)))
@@ -153,6 +153,8 @@ def make(params) -> ExampleDefinition:
                          c_hat=_c_hat, d_hat=lambda j, r: 0.0,
                          e_hat=lambda j, r: 1.0)
     return ExampleDefinition(
-        id="vdp", d=1, params={}, omega=_omega, f=_f, g=_g,
+        id="vdp", d=1, params={}, omega=_omega, f=array_form(_f), g=_g,
         in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,
-        closed_flow=_closed_flow)
+        closed_flow=_closed_flow,
+        floats=FloatForms(omega=_omega, f=_f, g=_g, in_domain=_in_domain,
+                          fbar=_fbar))

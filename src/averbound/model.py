@@ -17,16 +17,20 @@ estimator built from two bundles of user-supplied callables:
   auxiliary terms on a tube of radius rho around the averaged trajectory.
 
 All callables take/return plain numpy arrays: actions are shape ``(d,)``,
-matrices ``(d, d)``, third-order tensors ``(d, d, d)``.
+matrices ``(d, d)``, third-order tensors ``(d, d, d)``.  The fast-time runs
+call a system through its :class:`FloatForms`, the same callables on lists
+of Python floats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 __all__ = [
+    "FloatForms",
+    "array_form",
     "SystemSpec",
     "AuxiliaryBundle",
     "BoundBundle",
@@ -51,6 +55,40 @@ def frobenius(x) -> float:
 
 
 @dataclass(frozen=True)
+class FloatForms:
+    """A system's callables on Python floats, for the fast-time runs.
+
+    The actions are a list of d floats and the angle a float: ``f`` and
+    ``fbar`` (the angle average of f) return new lists of d floats,
+    ``omega`` and ``g`` floats, and ``in_domain`` a bool.  They compute
+    what the system's array callables compute, without an ndarray per call.
+    """
+
+    omega: Callable[[List[float]], float]
+    f: Callable[[List[float], float], List[float]]
+    g: Callable[[List[float], float], float]
+    in_domain: Callable[[List[float]], bool]
+    fbar: Callable[[List[float]], List[float]]
+
+
+def array_form(floats: Callable) -> Callable:
+    """The array callable of a list-returning float form.
+
+    It hands ``floats`` the actions as a list of Python floats, with any
+    further arguments unchanged, and returns the list as an array.
+    """
+    def member(i, *args):
+        return np.array(floats(np.asarray(i, dtype=float).tolist(), *args))
+    return member
+
+
+def _on_lists(fn: Callable) -> Callable:
+    """``fn``, which takes ndarray actions, as a callable of a list of
+    floats; its value comes back as Python floats (a list for an array)."""
+    return lambda i, *args: np.asarray(fn(np.array(i), *args), dtype=float).tolist()
+
+
+@dataclass(frozen=True)
 class SystemSpec:
     """A perturbed one-frequency system together with its initial data.
 
@@ -63,6 +101,9 @@ class SystemSpec:
     g : angle perturbation, ``g(I, theta) -> float``, 2*pi-periodic in theta.
     in_domain : membership predicate for the open action domain.
     i0, theta0 : initial actions and angle; theta0 is reduced mod 2*pi.
+    floats : optional :class:`FloatForms` of omega, f, g, in_domain and of
+        the averaged fbar.  A spec that replaces one of those callables
+        must replace or drop these too.
     """
 
     d: int
@@ -73,6 +114,7 @@ class SystemSpec:
     in_domain: Callable[[np.ndarray], bool]
     i0: np.ndarray
     theta0: float = 0.0
+    floats: Optional[FloatForms] = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -86,6 +128,17 @@ class SystemSpec:
         object.__setattr__(self, "theta0", float(self.theta0) % TWO_PI)
         if not self.in_domain(i0):
             raise ValueError("initial actions i0 lie outside the action domain")
+
+    def float_forms(self, aux: "AuxiliaryBundle") -> FloatForms:
+        """The fast-time callables on lists of floats: ``floats`` when given,
+        else the array callables and ``aux.fbar``, each handed a fresh
+        ndarray of the actions on every call."""
+        if self.floats is not None:
+            return self.floats
+        return FloatForms(omega=_on_lists(self.omega), f=_on_lists(self.f),
+                          g=_on_lists(self.g),
+                          in_domain=_on_lists(self.in_domain),
+                          fbar=_on_lists(aux.fbar))
 
 
 @dataclass(frozen=True)

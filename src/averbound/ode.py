@@ -6,9 +6,11 @@ becomes true at an accepted step, the crossing time is localized by
 bisection on the dense output and the trajectory is truncated there.
 
 One step is taken by a step kernel chosen by the state size: states of at
-most ``_FLOAT_KERNEL_MAX_DIM`` components are stepped on Python floats,
-larger ones on numpy arrays.  Both read the one tableau and serve the one
-step-size controller.
+most ``_FLOAT_KERNEL_MAX_DIM`` components are stepped on lists of Python
+floats, larger ones on numpy arrays.  Both read the one tableau and serve
+the one step-size controller.  The right-hand side and stop predicate take
+ndarrays unless the problem declares ``lists``; either way they are
+adapted to the kernel's state type at the edge of :func:`integrate`.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -47,11 +49,14 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 _FLOAT_STAGES = tuple((c, tuple((j, a) for j, a in enumerate(row.tolist()) if a))
                       for c, row in _STAGES)
 _FLOAT_E = tuple((j, a) for j, a in enumerate(_E.tolist()) if a)
-# Largest state stepped on Python floats.  With the rhs y' = -y, one float
-# kernel step took 16.5 us against the array kernel's 22.5 us at two
-# components and 22 against 27 us at four; they tie at five, and at ten
-# the array kernel is faster, 27 against 39 us (2-vCPU Xeon, Python 3.11,
-# numpy 2.4).
+# Largest state stepped on Python floats.  For y' = -y one step took, in us,
+# on the float kernel with a list rhs / with an ndarray rhs / on the array
+# kernel: 14 / 23 / 28 at two components, 17 / 32 / 30 at four, 23 / 28 /
+# 36 at five and 35 / 38 / 35 at ten (best of 21 interleaved runs, 2-vCPU
+# Xeon, Python 3.11, numpy 2.4).  A list rhs keeps the float kernel ahead
+# past four, but the limit stays: a larger one would move the d = 1 slow
+# state (five components, ndarray rhs) onto the float kernel and change
+# the estimator's last bits.
 _FLOAT_KERNEL_MAX_DIM = 4
 
 _SAFETY = 0.9
@@ -78,12 +83,21 @@ class Status(str, Enum):
 @dataclass(frozen=True)
 class IvpProblem:
     """An explicit initial-value problem y' = rhs(t, y) on [t0, t_end]; the
-    state size is ``y0.size``."""
+    state size is ``y0.size``.
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    ``rhs`` and the stop predicate of :func:`integrate` take the state as an
+    ndarray and ``rhs`` returns one.  With ``lists`` set they take it as a
+    list of Python floats instead, and ``rhs`` returns a new list of floats
+    on every call.  Small states are stepped on such lists, so a list rhs
+    saves an array round trip per stage.  The flag is explicit because
+    ndarray code like ``2 * y`` runs on a list too, with another meaning.
+    """
+
+    rhs: Callable
     t0: float
     y0: np.ndarray
     t_end: float
+    lists: bool = False
 
     def __post_init__(self):
         y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
@@ -165,8 +179,9 @@ class CubicSampler:
         return (((self._c3[i][0] * s + self._c2[i][0]) * s
                  + self._c1[i][0]) * s + self._c0[i][0])
 
-    def into(self, t: float, out: np.ndarray, count: int) -> None:
-        """Write the first ``count`` interpolated components into ``out``."""
+    def into(self, t: float, out, count: int) -> None:
+        """Write the first ``count`` interpolated components into ``out``, a
+        list or an array, as Python floats."""
         i = self._locate(t)
         s = (t - self._tlist[i]) / self._h[i]
         c0, c1, c2, c3 = self._c0[i], self._c1[i], self._c2[i], self._c3[i]
@@ -181,16 +196,21 @@ class StepStats:
     ``rejected`` counts every step attempt that was not accepted, the
     ``nan_retries`` among them included: attempts retried at half size
     after a NaN error, a non-finite state or a raising right-hand side.
-    ``h_min``/``h_max`` are the smallest and largest accepted step sizes,
-    None when no step was accepted.
+    ``stop_calls`` counts the stop predicate's evaluations, those of the
+    stop localisation included.  ``h_min``/``h_max`` are the smallest and
+    largest accepted step sizes, None when no step was accepted.
+    ``rhs_error`` is the last exception a step retry absorbed, as
+    ``"ZeroDivisionError: float division by zero"``, None when none did.
     """
 
     accepted: int = 0
     rejected: int = 0
     nan_retries: int = 0
     rhs_evals: int = 0
+    stop_calls: int = 0
     h_min: Optional[float] = None
     h_max: Optional[float] = None
+    rhs_error: Optional[str] = None
 
     def __add__(self, other: "StepStats") -> "StepStats":
         """The totals of two runs, as of one run made of both."""
@@ -201,8 +221,11 @@ class StepStats:
             rejected=self.rejected + other.rejected,
             nan_retries=self.nan_retries + other.nan_retries,
             rhs_evals=self.rhs_evals + other.rhs_evals,
+            stop_calls=self.stop_calls + other.stop_calls,
             h_min=min(hs) if hs else None,
             h_max=max(hs) if hs else None,
+            rhs_error=(other.rhs_error if other.rhs_error is not None
+                       else self.rhs_error),
         )
 
     def to_dict(self) -> dict:
@@ -316,33 +339,33 @@ def _array_kernel(rhs, size, rtol, atol):
 
 
 def _float_kernel(rhs, size, rtol, atol):
-    """The step of :func:`_array_kernel` on Python floats, for small states.
+    """The step of :func:`_array_kernel` on lists of Python floats, for
+    small states.
 
-    Each weighted sum runs over the nonzero weights of ``_FLOAT_STAGES`` or
-    ``_FLOAT_E`` in order, one component at a time, with the products of
-    weight and step size formed once per step; the right-hand side still
-    gets a fresh array at each stage.  The two sum loops are written out
-    in place: a shared helper made a two-component step 13% slower.
+    ``y``, ``f`` and the returned ``y_new``/``f_new`` are lists, and ``rhs``
+    takes and returns lists.  Each weighted sum runs over the nonzero
+    weights of ``_FLOAT_STAGES`` or ``_FLOAT_E`` in order, one component at
+    a time, with the products of weight and step size formed once per step.
+    The two sum loops are written out in place: a shared helper made a
+    two-component step 13% slower.
     """
     def step(t, y, f, h):
-        y0 = y.tolist()
-        ks = [f.tolist()]
+        ks = [f]
         for c, weights in _FLOAT_STAGES:
             terms = [(a * h, ks[j]) for j, a in weights]
             ys = []
             i = 0
-            for b in y0:
+            for b in y:
                 acc = 0.0
                 for w, k in terms:
                     acc += w * k[i]
                 ys.append(b + acc)
                 i += 1
-            y_new = np.array(ys)
-            ks.append(np.asarray(rhs(t + c * h, y_new)).tolist())
+            ks.append(rhs(t + c * h, ys))
         terms = [(a * h, ks[j]) for j, a in _FLOAT_E]
         err = 0.0
         i = 0
-        for yn, b in zip(ys, y0):
+        for yn, b in zip(ys, y):
             acc = 0.0
             for w, k in terms:
                 acc += w * k[i]
@@ -355,7 +378,7 @@ def _float_kernel(rhs, size, rtol, atol):
                 break
             if e > err:
                 err = e
-        return err, y_new, np.array(ks[-1])
+        return err, ys, ks[-1]
     return step
 
 
@@ -370,31 +393,42 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     component.  If ``stop`` is given it is evaluated at every accepted node;
     the first node where it returns a truthy value ends the run, with the
     crossing localized on the dense output of the final step and the value
-    there kept as ``stop_reason``.  A ``stop`` that raises ``ArithmeticError``
+    there kept as ``stop_reason``.  ``stop`` takes the state in the form
+    the problem's ``rhs`` does.  A ``stop`` that raises ``ArithmeticError``
     or ``ValueError`` counts as returning True, except at the initial state,
     where its exception propagates.  Failure modes: step-size underflow below
     1e-14 times the span (a NaN step size, as a non-finite initial state or
     slope gives, counts as one), or ``max_steps`` step attempts.  Exceptions,
     a NaN error estimate in any component and a non-finite new state make
     the step retry at half size rather than abort.  The result's ``stats``
-    counts the steps and right-hand-side calls.
+    counts the steps and the right-hand-side and stop calls, and keeps the
+    last exception a retry absorbed.
     """
-    user_rhs = problem.rhs
-    rhs_evals = 0
+    user_rhs, user_stop = problem.rhs, stop
+    rhs_evals = stop_calls = 0
 
     def rhs(t, y):
         nonlocal rhs_evals
         rhs_evals += 1
         return user_rhs(t, y)
 
+    def counted_stop(t, y):
+        nonlocal stop_calls
+        stop_calls += 1
+        return user_stop(t, y)
+
+    stop = None if user_stop is None else counted_stop
+    # The caller's form of an ndarray state (asarray returns it unchanged).
+    from_array = np.ndarray.tolist if problem.lists else np.asarray
+
     t_end = problem.t_end
     t = problem.t0
     y = problem.y0.copy()
-    f = np.asarray(rhs(t, y), dtype=float)
+    f = np.asarray(rhs(t, from_array(y)), dtype=float)
     if f.shape != y.shape:
         raise ValueError(f"rhs must return shape {y.shape}, got {f.shape}")
     # Called directly: a predicate that raises here propagates its own error.
-    if stop is not None and stop(t, y):
+    if stop is not None and stop(t, from_array(y)):
         raise ValueError("stop predicate already true at the initial state")
 
     span = t_end - problem.t0
@@ -402,19 +436,35 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     if first_step is not None and first_step > 0.0:
         h = min(first_step, span)
     else:
-        h = _initial_step(rhs, t, y, f, t_end, rtol, atol)
+        h = _initial_step(lambda t, y: rhs(t, from_array(y)), t, y, f, t_end,
+                          rtol, atol)
 
-    kernel = _float_kernel if y.size <= _FLOAT_KERNEL_MAX_DIM else _array_kernel
-    step = kernel(rhs, y.size, rtol, atol)
+    # The kernel steps lists or arrays; rhs and stop are adapted to it when
+    # the caller's form differs.
+    floats = y.size <= _FLOAT_KERNEL_MAX_DIM
+    step_rhs, step_stop = rhs, stop
+    if floats:
+        y, f = y.tolist(), f.tolist()
+        if not problem.lists:
+            def step_rhs(t, y):
+                return np.asarray(rhs(t, np.array(y)), dtype=float).tolist()
+            if stop is not None:
+                step_stop = lambda t, y: stop(t, np.array(y))
+    elif problem.lists:
+        step_rhs = lambda t, y: rhs(t, y.tolist())
+        if stop is not None:
+            step_stop = lambda t, y: stop(t, y.tolist())
+    kernel = _float_kernel if floats else _array_kernel
+    step = kernel(step_rhs, len(y), rtol, atol)
     times = [t]
-    states = [y.copy()]
-    derivs = [f.copy()]
+    states = [y if floats else y.copy()]
+    derivs = [f if floats else f.copy()]
     fac_old = 1e-4
     just_rejected = False
     steps = nan_retries = 0
     h_lo = h_hi = None
     status = Status.COMPLETED
-    stop_time = stop_reason = None
+    stop_time = stop_reason = rhs_error = None
 
     while t < t_end:
         if steps >= max_steps or not h >= h_min:   # rejects NaN as well
@@ -425,8 +475,9 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
 
         try:
             err, y_new, f_new = step(t, y, f, h)
-        except _RHS_ERRORS:
+        except _RHS_ERRORS as exc:
             err = math.nan
+            rhs_error = f"{type(exc).__name__}: {exc}"
 
         if not err <= 1.0:     # rejects NaN as well
             if math.isnan(err):
@@ -446,9 +497,10 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         if h_hi is None or h > h_hi:
             h_hi = h
 
-        if stop is not None and (reason := _safe_stop(stop, t_new, y_new)):
+        if stop is not None and (reason := _safe_stop(step_stop, t_new, y_new)):
             stop_time, y_stop, f_stop, stop_reason = _localize_stop(
-                stop, reason, t, t_new, y, y_new, f, f_new)
+                lambda t, y: stop(t, from_array(y)), reason, t, t_new,
+                *map(np.asarray, (y, y_new, f, f_new)))
             times[-1] = stop_time
             states[-1] = y_stop
             derivs[-1] = f_stop
@@ -477,7 +529,8 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         stop_reason=stop_reason,
         stats=StepStats(accepted=accepted, rejected=steps - accepted,
                         nan_retries=nan_retries, rhs_evals=rhs_evals,
-                        h_min=h_lo, h_max=h_hi),
+                        stop_calls=stop_calls, h_min=h_lo, h_max=h_hi,
+                        rhs_error=rhs_error),
     )
 
 

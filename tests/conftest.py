@@ -98,3 +98,31 @@ def toy_linear_decay(eps=1e-2, i0=2.0, d=1):
         i0=np.full(d, i0),
     )
     return spec, aux, bounds
+
+
+def direct_reference(spec, aux, avg_traj):
+    """The direct run's right-hand side and stop predicate on numpy arrays,
+    as they were before the run stepped lists of floats: the reference the
+    list right-hand side must match bit for bit.  Both read J(eps*t) from
+    one fresh cursor sampler, as the direct run does."""
+    eps, d = spec.epsilon, spec.d
+    sample = avg_traj.sampler()
+    tau_max = avg_traj.t_final
+    jbuf = np.empty(d)
+
+    def rhs(t, y):
+        tau = eps * t
+        sample.into(tau if tau < tau_max else tau_max, jbuf, d)
+        actions = jbuf + eps * y[:d]
+        theta = y[d]
+        out = np.empty(d + 1)
+        out[:d] = spec.f(actions, theta) - aux.fbar(jbuf)
+        out[d] = spec.omega(actions) + eps * spec.g(actions, theta)
+        return out
+
+    def stop(t, y):
+        tau = eps * t
+        sample.into(tau if tau < tau_max else tau_max, jbuf, d)
+        return not spec.in_domain(jbuf + eps * y[:d])
+
+    return rhs, stop

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, config handling."""
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from averbound import cli, direct, export, ode
+from averbound.examples import make_resonant, register_system
 from averbound.direct import run_direct
 from averbound.cli import (ConfigError, load_user_system, main, resolve_config,
                            build_parser)
@@ -17,15 +19,21 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-_STATS_KEYS = {"accepted", "rejected", "nan_retries", "rhs_evals", "h_min", "h_max"}
+_STATS_KEYS = {"accepted", "rejected", "nan_retries", "rhs_evals",
+               "stop_calls", "h_min", "h_max", "rhs_error"}
 
 
 def assert_step_stats(stats, initial_calls):
-    """A sidecar's step counts, of a run in which no rhs call raised."""
+    """A sidecar's step counts, of a completed run with a stop predicate in
+    which no rhs call raised; ``initial_calls`` is one more than the number
+    of ``ode.integrate`` calls summed."""
     assert set(stats) == _STATS_KEYS
     assert stats["accepted"] > 0 and stats["nan_retries"] == 0
     attempts = stats["accepted"] + stats["rejected"]
     assert stats["rhs_evals"] == 6 * attempts + initial_calls
+    # one stop check at each start and after each accepted step
+    assert stats["stop_calls"] == stats["accepted"] + initial_calls - 1
+    assert stats["rhs_error"] is None
     assert 0 < stats["h_min"] <= stats["h_max"]
 
 
@@ -106,6 +114,7 @@ def test_direct_output_columns(tmp_path):
     stats = sidecar["direct_stats"]
     assert_step_stats(stats, initial_calls=direct._BUDGET_CHUNKS + 1)
     assert stats["accepted"] == table["t"].size - 1
+    assert_step_stats(sidecar["averaged_stats"], initial_calls=2)
 
 
 def test_direct_budget_exit(tmp_path):
@@ -134,6 +143,7 @@ def test_compare_outputs(tmp_path):
     assert sidecar["wall_time_direct_s"] > 0
     assert_step_stats(sidecar["direct_stats"],
                       initial_calls=direct._BUDGET_CHUNKS + 1)
+    assert_step_stats(sidecar["averaged_stats"], initial_calls=2)
 
 
 def test_compare_domain_violation_propagates(tmp_path, capsys):
@@ -172,6 +182,37 @@ def test_verify_vdp_all_pass(tmp_path):
     assert all(set(c) == {"name", "samples", "tolerance", "max_residual",
                           "violations", "passed", "details"}
                for c in payload["checks"])
+    assert_step_stats(payload["averaged_stats"], initial_calls=2)
+    assert_step_stats(payload["direct_stats"],
+                      initial_calls=direct._BUDGET_CHUNKS + 1)
+
+
+def test_absorbed_rhs_error_reaches_the_sidecar(tmp_path):
+    # A fast-time f that divides by zero once, in its float form: the step
+    # is retried at half size, and the sidecar names the exception.
+    calls = 0
+
+    def flaky(params):
+        example = make_resonant()
+        floats = example.floats
+
+        def f(i, th):
+            nonlocal calls
+            calls += 1
+            return [i[0] / 0.0] if calls == 100 else floats.f(i, th)
+        return dataclasses.replace(example,
+                                   floats=dataclasses.replace(floats, f=f))
+
+    register_system("flaky-resonant", flaky)
+    out = tmp_path / "flaky.csv"
+    code = run_cli("direct", "--example", "flaky-resonant", "--i0", "2",
+                   "--eps", "1e-2", "--u", "0.5", "--out", str(out))
+    assert code == 0 and calls > 100
+    sidecar = json.loads((tmp_path / "flaky.json").read_text())
+    stats = sidecar["direct_stats"]
+    assert stats["rhs_error"] == "ZeroDivisionError: float division by zero"
+    assert stats["nan_retries"] == 1
+    assert sidecar["averaged_stats"]["rhs_error"] is None
 
 
 def test_verify_euler_top_params(tmp_path):

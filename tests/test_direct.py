@@ -9,7 +9,7 @@ import averbound as ab
 from averbound import direct, ode
 from averbound.direct import DirectTrajectory, envelope
 
-from conftest import toy_linear_decay
+from conftest import direct_reference, toy_linear_decay
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -23,6 +23,49 @@ def test_angle_free_perturbation_keeps_error_zero(d):
     assert dtraj.abs_l.max() < 1e-10
     assert np.all(dtraj.l[0] == 0.0)
     assert dtraj.theta[0] == spec.theta0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_array_only_system_matches_the_numpy_reference(monkeypatch, d):
+    # A registered system without float forms, written with array
+    # arithmetic that a list would break (2.0 * i, i @ i), runs through the
+    # one list rhs with its callables handed ndarrays, and steps to the
+    # same bits as the numpy right-hand side of conftest.
+    _, aux, bounds = toy_linear_decay(d=d)      # fbar = -I
+
+    def factory(params):
+        return ab.ExampleDefinition(
+            id="array-only", d=d, params={},
+            omega=lambda i: 1.0 + i @ i,
+            f=lambda i, th: 2.0 * i * math.cos(th) - i,
+            g=lambda i, th: (i @ i) * math.sin(th),
+            in_domain=lambda i: bool(np.all(i > 0.0)),
+            aux=aux, bounds=bounds,
+            sample_box=(np.full(d, 0.5), np.full(d, 2.0)))
+    ab.register_system("array-only", factory)
+    example = ab.make_example("array-only")
+    assert example.floats is None
+    u = 2.0
+    spec = example.make_system(np.linspace(1.0, 2.0, d), 1e-2, theta0=0.3)
+    avg = ab.run_averaged(spec, example.aux, u)
+    dtraj = ab.run_direct(spec, example.aux, avg, u)
+    assert dtraj.status is ode.Status.COMPLETED
+
+    integrate = ode.integrate
+    rhs, stop = direct_reference(spec, example.aux, avg)
+
+    def on_numpy(problem, **kwargs):
+        assert problem.lists
+        kwargs["stop"] = stop
+        return integrate(dataclasses.replace(problem, rhs=rhs, lists=False),
+                         **kwargs)
+    monkeypatch.setattr(ode, "integrate", on_numpy)
+    ref = ab.run_direct(spec, example.aux, avg, u)
+    assert np.array_equal(dtraj.t, ref.t)
+    assert np.array_equal(dtraj.l, ref.l)
+    assert np.array_equal(dtraj.traj.states, ref.traj.states)
+    assert np.array_equal(dtraj.traj.derivs, ref.traj.derivs)
+    assert dtraj.abs_l.max() > 0.01
 
 
 def test_stats_sum_over_the_chunks():

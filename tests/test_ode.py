@@ -237,6 +237,104 @@ def test_first_step_is_honoured():
     assert traj.times[1] == pytest.approx(0.25)
 
 
+def test_public_integrate_hands_arrays_to_a_one_component_rhs():
+    # The caller who does not declare lists keeps the ndarray contract on
+    # the float kernel too, at every stage and in the stop localisation.
+    seen = []
+
+    def rhs(t, y):
+        seen.append(type(y))
+        return 2 * y         # a list would be repeated, not doubled
+
+    def stop(t, y):
+        seen.append(type(y))
+        return y[0] >= 2.0
+    traj = ode.integrate(problem(rhs, [1.0], 1.0), stop=stop)
+    assert traj.status is ode.Status.STOPPED
+    assert traj.stop_time == pytest.approx(math.log(2.0) / 2, rel=1e-6)
+    assert set(seen) == {np.ndarray}
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_list_problem_matches_the_array_problem(size):
+    # A problem that declares lists gets lists on either kernel, and steps
+    # to the same bits as its ndarray twin.
+    seen = set()
+
+    def rhs_list(t, y):
+        seen.add(type(y))
+        return [math.sin(t) * y[0], -y[1] + y[0] ** 2] + [-0.5 * v for v in y[2:]]
+
+    def rhs_array(t, y):
+        return np.array(rhs_list(t, y.tolist()))
+
+    def stop(t, y):
+        seen.add(type(y))
+        return y[1] > 5.0
+    y0 = [1.0, 0.5] + [0.25] * (size - 2)
+    a = ode.integrate(ode.IvpProblem(rhs_list, 0.0, y0, 3.0, lists=True), stop=stop)
+    assert seen == {list}
+    b = ode.integrate(problem(rhs_array, y0, 3.0),
+                      stop=lambda t, y: stop(t, y.tolist()))
+    assert a.status is ode.Status.STOPPED
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.derivs, b.derivs)
+    assert a.stats == b.stats
+
+
+def test_stop_calls_count_the_localisation():
+    calls = []
+
+    def stop(t, y):
+        calls.append(t)
+        return y[0] >= 0.5
+    traj = ode.integrate(problem(lambda t, y: np.ones(1), [0.0], 2.0), stop=stop)
+    assert traj.status is ode.Status.STOPPED
+    stats = traj.stats
+    assert stats.stop_calls == len(calls)
+    # the start, each accepted step, then the bisections of the last one
+    assert stats.stop_calls > stats.accepted + 1
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_absorbed_rhs_error_is_recorded(size):
+    # Call 19 is a stage of the third attempt that enters its y_new.  There
+    # numpy divides by zero to inf and Python floats raise; either way the
+    # attempt is retried at half size, and only the exception is recorded.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return y / 0 if len(calls) == 19 else -y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        traj = ode.integrate(problem(rhs, np.ones(size), 1.0))
+    assert traj.status is ode.Status.COMPLETED
+    assert traj.stats.nan_retries == 1
+    assert traj.stats.rhs_error is None
+
+    calls.clear()
+
+    def rhs_list(t, y):
+        calls.append(t)
+        return [v / 0.0 if len(calls) == 19 else -v for v in y]
+    traj = ode.integrate(ode.IvpProblem(rhs_list, 0.0, np.ones(size), 1.0,
+                                        lists=True))
+    assert traj.status is ode.Status.COMPLETED
+    assert traj.stats.nan_retries == 1
+    assert traj.stats.rhs_error == "ZeroDivisionError: float division by zero"
+
+
+def test_step_stats_sum_keeps_the_later_rhs_error():
+    first = ode.StepStats(accepted=1, stop_calls=2, rhs_error="ValueError: a")
+    later = ode.StepStats(accepted=3, stop_calls=4, rhs_error="OverflowError: b")
+    clean = ode.StepStats(accepted=5)
+    assert (first + later).rhs_error == "OverflowError: b"
+    assert (first + clean).rhs_error == "ValueError: a"
+    assert (clean + clean).rhs_error is None
+    assert (first + later + clean).stop_calls == 6
+
+
 def test_cursor_sampler_matches_sample():
     def rhs(t, y):
         return np.array([math.cos(3 * t), -y[1]])
