@@ -10,6 +10,9 @@ import numpy as np
 
 __all__ = ["write_table", "read_table", "write_json"]
 
+# CSV rows formatted per write: bounds the size of the temporary text.
+_CSV_BLOCK_ROWS = 256
+
 
 def write_table(path, columns: Sequence[str], rows: np.ndarray,
                 fmt: str = "csv") -> Path:
@@ -20,10 +23,17 @@ def write_table(path, columns: Sequence[str], rows: np.ndarray,
         raise ValueError(f"{rows.shape[1]} row fields vs {len(columns)} columns")
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        # 17 significant digits round-trip any IEEE double exactly.
+        # 17 significant digits round-trip any IEEE double exactly.  The
+        # bytes are those of np.savetxt(fmt="%.17g", delimiter=",",
+        # newline="\r\n"), which skips an empty header line.
+        header = ",".join(columns)
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(columns),
-                       comments="", newline="\r\n")
+            if header:
+                fh.write(header + "\r\n")
+            for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+                block = rows[start:start + _CSV_BLOCK_ROWS]
+                fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
     elif fmt == "json":
         payload = {"columns": list(columns),
                    "data": {c: rows[:, k].tolist() for k, c in enumerate(columns)}}

@@ -244,6 +244,20 @@ def _directions(d: int, count: int = 16) -> np.ndarray:
     return vs / np.linalg.norm(vs, axis=1, keepdims=True)
 
 
+def _mat_vec(mats, vecs):
+    """Products ``mats @ vecs`` over stacked leading axes.
+
+    Each product runs the same (d, d) @ (d,) matmul core as one ``m @ v``,
+    so every entry is bitwise equal to the per-point product.
+    """
+    return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+def _row_norms(rows):
+    """:func:`frobenius` of each vector along the last axis, bitwise."""
+    return np.sqrt(np.sum(rows * rows, axis=-1))
+
+
 def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
                             bounds: BoundBundle,
                             est: EstimatorTrajectory) -> ValidationReport:
@@ -251,14 +265,22 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
 
     Stratified deterministic sampling in (tau, r/rho, theta) with increment
     directions enumerated (signs for d = 1, a fan of angles for d = 2).
-    Also spot-checks that c, d, e are non-decreasing in the radius.
+    Also spot-checks that c, d, e are non-decreasing in the radius.  A NaN
+    left side or majorant counts as a violation.
+
+    The auxiliary functions are called once per sample point; per slow time
+    and radius their values are stacked and the norms and margins taken on
+    arrays.  ``details["worst"]`` is the first largest non-NaN margin in the
+    order tau, radius, direction, then the rows d, e and, per angle, a, b, c.
     """
     d = spec.d
     s0 = aux.s(spec.i0, spec.theta0)
     taus = (np.arange(_DOM_TAUS) + 0.5) / _DOM_TAUS * est.tau_final
     fracs = (np.arange(_DOM_RADII) + 0.5) / _DOM_RADII * _DOM_MAX_RADIUS_FRAC
     thetas = np.linspace(0.0, TWO_PI, _DOM_THETAS, endpoint=False)
+    theta_list = list(thetas)
     dirs = _directions(d)
+    shape = (len(dirs), _DOM_THETAS, d)
 
     violations = 0
     samples = 0
@@ -280,36 +302,47 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
             d_val = bounds.d_hat(j, r)
             e_val = bounds.e_hat(j, r)
             if prev is not None:
-                if (c_val < prev[0] - 1e-12 or d_val < prev[1] - 1e-12
-                        or e_val < prev[2] - 1e-12):
+                if not (c_val >= prev[0] - 1e-12 and d_val >= prev[1] - 1e-12
+                        and e_val >= prev[2] - 1e-12):
                     monotone_bad += 1
             prev = (c_val, d_val, e_val)
 
-            for direction in dirs:
+            # Rows per direction: d, e, then a, b, c per angle.
+            bound = np.array([d_val, e_val] + [a_val, b_val, c_val] * _DOM_THETAS,
+                             dtype=float)
+            lhs = np.empty((len(dirs), bound.size))
+            sv, wv, vv, uv, qv = (np.empty(shape) for _ in range(5))
+            for idir, direction in enumerate(dirs):
                 dj = r * direction
                 i_pt = j + dj
-                rows = [("d", frobenius(aux.g_script(j, dj)), d_val, None),
-                        ("e", frobenius(aux.h_script(j, dj)), e_val, None)]
-                for th in thetas:
-                    sv = aux.s(i_pt, th)
-                    wv = aux.w(i_pt, th)
-                    vv = aux.v(i_pt, th)
-                    uv = aux.u(i_pt, th)
-                    qv = aux.q(i_pt, th)
-                    rows += [("a", frobenius(sv - base), a_val, th),
-                             ("b", frobenius(wv - dfb @ vv), b_val, th),
-                             ("c", frobenius(uv - dfb @ (wv + qv) - msc @ vv),
-                              c_val, th)]
-                for name, lhs, bound, th in rows:
-                    samples += 1
-                    margin = lhs - bound
-                    if margin > _DOM_REL_SLACK * max(1.0, bound) + _DOM_ABS_SLACK:
-                        violations += 1
-                    if margin > worst["margin"]:
-                        worst = {"margin": margin, "which": name, "tau": tau, "r": r}
-                        if th is not None:
-                            worst["theta"] = th
-                        worst["direction"] = direction.tolist()
+                lhs[idir, 0] = frobenius(aux.g_script(j, dj))
+                lhs[idir, 1] = frobenius(aux.h_script(j, dj))
+                for ith, th in enumerate(theta_list):
+                    at = (idir, ith)
+                    sv[at] = aux.s(i_pt, th)
+                    wv[at] = aux.w(i_pt, th)
+                    vv[at] = aux.v(i_pt, th)
+                    uv[at] = aux.u(i_pt, th)
+                    qv[at] = aux.q(i_pt, th)
+            lhs[:, 2::3] = _row_norms(sv - base)
+            lhs[:, 3::3] = _row_norms(wv - _mat_vec(dfb, vv))
+            lhs[:, 4::3] = _row_norms(uv - _mat_vec(dfb, wv + qv)
+                                      - _mat_vec(msc, vv))
+
+            margin = lhs - bound
+            slack = _DOM_REL_SLACK * np.maximum(1.0, bound) + _DOM_ABS_SLACK
+            samples += margin.size
+            violations += int(np.count_nonzero(~(margin <= slack)))
+
+            ranked = np.where(np.isnan(margin), -np.inf, margin)
+            idir, row = np.unravel_index(int(np.argmax(ranked)), ranked.shape)
+            if ranked[idir, row] > worst["margin"]:
+                which = "de"[row] if row < 2 else "abc"[(row - 2) % 3]
+                worst = {"margin": ranked[idir, row], "which": which,
+                         "tau": tau, "r": r}
+                if row >= 2:
+                    worst["theta"] = thetas[(row - 2) // 3]
+                worst["direction"] = dirs[idir].tolist()
 
     violations += monotone_bad
     return ValidationReport(
@@ -334,46 +367,52 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     with the memory integral computed by cumulative trapezoid quadrature.
     The residual is quadrature-dominated: halving the step (doubling
     ``n_quad``) should shrink it by about four.
+
+    The auxiliary functions are called once per node; the algebra after
+    them runs on the stacked values of the whole grid.
     """
     eps = spec.epsilon
     d = spec.d
     t_hi = min(dtraj.t[-1], est.tau_final / eps)
     ts = np.linspace(0.0, t_hi, n_quad + 1)
 
-    ell = np.empty((ts.size, d))
-    integrand = np.empty((ts.size, d))
-    # The identity's right side without its memory term eps^2 R cumulative.
-    local = np.empty((ts.size, d))
-
     s0 = aux.s(spec.i0, spec.theta0)
     samples_fast = dtraj.traj.sample_many(ts)
-    samples_slow = est.traj.sample_many(eps * ts)
-    rmats = unpack_state(samples_slow, d)[1]
-    for idx, packed in enumerate(samples_slow):
-        j, rmat, kvec, _, _ = unpack_state(packed, d)
-        lvec = samples_fast[idx, :d]
-        theta = samples_fast[idx, d]
-        actions = j + eps * lvec
-        ell[idx] = lvec
-        rinv = np.linalg.inv(rmat)
-        gsc = aux.g_script(j, eps * lvec)
-        hsc = aux.h_script(j, eps * lvec)
-        dfb = aux.dfbar(j)
-        wv = aux.w(actions, theta)
-        vv = aux.v(actions, theta)
-        term = (aux.u(actions, theta)
-                - dfb @ (wv + aux.q(actions, theta))
-                - aux.m_script(j) @ vv
-                - gsc @ lvec
-                + 0.5 * np.einsum("ijk,j,k->i", hsc, lvec, lvec))
-        integrand[idx] = rinv @ term
-        local[idx] = aux.s(actions, theta) - rmat @ s0 - kvec - eps * (wv - dfb @ vv)
+    js, rmats, kvecs, _, _ = unpack_state(est.traj.sample_many(eps * ts), d)
+    ell = samples_fast[:, :d]
+    thetas = samples_fast[:, d]
+    steps = eps * ell
+    actions = js + steps
+
+    vec, mat = (ts.size, d), (ts.size, d, d)
+    gsc, dfb, msc = np.empty(mat), np.empty(mat), np.empty(mat)
+    hsc = np.empty((ts.size, d, d, d))
+    sv, wv, vv, uv, qv = (np.empty(vec) for _ in range(5))
+    for idx, (j, step, act, theta) in enumerate(zip(js, steps, actions, thetas)):
+        gsc[idx] = aux.g_script(j, step)
+        hsc[idx] = aux.h_script(j, step)
+        dfb[idx] = aux.dfbar(j)
+        wv[idx] = aux.w(act, theta)
+        vv[idx] = aux.v(act, theta)
+        uv[idx] = aux.u(act, theta)
+        qv[idx] = aux.q(act, theta)
+        msc[idx] = aux.m_script(j)
+        sv[idx] = aux.s(act, theta)
+
+    term = (uv
+            - _mat_vec(dfb, wv + qv)
+            - _mat_vec(msc, vv)
+            - _mat_vec(gsc, ell)
+            + 0.5 * np.einsum("nijk,nj,nk->ni", hsc, ell, ell))
+    integrand = _mat_vec(np.linalg.inv(rmats), term)
+    # The identity's right side without its memory term eps^2 R cumulative.
+    local = sv - rmats @ s0 - kvecs - eps * (wv - _mat_vec(dfb, vv))
 
     dt = np.diff(ts)
     cumulative = np.zeros((ts.size, d))
     cumulative[1:] = np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * dt[:, None], axis=0)
-    memory = np.array([rmat @ c for rmat, c in zip(rmats, cumulative)])
+    memory = _mat_vec(rmats, cumulative)
     resid = np.max(np.abs(ell - (local + eps ** 2 * memory)), axis=1)
 
     worst_idx = int(np.argmax(resid))
@@ -394,7 +433,8 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
                           window: Optional[float] = None) -> ValidationReport:
     """Check |L(t)| <= n(eps*t) on the direct run's grid.
 
-    Violations are counted only beyond ``_HEADLINE_REL_SLACK * n`` (roundoff).
+    Violations are counted only beyond ``_HEADLINE_REL_SLACK * n`` (roundoff);
+    a NaN |L| or n is a violation.
     ``details`` reports the envelope tightness max(peak |L| / n) per window
     (window defaults to the covered slow span over ``ENVELOPE_WINDOWS``).
     """
@@ -406,7 +446,7 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
 
     n_vals = unpack_state(est.traj.sample_many(eps * ts), est.d)[4]
     gap = mags - n_vals
-    bad = gap > _HEADLINE_REL_SLACK * np.abs(n_vals)
+    bad = ~(gap <= _HEADLINE_REL_SLACK * np.abs(n_vals))
     violations = int(np.count_nonzero(bad))
     worst_idx = int(np.argmax(gap))
 

@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 import averbound as ab
+from averbound import validation
+from averbound.estimator import unpack_state
+from averbound.model import TWO_PI, frobenius
 from averbound.ode import _hermite
 
 
@@ -126,3 +129,134 @@ def direct_reference(spec, aux, avg_traj):
         return not spec.in_domain(jbuf + eps * y[:d])
 
     return rhs, stop
+
+
+def domination_reference(spec, aux, bounds, est):
+    """``verify_bound_domination`` as a loop over sample points, as it was
+    before the margins were taken on stacked arrays: the reference the
+    library's report must equal through ``to_dict()``.  It predates the NaN
+    rule, so it is compared only on runs without NaN."""
+    d = spec.d
+    s0 = aux.s(spec.i0, spec.theta0)
+    taus = ((np.arange(validation._DOM_TAUS) + 0.5) / validation._DOM_TAUS
+            * est.tau_final)
+    fracs = ((np.arange(validation._DOM_RADII) + 0.5) / validation._DOM_RADII
+             * validation._DOM_MAX_RADIUS_FRAC)
+    thetas = np.linspace(0.0, TWO_PI, validation._DOM_THETAS, endpoint=False)
+    dirs = validation._directions(d)
+
+    violations = 0
+    samples = 0
+    worst = {"margin": -np.inf}
+    monotone_bad = 0
+
+    for tau, packed in zip(taus, est.traj.sample_many(taus)):
+        j, rmat, kvec, _, _ = unpack_state(packed, d)
+        dfb = aux.dfbar(j)
+        msc = aux.m_script(j)
+        rho = bounds.rho_hat(j)
+        base = rmat @ s0 + kvec
+        prev = None
+        for frac in fracs:
+            r = frac * rho
+            a_val = bounds.a_hat(j, rmat, kvec, r)
+            b_val = bounds.b_hat(j, r)
+            c_val = bounds.c_hat(j, r)
+            d_val = bounds.d_hat(j, r)
+            e_val = bounds.e_hat(j, r)
+            if prev is not None:
+                if (c_val < prev[0] - 1e-12 or d_val < prev[1] - 1e-12
+                        or e_val < prev[2] - 1e-12):
+                    monotone_bad += 1
+            prev = (c_val, d_val, e_val)
+
+            for direction in dirs:
+                dj = r * direction
+                i_pt = j + dj
+                rows = [("d", frobenius(aux.g_script(j, dj)), d_val, None),
+                        ("e", frobenius(aux.h_script(j, dj)), e_val, None)]
+                for th in thetas:
+                    sv = aux.s(i_pt, th)
+                    wv = aux.w(i_pt, th)
+                    vv = aux.v(i_pt, th)
+                    uv = aux.u(i_pt, th)
+                    qv = aux.q(i_pt, th)
+                    rows += [("a", frobenius(sv - base), a_val, th),
+                             ("b", frobenius(wv - dfb @ vv), b_val, th),
+                             ("c", frobenius(uv - dfb @ (wv + qv) - msc @ vv),
+                              c_val, th)]
+                for name, lhs, bound, th in rows:
+                    samples += 1
+                    margin = lhs - bound
+                    if margin > (validation._DOM_REL_SLACK * max(1.0, bound)
+                                 + validation._DOM_ABS_SLACK):
+                        violations += 1
+                    if margin > worst["margin"]:
+                        worst = {"margin": margin, "which": name, "tau": tau, "r": r}
+                        if th is not None:
+                            worst["theta"] = th
+                        worst["direction"] = direction.tolist()
+
+    violations += monotone_bad
+    return validation.ValidationReport(
+        name="bound-domination",
+        samples=samples,
+        tolerance=0.0,
+        violations=violations,
+        details={"worst": worst, "monotonicity_failures": monotone_bad},
+    )
+
+
+def integral_identity_reference(spec, aux, est, dtraj, n_quad=2048):
+    """``verify_integral_identity`` as a loop over quadrature nodes, as it
+    was before the algebra after the auxiliary calls ran on stacked arrays:
+    the reference the library's report must equal through ``to_dict()``."""
+    eps = spec.epsilon
+    d = spec.d
+    t_hi = min(dtraj.t[-1], est.tau_final / eps)
+    ts = np.linspace(0.0, t_hi, n_quad + 1)
+
+    ell = np.empty((ts.size, d))
+    integrand = np.empty((ts.size, d))
+    local = np.empty((ts.size, d))
+
+    s0 = aux.s(spec.i0, spec.theta0)
+    samples_fast = dtraj.traj.sample_many(ts)
+    samples_slow = est.traj.sample_many(eps * ts)
+    rmats = unpack_state(samples_slow, d)[1]
+    for idx, packed in enumerate(samples_slow):
+        j, rmat, kvec, _, _ = unpack_state(packed, d)
+        lvec = samples_fast[idx, :d]
+        theta = samples_fast[idx, d]
+        actions = j + eps * lvec
+        ell[idx] = lvec
+        rinv = np.linalg.inv(rmat)
+        gsc = aux.g_script(j, eps * lvec)
+        hsc = aux.h_script(j, eps * lvec)
+        dfb = aux.dfbar(j)
+        wv = aux.w(actions, theta)
+        vv = aux.v(actions, theta)
+        term = (aux.u(actions, theta)
+                - dfb @ (wv + aux.q(actions, theta))
+                - aux.m_script(j) @ vv
+                - gsc @ lvec
+                + 0.5 * np.einsum("ijk,j,k->i", hsc, lvec, lvec))
+        integrand[idx] = rinv @ term
+        local[idx] = aux.s(actions, theta) - rmat @ s0 - kvec - eps * (wv - dfb @ vv)
+
+    dt = np.diff(ts)
+    cumulative = np.zeros((ts.size, d))
+    cumulative[1:] = np.cumsum(
+        0.5 * (integrand[1:] + integrand[:-1]) * dt[:, None], axis=0)
+    memory = np.array([rmat @ c for rmat, c in zip(rmats, cumulative)])
+    resid = np.max(np.abs(ell - (local + eps ** 2 * memory)), axis=1)
+
+    worst_idx = int(np.argmax(resid))
+    return validation.ValidationReport(
+        name="integral-identity",
+        samples=ts.size,
+        tolerance=validation._INTEGRAL_TOL,
+        max_residual=float(resid[worst_idx]),
+        details={"worst_t": float(ts[worst_idx]), "n_quad": n_quad,
+                 "residual_at_t0": float(resid[0])},
+    )

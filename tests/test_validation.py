@@ -7,11 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from averbound import ode
+import averbound as ab
+from averbound import cli, ode
 from averbound.direct import DirectTrajectory
+from averbound.model import TWO_PI
 from averbound.validation import (ValidationReport, verify_bound_domination,
                                   verify_headline_bound, verify_identities,
                                   verify_integral_identity)
+
+from conftest import domination_reference, integral_identity_reference
 
 
 def _perturbed(aux, field, bump):
@@ -89,6 +93,8 @@ def test_domination_catches_shrunken_majorant(resonant, resonant_run):
     assert not report.passed
     assert report.violations > 0
     assert report.details["worst"]["which"] == "a"
+    ref = domination_reference(spec, resonant.aux, weak, est)
+    assert report.to_dict() == ref.to_dict()
 
 
 def test_domination_catches_decreasing_majorant(resonant, resonant_run):
@@ -98,6 +104,82 @@ def test_domination_catches_decreasing_majorant(resonant, resonant_run):
     report = verify_bound_domination(spec, resonant.aux, bad, est)
     assert report.details["monotonicity_failures"] > 0
     assert not report.passed
+    ref = domination_reference(spec, resonant.aux, bad, est)
+    assert report.to_dict() == ref.to_dict()
+
+
+# Domination samples of a d = 1 run: 25 slow times, 10 radii, 2 directions
+# and 20 angles.
+_DOM_POINTS_D1 = 25 * 10 * 2 * 20
+
+
+def test_domination_counts_nan_majorant_as_violation(resonant, resonant_run):
+    spec, est, _, _ = resonant_run
+    bad = dataclasses.replace(resonant.bounds, b_hat=lambda j, r: math.nan)
+    report = verify_bound_domination(spec, resonant.aux, bad, est)
+    assert report.violations == _DOM_POINTS_D1
+    assert report.details["monotonicity_failures"] == 0
+    # the worst point stays the largest margin that is a number
+    assert math.isfinite(report.details["worst"]["margin"])
+
+
+def test_domination_counts_nan_monotone_majorant(resonant, resonant_run):
+    spec, est, _, _ = resonant_run
+    bad = dataclasses.replace(resonant.bounds, c_hat=lambda j, r: math.nan)
+    report = verify_bound_domination(spec, resonant.aux, bad, est)
+    # every c row, and each of the 9 radius steps of the 25 slow times
+    assert report.details["monotonicity_failures"] == 25 * 9
+    assert report.violations == _DOM_POINTS_D1 + 25 * 9
+
+
+def test_domination_counts_nan_left_side(resonant, resonant_run):
+    spec, est, _, _ = resonant_run
+    at = np.linspace(0.0, TWO_PI, 20, endpoint=False)[5]
+    bad = _perturbed(resonant.aux, "s",
+                     lambda i, th: np.array([math.nan if th == at else 0.0]))
+    report = verify_bound_domination(spec, bad, resonant.bounds, est)
+    # the a rows at that angle: 25 slow times, 10 radii, 2 directions
+    assert report.violations == 25 * 10 * 2
+    assert math.isfinite(report.details["worst"]["margin"])
+
+
+@pytest.fixture(scope="module")
+def default_runs():
+    """One estimator and direct run per system at the ``verify`` defaults;
+    action-freq kappa = +1 stops at U = 0.5, inside its blow-up time 1."""
+    runs = {}
+    for name, example, u in (
+            ("vdp", ab.make_vdp(), None),
+            ("af_plus", ab.make_action_freq(1), 0.5),
+            ("af_minus", ab.make_action_freq(-1), None),
+            ("resonant", ab.make_resonant(), None),
+            ("euler", ab.make_euler_top(1.0, 2.0, -1.0), None)):
+        dflt = cli._verify_defaults(example)
+        u = u or dflt["u"]
+        spec = example.make_system(dflt["i0"], dflt["eps"])
+        est = ab.run_estimator(spec, example.aux, example.bounds, u)
+        avg = ab.run_averaged(spec, example.aux, u)
+        runs[name] = (example, spec, est, ab.run_direct(spec, example.aux, avg, u))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant",
+                                  "euler"])
+def test_domination_equals_per_point_reference(default_runs, name):
+    example, spec, est, _ = default_runs[name]
+    report = verify_bound_domination(spec, example.aux, example.bounds, est)
+    ref = domination_reference(spec, example.aux, example.bounds, est)
+    assert report.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("n_quad", [2048, 4096])
+@pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant",
+                                  "euler"])
+def test_integral_identity_equals_per_point_reference(default_runs, name, n_quad):
+    example, spec, est, dtraj = default_runs[name]
+    report = verify_integral_identity(spec, example.aux, est, dtraj, n_quad)
+    ref = integral_identity_reference(spec, example.aux, est, dtraj, n_quad)
+    assert report.to_dict() == ref.to_dict()
 
 
 def test_integral_identity_residual(resonant, resonant_run):
@@ -158,6 +240,16 @@ def test_headline_bound_degenerate_zero_error():
     report = verify_headline_bound(est, dtraj)
     assert report.passed
     assert report.details["tightness"] == 0.0
+
+
+def test_headline_bound_counts_nan_as_violation():
+    est = _flat_estimator(0.4)
+    dtraj = _sine_direct()
+    dtraj.traj.states[:, 0] = 0.0
+    dtraj.traj.states[100, 0] = math.nan
+    report = verify_headline_bound(est, dtraj)
+    assert report.violations == 1
+    assert not report.passed
 
 
 def test_report_serializes_to_json(resonant, resonant_run):
