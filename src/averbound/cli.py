@@ -456,6 +456,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = {"example": example.id, "params": dict(example.params),
                "i0": cfg.i0.tolist(), "eps": cfg.eps, "u": cfg.u,
                "estimator_status": est.status.value,
+               "estimator_stats": est.traj.stats.to_dict(),
                "averaged_stats": avg.stats.to_dict(),
                "direct_stats": dtraj.traj.stats.to_dict(),
                "checks": [r.to_dict() for r in reports]}

@@ -19,6 +19,7 @@ fails along the way.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -111,59 +112,72 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
         total = (np.sum(ga_j * dj) + np.sum(ga_r * drmat) + np.sum(ga_k * dk))
         return float(total + eps * np.sum(bounds.b_grad(j, r)[0] * dj))
 
+    # The zero tests, steps and weights read Python floats; the perturbed
+    # points handed to the bound functions stay ndarrays.
+    jl, rl, kl = j.tolist(), rmat.tolist(), k.tolist()
+    djl, drl, dkl = dj.tolist(), drmat.tolist(), dk.tolist()
     total = 0.0
-    d = j.shape[0]
+    d = len(jl)
     for i in range(d):
-        if dj[i] == 0.0:
+        if djl[i] == 0.0:
             continue
-        h = _FD_STEP * max(1.0, abs(j[i]))
+        h = _FD_STEP * max(1.0, abs(jl[i]))
         jp = j.copy(); jp[i] += h
         jm = j.copy(); jm[i] -= h
-        total += dj[i] * (offset_value(bounds, jp, rmat, k, r, eps)
-                          - offset_value(bounds, jm, rmat, k, r, eps)) / (2 * h)
+        total += djl[i] * (offset_value(bounds, jp, rmat, k, r, eps)
+                           - offset_value(bounds, jm, rmat, k, r, eps)) / (2 * h)
     for a in range(d):
         for b in range(d):
-            if drmat[a, b] == 0.0:
+            if drl[a][b] == 0.0:
                 continue
-            h = _FD_STEP * max(1.0, abs(rmat[a, b]))
+            h = _FD_STEP * max(1.0, abs(rl[a][b]))
             rp = rmat.copy(); rp[a, b] += h
             rm = rmat.copy(); rm[a, b] -= h
-            total += drmat[a, b] * (bounds.a_hat(j, rp, k, r)
-                                    - bounds.a_hat(j, rm, k, r)) / (2 * h)
+            total += drl[a][b] * (bounds.a_hat(j, rp, k, r)
+                                  - bounds.a_hat(j, rm, k, r)) / (2 * h)
     for i in range(d):
-        if dk[i] == 0.0:
+        if dkl[i] == 0.0:
             continue
-        h = _FD_STEP * max(1.0, abs(k[i]))
+        h = _FD_STEP * max(1.0, abs(kl[i]))
         kp = k.copy(); kp[i] += h
         km = k.copy(); km[i] -= h
-        total += dk[i] * (bounds.a_hat(j, rmat, kp, r)
-                          - bounds.a_hat(j, rmat, km, r)) / (2 * h)
+        total += dkl[i] * (bounds.a_hat(j, rmat, kp, r)
+                           - bounds.a_hat(j, rmat, km, r)) / (2 * h)
     return float(total)
 
 
-def _invert(rmat: np.ndarray):
-    """R^-1 with the Frobenius norms |R| and |R^-1| of the condition check."""
+def _inverse_norms(rmat: np.ndarray):
+    """The Frobenius norms (|R|, |R^-1|) of the condition check.
+
+    At d = 1 and d = 2 they are taken on Python floats, with the operations
+    of an ndarray R^-1 and :func:`frobenius` in the same order (a sum of
+    fewer than eight squares runs left to right in numpy too), so every
+    bit is the same.
+    """
     d = rmat.shape[0]
     if d == 1:
-        val = rmat[0, 0]
+        val = rmat.item(0)
         if val == 0.0:
             raise SingularMatrixError("fundamental matrix is zero")
-        inv = np.array([[1.0 / val]])
+        inv = 1.0 / val
+        norm_r, norm_inv = math.sqrt(val * val), math.sqrt(inv * inv)
     elif d == 2:
-        det = rmat[0, 0] * rmat[1, 1] - rmat[0, 1] * rmat[1, 0]
+        r00, r01, r10, r11 = rmat.ravel().tolist()
+        det = r00 * r11 - r01 * r10
         if det == 0.0:
             raise SingularMatrixError("fundamental matrix is singular")
-        inv = np.array([[rmat[1, 1], -rmat[0, 1]],
-                        [-rmat[1, 0], rmat[0, 0]]]) / det
+        i00, i01, i10, i11 = r11 / det, -r01 / det, -r10 / det, r00 / det
+        norm_r = math.sqrt(r00 * r00 + r01 * r01 + r10 * r10 + r11 * r11)
+        norm_inv = math.sqrt(i00 * i00 + i01 * i01 + i10 * i10 + i11 * i11)
     else:
         try:
             inv = np.linalg.solve(rmat, np.eye(d))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(str(exc)) from exc
-    norm_r, norm_inv = frobenius(rmat), frobenius(inv)
+        norm_r, norm_inv = frobenius(rmat), frobenius(inv)
     if norm_r * norm_inv > _COND_LIMIT:
         raise SingularMatrixError("condition estimate of R exceeds 1e12")
-    return inv, norm_r, norm_inv
+    return norm_r, norm_inv
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +306,15 @@ def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
 
 
 def pack_state(j, rmat, k, m, n) -> np.ndarray:
-    return np.concatenate([np.ravel(j), np.ravel(rmat), np.ravel(k), [m, n]])
+    """The packed state [J, R, K, m, n], R row by row."""
+    d = len(k)
+    y = np.empty(d * (d + 2) + 2)
+    y[:d] = j
+    y[d:d + d * d] = rmat.ravel()
+    y[d + d * d:-2] = k
+    y[-2] = m
+    y[-1] = n
+    return y
 
 
 def unpack_state(y: np.ndarray, d: int):
@@ -325,12 +347,16 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
         j, rmat, k, m, n = unpack_state(y, d)
+        # n is read as a Python float.  m stays a numpy scalar: it makes dn
+        # a numpy division, which gives inf rather than raising when
+        # eps * d(offset)/dr reaches 1.
+        n = float(n)
         amat = aux.dfbar(j)
         dj = aux.fbar(j)
         drmat = amat @ rmat
         dk = amat @ k + aux.pbar(j)
 
-        _, norm_r, norm_rinv = _invert(rmat)
+        norm_r, norm_rinv = _inverse_norms(rmat)
         radius = eps * n
         gam = growth_value(bounds, j, radius, n)
         dm = norm_rinv * gam
@@ -339,8 +365,9 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
         dal_dtau = _alpha_tau_derivative(bounds, j, rmat, k, radius, eps,
                                          dj, drmat, dk)
         denom = 1.0 - eps * dal_dr
+        r_dot_dr = float(np.add.reduce(rmat * drmat, axis=None))
         dn = (dal_dtau + eps * norm_r * norm_rinv * gam
-              + eps * float(np.sum(rmat * drmat)) / norm_r * m) / denom
+              + eps * r_dot_dr / norm_r * m) / denom
 
         return pack_state(dj, drmat, dk, dm, dn)
 

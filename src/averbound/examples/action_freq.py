@@ -89,10 +89,10 @@ def make(params) -> ExampleDefinition:
         return np.array([[-0.5 * (3 * x * x + 3 * x * dx + dx * dx)]])
 
     def a_hat(j, rmat, k, r):
-        return 0.5 * (j[0] + r) - k[0]
+        return 0.5 * (float(j[0]) + r) - float(k[0])
 
     def b_hat(j, r):
-        x = j[0]
+        x = float(j[0])
         return math.sqrt(
             50 * x ** 4 + (55 + 200 * r) * x ** 3
             + (38 + 85 * r + 300 * r ** 2) * x ** 2
@@ -100,7 +100,7 @@ def make(params) -> ExampleDefinition:
             + (32 + 27 * r + 50 * r ** 2) * r ** 2) / (8 * _SQRT2)
 
     def c_hat(j, r):
-        x = j[0]
+        x = float(j[0])
         return math.sqrt(
             4608 * x ** 8 + (3904 + 36864 * r) * x ** 7
             + (1520 + 23296 * r + 129024 * r ** 2) * x ** 6
@@ -117,7 +117,7 @@ def make(params) -> ExampleDefinition:
                + 4608 * r ** 4) * r ** 4) / (16 * _SQRT2)
 
     def d_hat(j, r):
-        x = j[0]
+        x = float(j[0])
         return 0.5 * (3 * x * x + 3 * x * r + r * r)
 
     def rho_hat(j):

@@ -141,17 +141,20 @@ def make(params) -> ExampleDefinition:
         return float(min(j[0], j[1]))
 
     def a_hat(j, rmat, k, r):
-        return am / 2 * math.sqrt(1 / (j[0] - r) ** 2 + 1 / (j[1] - r) ** 2)
+        j1, j2 = j.tolist()
+        return am / 2 * math.sqrt(1 / (j1 - r) ** 2 + 1 / (j2 - r) ** 2)
 
     def b_hat(j, r):
-        num = (b11 * j[0] ** 2 + b22 * j[1] ** 2 + b1 * j[0] * r
-               + b2 * j[1] * r + b0 * r * r)
-        return am * math.sqrt(num) / (8 * (j[0] - r) ** 2 * (j[1] - r) ** 2)
+        j1, j2 = j.tolist()
+        num = (b11 * j1 ** 2 + b22 * j2 ** 2 + b1 * j1 * r
+               + b2 * j2 * r + b0 * r * r)
+        return am * math.sqrt(num) / (8 * (j1 - r) ** 2 * (j2 - r) ** 2)
 
     def c_hat(j, r):
-        num = (c11 * j[0] ** 2 + c22 * j[1] ** 2 + c1 * j[0] * r
-               + c2 * j[1] * r + c0 * r * r)
-        return am * math.sqrt(num) / (32 * (j[0] - r) ** 2 * (j[1] - r) ** 2)
+        j1, j2 = j.tolist()
+        num = (c11 * j1 ** 2 + c22 * j2 ** 2 + c1 * j1 * r
+               + c2 * j2 * r + c0 * r * r)
+        return am * math.sqrt(num) / (32 * (j1 - r) ** 2 * (j2 - r) ** 2)
 
     def closed_flow(i0, tau):
         e1, e2 = math.exp(-l1 * tau), math.exp(-l2 * tau)

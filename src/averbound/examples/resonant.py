@@ -76,9 +76,9 @@ def make(params) -> ExampleDefinition:
         h_script=constant(np.zeros((1, 1, 1))))
     bounds = BoundBundle(
         rho_hat=lambda j: float(j[0]),
-        a_hat=lambda j, rmat, k, r: 1.0 / (j[0] - r),
-        b_hat=lambda j, r: 2.0 / (j[0] - r) ** 3,
-        c_hat=lambda j, r: 12.0 / (j[0] - r) ** 4,
+        a_hat=lambda j, rmat, k, r: 1.0 / (float(j[0]) - r),
+        b_hat=lambda j, r: 2.0 / (float(j[0]) - r) ** 3,
+        c_hat=lambda j, r: 12.0 / (float(j[0]) - r) ** 4,
         d_hat=lambda j, r: 0.0,
         e_hat=lambda j, r: 0.0,
     )

@@ -92,13 +92,13 @@ def _m_script(i):
 
 
 def _a_hat(j, rmat, k, r):
-    x = j[0] + r
+    x = float(j[0]) + r
     return 0.125 * math.sqrt(-2 + 10 * x ** 2 + x ** 4
                            + 2 * (1 + 2 * x ** 2) ** 1.5)
 
 
 def _b_hat(j, r):
-    x = j[0]
+    x = float(j[0])
     return math.sqrt(
         120 * x ** 6 + 12 * x ** 5 * (23 + 56 * r)
         + 3 * x ** 4 * (192 + 474 * r + 517 * r ** 2)
@@ -109,7 +109,7 @@ def _b_hat(j, r):
 
 
 def _c_hat(j, r):
-    x = j[0]
+    x = float(j[0])
     return math.sqrt(
         6512 * x ** 8 + 24 * x ** 7 * (671 + 2096 * r)
         + 24 * x ** 6 * (1693 + 5484 * r + 6956 * r ** 2)

@@ -23,6 +23,7 @@ of Python floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -51,7 +52,9 @@ def frobenius(x) -> float:
     The square root of the sum of squared entries, for any array shape.
     """
     arr = np.asarray(x, dtype=float)
-    return float(np.sqrt(np.sum(arr * arr)))
+    # np.add.reduce over every axis is what np.sum calls, without its
+    # dispatch; math.sqrt rounds as np.sqrt does.
+    return math.sqrt(np.add.reduce(arr * arr, axis=None))
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,8 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     a NaN |L| or n is a violation.
     ``details`` reports the envelope tightness max(peak |L| / n) per window
     (window defaults to the covered slow span over ``ENVELOPE_WINDOWS``).
+    A NaN gap or ratio ranks below every number, so the worst gap and the
+    tightness describe the finite part of the run.
     """
     eps = dtraj.eps
     t_hi = min(dtraj.t[-1], est.tau_final / eps)
@@ -448,7 +450,7 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     gap = mags - n_vals
     bad = ~(gap <= _HEADLINE_REL_SLACK * np.abs(n_vals))
     violations = int(np.count_nonzero(bad))
-    worst_idx = int(np.argmax(gap))
+    worst_idx = int(np.argmax(np.where(np.isnan(gap), -np.inf, gap)))
 
     span = eps * float(ts[-1]) if ts.size else 0.0
     win = window if window is not None else max(span / ENVELOPE_WINDOWS, 1e-12)
@@ -459,6 +461,7 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
         inside = (eps * ts[0] <= taus) & (taus <= span)
         taus, peaks = taus[inside], peaks[inside]
         ratios = peaks / unpack_state(est.traj.sample_many(taus), est.d)[4]
+        ratios = np.where(np.isnan(ratios), -np.inf, ratios)
         if ratios.size and ratios.max() > 0.0:
             best = int(np.argmax(ratios))
             tightness, tight_at = float(ratios[best]), float(taus[best])

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 import averbound as ab
-from averbound import validation
+from averbound import estimator, validation
 from averbound.estimator import unpack_state
-from averbound.model import TWO_PI, frobenius
+from averbound.model import TWO_PI, frobenius, growth_value, offset_value
 from averbound.ode import _hermite
 
 
@@ -260,3 +260,103 @@ def integral_identity_reference(spec, aux, est, dtraj, n_quad=2048):
         details={"worst_t": float(ts[worst_idx]), "n_quad": n_quad,
                  "residual_at_t0": float(resid[0])},
     )
+
+
+def frobenius_reference(x):
+    """``model.frobenius`` as it was, on ``np.sum`` and ``np.sqrt``."""
+    arr = np.asarray(x, dtype=float)
+    return float(np.sqrt(np.sum(arr * arr)))
+
+
+def invert_reference(rmat):
+    """R^-1 with |R| and |R^-1| on ndarrays and numpy scalars, as the slow
+    right-hand side took them before ``estimator._inverse_norms``."""
+    d = rmat.shape[0]
+    if d == 1:
+        val = rmat[0, 0]
+        if val == 0.0:
+            raise estimator.SingularMatrixError("fundamental matrix is zero")
+        inv = np.array([[1.0 / val]])
+    elif d == 2:
+        det = rmat[0, 0] * rmat[1, 1] - rmat[0, 1] * rmat[1, 0]
+        if det == 0.0:
+            raise estimator.SingularMatrixError("fundamental matrix is singular")
+        inv = np.array([[rmat[1, 1], -rmat[0, 1]],
+                        [-rmat[1, 0], rmat[0, 0]]]) / det
+    else:
+        try:
+            inv = np.linalg.solve(rmat, np.eye(d))
+        except np.linalg.LinAlgError as exc:
+            raise estimator.SingularMatrixError(str(exc)) from exc
+    norm_r, norm_inv = frobenius_reference(rmat), frobenius_reference(inv)
+    if norm_r * norm_inv > estimator._COND_LIMIT:
+        raise estimator.SingularMatrixError("condition estimate of R exceeds 1e12")
+    return inv, norm_r, norm_inv
+
+
+def _alpha_tau_reference(bounds, j, rmat, k, r, eps, dj, drmat, dk):
+    """The finite-difference branch of ``_alpha_tau_derivative`` indexing
+    ndarrays, as it was."""
+    fd = estimator._FD_STEP
+    total = 0.0
+    d = j.shape[0]
+    for i in range(d):
+        if dj[i] == 0.0:
+            continue
+        h = fd * max(1.0, abs(j[i]))
+        jp = j.copy(); jp[i] += h
+        jm = j.copy(); jm[i] -= h
+        total += dj[i] * (offset_value(bounds, jp, rmat, k, r, eps)
+                          - offset_value(bounds, jm, rmat, k, r, eps)) / (2 * h)
+    for a in range(d):
+        for b in range(d):
+            if drmat[a, b] == 0.0:
+                continue
+            h = fd * max(1.0, abs(rmat[a, b]))
+            rp = rmat.copy(); rp[a, b] += h
+            rm = rmat.copy(); rm[a, b] -= h
+            total += drmat[a, b] * (bounds.a_hat(j, rp, k, r)
+                                    - bounds.a_hat(j, rm, k, r)) / (2 * h)
+    for i in range(d):
+        if dk[i] == 0.0:
+            continue
+        h = fd * max(1.0, abs(k[i]))
+        kp = k.copy(); kp[i] += h
+        km = k.copy(); km[i] -= h
+        total += dk[i] * (bounds.a_hat(j, rmat, kp, r)
+                          - bounds.a_hat(j, rmat, km, r)) / (2 * h)
+    return float(total)
+
+
+def slow_rhs_reference(spec, aux, bounds):
+    """``estimator.assemble_slow_rhs`` as it was before it read n, the
+    entries of R and the finite-difference weights as Python floats: every
+    number a numpy scalar, the inverse an ndarray and the state packed by
+    ``np.concatenate``.  It is the reference the slow right-hand side must
+    match bit for bit; bundles with analytic gradients are not covered."""
+    assert bounds.a_grad is None
+    eps = spec.epsilon
+    d = spec.d
+
+    def rhs(tau, y):
+        j, rmat, k, m, n = unpack_state(y, d)
+        amat = aux.dfbar(j)
+        dj = aux.fbar(j)
+        drmat = amat @ rmat
+        dk = amat @ k + aux.pbar(j)
+
+        _, norm_r, norm_rinv = invert_reference(rmat)
+        radius = eps * n
+        gam = growth_value(bounds, j, radius, n)
+        dm = norm_rinv * gam
+
+        dal_dr = estimator._dalpha_dr(bounds, j, rmat, k, radius, eps)
+        dal_dtau = _alpha_tau_reference(bounds, j, rmat, k, radius, eps,
+                                        dj, drmat, dk)
+        denom = 1.0 - eps * dal_dr
+        dn = (dal_dtau + eps * norm_r * norm_rinv * gam
+              + eps * float(np.sum(rmat * drmat)) / norm_r * m) / denom
+        return np.concatenate([np.ravel(dj), np.ravel(drmat), np.ravel(dk),
+                               [dm, dn]])
+
+    return rhs

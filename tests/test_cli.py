@@ -182,6 +182,7 @@ def test_verify_vdp_all_pass(tmp_path):
     assert all(set(c) == {"name", "samples", "tolerance", "max_residual",
                           "violations", "passed", "details"}
                for c in payload["checks"])
+    assert_step_stats(payload["estimator_stats"], initial_calls=2)
     assert_step_stats(payload["averaged_stats"], initial_calls=2)
     assert_step_stats(payload["direct_stats"],
                       initial_calls=direct._BUDGET_CHUNKS + 1)

@@ -7,10 +7,12 @@ import pytest
 from scipy.integrate import simpson
 
 import averbound as ab
+from averbound import estimator
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, assemble_slow_rhs, pack_state,
                                  unpack_state)
-from conftest import hermite_reference, toy_linear_decay
+from conftest import (hermite_reference, invert_reference, slow_rhs_reference,
+                      toy_linear_decay)
 
 
 def test_pack_unpack_roundtrip():
@@ -212,3 +214,140 @@ def test_run_estimator_rejects_nonpositive_horizon(resonant):
     spec = resonant.make_system([2.0], 1e-2)
     with pytest.raises(ValueError):
         ab.run_estimator(spec, resonant.aux, resonant.bounds, 0.0)
+
+
+_ET_A = {"mu": 1.0, "lambda1": 2.0, "lambda2": -1.0}
+_ET_D = {"mu": 1.0, "lambda1": 1.1, "lambda2": -1.0}
+
+
+def _numpy_scalar_system(params):
+    """action-freq with kappa = -1 and majorants written on numpy scalars
+    (each returns one; ``j[0]`` and ``k[0]`` are never made floats)."""
+    example = ab.make_action_freq(-1)
+    bounds = ab.BoundBundle(
+        rho_hat=lambda j: j[0],
+        a_hat=lambda j, rmat, k, r: 0.5 * (j[0] + r) * rmat[0, 0] ** 2 - k[0],
+        b_hat=lambda j, r: np.sqrt(j[0] ** 3 + r) / 8,
+        c_hat=lambda j, r: np.sqrt(4608 * j[0] ** 8 + 36864 * r) / 16,
+        d_hat=lambda j, r: 0.5 * (3 * j[0] * j[0] + 3 * j[0] * r + r * r),
+        e_hat=lambda j, r: np.float64(2.0))
+    return dataclasses.replace(example, id="af-numpy", bounds=bounds)
+
+
+def _linear_decay_3(params):
+    """The diagonal linear decay of ``toy_linear_decay`` with three
+    actions and constant majorants."""
+    spec, aux, bounds = toy_linear_decay(d=3)
+    return ab.ExampleDefinition(
+        id="linear-decay-3", d=3, params={}, omega=spec.omega, f=spec.f,
+        g=spec.g, in_domain=spec.in_domain, aux=aux, bounds=bounds,
+        sample_box=(np.full(3, 0.5), np.full(3, 2.0)))
+
+
+def _make(name, params):
+    """``make_example`` with the two systems above registered."""
+    ab.register_system("af-numpy", _numpy_scalar_system)
+    ab.register_system("linear-decay-3", _linear_decay_3)
+    return ab.make_example(name, params)
+
+
+# (system, params, i0, eps, U, expected status)
+_SLOW_CASES = {
+    "vdp": ("vdp", {}, [0.5], 1e-2, 10.0, "completed"),
+    "vdp-1b": ("vdp", {}, [4.0], 1e-2, 10.0, "completed"),
+    "af-plus": ("action-freq", {"kappa": 1}, [1.0], 1e-2, 0.9, "completed"),
+    "af-plus-blowup": ("action-freq", {"kappa": 1}, [1.0], 1e-2, 1.0,
+                       "domain_violation"),
+    "af-minus": ("action-freq", {"kappa": -1}, [1.0], 1e-2, 200.0, "completed"),
+    "resonant": ("resonant", {}, [2.0], 1e-2, 10.0, "completed"),
+    "euler-top-a": ("euler-top", _ET_A, [4.0, 1.0], 1e-2, 1.0, "completed"),
+    "euler-top-d": ("euler-top", _ET_D, [4.0, 4.0], 1e-3, 3.0, "completed"),
+    # eps * d(offset)/dr reaches 1 before U: the step size underflows.
+    "euler-top-step-failure": ("euler-top", _ET_A, [4.0, 1.0], 1e-2, 10.0,
+                               "step_failure"),
+    "af-numpy": ("af-numpy", {}, [1.0], 1e-2, 5.0, "completed"),
+    "linear-decay-3": ("linear-decay-3", {}, [2.0, 2.0, 2.0], 1e-2, 5.0,
+                       "completed"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SLOW_CASES))
+def test_slow_rhs_matches_the_numpy_scalar_reference(monkeypatch, case):
+    # The slow right-hand side reads its bookkeeping as Python floats but
+    # keeps every floating-point operation: the run it drives is bit for
+    # bit the run of the numpy-scalar reference in conftest, the stop
+    # state, the step counts and a step failure included.
+    name, params, i0, eps, u, status = _SLOW_CASES[case]
+    example = _make(name, params)
+    spec = example.make_system(i0, eps)
+    new = ab.run_estimator(spec, example.aux, example.bounds, u)
+    monkeypatch.setattr(estimator, "assemble_slow_rhs", slow_rhs_reference)
+    ref = ab.run_estimator(spec, example.aux, example.bounds, u)
+    assert new.status.value == ref.status.value == status
+    assert new.violation_kind == ref.violation_kind
+    assert new.ell0 == ref.ell0
+    for part in ("times", "states", "derivs"):
+        assert (getattr(new.traj, part).tobytes()
+                == getattr(ref.traj, part).tobytes()), part
+    assert new.traj.stats.to_dict() == ref.traj.stats.to_dict()
+    assert new.traj.stats.accepted > 10
+
+
+def test_slow_rhs_is_infinite_where_the_bound_equation_is_singular():
+    # With eps = 1/2 and a_hat = 2r the central difference of the offset is
+    # exactly 1/eps, so 1 - eps * d(offset)/dr is 0.0.  The division stays
+    # a numpy one: dn is inf, as in the reference, and the step that meets
+    # it is retried as a non-finite one, not as a raising one.
+    spec, aux, bounds = toy_linear_decay(eps=0.5)
+    bounds = dataclasses.replace(bounds, a_hat=lambda j, rmat, k, r: 2.0 * r,
+                                 b_hat=lambda j, r: 0.0)
+    y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.0)
+    with np.errstate(divide="ignore"):
+        out = assemble_slow_rhs(spec, aux, bounds)(0.0, y)
+        ref = slow_rhs_reference(spec, aux, bounds)(0.0, y)
+    assert out.tobytes() == ref.tobytes()
+    assert out[-1] == math.inf
+
+
+def test_three_action_system_runs_to_completion():
+    # d = 3 takes the np.linalg.solve branch of the condition check.
+    example = _make("linear-decay-3", {})
+    spec = example.make_system([2.0, 1.5, 1.0], 1e-2)
+    est = ab.run_estimator(spec, example.aux, example.bounds, 2.0)
+    assert est.status is EstimatorStatus.COMPLETED and est.tau_final == 2.0
+    assert est.traj.states.shape[1] == 3 + 9 + 3 + 2
+    # fbar = -J: J = J0 e^-tau and R = e^-tau I
+    assert np.allclose(est.j[-1], spec.i0 * math.exp(-2.0), rtol=1e-8)
+    assert np.allclose(est.r[-1], math.exp(-2.0) * np.eye(3), rtol=1e-8)
+    assert np.all(np.diff(est.n) > 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_inverse_norms_match_the_reference(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(3000):
+        rmat = (rng.standard_normal((d, d))
+                * 10.0 ** rng.uniform(-3.0, 3.0, (d, d)))
+        try:
+            expected = invert_reference(rmat)[1:]
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError, match=str(exc)):
+                estimator._inverse_norms(rmat)
+            continue
+        got = estimator._inverse_norms(rmat)
+        assert all(type(x) is float for x in got)
+        assert got == expected
+
+
+@pytest.mark.parametrize("rmat, message", [
+    (np.zeros((1, 1)), "fundamental matrix is zero"),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), "fundamental matrix is singular"),
+    (np.zeros((3, 3)), "Singular matrix"),
+    (np.diag([1.0, 1e-13]), "condition estimate"),
+    (np.diag([1.0, 1.0, 1e-13]), "condition estimate"),
+])
+def test_inverse_norms_raise_for_singular_and_ill_conditioned(rmat, message):
+    with pytest.raises(SingularMatrixError, match=message):
+        invert_reference(rmat)
+    with pytest.raises(SingularMatrixError, match=message):
+        estimator._inverse_norms(rmat)

@@ -252,6 +252,22 @@ def test_headline_bound_counts_nan_as_violation():
     assert not report.passed
 
 
+def test_headline_bound_nan_keeps_the_finite_figures():
+    # One NaN |L| is a violation, but the tightness and the worst gap still
+    # describe the rest of the run: max |sin| / 1.5 and 1 - 1.5.
+    est = _flat_estimator(1.5)
+    dtraj = _sine_direct()
+    clean = verify_headline_bound(est, dtraj)
+    dtraj.traj.states[100, 0] = math.nan
+    report = verify_headline_bound(est, dtraj)
+    assert report.violations == 1 and clean.violations == 0
+    assert report.details["tightness"] == pytest.approx(1 / 1.5, rel=1e-6)
+    assert report.details["tightness"] == clean.details["tightness"]
+    assert report.details["tightness_at_tau"] == clean.details["tightness_at_tau"]
+    assert math.isfinite(report.details["worst_gap"])
+    assert report.details["worst_gap"] == clean.details["worst_gap"]
+
+
 def test_report_serializes_to_json(resonant, resonant_run):
     spec, est, _, dtraj = resonant_run
     reports = [
