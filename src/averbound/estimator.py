@@ -306,15 +306,12 @@ def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
 
 
 def pack_state(j, rmat, k, m, n) -> np.ndarray:
-    """The packed state [J, R, K, m, n], R row by row."""
-    d = len(k)
-    y = np.empty(d * (d + 2) + 2)
-    y[:d] = j
-    y[d:d + d * d] = rmat.ravel()
-    y[d + d * d:-2] = k
-    y[-2] = m
-    y[-1] = n
-    return y
+    """The packed state [J, R, K, m, n], R row by row.
+
+    One concatenation, not slices of a preallocated array: a slice would
+    broadcast a J or K of length 1 into d places without an error.
+    """
+    return np.concatenate((j, rmat.ravel(), k, (m, n)))
 
 
 def unpack_state(y: np.ndarray, d: int):

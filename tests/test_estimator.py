@@ -309,6 +309,20 @@ def test_slow_rhs_is_infinite_where_the_bound_equation_is_singular():
     assert out[-1] == math.inf
 
 
+def test_slow_rhs_rejects_a_short_fbar():
+    # fbar of length 1 on a two-action system with analytic gradients (the
+    # finite differences would index past its end): the packed derivative
+    # is one component short, and the first right-hand-side call says so.
+    spec, aux, bounds = toy_linear_decay(d=2)
+    bounds = dataclasses.replace(
+        bounds, a_grad=lambda j, rmat, k, r: (np.zeros(2), np.zeros((2, 2)),
+                                              np.zeros(2), 0.0),
+        b_grad=lambda j, r: (np.zeros(2), 0.0))
+    aux = dataclasses.replace(aux, fbar=lambda j: -j[:1])
+    with pytest.raises(ValueError, match="rhs must return shape"):
+        ab.run_estimator(spec, aux, bounds, 1.0)
+
+
 def test_three_action_system_runs_to_completion():
     # d = 3 takes the np.linalg.solve branch of the condition check.
     example = _make("linear-decay-3", {})
