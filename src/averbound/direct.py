@@ -14,6 +14,7 @@ it honours a wall-clock budget and flags runs cut short by it.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -86,21 +87,30 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     f_sys, g_sys, omega, fbar = forms.f, forms.g, forms.omega, forms.fbar
     in_domain = forms.in_domain
     sample_into = sample_avg.into
-    # J(eps*t) as Python floats; every rhs and stop call fills it first.
+    # J(eps*t) and fbar(J) as Python floats, each with the slow time it was
+    # taken at.  The last two stages of a step and the stop check after it
+    # share one time, so there J is sampled and fbar called once.
     # The lists are built by plain loops: comprehensions cost about a third
     # more per call at d = 1 and 2.
     jl = [0.0] * d
+    fb = None
+    tau_j = tau_fb = math.nan
     comps = range(d)
 
     def rhs(t: float, y: list) -> list:
+        nonlocal fb, tau_j, tau_fb
         tau = eps * t
-        sample_into(tau if tau < tau_max else tau_max, jl, d)
+        if tau != tau_j:
+            sample_into(tau if tau < tau_max else tau_max, jl, d)
+            tau_j = tau
         actions = []
         for k in comps:
             actions.append(jl[k] + eps * y[k])
         theta = y[d]
         fa = f_sys(actions, theta)
-        fb = fbar(jl)
+        if tau != tau_fb:
+            fb = fbar(jl)
+            tau_fb = tau
         out = []
         for k in comps:
             out.append(fa[k] - fb[k])
@@ -108,8 +118,11 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         return out
 
     def stop(t: float, y: list) -> bool:
+        nonlocal tau_j
         tau = eps * t
-        sample_into(tau if tau < tau_max else tau_max, jl, d)
+        if tau != tau_j:
+            sample_into(tau if tau < tau_max else tau_max, jl, d)
+            tau_j = tau
         actions = []
         for k in comps:
             actions.append(jl[k] + eps * y[k])
@@ -179,7 +192,8 @@ def envelope(dtraj: DirectTrajectory, window: float) -> List[Tuple[float, float]
 
     Partitions the covered slow-time span into windows of the given width
     and returns, per nonempty window, the slow time of the largest |L|
-    sample and its value.
+    sample and its value.  NaN samples are passed over; a window of NaN
+    samples only gives its first time and NaN.
     """
     if not window > 0.0:
         raise ValueError("window width must be positive")
@@ -194,8 +208,9 @@ def envelope(dtraj: DirectTrajectory, window: float) -> List[Tuple[float, float]
     last_full = max(int(np.ceil(span / window - 1e-12)) - 1, 0)
     np.minimum(idx, last_full, out=idx)
     out: List[Tuple[float, float]] = []
+    ranked = np.where(np.isnan(mags), -np.inf, mags)
     for w in np.unique(idx):
         mask = idx == w
-        local = np.argmax(mags[mask])
+        local = np.argmax(ranked[mask])
         out.append((float(taus[mask][local]), float(mags[mask][local])))
     return out

@@ -8,9 +8,12 @@ bisection on the dense output and the trajectory is truncated there.
 One step is taken by a step kernel chosen by the state size: states of at
 most ``_FLOAT_KERNEL_MAX_DIM`` components are stepped on lists of Python
 floats, larger ones on numpy arrays.  Both read the one tableau and serve
-the one step-size controller.  The right-hand side and stop predicate take
-ndarrays unless the problem declares ``lists``; either way they are
-adapted to the kernel's state type at the edge of :func:`integrate`.
+the one step-size controller.  The float step is straight-line code,
+generated from the tableau once per state size at import and compiled,
+so the tableau is written down only here.  The right-hand side and stop
+predicate take ndarrays unless the problem declares ``lists``; either way
+they are adapted to the kernel's state type at the edge of
+:func:`integrate`.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -49,11 +52,12 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 _FLOAT_STAGES = tuple((c, tuple((j, a) for j, a in enumerate(row.tolist()) if a))
                       for c, row in _STAGES)
 _FLOAT_E = tuple((j, a) for j, a in enumerate(_E.tolist()) if a)
-# Largest state stepped on Python floats.  For y' = -y one step took, in us,
-# on the float kernel with a list rhs / with an ndarray rhs / on the array
-# kernel: 14 / 23 / 28 at two components, 17 / 32 / 30 at four, 23 / 28 /
-# 36 at five and 35 / 38 / 35 at ten (best of 21 interleaved runs, 2-vCPU
-# Xeon, Python 3.11, numpy 2.4).  A list rhs keeps the float kernel ahead
+# Largest state stepped on Python floats.  For y' = -y one step of
+# integrate took, in us, on the generated float step with a list rhs / with
+# an ndarray rhs / on the array kernel: 6 / 10 / 23 at two components,
+# 8 / 12 / 23 at four, 9 / 14 / 23 at five and 15 / 20 / 24 at ten (steps
+# generated for five and ten for the measurement; best of 21 interleaved
+# runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).  The float step stays ahead
 # past four, but the limit stays: a larger one would move the d = 1 slow
 # state (five components, ndarray rhs) onto the float kernel and change
 # the estimator's last bits.
@@ -338,48 +342,71 @@ def _array_kernel(rhs, size, rtol, atol):
     return step
 
 
-def _float_kernel(rhs, size, rtol, atol):
-    """The step of :func:`_array_kernel` on lists of Python floats, for
-    small states.
+def _float_step_source(size):
+    """Source of ``make(rhs, rtol, atol)``, which returns the step of
+    :func:`_array_kernel` on lists of Python floats for states of ``size``
+    components, written out as straight-line code.
 
-    ``y``, ``f`` and the returned ``y_new``/``f_new`` are lists, and ``rhs``
-    takes and returns lists.  Each weighted sum runs over the nonzero
-    weights of ``_FLOAT_STAGES`` or ``_FLOAT_E`` in order, one component at
-    a time, with the products of weight and step size formed once per step.
-    The two sum loops are written out in place: a shared helper made a
-    two-component step 13% slower.
+    Each stage forms its weights times h once, as ``w<j> = a * h``, and each
+    component as ``y<i> + (0.0 + w<j> * k<j>_<i> + ...)``: the nonzero
+    weights of ``_FLOAT_STAGES`` in order, each float written by ``repr``.
+    The leading ``0.0 +`` keeps the sign of a zero sum.  The slope of every
+    stage is read by index, so a short list from the rhs raises
+    ``IndexError``.  The error norm runs over ``_FLOAT_E`` the same way.
     """
-    def step(t, y, f, h):
-        ks = [f]
-        for c, weights in _FLOAT_STAGES:
-            terms = [(a * h, ks[j]) for j, a in weights]
-            ys = []
-            i = 0
-            for b in y:
-                acc = 0.0
-                for w, k in terms:
-                    acc += w * k[i]
-                ys.append(b + acc)
-                i += 1
-            ks.append(rhs(t + c * h, ys))
-        terms = [(a * h, ks[j]) for j, a in _FLOAT_E]
-        err = 0.0
-        i = 0
-        for yn, b in zip(ys, y):
-            acc = 0.0
-            for w, k in terms:
-                acc += w * k[i]
-            i += 1
-            e = abs(acc) / (max(abs(yn), abs(b)) * rtol + atol)
+    comps = range(size)
+    body = [f"y{i} = y[{i}]" for i in comps]
+    body += [f"k0_{i} = f[{i}]" for i in comps]
+    for s, (c, weights) in enumerate(_FLOAT_STAGES, start=1):
+        body += [f"w{j} = {a!r} * h" for j, a in weights]
+        for i in comps:
+            terms = "".join(f" + w{j} * k{j}_{i}" for j, _ in weights)
+            body.append(f"z{i} = y{i} + (0.0{terms})")
+        body.append(f"ys = [{', '.join(f'z{i}' for i in comps)}]")
+        body.append(f"k = rhs(t + {c!r} * h, ys)")
+        body += [f"k{s}_{i} = k[{i}]" for i in comps]
+    body += [f"w{j} = {a!r} * h" for j, a in _FLOAT_E]
+    body.append("err = 0.0")
+    for i in comps:
+        terms = "".join(f" + w{j} * k{j}_{i}" for j, _ in _FLOAT_E)
+        body += [
+            f"e = abs(0.0{terms}) / (max(abs(z{i}), abs(y{i})) * rtol + atol)",
             # Python's max drops a NaN met after a number, so a NaN error
             # and a non-finite y_new are tested for explicitly.
-            if e != e or not abs(yn) < math.inf:
-                err = math.nan
-                break
-            if e > err:
-                err = e
-        return err, ys, ks[-1]
-    return step
+            f"if e != e or not abs(z{i}) < inf:",
+            "    return nan, ys, k",
+            "if e > err:",
+            "    err = e",
+        ]
+    body.append("return err, ys, k")
+    return "\n".join(["def make(rhs, rtol, atol):",
+                      "    def step(t, y, f, h):"]
+                     + ["        " + line for line in body]
+                     + ["    return step", ""])
+
+
+def _compile_float_step(size):
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(compile(_float_step_source(size), f"<ode float step, size {size}>",
+                 "exec"), namespace)
+    return namespace["make"]
+
+
+# The generated step of each state size the float kernel takes.
+_FLOAT_STEPS = tuple(_compile_float_step(size)
+                     for size in range(_FLOAT_KERNEL_MAX_DIM + 1))
+
+
+def _float_kernel(rhs, size, rtol, atol):
+    """The step of :func:`_array_kernel` on lists of Python floats, for
+    states of at most ``_FLOAT_KERNEL_MAX_DIM`` components.
+
+    ``y``, ``f`` and the returned ``y_new``/``f_new`` are lists, and ``rhs``
+    takes and returns lists.  The step is straight-line code generated from
+    the tableau once per state size (:func:`_float_step_source`): written
+    out, it costs less than half what loops over the weights did.
+    """
+    return _FLOAT_STEPS[size](rhs, rtol, atol)
 
 
 def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,

@@ -1,4 +1,6 @@
 """Shared fixtures: example definitions and cached short runs."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ import averbound as ab
 from averbound import estimator, validation
 from averbound.estimator import unpack_state
 from averbound.model import TWO_PI, frobenius, growth_value, offset_value
-from averbound.ode import _hermite
+from averbound.ode import _FLOAT_E, _FLOAT_STAGES, _hermite
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +63,41 @@ def hermite_reference(traj, t):
         return traj.states[idx].copy()
     return _hermite(t, times[idx], times[idx + 1], traj.states[idx],
                     traj.states[idx + 1], traj.derivs[idx], traj.derivs[idx + 1])
+
+
+def float_kernel_reference(rhs, size, rtol, atol):
+    """``ode._float_kernel`` as loops over the weights, as it was before the
+    step was generated as straight-line code: the reference that step must
+    match bit for bit."""
+    def step(t, y, f, h):
+        ks = [f]
+        for c, weights in _FLOAT_STAGES:
+            terms = [(a * h, ks[j]) for j, a in weights]
+            ys = []
+            i = 0
+            for b in y:
+                acc = 0.0
+                for w, k in terms:
+                    acc += w * k[i]
+                ys.append(b + acc)
+                i += 1
+            ks.append(rhs(t + c * h, ys))
+        terms = [(a * h, ks[j]) for j, a in _FLOAT_E]
+        err = 0.0
+        i = 0
+        for yn, b in zip(ys, y):
+            acc = 0.0
+            for w, k in terms:
+                acc += w * k[i]
+            i += 1
+            e = abs(acc) / (max(abs(yn), abs(b)) * rtol + atol)
+            if e != e or not abs(yn) < math.inf:
+                err = math.nan
+                break
+            if e > err:
+                err = e
+        return err, ys, ks[-1]
+    return step
 
 
 def toy_linear_decay(eps=1e-2, i0=2.0, d=1):

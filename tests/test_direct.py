@@ -91,6 +91,34 @@ def test_stats_sum_over_the_chunks():
     assert stats.h_max == pytest.approx(steps.max(), rel=1e-9)
 
 
+def test_slow_samples_are_reused_within_a_step(monkeypatch):
+    # The last two stages of a step run at t + h, and so does the stop
+    # check after it: J(eps*t) is sampled and fbar called once there.  A
+    # later chunk starts at the time its predecessor ended on.
+    spec, aux, _ = toy_linear_decay()
+    avg = ab.run_averaged(spec, aux, 5.0)
+    counts = {"fbar": 0, "into": 0, "f": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+    aux = dataclasses.replace(aux, fbar=counted("fbar", aux.fbar))
+    spec = dataclasses.replace(spec, f=counted("f", spec.f))
+    monkeypatch.setattr(ode.CubicSampler, "into",
+                        counted("into", ode.CubicSampler.into))
+    dtraj = ab.run_direct(spec, aux, avg, 5.0)
+    assert dtraj.status is ode.Status.COMPLETED
+    stats = dtraj.traj.stats
+    attempts = stats.accepted + stats.rejected
+    starts = direct._BUDGET_CHUNKS + 1
+    assert counts["f"] == stats.rhs_evals == 6 * attempts + starts
+    assert counts["fbar"] <= 5 * attempts + starts
+    assert counts["into"] <= 5 * attempts + starts
+    assert counts["fbar"] >= 5 * stats.accepted
+
+
 def test_initial_angle_rate_is_unperturbed_frequency(resonant_run):
     spec, _, _, dtraj = resonant_run
     # omega(I0) = 2 for the resonant system started at I0 = 2
@@ -211,6 +239,22 @@ def test_envelope_of_sine_with_wide_window():
     dtraj = _synthetic_direct(ts, np.sin(ts))
     peaks = envelope(dtraj, window=10.0)     # covers many 2*pi periods
     assert all(peak == pytest.approx(1.0, abs=1e-3) for _, peak in peaks)
+
+
+def test_envelope_passes_over_nan():
+    # One NaN |L| leaves its window's finite peak; an all-NaN window
+    # reports NaN at its first time.
+    ts = np.linspace(0.0, 1000.0, 20001)
+    l_vals = np.sin(ts)
+    l_vals[100] = math.nan
+    dtraj = _synthetic_direct(ts, l_vals)
+    tau, peak = envelope(dtraj, window=0.2)[0]
+    assert peak == pytest.approx(1.0, abs=1e-3)
+    assert abs(math.sin(tau / dtraj.eps)) == peak
+    l_vals[:400] = math.nan          # the first window, t < 20
+    peaks = envelope(_synthetic_direct(ts, l_vals), window=0.2)
+    assert peaks[0][0] == 0.0 and math.isnan(peaks[0][1])
+    assert peaks[1][1] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_envelope_rejects_bad_window(resonant_run):

@@ -1,11 +1,12 @@
 """Integrator unit tests: accuracy, dense output, stop handling, determinism."""
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from averbound import ode
-from conftest import hermite_reference
+from conftest import float_kernel_reference, hermite_reference
 
 
 def problem(rhs, y0, t_end, t0=0.0):
@@ -27,13 +28,16 @@ def test_exponential_endpoint_error():
 
 # State sizes that select each step kernel: the float one and the array one.
 KERNEL_SIZES = [2, ode._FLOAT_KERNEL_MAX_DIM + 1]
+# Each float size has its own generated step; then one array size.
+FLOAT_SIZES = list(range(1, ode._FLOAT_KERNEL_MAX_DIM + 1))
+ALL_SIZES = FLOAT_SIZES + [ode._FLOAT_KERNEL_MAX_DIM + 1]
 
 
 def test_kernel_sizes_select_both_kernels():
     assert KERNEL_SIZES[0] <= ode._FLOAT_KERNEL_MAX_DIM < KERNEL_SIZES[1]
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", ALL_SIZES)
 def test_one_step_is_the_dormand_prince_stability_polynomial(size):
     # On y' = y one step multiplies y by R(h), the method's stability
     # polynomial; every tableau row enters its coefficients.  At h = 0.05,
@@ -114,12 +118,14 @@ def test_convergence_with_tolerance():
     assert errs[0] / errs[-1] > 10.0 ** (6 * 0.7)
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", ALL_SIZES)
 def test_determinism_bitwise(size):
     def rhs(t, y):
-        return np.array([math.sin(t) * y[0], -y[1] + y[0] ** 2]
-                        + [-0.5 * v for v in y[2:]])
-    y0 = [1.0, 0.5] + [0.25] * (size - 2)
+        out = [math.sin(t) * y[0]]
+        if size > 1:
+            out.append(-y[1] + y[0] ** 2)
+        return np.array(out + [-0.5 * v for v in y[2:]])
+    y0 = [1.0, 0.5][:size] + [0.25] * (size - 2)
     a = ode.integrate(problem(rhs, y0, 3.0))
     b = ode.integrate(problem(rhs, y0, 3.0))
     assert a.states.shape[1] == size
@@ -406,3 +412,163 @@ def test_nonfinite_rhs_region_triggers_failure_not_crash():
     traj = ode.integrate(problem(rhs, [0.0], 10.0))
     assert traj.status is ode.Status.STEP_FAILURE
     assert np.all(np.isfinite(traj.states))
+
+
+# The generated float step against the loop kernel it replaced
+# (conftest.float_kernel_reference), bit for bit.
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _steps_agree(make_rhs, size, t, y, f, h):
+    """Step once with each kernel, each on a fresh rhs from ``make_rhs``;
+    assert that every stage's time and state and the results have equal
+    bits, and return the error norm and the stage inputs."""
+    results = []
+    for kernel in (ode._float_kernel, float_kernel_reference):
+        rhs = make_rhs()
+        seen = []
+
+        def recording(t, y):
+            seen.append(_bits([t, *y]))
+            return rhs(t, y)
+        step = kernel(recording, size, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+        err, y_new, f_new = step(t, list(y), list(f), h)
+        assert type(y_new) is list and len(y_new) == size
+        results.append((seen, _bits([err, *y_new, *f_new])))
+    assert results[0] == results[1]
+    seen, (err, *_) = results[0]
+    return struct.unpack("<d", err)[0], seen
+
+
+def _smooth(t, y):
+    # Products, not powers: a float ** 2 raises OverflowError, * gives inf.
+    n = len(y)
+    return [math.cos(t + i) * y[i] - y[(i + 1) % n] * y[(i + 1) % n] + 0.5
+            for i in range(n)]
+
+
+def _at_call(call, value):
+    """A maker of fresh smooth right-hand sides whose call number ``call``
+    (the stage, counted from 1) returns ``value`` in its first component."""
+    def make():
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            out = _smooth(t, y)
+            if len(calls) == call:
+                out[0] = value
+            return out
+        return rhs
+    return make
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+def test_float_step_matches_the_loop_kernel(size):
+    rng = np.random.default_rng(size)
+    for h in (1e-6, 0.01, 0.3, 2.0):
+        y = rng.uniform(-2.0, 2.0, size).tolist()
+        t = float(rng.uniform(0.0, 10.0))
+        err, seen = _steps_agree(lambda: _smooth, size, t, y, _smooth(t, y), h)
+        assert math.isfinite(err) and len(seen) == 6
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("stage", range(1, 7))
+def test_float_step_matches_on_a_nan_stage(size, stage):
+    y = [0.5] * size
+    err, _ = _steps_agree(_at_call(stage, math.nan), size, 1.0, y,
+                          _smooth(1.0, y), 0.1)
+    assert math.isnan(err)
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("stage", [1, 5, 6])
+def test_float_step_matches_on_an_overflowing_stage(size, stage):
+    # A slope of 1e308 at h = 10 takes the stages past it to inf and then
+    # to inf - inf = NaN; at the FSAL stage only the error sees it.
+    y = [0.5] * size
+    err, _ = _steps_agree(_at_call(stage, 1e308), size, 1.0, y,
+                          _smooth(1.0, y), 10.0)
+    assert not err <= 1.0
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+def test_float_step_keeps_the_sign_of_zero(size):
+    # The first stage is -0.0 + (0.0 + w * -0.0), which is +0.0; a sum
+    # without the leading 0.0 would hand the rhs -0.0.
+    y = [-0.0] * size
+    err, seen = _steps_agree(lambda: lambda t, y: [-0.0] * len(y), size,
+                             0.0, y, y, 0.1)
+    assert err == 0.0
+    assert seen[0][1:] == _bits([0.0] * size)
+
+
+def _run_both(monkeypatch, problem_for, **kwargs):
+    """``ode.integrate`` on the generated step and on the loop kernel, each
+    on a fresh problem from ``problem_for``."""
+    new = ode.integrate(problem_for(), **kwargs)
+    monkeypatch.setattr(ode, "_float_kernel", float_kernel_reference)
+    ref = ode.integrate(problem_for(), **kwargs)
+    monkeypatch.undo()
+    return new, ref
+
+
+def _assert_same_run(a, b):
+    assert a.status is b.status
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.derivs, b.derivs)
+    assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+def test_integrate_on_the_float_step_matches_the_loop_kernel(monkeypatch, size):
+    def problem_for():
+        return ode.IvpProblem(_smooth, 0.0, np.linspace(0.2, 0.8, size), 5.0,
+                              lists=True)
+    new, ref = _run_both(monkeypatch, problem_for,
+                         stop=lambda t, y: y[0] > 50.0)
+    _assert_same_run(new, ref)
+    assert new.stats.accepted > 20
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+def test_float_step_absorbs_the_same_rhs_errors(monkeypatch, size):
+    # Call 19 divides by zero and call 40 returns NaN: each attempt is
+    # retried at half size, with the same counts on either kernel.
+    def problem_for():
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == 19:
+                return [v / 0.0 for v in y]
+            out = _smooth(t, y)
+            if len(calls) == 40:
+                out[-1] = math.nan
+            return out
+        return ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0, lists=True)
+    new, ref = _run_both(monkeypatch, problem_for)
+    _assert_same_run(new, ref)
+    assert new.stats.nan_retries == 2
+    assert new.stats.rhs_error == "ZeroDivisionError: float division by zero"
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("kernel", [ode._float_kernel, float_kernel_reference])
+def test_short_rhs_list_raises_index_error(monkeypatch, size, kernel):
+    # A right-hand side that drops a component is a bug in the caller, not
+    # a step to retry: the IndexError leaves integrate.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        out = _smooth(t, y)
+        return out[:-1] if len(calls) > 4 else out
+    monkeypatch.setattr(ode, "_float_kernel", kernel)
+    with pytest.raises(IndexError):
+        ode.integrate(ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0,
+                                     lists=True))
