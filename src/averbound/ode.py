@@ -107,53 +107,46 @@ class IvpProblem:
         y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if y0.ndim != 1:
             raise ValueError(f"y0 must be one-dimensional, got shape {y0.shape}")
+        if y0.size == 0:
+            raise ValueError("y0 must have at least one component")
         object.__setattr__(self, "y0", y0)
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1):
-    """Cubic Hermite interpolant on [t0, t1] with node values and slopes."""
-    h = t1 - t0
-    x = (t - t0) / h
-    x2 = x * x
-    x3 = x2 * x
-    return ((2 * x3 - 3 * x2 + 1) * y0 + (x3 - 2 * x2 + x) * h * f0
-            + (-2 * x3 + 3 * x2) * y1 + (x3 - x2) * h * f1)
+def _cubic_coefficients(h, y0, y1, f0, f1):
+    """Coefficients (c0, c1, c2, c3) in the unit time s of a step of size h
+    of the cubic Hermite interpolant with end values y0, y1 and slopes f0,
+    f1: the one form of every dense output."""
+    return (y0, h * f0, 3 * (y1 - y0) - h * (2 * f0 + f1),
+            2 * (y0 - y1) + h * (f0 + f1))
 
 
-def _hermite_slope(t, t0, t1, y0, y1, f0, f1):
-    h = t1 - t0
-    x = (t - t0) / h
-    return ((6 * x * x - 6 * x) * (y0 - y1) / h + (3 * x * x - 4 * x + 1) * f0
-            + (3 * x * x - 2 * x) * f1)
+def _cubic_value(c, s):
+    """The cubic with the coefficients ``c`` at s, in Horner form."""
+    return ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
 
 
 class CubicSampler:
     """Stateful dense-output evaluator for monotone-ish query sequences.
 
     Precomputes the per-interval cubic coefficients once and walks a cursor
-    between calls, so repeated nearby queries cost a few array operations.
+    between calls, so repeated nearby queries cost a few float operations.
     """
 
     __slots__ = ("times", "_tlist", "_h", "_c0", "_c1", "_c2", "_c3",
                  "_idx", "_last", "_dim")
 
     def __init__(self, traj: "Trajectory"):
-        t = traj.times
-        y = traj.states
-        f = traj.derivs
-        h = np.diff(t)[:, None]
-        y0, y1 = y[:-1], y[1:]
-        f0, f1 = f[:-1], f[1:]
+        t, y, f = traj.times, traj.states, traj.derivs
+        h = np.diff(t)
         self.times = t
         self._tlist = t.tolist()
-        self._h = (h[:, 0]).tolist()
+        self._h = h.tolist()
         # plain-float coefficient rows: cheap per-component Horner evaluation
-        self._c0 = y0.tolist()
-        self._c1 = (h * f0).tolist()
-        self._c2 = (3 * (y1 - y0) - h * (2 * f0 + f1)).tolist()
-        self._c3 = (2 * (y0 - y1) + h * (f0 + f1)).tolist()
+        self._c0, self._c1, self._c2, self._c3 = (
+            c.tolist() for c in _cubic_coefficients(h[:, None], y[:-1], y[1:],
+                                                    f[:-1], f[1:]))
         self._idx = 0
         self._last = len(t) - 2
         self._dim = y.shape[1]
@@ -171,17 +164,18 @@ class CubicSampler:
         self._idx = i
         return i
 
+    # Kept while perfbench/tracer.py wraps it (ROADMAP item 1).
     def __call__(self, t: float) -> np.ndarray:
         out = np.empty(self._dim)
         self.into(t, out, self._dim)
         return out
 
+    # Kept while perfbench/tracer.py wraps it (ROADMAP item 1).
     def value1(self, t: float) -> float:
         """First state component as a plain float."""
-        i = self._locate(t)
-        s = (t - self._tlist[i]) / self._h[i]
-        return (((self._c3[i][0] * s + self._c2[i][0]) * s
-                 + self._c1[i][0]) * s + self._c0[i][0])
+        out = [0.0]
+        self.into(t, out, 1)
+        return out[0]
 
     def into(self, t: float, out, count: int) -> None:
         """Write the first ``count`` interpolated components into ``out``, a
@@ -254,6 +248,7 @@ class Trajectory:
     def t_final(self) -> float:
         return float(self.times[-1])
 
+    # Kept while perfbench/tracer.py patches it (ROADMAP item 1).
     def sample(self, t: float) -> np.ndarray:
         """Dense-output state at time t inside the covered span (see
         :meth:`sample_many`)."""
@@ -263,8 +258,9 @@ class Trajectory:
         """Dense-output states at the times ``ts``, one row per time.
 
         At a stored node, and at the end of the span, a row is exactly the
-        stored state.  Times up to 1e-12 (relative) outside the span are
-        clamped onto it; farther ones raise ``ValueError``.
+        stored state; between nodes it is the cursor sampler's value bit for
+        bit.  Times up to 1e-12 (relative) outside the span are clamped onto
+        it; farther ones raise ``ValueError``.
         """
         times, states, derivs = self.times, self.states, self.derivs
         ts = np.asarray(ts, dtype=float)
@@ -283,19 +279,19 @@ class Trajectory:
             inner = np.flatnonzero((idx < last) & (t != times[idx]))
             if inner.size:
                 i = idx[inner]
-                out[lo + inner] = _hermite(
-                    t[inner, None], times[i, None], times[i + 1, None],
-                    states[i], states[i + 1], derivs[i], derivs[i + 1])
+                h = (times[i + 1] - times[i])[:, None]
+                s = (t[inner, None] - times[i, None]) / h
+                out[lo + inner] = _cubic_value(_cubic_coefficients(
+                    h, states[i], states[i + 1], derivs[i], derivs[i + 1]), s)
         return out
 
     def sampler(self) -> CubicSampler:
         """Cursor-based evaluator for one query at a time, for the direct
         right-hand side only.
 
-        A query near the previous one costs a few float operations, far less
-        than a one-point :meth:`sample`.  Its Horner form rounds differently
-        from :meth:`sample_many`, and the direct run's results depend on it
-        bit for bit; batches of times go through :meth:`sample_many`.
+        Its ``into`` equals :meth:`sample_many` bit for bit, and a query
+        near the previous one costs well under a microsecond, far less than
+        a one-point :meth:`sample`; batches go through :meth:`sample_many`.
         """
         return CubicSampler(self)
 
@@ -392,9 +388,9 @@ def _compile_float_step(size):
     return namespace["make"]
 
 
-# The generated step of each state size the float kernel takes.
+# The generated step of each state size the float kernel takes, 1 first.
 _FLOAT_STEPS = tuple(_compile_float_step(size)
-                     for size in range(_FLOAT_KERNEL_MAX_DIM + 1))
+                     for size in range(1, _FLOAT_KERNEL_MAX_DIM + 1))
 
 
 def _float_kernel(rhs, size, rtol, atol):
@@ -406,7 +402,7 @@ def _float_kernel(rhs, size, rtol, atol):
     the tableau once per state size (:func:`_float_step_source`): written
     out, it costs less than half what loops over the weights did.
     """
-    return _FLOAT_STEPS[size](rhs, rtol, atol)
+    return _FLOAT_STEPS[size - 1](rhs, rtol, atol)
 
 
 def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
@@ -574,17 +570,19 @@ def _localize_stop(stop, reason, t0, t1, y0, y1, f0, f1):
 
     ``reason`` is the predicate's value at t1; the one at the stop time is
     returned with that time and the state and slope there."""
+    h = t1 - t0
+    c = _cubic_coefficients(h, y0, y1, f0, f1)
     a, b = t0, t1
     for _ in range(_STOP_BISECTIONS):
         if (b - a) <= _STOP_REL * max(1.0, abs(b)):
             break
         mid = 0.5 * (a + b)
-        y_mid = _hermite(mid, t0, t1, y0, y1, f0, f1)
-        mid_reason = _safe_stop(stop, mid, y_mid)
+        mid_reason = _safe_stop(stop, mid, _cubic_value(c, (mid - t0) / h))
         if mid_reason:
             b, reason = mid, mid_reason
         else:
             a = mid
-    y_stop = _hermite(b, t0, t1, y0, y1, f0, f1)
-    f_stop = _hermite_slope(b, t0, t1, y0, y1, f0, f1)
-    return b, y_stop, f_stop, reason
+    if b == t1:
+        return b, y1, f1, reason
+    s = (b - t0) / h
+    return b, _cubic_value(c, s), (c[1] + s * (2 * c[2] + 3 * s * c[3])) / h, reason

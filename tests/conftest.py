@@ -8,7 +8,7 @@ import averbound as ab
 from averbound import estimator, validation
 from averbound.estimator import unpack_state
 from averbound.model import TWO_PI, frobenius, growth_value, offset_value
-from averbound.ode import _FLOAT_E, _FLOAT_STAGES, _hermite
+from averbound.ode import _FLOAT_E, _FLOAT_STAGES
 
 
 @pytest.fixture(scope="session")
@@ -46,10 +46,21 @@ def resonant_run(resonant):
     return spec, est, avg, dtraj
 
 
+def _hermite(t, t0, t1, y0, y1, f0, f1):
+    """The cubic Hermite interpolant in the Hermite basis, as ``ode``
+    evaluated it before every dense output took the one Horner form."""
+    h = t1 - t0
+    x = (t - t0) / h
+    x2 = x * x
+    x3 = x2 * x
+    return ((2 * x3 - 3 * x2 + 1) * y0 + (x3 - 2 * x2 + x) * h * f0
+            + (-2 * x3 + 3 * x2) * y1 + (x3 - x2) * h * f1)
+
+
 def hermite_reference(traj, t):
-    """Dense output at one time by the per-point loop that
-    ``Trajectory.sample_many`` replaced: the reference it must match bit for
-    bit."""
+    """Dense output at one time by the per-point loop in the Hermite basis
+    that ``Trajectory.sample_many`` once matched bit for bit; the Horner
+    form stays within a few ulp of it."""
     times = traj.times
     t0, t1 = times[0], times[-1]
     slack = 1e-12 * max(1.0, abs(t0), abs(t1))
@@ -63,6 +74,27 @@ def hermite_reference(traj, t):
         return traj.states[idx].copy()
     return _hermite(t, times[idx], times[idx + 1], traj.states[idx],
                     traj.states[idx + 1], traj.derivs[idx], traj.derivs[idx + 1])
+
+
+def cursor_reference(traj, ts):
+    """Dense output at the times ``ts`` by a per-point loop over the cursor
+    sampler's ``into``, with the node, end and clamping rules of
+    ``Trajectory.sample_many``: the reference it must match bit for bit."""
+    times = traj.times
+    t0, t1 = times[0], times[-1]
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+    samp = traj.sampler()
+    out = np.empty((len(ts), traj.states.shape[1]))
+    for row, t in zip(out, ts):
+        if t < t0 - slack or t > t1 + slack:
+            raise ValueError(f"sample time {t} outside trajectory span [{t0}, {t1}]")
+        t = min(max(t, t0), t1)
+        idx = int(np.searchsorted(times, t, side="right") - 1)
+        if idx >= len(times) - 1 or t == times[idx]:
+            row[:] = traj.states[idx]
+        else:
+            samp.into(t, row, row.size)
+    return out
 
 
 def float_kernel_reference(rhs, size, rtol, atol):

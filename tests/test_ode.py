@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from averbound import ode
-from conftest import float_kernel_reference, hermite_reference
+from conftest import cursor_reference, float_kernel_reference, hermite_reference
 
 
 def problem(rhs, y0, t_end, t0=0.0):
@@ -77,6 +77,18 @@ def test_linear_crossing_stop_time():
     assert traj.status is ode.Status.STOPPED
     assert traj.stop_time == pytest.approx(0.5, abs=1e-9)
     assert traj.times[-1] == traj.stop_time
+
+
+def test_stop_localisation_keeps_the_cubic_slope():
+    # y' = 3t^2 from y(0) = 0 is y = t^3, which the cubic interpolant of the
+    # final step holds exactly: the state and slope stored at the stop are
+    # those of the cubic at the stop time.
+    traj = ode.integrate(problem(lambda t, y: np.array([3 * t * t]), [0.0], 2.0),
+                         stop=lambda t, y: y[0] >= 0.125)
+    assert traj.status is ode.Status.STOPPED
+    assert traj.stop_time == pytest.approx(0.5, abs=1e-9)
+    assert traj.states[-1, 0] == pytest.approx(0.125, abs=1e-9)
+    assert traj.derivs[-1, 0] == pytest.approx(0.75, abs=1e-9)
 
 
 def test_sample_at_grid_time_is_exact():
@@ -218,6 +230,13 @@ def test_problem_validation():
         ode.IvpProblem(lambda t, y: y, 0.0, np.zeros((2, 2)), 1.0)
 
 
+@pytest.mark.parametrize("first_step", [None, 0.1])
+def test_empty_state_rejected(first_step):
+    with pytest.raises(ValueError, match="at least one component"):
+        ode.integrate(ode.IvpProblem(lambda t, y: y, 0.0, [], 1.0),
+                      first_step=first_step)
+
+
 def test_stop_true_at_start_rejected():
     with pytest.raises(ValueError, match="already true at the initial state"):
         ode.integrate(problem(lambda t, y: y, [1.0], 1.0),
@@ -349,14 +368,14 @@ def test_cursor_sampler_matches_sample():
     rng = np.random.default_rng(42)
     ts = np.sort(rng.uniform(0.0, 5.0, 200))
     for t in ts:
-        assert np.allclose(samp(t), traj.sample(t), atol=1e-12)
+        assert np.array_equal(samp(t), traj.sample(t))
     # backwards queries move the cursor the other way
     for t in ts[::-1][:50]:
-        assert np.allclose(samp(t), traj.sample(t), atol=1e-12)
-    assert samp.value1(2.0) == pytest.approx(traj.sample(2.0)[0], abs=1e-12)
+        assert np.array_equal(samp(t), traj.sample(t))
+    assert samp.value1(2.0) == traj.sample(2.0)[0]
     out = np.empty(2)
     samp.into(2.0, out, 2)
-    assert np.allclose(out, traj.sample(2.0), atol=1e-12)
+    assert np.array_equal(out, traj.sample(2.0))
 
 
 def test_module_level_sample_alias():
@@ -368,8 +387,13 @@ def test_module_level_sample_alias():
 
 
 def _assert_matches_reference(traj, ts):
-    want = np.array([hermite_reference(traj, t) for t in ts])
-    assert np.array_equal(traj.sample_many(ts), want)
+    got = traj.sample_many(ts)
+    assert np.array_equal(got, cursor_reference(traj, ts))
+    # The Hermite-basis form it replaced rounds differently, by at most two
+    # ulp of a component's largest stored value on these runs.
+    old = np.array([hermite_reference(traj, t) for t in ts])
+    ulp = np.spacing(np.abs(traj.states).max(axis=0))
+    assert np.all(np.abs(got - old) <= 4 * ulp)
 
 
 def test_sample_many_matches_pointwise_loop():
