@@ -7,8 +7,8 @@ and the angle against a precomputed averaged trajectory:
     dTheta/dt = omega(I) + eps * g(I, Theta),        I := J(eps*t) + eps*L
 
 The averaged actions are sampled from the slow trajectory's dense output.
-The state is stepped as a list of Python floats, and the system is called
-through its float forms (:meth:`SystemSpec.float_forms`).
+The state is stepped as a list of Python floats, and ``f``, ``g``,
+``omega``, ``in_domain`` and ``fbar`` are handed the actions as a list.
 This is the expensive comparison run used to validate the certified bound;
 it honours a wall-clock budget and flags runs cut short by it.
 """
@@ -83,9 +83,8 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     start = time.perf_counter()
     sample_avg = avg_traj.sampler()
     tau_max = avg_traj.t_final
-    forms = spec.float_forms(aux)
-    f_sys, g_sys, omega, fbar = forms.f, forms.g, forms.omega, forms.fbar
-    in_domain = forms.in_domain
+    f_sys, g_sys, omega, fbar = spec.f, spec.g, spec.omega, aux.fbar
+    in_domain = spec.in_domain
     sample_into = sample_avg.into
     # J(eps*t) and fbar(J) as Python floats, each with the slow time it was
     # taken at.  The last two stages of a step and the stop check after it

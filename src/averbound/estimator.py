@@ -349,7 +349,7 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
         # eps * d(offset)/dr reaches 1.
         n = float(n)
         amat = aux.dfbar(j)
-        dj = aux.fbar(j)
+        dj = np.asarray(aux.fbar(j), dtype=float)
         drmat = amat @ rmat
         dk = amat @ k + aux.pbar(j)
 
@@ -498,9 +498,8 @@ def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
                  rtol: float = ode.DEFAULT_RTOL / AVERAGED_TIGHTENING,
                  atol: float = ode.DEFAULT_ATOL / AVERAGED_TIGHTENING) -> ode.Trajectory:
     """Integrate the averaged actions dJ/dtau = fbar(J) alone on [0, u],
-    on the float forms of fbar and the domain (:meth:`SystemSpec.float_forms`)."""
-    forms = spec.float_forms(aux)
-    fbar, in_domain = forms.fbar, forms.in_domain
+    handing ``aux.fbar`` and ``spec.in_domain`` the actions as a list."""
+    fbar, in_domain = aux.fbar, spec.in_domain
     problem = ode.IvpProblem(
         rhs=lambda tau, j: fbar(j),
         t0=0.0,

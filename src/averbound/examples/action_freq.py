@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
+from ..model import AuxiliaryBundle, BoundBundle
 from . import ExampleDefinition, constant
 
 _SQRT2 = math.sqrt(2.0)
@@ -129,7 +129,7 @@ def make(params) -> ExampleDefinition:
                 np.array([[1.0 / den ** 2]]),
                 np.array([kap * i0[0] ** 2 * math.log(den) / (2 * den * den)]))
 
-    aux = AuxiliaryBundle(fbar=array_form(fbar), dfbar=dfbar, s=s, v=v, p=p,
+    aux = AuxiliaryBundle(fbar=fbar, dfbar=dfbar, s=s, v=v, p=p,
                           pbar=pbar, q=q, w=w, u=u, m_script=m_script,
                           g_script=g_script,
                           h_script=constant(np.full((1, 1, 1), 2.0 * kap)))
@@ -137,7 +137,5 @@ def make(params) -> ExampleDefinition:
                          c_hat=c_hat, d_hat=d_hat, e_hat=lambda j, r: 2.0)
     return ExampleDefinition(
         id="action-freq", d=1, params={"kappa": int(kappa)}, omega=omega,
-        f=array_form(f), g=g, in_domain=in_domain, aux=aux, bounds=bounds,
-        sample_box=SAMPLE_BOX, closed_flow=closed_flow,
-        floats=FloatForms(omega=omega, f=f, g=g, in_domain=in_domain,
-                          fbar=fbar))
+        f=f, g=g, in_domain=in_domain, aux=aux, bounds=bounds,
+        sample_box=SAMPLE_BOX, closed_flow=closed_flow)

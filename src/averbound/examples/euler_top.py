@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
+from ..model import AuxiliaryBundle, BoundBundle
 from . import ExampleDefinition, constant
 
 
@@ -162,7 +162,7 @@ def make(params) -> ExampleDefinition:
                 np.zeros(2))
 
     aux = AuxiliaryBundle(
-        fbar=array_form(fbar), dfbar=constant([[-l1, 0.0], [0.0, -l2]]), s=s,
+        fbar=fbar, dfbar=constant([[-l1, 0.0], [0.0, -l2]]), s=s,
         v=v, p=p, pbar=constant(np.zeros(2)), q=q, w=w, u=u,
         m_script=constant([[-l1 ** 2, 0.0], [0.0, -l2 ** 2]]),
         g_script=constant(np.zeros((2, 2))),
@@ -172,7 +172,5 @@ def make(params) -> ExampleDefinition:
                          e_hat=lambda j, r: 0.0)
     return ExampleDefinition(
         id="euler-top", d=2, params={"mu": mu, "lambda1": l1, "lambda2": l2},
-        omega=omega, f=array_form(f), g=g, in_domain=in_domain, aux=aux,
-        bounds=bounds, sample_box=SAMPLE_BOX, closed_flow=closed_flow,
-        floats=FloatForms(omega=omega, f=f, g=g, in_domain=in_domain,
-                          fbar=fbar))
+        omega=omega, f=f, g=g, in_domain=in_domain, aux=aux,
+        bounds=bounds, sample_box=SAMPLE_BOX, closed_flow=closed_flow)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
+from ..model import AuxiliaryBundle, BoundBundle
 from . import ExampleDefinition, constant
 
 
@@ -69,7 +69,7 @@ SAMPLE_BOX = (np.array([0.5]), np.array([4.0]))
 def make(params) -> ExampleDefinition:
     """The resonant drift system; it has no parameters."""
     aux = AuxiliaryBundle(
-        fbar=array_form(_fbar), dfbar=constant(np.zeros((1, 1))), s=_s,
+        fbar=_fbar, dfbar=constant(np.zeros((1, 1))), s=_s,
         v=_v, p=_p, pbar=constant(np.zeros(1)), q=_q, w=_w, u=_u,
         m_script=constant(np.zeros((1, 1))),
         g_script=constant(np.zeros((1, 1))),
@@ -83,8 +83,6 @@ def make(params) -> ExampleDefinition:
         e_hat=lambda j, r: 0.0,
     )
     return ExampleDefinition(
-        id="resonant", d=1, params={}, omega=_omega, f=array_form(_f), g=_g,
+        id="resonant", d=1, params={}, omega=_omega, f=_f, g=_g,
         in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,
-        closed_flow=_closed_flow,
-        floats=FloatForms(omega=_omega, f=_f, g=_g, in_domain=_in_domain,
-                          fbar=_fbar))
+        closed_flow=_closed_flow)

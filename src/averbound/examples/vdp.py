@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..model import AuxiliaryBundle, BoundBundle, FloatForms, array_form
+from ..model import AuxiliaryBundle, BoundBundle
 from . import ExampleDefinition, constant
 
 
@@ -144,7 +144,7 @@ SAMPLE_BOX = (np.array([0.3]), np.array([5.0]))
 def make(params) -> ExampleDefinition:
     """The van der Pol system; it has no parameters."""
     aux = AuxiliaryBundle(
-        fbar=array_form(_fbar), dfbar=_dfbar, s=_s, v=_v, p=_p,
+        fbar=_fbar, dfbar=_dfbar, s=_s, v=_v, p=_p,
         pbar=constant(np.zeros(1)), q=_q, w=_w, u=_u, m_script=_m_script,
         g_script=constant(np.zeros((1, 1))),
         # fbar is quadratic, so the second-order remainder is the constant -1.
@@ -153,8 +153,6 @@ def make(params) -> ExampleDefinition:
                          c_hat=_c_hat, d_hat=lambda j, r: 0.0,
                          e_hat=lambda j, r: 1.0)
     return ExampleDefinition(
-        id="vdp", d=1, params={}, omega=_omega, f=array_form(_f), g=_g,
+        id="vdp", d=1, params={}, omega=_omega, f=_f, g=_g,
         in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,
-        closed_flow=_closed_flow,
-        floats=FloatForms(omega=_omega, f=_f, g=_g, in_domain=_in_domain,
-                          fbar=_fbar))
+        closed_flow=_closed_flow)

@@ -16,22 +16,23 @@ estimator built from two bundles of user-supplied callables:
 * :class:`BoundBundle` -- pointwise majorants (rho, a, b, c, d, e) of the
   auxiliary terms on a tube of radius rho around the averaged trajectory.
 
-All callables take/return plain numpy arrays: actions are shape ``(d,)``,
-matrices ``(d, d)``, third-order tensors ``(d, d, d)``.  The fast-time runs
-call a system through its :class:`FloatForms`, the same callables on lists
-of Python floats.
+The system callables ``omega``, ``f``, ``g``, ``in_domain`` and the
+bundle's ``fbar`` take the actions as a sequence of d floats: the fast-time
+runs hand them a list of Python floats, the estimator and the checks an
+ndarray.  ``f`` and ``fbar`` return a sequence of d floats (a list or a 1-D
+array), ``omega`` and ``g`` a float and ``in_domain`` a bool.  Every other
+callable takes and returns numpy arrays: actions are shape ``(d,)``,
+matrices ``(d, d)``, third-order tensors ``(d, d, d)``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "FloatForms",
-    "array_form",
     "SystemSpec",
     "AuxiliaryBundle",
     "BoundBundle",
@@ -42,8 +43,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-Vec = np.ndarray
 VecFun = Callable[[np.ndarray, float], np.ndarray]
+Actions = Sequence[float]      # a list or an ndarray of the d actions
 
 
 def frobenius(x) -> float:
@@ -55,40 +56,6 @@ def frobenius(x) -> float:
     # np.add.reduce over every axis is what np.sum calls, without its
     # dispatch; math.sqrt rounds as np.sqrt does.
     return math.sqrt(np.add.reduce(arr * arr, axis=None))
-
-
-@dataclass(frozen=True)
-class FloatForms:
-    """A system's callables on Python floats, for the fast-time runs.
-
-    The actions are a list of d floats and the angle a float: ``f`` and
-    ``fbar`` (the angle average of f) return new lists of d floats,
-    ``omega`` and ``g`` floats, and ``in_domain`` a bool.  They compute
-    what the system's array callables compute, without an ndarray per call.
-    """
-
-    omega: Callable[[List[float]], float]
-    f: Callable[[List[float], float], List[float]]
-    g: Callable[[List[float], float], float]
-    in_domain: Callable[[List[float]], bool]
-    fbar: Callable[[List[float]], List[float]]
-
-
-def array_form(floats: Callable) -> Callable:
-    """The array callable of a list-returning float form.
-
-    It hands ``floats`` the actions as a list of Python floats, with any
-    further arguments unchanged, and returns the list as an array.
-    """
-    def member(i, *args):
-        return np.array(floats(np.asarray(i, dtype=float).tolist(), *args))
-    return member
-
-
-def _on_lists(fn: Callable) -> Callable:
-    """``fn``, which takes ndarray actions, as a callable of a list of
-    floats; its value comes back as Python floats (a list for an array)."""
-    return lambda i, *args: np.asarray(fn(np.array(i), *args), dtype=float).tolist()
 
 
 @dataclass(frozen=True)
@@ -104,20 +71,19 @@ class SystemSpec:
     g : angle perturbation, ``g(I, theta) -> float``, 2*pi-periodic in theta.
     in_domain : membership predicate for the open action domain.
     i0, theta0 : initial actions and angle; theta0 is reduced mod 2*pi.
-    floats : optional :class:`FloatForms` of omega, f, g, in_domain and of
-        the averaged fbar.  A spec that replaces one of those callables
-        must replace or drop these too.
+
+    The callables take the actions as a list or an ndarray (module
+    docstring).
     """
 
     d: int
     epsilon: float
-    omega: Callable[[np.ndarray], float]
-    f: VecFun
-    g: Callable[[np.ndarray, float], float]
-    in_domain: Callable[[np.ndarray], bool]
+    omega: Callable[[Actions], float]
+    f: Callable[[Actions, float], Sequence[float]]
+    g: Callable[[Actions, float], float]
+    in_domain: Callable[[Actions], bool]
     i0: np.ndarray
     theta0: float = 0.0
-    floats: Optional[FloatForms] = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -131,17 +97,11 @@ class SystemSpec:
         object.__setattr__(self, "theta0", float(self.theta0) % TWO_PI)
         if not self.in_domain(i0):
             raise ValueError("initial actions i0 lie outside the action domain")
-
-    def float_forms(self, aux: "AuxiliaryBundle") -> FloatForms:
-        """The fast-time callables on lists of floats: ``floats`` when given,
-        else the array callables and ``aux.fbar``, each handed a fresh
-        ndarray of the actions on every call."""
-        if self.floats is not None:
-            return self.floats
-        return FloatForms(omega=_on_lists(self.omega), f=_on_lists(self.f),
-                          g=_on_lists(self.g),
-                          in_domain=_on_lists(self.in_domain),
-                          fbar=_on_lists(aux.fbar))
+        # On a list, as the fast-time runs call it: array code such as
+        # 2 * i repeats a list there instead of doubling it.
+        if np.shape(self.f(i0.tolist(), self.theta0)) != (self.d,):
+            raise ValueError(f"f must return {self.d} numbers for a list of "
+                             f"{self.d} actions")
 
 
 @dataclass(frozen=True)
@@ -162,7 +122,7 @@ class AuxiliaryBundle:
     with h_script symmetric in its two lower indices.
     """
 
-    fbar: Callable[[np.ndarray], np.ndarray]
+    fbar: Callable[[Actions], Sequence[float]]
     dfbar: Callable[[np.ndarray], np.ndarray]
     s: VecFun
     v: VecFun

@@ -69,6 +69,7 @@ _EXPO = 0.2 - 0.75 * _BETA    # proportional exponent
 _FAC_MIN = 0.2                # largest allowed step shrink factor is 1/5
 _FAC_MAX = 10.0               # largest allowed step growth factor
 _HMIN_REL = 1e-14             # step underflow threshold, relative to the span
+_MAX_STEPS = 10_000_000       # step attempts of one integrate call
 _STOP_REL = 1e-10             # relative localization width for stop times
 _STOP_BISECTIONS = 40
 # Times per block in Trajectory.sample_many: bounds its (block, dim)
@@ -92,9 +93,10 @@ class IvpProblem:
     ``rhs`` and the stop predicate of :func:`integrate` take the state as an
     ndarray and ``rhs`` returns one.  With ``lists`` set they take it as a
     list of Python floats instead, and ``rhs`` returns a new list of floats
-    on every call.  Small states are stepped on such lists, so a list rhs
-    saves an array round trip per stage.  The flag is explicit because
-    ndarray code like ``2 * y`` runs on a list too, with another meaning.
+    (or a 1-D array) on every call.  Small states are stepped on such
+    lists, so a list rhs saves an array round trip per stage.  The flag is
+    explicit because ndarray code like ``2 * y`` runs on a list too, with
+    another meaning.
     """
 
     rhs: Callable
@@ -408,7 +410,6 @@ def _float_kernel(rhs, size, rtol, atol):
 def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL,
               stop: Optional[Callable[[float, np.ndarray], object]] = None,
-              max_steps: int = 10_000_000,
               first_step: Optional[float] = None) -> Trajectory:
     """Integrate ``problem`` adaptively from t0 to t_end.
 
@@ -421,7 +422,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     or ``ValueError`` counts as returning True, except at the initial state,
     where its exception propagates.  Failure modes: step-size underflow below
     1e-14 times the span (a NaN step size, as a non-finite initial state or
-    slope gives, counts as one), or ``max_steps`` step attempts.  Exceptions,
+    slope gives, counts as one), or ``_MAX_STEPS`` step attempts.  Exceptions,
     a NaN error estimate in any component and a non-finite new state make
     the step retry at half size rather than abort.  The result's ``stats``
     counts the steps and the right-hand-side and stop calls, and keeps the
@@ -490,7 +491,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     stop_time = stop_reason = rhs_error = None
 
     while t < t_end:
-        if steps >= max_steps or not h >= h_min:   # rejects NaN as well
+        if steps >= _MAX_STEPS or not h >= h_min:   # rejects NaN as well
             status = Status.STEP_FAILURE
             break
         h = min(h, t_end - t)

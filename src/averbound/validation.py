@@ -49,6 +49,10 @@ _DOM_MAX_RADIUS_FRAC = 0.98
 # of several examples are attained suprema.
 _DOM_REL_SLACK = 1e-12
 _DOM_ABS_SLACK = 1e-14
+# Columns of each majorant row in the margins of one direction: d, e, then
+# a, b, c per angle.
+_DOM_COLUMNS = {"a": slice(2, None, 3), "b": slice(3, None, 3),
+                "c": slice(4, None, 3), "d": slice(0, 1), "e": slice(1, 2)}
 
 
 @dataclass
@@ -145,6 +149,13 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
     worst: Dict[str, float] = {}
     worst_point: Dict[str, Tuple] = {}
 
+    # f and fbar may return lists; the identities subtract their values.
+    def f(i, th):
+        return np.array(spec.f(i, th), dtype=float)
+
+    def fbar(i):
+        return np.array(aux.fbar(i), dtype=float)
+
     def record(key, value, point):
         value = float(value)
         if value > worst.get(key, -1.0):
@@ -156,7 +167,7 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
             raise ValueError(f"identity sample point {i} outside the domain")
         om = spec.omega(i)
         # torus averages (trapezoid is exact for trigonometric polynomials)
-        for key, fn, mean in (("fbar_is_mean_f", spec.f, aux.fbar(i)),
+        for key, fn, mean in (("fbar_is_mean_f", f, fbar(i)),
                               ("pbar_is_mean_p", aux.p, aux.pbar(i)),
                               ("s_has_zero_mean", aux.s, 0.0)):
             record(key, np.max(np.abs(np.mean([fn(i, t) for t in th_quad], axis=0)
@@ -164,22 +175,22 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
         for key, fn in (("v_zero_at_theta0", aux.v), ("w_zero_at_theta0", aux.w)):
             record(key, np.max(np.abs(fn(i, spec.theta0))), (i, spec.theta0))
         record("dfbar_is_jacobian",
-               np.max(np.abs(np.stack([_d_plain(aux.fbar, i, j) for j in range(d)],
+               np.max(np.abs(np.stack([_d_plain(fbar, i, j) for j in range(d)],
                                        axis=1) - aux.dfbar(i))), (i, None))
         # m_script[i,j] = sum_k d2 fbar^i/(dI^k dI^j) fbar^k - (dfbar^2)[i,j]
         dfb = aux.dfbar(i)
         hess = np.stack([_d_plain(aux.dfbar, i, j) for j in range(d)], axis=2)
-        m_def = np.einsum("ikj,k->ij", hess, aux.fbar(i)) - dfb @ dfb
+        m_def = np.einsum("ikj,k->ij", hess, fbar(i)) - dfb @ dfb
         record("m_script_definition", np.max(np.abs(m_def - aux.m_script(i))), (i, None))
 
         for th in thetas:
-            fv = spec.f(i, th)
+            fv = f(i, th)
             gv = spec.g(i, th)
             record("f_g_periodic",
-                   max(np.max(np.abs(fv - spec.f(i, th + TWO_PI))),
+                   max(np.max(np.abs(fv - f(i, th + TWO_PI))),
                        abs(gv - spec.g(i, th + TWO_PI))), (i, th))
             record("f_decomposition",
-                   np.max(np.abs(fv - aux.fbar(i) - om * _d_theta(aux.s, i, th))),
+                   np.max(np.abs(fv - fbar(i) - om * _d_theta(aux.s, i, th))),
                    (i, th))
             record("s_from_v",
                    np.max(np.abs(aux.s(i, th) - om * _d_theta(aux.v, i, th))),
@@ -209,7 +220,7 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
                                  - aux.g_script(i, di) @ di)), (i, tuple(di)))
             hterm = 0.5 * np.einsum("ijk,j,k->i", aux.h_script(i, di), di, di)
             record("fbar_taylor",
-                   np.max(np.abs(aux.fbar(i + di) - aux.fbar(i)
+                   np.max(np.abs(fbar(i + di) - fbar(i)
                                  - aux.dfbar(i) @ di - hterm)), (i, tuple(di)))
             hten = aux.h_script(i, di)
             record("h_script_symmetry",
@@ -270,8 +281,9 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
 
     The auxiliary functions are called once per sample point; per slow time
     and radius their values are stacked and the norms and margins taken on
-    arrays.  ``details["worst"]`` is the first largest non-NaN margin in the
-    order tau, radius, direction, then the rows d, e and, per angle, a, b, c.
+    arrays.  ``details["worst"]`` maps each row "a" ... "e" to its first
+    largest non-NaN margin in the order tau, radius, direction and, for the
+    rows a, b, c, angle; a row without a number keeps margin -inf.
     """
     d = spec.d
     s0 = aux.s(spec.i0, spec.theta0)
@@ -284,7 +296,7 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
 
     violations = 0
     samples = 0
-    worst = {"margin": -np.inf}
+    worst = {row: {"margin": -np.inf} for row in _DOM_COLUMNS}
     monotone_bad = 0
 
     for tau, packed in zip(taus, est.traj.sample_many(taus)):
@@ -335,14 +347,15 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
             violations += int(np.count_nonzero(~(margin <= slack)))
 
             ranked = np.where(np.isnan(margin), -np.inf, margin)
-            idir, row = np.unravel_index(int(np.argmax(ranked)), ranked.shape)
-            if ranked[idir, row] > worst["margin"]:
-                which = "de"[row] if row < 2 else "abc"[(row - 2) % 3]
-                worst = {"margin": ranked[idir, row], "which": which,
-                         "tau": tau, "r": r}
-                if row >= 2:
-                    worst["theta"] = thetas[(row - 2) // 3]
-                worst["direction"] = dirs[idir].tolist()
+            for row, columns in _DOM_COLUMNS.items():
+                block = ranked[:, columns]
+                idir, col = np.unravel_index(int(np.argmax(block)), block.shape)
+                if block[idir, col] > worst[row]["margin"]:
+                    point = {"margin": block[idir, col], "tau": tau, "r": r}
+                    if row in "abc":
+                        point["theta"] = thetas[col]
+                    point["direction"] = dirs[idir].tolist()
+                    worst[row] = point
 
     violations += monotone_bad
     return ValidationReport(

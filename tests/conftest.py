@@ -137,10 +137,10 @@ def toy_linear_decay(eps=1e-2, i0=2.0, d=1):
 
     f = fbar = -I on d actions, each starting at i0, omega = 1, g = 0; all
     conjugation functions are zero and constant bounds keep the estimator
-    well-posed.
+    well-posed.  f, fbar and the domain run on lists and ndarrays alike.
     """
     aux = ab.AuxiliaryBundle(
-        fbar=lambda i: -i,
+        fbar=lambda i: [-x for x in i],
         dfbar=lambda i: -np.eye(d),
         s=lambda i, th: np.zeros(d),
         v=lambda i, th: np.zeros(d),
@@ -164,9 +164,9 @@ def toy_linear_decay(eps=1e-2, i0=2.0, d=1):
     spec = ab.SystemSpec(
         d=d, epsilon=eps,
         omega=lambda i: 1.0,
-        f=lambda i, th: -i,
+        f=lambda i, th: [-x for x in i],
         g=lambda i, th: 0.0,
-        in_domain=lambda i: bool(np.all(i > 0.0)),
+        in_domain=lambda i: all(x > 0.0 for x in i),
         i0=np.full(d, i0),
     )
     return spec, aux, bounds
@@ -188,7 +188,7 @@ def direct_reference(spec, aux, avg_traj):
         actions = jbuf + eps * y[:d]
         theta = y[d]
         out = np.empty(d + 1)
-        out[:d] = spec.f(actions, theta) - aux.fbar(jbuf)
+        out[:d] = np.array(spec.f(actions, theta)) - np.array(aux.fbar(jbuf))
         out[d] = spec.omega(actions) + eps * spec.g(actions, theta)
         return out
 
@@ -203,8 +203,9 @@ def direct_reference(spec, aux, avg_traj):
 def domination_reference(spec, aux, bounds, est):
     """``verify_bound_domination`` as a loop over sample points, as it was
     before the margins were taken on stacked arrays: the reference the
-    library's report must equal through ``to_dict()``.  It predates the NaN
-    rule, so it is compared only on runs without NaN."""
+    library's report must equal through ``to_dict()``, with the worst point
+    of each majorant row.  It predates the NaN rule, so it is compared only
+    on runs without NaN."""
     d = spec.d
     s0 = aux.s(spec.i0, spec.theta0)
     taus = ((np.arange(validation._DOM_TAUS) + 0.5) / validation._DOM_TAUS
@@ -216,7 +217,7 @@ def domination_reference(spec, aux, bounds, est):
 
     violations = 0
     samples = 0
-    worst = {"margin": -np.inf}
+    worst = {row: {"margin": -np.inf} for row in "abcde"}
     monotone_bad = 0
 
     for tau, packed in zip(taus, est.traj.sample_many(taus)):
@@ -260,11 +261,12 @@ def domination_reference(spec, aux, bounds, est):
                     if margin > (validation._DOM_REL_SLACK * max(1.0, bound)
                                  + validation._DOM_ABS_SLACK):
                         violations += 1
-                    if margin > worst["margin"]:
-                        worst = {"margin": margin, "which": name, "tau": tau, "r": r}
+                    if margin > worst[name]["margin"]:
+                        point = {"margin": margin, "tau": tau, "r": r}
                         if th is not None:
-                            worst["theta"] = th
-                        worst["direction"] = direction.tolist()
+                            point["theta"] = th
+                        point["direction"] = direction.tolist()
+                        worst[name] = point
 
     violations += monotone_bad
     return validation.ValidationReport(
@@ -410,7 +412,7 @@ def slow_rhs_reference(spec, aux, bounds):
     def rhs(tau, y):
         j, rmat, k, m, n = unpack_state(y, d)
         amat = aux.dfbar(j)
-        dj = aux.fbar(j)
+        dj = np.array(aux.fbar(j), dtype=float)
         drmat = amat @ rmat
         dk = amat @ k + aux.pbar(j)
 

@@ -189,20 +189,19 @@ def test_verify_vdp_all_pass(tmp_path):
 
 
 def test_absorbed_rhs_error_reaches_the_sidecar(tmp_path):
-    # A fast-time f that divides by zero once, in its float form: the step
-    # is retried at half size, and the sidecar names the exception.
+    # An f that divides by zero once, on the list of a fast-time call: the
+    # step is retried at half size, and the sidecar names the exception.
     calls = 0
 
     def flaky(params):
         example = make_resonant()
-        floats = example.floats
+        resonant_f = example.f
 
         def f(i, th):
             nonlocal calls
             calls += 1
-            return [i[0] / 0.0] if calls == 100 else floats.f(i, th)
-        return dataclasses.replace(example,
-                                   floats=dataclasses.replace(floats, f=f))
+            return [i[0] / 0.0] if calls == 100 else resonant_f(i, th)
+        return dataclasses.replace(example, f=f)
 
     register_system("flaky-resonant", flaky)
     out = tmp_path / "flaky.csv"

@@ -26,25 +26,23 @@ def test_angle_free_perturbation_keeps_error_zero(d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_array_only_system_matches_the_numpy_reference(monkeypatch, d):
-    # A registered system without float forms, written with array
-    # arithmetic that a list would break (2.0 * i, i @ i), runs through the
-    # one list rhs with its callables handed ndarrays, and steps to the
-    # same bits as the numpy right-hand side of conftest.
+def test_registered_system_matches_the_numpy_reference(monkeypatch, d):
+    # A registered system whose callables index their actions runs through
+    # the one list rhs, handed lists, and steps to the same bits as the
+    # numpy right-hand side of conftest, which hands them ndarrays.
     _, aux, bounds = toy_linear_decay(d=d)      # fbar = -I
 
     def factory(params):
         return ab.ExampleDefinition(
-            id="array-only", d=d, params={},
-            omega=lambda i: 1.0 + i @ i,
-            f=lambda i, th: 2.0 * i * math.cos(th) - i,
-            g=lambda i, th: (i @ i) * math.sin(th),
-            in_domain=lambda i: bool(np.all(i > 0.0)),
+            id="indexed", d=d, params={},
+            omega=lambda i: 1.0 + sum(x * x for x in i),
+            f=lambda i, th: [2.0 * x * math.cos(th) - x for x in i],
+            g=lambda i, th: sum(x * x for x in i) * math.sin(th),
+            in_domain=lambda i: all(x > 0.0 for x in i),
             aux=aux, bounds=bounds,
             sample_box=(np.full(d, 0.5), np.full(d, 2.0)))
-    ab.register_system("array-only", factory)
-    example = ab.make_example("array-only")
-    assert example.floats is None
+    ab.register_system("indexed", factory)
+    example = ab.make_example("indexed")
     u = 2.0
     spec = example.make_system(np.linspace(1.0, 2.0, d), 1e-2, theta0=0.3)
     avg = ab.run_averaged(spec, example.aux, u)
@@ -75,8 +73,10 @@ def test_stats_sum_over_the_chunks():
 
     def f(i, th):      # the direct rhs calls f once per evaluation
         calls.append(th)
-        return -i
-    dtraj = ab.run_direct(dataclasses.replace(spec, f=f), aux, avg, 5.0)
+        return [-x for x in i]
+    spec = dataclasses.replace(spec, f=f)
+    calls.clear()      # the spec calls f once, at i0
+    dtraj = ab.run_direct(spec, aux, avg, 5.0)
     assert dtraj.status is ode.Status.COMPLETED
     stats = dtraj.traj.stats
     assert stats.accepted == len(dtraj.t) - 1
@@ -89,6 +89,29 @@ def test_stats_sum_over_the_chunks():
     steps = np.diff(dtraj.t)
     assert stats.h_min == pytest.approx(steps.min(), rel=1e-9)
     assert stats.h_max == pytest.approx(steps.max(), rel=1e-9)
+
+
+def test_replaced_callables_reach_the_fast_time_runs():
+    # A spec or bundle made by dataclasses.replace from a built-in one runs
+    # its new f and fbar: the fast-time runs keep no copy of the old ones.
+    example, preset = ab.figure_preset("3e")
+    spec = example.make_system(preset.i0, preset.eps)
+    counts = {"f": 0, "fbar": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+    spec = dataclasses.replace(spec, f=counted("f", spec.f))
+    aux = dataclasses.replace(example.aux, fbar=counted("fbar", example.aux.fbar))
+    avg = ab.run_averaged(spec, aux, preset.u)
+    assert counts["fbar"] == avg.stats.rhs_evals > 0
+    counts.update(f=0, fbar=0)
+    dtraj = ab.run_direct(spec, aux, avg, preset.u)
+    assert dtraj.status is ode.Status.COMPLETED
+    assert counts["f"] == dtraj.traj.stats.rhs_evals > 0
+    assert counts["fbar"] > 0
 
 
 def test_slow_samples_are_reused_within_a_step(monkeypatch):
@@ -106,6 +129,7 @@ def test_slow_samples_are_reused_within_a_step(monkeypatch):
         return wrapped
     aux = dataclasses.replace(aux, fbar=counted("fbar", aux.fbar))
     spec = dataclasses.replace(spec, f=counted("f", spec.f))
+    counts["f"] = 0    # the spec calls f once, at i0
     monkeypatch.setattr(ode.CubicSampler, "into",
                         counted("into", ode.CubicSampler.into))
     dtraj = ab.run_direct(spec, aux, avg, 5.0)

@@ -322,7 +322,7 @@ def test_slow_rhs_rejects_a_short_fbar():
         bounds, a_grad=lambda j, rmat, k, r: (np.zeros(2), np.zeros((2, 2)),
                                               np.zeros(2), 0.0),
         b_grad=lambda j, r: (np.zeros(2), 0.0))
-    aux = dataclasses.replace(aux, fbar=lambda j: -j[:1])
+    aux = dataclasses.replace(aux, fbar=lambda j: [-j[0]])
     with pytest.raises(ValueError, match="rhs must return shape"):
         ab.run_estimator(spec, aux, bounds, 1.0)
 

@@ -157,24 +157,27 @@ def _bits(x):
     ("euler-top", {"mu": -0.5, "lambda1": 1.1, "lambda2": 0.3}),
 ])
 def test_float_forms_and_array_members_agree_bitwise(name, params):
-    # The fast-time runs call the float forms on lists, the estimator and
-    # validation the array members on ndarrays: same bits on a grid over
-    # the sample box and the angle.
+    # One form per system callable: the fast-time runs call omega, f, g,
+    # in_domain and fbar on a list of floats, the estimator and validation
+    # on an ndarray.  Both give the same bits on a grid over the sample box
+    # and the angle.
     example = make_example(name, params)
-    floats, aux = example.floats, example.aux
+    fbar = example.aux.fbar
     lo, hi = example.sample_box
     axes = [np.linspace(a, b, 7) for a, b in zip(lo, hi)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, example.d)
     for i in points:
         il = i.tolist()
-        assert _bits(floats.fbar(il)) == _bits(aux.fbar(i))
-        assert _bits(floats.omega(il)) == _bits(example.omega(i))
-        assert floats.in_domain(il) is example.in_domain(i) is True
+        assert _bits(fbar(il)) == _bits(fbar(i))
+        assert len(fbar(il)) == example.d
+        assert _bits(example.omega(il)) == _bits(example.omega(i))
+        assert example.in_domain(il) is example.in_domain(i) is True
         for th in np.linspace(0.0, 2 * math.pi, 13).tolist():
-            assert type(floats.f(il, th)) is list
-            assert _bits(floats.f(il, th)) == _bits(example.f(i, th))
-            assert _bits(floats.g(il, th)) == _bits(example.g(i, th))
-    assert not floats.in_domain([-x for x in lo.tolist()])
+            assert type(example.f(il, th)) is list
+            assert _bits(example.f(il, th)) == _bits(example.f(i, th))
+            assert _bits(example.g(il, th)) == _bits(example.g(i, th))
+    assert not example.in_domain([-x for x in lo.tolist()])
+    assert example.in_domain(-lo) is False
 
 
 def test_register_custom_system():

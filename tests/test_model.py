@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from averbound import frobenius, growth_value, offset_value
+from averbound import SystemSpec, frobenius, growth_value, offset_value
 
 
 def test_frobenius_identity_matrix():
@@ -74,6 +74,20 @@ def test_system_spec_rejects_bad_initial_data(vdp):
         vdp.make_system([1.0], 0.0)
     with pytest.raises(ValueError):
         vdp.make_system([1.0, 2.0], 1e-2)
+
+
+def test_system_spec_rejects_an_f_without_d_values_on_a_list():
+    # The fast-time runs hand f a list, on which 2 * i repeats the list
+    # instead of doubling it.
+    for d in (1, 2):
+        with pytest.raises(ValueError, match=f"f must return {d} numbers"):
+            SystemSpec(d=d, epsilon=1e-2, omega=lambda i: 1.0,
+                       f=lambda i, th: 2 * i, g=lambda i, th: 0.0,
+                       in_domain=lambda i: True, i0=np.ones(d))
+    spec = SystemSpec(d=2, epsilon=1e-2, omega=lambda i: 1.0,
+                      f=lambda i, th: [2 * x for x in i], g=lambda i, th: 0.0,
+                      in_domain=lambda i: True, i0=np.ones(2))
+    assert spec.f(spec.i0.tolist(), 0.0) == [2.0, 2.0]
 
 
 def test_system_spec_reduces_theta0(vdp):

@@ -147,8 +147,9 @@ def test_determinism_bitwise(size):
     assert a.stats == b.stats
 
 
-def test_max_steps_exhaustion():
-    traj = ode.integrate(problem(lambda t, y: y, [1.0], 10.0), max_steps=3)
+def test_max_steps_exhaustion(monkeypatch):
+    monkeypatch.setattr(ode, "_MAX_STEPS", 3)
+    traj = ode.integrate(problem(lambda t, y: y, [1.0], 10.0))
     assert traj.status is ode.Status.STEP_FAILURE
     assert traj.times[-1] < 10.0
 
@@ -160,21 +161,22 @@ def test_blowup_gives_step_failure():
     assert traj.times[-1] < 1.0 + 1e-6
 
 
-def test_nan_rhs_fails_at_once():
+def test_nan_rhs_fails_at_once(monkeypatch):
     # A NaN slope makes the first step size NaN; the step guard must read
-    # that as a failure instead of spending every attempt of max_steps.
+    # that as a failure instead of spending every attempt of the step cap.
+    monkeypatch.setattr(ode, "_MAX_STEPS", 1000)
     calls = []
 
     def rhs(t, y):
         calls.append(t)
         return np.full(1, np.nan)
-    traj = ode.integrate(problem(rhs, [1.0], 1.0), max_steps=1000)
+    traj = ode.integrate(problem(rhs, [1.0], 1.0))
     assert traj.status is ode.Status.STEP_FAILURE
     assert len(calls) < 10
 
 
 @pytest.mark.parametrize("size", KERNEL_SIZES)
-def test_nan_in_one_component_halves_the_step(size):
+def test_nan_in_one_component_halves_the_step(monkeypatch, size):
     # Past t_nan the second component of the FSAL stage (the last of each
     # attempt, at t + h) is NaN.  That stage enters the error estimate but
     # not y_new, so only the NaN error of that one component can reject the
@@ -188,7 +190,8 @@ def test_nan_in_one_component_halves_the_step(size):
         if t > t_nan and (len(calls) - 2) % 6 == 0:
             out[1] = math.nan
         return out
-    traj = ode.integrate(problem(rhs, np.ones(size), 1.0), max_steps=2000)
+    monkeypatch.setattr(ode, "_MAX_STEPS", 2000)
+    traj = ode.integrate(problem(rhs, np.ones(size), 1.0))
     assert traj.status is ode.Status.STEP_FAILURE
     assert traj.t_final <= t_nan
     assert np.all(np.isfinite(traj.derivs))

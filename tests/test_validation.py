@@ -92,7 +92,9 @@ def test_domination_catches_shrunken_majorant(resonant, resonant_run):
     report = verify_bound_domination(spec, resonant.aux, weak, est)
     assert not report.passed
     assert report.violations > 0
-    assert report.details["worst"]["which"] == "a"
+    worst = report.details["worst"]
+    assert max(worst, key=lambda row: worst[row]["margin"]) == "a"
+    assert worst["a"]["margin"] > 0.0
     ref = domination_reference(spec, resonant.aux, weak, est)
     assert report.to_dict() == ref.to_dict()
 
@@ -119,8 +121,11 @@ def test_domination_counts_nan_majorant_as_violation(resonant, resonant_run):
     report = verify_bound_domination(spec, resonant.aux, bad, est)
     assert report.violations == _DOM_POINTS_D1
     assert report.details["monotonicity_failures"] == 0
-    # the worst point stays the largest margin that is a number
-    assert math.isfinite(report.details["worst"]["margin"])
+    # each worst point stays the largest margin of its row that is a
+    # number; the b row has none
+    worst = report.details["worst"]
+    assert worst["b"] == {"margin": -math.inf}
+    assert all(math.isfinite(worst[row]["margin"]) for row in "acde")
 
 
 def test_domination_counts_nan_monotone_majorant(resonant, resonant_run):
@@ -140,7 +145,9 @@ def test_domination_counts_nan_left_side(resonant, resonant_run):
     report = verify_bound_domination(spec, bad, resonant.bounds, est)
     # the a rows at that angle: 25 slow times, 10 radii, 2 directions
     assert report.violations == 25 * 10 * 2
-    assert math.isfinite(report.details["worst"]["margin"])
+    worst = report.details["worst"]
+    assert all(math.isfinite(point["margin"]) for point in worst.values())
+    assert worst["a"]["theta"] != at
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +177,26 @@ def test_domination_equals_per_point_reference(default_runs, name):
     report = verify_bound_domination(spec, example.aux, example.bounds, est)
     ref = domination_reference(spec, example.aux, example.bounds, est)
     assert report.to_dict() == ref.to_dict()
+
+
+def test_domination_reports_a_worst_point_per_row(default_runs):
+    # On vdp the d and e rows (constant majorants met exactly) tie at
+    # margin 0 at the first slow time and radius; the a, b and c rows each
+    # report their own closest approach.
+    example, spec, est, _ = default_runs["vdp"]
+    report = verify_bound_domination(spec, example.aux, example.bounds, est)
+    worst = report.details["worst"]
+    assert sorted(worst) == ["a", "b", "c", "d", "e"]
+    first = (worst["d"]["tau"], worst["d"]["r"])
+    assert worst["d"]["margin"] == worst["e"]["margin"] == 0.0
+    assert "theta" not in worst["d"] and "theta" not in worst["e"]
+    assert all(worst[row]["margin"] < 0.0 for row in "abc")
+    # the a majorant is nearly attained, away from the first point
+    assert worst["a"]["margin"] > -1e-6
+    assert (worst["a"]["tau"], worst["a"]["r"]) != first
+    points = {(worst[row]["tau"], worst[row]["r"], worst[row]["theta"],
+               tuple(worst[row]["direction"])) for row in "abc"}
+    assert len(points) == 3
 
 
 @pytest.mark.parametrize("n_quad", [2048, 4096])
