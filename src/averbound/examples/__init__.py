@@ -6,7 +6,9 @@ the system right-hand sides, the auxiliary conjugation bundle, the majorant
 bundle and, where known, the closed-form averaged flow.  ``omega``, ``f``,
 ``g``, ``in_domain`` and ``fbar`` are written once, on a sequence of
 floats, so they run on the lists of the fast-time runs and on ndarrays
-alike (:mod:`averbound.model`).  The canned parameter presets are
+alike; ``s`` ... ``u`` of the auxiliary bundle are written on numpy
+arrays, so they run on one point or a stack of points
+(:mod:`averbound.model`).  The canned parameter presets are
 addressed by figure labels ("1a" ... "4d").
 
 User-defined systems plug in through :func:`register_system`; configuration
@@ -124,7 +126,8 @@ def register_system(name: str,
     parameter missing from its result's ``params`` is rejected as unknown.
     The optional ``closed_flow`` of its result enables the analytic
     crosscheck.  Its ``omega``, ``f``, ``g``, ``in_domain`` and ``aux.fbar``
-    must run on a list of floats as on an ndarray (:mod:`averbound.model`)."""
+    must run on a list of floats as on an ndarray, and ``aux.s`` ...
+    ``aux.u`` on one point as on a stack of points (:mod:`averbound.model`)."""
     _REGISTRY[name] = factory
 
 

@@ -46,39 +46,39 @@ def make(params) -> ExampleDefinition:
         return np.array([[2 * kap * i[0]]])
 
     def s(i, th):
-        return np.array([-kap / 2 * i[0] * math.sin(2 * th)])
+        return np.array([-kap / 2 * i[0] * np.sin(2 * th)])
 
     def v(i, th):
-        return np.array([-kap / 4 * (1 - math.cos(2 * th))])
+        return np.array([-kap / 4 * (1 - np.cos(2 * th))])
 
     def p(i, th):
         x = i[0]
-        return np.array([-0.25 * x * x * (2 * x + 4 * x * math.cos(2 * th)
-                                          + 2 * math.sin(2 * th)
-                                          + 2 * x * math.cos(4 * th)
-                                          - math.sin(4 * th))])
+        return np.array([-0.25 * x * x * (2 * x + 4 * x * np.cos(2 * th)
+                                          + 2 * np.sin(2 * th)
+                                          + 2 * x * np.cos(4 * th)
+                                          - np.sin(4 * th))])
 
     def pbar(i):
         return np.array([-0.5 * i[0] ** 3])
 
     def q(i, th):
         x = i[0]
-        return np.array([-0.25 * x * x * (2 * math.sin(2 * th) + math.sin(4 * th))])
+        return np.array([-0.25 * x * x * (2 * np.sin(2 * th) + np.sin(4 * th))])
 
     def w(i, th):
         x = i[0]
-        return np.array([-x / 16 * (3 - 4 * math.cos(2 * th)
-                                    + 8 * x * math.sin(2 * th)
-                                    + math.cos(4 * th)
-                                    + 2 * x * math.sin(4 * th))])
+        return np.array([-x / 16 * (3 - 4 * np.cos(2 * th)
+                                    + 8 * x * np.sin(2 * th)
+                                    + np.cos(4 * th)
+                                    + 2 * x * np.sin(4 * th))])
 
     def u(i, th):
         x = i[0]
         return np.array([-kap / 32 * x * x * (
             16 * x * x + 10
-            + (40 * x * x - 15) * math.cos(2 * th) + 40 * x * math.sin(2 * th)
-            + (32 * x * x + 6) * math.cos(4 * th) - 8 * x * math.sin(4 * th)
-            + (8 * x * x - 1) * math.cos(6 * th) - 8 * x * math.sin(6 * th))])
+            + (40 * x * x - 15) * np.cos(2 * th) + 40 * x * np.sin(2 * th)
+            + (32 * x * x + 6) * np.cos(4 * th) - 8 * x * np.sin(4 * th)
+            + (8 * x * x - 1) * np.cos(6 * th) - 8 * x * np.sin(6 * th))])
 
     def m_script(i):
         # d2(fbar) fbar - (dfbar)^2 = 2k * kI^2 - 4I^2 = -2 I^2 for kappa^2=1

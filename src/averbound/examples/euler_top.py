@@ -53,32 +53,36 @@ def make(params) -> ExampleDefinition:
         return [-l1 * i[0], -l2 * i[1]]
 
     def s(i, th):
-        pre = mu / 2 * math.sin(2 * th)
+        pre = mu / 2 * np.sin(2 * th)
         return pre * np.array([-1 / i[1], 1 / i[0]])
 
     def v(i, th):
-        pre = mu / (2 * i[0] * i[1]) * math.sin(th) ** 2
+        sn = np.sin(th)
+        pre = mu / (2 * i[0] * i[1]) * (sn * sn)
         return pre * np.array([-1 / i[1], 1 / i[0]])
 
     def p(i, th):
-        c = math.cos(2 * th)
-        pre = mu * math.sin(2 * th) / 2
+        c = np.cos(2 * th)
+        pre = mu * np.sin(2 * th) / 2
         return pre * np.array([-(l2 + mu * c) / i[1], (l1 + 3 * mu * c) / i[0]])
 
     def q(i, th):
-        c = math.cos(2 * th)
-        pre = mu * math.sin(th) ** 2 / (2 * i[0] * i[1])
+        c = np.cos(2 * th)
+        sn = np.sin(th)
+        pre = mu * (sn * sn) / (2 * i[0] * i[1])
         return pre * np.array([-(2 * l2 + 2 * mu + l1 + mu * c) / i[1],
                                (l2 + 2 * mu + 2 * l1 + 3 * mu * c) / i[0]])
 
     def w(i, th):
-        c2 = math.cos(th) ** 2
-        pre = mu * math.sin(th) ** 2 / (2 * i[0] * i[1])
+        cs, sn = np.cos(th), np.sin(th)
+        c2 = cs * cs
+        pre = mu * (sn * sn) / (2 * i[0] * i[1])
         return pre * np.array([-(l2 + mu * c2) / i[1], (l1 + 3 * mu * c2) / i[0]])
 
     def u(i, th):
-        c = math.cos(2 * th)
-        pre = mu * math.sin(th) ** 2 / (4 * i[0] * i[1])
+        c = np.cos(2 * th)
+        sn = np.sin(th)
+        pre = mu * (sn * sn) / (4 * i[0] * i[1])
         first = (4 * l2 ** 2 + 6 * l2 * mu + 2 * l2 * l1 + mu * l1
                  + mu * (4 * l2 + 3 * mu + l1) * c + 3 * mu ** 2 * c * c)
         second = (3 * l2 * mu + 2 * l2 * l1 + 10 * mu * l1 + 4 * l1 ** 2

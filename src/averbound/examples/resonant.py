@@ -35,19 +35,22 @@ def _fbar(i):
 
 
 def _s(i, th):
-    return np.array([-math.sin(th) / i[0]])
+    return np.array([-np.sin(th) / i[0]])
 
 
 def _v(i, th):
-    return np.array([-(1 - math.cos(th)) / i[0] ** 2])
+    x = i[0]
+    return np.array([-(1 - np.cos(th)) / (x * x)])
 
 
 def _p(i, th):
-    return np.array([(2 * math.sin(th) - math.sin(2 * th)) / (2 * i[0] ** 2)])
+    x = i[0]
+    return np.array([(2 * np.sin(th) - np.sin(2 * th)) / (2 * (x * x))])
 
 
 def _q(i, th):
-    return np.array([(3 - 4 * math.cos(th) + math.cos(2 * th)) / i[0] ** 3])
+    x = i[0]
+    return np.array([(3 - 4 * np.cos(th) + np.cos(2 * th)) / (x * x * x)])
 
 
 def _w(i, th):
@@ -55,8 +58,9 @@ def _w(i, th):
 
 
 def _u(i, th):
-    return np.array([3 / (8 * i[0] ** 4)
-                     * (-10 + 15 * math.cos(th) - 6 * math.cos(2 * th) + math.cos(3 * th))])
+    x2 = i[0] * i[0]
+    return np.array([3 / (8 * (x2 * x2))
+                     * (-10 + 15 * np.cos(th) - 6 * np.cos(2 * th) + np.cos(3 * th))])
 
 
 def _closed_flow(i0, tau):

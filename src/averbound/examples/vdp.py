@@ -45,45 +45,47 @@ def _dfbar(i):
 
 def _s(i, th):
     x = i[0]
-    return np.array([x / 8 * (4 * math.sin(2 * th) - x * math.sin(4 * th))])
+    return np.array([x / 8 * (4 * np.sin(2 * th) - x * np.sin(4 * th))])
 
 
 def _v(i, th):
     x = i[0]
-    return np.array([-x / 32 * (8 - x - 8 * math.cos(2 * th) + x * math.cos(4 * th))])
+    return np.array([-x / 32 * (8 - x - 8 * np.cos(2 * th) + x * np.cos(4 * th))])
 
 
 def _p(i, th):
     x = i[0]
-    return np.array([x / 8 * ((4 - 2 * x - x * x) * math.sin(2 * th)
-                              + x * (x - 4) * math.sin(4 * th)
-                              + x * x * math.sin(6 * th))])
+    return np.array([x / 8 * ((4 - 2 * x - x * x) * np.sin(2 * th)
+                              + x * (x - 4) * np.sin(4 * th)
+                              + x * x * np.sin(6 * th))])
 
 
 def _q(i, th):
     x = i[0]
     return np.array([-x / 32 * (16 - 10 * x + 2 * x * x
-                                - (16 - x * x) * math.cos(2 * th)
-                                + x * (10 - 2 * x) * math.cos(4 * th)
-                                - x * x * math.cos(6 * th))])
+                                - (16 - x * x) * np.cos(2 * th)
+                                + x * (10 - 2 * x) * np.cos(4 * th)
+                                - x * x * np.cos(6 * th))])
 
 
 def _w(i, th):
     x = i[0]
     return np.array([-x / 96 * (24 - 24 * x - x * x
-                                - 6 * (4 - 2 * x - x * x) * math.cos(2 * th)
-                                + 3 * x * (4 - x) * math.cos(4 * th)
-                                - 2 * x * x * math.cos(6 * th))])
+                                - 6 * (4 - 2 * x - x * x) * np.cos(2 * th)
+                                + 3 * x * (4 - x) * np.cos(4 * th)
+                                - 2 * x * x * np.cos(6 * th))])
 
 
 def _u(i, th):
     x = i[0]
+    x2 = x * x
+    x3 = x2 * x
     return np.array([-x / 128 * (
-        64 - 120 * x + 36 * x ** 2 + x ** 3
-        + (-64 + 64 * x + 50 * x ** 2 - 12 * x ** 3) * math.cos(2 * th)
-        + 4 * x * (14 - 17 * x - x ** 2) * math.cos(4 * th)
-        + 6 * x ** 2 * (-3 + 2 * x) * math.cos(6 * th)
-        + 3 * x ** 3 * math.cos(8 * th))])
+        64 - 120 * x + 36 * x2 + x3
+        + (-64 + 64 * x + 50 * x2 - 12 * x3) * np.cos(2 * th)
+        + 4 * x * (14 - 17 * x - x2) * np.cos(4 * th)
+        + 6 * x2 * (-3 + 2 * x) * np.cos(6 * th)
+        + 3 * x3 * np.cos(8 * th))])
 
 
 def _m_script(i):

@@ -20,9 +20,18 @@ The system callables ``omega``, ``f``, ``g``, ``in_domain`` and the
 bundle's ``fbar`` take the actions as a sequence of d floats: the fast-time
 runs hand them a list of Python floats, the estimator and the checks an
 ndarray.  ``f`` and ``fbar`` return a sequence of d floats (a list or a 1-D
-array), ``omega`` and ``g`` a float and ``in_domain`` a bool.  Every other
-callable takes and returns numpy arrays: actions are shape ``(d,)``,
-matrices ``(d, d)``, third-order tensors ``(d, d, d)``.
+array), ``omega`` and ``g`` a float and ``in_domain`` a bool.
+
+The six angle-dependent members ``s``, ``v``, ``p``, ``q``, ``w`` and ``u``
+of the auxiliary bundle take one point or a stack of N points: actions of
+shape ``(d,)`` or ``(d, N)``, indexed ``i[k]``, and an angle that is a float
+or of shape ``(N,)``.  They return ``(d,)`` or ``(d, N)``.  The checks call
+them per point and stacked, so the two calls must agree bit for bit: write
+them with ``np.sin``/``np.cos`` and integer powers as products, since
+numpy's ``**`` rounds differently on arrays than on single numbers.
+
+Every other callable takes and returns numpy arrays: actions are shape
+``(d,)``, matrices ``(d, d)``, third-order tensors ``(d, d, d)``.
 """
 from __future__ import annotations
 
@@ -43,7 +52,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-VecFun = Callable[[np.ndarray, float], np.ndarray]
+# (d,) actions and a float angle, or (d, N) actions and (N,) angles.
+VecFun = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
 Actions = Sequence[float]      # a list or an ndarray of the d actions
 
 
@@ -120,6 +130,11 @@ class AuxiliaryBundle:
         fbar(I + dI) = fbar(I) + dfbar(I) @ dI + 1/2 h_script(I, dI) dI dI
 
     with h_script symmetric in its two lower indices.
+
+    ``s``, ``v``, ``p``, ``q``, ``w`` and ``u`` map actions ``(d,)`` and a
+    float angle to ``(d,)``, and a stack of actions ``(d, N)`` and angles
+    ``(N,)`` to ``(d, N)``, column k equal bit for bit to the call on
+    point k (module docstring).
     """
 
     fbar: Callable[[Actions], Sequence[float]]

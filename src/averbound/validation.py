@@ -16,6 +16,7 @@ Five checks, each returning a :class:`ValidationReport`:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -75,15 +76,19 @@ class ValidationReport:
         return self.max_residual is not None and self.max_residual <= self.tolerance
 
     def to_dict(self) -> Dict:
+        """The report as plain JSON values; a non-finite float is None."""
         def clean(x):
             if isinstance(x, dict):
                 return {k: clean(v) for k, v in x.items()}
             if isinstance(x, (list, tuple)):
                 return [clean(v) for v in x]
             if isinstance(x, np.ndarray):
-                return x.tolist()
+                return clean(x.tolist())
             if isinstance(x, (np.floating, np.integer)):
-                return x.item()
+                x = x.item()
+            # JSON has no inf or NaN: a missing number is written as null.
+            if isinstance(x, float) and not math.isfinite(x):
+                return None
             return x
         return clean({
             "name": self.name,
@@ -279,19 +284,23 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
     Also spot-checks that c, d, e are non-decreasing in the radius.  A NaN
     left side or majorant counts as a violation.
 
-    The auxiliary functions are called once per sample point; per slow time
-    and radius their values are stacked and the norms and margins taken on
-    arrays.  ``details["worst"]`` maps each row "a" ... "e" to its first
+    Per slow time and radius, each of s, w, v, u and q is called once on
+    the stacked (direction, angle) grid, and the norms and margins are
+    taken on arrays; g_script and h_script are called once per direction.
+    ``details["worst"]`` maps each row "a" ... "e" to its first
     largest non-NaN margin in the order tau, radius, direction and, for the
-    rows a, b, c, angle; a row without a number keeps margin -inf.
+    rows a, b, c, angle; a row without a number keeps margin -inf (None
+    in :meth:`ValidationReport.to_dict`).
     """
     d = spec.d
     s0 = aux.s(spec.i0, spec.theta0)
     taus = (np.arange(_DOM_TAUS) + 0.5) / _DOM_TAUS * est.tau_final
     fracs = (np.arange(_DOM_RADII) + 0.5) / _DOM_RADII * _DOM_MAX_RADIUS_FRAC
     thetas = np.linspace(0.0, TWO_PI, _DOM_THETAS, endpoint=False)
-    theta_list = list(thetas)
     dirs = _directions(d)
+    # Point k of the stacked grid is direction k // _DOM_THETAS at angle
+    # k % _DOM_THETAS.
+    grid_thetas = np.tile(thetas, len(dirs))
     shape = (len(dirs), _DOM_THETAS, d)
 
     violations = 0
@@ -323,19 +332,13 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
             bound = np.array([d_val, e_val] + [a_val, b_val, c_val] * _DOM_THETAS,
                              dtype=float)
             lhs = np.empty((len(dirs), bound.size))
-            sv, wv, vv, uv, qv = (np.empty(shape) for _ in range(5))
-            for idir, direction in enumerate(dirs):
-                dj = r * direction
-                i_pt = j + dj
+            steps = r * dirs
+            for idir, dj in enumerate(steps):
                 lhs[idir, 0] = frobenius(aux.g_script(j, dj))
                 lhs[idir, 1] = frobenius(aux.h_script(j, dj))
-                for ith, th in enumerate(theta_list):
-                    at = (idir, ith)
-                    sv[at] = aux.s(i_pt, th)
-                    wv[at] = aux.w(i_pt, th)
-                    vv[at] = aux.v(i_pt, th)
-                    uv[at] = aux.u(i_pt, th)
-                    qv[at] = aux.q(i_pt, th)
+            actions = np.repeat((j + steps).T, _DOM_THETAS, axis=1)
+            sv, wv, vv, uv, qv = (fn(actions, grid_thetas).T.reshape(shape)
+                                  for fn in (aux.s, aux.w, aux.v, aux.u, aux.q))
             lhs[:, 2::3] = _row_norms(sv - base)
             lhs[:, 3::3] = _row_norms(wv - _mat_vec(dfb, vv))
             lhs[:, 4::3] = _row_norms(uv - _mat_vec(dfb, wv + qv)
@@ -381,8 +384,9 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     The residual is quadrature-dominated: halving the step (doubling
     ``n_quad``) should shrink it by about four.
 
-    The auxiliary functions are called once per node; the algebra after
-    them runs on the stacked values of the whole grid.
+    s, w, v, u and q are called once on the whole grid; dfbar, m_script,
+    g_script and h_script once per node.  The algebra after them runs on
+    the stacked values.
     """
     eps = spec.epsilon
     d = spec.d
@@ -397,20 +401,16 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     steps = eps * ell
     actions = js + steps
 
-    vec, mat = (ts.size, d), (ts.size, d, d)
+    sv, wv, vv, uv, qv = (fn(actions.T, thetas).T
+                          for fn in (aux.s, aux.w, aux.v, aux.u, aux.q))
+    mat = (ts.size, d, d)
     gsc, dfb, msc = np.empty(mat), np.empty(mat), np.empty(mat)
     hsc = np.empty((ts.size, d, d, d))
-    sv, wv, vv, uv, qv = (np.empty(vec) for _ in range(5))
-    for idx, (j, step, act, theta) in enumerate(zip(js, steps, actions, thetas)):
+    for idx, (j, step) in enumerate(zip(js, steps)):
         gsc[idx] = aux.g_script(j, step)
         hsc[idx] = aux.h_script(j, step)
         dfb[idx] = aux.dfbar(j)
-        wv[idx] = aux.w(act, theta)
-        vv[idx] = aux.v(act, theta)
-        uv[idx] = aux.u(act, theta)
-        qv[idx] = aux.q(act, theta)
         msc[idx] = aux.m_script(j)
-        sv[idx] = aux.s(act, theta)
 
     term = (uv
             - _mat_vec(dfb, wv + qv)

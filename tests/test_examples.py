@@ -28,6 +28,27 @@ def test_vdp_closed_forms_at_origin(vdp):
     assert vdp.closed_flow(i0, 50.0)[0][0] == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("member", ["s", "v", "p", "q", "w", "u"])
+@pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant",
+                                  "euler"])
+def test_stacked_call_equals_per_point_calls(request, name, member):
+    # One call on (d, N) actions and N angles equals the N calls on (d,)
+    # actions and a float angle, bit for bit.  The examples write integer
+    # powers as products: numpy's ** rounds differently on arrays than on
+    # single numbers.
+    ex = request.getfixturevalue(name)
+    fn = getattr(ex.aux, member)
+    rng = np.random.default_rng(18)
+    n = 2000
+    actions = 10.0 ** rng.uniform(-2.0, 1.0, (ex.d, n))
+    thetas = rng.uniform(-4 * math.pi, 4 * math.pi, n)
+    stacked = fn(actions, thetas)
+    assert stacked.shape == (ex.d, n)
+    per_point = np.stack([fn(actions[:, k].copy(), float(thetas[k]))
+                          for k in range(n)], axis=1)
+    assert np.array_equal(stacked, per_point)
+
+
 @pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant",
                                   "euler"])
 def test_closed_flow_starts_at_the_identity(request, name):

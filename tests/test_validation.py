@@ -126,6 +126,10 @@ def test_domination_counts_nan_majorant_as_violation(resonant, resonant_run):
     worst = report.details["worst"]
     assert worst["b"] == {"margin": -math.inf}
     assert all(math.isfinite(worst[row]["margin"]) for row in "acde")
+    # JSON has no -Infinity: the report writes the missing margin as null.
+    payload = report.to_dict()
+    json.dumps(payload, allow_nan=False)
+    assert payload["details"]["worst"]["b"] == {"margin": None}
 
 
 def test_domination_counts_nan_monotone_majorant(resonant, resonant_run):
@@ -141,7 +145,7 @@ def test_domination_counts_nan_left_side(resonant, resonant_run):
     spec, est, _, _ = resonant_run
     at = np.linspace(0.0, TWO_PI, 20, endpoint=False)[5]
     bad = _perturbed(resonant.aux, "s",
-                     lambda i, th: np.array([math.nan if th == at else 0.0]))
+                     lambda i, th: np.array([np.where(th == at, math.nan, 0.0)]))
     report = verify_bound_domination(spec, bad, resonant.bounds, est)
     # the a rows at that angle: 25 slow times, 10 radii, 2 directions
     assert report.violations == 25 * 10 * 2
