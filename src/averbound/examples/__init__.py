@@ -6,8 +6,8 @@ the system right-hand sides, the auxiliary conjugation bundle, the majorant
 bundle and, where known, the closed-form averaged flow.  ``omega``, ``f``,
 ``g``, ``in_domain`` and ``fbar`` are written once, on a sequence of
 floats, so they run on the lists of the fast-time runs and on ndarrays
-alike; ``s`` ... ``u`` of the auxiliary bundle are written on numpy
-arrays, so they run on one point or a stack of points
+alike; the auxiliary members other than ``fbar`` and ``pbar`` are written
+on numpy arrays, so they run on one point or a stack of points
 (:mod:`averbound.model`).  The canned parameter presets are
 addressed by figure labels ("1a" ... "4d").
 
@@ -83,7 +83,9 @@ class ExampleDefinition:
 def constant(value) -> Callable:
     """A bundle member whose value does not depend on its arguments.
 
-    Every call returns the same read-only array, built once from ``value``.
+    Every call returns the same read-only array, built once from ``value``:
+    the one-point value, also on a stack of points, where the checks
+    broadcast it (:mod:`averbound.model`).
     """
     arr = np.array(value, dtype=float)
     arr.flags.writeable = False
@@ -126,8 +128,10 @@ def register_system(name: str,
     parameter missing from its result's ``params`` is rejected as unknown.
     The optional ``closed_flow`` of its result enables the analytic
     crosscheck.  Its ``omega``, ``f``, ``g``, ``in_domain`` and ``aux.fbar``
-    must run on a list of floats as on an ndarray, and ``aux.s`` ...
-    ``aux.u`` on one point as on a stack of points (:mod:`averbound.model`)."""
+    must run on a list of floats as on an ndarray.  The members of ``aux``
+    other than ``fbar`` and ``pbar`` must run on one point as on a stack of
+    points, or return their one-point value for both when they do not read
+    the actions (:mod:`averbound.model`)."""
     _REGISTRY[name] = factory
 
 

@@ -82,7 +82,7 @@ def make(params) -> ExampleDefinition:
 
     def m_script(i):
         # d2(fbar) fbar - (dfbar)^2 = 2k * kI^2 - 4I^2 = -2 I^2 for kappa^2=1
-        return np.array([[-2.0 * i[0] ** 2]])
+        return np.array([[-2.0 * (i[0] * i[0])]])
 
     def g_script(i, di):
         x, dx = i[0], di[0]

@@ -22,16 +22,27 @@ runs hand them a list of Python floats, the estimator and the checks an
 ndarray.  ``f`` and ``fbar`` return a sequence of d floats (a list or a 1-D
 array), ``omega`` and ``g`` a float and ``in_domain`` a bool.
 
-The six angle-dependent members ``s``, ``v``, ``p``, ``q``, ``w`` and ``u``
-of the auxiliary bundle take one point or a stack of N points: actions of
-shape ``(d,)`` or ``(d, N)``, indexed ``i[k]``, and an angle that is a float
-or of shape ``(N,)``.  They return ``(d,)`` or ``(d, N)``.  The checks call
-them per point and stacked, so the two calls must agree bit for bit: write
-them with ``np.sin``/``np.cos`` and integer powers as products, since
-numpy's ``**`` rounds differently on arrays than on single numbers.
+The members of the auxiliary bundle other than ``fbar`` and ``pbar`` take
+one point or a stack of N points: actions of shape ``(d,)`` or ``(d, N)``,
+indexed ``i[k]``.
 
-Every other callable takes and returns numpy arrays: actions are shape
-``(d,)``, matrices ``(d, d)``, third-order tensors ``(d, d, d)``.
+* ``s``, ``v``, ``p``, ``q``, ``w`` and ``u`` also take an angle: a float,
+  with one point or with a stack, or of shape ``(N,)`` with a stack.  They
+  return ``(d,)``, or ``(d, N)`` on a stack.
+* ``dfbar`` and ``m_script`` take the actions, ``g_script`` and
+  ``h_script`` the actions and increments, both ``(d,)`` or both
+  ``(d, N)``.  They return ``(d, d)`` (``h_script``: ``(d, d, d)``), with
+  a trailing N axis on a stack.
+* A member whose value does not read the actions may return the one-point
+  shape on a stack too; the checks broadcast it along the N points.
+  ``examples.constant`` builds such members.
+* ``pbar`` takes and returns ``(d,)`` arrays; it is called per point.
+
+The checks call the members per point and stacked, so the two calls must
+agree bit for bit: write them with ``np.sin``/``np.cos`` and integer powers
+as products, since numpy's ``**`` rounds differently on arrays than on
+single numbers.  The majorants of :class:`BoundBundle` take ``(d,)``
+actions and ``(d, d)`` matrices and return floats.
 """
 from __future__ import annotations
 
@@ -52,7 +63,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# (d,) actions and a float angle, or (d, N) actions and (N,) angles.
+# (d,) actions and a float angle, or (d, N) actions and a float or (N,)
+# angles.
 VecFun = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
 Actions = Sequence[float]      # a list or an ndarray of the d actions
 
@@ -131,10 +143,11 @@ class AuxiliaryBundle:
 
     with h_script symmetric in its two lower indices.
 
-    ``s``, ``v``, ``p``, ``q``, ``w`` and ``u`` map actions ``(d,)`` and a
-    float angle to ``(d,)``, and a stack of actions ``(d, N)`` and angles
-    ``(N,)`` to ``(d, N)``, column k equal bit for bit to the call on
-    point k (module docstring).
+    Every member but ``fbar`` and ``pbar`` takes one point or a stack of
+    points (module docstring): on ``(d, N)`` actions, and ``(N,)`` angles
+    or one float angle, entry k along the trailing N axis equals bit for
+    bit the call on point k.  A member that does not read the actions may
+    return the one-point value on a stack.
     """
 
     fbar: Callable[[Actions], Sequence[float]]

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from .direct import DirectTrajectory, envelope
 from .estimator import EstimatorTrajectory, unpack_state
-from .model import TWO_PI, AuxiliaryBundle, BoundBundle, SystemSpec, frobenius
+from .model import TWO_PI, AuxiliaryBundle, BoundBundle, SystemSpec
 
 __all__ = [
     "ValidationReport",
@@ -102,39 +102,84 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
+# Stacked points: actions of shape (d, N), member values with a trailing N
+# axis (the stacking contract of averbound.model).
+
+
+def _stacked(value, shape):
+    """A member's value on a stack of points as an array of ``shape``, the
+    one-point shape with a trailing axis of the N points.  A value of the
+    one-point shape (a member that does not read the actions) is broadcast
+    along that axis."""
+    value = np.asarray(value, dtype=float)
+    if value.shape == shape:
+        return value
+    if value.ndim < len(shape):
+        value = value[..., None]
+    return np.broadcast_to(value, shape)
+
+
+def _leading(stack):
+    """A ``(..., N)`` stack as ``(N, ...)`` in C order.  Each matrix of it
+    is then contiguous, so :func:`_mat_vec` runs the per-point matmul core
+    on it."""
+    return np.ascontiguousarray(np.moveaxis(stack, -1, 0))
+
+
+def _mat_vec(mats, vecs):
+    """Products ``mats @ vecs`` over stacked leading axes.
+
+    Each product runs the same (d, d) @ (d,) matmul core as one ``m @ v``,
+    so every entry is bitwise equal to the per-point product, provided each
+    (d, d) matrix of ``mats`` is contiguous.
+    """
+    return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+def _row_norms(rows):
+    """:func:`~averbound.model.frobenius` of each vector along the last
+    axis, bitwise."""
+    return np.sqrt(np.sum(rows * rows, axis=-1))
+
+
+def _point_max(stack):
+    """max |entry| of each point of a ``(..., N)`` stack (NaN if any is)."""
+    return np.max(np.abs(stack).reshape(-1, stack.shape[-1]), axis=0)
+
+
+# ---------------------------------------------------------------------------
 # Finite differences (5-point central: roundoff stays far below the 1e-8 gate)
 
 
 def _five_point(at, h):
-    """Derivative at 0 of ``at``, a function of the offset, with step h."""
+    """Derivative at 0 of ``at``, a function of the offset, with step h: a
+    float, or one step per point along the trailing axis of the values."""
     return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
 
-def _d_theta(fn, i, th, h=_FD_REL):
-    return _five_point(lambda dx: fn(i, th + dx), h)
-
-
-def _d_plain(fn, i, j):
+def _d_action(fn, x, j):
+    """Derivative in action j of ``fn``, a map from a (d, N) stack to
+    values with a trailing N axis, at each point of the stack ``x``."""
     def at(dx):
-        ip = i.copy()
-        ip[j] += dx
-        return fn(ip)
-    return _five_point(at, _FD_REL * abs(i[j]))
+        xp = x.copy()
+        xp[j] += dx
+        return fn(xp)
+    return _five_point(at, _FD_REL * np.abs(x[j]))
 
 
-def _d_action(fn, i, th, j):
-    return _d_plain(lambda ip: fn(ip, th), i, j)
-
-
-def _jac_action(fn, i, th, d):
-    return np.stack([_d_action(fn, i, th, j) for j in range(d)], axis=1)
-
-
-def _action_grid(box, per_axis: int) -> List[np.ndarray]:
+def _action_grid(box, per_axis: int) -> np.ndarray:
+    """``per_axis ** d`` points of a regular grid over ``box``, one per row."""
     lo, hi = box
     axes = [np.linspace(lo[j], hi[j], per_axis) for j in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return [np.array(pt, dtype=float) for pt in zip(*(m.ravel() for m in mesh))]
+    return np.stack([m.ravel() for m in mesh], axis=1).astype(float)
+
+
+def _sample_point(actions, theta=None, increment=None) -> Dict:
+    """A sample of the identity suite as plain numbers."""
+    return {"actions": [float(a) for a in actions],
+            "theta": None if theta is None else float(theta),
+            "increment": None if increment is None else [float(a) for a in increment]}
 
 
 def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
@@ -144,104 +189,159 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
 
     Samples a grid of at least 100 (I, theta) points inside the given action
     box (assumed inside the domain); per-identity maxima land in
-    ``details["per_identity"]``.
+    ``details["per_identity"]``, and the sample of the largest one in
+    ``details["worst_point"]`` as ``{"actions", "theta", "increment"}``.
+
+    The sample actions form one (d, P) stack.  ``s`` ... ``u`` are called
+    on it once per angle, always a float: the sample angles, the torus
+    quadrature nodes and the finite-difference offsets.  ``dfbar``,
+    ``m_script``, ``g_script`` and ``h_script`` are called on stacks too.
+    The system callables, ``fbar`` and ``pbar`` are called per point.
     """
     d = spec.d
-    points = _action_grid(sample_box, 10 if d == 1 else 4)
+    rows = _action_grid(sample_box, 10 if d == 1 else 4)
+    for i in rows:
+        if not spec.in_domain(i):
+            raise ValueError(f"identity sample point {i} outside the domain")
+    npts = len(rows)
+    x = np.ascontiguousarray(rows.T)
+    vec, mat = (d, npts), (d, d, npts)
     thetas = np.linspace(0.0, TWO_PI, 13)[:-1]
     th_quad = np.linspace(0.0, TWO_PI, _QUAD_THETA + 1)[:-1]
 
     worst: Dict[str, float] = {}
-    worst_point: Dict[str, Tuple] = {}
+    worst_point: Dict[str, Dict] = {}
 
-    # f and fbar may return lists; the identities subtract their values.
-    def f(i, th):
-        return np.array(spec.f(i, th), dtype=float)
+    def record(key, values, point):
+        """The first largest non-NaN residual of ``values`` (in sample
+        order), with ``point(k)`` the sample of entry k."""
+        values = np.ravel(values)
+        ranked = np.where(np.isnan(values), -np.inf, values)
+        k = int(np.argmax(ranked))
+        if ranked[k] > worst.get(key, -1.0):
+            worst[key] = float(values[k])
+            worst_point[key] = point(k)
 
-    def fbar(i):
-        return np.array(aux.fbar(i), dtype=float)
+    def at_point(theta=None):
+        return lambda k: _sample_point(rows[k], theta)
 
-    def record(key, value, point):
-        value = float(value)
-        if value > worst.get(key, -1.0):
-            worst[key] = value
-            worst_point[key] = point
+    def per_point(fn, xs, *args):
+        """``fn`` on each point of the stack ``xs``, as a (..., N) stack."""
+        return np.moveaxis(np.array([fn(i, *args) for i in xs.T], dtype=float),
+                           0, -1)
 
-    for i in points:
-        if not spec.in_domain(i):
-            raise ValueError(f"identity sample point {i} outside the domain")
-        om = spec.omega(i)
-        # torus averages (trapezoid is exact for trigonometric polynomials)
-        for key, fn, mean in (("fbar_is_mean_f", f, fbar(i)),
-                              ("pbar_is_mean_p", aux.p, aux.pbar(i)),
-                              ("s_has_zero_mean", aux.s, 0.0)):
-            record(key, np.max(np.abs(np.mean([fn(i, t) for t in th_quad], axis=0)
-                                      - mean)), (i, None))
-        for key, fn in (("v_zero_at_theta0", aux.v), ("w_zero_at_theta0", aux.w)):
-            record(key, np.max(np.abs(fn(i, spec.theta0))), (i, spec.theta0))
-        record("dfbar_is_jacobian",
-               np.max(np.abs(np.stack([_d_plain(fbar, i, j) for j in range(d)],
-                                       axis=1) - aux.dfbar(i))), (i, None))
-        # m_script[i,j] = sum_k d2 fbar^i/(dI^k dI^j) fbar^k - (dfbar^2)[i,j]
-        dfb = aux.dfbar(i)
-        hess = np.stack([_d_plain(aux.dfbar, i, j) for j in range(d)], axis=2)
-        m_def = np.einsum("ikj,k->ij", hess, fbar(i)) - dfb @ dfb
-        record("m_script_definition", np.max(np.abs(m_def - aux.m_script(i))), (i, None))
+    def member(fn, xs, th):
+        return _stacked(fn(xs, th), vec)
 
-        for th in thetas:
-            fv = f(i, th)
-            gv = spec.g(i, th)
-            record("f_g_periodic",
-                   max(np.max(np.abs(fv - f(i, th + TWO_PI))),
-                       abs(gv - spec.g(i, th + TWO_PI))), (i, th))
-            record("f_decomposition",
-                   np.max(np.abs(fv - fbar(i) - om * _d_theta(aux.s, i, th))),
-                   (i, th))
-            record("s_from_v",
-                   np.max(np.abs(aux.s(i, th) - om * _d_theta(aux.v, i, th))),
-                   (i, th))
-            record("p_decomposition",
-                   np.max(np.abs(aux.p(i, th) - aux.pbar(i)
-                                 - om * _d_theta(aux.w, i, th))), (i, th))
-            # p, q, u are the transports of s, v, w along the flow.
-            for key, moved, fn in (("p_definition", aux.p, aux.s),
-                                   ("q_definition", aux.q, aux.v),
-                                   ("u_definition", aux.u, aux.w)):
-                record(key,
-                       np.max(np.abs(moved(i, th) - (_jac_action(fn, i, th, d) @ fv
-                                                     + _d_theta(fn, i, th) * gv))),
-                       (i, th))
+    def d_theta(fn, th):
+        return _five_point(lambda dx: member(fn, x, th + dx), _FD_REL)
+
+    def torus_mean(fn):
+        # Each point's nodes are summed as one contiguous (256, d) array,
+        # so in the order of the mean of that point alone.
+        nodes = np.array([member(fn, x, t) for t in th_quad])
+        return np.mean(np.ascontiguousarray(nodes.transpose(2, 0, 1)), axis=1).T
+
+    fbars = per_point(aux.fbar, x)
+    pbars = per_point(aux.pbar, x)
+    # torus averages (trapezoid is exact for trigonometric polynomials)
+    f_means = np.array([np.mean(np.array([spec.f(i, t) for t in th_quad],
+                                         dtype=float), axis=0)
+                        for i in rows]).T
+    for key, mean, target in (("fbar_is_mean_f", f_means, fbars),
+                              ("pbar_is_mean_p", torus_mean(aux.p), pbars),
+                              ("s_has_zero_mean", torus_mean(aux.s), 0.0)):
+        record(key, _point_max(mean - target), at_point())
+    for key, fn in (("v_zero_at_theta0", aux.v), ("w_zero_at_theta0", aux.w)):
+        record(key, _point_max(member(fn, x, spec.theta0)), at_point(spec.theta0))
+
+    def dfbar_at(xs):
+        return _stacked(aux.dfbar(xs), mat)
+
+    jac = np.stack([_d_action(lambda xs: per_point(aux.fbar, xs), x, j)
+                    for j in range(d)], axis=1)
+    dfb = dfbar_at(x)
+    record("dfbar_is_jacobian", _point_max(jac - dfb), at_point())
+    # m_script[i,j] = sum_k d2 fbar^i/(dI^k dI^j) fbar^k - (dfbar^2)[i,j]
+    hess = np.stack([_d_action(dfbar_at, x, j) for j in range(d)], axis=2)
+    dfb_rows = _leading(dfb)
+    m_def = (np.einsum("nikj,nk->nij", _leading(hess), _leading(fbars))
+             - np.matmul(dfb_rows, dfb_rows))
+    record("m_script_definition",
+           _point_max(np.moveaxis(m_def, 0, -1) - _stacked(aux.m_script(x), mat)),
+           at_point())
+
+    # Residuals per sample point (rows) and angle (columns).
+    angle_keys = ("f_g_periodic", "f_decomposition", "s_from_v",
+                  "p_decomposition", "p_definition", "q_definition",
+                  "u_definition")
+    per_angle = {key: np.empty((npts, len(thetas))) for key in angle_keys}
+    om = np.array([spec.omega(i) for i in rows], dtype=float)
+    for col, th in enumerate(thetas):
+        fv = np.empty(vec)
+        gv = np.empty(npts)
+        for k, i in enumerate(rows):
+            fv[:, k] = spec.f(i, th)
+            gv[k] = spec.g(i, th)
+            per_angle["f_g_periodic"][k, col] = max(
+                np.max(np.abs(fv[:, k] - np.asarray(spec.f(i, th + TWO_PI),
+                                                    dtype=float))),
+                abs(gv[k] - spec.g(i, th + TWO_PI)))
+        ds, dv, dw = (d_theta(fn, th) for fn in (aux.s, aux.v, aux.w))
+        pv = member(aux.p, x, th)
+        per_angle["f_decomposition"][:, col] = _point_max(fv - fbars - om * ds)
+        per_angle["s_from_v"][:, col] = _point_max(member(aux.s, x, th) - om * dv)
+        per_angle["p_decomposition"][:, col] = _point_max(pv - pbars - om * dw)
+        # p, q, u are the transports of s, v, w along the flow.
+        f_rows = _leading(fv)
+        for key, moved, fn, dth in (("p_definition", pv, aux.s, ds),
+                                    ("q_definition", member(aux.q, x, th), aux.v, dv),
+                                    ("u_definition", member(aux.u, x, th), aux.w, dw)):
+            jac = np.stack([_d_action(lambda xs: member(fn, xs, th), x, j)
+                            for j in range(d)], axis=1)
+            transport = _mat_vec(_leading(jac), f_rows).T + dth * gv
+            per_angle[key][:, col] = _point_max(moved - transport)
+    for key in angle_keys:
+        record(key, per_angle[key],
+               lambda k: _sample_point(rows[k // len(thetas)],
+                                       thetas[k % len(thetas)]))
 
     # Taylor identities on segment increments inside the box.
-    lo, hi = sample_box
-    targets = _action_grid(sample_box, 3)
-    for i in points[:: max(1, len(points) // 8)]:
-        for tgt in targets:
-            di = tgt - i
-            if np.all(di == 0.0):
-                continue
-            record("pbar_taylor",
-                   np.max(np.abs(aux.pbar(i + di) - aux.pbar(i)
-                                 - aux.g_script(i, di) @ di)), (i, tuple(di)))
-            hterm = 0.5 * np.einsum("ijk,j,k->i", aux.h_script(i, di), di, di)
-            record("fbar_taylor",
-                   np.max(np.abs(fbar(i + di) - fbar(i)
-                                 - aux.dfbar(i) @ di - hterm)), (i, tuple(di)))
-            hten = aux.h_script(i, di)
-            record("h_script_symmetry",
-                   np.max(np.abs(hten - hten.transpose(0, 2, 1))), (i, tuple(di)))
+    pairs = [(i, tgt - i) for i in rows[:: max(1, npts // 8)]
+             for tgt in _action_grid(sample_box, 3) if np.any(tgt - i != 0.0)]
+    base = np.ascontiguousarray(np.array([i for i, _ in pairs]).T)
+    incs = np.ascontiguousarray(np.array([di for _, di in pairs]).T)
+    shape = (d, d, len(pairs))
+    inc_rows = _leading(incs)
+    tip = base + incs
+
+    def at_pair(k):
+        return _sample_point(pairs[k][0], increment=pairs[k][1])
+
+    gsc = _leading(_stacked(aux.g_script(base, incs), shape))
+    record("pbar_taylor",
+           _point_max(per_point(aux.pbar, tip) - per_point(aux.pbar, base)
+                      - _mat_vec(gsc, inc_rows).T), at_pair)
+    hsc = _leading(_stacked(aux.h_script(base, incs), (d,) + shape))
+    hterm = 0.5 * np.einsum("nijk,nj,nk->ni", hsc, inc_rows, inc_rows)
+    dfb = _leading(_stacked(aux.dfbar(base), shape))
+    record("fbar_taylor",
+           _point_max(per_point(aux.fbar, tip) - per_point(aux.fbar, base)
+                      - _mat_vec(dfb, inc_rows).T - hterm.T), at_pair)
+    record("h_script_symmetry",
+           _point_max(np.moveaxis(hsc - hsc.transpose(0, 1, 3, 2), 0, -1)), at_pair)
 
     overall = max(worst.values())
     key = max(worst, key=worst.get)
     return ValidationReport(
         name="auxiliary-identities",
-        samples=len(points) * len(thetas),
+        samples=npts * len(thetas),
         tolerance=IDENTITY_TOL,
         max_residual=overall,
         details={
             "per_identity": worst,
             "worst_identity": key,
-            "worst_point": repr(worst_point[key]),
+            "worst_point": worst_point[key],
         },
     )
 
@@ -260,20 +360,6 @@ def _directions(d: int, count: int = 16) -> np.ndarray:
     return vs / np.linalg.norm(vs, axis=1, keepdims=True)
 
 
-def _mat_vec(mats, vecs):
-    """Products ``mats @ vecs`` over stacked leading axes.
-
-    Each product runs the same (d, d) @ (d,) matmul core as one ``m @ v``,
-    so every entry is bitwise equal to the per-point product.
-    """
-    return np.matmul(mats, vecs[..., None])[..., 0]
-
-
-def _row_norms(rows):
-    """:func:`frobenius` of each vector along the last axis, bitwise."""
-    return np.sqrt(np.sum(rows * rows, axis=-1))
-
-
 def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
                             bounds: BoundBundle,
                             est: EstimatorTrajectory) -> ValidationReport:
@@ -284,9 +370,10 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
     Also spot-checks that c, d, e are non-decreasing in the radius.  A NaN
     left side or majorant counts as a violation.
 
-    Per slow time and radius, each of s, w, v, u and q is called once on
-    the stacked (direction, angle) grid, and the norms and margins are
-    taken on arrays; g_script and h_script are called once per direction.
+    Per slow time, each of s, w, v, u and q is called once on the stacked
+    (radius, direction, angle) grid, at most 10 x 16 x 20 points, and
+    g_script and h_script once on the stacked (radius, direction)
+    increments; the norms and margins are taken on arrays.
     ``details["worst"]`` maps each row "a" ... "e" to its first
     largest non-NaN margin in the order tau, radius, direction and, for the
     rows a, b, c, angle; a row without a number keeps margin -inf (None
@@ -298,10 +385,13 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
     fracs = (np.arange(_DOM_RADII) + 0.5) / _DOM_RADII * _DOM_MAX_RADIUS_FRAC
     thetas = np.linspace(0.0, TWO_PI, _DOM_THETAS, endpoint=False)
     dirs = _directions(d)
-    # Point k of the stacked grid is direction k // _DOM_THETAS at angle
+    # Increment m is radius m // len(dirs) in direction m % len(dirs);
+    # point k of the stacked grid is increment k // _DOM_THETAS at angle
     # k % _DOM_THETAS.
-    grid_thetas = np.tile(thetas, len(dirs))
-    shape = (len(dirs), _DOM_THETAS, d)
+    n_inc = _DOM_RADII * len(dirs)
+    grid_thetas = np.tile(thetas, n_inc)
+    grid = (_DOM_RADII, len(dirs), _DOM_THETAS, d)
+    mat = (d, d, n_inc)
 
     violations = 0
     samples = 0
@@ -314,9 +404,12 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
         msc = aux.m_script(j)
         rho = bounds.rho_hat(j)
         base = rmat @ s0 + kvec
+        radii = fracs * rho
+
+        # Rows per radius: d, e, then a, b, c per angle.
+        bound = np.empty((_DOM_RADII, 2 + 3 * _DOM_THETAS))
         prev = None
-        for frac in fracs:
-            r = frac * rho
+        for row, r in zip(bound, radii):
             a_val = bounds.a_hat(j, rmat, kvec, r)
             b_val = bounds.b_hat(j, r)
             c_val = bounds.c_hat(j, r)
@@ -327,38 +420,41 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
                         and e_val >= prev[2] - 1e-12):
                     monotone_bad += 1
             prev = (c_val, d_val, e_val)
+            row[:] = [d_val, e_val] + [a_val, b_val, c_val] * _DOM_THETAS
 
-            # Rows per direction: d, e, then a, b, c per angle.
-            bound = np.array([d_val, e_val] + [a_val, b_val, c_val] * _DOM_THETAS,
-                             dtype=float)
-            lhs = np.empty((len(dirs), bound.size))
-            steps = r * dirs
-            for idir, dj in enumerate(steps):
-                lhs[idir, 0] = frobenius(aux.g_script(j, dj))
-                lhs[idir, 1] = frobenius(aux.h_script(j, dj))
-            actions = np.repeat((j + steps).T, _DOM_THETAS, axis=1)
-            sv, wv, vv, uv, qv = (fn(actions, grid_thetas).T.reshape(shape)
-                                  for fn in (aux.s, aux.w, aux.v, aux.u, aux.q))
-            lhs[:, 2::3] = _row_norms(sv - base)
-            lhs[:, 3::3] = _row_norms(wv - _mat_vec(dfb, vv))
-            lhs[:, 4::3] = _row_norms(uv - _mat_vec(dfb, wv + qv)
-                                      - _mat_vec(msc, vv))
+        steps = (radii[:, None, None] * dirs).reshape(n_inc, d)
+        at_j = np.repeat(j[:, None], n_inc, axis=1)
+        incs = np.ascontiguousarray(steps.T)
+        lhs = np.empty((_DOM_RADII, len(dirs), bound.shape[1]))
+        for col, fn, shape in ((0, aux.g_script, mat),
+                               (1, aux.h_script, (d,) + mat)):
+            value = _leading(_stacked(fn(at_j, incs), shape))
+            lhs[:, :, col] = _row_norms(value.reshape(_DOM_RADII, len(dirs), -1))
+        actions = np.repeat((j + steps).T, _DOM_THETAS, axis=1)
+        sv, wv, vv, uv, qv = (
+            _stacked(fn(actions, grid_thetas), actions.shape).T.reshape(grid)
+            for fn in (aux.s, aux.w, aux.v, aux.u, aux.q))
+        lhs[:, :, 2::3] = _row_norms(sv - base)
+        lhs[:, :, 3::3] = _row_norms(wv - _mat_vec(dfb, vv))
+        lhs[:, :, 4::3] = _row_norms(uv - _mat_vec(dfb, wv + qv)
+                                     - _mat_vec(msc, vv))
 
-            margin = lhs - bound
-            slack = _DOM_REL_SLACK * np.maximum(1.0, bound) + _DOM_ABS_SLACK
-            samples += margin.size
-            violations += int(np.count_nonzero(~(margin <= slack)))
+        margin = lhs - bound[:, None, :]
+        slack = _DOM_REL_SLACK * np.maximum(1.0, bound) + _DOM_ABS_SLACK
+        samples += margin.size
+        violations += int(np.count_nonzero(~(margin <= slack[:, None, :])))
 
-            ranked = np.where(np.isnan(margin), -np.inf, margin)
-            for row, columns in _DOM_COLUMNS.items():
-                block = ranked[:, columns]
-                idir, col = np.unravel_index(int(np.argmax(block)), block.shape)
-                if block[idir, col] > worst[row]["margin"]:
-                    point = {"margin": block[idir, col], "tau": tau, "r": r}
-                    if row in "abc":
-                        point["theta"] = thetas[col]
-                    point["direction"] = dirs[idir].tolist()
-                    worst[row] = point
+        ranked = np.where(np.isnan(margin), -np.inf, margin)
+        for row, columns in _DOM_COLUMNS.items():
+            block = ranked[:, :, columns]
+            irad, idir, col = np.unravel_index(int(np.argmax(block)), block.shape)
+            if block[irad, idir, col] > worst[row]["margin"]:
+                point = {"margin": block[irad, idir, col], "tau": tau,
+                         "r": radii[irad]}
+                if row in "abc":
+                    point["theta"] = thetas[col]
+                point["direction"] = dirs[idir].tolist()
+                worst[row] = point
 
     violations += monotone_bad
     return ValidationReport(
@@ -384,8 +480,8 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     The residual is quadrature-dominated: halving the step (doubling
     ``n_quad``) should shrink it by about four.
 
-    s, w, v, u and q are called once on the whole grid; dfbar, m_script,
-    g_script and h_script once per node.  The algebra after them runs on
+    s, w, v, u, q, dfbar, m_script, g_script and h_script are each called
+    once, on the whole grid of nodes, and the algebra after them runs on
     the stacked values.
     """
     eps = spec.epsilon
@@ -401,16 +497,14 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     steps = eps * ell
     actions = js + steps
 
-    sv, wv, vv, uv, qv = (fn(actions.T, thetas).T
+    vec, mat = (d, ts.size), (d, d, ts.size)
+    sv, wv, vv, uv, qv = (_stacked(fn(actions.T, thetas), vec).T
                           for fn in (aux.s, aux.w, aux.v, aux.u, aux.q))
-    mat = (ts.size, d, d)
-    gsc, dfb, msc = np.empty(mat), np.empty(mat), np.empty(mat)
-    hsc = np.empty((ts.size, d, d, d))
-    for idx, (j, step) in enumerate(zip(js, steps)):
-        gsc[idx] = aux.g_script(j, step)
-        hsc[idx] = aux.h_script(j, step)
-        dfb[idx] = aux.dfbar(j)
-        msc[idx] = aux.m_script(j)
+    at_j, incs = np.ascontiguousarray(js.T), np.ascontiguousarray(steps.T)
+    gsc = _leading(_stacked(aux.g_script(at_j, incs), mat))
+    hsc = _leading(_stacked(aux.h_script(at_j, incs), (d,) + mat))
+    dfb = _leading(_stacked(aux.dfbar(at_j), mat))
+    msc = _leading(_stacked(aux.m_script(at_j), mat))
 
     term = (uv
             - _mat_vec(dfb, wv + qv)

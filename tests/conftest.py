@@ -200,6 +200,124 @@ def direct_reference(spec, aux, avg_traj):
     return rhs, stop
 
 
+def _d_theta(fn, i, th):
+    return validation._five_point(lambda dx: fn(i, th + dx), validation._FD_REL)
+
+
+def _d_plain(fn, i, j):
+    def at(dx):
+        ip = i.copy()
+        ip[j] += dx
+        return fn(ip)
+    return validation._five_point(at, validation._FD_REL * abs(i[j]))
+
+
+def _jac_action(fn, i, th, d):
+    return np.stack([_d_plain(lambda ip: fn(ip, th), i, j) for j in range(d)],
+                    axis=1)
+
+
+def identities_reference(spec, aux, sample_box):
+    """``verify_identities`` as a loop over sample points and angles, as it
+    was before the members were called on the stack of points: the
+    reference the library's report must equal through ``to_dict()``.  Its
+    worst point is written as numbers, as the library writes it."""
+    d = spec.d
+    points = list(validation._action_grid(sample_box, 10 if d == 1 else 4))
+    thetas = np.linspace(0.0, TWO_PI, 13)[:-1]
+    th_quad = np.linspace(0.0, TWO_PI, validation._QUAD_THETA + 1)[:-1]
+
+    worst = {}
+    worst_point = {}
+
+    def f(i, th):
+        return np.array(spec.f(i, th), dtype=float)
+
+    def fbar(i):
+        return np.array(aux.fbar(i), dtype=float)
+
+    def record(key, value, point):
+        value = float(value)
+        if value > worst.get(key, -1.0):
+            worst[key] = value
+            worst_point[key] = point
+
+    def sample(i, th=None, di=None):
+        return {"actions": i.tolist(),
+                "theta": None if th is None else float(th),
+                "increment": None if di is None else di.tolist()}
+
+    for i in points:
+        if not spec.in_domain(i):
+            raise ValueError(f"identity sample point {i} outside the domain")
+        om = spec.omega(i)
+        for key, fn, mean in (("fbar_is_mean_f", f, fbar(i)),
+                              ("pbar_is_mean_p", aux.p, aux.pbar(i)),
+                              ("s_has_zero_mean", aux.s, 0.0)):
+            record(key, np.max(np.abs(np.mean([fn(i, t) for t in th_quad], axis=0)
+                                      - mean)), sample(i))
+        for key, fn in (("v_zero_at_theta0", aux.v), ("w_zero_at_theta0", aux.w)):
+            record(key, np.max(np.abs(fn(i, spec.theta0))), sample(i, spec.theta0))
+        record("dfbar_is_jacobian",
+               np.max(np.abs(np.stack([_d_plain(fbar, i, j) for j in range(d)],
+                                       axis=1) - aux.dfbar(i))), sample(i))
+        dfb = aux.dfbar(i)
+        hess = np.stack([_d_plain(aux.dfbar, i, j) for j in range(d)], axis=2)
+        m_def = np.einsum("ikj,k->ij", hess, fbar(i)) - dfb @ dfb
+        record("m_script_definition", np.max(np.abs(m_def - aux.m_script(i))),
+               sample(i))
+
+        for th in thetas:
+            fv = f(i, th)
+            gv = spec.g(i, th)
+            record("f_g_periodic",
+                   max(np.max(np.abs(fv - f(i, th + TWO_PI))),
+                       abs(gv - spec.g(i, th + TWO_PI))), sample(i, th))
+            record("f_decomposition",
+                   np.max(np.abs(fv - fbar(i) - om * _d_theta(aux.s, i, th))),
+                   sample(i, th))
+            record("s_from_v",
+                   np.max(np.abs(aux.s(i, th) - om * _d_theta(aux.v, i, th))),
+                   sample(i, th))
+            record("p_decomposition",
+                   np.max(np.abs(aux.p(i, th) - aux.pbar(i)
+                                 - om * _d_theta(aux.w, i, th))), sample(i, th))
+            for key, moved, fn in (("p_definition", aux.p, aux.s),
+                                   ("q_definition", aux.q, aux.v),
+                                   ("u_definition", aux.u, aux.w)):
+                record(key,
+                       np.max(np.abs(moved(i, th) - (_jac_action(fn, i, th, d) @ fv
+                                                     + _d_theta(fn, i, th) * gv))),
+                       sample(i, th))
+
+    targets = validation._action_grid(sample_box, 3)
+    for i in points[:: max(1, len(points) // 8)]:
+        for tgt in targets:
+            di = tgt - i
+            if np.all(di == 0.0):
+                continue
+            record("pbar_taylor",
+                   np.max(np.abs(aux.pbar(i + di) - aux.pbar(i)
+                                 - aux.g_script(i, di) @ di)), sample(i, di=di))
+            hterm = 0.5 * np.einsum("ijk,j,k->i", aux.h_script(i, di), di, di)
+            record("fbar_taylor",
+                   np.max(np.abs(fbar(i + di) - fbar(i)
+                                 - aux.dfbar(i) @ di - hterm)), sample(i, di=di))
+            hten = aux.h_script(i, di)
+            record("h_script_symmetry",
+                   np.max(np.abs(hten - hten.transpose(0, 2, 1))), sample(i, di=di))
+
+    key = max(worst, key=worst.get)
+    return validation.ValidationReport(
+        name="auxiliary-identities",
+        samples=len(points) * len(thetas),
+        tolerance=validation.IDENTITY_TOL,
+        max_residual=max(worst.values()),
+        details={"per_identity": worst, "worst_identity": key,
+                 "worst_point": worst_point[key]},
+    )
+
+
 def domination_reference(spec, aux, bounds, est):
     """``verify_bound_domination`` as a loop over sample points, as it was
     before the margins were taken on stacked arrays: the reference the

@@ -28,25 +28,53 @@ def test_vdp_closed_forms_at_origin(vdp):
     assert vdp.closed_flow(i0, 50.0)[0][0] == pytest.approx(2.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("member", ["s", "v", "p", "q", "w", "u"])
+_ANGLE_MEMBERS = ("s", "v", "p", "q", "w", "u")
+
+
+def _stacked_equals_per_point(fn, stacks, extra=()):
+    """``fn`` on (d, N) stacks equals the N calls on one point each, bit for
+    bit; a value of the one-point shape (a member that does not read the
+    actions) must equal every per-point value."""
+    stacked = np.asarray(fn(*stacks, *extra))
+    n = stacks[0].shape[1]
+    per_point = [np.asarray(fn(*(a[:, k].copy() for a in stacks),
+                               *(e if np.isscalar(e) else float(e[k])
+                                 for e in extra)))
+                 for k in range(n)]
+    if stacked.shape == per_point[0].shape:
+        return all(np.array_equal(stacked, value) for value in per_point)
+    assert stacked.shape == per_point[0].shape + (n,)
+    return np.array_equal(stacked, np.stack(per_point, axis=-1))
+
+
+@pytest.mark.parametrize("member", _ANGLE_MEMBERS + ("dfbar", "m_script",
+                                                     "g_script", "h_script"))
 @pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant",
                                   "euler"])
 def test_stacked_call_equals_per_point_calls(request, name, member):
-    # One call on (d, N) actions and N angles equals the N calls on (d,)
-    # actions and a float angle, bit for bit.  The examples write integer
-    # powers as products: numpy's ** rounds differently on arrays than on
-    # single numbers.
+    # One call on (d, N) actions equals the N calls on (d,) actions, bit for
+    # bit: s ... u with N angles or one float angle, dfbar and m_script on
+    # the actions alone, g_script and h_script with (d, N) increments.  The
+    # examples write integer powers as products: numpy's ** rounds
+    # differently on arrays than on single numbers, on about 1 in 1200
+    # squares, so the cheap matrix members get more points.
     ex = request.getfixturevalue(name)
     fn = getattr(ex.aux, member)
     rng = np.random.default_rng(18)
-    n = 2000
+    n = 2000 if member in _ANGLE_MEMBERS else 20_000
     actions = 10.0 ** rng.uniform(-2.0, 1.0, (ex.d, n))
-    thetas = rng.uniform(-4 * math.pi, 4 * math.pi, n)
-    stacked = fn(actions, thetas)
-    assert stacked.shape == (ex.d, n)
-    per_point = np.stack([fn(actions[:, k].copy(), float(thetas[k]))
-                          for k in range(n)], axis=1)
-    assert np.array_equal(stacked, per_point)
+    if member in ("dfbar", "m_script"):
+        assert _stacked_equals_per_point(fn, (actions,))
+    elif member in ("g_script", "h_script"):
+        increments = rng.uniform(-0.5, 0.5, (ex.d, n)) * actions
+        assert _stacked_equals_per_point(fn, (actions, increments))
+    else:
+        thetas = rng.uniform(-4 * math.pi, 4 * math.pi, n)
+        stacked = fn(actions, thetas)
+        assert stacked.shape == (ex.d, n)
+        assert _stacked_equals_per_point(fn, (actions,), (thetas,))
+        for theta in thetas[:3].tolist():
+            assert _stacked_equals_per_point(fn, (actions[:, :200],), (theta,))
 
 
 @pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant",

@@ -15,7 +15,8 @@ from averbound.validation import (ValidationReport, verify_bound_domination,
                                   verify_headline_bound, verify_identities,
                                   verify_integral_identity)
 
-from conftest import domination_reference, integral_identity_reference
+from conftest import (domination_reference, identities_reference,
+                      integral_identity_reference, toy_linear_decay)
 
 
 def _perturbed(aux, field, bump):
@@ -37,6 +38,55 @@ def test_identity_suite_passes(example, request):
     assert report.max_residual < 1e-8
     assert report.details["per_identity"]["f_g_periodic"] < 1e-12
     assert report.samples >= 100
+
+
+def _faulty_s(vdp):
+    """Criterion 5's fault: a 1e-3 sine added to vdp's s, on math.sin."""
+    bad_s = lambda i, th: vdp.aux.s(i, th) + np.array([1e-3 * math.sin(th)])
+    return vdp.make_system([1.0], 1e-2), dataclasses.replace(vdp.aux, s=bad_s)
+
+
+@pytest.mark.parametrize("example", ["vdp", "resonant", "af_plus", "af_minus",
+                                     "euler", "faulty_s"])
+def test_identities_equals_per_point_reference(example, request):
+    if example == "faulty_s":
+        ex = request.getfixturevalue("vdp")
+        spec, aux = _faulty_s(ex)
+    else:
+        ex = request.getfixturevalue(example)
+        spec = ex.make_system(0.5 * (ex.sample_box[0] + ex.sample_box[1]), 1e-2)
+        aux = ex.aux
+    report = verify_identities(spec, aux, ex.sample_box)
+    ref = identities_reference(spec, aux, ex.sample_box)
+    assert report.to_dict() == ref.to_dict()
+    if example == "faulty_s":
+        # found by its residual at the sample angles, not by an exception,
+        # and its sample written as numbers
+        assert not report.passed
+        assert report.details["worst_identity"] == "p_definition"
+        assert report.max_residual == pytest.approx(2.4375e-3, rel=1e-6)
+        point = report.details["worst_point"]
+        assert point == {"actions": [5.0], "increment": None,
+                         "theta": pytest.approx(11 * math.pi / 6)}
+        assert type(point["theta"]) is float
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_checks_broadcast_members_that_ignore_the_actions(d):
+    # Every auxiliary member of the toy returns its one-point shape for any
+    # input; the checks broadcast it along the stacked points.
+    spec, aux, bounds = toy_linear_decay(d=d)
+    box = (np.full(d, 0.5), np.full(d, 3.0))
+    est = ab.run_estimator(spec, aux, bounds, 1.0)
+    dtraj = ab.run_direct(spec, aux, ab.run_averaged(spec, aux, 1.0), 1.0)
+    identities = verify_identities(spec, aux, box)
+    domination = verify_bound_domination(spec, aux, bounds, est)
+    integral = verify_integral_identity(spec, aux, est, dtraj)
+    assert identities.max_residual <= 1e-12
+    assert domination.violations == 0 and domination.samples > 0
+    assert integral.max_residual <= 1e-12
+    for report in (identities, domination, integral):
+        assert report.passed
 
 
 def test_identity_suite_flags_non_periodic_f(vdp):
