@@ -102,18 +102,14 @@ def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps) -> float:
 
 def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
                           dj, drmat, dk) -> float:
-    """Chain-rule derivative of the offset bound along the slow flow.
+    """Chain-rule derivative of the offset bound along the slow flow, by
+    central differences.
 
     Contracts the partial derivatives with respect to J, R and K with the
-    supplied slow-flow derivatives dJ/dtau, dR/dtau, dK/dtau.
+    supplied slow-flow derivatives dJ/dtau, dR/dtau, dK/dtau.  The zero
+    tests, steps and weights read Python floats; the perturbed points
+    handed to the bound functions stay ndarrays.
     """
-    if bounds.a_grad is not None:
-        ga_j, ga_r, ga_k, _ = bounds.a_grad(j, rmat, k, r)
-        total = (np.sum(ga_j * dj) + np.sum(ga_r * drmat) + np.sum(ga_k * dk))
-        return float(total + eps * np.sum(bounds.b_grad(j, r)[0] * dj))
-
-    # The zero tests, steps and weights read Python floats; the perturbed
-    # points handed to the bound functions stay ndarrays.
     jl, rl, kl = j.tolist(), rmat.tolist(), k.tolist()
     djl, drl, dkl = dj.tolist(), drmat.tolist(), dk.tolist()
     total = 0.0
@@ -144,6 +140,33 @@ def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
         total += dkl[i] * (bounds.a_hat(j, rmat, kp, r)
                            - bounds.a_hat(j, rmat, km, r)) / (2 * h)
     return float(total)
+
+
+def _analytic_partials(bounds: BoundBundle, j, rmat, k, r, eps,
+                       dj, drmat, dk):
+    """(d(offset)/dr, d(offset)/dtau) from one ``a_grad`` and one ``b_grad``
+    call.
+
+    d(offset)/dtau is np.sum(dA/dJ * dJ) + np.sum(dA/dR * dR) +
+    np.sum(dA/dK * dK) + eps * np.sum(dB/dJ * dJ), with the slow-flow
+    derivatives dJ, dR and dK.  Each sum runs on Python floats, from 0.0
+    and left to right over R in row order: at d = 1 and d = 2 that is
+    np.sum's order, so every bit is the same.
+    """
+    ga_j, ga_r, ga_k, ga_rad = bounds.a_grad(j, rmat, k, r)
+    gb_j, gb_rad = bounds.b_grad(j, r)
+    dal_dr = float(ga_rad + eps * gb_rad)
+    d = dj.shape[0]
+    djl, drl, dkl = dj.tolist(), drmat.tolist(), dk.tolist()
+    sum_j = sum_r = sum_k = sum_b = 0.0
+    for a in range(d):
+        sum_j += ga_j[a] * djl[a]
+        sum_k += ga_k[a] * dkl[a]
+        sum_b += gb_j[a] * djl[a]
+        row, drow = ga_r[a], drl[a]
+        for b in range(d):
+            sum_r += row[b] * drow[b]
+    return dal_dr, float(sum_j + sum_r + sum_k + eps * sum_b)
 
 
 def _inverse_norms(rmat: np.ndarray):
@@ -335,12 +358,13 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
              / (1 - eps * d(offset)/dr)
 
     with growth evaluated at (J, eps*n, n) and the offset partials taken at
-    (J, R, K, eps*n), by the bundle's analytic gradients when present and by
-    central differences with step ``_FD_STEP`` times the argument scale
-    otherwise.
+    (J, R, K, eps*n): by one call each of the bundle's ``a_grad`` and
+    ``b_grad`` when it has them, and otherwise by central differences with
+    step ``_FD_STEP`` times the argument scale.
     """
     eps = spec.epsilon
     d = spec.d
+    analytic = bounds.a_grad is not None
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
         j, rmat, k, m, n = unpack_state(y, d)
@@ -358,9 +382,13 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
         gam = growth_value(bounds, j, radius, n)
         dm = norm_rinv * gam
 
-        dal_dr = _dalpha_dr(bounds, j, rmat, k, radius, eps)
-        dal_dtau = _alpha_tau_derivative(bounds, j, rmat, k, radius, eps,
-                                         dj, drmat, dk)
+        if analytic:
+            dal_dr, dal_dtau = _analytic_partials(bounds, j, rmat, k, radius,
+                                                  eps, dj, drmat, dk)
+        else:
+            dal_dr = _dalpha_dr(bounds, j, rmat, k, radius, eps)
+            dal_dtau = _alpha_tau_derivative(bounds, j, rmat, k, radius, eps,
+                                             dj, drmat, dk)
         denom = 1.0 - eps * dal_dr
         r_dot_dr = float(np.add.reduce(rmat * drmat, axis=None))
         dn = (dal_dtau + eps * norm_r * norm_rinv * gam

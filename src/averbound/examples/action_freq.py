@@ -91,6 +91,9 @@ def make(params) -> ExampleDefinition:
     def a_hat(j, rmat, k, r):
         return 0.5 * (float(j[0]) + r) - float(k[0])
 
+    def a_grad(j, rmat, k, r):
+        return (0.5,), ((0.0,),), (-1.0,), 0.5
+
     def b_hat(j, r):
         x = float(j[0])
         return math.sqrt(
@@ -98,6 +101,18 @@ def make(params) -> ExampleDefinition:
             + (38 + 85 * r + 300 * r ** 2) * x ** 2
             + (65 + 33 * r + 200 * r ** 2) * x * r
             + (32 + 27 * r + 50 * r ** 2) * r ** 2) / (8 * _SQRT2)
+
+    def b_grad(j, r):
+        # b_hat = sqrt(P) / (8 sqrt 2), so each partial is
+        # dP / (16 sqrt(2 P)), and 16 sqrt(2 P) = 256 * b_hat.  The partials
+        # of P are in Horner form in x, with coefficients in r.
+        x = float(j[0])
+        dx = (((200 * x + (165 + 600 * r)) * x + (76 + (170 + 600 * r) * r)) * x
+              + (65 + (33 + 200 * r) * r) * r)
+        dr = (((200 * x + (85 + 600 * r)) * x + (65 + (66 + 600 * r) * r)) * x
+              + (64 + (81 + 200 * r) * r) * r)
+        scale = 256 * b_hat(j, r)
+        return (dx / scale,), dr / scale
 
     def c_hat(j, r):
         x = float(j[0])
@@ -134,7 +149,8 @@ def make(params) -> ExampleDefinition:
                           g_script=g_script,
                           h_script=constant(np.full((1, 1, 1), 2.0 * kap)))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
-                         c_hat=c_hat, d_hat=d_hat, e_hat=lambda j, r: 2.0)
+                         c_hat=c_hat, d_hat=d_hat, e_hat=lambda j, r: 2.0,
+                         a_grad=a_grad, b_grad=b_grad)
     return ExampleDefinition(
         id="action-freq", d=1, params={"kappa": int(kappa)}, omega=omega,
         f=f, g=g, in_domain=in_domain, aux=aux, bounds=bounds,

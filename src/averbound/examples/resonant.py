@@ -63,6 +63,18 @@ def _u(i, th):
                      * (-10 + 15 * np.cos(th) - 6 * np.cos(2 * th) + np.cos(3 * th))])
 
 
+def _a_grad(j, rmat, k, r):
+    # a_hat = 1 / (J - r): its J and r derivatives differ only in sign.
+    slope = 1.0 / (float(j[0]) - r) ** 2
+    return (-slope,), ((0.0,),), (0.0,), slope
+
+
+def _b_grad(j, r):
+    # b_hat = 2 / (J - r)^3
+    slope = 6.0 / (float(j[0]) - r) ** 4
+    return (-slope,), slope
+
+
 def _closed_flow(i0, tau):
     return np.array([i0[0] + tau]), np.ones((1, 1)), np.zeros(1)
 
@@ -85,6 +97,8 @@ def make(params) -> ExampleDefinition:
         c_hat=lambda j, r: 12.0 / (float(j[0]) - r) ** 4,
         d_hat=lambda j, r: 0.0,
         e_hat=lambda j, r: 0.0,
+        a_grad=_a_grad,
+        b_grad=_b_grad,
     )
     return ExampleDefinition(
         id="resonant", d=1, params={}, omega=_omega, f=_f, g=_g,

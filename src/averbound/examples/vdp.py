@@ -93,10 +93,20 @@ def _m_script(i):
     return np.array([[-1.0 + x - x * x / 2]])
 
 
+def _a_radicand(x):
+    return -2 + 10 * x ** 2 + x ** 4 + 2 * (1 + 2 * x ** 2) ** 1.5
+
+
 def _a_hat(j, rmat, k, r):
+    return 0.125 * math.sqrt(_a_radicand(float(j[0]) + r))
+
+
+def _a_grad(j, rmat, k, r):
+    # a_hat reads J + r alone, so its J and r derivatives agree.
     x = float(j[0]) + r
-    return 0.125 * math.sqrt(-2 + 10 * x ** 2 + x ** 4
-                           + 2 * (1 + 2 * x ** 2) ** 1.5)
+    slope = (x * (5 + x * x + 3 * math.sqrt(1 + 2 * x * x))
+             / (4 * math.sqrt(_a_radicand(x))))
+    return (slope,), ((0.0,),), (0.0,), slope
 
 
 def _b_hat(j, r):
@@ -108,6 +118,27 @@ def _b_hat(j, r):
         + 6 * x ** 2 * r ** 2 * (372 + 530 * r + 231 * r ** 2)
         + 12 * x * r ** 3 * (216 + 213 * r + 46 * r ** 2)
         + r ** 4 * (1404 + 690 * r + 91 * r ** 2)) / 96
+
+
+def _b_grad(j, r):
+    # b_hat = sqrt(P) / 96, so each partial is dP / (192 sqrt(P)), and
+    # 192 sqrt(P) = 192 * 96 * b_hat.  The partials of P are in Horner form
+    # in x, with coefficients in r.
+    x = float(j[0])
+    r2 = r * r
+    r3 = r2 * r
+    dx = (((((720 * x + (1380 + 3360 * r)) * x
+             + (2304 + (5688 + 6204 * r) * r)) * x
+            + (2592 + (6480 + 5652 * r) * r) * r) * x
+           + (4464 + (6360 + 2772 * r) * r) * r2) * x
+          + (2592 + (2556 + 552 * r) * r) * r3)
+    dr = (((((672 * x + (1422 + 3102 * r)) * x
+             + (864 + (4320 + 5652 * r) * r)) * x
+            + (4464 + (9540 + 5544 * r) * r) * r) * x
+           + (7776 + (10224 + 2760 * r) * r) * r2) * x
+          + (5616 + (3450 + 546 * r) * r) * r3)
+    scale = 192 * 96 * _b_hat(j, r)
+    return (dx / scale,), dr / scale
 
 
 def _c_hat(j, r):
@@ -153,7 +184,8 @@ def make(params) -> ExampleDefinition:
         h_script=constant(np.full((1, 1, 1), -1.0)))
     bounds = BoundBundle(rho_hat=_rho_hat, a_hat=_a_hat, b_hat=_b_hat,
                          c_hat=_c_hat, d_hat=lambda j, r: 0.0,
-                         e_hat=lambda j, r: 1.0)
+                         e_hat=lambda j, r: 1.0, a_grad=_a_grad,
+                         b_grad=_b_grad)
     return ExampleDefinition(
         id="vdp", d=1, params={}, omega=_omega, f=_f, g=_g,
         in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,

@@ -179,9 +179,16 @@ class BoundBundle:
 
     over all |dJ| <= r and all angles; c, d, e must be non-decreasing in r.
 
-    ``a_grad`` / ``b_grad`` optionally supply analytic partial derivatives
-    (with respect to J, R, K, r and J, r respectively), both or neither;
-    without them the estimator takes central finite differences.
+    ``a_grad`` and ``b_grad`` optionally supply the partial derivatives of
+    ``a_hat`` and ``b_hat``, both or neither:
+
+    * ``a_grad(J, R, K, r) -> (dJ (d,), dR (d, d), dK (d,), dr float)``,
+    * ``b_grad(J, r) -> (dJ (d,), dr float)``,
+
+    each array part an ndarray or a (nested) sequence of floats.  The slow
+    right-hand side calls each once per evaluation, for both
+    d(offset)/dr and d(offset)/dtau.  Central finite differences of
+    ``a_hat`` and ``b_hat`` serve only a bundle without gradients.
     """
 
     rho_hat: Callable[[np.ndarray], float]

@@ -1,4 +1,5 @@
 """Shared fixtures: example definitions and cached short runs."""
+import dataclasses
 import math
 
 import numpy as np
@@ -517,13 +518,30 @@ def _alpha_tau_reference(bounds, j, rmat, k, r, eps, dj, drmat, dk):
     return float(total)
 
 
+def analytic_partials_reference(bounds, j, rmat, k, r, eps, dj, drmat, dk):
+    """The analytic branches of ``_dalpha_dr`` and ``_alpha_tau_derivative``
+    as they were: (d(offset)/dr, d(offset)/dtau) by ``np.sum``, each
+    calling ``a_grad`` and ``b_grad`` itself."""
+    dal_dr = float(bounds.a_grad(j, rmat, k, r)[3] + eps * bounds.b_grad(j, r)[1])
+    ga_j, ga_r, ga_k, _ = bounds.a_grad(j, rmat, k, r)
+    total = (np.sum(ga_j * dj) + np.sum(ga_r * drmat) + np.sum(ga_k * dk))
+    return dal_dr, float(total + eps * np.sum(bounds.b_grad(j, r)[0] * dj))
+
+
+def without_gradients(bounds):
+    """``bounds`` without ``a_grad`` and ``b_grad``: the estimator takes
+    central differences."""
+    return dataclasses.replace(bounds, a_grad=None, b_grad=None)
+
+
 def slow_rhs_reference(spec, aux, bounds):
     """``estimator.assemble_slow_rhs`` as it was before it read n, the
-    entries of R and the finite-difference weights as Python floats: every
-    number a numpy scalar, the inverse an ndarray and the state packed by
+    entries of R and the finite-difference weights as Python floats, and
+    before it took both offset partials from one ``a_grad`` and one
+    ``b_grad`` call: every number a numpy scalar, the inverse an ndarray,
+    the contractions by ``np.sum`` and the state packed by
     ``np.concatenate``.  It is the reference the slow right-hand side must
-    match bit for bit; bundles with analytic gradients are not covered."""
-    assert bounds.a_grad is None
+    match bit for bit, with and without analytic gradients."""
     eps = spec.epsilon
     d = spec.d
 
@@ -539,9 +557,13 @@ def slow_rhs_reference(spec, aux, bounds):
         gam = growth_value(bounds, j, radius, n)
         dm = norm_rinv * gam
 
-        dal_dr = estimator._dalpha_dr(bounds, j, rmat, k, radius, eps)
-        dal_dtau = _alpha_tau_reference(bounds, j, rmat, k, radius, eps,
-                                        dj, drmat, dk)
+        if bounds.a_grad is None:
+            dal_dr = estimator._dalpha_dr(bounds, j, rmat, k, radius, eps)
+            dal_dtau = _alpha_tau_reference(bounds, j, rmat, k, radius, eps,
+                                            dj, drmat, dk)
+        else:
+            dal_dr, dal_dtau = analytic_partials_reference(
+                bounds, j, rmat, k, radius, eps, dj, drmat, dk)
         denom = 1.0 - eps * dal_dr
         dn = (dal_dtau + eps * norm_r * norm_rinv * gam
               + eps * float(np.sum(rmat * drmat)) / norm_r * m) / denom

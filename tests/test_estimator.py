@@ -11,8 +11,9 @@ from averbound import estimator
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, assemble_slow_rhs, pack_state,
                                  unpack_state)
-from conftest import (cursor_reference, hermite_reference, invert_reference,
-                      slow_rhs_reference, toy_linear_decay)
+from conftest import (analytic_partials_reference, cursor_reference,
+                      hermite_reference, invert_reference, slow_rhs_reference,
+                      toy_linear_decay, without_gradients)
 
 
 def test_pack_unpack_roundtrip():
@@ -275,18 +276,34 @@ _SLOW_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_SLOW_CASES))
-def test_slow_rhs_matches_the_numpy_scalar_reference(monkeypatch, case):
-    # The slow right-hand side reads its bookkeeping as Python floats but
-    # keeps every floating-point operation: the run it drives is bit for
-    # bit the run of the numpy-scalar reference in conftest, the stop
-    # state, the step counts and a step failure included.
-    name, params, i0, eps, u, status = _SLOW_CASES[case]
-    example = _make(name, params)
-    spec = example.make_system(i0, eps)
-    new = ab.run_estimator(spec, example.aux, example.bounds, u)
-    monkeypatch.setattr(estimator, "assemble_slow_rhs", slow_rhs_reference)
-    ref = ab.run_estimator(spec, example.aux, example.bounds, u)
+def _difference_gradients(bounds, h=1e-6):
+    """``bounds`` with ``a_grad`` and ``b_grad`` taken by central
+    differences of its own ``a_hat`` and ``b_hat`` in J and r, returned as
+    ndarrays: a gradient bundle for a system whose example has none."""
+    def d_dj(fn, j):
+        out = []
+        for i in range(j.shape[0]):
+            jp, jm = j.copy(), j.copy()
+            jp[i] += h
+            jm[i] -= h
+            out.append((fn(jp) - fn(jm)) / (2 * h))
+        return np.array(out)
+
+    def a_grad(j, rmat, k, r):
+        d = j.shape[0]
+        return (d_dj(lambda jj: bounds.a_hat(jj, rmat, k, r), j),
+                np.zeros((d, d)), np.zeros(d),
+                (bounds.a_hat(j, rmat, k, r + h)
+                 - bounds.a_hat(j, rmat, k, r - h)) / (2 * h))
+
+    def b_grad(j, r):
+        return (d_dj(lambda jj: bounds.b_hat(jj, r), j),
+                (bounds.b_hat(j, r + h) - bounds.b_hat(j, r - h)) / (2 * h))
+
+    return dataclasses.replace(bounds, a_grad=a_grad, b_grad=b_grad)
+
+
+def _assert_same_run(new, ref, status):
     assert new.status.value == ref.status.value == status
     assert new.violation_kind == ref.violation_kind
     assert new.ell0 == ref.ell0
@@ -295,6 +312,101 @@ def test_slow_rhs_matches_the_numpy_scalar_reference(monkeypatch, case):
                 == getattr(ref.traj, part).tobytes()), part
     assert new.traj.stats.to_dict() == ref.traj.stats.to_dict()
     assert new.traj.stats.accepted > 10
+
+
+@pytest.mark.parametrize("case", list(_SLOW_CASES))
+def test_slow_rhs_matches_the_numpy_scalar_reference(monkeypatch, case):
+    # The slow right-hand side reads its bookkeeping as Python floats but
+    # keeps every floating-point operation: the run it drives is bit for
+    # bit the run of the numpy-scalar reference in conftest, the stop
+    # state, the step counts and a step failure included.  The built-in
+    # gradients are stripped, so this pins the finite-difference branch.
+    name, params, i0, eps, u, status = _SLOW_CASES[case]
+    example = _make(name, params)
+    spec = example.make_system(i0, eps)
+    bounds = without_gradients(example.bounds)
+    new = ab.run_estimator(spec, example.aux, bounds, u)
+    monkeypatch.setattr(estimator, "assemble_slow_rhs", slow_rhs_reference)
+    ref = ab.run_estimator(spec, example.aux, bounds, u)
+    _assert_same_run(new, ref, status)
+
+
+# The cases whose example has gradients (d = 1), and euler-top with
+# difference gradients (d = 2).
+_GRADIENT_CASES = ["vdp", "vdp-1b", "af-plus", "af-plus-blowup", "af-minus",
+                   "resonant", "euler-top-a", "euler-top-d"]
+
+
+@pytest.mark.parametrize("case", _GRADIENT_CASES)
+def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case):
+    # With gradients, the right-hand side takes both offset partials from
+    # one a_grad and one b_grad call and contracts them on Python floats:
+    # the run equals, bit for bit, the run of the reference that calls the
+    # gradients once per partial and contracts by np.sum.
+    name, params, i0, eps, u, status = _SLOW_CASES[case]
+    example = _make(name, params)
+    spec = example.make_system(i0, eps)
+    bounds = example.bounds
+    if bounds.a_grad is None:
+        bounds = _difference_gradients(bounds)
+    new = ab.run_estimator(spec, example.aux, bounds, u)
+    monkeypatch.setattr(estimator, "assemble_slow_rhs", slow_rhs_reference)
+    ref = ab.run_estimator(spec, example.aux, bounds, u)
+    _assert_same_run(new, ref, status)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_analytic_partials_equal_the_np_sum_reference(d):
+    # Random gradients and slow-flow derivatives of every scale, with the
+    # gradient parts as ndarrays or as (nested) tuples of floats.
+    rng = np.random.default_rng(20 + d)
+    j, k = np.full(d, 2.0), np.zeros(d)
+    rmat = np.eye(d)
+    base = toy_linear_decay(d=d)[2]
+    draw = lambda *shape: (rng.standard_normal(shape)
+                           * 10.0 ** rng.uniform(-6.0, 6.0, shape))
+    for trial in range(2000):
+        ga_j, ga_r, ga_k, gb_j = draw(d), draw(d, d), draw(d), draw(d)
+        ga_rad, gb_rad = draw(2).tolist()
+        if trial % 2:
+            ga_j, ga_k, gb_j = (tuple(g.tolist()) for g in (ga_j, ga_k, gb_j))
+            ga_r = tuple(tuple(row) for row in ga_r.tolist())
+        bounds = dataclasses.replace(
+            base, a_grad=lambda *args: (ga_j, ga_r, ga_k, ga_rad),
+            b_grad=lambda *args: (gb_j, gb_rad))
+        dj, drmat, dk = draw(d), draw(d, d), draw(d)
+        got = estimator._analytic_partials(bounds, j, rmat, k, 0.1, 1e-2,
+                                           dj, drmat, dk)
+        want = analytic_partials_reference(bounds, j, rmat, k, 0.1, 1e-2,
+                                           dj, drmat, dk)
+        assert all(type(x) is float for x in got)
+        assert got == want
+
+
+@pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant"])
+def test_slow_rhs_calls_each_gradient_once(request, name):
+    # One a_grad and one b_grad call per evaluation, and with c_hat, d_hat
+    # and e_hat for the growth kernel that makes five majorant calls: no
+    # a_hat, b_hat or rho_hat.
+    example = request.getfixturevalue(name)
+    calls = {}
+
+    def counting(field, fn):
+        def wrapper(*args):
+            calls[field] = calls.get(field, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    bounds = dataclasses.replace(example.bounds, **{
+        f.name: counting(f.name, getattr(example.bounds, f.name))
+        for f in dataclasses.fields(example.bounds)})
+    spec = example.make_system([0.9], 1e-2)
+    rhs = assemble_slow_rhs(spec, example.aux, bounds)
+    for n_val in (0.1, 0.5, 1.0):
+        y = pack_state(spec.i0, 1.3 * np.eye(1), np.full(1, 0.2), 0.1, n_val)
+        rhs(0.0, y)
+    assert calls == {"a_grad": 3, "b_grad": 3, "c_hat": 3, "d_hat": 3,
+                     "e_hat": 3}
 
 
 def test_slow_rhs_is_infinite_where_the_bound_equation_is_singular():
@@ -338,6 +450,21 @@ def test_three_action_system_runs_to_completion():
     assert np.allclose(est.j[-1], spec.i0 * math.exp(-2.0), rtol=1e-8)
     assert np.allclose(est.r[-1], math.exp(-2.0) * np.eye(3), rtol=1e-8)
     assert np.all(np.diff(est.n) > 0.0)
+
+
+def test_three_action_gradients_of_constant_majorants_change_nothing():
+    # The majorants are constants, so their differences are exactly zero:
+    # zero gradients at d = 3 give the same run, bit for bit.
+    example = _make("linear-decay-3", {})
+    spec = example.make_system([2.0, 1.5, 1.0], 1e-2)
+    bounds = dataclasses.replace(
+        example.bounds,
+        a_grad=lambda j, rmat, k, r: (np.zeros(3), np.zeros((3, 3)),
+                                      np.zeros(3), 0.0),
+        b_grad=lambda j, r: (np.zeros(3), 0.0))
+    new = ab.run_estimator(spec, example.aux, bounds, 2.0)
+    ref = ab.run_estimator(spec, example.aux, example.bounds, 2.0)
+    _assert_same_run(new, ref, "completed")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -311,3 +311,75 @@ def test_euler_top_change_of_variables_residual(euler):
 def test_presets_listing_on_definition(vdp):
     figures = {p.figure for p in vdp.presets()}
     assert figures == {"1a", "1b", "1c"}
+
+
+def _majorant_expressions(name, jj, rr, kk):
+    """a_hat and b_hat of a d = 1 example as sympy expressions in J, r and
+    K, transcribed from the closed forms the example states."""
+    import sympy as sp
+    if name == "vdp":
+        x = jj + rr
+        a = sp.sqrt(-2 + 10 * x ** 2 + x ** 4
+                    + 2 * (1 + 2 * x ** 2) ** sp.Rational(3, 2)) / 8
+        b = sp.sqrt(
+            120 * jj ** 6 + 12 * jj ** 5 * (23 + 56 * rr)
+            + 3 * jj ** 4 * (192 + 474 * rr + 517 * rr ** 2)
+            + 12 * jj ** 3 * rr * (72 + 180 * rr + 157 * rr ** 2)
+            + 6 * jj ** 2 * rr ** 2 * (372 + 530 * rr + 231 * rr ** 2)
+            + 12 * jj * rr ** 3 * (216 + 213 * rr + 46 * rr ** 2)
+            + rr ** 4 * (1404 + 690 * rr + 91 * rr ** 2)) / 96
+    elif name in ("af_plus", "af_minus"):
+        a = (jj + rr) / 2 - kk
+        b = sp.sqrt(
+            50 * jj ** 4 + (55 + 200 * rr) * jj ** 3
+            + (38 + 85 * rr + 300 * rr ** 2) * jj ** 2
+            + (65 + 33 * rr + 200 * rr ** 2) * jj * rr
+            + (32 + 27 * rr + 50 * rr ** 2) * rr ** 2) / (8 * sp.sqrt(2))
+    else:
+        a = 1 / (jj - rr)
+        b = 2 / (jj - rr) ** 3
+    return a, b
+
+
+@pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant"])
+def test_majorant_gradients_are_the_sympy_derivatives(request, name):
+    # The float majorants equal their sympy expressions to 1e-13, and the
+    # hand-written a_grad and b_grad equal the expressions' derivatives to
+    # 1e-12 relative, over the sample box and radii up to 0.98 rho_hat.
+    # Neither majorant reads R, so its partial is exactly zero.
+    sp = pytest.importorskip("sympy")
+    import mpmath
+    ex = request.getfixturevalue(name)
+    bounds = ex.bounds
+    jj, rr, kk, rm = sp.symbols("J r K R", real=True)
+    a, b = _majorant_expressions(name, jj, rr, kk)
+    assert not (a.has(rm) or b.has(rm))
+    exprs = {"a": a, "b": b, "a_J": sp.diff(a, jj), "a_K": sp.diff(a, kk),
+             "a_r": sp.diff(a, rr), "b_J": sp.diff(b, jj),
+             "b_r": sp.diff(b, rr)}
+    exact = {key: sp.lambdify((jj, rr, kk), e, "mpmath")
+             for key, e in exprs.items()}
+
+    def close(got, key, args, rel):
+        with mpmath.workdps(40):
+            want = exact[key](*(mpmath.mpf(v) for v in args))
+            return abs(mpmath.mpf(got) - want) <= rel * abs(want)
+
+    lo, hi = (float(x[0]) for x in ex.sample_box)
+    for j_val in np.linspace(lo, hi, 9).tolist():
+        j = np.array([j_val])
+        rho = bounds.rho_hat(j)
+        for r_val in np.linspace(0.0, 0.98 * rho, 9).tolist():
+            for k_val in (-0.7, 0.0, 1.3):
+                k, rmat = np.array([k_val]), np.array([[0.6]])
+                args = (j_val, r_val, k_val)
+                assert close(bounds.a_hat(j, rmat, k, r_val), "a", args, 1e-13)
+                assert close(bounds.b_hat(j, r_val), "b", args, 1e-13)
+                (ga_j,), ((ga_r,),), (ga_k,), ga_rad = bounds.a_grad(
+                    j, rmat, k, r_val)
+                (gb_j,), gb_rad = bounds.b_grad(j, r_val)
+                assert ga_r == 0.0
+                for got, key in ((ga_j, "a_J"), (ga_k, "a_K"),
+                                 (ga_rad, "a_r"), (gb_j, "b_J"),
+                                 (gb_rad, "b_r")):
+                    assert close(got, key, args, 1e-12), (key, args)

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 import averbound as ab
 from averbound.estimator import (ContractionError, ContractionWindow,
                                  NoConvergenceError, verify_window)
+from conftest import without_gradients
 
 
 def test_resonant_fixed_point_matches_scalar_iteration(resonant):
@@ -110,22 +111,52 @@ def test_bundle_rejects_a_single_gradient(vdp, given):
                                               np.zeros(1), 0.0),
              "b_grad": lambda j, r: (np.zeros(1), 0.0)}
     with pytest.raises(ValueError, match="together"):
-        dataclasses.replace(vdp.bounds, **{given: grads[given]})
+        dataclasses.replace(without_gradients(vdp.bounds),
+                            **{given: grads[given]})
+    with pytest.raises(ValueError, match="together"):
+        dataclasses.replace(vdp.bounds, **{given: None})
 
 
 def test_auto_window_samples_the_slope_once(vdp):
     # One 101-point sample of |d(offset)/dr| (two a_hat calls per point by
-    # central differences), ell* and the self-map check.
+    # central differences), ell* and the self-map check.  vdp's gradients
+    # are stripped: with them the slope sample calls a_grad, not a_hat.
     calls = []
+    bounds = without_gradients(vdp.bounds)
 
     def a_hat(*args):
         calls.append(args)
-        return vdp.bounds.a_hat(*args)
+        return bounds.a_hat(*args)
 
-    counting = dataclasses.replace(vdp.bounds, a_hat=a_hat)
+    counting = dataclasses.replace(bounds, a_hat=a_hat)
     window = ab.auto_window(vdp.make_system([4.0], 1e-2), counting)
-    assert window == ab.auto_window(vdp.make_system([4.0], 1e-2), vdp.bounds)
+    assert window == ab.auto_window(vdp.make_system([4.0], 1e-2), bounds)
     assert len(calls) <= 2 * 101 + 2
+
+
+def test_auto_window_reads_the_exact_slope(vdp):
+    # With vdp's gradients the slope sample makes one a_grad call per
+    # level and no a_hat call beyond ell* and the self-map check; the
+    # sampled slope agrees with the difference quotient to its truncation
+    # error.
+    calls = {"a_hat": 0, "a_grad": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    counting = dataclasses.replace(
+        vdp.bounds, a_hat=counted("a_hat", vdp.bounds.a_hat),
+        a_grad=counted("a_grad", vdp.bounds.a_grad))
+    spec = vdp.make_system([4.0], 1e-2)
+    window = ab.auto_window(spec, counting)
+    assert calls == {"a_hat": 2, "a_grad": 101}
+    by_differences = ab.auto_window(spec, without_gradients(vdp.bounds))
+    assert window.ell_star == by_differences.ell_star
+    assert window.slope_bound == pytest.approx(by_differences.slope_bound,
+                                               rel=1e-9)
 
 
 def _synthetic(slope, offset, eps=1e-2):
