@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands:
+Four commands, which all take the same flags:
 
 * ``estimate`` -- run the slow-time certified estimator, write the
   trajectory table and a JSON sidecar;
@@ -125,17 +125,31 @@ def _table_format(text: str) -> str:
     return text
 
 
-# Every key of a run, with its parser.  All but ``figure``, ``example`` and
-# the system parameters are RunConfig fields.
+# Every key of a run: its parser and the help of its flag.  All but
+# ``figure``, ``example`` and the system parameters are RunConfig fields.
 _KEYS = {
-    "figure": str, "example": str,
-    "i0": _parse_i0, "theta0": _number, "eps": _positive, "u": _positive,
-    "kappa": _number, "mu": _number, "lambda1": _number, "lambda2": _number,
-    "rtol": _positive, "atol": _positive, "budget": _positive,
-    "window": _parse_window, "env_window": _positive,
-    "out": str, "format": _table_format,
+    "figure": (str, f"preset label ({', '.join(figure_ids())})"),
+    "example": (str, "system name (vdp, action-freq, resonant, euler-top, "
+                     "or registered)"),
+    "i0": (_parse_i0, "initial actions, comma-separated"),
+    "theta0": (_number, "initial angle (default 0)"),
+    "eps": (_positive, "perturbation size"),
+    "u": (_positive, "slow-time horizon U"),
+    "kappa": (_number, "action-freq sign (+1/-1)"),
+    "mu": (_number, "euler-top damping asymmetry"),
+    "lambda1": (_number, "euler-top first decay rate"),
+    "lambda2": (_number, "euler-top second decay rate"),
+    "rtol": (_positive, f"relative tolerance ({DEFAULT_RTOL:g})"),
+    "atol": (_positive, f"absolute tolerance ({DEFAULT_ATOL:g})"),
+    "budget": (_positive, "direct-run wall budget, s"),
+    "window": (_parse_window, 'fixed-point window "lstar,sigma,M"'),
+    "env_window": (_positive, "envelope window width in slow time (U/50)"),
+    "out": (str, "output file path"),
+    "format": (_table_format, "table format, csv or json (csv)"),
 }
 _ALIASES = {"system": "example", "l1": "lambda1", "l2": "lambda2"}
+# Keys whose flag is an alias: the euler-top rates are --l1 and --l2.
+_FLAGS = {"lambda1": "l1", "lambda2": "l2"}
 _PARAMS = ("kappa", "mu", "lambda1", "lambda2")
 # A figure preset fixes these, so no other entry may set them.
 _PRESET_KEYS = ("example", "i0", "theta0", "eps", "u") + _PARAMS
@@ -161,7 +175,7 @@ def _resolve(raw: Mapping[str, Tuple[str, str]], command: Optional[str],
             raise ConfigError(
                 f"{src}: duplicate key {name!r}; {origin[key]} already sets {key!r}")
         try:
-            vals[key] = _KEYS[key](text)
+            vals[key] = _KEYS[key][0](text)
         except ValueError as exc:
             raise ConfigError(f"{src}: {name} {exc}") from None
         origin[key] = src
@@ -481,41 +495,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Flags are kept as raw text; ``resolve_config`` parses them."""
+    """One parser for every command, which all take the same flags: the
+    keys of ``_KEYS`` and ``--config``.  Flags are kept as raw text under
+    their own names (``--env-window`` as ``env_window``); ``resolve_config``
+    parses them."""
     parser = _Parser(
         prog="averbound",
         description="Certified error bounds for one-frequency averaging.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("estimate", "run the slow-time certified estimator"),
-                      ("direct", "run the fast-time comparison integration"),
-                      ("compare", "run both and compare bound vs envelope"),
-                      ("verify", "run the validation suite for an example")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--figure", help=f"preset label ({', '.join(figure_ids())})")
-        p.add_argument("--example", help="system name (vdp, action-freq, "
-                                         "resonant, euler-top, or registered)")
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--i0", help="initial actions, comma-separated")
-        p.add_argument("--theta0", help="initial angle (default 0)")
-        p.add_argument("--eps", help="perturbation size")
-        p.add_argument("--u", help="slow-time horizon U")
-        p.add_argument("--kappa", help="action-freq sign (+1/-1)")
-        p.add_argument("--mu", help="euler-top damping asymmetry")
-        p.add_argument("--l1", help="euler-top first decay rate")
-        p.add_argument("--l2", help="euler-top second decay rate")
-        p.add_argument("--rtol", help=f"relative tolerance ({DEFAULT_RTOL:g})")
-        p.add_argument("--atol", help=f"absolute tolerance ({DEFAULT_ATOL:g})")
-        p.add_argument("--budget", help="direct-run wall budget, s")
-        p.add_argument("--window", help='fixed-point window "lstar,sigma,M"')
-        p.add_argument("--env-window", dest="env_window",
-                       help="envelope window width in slow time (U/50)")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", help="table format, csv or json (csv)")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help=_COMMAND_HELP)
+    parser.add_argument("--config", help="key = value config file")
+    for key, (_, doc) in _KEYS.items():
+        parser.add_argument("--" + _FLAGS.get(key, key).replace("_", "-"),
+                            help=doc)
     return parser
 
 
 _COMMANDS = {"estimate": cmd_estimate, "direct": cmd_direct,
              "compare": cmd_compare, "verify": cmd_verify}
+_COMMAND_HELP = ("estimate: the slow-time certified bound; direct: the "
+                 "fast-time comparison run; compare: both, bound against "
+                 "envelope; verify: the validation suite for an example")
 
 
 def main(argv=None) -> int:

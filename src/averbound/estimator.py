@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ode
-from .model import (AuxiliaryBundle, BoundBundle, SystemSpec, frobenius,
-                    growth_value, offset_value)
+from .model import (IDENTITY_TOL, AuxiliaryBundle, BoundBundle, SystemSpec,
+                    frobenius, growth_value, offset_value)
 
 __all__ = [
     "ContractionError",
@@ -77,9 +77,6 @@ class ViolationKind(str, Enum):
     N_NONPOSITIVE = "n_nonpositive"
     N_EXCEEDS_RHO_OVER_EPS = "n_exceeds_rho_over_eps"
     DALPHA_DR_EXCEEDS_INV_EPS = "dalpha_dr_exceeds_inv_eps"
-    # The run stopped because a bound function raised at the stop state, so
-    # no condition could be checked there.
-    UNDETERMINED = "undetermined"
 
 
 class EstimatorStatus(str, Enum):
@@ -460,10 +457,7 @@ def _make_stop_predicate(spec, bounds):
         j, rmat, k, m, n = unpack_state(y, d)
         if n <= 0.0:
             return ViolationKind.N_NONPOSITIVE
-        rho = bounds.rho_hat(j)
-        if not np.isfinite(rho):
-            rho = np.inf
-        if not n < rho / eps:
+        if not n < bounds.rho_hat(j) / eps:
             return ViolationKind.N_EXCEEDS_RHO_OVER_EPS
         dal = _dalpha_dr(bounds, j, rmat, k, eps * n, eps)
         if not dal < 1.0 / eps:
@@ -471,6 +465,18 @@ def _make_stop_predicate(spec, bounds):
         return None
 
     return violation
+
+
+def _check_theta0(spec: SystemSpec, aux: AuxiliaryBundle) -> None:
+    """Refuse an initial angle at which v or w does not vanish: the
+    integral identity behind the bound holds only where both do."""
+    for name, fn in (("v", aux.v), ("w", aux.w)):
+        value = float(np.max(np.abs(fn(spec.i0, spec.theta0))))
+        if not value <= IDENTITY_TOL:
+            raise ValueError(
+                f"theta0 = {spec.theta0:g} is not certified: the identity "
+                f"{name}(I0, theta0) = 0 fails with |{name}| = {value:.3g} > "
+                f"{IDENTITY_TOL:g}")
 
 
 def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
@@ -482,9 +488,13 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     Computes the fixed point ell0, integrates the coupled system from
     (I0, identity, 0, 0, ell0), and monitors the validity conditions; an
     early stop is reported as ``domain_violation`` with the failed condition.
+    Raises ``ValueError`` for initial data the bundle does not certify:
+    where ``aux.v`` or ``aux.w`` does not vanish at (I0, theta0) to within
+    ``IDENTITY_TOL``.
     """
     if not u > 0.0:
         raise ValueError("U must be positive")
+    _check_theta0(spec, aux)
     t_start = time.perf_counter()
     window_mode = "explicit"
     if window is None:
@@ -502,10 +512,7 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     if traj.status is ode.Status.COMPLETED:
         status, kind = EstimatorStatus.COMPLETED, None
     elif traj.status is ode.Status.STOPPED:
-        status = EstimatorStatus.DOMAIN_VIOLATION
-        kind = traj.stop_reason
-        if not isinstance(kind, ViolationKind):   # a bound function raised
-            kind = ViolationKind.UNDETERMINED
+        status, kind = EstimatorStatus.DOMAIN_VIOLATION, traj.stop_reason
     else:
         status, kind = EstimatorStatus.STEP_FAILURE, None
 

@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# Largest residual of an auxiliary identity that passes: the identity check
+# of the validation suite, and the estimator's test that v and w vanish at
+# the initial data.
+IDENTITY_TOL = 1e-8
 
 # (d,) actions and a float angle, or (d, N) actions and a float or (N,)
 # angles.

@@ -291,9 +291,11 @@ class Trajectory:
         """Cursor-based evaluator for one query at a time, for the direct
         right-hand side only.
 
-        Its ``into`` equals :meth:`sample_many` bit for bit, and a query
-        near the previous one costs well under a microsecond, far less than
-        a one-point :meth:`sample`; batches go through :meth:`sample_many`.
+        Between nodes its ``into`` equals :meth:`sample_many` bit for bit;
+        at a node it may differ in the last bit, where :meth:`sample_many`
+        returns the stored state.  A query near the previous one costs well
+        under a microsecond, far less than a one-point :meth:`sample`;
+        batches go through :meth:`sample_many`.
         """
         return CubicSampler(self)
 
@@ -418,9 +420,8 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     the first node where it returns a truthy value ends the run, with the
     crossing localized on the dense output of the final step and the value
     there kept as ``stop_reason``.  ``stop`` takes the state in the form
-    the problem's ``rhs`` does.  A ``stop`` that raises ``ArithmeticError``
-    or ``ValueError`` counts as returning True, except at the initial state,
-    where its exception propagates.  Failure modes: step-size underflow below
+    the problem's ``rhs`` does; an exception it raises, at any state,
+    propagates.  Failure modes: step-size underflow below
     1e-14 times the span (a NaN step size, as a non-finite initial state or
     slope gives, counts as one), or ``_MAX_STEPS`` step attempts.  Exceptions,
     a NaN error estimate in any component and a non-finite new state make
@@ -451,7 +452,6 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     f = np.asarray(rhs(t, from_array(y)), dtype=float)
     if f.shape != y.shape:
         raise ValueError(f"rhs must return shape {y.shape}, got {f.shape}")
-    # Called directly: a predicate that raises here propagates its own error.
     if stop is not None and stop(t, from_array(y)):
         raise ValueError("stop predicate already true at the initial state")
 
@@ -521,7 +521,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         if h_hi is None or h > h_hi:
             h_hi = h
 
-        if stop is not None and (reason := _safe_stop(step_stop, t_new, y_new)):
+        if stop is not None and (reason := step_stop(t_new, y_new)):
             stop_time, y_stop, f_stop, stop_reason = _localize_stop(
                 lambda t, y: stop(t, from_array(y)), reason, t, t_new,
                 *map(np.asarray, (y, y_new, f, f_new)))
@@ -558,14 +558,6 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     )
 
 
-def _safe_stop(stop, t, y):
-    """The stop predicate's value at (t, y); True when it raises."""
-    try:
-        return stop(t, y)
-    except _RHS_ERRORS:
-        return True
-
-
 def _localize_stop(stop, reason, t0, t1, y0, y1, f0, f1):
     """Bisect the final step's dense output for the earliest stop time.
 
@@ -578,7 +570,7 @@ def _localize_stop(stop, reason, t0, t1, y0, y1, f0, f1):
         if (b - a) <= _STOP_REL * max(1.0, abs(b)):
             break
         mid = 0.5 * (a + b)
-        mid_reason = _safe_stop(stop, mid, _cubic_value(c, (mid - t0) / h))
+        mid_reason = stop(mid, _cubic_value(c, (mid - t0) / h))
         if mid_reason:
             b, reason = mid, mid_reason
         else:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .direct import DirectTrajectory, envelope
 from .estimator import EstimatorTrajectory, unpack_state
-from .model import TWO_PI, AuxiliaryBundle, BoundBundle, SystemSpec
+from .model import (IDENTITY_TOL, TWO_PI, AuxiliaryBundle, BoundBundle,
+                    SystemSpec)
 
 __all__ = [
     "ValidationReport",
@@ -35,7 +36,6 @@ __all__ = [
     "analytic_crosscheck",
 ]
 
-IDENTITY_TOL = 1e-8
 CROSSCHECK_TOL = 1e-8     # largest passing closed-form residual of J, R, K
 _INTEGRAL_TOL = 1e-4      # largest passing integral-identity residual
 _HEADLINE_REL_SLACK = 1e-12  # |L| - n beyond this * n is a violation

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, file outputs, config handling."""
+import argparse
 import csv
 import dataclasses
 import io
@@ -62,6 +63,29 @@ def test_estimate_rejects_nonpositive_horizon(tmp_path):
                    "--eps", "0.01", "--u", "0",
                    "--out", str(tmp_path / "x.csv"))
     assert code == 1
+
+
+_BUILTIN_FLAGS = {
+    "vdp": ["--example", "vdp", "--i0", "0.5"],
+    "action-freq+1": ["--example", "action-freq", "--kappa", "1", "--i0", "0.8"],
+    "action-freq-1": ["--example", "action-freq", "--kappa", "-1", "--i0", "1"],
+    "resonant": ["--example", "resonant", "--i0", "2"],
+    "euler-top": ["--example", "euler-top", "--mu", "1", "--l1", "2",
+                  "--l2", "-1", "--i0", "4,4"],
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "verify"])
+@pytest.mark.parametrize("system", list(_BUILTIN_FLAGS))
+def test_uncertified_theta0_exits_1(tmp_path, capsys, command, system):
+    out = tmp_path / "out.csv"
+    code = run_cli(command, *_BUILTIN_FLAGS[system], "--eps", "1e-2",
+                   "--u", "0.5", "--theta0", "1.0", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: theta0 = 1 is not certified: the identity "
+                          "v(I0, theta0) = 0 fails with |v| = ")
+    assert not out.exists()
 
 
 def test_estimate_unknown_preset():
@@ -375,6 +399,22 @@ def test_usage_errors_exit_1():
     assert code("estimate", "--figure", "3e", "--format", "xml") == 1
     assert code("no-such-command") == 1
     assert code("estimate", "--help") == 0
+    assert code("--help") == 0
+    assert code() == 1                     # no command
+
+
+def test_one_parser_for_every_command():
+    # The four commands take the same flags, so there are no subparsers:
+    # the command is a positional, and each flag keeps its own name as dest.
+    parser = build_parser()
+    assert not any(isinstance(action, argparse._SubParsersAction)
+                   for action in parser._actions)
+    for command in ("estimate", "direct", "compare", "verify"):
+        args = parser.parse_args([command, "--l1", "2", "--env-window", "0.1"])
+        assert (args.command, args.l1, args.env_window) == (command, "2", "0.1")
+    flags = {opt for action in parser._actions for opt in action.option_strings}
+    assert len(flags) == 3 + 17      # -h, --help, --config and 17 run keys
+    assert {"--config", "--l1", "--l2", "--env-window", "--figure"} <= flags
 
 
 def test_cli_requires_a_selection():

@@ -142,9 +142,10 @@ def test_blowup_terminates_with_domain_violation(af_plus):
         assert est.violation_kind is ViolationKind.N_EXCEEDS_RHO_OVER_EPS
 
 
-def test_raising_bound_gives_undetermined_violation():
-    # J decays from 2 as 2*exp(-tau); rho_hat raises once J drops below 1.5,
-    # so the stop state names no failed condition.
+def test_raising_bound_propagates_from_the_estimator():
+    # J decays from 2 as 2*exp(-tau); rho_hat raises once J drops below 1.5.
+    # The stop predicate's exception ends the run as itself, not as a domain
+    # violation without a condition.
     spec, aux, bounds = toy_linear_decay()
 
     def rho_hat(j):
@@ -153,10 +154,55 @@ def test_raising_bound_gives_undetermined_violation():
         return float(j[0])
 
     bounds = dataclasses.replace(bounds, rho_hat=rho_hat)
+    with pytest.raises(ValueError, match="undefined below J = 1.5"):
+        ab.run_estimator(spec, aux, bounds, 1.0)
+
+
+def test_nan_tube_radius_is_a_tube_violation():
+    # A NaN radius below J = 1.5 fails n < rho/eps: the run stops there with
+    # the tube condition, as it would at radius zero.
+    spec, aux, bounds = toy_linear_decay()
+    bounds = dataclasses.replace(
+        bounds, rho_hat=lambda j: math.nan if j[0] < 1.5 else float(j[0]))
     est = ab.run_estimator(spec, aux, bounds, 1.0)
     assert est.status is EstimatorStatus.DOMAIN_VIOLATION
-    assert est.violation_kind is ViolationKind.UNDETERMINED
+    assert est.violation_kind is ViolationKind.N_EXCEEDS_RHO_OVER_EPS
     assert est.tau_final == pytest.approx(math.log(2.0 / 1.5), abs=1e-6)
+
+
+_BUILTINS = [("vdp", {}), ("action-freq", {"kappa": 1}),
+             ("action-freq", {"kappa": -1}), ("resonant", {}),
+             ("euler-top", {"mu": 1, "lambda1": 2, "lambda2": -1})]
+
+
+@pytest.mark.parametrize("name,params", _BUILTINS,
+                         ids=[f"{n}{p.get('kappa', '')}" for n, p in _BUILTINS])
+def test_estimator_refuses_an_uncertified_theta0(name, params):
+    # The built-in v and w vanish at theta0 = 0 for every action, and at pi
+    # except resonant's; elsewhere the bound does not hold, so no run starts.
+    example = ab.make_example(name, params)
+    i0 = 0.5 * (example.sample_box[0] + example.sample_box[1])
+    refused = [1.0] + ([math.pi] if name == "resonant" else [])
+    for theta0 in refused:
+        spec = example.make_system(i0, 1e-2, theta0=theta0)
+        with pytest.raises(ValueError, match=r"theta0 = .* the identity "
+                                             r"v\(I0, theta0\) = 0 fails"):
+            ab.run_estimator(spec, example.aux, example.bounds, 0.1)
+    for theta0 in [0.0] + ([] if name == "resonant" else [math.pi]):
+        spec = example.make_system(i0, 1e-2, theta0=theta0)
+        est = ab.run_estimator(spec, example.aux, example.bounds, 0.1)
+        assert est.status is EstimatorStatus.COMPLETED
+
+
+def test_theta0_refusal_names_w_when_only_w_fails():
+    spec, aux, bounds = toy_linear_decay()
+    aux = dataclasses.replace(aux, w=lambda i, th: np.full(1, 2e-8))
+    with pytest.raises(ValueError, match=r"w\(I0, theta0\) = 0 fails with "
+                                         r"\|w\| = 2e-08 > 1e-08"):
+        ab.run_estimator(spec, aux, bounds, 1.0)
+    aux = dataclasses.replace(aux, w=lambda i, th: np.full(1, 1e-8))
+    assert ab.run_estimator(spec, aux, bounds, 1.0).status is \
+        EstimatorStatus.COMPLETED
 
 
 @pytest.mark.parametrize("fig", ["1a", "2a", "4a"])

@@ -61,14 +61,33 @@ def test_stop_reason_is_the_predicate_value():
             raise ValueError("past the domain")
         return False
 
-    traj = ode.integrate(rising, stop=raises_once_crossed)
-    assert traj.status is ode.Status.STOPPED
-    assert traj.stop_reason is True
-    assert traj.stop_time == pytest.approx(0.5, abs=1e-9)
+    # An exception is not a stop reason: it leaves integrate as itself.
+    with pytest.raises(ValueError, match="past the domain"):
+        ode.integrate(rising, stop=raises_once_crossed)
 
     traj = ode.integrate(rising, stop=lambda t, y: y[0] >= 5.0)
     assert traj.status is ode.Status.COMPLETED
     assert traj.stop_reason is None
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_stop_predicate_raising_in_the_localisation_propagates(size):
+    # The predicate turns true at an accepted node, then raises at the first
+    # bisection point: that exception, too, ends the run as itself.
+    crossed = []
+
+    def stop(t, y):
+        if crossed:
+            raise ZeroDivisionError("inside the final step")
+        if y[0] >= 0.5:
+            crossed.append(t)
+            return True
+        return False
+
+    with pytest.raises(ZeroDivisionError, match="inside the final step"):
+        ode.integrate(problem(lambda t, y: np.ones(size), np.zeros(size), 2.0),
+                      stop=stop)
+    assert len(crossed) == 1
 
 
 def test_linear_crossing_stop_time():
