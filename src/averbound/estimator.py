@@ -97,92 +97,87 @@ def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps) -> float:
             - offset_value(bounds, j, rmat, k, r - h, eps)) / (2 * h)
 
 
-def _alpha_tau_derivative(bounds: BoundBundle, j, rmat, k, r, eps,
-                          dj, drmat, dk) -> float:
+def _alpha_tau_derivative(bounds: BoundBundle, j, rows, k, r, eps,
+                          dj, drows, dk) -> float:
     """Chain-rule derivative of the offset bound along the slow flow, by
     central differences.
 
     Contracts the partial derivatives with respect to J, R and K with the
-    supplied slow-flow derivatives dJ/dtau, dR/dtau, dK/dtau.  The zero
-    tests, steps and weights read Python floats; the perturbed points
-    handed to the bound functions stay ndarrays.
+    supplied slow-flow derivatives dJ/dtau, dR/dtau, dK/dtau.  Every
+    argument is a list of floats (R and dR/dtau as rows); the perturbed
+    points handed to the bound functions are list copies.
     """
-    jl, rl, kl = j.tolist(), rmat.tolist(), k.tolist()
-    djl, drl, dkl = dj.tolist(), drmat.tolist(), dk.tolist()
     total = 0.0
-    d = len(jl)
-    for i in range(d):
-        if djl[i] == 0.0:
+    for i, step in enumerate(dj):
+        if step == 0.0:
             continue
-        h = _FD_STEP * max(1.0, abs(jl[i]))
-        jp = j.copy(); jp[i] += h
-        jm = j.copy(); jm[i] -= h
-        total += djl[i] * (offset_value(bounds, jp, rmat, k, r, eps)
-                           - offset_value(bounds, jm, rmat, k, r, eps)) / (2 * h)
-    for a in range(d):
-        for b in range(d):
-            if drl[a][b] == 0.0:
+        h = _FD_STEP * max(1.0, abs(j[i]))
+        jp = list(j); jp[i] += h
+        jm = list(j); jm[i] -= h
+        total += step * (offset_value(bounds, jp, rows, k, r, eps)
+                         - offset_value(bounds, jm, rows, k, r, eps)) / (2 * h)
+    for a, drow in enumerate(drows):
+        for b, step in enumerate(drow):
+            if step == 0.0:
                 continue
-            h = _FD_STEP * max(1.0, abs(rl[a][b]))
-            rp = rmat.copy(); rp[a, b] += h
-            rm = rmat.copy(); rm[a, b] -= h
-            total += drl[a][b] * (bounds.a_hat(j, rp, k, r)
-                                  - bounds.a_hat(j, rm, k, r)) / (2 * h)
-    for i in range(d):
-        if dkl[i] == 0.0:
+            h = _FD_STEP * max(1.0, abs(rows[a][b]))
+            rp = [list(row) for row in rows]; rp[a][b] += h
+            rm = [list(row) for row in rows]; rm[a][b] -= h
+            total += step * (bounds.a_hat(j, rp, k, r)
+                             - bounds.a_hat(j, rm, k, r)) / (2 * h)
+    for i, step in enumerate(dk):
+        if step == 0.0:
             continue
-        h = _FD_STEP * max(1.0, abs(kl[i]))
-        kp = k.copy(); kp[i] += h
-        km = k.copy(); km[i] -= h
-        total += dkl[i] * (bounds.a_hat(j, rmat, kp, r)
-                           - bounds.a_hat(j, rmat, km, r)) / (2 * h)
+        h = _FD_STEP * max(1.0, abs(k[i]))
+        kp = list(k); kp[i] += h
+        km = list(k); km[i] -= h
+        total += step * (bounds.a_hat(j, rows, kp, r)
+                         - bounds.a_hat(j, rows, km, r)) / (2 * h)
     return float(total)
 
 
-def _analytic_partials(bounds: BoundBundle, j, rmat, k, r, eps,
-                       dj, drmat, dk):
+def _analytic_partials(bounds: BoundBundle, j, rows, k, r, eps,
+                       dj, drows, dk):
     """(d(offset)/dr, d(offset)/dtau) from one ``a_grad`` and one ``b_grad``
     call.
 
     d(offset)/dtau is np.sum(dA/dJ * dJ) + np.sum(dA/dR * dR) +
     np.sum(dA/dK * dK) + eps * np.sum(dB/dJ * dJ), with the slow-flow
-    derivatives dJ, dR and dK.  Each sum runs on Python floats, from 0.0
-    and left to right over R in row order: at d = 1 and d = 2 that is
-    np.sum's order, so every bit is the same.
+    derivatives dJ, dR (as rows) and dK, lists of floats.  Each sum runs on
+    Python floats, from 0.0 and left to right over R in row order: at d = 1
+    and d = 2 that is np.sum's order, so every bit is the same.
     """
-    ga_j, ga_r, ga_k, ga_rad = bounds.a_grad(j, rmat, k, r)
+    ga_j, ga_r, ga_k, ga_rad = bounds.a_grad(j, rows, k, r)
     gb_j, gb_rad = bounds.b_grad(j, r)
     dal_dr = float(ga_rad + eps * gb_rad)
-    d = dj.shape[0]
-    djl, drl, dkl = dj.tolist(), drmat.tolist(), dk.tolist()
     sum_j = sum_r = sum_k = sum_b = 0.0
-    for a in range(d):
-        sum_j += ga_j[a] * djl[a]
-        sum_k += ga_k[a] * dkl[a]
-        sum_b += gb_j[a] * djl[a]
-        row, drow = ga_r[a], drl[a]
-        for b in range(d):
-            sum_r += row[b] * drow[b]
+    for a, step in enumerate(dj):
+        sum_j += ga_j[a] * step
+        sum_k += ga_k[a] * dk[a]
+        sum_b += gb_j[a] * step
+        for g, x in zip(ga_r[a], drows[a]):
+            sum_r += g * x
     return dal_dr, float(sum_j + sum_r + sum_k + eps * sum_b)
 
 
-def _inverse_norms(rmat: np.ndarray):
-    """The Frobenius norms (|R|, |R^-1|) of the condition check.
+def _inverse_norms(rows):
+    """The Frobenius norms (|R|, |R^-1|) of the condition check, for R given
+    as a list of rows of floats.
 
     At d = 1 and d = 2 they are taken on Python floats, with the operations
     of an ndarray R^-1 and :func:`frobenius` in the same order (a sum of
     fewer than eight squares runs left to right in numpy too), so every
-    bit is the same.
+    bit is the same.  Larger R is inverted by ``np.linalg.solve``.
     """
-    d = rmat.shape[0]
+    d = len(rows)
     if d == 1:
-        val = rmat.item(0)
+        val = rows[0][0]
         if val == 0.0:
             raise SingularMatrixError("fundamental matrix is zero")
         inv = 1.0 / val
         norm_r, norm_inv = math.sqrt(val * val), math.sqrt(inv * inv)
     elif d == 2:
-        r00, r01, r10, r11 = rmat.ravel().tolist()
+        (r00, r01), (r10, r11) = rows
         det = r00 * r11 - r01 * r10
         if det == 0.0:
             raise SingularMatrixError("fundamental matrix is singular")
@@ -190,6 +185,7 @@ def _inverse_norms(rmat: np.ndarray):
         norm_r = math.sqrt(r00 * r00 + r01 * r01 + r10 * r10 + r11 * r11)
         norm_inv = math.sqrt(i00 * i00 + i01 * i01 + i10 * i10 + i11 * i11)
     else:
+        rmat = np.array(rows)
         try:
             inv = np.linalg.solve(rmat, np.eye(d))
         except np.linalg.LinAlgError as exc:
@@ -334,19 +330,36 @@ def pack_state(j, rmat, k, m, n) -> np.ndarray:
     return np.concatenate((j, rmat.ravel(), k, (m, n)))
 
 
+def _offsets(d: int):
+    """Where R and K start in a packed state of d actions: J fills the
+    first d components, R the next d*d row by row, K the d after them, and
+    m and n are the last two."""
+    return d, d + d * d
+
+
 def unpack_state(y: np.ndarray, d: int):
     """Views (J, R, K, m, n) of a packed state, or of a grid of them with one
     state per row.  For a single state m and n are scalars."""
-    j = y[..., :d]
-    rmat = y[..., d:d + d * d].reshape(y.shape[:-1] + (d, d))
-    k = y[..., d + d * d:2 * d + d * d]
+    r0, k0 = _offsets(d)
+    j = y[..., :r0]
+    rmat = y[..., r0:k0].reshape(y.shape[:-1] + (d, d))
+    k = y[..., k0:k0 + d]
     # y.T[-1] is a scalar for one state and a column view for a grid.
     return j, rmat, k, y.T[-2], y.T[-1]
 
 
+def _split_state(y: list, d: int):
+    """(J, rows of R, K, m, n) of one packed state given as a list of
+    floats, at the offsets of :func:`unpack_state`."""
+    r0, k0 = _offsets(d)
+    return (y[:r0], [y[i:i + d] for i in range(r0, k0, d)], y[k0:k0 + d],
+            y[-2], y[-1])
+
+
 def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
                       bounds: BoundBundle) -> Callable:
-    """Right side of the packed slow system [J, R, K, m, n].
+    """Right side of the packed slow system [J, R, K, m, n], on lists of
+    Python floats: it takes the state as a list and returns a new one.
 
     Implements dJ = fbar(J), dR = dfbar(J) R, dK = dfbar(J) K + pbar(J),
     dm = |R^-1| * growth, and the bound equation
@@ -357,41 +370,74 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
     with growth evaluated at (J, eps*n, n) and the offset partials taken at
     (J, R, K, eps*n): by one call each of the bundle's ``a_grad`` and
     ``b_grad`` when it has them, and otherwise by central differences with
-    step ``_FD_STEP`` times the argument scale.
+    step ``_FD_STEP`` times the argument scale.  J, K and the rows of R
+    reach the bundles as lists.
+
+    Each entry of the products dfbar R, dfbar K and R . dR is summed on
+    floats from 0.0, left to right.  That is numpy's result bit for bit
+    wherever each sum has at most one nonzero term, as with a diagonal
+    dfbar, and at d = 1.  For a full dfbar at d >= 2, numpy's ``@`` runs
+    through BLAS, whose fused multiply-adds can round the last bit
+    differently.
     """
     eps = spec.epsilon
     d = spec.d
     analytic = bounds.a_grad is not None
+    fbar, dfbar, pbar = aux.fbar, aux.dfbar, aux.pbar
 
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        j, rmat, k, m, n = unpack_state(y, d)
-        # n is read as a Python float.  m stays a numpy scalar: it makes dn
-        # a numpy division, which gives inf rather than raising when
-        # eps * d(offset)/dr reaches 1.
-        n = float(n)
-        amat = aux.dfbar(j)
-        dj = np.asarray(aux.fbar(j), dtype=float)
-        drmat = amat @ rmat
-        dk = amat @ k + aux.pbar(j)
+    def rhs(tau: float, y: list) -> list:
+        j, rows, k, m, n = _split_state(y, d)
+        amat = dfbar(j).tolist()
+        dj = fbar(j)
+        pb = pbar(j).tolist()
+        drows = []
+        dk = []
+        # strict: a dfbar or pbar of the wrong shape raises, as numpy's @
+        # and + did, rather than being cut to fit.
+        for arow, p in zip(amat, pb, strict=True):
+            drow = []
+            for b in range(d):
+                acc = 0.0
+                for a_c, row in zip(arow, rows, strict=True):
+                    acc += a_c * row[b]
+                drow.append(acc)
+            drows.append(drow)
+            acc = 0.0
+            for a_c, k_c in zip(arow, k):
+                acc += a_c * k_c
+            dk.append(acc + p)
 
-        norm_r, norm_rinv = _inverse_norms(rmat)
+        norm_r, norm_rinv = _inverse_norms(rows)
         radius = eps * n
         gam = growth_value(bounds, j, radius, n)
         dm = norm_rinv * gam
 
         if analytic:
-            dal_dr, dal_dtau = _analytic_partials(bounds, j, rmat, k, radius,
-                                                  eps, dj, drmat, dk)
+            dal_dr, dal_dtau = _analytic_partials(bounds, j, rows, k, radius,
+                                                  eps, dj, drows, dk)
         else:
-            dal_dr = _dalpha_dr(bounds, j, rmat, k, radius, eps)
-            dal_dtau = _alpha_tau_derivative(bounds, j, rmat, k, radius, eps,
-                                             dj, drmat, dk)
+            dal_dr = _dalpha_dr(bounds, j, rows, k, radius, eps)
+            dal_dtau = _alpha_tau_derivative(bounds, j, rows, k, radius, eps,
+                                             dj, drows, dk)
         denom = 1.0 - eps * dal_dr
-        r_dot_dr = float(np.add.reduce(rmat * drmat, axis=None))
-        dn = (dal_dtau + eps * norm_r * norm_rinv * gam
-              + eps * r_dot_dr / norm_r * m) / denom
+        r_dot_dr = 0.0
+        for row, drow in zip(rows, drows):
+            for r_c, dr_c in zip(row, drow):
+                r_dot_dr += r_c * dr_c
+        num = (dal_dtau + eps * norm_r * norm_rinv * gam
+               + eps * r_dot_dr / norm_r * m)
+        # denom is +0.0 when eps * d(offset)/dr is exactly 1, and num * inf
+        # is then what numpy's num / 0.0 gives (+-inf, or NaN for a zero or
+        # NaN num), without Python's ZeroDivisionError.
+        dn = num / denom if denom else num * math.inf
 
-        return pack_state(dj, drmat, dk, dm, dn)
+        out = [*dj]
+        for drow in drows:
+            out += drow
+        out += dk
+        out.append(dm)
+        out.append(dn)
+        return out
 
     return rhs
 
@@ -448,18 +494,19 @@ class EstimatorTrajectory:
 
 
 def _make_stop_predicate(spec, bounds):
-    """The stop predicate of the slow solve: the first failed validity
-    condition at a state, as a :class:`ViolationKind`, or None."""
+    """The stop predicate of the slow solve, on a state given as a list of
+    floats: the first failed validity condition, as a
+    :class:`ViolationKind`, or None."""
     eps = spec.epsilon
     d = spec.d
 
     def violation(tau, y):
-        j, rmat, k, m, n = unpack_state(y, d)
+        j, rows, k, m, n = _split_state(y, d)
         if n <= 0.0:
             return ViolationKind.N_NONPOSITIVE
         if not n < bounds.rho_hat(j) / eps:
             return ViolationKind.N_EXCEEDS_RHO_OVER_EPS
-        dal = _dalpha_dr(bounds, j, rmat, k, eps * n, eps)
+        dal = _dalpha_dr(bounds, j, rows, k, eps * n, eps)
         if not dal < 1.0 / eps:
             return ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
         return None
@@ -505,7 +552,7 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     d = spec.d
     y0 = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, ell0)
     rhs = assemble_slow_rhs(spec, aux, bounds)
-    problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u)
+    problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u, lists=True)
     traj = ode.integrate(problem, rtol=rtol, atol=atol,
                          stop=_make_stop_predicate(spec, bounds))
 

@@ -145,17 +145,17 @@ def make(params) -> ExampleDefinition:
         return float(min(j[0], j[1]))
 
     def a_hat(j, rmat, k, r):
-        j1, j2 = j.tolist()
+        j1, j2 = j
         return am / 2 * math.sqrt(1 / (j1 - r) ** 2 + 1 / (j2 - r) ** 2)
 
     def b_hat(j, r):
-        j1, j2 = j.tolist()
+        j1, j2 = j
         num = (b11 * j1 ** 2 + b22 * j2 ** 2 + b1 * j1 * r
                + b2 * j2 * r + b0 * r * r)
         return am * math.sqrt(num) / (8 * (j1 - r) ** 2 * (j2 - r) ** 2)
 
     def c_hat(j, r):
-        j1, j2 = j.tolist()
+        j1, j2 = j
         num = (c11 * j1 ** 2 + c22 * j2 ** 2 + c1 * j1 * r
                + c2 * j2 * r + c0 * r * r)
         return am * math.sqrt(num) / (32 * (j1 - r) ** 2 * (j2 - r) ** 2)

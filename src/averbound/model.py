@@ -18,9 +18,10 @@ estimator built from two bundles of user-supplied callables:
 
 The system callables ``omega``, ``f``, ``g``, ``in_domain`` and the
 bundle's ``fbar`` take the actions as a sequence of d floats: the fast-time
-runs hand them a list of Python floats, the estimator and the checks an
-ndarray.  ``f`` and ``fbar`` return a sequence of d floats (a list or a 1-D
-array), ``omega`` and ``g`` a float and ``in_domain`` a bool.
+runs and the estimator's slow solve hand them a list of Python floats, the
+contraction window and the checks an ndarray.  ``f`` and ``fbar`` return a
+sequence of d floats (a list or a 1-D array), ``omega`` and ``g`` a float
+and ``in_domain`` a bool.
 
 The members of the auxiliary bundle other than ``fbar`` and ``pbar`` take
 one point or a stack of N points: actions of shape ``(d,)`` or ``(d, N)``,
@@ -36,13 +37,18 @@ indexed ``i[k]``.
 * A member whose value does not read the actions may return the one-point
   shape on a stack too; the checks broadcast it along the N points.
   ``examples.constant`` builds such members.
-* ``pbar`` takes and returns ``(d,)`` arrays; it is called per point.
+* ``pbar`` returns a ``(d,)`` array; it is called per point.
+* ``dfbar`` and ``pbar`` take one point's actions as a sequence of d
+  floats, as ``fbar`` does: the slow solve hands them a list.
 
 The checks call the members per point and stacked, so the two calls must
 agree bit for bit: write them with ``np.sin``/``np.cos`` and integer powers
 as products, since numpy's ``**`` rounds differently on arrays than on
-single numbers.  The majorants of :class:`BoundBundle` take ``(d,)``
-actions and ``(d, d)`` matrices and return floats.
+single numbers.  The majorants of :class:`BoundBundle` take the actions
+and K as sequences of d floats and R as a sequence of d rows, and return
+floats: the slow solve hands them lists of Python floats, the window and
+the checks ndarrays, so index them (``j[0]``, ``rmat[0][0]``) rather than
+computing on whole arrays.
 """
 from __future__ import annotations
 
@@ -71,6 +77,7 @@ IDENTITY_TOL = 1e-8
 # angles.
 VecFun = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
 Actions = Sequence[float]      # a list or an ndarray of the d actions
+Rows = Sequence[Sequence[float]]   # the d rows of a (d, d) matrix
 
 
 def frobenius(x) -> float:
@@ -155,11 +162,11 @@ class AuxiliaryBundle:
     """
 
     fbar: Callable[[Actions], Sequence[float]]
-    dfbar: Callable[[np.ndarray], np.ndarray]
+    dfbar: Callable[[Actions], np.ndarray]
     s: VecFun
     v: VecFun
     p: VecFun
-    pbar: Callable[[np.ndarray], np.ndarray]
+    pbar: Callable[[Actions], np.ndarray]
     q: VecFun
     w: VecFun
     u: VecFun
@@ -182,6 +189,8 @@ class BoundBundle:
     * ``e_hat(J, r)``       dominates |h_script(J, dJ)|,
 
     over all |dJ| <= r and all angles; c, d, e must be non-decreasing in r.
+    J and K are sequences of d floats and R a sequence of d rows of floats:
+    lists in the slow solve, ndarrays in the window and the checks.
 
     ``a_grad`` and ``b_grad`` optionally supply the partial derivatives of
     ``a_hat`` and ``b_hat``, both or neither:
@@ -195,12 +204,12 @@ class BoundBundle:
     ``a_hat`` and ``b_hat`` serve only a bundle without gradients.
     """
 
-    rho_hat: Callable[[np.ndarray], float]
-    a_hat: Callable[[np.ndarray, np.ndarray, np.ndarray, float], float]
-    b_hat: Callable[[np.ndarray, float], float]
-    c_hat: Callable[[np.ndarray, float], float]
-    d_hat: Callable[[np.ndarray, float], float]
-    e_hat: Callable[[np.ndarray, float], float]
+    rho_hat: Callable[[Actions], float]
+    a_hat: Callable[[Actions, Rows, Actions, float], float]
+    b_hat: Callable[[Actions, float], float]
+    c_hat: Callable[[Actions, float], float]
+    d_hat: Callable[[Actions, float], float]
+    e_hat: Callable[[Actions, float], float]
     a_grad: Optional[Callable] = None
     b_grad: Optional[Callable] = None
 
@@ -209,8 +218,8 @@ class BoundBundle:
             raise ValueError("a_grad and b_grad must be given together or not at all")
 
 
-def offset_value(bounds: BoundBundle, j: np.ndarray, r_mat: np.ndarray,
-                 k: np.ndarray, r: float, eps: float) -> float:
+def offset_value(bounds: BoundBundle, j: Actions, r_mat: Rows,
+                 k: Actions, r: float, eps: float) -> float:
     """Offset term of the error inequality, a_hat + eps * b_hat.
 
     Meaningful for 0 <= r < rho_hat(j), which it does not check: the
@@ -219,7 +228,7 @@ def offset_value(bounds: BoundBundle, j: np.ndarray, r_mat: np.ndarray,
     return float(bounds.a_hat(j, r_mat, k, r) + eps * bounds.b_hat(j, r))
 
 
-def growth_value(bounds: BoundBundle, j: np.ndarray, r: float, ell: float) -> float:
+def growth_value(bounds: BoundBundle, j: Actions, r: float, ell: float) -> float:
     """Growth kernel of the error inequality, c_hat + d_hat*ell + e_hat*ell^2/2,
     for 0 <= r < rho_hat(j) (not checked)."""
     return float(bounds.c_hat(j, r) + bounds.d_hat(j, r) * ell

@@ -13,7 +13,9 @@ generated from the tableau once per state size at import and compiled,
 so the tableau is written down only here.  The right-hand side and stop
 predicate take ndarrays unless the problem declares ``lists``; either way
 they are adapted to the kernel's state type at the edge of
-:func:`integrate`.
+:func:`integrate`.  So a larger state with a list right-hand side, such as
+the estimator's slow state, steps on arrays and is handed to the
+right-hand side as a list.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -59,8 +61,9 @@ _FLOAT_E = tuple((j, a) for j, a in enumerate(_E.tolist()) if a)
 # generated for five and ten for the measurement; best of 21 interleaved
 # runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).  The float step stays ahead
 # past four, but the limit stays: a larger one would move the d = 1 slow
-# state (five components, ndarray rhs) onto the float kernel and change
-# the estimator's last bits.
+# state (five components, list rhs) onto the float kernel and change the
+# estimator's last bits, since the float step sums the stages in another
+# order than the array kernel's np.dot.
 _FLOAT_KERNEL_MAX_DIM = 4
 
 _SAFETY = 0.9

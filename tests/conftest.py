@@ -540,8 +540,11 @@ def slow_rhs_reference(spec, aux, bounds):
     before it took both offset partials from one ``a_grad`` and one
     ``b_grad`` call: every number a numpy scalar, the inverse an ndarray,
     the contractions by ``np.sum`` and the state packed by
-    ``np.concatenate``.  It is the reference the slow right-hand side must
-    match bit for bit, with and without analytic gradients."""
+    ``np.concatenate``.  It takes and returns ndarrays; the tests adapt it
+    at its edge to the list states of the slow solve.  It is the reference
+    the slow right-hand side must match bit for bit, with and without
+    analytic gradients, wherever each entry of its products has at most
+    one nonzero term."""
     eps = spec.epsilon
     d = spec.d
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 import averbound as ab
-from averbound import estimator
+from averbound import estimator, ode
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, assemble_slow_rhs, pack_state,
                                  unpack_state)
@@ -35,7 +35,7 @@ def test_slow_rhs_vdp_initial_drift(vdp):
     spec = vdp.make_system([4.0], 1e-2)
     rhs = assemble_slow_rhs(spec, vdp.aux, vdp.bounds)
     y0 = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 1.0)
-    out = rhs(0.0, y0)
+    out = rhs(0.0, y0.tolist())
     assert out[0] == pytest.approx(-4.0)      # fbar(4) = 4*(1 - 2)
 
 
@@ -43,8 +43,8 @@ def test_slow_rhs_resonant_keeps_r_and_k_frozen(resonant):
     spec = resonant.make_system([2.0], 1e-2)
     rhs = assemble_slow_rhs(spec, resonant.aux, resonant.bounds)
     y0 = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5)
-    out = rhs(0.3, y0)
-    j, r, k, m, n = unpack_state(out, 1)
+    out = rhs(0.3, y0.tolist())
+    j, r, k, m, n = unpack_state(np.array(out), 1)
     assert r[0, 0] == 0.0 and k[0] == 0.0
     assert j[0] == pytest.approx(1.0)
 
@@ -55,7 +55,7 @@ def test_slow_rhs_scalar_norm_identities(resonant):
     rhs = assemble_slow_rhs(spec, resonant.aux, resonant.bounds)
     n_val = 0.5
     y = pack_state(spec.i0, 2.0 * np.eye(1), np.zeros(1), 0.0, n_val)
-    out = rhs(0.0, y)
+    out = rhs(0.0, y.tolist())
     gam = ab.growth_value(resonant.bounds, spec.i0, 1e-2 * n_val, n_val)
     assert out[-2] == pytest.approx(0.5 * gam)
 
@@ -65,7 +65,7 @@ def test_singular_fundamental_matrix_raises(resonant):
     rhs = assemble_slow_rhs(spec, resonant.aux, resonant.bounds)
     y = pack_state(spec.i0, np.zeros((1, 1)), np.zeros(1), 0.0, 0.5)
     with pytest.raises(SingularMatrixError):
-        rhs(0.0, y)
+        rhs(0.0, y.tolist())
 
 
 def test_run_estimator_invariants_vdp(vdp):
@@ -272,12 +272,14 @@ _ET_D = {"mu": 1.0, "lambda1": 1.1, "lambda2": -1.0}
 
 
 def _numpy_scalar_system(params):
-    """action-freq with kappa = -1 and majorants written on numpy scalars
-    (each returns one; ``j[0]`` and ``k[0]`` are never made floats)."""
+    """action-freq with kappa = -1 and majorants written on numpy scalars:
+    ``j[0]`` and ``k[0]`` are never made floats, so each majorant returns a
+    numpy scalar on ndarrays (the window), and ``b_hat``, ``c_hat`` and
+    ``e_hat`` return one on the lists of the slow solve too."""
     example = ab.make_action_freq(-1)
     bounds = ab.BoundBundle(
         rho_hat=lambda j: j[0],
-        a_hat=lambda j, rmat, k, r: 0.5 * (j[0] + r) * rmat[0, 0] ** 2 - k[0],
+        a_hat=lambda j, rmat, k, r: 0.5 * (j[0] + r) * rmat[0][0] ** 2 - k[0],
         b_hat=lambda j, r: np.sqrt(j[0] ** 3 + r) / 8,
         c_hat=lambda j, r: np.sqrt(4608 * j[0] ** 8 + 36864 * r) / 16,
         d_hat=lambda j, r: 0.5 * (3 * j[0] * j[0] + 3 * j[0] * r + r * r),
@@ -328,15 +330,15 @@ def _difference_gradients(bounds, h=1e-6):
     ndarrays: a gradient bundle for a system whose example has none."""
     def d_dj(fn, j):
         out = []
-        for i in range(j.shape[0]):
-            jp, jm = j.copy(), j.copy()
+        for i in range(len(j)):
+            jp, jm = list(j), list(j)
             jp[i] += h
             jm[i] -= h
             out.append((fn(jp) - fn(jm)) / (2 * h))
         return np.array(out)
 
     def a_grad(j, rmat, k, r):
-        d = j.shape[0]
+        d = len(j)
         return (d_dj(lambda jj: bounds.a_hat(jj, rmat, k, r), j),
                 np.zeros((d, d)), np.zeros(d),
                 (bounds.a_hat(j, rmat, k, r + h)
@@ -347,6 +349,16 @@ def _difference_gradients(bounds, h=1e-6):
                 (bounds.b_hat(j, r + h) - bounds.b_hat(j, r - h)) / (2 * h))
 
     return dataclasses.replace(bounds, a_grad=a_grad, b_grad=b_grad)
+
+
+def _on_lists(make_rhs):
+    """A slow right-hand-side factory on ndarrays, such as
+    ``slow_rhs_reference``, adapted at its edge to the list states of the
+    slow solve."""
+    def make(spec, aux, bounds):
+        ref = make_rhs(spec, aux, bounds)
+        return lambda tau, y: ref(tau, np.array(y)).tolist()
+    return make
 
 
 def _assert_same_run(new, ref, status):
@@ -362,17 +374,18 @@ def _assert_same_run(new, ref, status):
 
 @pytest.mark.parametrize("case", list(_SLOW_CASES))
 def test_slow_rhs_matches_the_numpy_scalar_reference(monkeypatch, case):
-    # The slow right-hand side reads its bookkeeping as Python floats but
-    # keeps every floating-point operation: the run it drives is bit for
-    # bit the run of the numpy-scalar reference in conftest, the stop
-    # state, the step counts and a step failure included.  The built-in
-    # gradients are stripped, so this pins the finite-difference branch.
+    # The slow right-hand side runs on lists of Python floats but keeps
+    # every floating-point operation: the run it drives is bit for bit the
+    # run of the numpy-scalar reference in conftest, the stop state, the
+    # step counts and a step failure included.  The built-in gradients are
+    # stripped, so this pins the finite-difference branch.
     name, params, i0, eps, u, status = _SLOW_CASES[case]
     example = _make(name, params)
     spec = example.make_system(i0, eps)
     bounds = without_gradients(example.bounds)
     new = ab.run_estimator(spec, example.aux, bounds, u)
-    monkeypatch.setattr(estimator, "assemble_slow_rhs", slow_rhs_reference)
+    monkeypatch.setattr(estimator, "assemble_slow_rhs",
+                        _on_lists(slow_rhs_reference))
     ref = ab.run_estimator(spec, example.aux, bounds, u)
     _assert_same_run(new, ref, status)
 
@@ -396,7 +409,8 @@ def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case
     if bounds.a_grad is None:
         bounds = _difference_gradients(bounds)
     new = ab.run_estimator(spec, example.aux, bounds, u)
-    monkeypatch.setattr(estimator, "assemble_slow_rhs", slow_rhs_reference)
+    monkeypatch.setattr(estimator, "assemble_slow_rhs",
+                        _on_lists(slow_rhs_reference))
     ref = ab.run_estimator(spec, example.aux, bounds, u)
     _assert_same_run(new, ref, status)
 
@@ -404,7 +418,8 @@ def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case
 @pytest.mark.parametrize("d", [1, 2])
 def test_analytic_partials_equal_the_np_sum_reference(d):
     # Random gradients and slow-flow derivatives of every scale, with the
-    # gradient parts as ndarrays or as (nested) tuples of floats.
+    # gradient parts as ndarrays or as (nested) tuples of floats.  The
+    # estimator hands its helper lists, the reference ndarrays.
     rng = np.random.default_rng(20 + d)
     j, k = np.full(d, 2.0), np.zeros(d)
     rmat = np.eye(d)
@@ -421,8 +436,9 @@ def test_analytic_partials_equal_the_np_sum_reference(d):
             base, a_grad=lambda *args: (ga_j, ga_r, ga_k, ga_rad),
             b_grad=lambda *args: (gb_j, gb_rad))
         dj, drmat, dk = draw(d), draw(d, d), draw(d)
-        got = estimator._analytic_partials(bounds, j, rmat, k, 0.1, 1e-2,
-                                           dj, drmat, dk)
+        got = estimator._analytic_partials(bounds, j.tolist(), rmat.tolist(),
+                                           k.tolist(), 0.1, 1e-2, dj.tolist(),
+                                           drmat.tolist(), dk.tolist())
         want = analytic_partials_reference(bounds, j, rmat, k, 0.1, 1e-2,
                                            dj, drmat, dk)
         assert all(type(x) is float for x in got)
@@ -450,24 +466,25 @@ def test_slow_rhs_calls_each_gradient_once(request, name):
     rhs = assemble_slow_rhs(spec, example.aux, bounds)
     for n_val in (0.1, 0.5, 1.0):
         y = pack_state(spec.i0, 1.3 * np.eye(1), np.full(1, 0.2), 0.1, n_val)
-        rhs(0.0, y)
+        rhs(0.0, y.tolist())
     assert calls == {"a_grad": 3, "b_grad": 3, "c_hat": 3, "d_hat": 3,
                      "e_hat": 3}
 
 
 def test_slow_rhs_is_infinite_where_the_bound_equation_is_singular():
     # With eps = 1/2 and a_hat = 2r the central difference of the offset is
-    # exactly 1/eps, so 1 - eps * d(offset)/dr is 0.0.  The division stays
-    # a numpy one: dn is inf, as in the reference, and the step that meets
-    # it is retried as a non-finite one, not as a raising one.
+    # exactly 1/eps, so 1 - eps * d(offset)/dr is 0.0.  dn is inf, as the
+    # reference's numpy division gives, with no ZeroDivisionError and no
+    # numpy warning (warnings are errors in CI): the step that meets it is
+    # retried as a non-finite one, not as a raising one.
     spec, aux, bounds = toy_linear_decay(eps=0.5)
     bounds = dataclasses.replace(bounds, a_hat=lambda j, rmat, k, r: 2.0 * r,
                                  b_hat=lambda j, r: 0.0)
     y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.0)
+    out = assemble_slow_rhs(spec, aux, bounds)(0.0, y.tolist())
     with np.errstate(divide="ignore"):
-        out = assemble_slow_rhs(spec, aux, bounds)(0.0, y)
         ref = slow_rhs_reference(spec, aux, bounds)(0.0, y)
-    assert out.tobytes() == ref.tobytes()
+    assert np.array(out).tobytes() == ref.tobytes()
     assert out[-1] == math.inf
 
 
@@ -483,6 +500,128 @@ def test_slow_rhs_rejects_a_short_fbar():
     aux = dataclasses.replace(aux, fbar=lambda j: [-j[0]])
     with pytest.raises(ValueError, match="rhs must return shape"):
         ab.run_estimator(spec, aux, bounds, 1.0)
+
+
+@pytest.mark.parametrize("member,shape", [("dfbar", (2, 3)), ("dfbar", (3, 2)),
+                                          ("pbar", (1,)), ("pbar", (3,))])
+def test_slow_rhs_rejects_a_dfbar_or_pbar_of_the_wrong_shape(member, shape):
+    # The products are written out on floats, but a member of the wrong
+    # shape on two actions still fails the first right-hand-side call with
+    # a ValueError, rather than being cut to fit (or, for a pbar of one
+    # entry, broadcast as numpy's + did).
+    spec, aux, bounds = toy_linear_decay(d=2)
+    aux = dataclasses.replace(aux, **{member: lambda j: np.ones(shape)})
+    with pytest.raises(ValueError):
+        ab.run_estimator(spec, aux, bounds, 1.0)
+
+
+def _float_list(x):
+    return type(x) is list and all(type(v) is float for v in x)
+
+
+def _rows(x):
+    return type(x) is list and all(_float_list(row) for row in x)
+
+
+# What each spied callable must receive: a checker per leading argument.
+_SPIED_ARGS = {
+    "fbar": (_float_list,), "dfbar": (_float_list,), "pbar": (_float_list,),
+    "rho_hat": (_float_list,),
+    "a_hat": (_float_list, _rows, _float_list),
+    "a_grad": (_float_list, _rows, _float_list),
+    "b_hat": (_float_list,), "b_grad": (_float_list,), "c_hat": (_float_list,),
+    "d_hat": (_float_list,), "e_hat": (_float_list,),
+}
+
+
+@pytest.mark.parametrize("name,i0,u,gradients,status", [
+    ("vdp", [0.5], 2.0, True, "completed"),
+    ("vdp", [0.5], 2.0, False, "completed"),
+    ("af_plus", [1.0], 1.0, True, "domain_violation"),
+    ("euler", [4.0, 1.0], 0.5, True, "completed"),
+    ("euler", [4.0, 1.0], 0.5, False, "completed"),
+])
+def test_slow_solve_hands_the_bundles_lists(monkeypatch, request, name, i0, u,
+                                            gradients, status):
+    # Inside the slow solve, its stop localisation included, every majorant
+    # and fbar, dfbar and pbar get the actions, K and the rows of R as lists
+    # of Python floats, never ndarrays: array round trips were most of the
+    # right-hand side's own time.  (The window and the fixed point, outside
+    # the solve, still hand them ndarrays.)
+    example = request.getfixturevalue(name)
+    bounds = example.bounds
+    if not gradients:
+        bounds = without_gradients(bounds)
+    elif bounds.a_grad is None:
+        bounds = _difference_gradients(bounds)
+    in_solve = [False]
+    seen = {}
+
+    def spy(field, fn):
+        def wrapper(*args):
+            if in_solve[0]:
+                seen[field] = seen.get(field, 0) + 1
+                for check, arg in zip(_SPIED_ARGS[field], args):
+                    assert check(arg), (field, arg)
+            return fn(*args)
+        return wrapper
+
+    bounds = dataclasses.replace(bounds, **{
+        f.name: spy(f.name, getattr(bounds, f.name))
+        for f in dataclasses.fields(bounds) if getattr(bounds, f.name) is not None})
+    aux = dataclasses.replace(example.aux, **{
+        field: spy(field, getattr(example.aux, field))
+        for field in ("fbar", "dfbar", "pbar")})
+    integrate = ode.integrate
+
+    def solve(*args, **kwargs):
+        in_solve[0] = True
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            in_solve[0] = False
+
+    monkeypatch.setattr(ode, "integrate", solve)
+    spec = example.make_system(i0, 1e-2)
+    est = ab.run_estimator(spec, aux, bounds, u)
+    assert est.status.value == status
+    expected = {"fbar", "dfbar", "pbar", "rho_hat", "c_hat", "d_hat", "e_hat"}
+    expected |= {"a_grad", "b_grad"} if gradients else {"a_hat", "b_hat"}
+    assert expected <= set(seen)
+
+
+def test_slow_rhs_products_match_numpy_to_one_ulp_for_a_full_dfbar():
+    # dfbar R and dfbar K + pbar are summed on floats from 0.0, left to
+    # right.  numpy's @ on 2x2 arrays may go through BLAS, whose fused
+    # multiply-add rounds a two-term sum once where the written-out sum
+    # rounds twice: with positive entries, so that nothing cancels, an entry
+    # of dR differs by at most one ulp.  dK adds pbar to such a sum, and one
+    # more rounding can split a one-ulp gap into two at a tie (the two sums
+    # land on either side of an even neighbour).  With a diagonal dfbar
+    # every sum has one nonzero term, and they agree bit for bit, whatever
+    # the signs.
+    rng = np.random.default_rng(2205)
+    spec, aux, bounds = toy_linear_decay(d=2)
+    products = slice(2, 8)          # dR (4) and dK (2) in the packed state
+    ulps = np.array([1, 1, 1, 1, 2, 2])
+    for trial in range(1000):
+        full = trial % 2 == 0
+        if full:
+            amat, rmat = rng.uniform(0.1, 10.0, (2, 2)), rng.uniform(0.1, 10.0, (2, 2))
+            k, pb = rng.uniform(0.1, 10.0, 2), rng.uniform(0.1, 10.0, 2)
+        else:
+            amat = np.diag(rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2))
+            rmat, k, pb = (rng.standard_normal(shape) for shape in ((2, 2), 2, 2))
+        trial_aux = dataclasses.replace(aux, dfbar=lambda i: amat,
+                                        pbar=lambda i: pb)
+        y = pack_state(spec.i0, rmat, k, 0.0, 0.5)
+        got = np.array(assemble_slow_rhs(spec, trial_aux, bounds)(0.0, y.tolist()))
+        want = slow_rhs_reference(spec, trial_aux, bounds)(0.0, y)
+        if full:
+            assert np.all(np.abs(got[products] - want[products])
+                          <= ulps * np.spacing(np.abs(want[products]))), trial
+        else:
+            assert got[products].tobytes() == want[products].tobytes(), trial
 
 
 def test_three_action_system_runs_to_completion():
@@ -523,9 +662,9 @@ def test_inverse_norms_match_the_reference(d):
             expected = invert_reference(rmat)[1:]
         except SingularMatrixError as exc:
             with pytest.raises(SingularMatrixError, match=str(exc)):
-                estimator._inverse_norms(rmat)
+                estimator._inverse_norms(rmat.tolist())
             continue
-        got = estimator._inverse_norms(rmat)
+        got = estimator._inverse_norms(rmat.tolist())
         assert all(type(x) is float for x in got)
         assert got == expected
 
@@ -541,4 +680,4 @@ def test_inverse_norms_raise_for_singular_and_ill_conditioned(rmat, message):
     with pytest.raises(SingularMatrixError, match=message):
         invert_reference(rmat)
     with pytest.raises(SingularMatrixError, match=message):
-        estimator._inverse_norms(rmat)
+        estimator._inverse_norms(rmat.tolist())
