@@ -138,7 +138,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         t_next = min(t + chunk, t_end)
         if t_end - t_next < 0.5 * chunk:
             t_next = t_end
-        problem = ode.IvpProblem(rhs=rhs, t0=t, y0=y, t_end=t_next, lists=True)
+        problem = ode.IvpProblem(rhs=rhs, t0=t, y0=y, t_end=t_next)
         piece = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop,
                               first_step=h_warm)
         pieces.append(piece)

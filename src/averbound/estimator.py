@@ -224,12 +224,16 @@ def _window_alpha0(spec: SystemSpec):
 
 def _sampled_slope(spec: SystemSpec, bounds: BoundBundle, lo: float, hi: float) -> float:
     """Largest |d(offset)/dr| at radius eps*ell over ``_WINDOW_SAMPLES``
-    levels ell evenly spaced in [lo, hi]."""
+    levels ell evenly spaced in [lo, hi]; NaN at the first NaN sample,
+    which Python's ``max`` would drop."""
     eps = spec.epsilon
     j0, rmat0, k0 = _window_alpha0(spec)
     worst = 0.0
     for ell in np.linspace(lo, hi, _WINDOW_SAMPLES):
-        worst = max(worst, abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps)))
+        slope = abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps))
+        if math.isnan(slope):
+            return slope
+        worst = max(worst, slope)
     return worst
 
 
@@ -251,7 +255,7 @@ def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
         raise ContractionError("slope bound must stay below 1/eps")
     if worst is None:
         worst = _sampled_slope(spec, bounds, lo, hi)
-    if worst > window.slope_bound + 1e-12:
+    if not worst <= window.slope_bound + 1e-12:     # a NaN slope fails
         raise ContractionError(
             f"sampled level-map slope {worst} exceeds supplied bound "
             f"{window.slope_bound}")
@@ -552,7 +556,7 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     d = spec.d
     y0 = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, ell0)
     rhs = assemble_slow_rhs(spec, aux, bounds)
-    problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u, lists=True)
+    problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u)
     traj = ode.integrate(problem, rtol=rtol, atol=atol,
                          stop=_make_stop_predicate(spec, bounds))
 
@@ -587,7 +591,6 @@ def run_averaged(spec: SystemSpec, aux: AuxiliaryBundle, u: float,
         t0=0.0,
         y0=spec.i0,
         t_end=u,
-        lists=True,
     )
     stop = lambda tau, j: not in_domain(j)
     return ode.integrate(problem, rtol=rtol, atol=atol, stop=stop)

@@ -11,11 +11,9 @@ floats, larger ones on numpy arrays.  Both read the one tableau and serve
 the one step-size controller.  The float step is straight-line code,
 generated from the tableau once per state size at import and compiled,
 so the tableau is written down only here.  The right-hand side and stop
-predicate take ndarrays unless the problem declares ``lists``; either way
-they are adapted to the kernel's state type at the edge of
-:func:`integrate`.  So a larger state with a list right-hand side, such as
-the estimator's slow state, steps on arrays and is handed to the
-right-hand side as a list.
+predicate take the state as a list of Python floats on either kernel: the
+array kernel converts at its edge, so a larger state, such as the
+estimator's slow state, steps on arrays and is handed over as a list.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -55,13 +53,12 @@ _FLOAT_STAGES = tuple((c, tuple((j, a) for j, a in enumerate(row.tolist()) if a)
                       for c, row in _STAGES)
 _FLOAT_E = tuple((j, a) for j, a in enumerate(_E.tolist()) if a)
 # Largest state stepped on Python floats.  For y' = -y one step of
-# integrate took, in us, on the generated float step with a list rhs / with
-# an ndarray rhs / on the array kernel: 6 / 10 / 23 at two components,
-# 8 / 12 / 23 at four, 9 / 14 / 23 at five and 15 / 20 / 24 at ten (steps
-# generated for five and ten for the measurement; best of 21 interleaved
-# runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).  The float step stays ahead
-# past four, but the limit stays: a larger one would move the d = 1 slow
-# state (five components, list rhs) onto the float kernel and change the
+# integrate took, in us, on the generated float step / on the array kernel:
+# 6 / 23 at two components, 8 / 23 at four, 9 / 23 at five and 15 / 24 at
+# ten (steps generated for five and ten for the measurement; best of 21
+# interleaved runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).  The float step
+# stays ahead past four, but the limit stays: a larger one would move the
+# d = 1 slow state (five components) onto the float kernel and change the
 # estimator's last bits, since the float step sums the stages in another
 # order than the array kernel's np.dot.
 _FLOAT_KERNEL_MAX_DIM = 4
@@ -93,20 +90,19 @@ class IvpProblem:
     """An explicit initial-value problem y' = rhs(t, y) on [t0, t_end]; the
     state size is ``y0.size``.
 
-    ``rhs`` and the stop predicate of :func:`integrate` take the state as an
-    ndarray and ``rhs`` returns one.  With ``lists`` set they take it as a
-    list of Python floats instead, and ``rhs`` returns a new list of floats
-    (or a 1-D array) on every call.  Small states are stepped on such
-    lists, so a list rhs saves an array round trip per stage.  The flag is
-    explicit because ndarray code like ``2 * y`` runs on a list too, with
-    another meaning.
+    ``rhs`` and the stop predicate of :func:`integrate` take the state as a
+    list of Python floats, and ``rhs`` returns its ``y0.size`` floats as a
+    new list or a 1-D array on every call.  The float kernel steps an
+    array's entries as numpy scalars, which warn on overflow where Python
+    floats do not.  Array code like ``2 * y`` repeats a list instead of
+    doubling it; :func:`integrate` refuses the longer result at the first
+    call.
     """
 
     rhs: Callable
     t0: float
     y0: np.ndarray
     t_end: float
-    lists: bool = False
 
     def __post_init__(self):
         y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
@@ -169,13 +165,13 @@ class CubicSampler:
         self._idx = i
         return i
 
-    # Kept while perfbench/tracer.py wraps it (ROADMAP item 1).
+    # Kept while perfbench/tracer.py wraps it (ROADMAP item 3).
     def __call__(self, t: float) -> np.ndarray:
         out = np.empty(self._dim)
         self.into(t, out, self._dim)
         return out
 
-    # Kept while perfbench/tracer.py wraps it (ROADMAP item 1).
+    # Kept while perfbench/tracer.py wraps it (ROADMAP item 3).
     def value1(self, t: float) -> float:
         """First state component as a plain float."""
         out = [0.0]
@@ -253,7 +249,7 @@ class Trajectory:
     def t_final(self) -> float:
         return float(self.times[-1])
 
-    # Kept while perfbench/tracer.py patches it (ROADMAP item 1).
+    # Kept while perfbench/tracer.py patches it (ROADMAP item 3).
     def sample(self, t: float) -> np.ndarray:
         """Dense-output state at time t inside the covered span (see
         :meth:`sample_many`)."""
@@ -310,7 +306,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
     y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(t0 + h0, y1), dtype=float)
+    f1 = np.asarray(rhs(t0 + h0, y1.tolist()), dtype=float)
     d2 = float(np.max(np.abs(f1 - f0) / scale)) / h0
     dmax = max(d1, d2)
     h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
@@ -414,7 +410,7 @@ def _float_kernel(rhs, size, rtol, atol):
 
 def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL,
-              stop: Optional[Callable[[float, np.ndarray], object]] = None,
+              stop: Optional[Callable[[float, list], object]] = None,
               first_step: Optional[float] = None) -> Trajectory:
     """Integrate ``problem`` adaptively from t0 to t_end.
 
@@ -422,11 +418,11 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     component.  If ``stop`` is given it is evaluated at every accepted node;
     the first node where it returns a truthy value ends the run, with the
     crossing localized on the dense output of the final step and the value
-    there kept as ``stop_reason``.  ``stop`` takes the state in the form
-    the problem's ``rhs`` does; an exception it raises, at any state,
-    propagates.  Failure modes: step-size underflow below
-    1e-14 times the span (a NaN step size, as a non-finite initial state or
-    slope gives, counts as one), or ``_MAX_STEPS`` step attempts.  Exceptions,
+    there kept as ``stop_reason``.  ``stop`` takes the state as a list, as
+    ``rhs`` does; an exception it raises, at any state, propagates.  Failure
+    modes: step-size underflow below 1e-14 times the span (a NaN step size,
+    as a non-finite initial state or slope gives, counts as one), or
+    ``_MAX_STEPS`` step attempts.  Exceptions,
     a NaN error estimate in any component and a non-finite new state make
     the step retry at half size rather than abort.  The result's ``stats``
     counts the steps and the right-hand-side and stop calls, and keeps the
@@ -446,16 +442,14 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         return user_stop(t, y)
 
     stop = None if user_stop is None else counted_stop
-    # The caller's form of an ndarray state (asarray returns it unchanged).
-    from_array = np.ndarray.tolist if problem.lists else np.asarray
 
     t_end = problem.t_end
     t = problem.t0
     y = problem.y0.copy()
-    f = np.asarray(rhs(t, from_array(y)), dtype=float)
+    f = np.asarray(rhs(t, y.tolist()), dtype=float)
     if f.shape != y.shape:
         raise ValueError(f"rhs must return shape {y.shape}, got {f.shape}")
-    if stop is not None and stop(t, from_array(y)):
+    if stop is not None and stop(t, y.tolist()):
         raise ValueError("stop predicate already true at the initial state")
 
     span = t_end - problem.t0
@@ -463,24 +457,17 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     if first_step is not None and first_step > 0.0:
         h = min(first_step, span)
     else:
-        h = _initial_step(lambda t, y: rhs(t, from_array(y)), t, y, f, t_end,
-                          rtol, atol)
+        h = _initial_step(rhs, t, y, f, t_end, rtol, atol)
 
-    # The kernel steps lists or arrays; rhs and stop are adapted to it when
-    # the caller's form differs.
+    # The float kernel steps lists; the array kernel steps arrays and hands
+    # rhs and stop the state as a list.
     floats = y.size <= _FLOAT_KERNEL_MAX_DIM
-    step_rhs, step_stop = rhs, stop
     if floats:
         y, f = y.tolist(), f.tolist()
-        if not problem.lists:
-            def step_rhs(t, y):
-                return np.asarray(rhs(t, np.array(y)), dtype=float).tolist()
-            if stop is not None:
-                step_stop = lambda t, y: stop(t, np.array(y))
-    elif problem.lists:
+        step_rhs, step_stop = rhs, stop
+    else:
         step_rhs = lambda t, y: rhs(t, y.tolist())
-        if stop is not None:
-            step_stop = lambda t, y: stop(t, y.tolist())
+        step_stop = None if stop is None else lambda t, y: stop(t, y.tolist())
     kernel = _float_kernel if floats else _array_kernel
     step = kernel(step_rhs, len(y), rtol, atol)
     times = [t]
@@ -526,8 +513,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
 
         if stop is not None and (reason := step_stop(t_new, y_new)):
             stop_time, y_stop, f_stop, stop_reason = _localize_stop(
-                lambda t, y: stop(t, from_array(y)), reason, t, t_new,
-                *map(np.asarray, (y, y_new, f, f_new)))
+                stop, reason, t, t_new, *map(np.asarray, (y, y_new, f, f_new)))
             times[-1] = stop_time
             states[-1] = y_stop
             derivs[-1] = f_stop
@@ -573,7 +559,7 @@ def _localize_stop(stop, reason, t0, t1, y0, y1, f0, f1):
         if (b - a) <= _STOP_REL * max(1.0, abs(b)):
             break
         mid = 0.5 * (a + b)
-        mid_reason = stop(mid, _cubic_value(c, (mid - t0) / h))
+        mid_reason = stop(mid, _cubic_value(c, (mid - t0) / h).tolist())
         if mid_reason:
             b, reason = mid, mid_reason
         else:

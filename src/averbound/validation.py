@@ -213,14 +213,13 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
     worst_point: Dict[str, Dict] = {}
 
     def record(key, values, point):
-        """The first largest non-NaN residual of ``values`` (in sample
-        order), with ``point(k)`` the sample of entry k."""
+        """The first largest residual of ``values`` (in sample order), with
+        ``point(k)`` the sample of entry k.  A NaN ranks above every number,
+        as ``np.argmax`` ranks it, so it fails the report."""
         values = np.ravel(values)
-        ranked = np.where(np.isnan(values), -np.inf, values)
-        k = int(np.argmax(ranked))
-        if ranked[k] > worst.get(key, -1.0):
-            worst[key] = float(values[k])
-            worst_point[key] = point(k)
+        k = int(np.argmax(values))
+        worst[key] = float(values[k])
+        worst_point[key] = point(k)
 
     def at_point(theta=None):
         return lambda k: _sample_point(rows[k], theta)
@@ -331,13 +330,13 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
     record("h_script_symmetry",
            _point_max(np.moveaxis(hsc - hsc.transpose(0, 1, 3, 2), 0, -1)), at_pair)
 
-    overall = max(worst.values())
-    key = max(worst, key=worst.get)
+    keys = list(worst)
+    key = keys[int(np.argmax([worst[k] for k in keys]))]
     return ValidationReport(
         name="auxiliary-identities",
         samples=npts * len(thetas),
         tolerance=IDENTITY_TOL,
-        max_residual=overall,
+        max_residual=worst[key],
         details={
             "per_identity": worst,
             "worst_identity": key,

@@ -1,5 +1,6 @@
 """Fixed point of the level map: oracles, windows, convergence control."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.optimize import brentq
 
 import averbound as ab
 from averbound.estimator import (ContractionError, ContractionWindow,
-                                 NoConvergenceError, verify_window)
+                                 NoConvergenceError, WindowError, verify_window)
 from conftest import without_gradients
 
 
@@ -103,6 +104,28 @@ def test_analytic_gradients_take_precedence():
     verify_window(spec, lying, tight)          # passes only via a_grad
     with pytest.raises(ContractionError):
         verify_window(spec, bounds, tight)     # finite differences see 0.5
+
+
+@pytest.mark.parametrize("from_level", [0.0, 0.9])
+def test_a_nan_slope_certifies_no_window(resonant, from_level):
+    # The radius slope of a_grad is NaN at every sampled level, or from 0.9
+    # of the way up the window on, after finite samples.  A NaN is no slope
+    # bound: the window check fails and no window is built.
+    spec = resonant.make_system([2.0], 1e-2)
+    window = ab.auto_window(spec, resonant.bounds)
+    lo, hi = window.interval()
+    grad = resonant.bounds.a_grad
+
+    def a_grad(j, rmat, k, r):
+        dj, drmat, dk, dr = grad(j, rmat, k, r)
+        if r >= spec.epsilon * (lo + from_level * (hi - lo)):
+            dr = math.nan
+        return dj, drmat, dk, dr
+    nan_slope = dataclasses.replace(resonant.bounds, a_grad=a_grad)
+    with pytest.raises(ContractionError, match="sampled level-map slope nan"):
+        verify_window(spec, nan_slope, window)
+    with pytest.raises(WindowError):
+        ab.auto_window(spec, nan_slope)
 
 
 @pytest.mark.parametrize("given", ["a_grad", "b_grad"])

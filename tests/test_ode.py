@@ -1,5 +1,6 @@
 """Integrator unit tests: accuracy, dense output, stop handling, determinism."""
 import math
+import re
 import struct
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_max_steps_exhaustion(monkeypatch):
 
 def test_blowup_gives_step_failure():
     # y' = y^2 blows up at t=1; the step size underflows before that.
-    traj = ode.integrate(problem(lambda t, y: y * y, [1.0], 2.0))
+    traj = ode.integrate(problem(lambda t, y: [v * v for v in y], [1.0], 2.0))
     assert traj.status is ode.Status.STEP_FAILURE
     assert traj.times[-1] < 1.0 + 1e-6
 
@@ -205,7 +206,7 @@ def test_nan_in_one_component_halves_the_step(monkeypatch, size):
 
     def rhs(t, y):
         calls.append(t)
-        out = -y
+        out = [-v for v in y]
         if t > t_nan and (len(calls) - 2) % 6 == 0:
             out[1] = math.nan
         return out
@@ -284,28 +285,41 @@ def test_first_step_is_honoured():
     assert traj.times[1] == pytest.approx(0.25)
 
 
-def test_public_integrate_hands_arrays_to_a_one_component_rhs():
-    # The caller who does not declare lists keeps the ndarray contract on
-    # the float kernel too, at every stage and in the stop localisation.
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_rhs_and_stop_get_lists_on_both_kernels(size):
+    # Every stage, the initial-step probe and the stop localisation hand
+    # over the state as a list of Python floats, on either kernel.
     seen = []
 
     def rhs(t, y):
         seen.append(type(y))
-        return 2 * y         # a list would be repeated, not doubled
+        return [2.0 * v for v in y]
 
     def stop(t, y):
         seen.append(type(y))
         return y[0] >= 2.0
-    traj = ode.integrate(problem(rhs, [1.0], 1.0), stop=stop)
+    traj = ode.integrate(problem(rhs, np.ones(size), 1.0), stop=stop)
     assert traj.status is ode.Status.STOPPED
     assert traj.stop_time == pytest.approx(math.log(2.0) / 2, rel=1e-6)
-    assert set(seen) == {np.ndarray}
+    stats = traj.stats
+    assert stats.stop_calls > stats.accepted + 1     # the localisation ran
+    assert len(seen) == stats.rhs_evals + stats.stop_calls
+    assert set(seen) == {list}
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_array_arithmetic_on_the_list_state_is_refused(size):
+    # 2 * y repeats a list instead of doubling it; the first call's result
+    # has the wrong length and integrate refuses it.
+    with pytest.raises(ValueError, match=re.escape(
+            f"rhs must return shape ({size},), got ({2 * size},)")):
+        ode.integrate(problem(lambda t, y: 2 * y, np.ones(size), 1.0))
 
 
 @pytest.mark.parametrize("size", KERNEL_SIZES)
 def test_list_problem_matches_the_array_problem(size):
-    # A problem that declares lists gets lists on either kernel, and steps
-    # to the same bits as its ndarray twin.
+    # A right-hand side that returns a list steps to the same bits as its
+    # twin that returns the same floats as a 1-D array, on either kernel.
     seen = set()
 
     def rhs_list(t, y):
@@ -313,16 +327,15 @@ def test_list_problem_matches_the_array_problem(size):
         return [math.sin(t) * y[0], -y[1] + y[0] ** 2] + [-0.5 * v for v in y[2:]]
 
     def rhs_array(t, y):
-        return np.array(rhs_list(t, y.tolist()))
+        return np.array(rhs_list(t, y))
 
     def stop(t, y):
         seen.add(type(y))
         return y[1] > 5.0
     y0 = [1.0, 0.5] + [0.25] * (size - 2)
-    a = ode.integrate(ode.IvpProblem(rhs_list, 0.0, y0, 3.0, lists=True), stop=stop)
+    a = ode.integrate(problem(rhs_list, y0, 3.0), stop=stop)
+    b = ode.integrate(problem(rhs_array, y0, 3.0), stop=stop)
     assert seen == {list}
-    b = ode.integrate(problem(rhs_array, y0, 3.0),
-                      stop=lambda t, y: stop(t, y.tolist()))
     assert a.status is ode.Status.STOPPED
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
@@ -353,7 +366,7 @@ def test_absorbed_rhs_error_is_recorded(size):
 
     def rhs(t, y):
         calls.append(t)
-        return y / 0 if len(calls) == 19 else -y
+        return np.array(y) / 0 if len(calls) == 19 else [-v for v in y]
     with np.errstate(divide="ignore", invalid="ignore"):
         traj = ode.integrate(problem(rhs, np.ones(size), 1.0))
     assert traj.status is ode.Status.COMPLETED
@@ -365,8 +378,7 @@ def test_absorbed_rhs_error_is_recorded(size):
     def rhs_list(t, y):
         calls.append(t)
         return [v / 0.0 if len(calls) == 19 else -v for v in y]
-    traj = ode.integrate(ode.IvpProblem(rhs_list, 0.0, np.ones(size), 1.0,
-                                        lists=True))
+    traj = ode.integrate(problem(rhs_list, np.ones(size), 1.0))
     assert traj.status is ode.Status.COMPLETED
     assert traj.stats.nan_retries == 1
     assert traj.stats.rhs_error == "ZeroDivisionError: float division by zero"
@@ -566,8 +578,7 @@ def _assert_same_run(a, b):
 @pytest.mark.parametrize("size", FLOAT_SIZES)
 def test_integrate_on_the_float_step_matches_the_loop_kernel(monkeypatch, size):
     def problem_for():
-        return ode.IvpProblem(_smooth, 0.0, np.linspace(0.2, 0.8, size), 5.0,
-                              lists=True)
+        return ode.IvpProblem(_smooth, 0.0, np.linspace(0.2, 0.8, size), 5.0)
     new, ref = _run_both(monkeypatch, problem_for,
                          stop=lambda t, y: y[0] > 50.0)
     _assert_same_run(new, ref)
@@ -589,7 +600,7 @@ def test_float_step_absorbs_the_same_rhs_errors(monkeypatch, size):
             if len(calls) == 40:
                 out[-1] = math.nan
             return out
-        return ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0, lists=True)
+        return ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0)
     new, ref = _run_both(monkeypatch, problem_for)
     _assert_same_run(new, ref)
     assert new.stats.nan_retries == 2
@@ -609,5 +620,4 @@ def test_short_rhs_list_raises_index_error(monkeypatch, size, kernel):
         return out[:-1] if len(calls) > 4 else out
     monkeypatch.setattr(ode, "_float_kernel", kernel)
     with pytest.raises(IndexError):
-        ode.integrate(ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0,
-                                     lists=True))
+        ode.integrate(ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0))

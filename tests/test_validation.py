@@ -108,6 +108,38 @@ def test_injected_fault_in_s_detected(vdp):
     assert 2e-4 < resid < 5e-3
 
 
+@pytest.mark.parametrize("points", ["all", "one"])
+def test_a_nan_residual_fails_the_identities(vdp, points):
+    # s is NaN on every sample point, or on the fourth only: the identities
+    # that read s have a NaN residual, the worst of each, and the report
+    # fails with it, written as null.
+    spec = vdp.make_system([1.0], 1e-2)
+
+    def nan_s(i, th):
+        out = np.array(np.broadcast_to(vdp.aux.s(i, th), np.shape(i)),
+                       dtype=float)
+        if points == "all":
+            out[...] = math.nan
+        else:
+            out[..., 3] = math.nan
+        return out
+    report = verify_identities(spec, dataclasses.replace(vdp.aux, s=nan_s),
+                               vdp.sample_box)
+    per_identity = report.details["per_identity"]
+    for key in ("s_has_zero_mean", "f_decomposition", "s_from_v",
+                "p_definition"):
+        assert math.isnan(per_identity[key]), key
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+    assert report.details["worst_identity"] == "s_has_zero_mean"
+    assert report.details["worst_point"]["actions"] == (
+        [vdp.sample_box[0][0]] if points == "all"
+        else [float(np.linspace(*vdp.sample_box, 10)[3, 0])])
+    written = report.to_dict()
+    assert written["max_residual"] is None and written["passed"] is False
+    assert written["details"]["per_identity"]["s_has_zero_mean"] is None
+
+
 @pytest.mark.parametrize("field,bump", [
     ("v", lambda i, th: np.array([1e-3 * math.cos(th)])),
     ("p", lambda i, th: np.array([1e-3])),
