@@ -95,12 +95,13 @@ def make(params) -> ExampleDefinition:
         return (0.5,), ((0.0,),), (-1.0,), 0.5
 
     def b_hat(j, r):
+        # sqrt(P) / (8 sqrt 2), with P in Horner form in x and its
+        # coefficients in Horner form in r; every coefficient is positive.
         x = float(j[0])
-        return math.sqrt(
-            50 * x ** 4 + (55 + 200 * r) * x ** 3
-            + (38 + 85 * r + 300 * r ** 2) * x ** 2
-            + (65 + 33 * r + 200 * r ** 2) * x * r
-            + (32 + 27 * r + 50 * r ** 2) * r ** 2) / (8 * _SQRT2)
+        p = ((((50 * x + (55 + 200 * r)) * x + (38 + (85 + 300 * r) * r)) * x
+              + (65 + (33 + 200 * r) * r) * r) * x
+             + (32 + (27 + 50 * r) * r) * r * r)
+        return math.sqrt(p) / (8 * _SQRT2)
 
     def b_grad(j, r):
         # b_hat = sqrt(P) / (8 sqrt 2), so each partial is
@@ -115,21 +116,23 @@ def make(params) -> ExampleDefinition:
         return (dx / scale,), dr / scale
 
     def c_hat(j, r):
+        # sqrt(P) / (16 sqrt 2), in the Horner form of b_hat.
         x = float(j[0])
-        return math.sqrt(
-            4608 * x ** 8 + (3904 + 36864 * r) * x ** 7
-            + (1520 + 23296 * r + 129024 * r ** 2) * x ** 6
-            + (1856 + 5696 * r + 57792 * r ** 2 + 258048 * r ** 3) * x ** 5
-            + (4853 + 5352 * r + 10032 * r ** 2 + 76160 * r ** 3
-               + 322560 * r ** 4) * x ** 4
-            + (3086 + 7824 * r + 11008 * r ** 2 + 56000 * r ** 3
-               + 258048 * r ** 4) * x ** 3 * r
-            + (1862 + 2976 * r + 9808 * r ** 2 + 21504 * r ** 3
-               + 129024 * r ** 4) * x ** 2 * r ** 2
-            + (1024 + 2312 * r + 5440 * r ** 2 + 7168 * r ** 3
-               + 36864 * r ** 4) * x * r ** 3
-            + (512 + 752 * r + 1296 * r ** 2 + 1280 * r ** 3
-               + 4608 * r ** 4) * r ** 4) / (16 * _SQRT2)
+        r2 = r * r
+        p = ((((((((4608 * x + (3904 + 36864 * r)) * x
+                   + (1520 + (23296 + 129024 * r) * r)) * x
+                  + (1856 + (5696 + (57792 + 258048 * r) * r) * r)) * x
+                 + (4853 + (5352 + (10032 + (76160 + 322560 * r) * r) * r)
+                    * r)) * x
+                + (3086 + (7824 + (11008 + (56000 + 258048 * r) * r) * r)
+                   * r) * r) * x
+               + (1862 + (2976 + (9808 + (21504 + 129024 * r) * r) * r)
+                  * r) * r2) * x
+              + (1024 + (2312 + (5440 + (7168 + 36864 * r) * r) * r) * r)
+              * r2 * r) * x
+             + (512 + (752 + (1296 + (1280 + 4608 * r) * r) * r) * r)
+             * r2 * r2)
+        return math.sqrt(p) / (16 * _SQRT2)
 
     def d_hat(j, r):
         x = float(j[0])

@@ -110,14 +110,17 @@ def _a_grad(j, rmat, k, r):
 
 
 def _b_hat(j, r):
+    # sqrt(P) / 96, with P in Horner form in x and its coefficients in
+    # Horner form in r; every coefficient is positive.
     x = float(j[0])
-    return math.sqrt(
-        120 * x ** 6 + 12 * x ** 5 * (23 + 56 * r)
-        + 3 * x ** 4 * (192 + 474 * r + 517 * r ** 2)
-        + 12 * x ** 3 * r * (72 + 180 * r + 157 * r ** 2)
-        + 6 * x ** 2 * r ** 2 * (372 + 530 * r + 231 * r ** 2)
-        + 12 * x * r ** 3 * (216 + 213 * r + 46 * r ** 2)
-        + r ** 4 * (1404 + 690 * r + 91 * r ** 2)) / 96
+    r2 = r * r
+    p = ((((((120 * x + (276 + 672 * r)) * x
+             + (576 + (1422 + 1551 * r) * r)) * x
+            + (864 + (2160 + 1884 * r) * r) * r) * x
+           + (2232 + (3180 + 1386 * r) * r) * r2) * x
+          + (2592 + (2556 + 552 * r) * r) * r2 * r) * x
+         + (1404 + (690 + 91 * r) * r) * r2 * r2)
+    return math.sqrt(p) / 96
 
 
 def _b_grad(j, r):
@@ -142,21 +145,23 @@ def _b_grad(j, r):
 
 
 def _c_hat(j, r):
+    # sqrt(P) / 384, in the Horner form of _b_hat.
     x = float(j[0])
-    return math.sqrt(
-        6512 * x ** 8 + 24 * x ** 7 * (671 + 2096 * r)
-        + 24 * x ** 6 * (1693 + 5484 * r + 6956 * r ** 2)
-        + 8 * x ** 5 * (1812 + 31188 * r + 39375 * r ** 2 + 38726 * r ** 3)
-        + 12 * x ** 4 * (768 + 4436 * r + 61358 * r ** 2 + 37966 * r ** 3
-                         + 29997 * r ** 4)
-        + 8 * x ** 3 * r * (4680 + 39948 * r + 125584 * r ** 2
-                            + 62193 * r ** 3 + 35046 * r ** 4)
-        + 12 * x ** 2 * r ** 2 * (1824 + 52152 * r + 61180 * r ** 2
-                                  + 37311 * r ** 3 + 12021 * r ** 4)
-        + x * r ** 3 * (119808 + 445536 * r + 425592 * r ** 2
-                        + 210995 * r ** 3 + 41976 * r ** 4)
-        + 4 * r ** 4 * (21600 + 33024 * r + 30127 * r ** 2
-                        + 10383 * r ** 3 + 1377 * r ** 4)) / 384
+    r2 = r * r
+    p = ((((((((6512 * x + (16104 + 50304 * r)) * x
+               + (40632 + (131616 + 166944 * r) * r)) * x
+              + (14496 + (249504 + (315000 + 309808 * r) * r) * r)) * x
+             + (9216 + (53232 + (736296 + (455592 + 359964 * r) * r) * r)
+                * r)) * x
+            + (37440 + (319584 + (1004672 + (497544 + 280368 * r) * r) * r)
+               * r) * r) * x
+           + (21888 + (625824 + (734160 + (447732 + 144252 * r) * r) * r)
+              * r) * r2) * x
+          + (119808 + (445536 + (425592 + (210995 + 41976 * r) * r) * r)
+             * r) * r2 * r) * x
+         + (86400 + (132096 + (120508 + (41532 + 5508 * r) * r) * r) * r)
+         * r2 * r2)
+    return math.sqrt(p) / 384
 
 
 def _rho_hat(j):

@@ -12,8 +12,10 @@ the one step-size controller.  The float step is straight-line code,
 generated from the tableau once per state size at import and compiled,
 so the tableau is written down only here.  The right-hand side and stop
 predicate take the state as a list of Python floats on either kernel: the
-array kernel converts at its edge, so a larger state, such as the
-estimator's slow state, steps on arrays and is handed over as a list.
+array kernel converts at its edge.  So the fast-time states and the slow
+state of a one-action (d = 1) estimator, five components, step on floats;
+the slow state of two actions, ten components, steps on arrays and is
+handed over as a list.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -55,13 +57,14 @@ _FLOAT_E = tuple((j, a) for j, a in enumerate(_E.tolist()) if a)
 # Largest state stepped on Python floats.  For y' = -y one step of
 # integrate took, in us, on the generated float step / on the array kernel:
 # 6 / 23 at two components, 8 / 23 at four, 9 / 23 at five and 15 / 24 at
-# ten (steps generated for five and ten for the measurement; best of 21
-# interleaved runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).  The float step
-# stays ahead past four, but the limit stays: a larger one would move the
-# d = 1 slow state (five components) onto the float kernel and change the
-# estimator's last bits, since the float step sums the stages in another
-# order than the array kernel's np.dot.
-_FLOAT_KERNEL_MAX_DIM = 4
+# ten (best of 21 interleaved runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).
+# Five takes the d = 1 slow state [J, R, K, m, n] onto the float step.  The
+# limit stops there although the float step stays ahead at ten: the d = 2
+# slow state (ten components) would then sum its stages in another order
+# than np.dot does, and its last bits decide the exit code of euler-top
+# runs on the knife edge of the bound ODE's pole (top-a at I0 = 3.055,2.886,
+# eps = 0.007384, U = 1.838 went from exit 1 to exit 2).
+_FLOAT_KERNEL_MAX_DIM = 5
 
 _SAFETY = 0.9
 _BETA = 0.04                  # integral gain of the PI controller
@@ -92,9 +95,9 @@ class IvpProblem:
 
     ``rhs`` and the stop predicate of :func:`integrate` take the state as a
     list of Python floats, and ``rhs`` returns its ``y0.size`` floats as a
-    new list or a 1-D array on every call.  The float kernel steps an
-    array's entries as numpy scalars, which warn on overflow where Python
-    floats do not.  Array code like ``2 * y`` repeats a list instead of
+    new list or a 1-D array on every call.  The float kernel converts an
+    array result to a list of floats, so its steps are taken on Python
+    floats either way.  Array code like ``2 * y`` repeats a list instead of
     doubling it; :func:`integrate` refuses the longer result at the first
     call.
     """
@@ -446,7 +449,8 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     t_end = problem.t_end
     t = problem.t0
     y = problem.y0.copy()
-    f = np.asarray(rhs(t, y.tolist()), dtype=float)
+    f_raw = rhs(t, y.tolist())
+    f = np.asarray(f_raw, dtype=float)
     if f.shape != y.shape:
         raise ValueError(f"rhs must return shape {y.shape}, got {f.shape}")
     if stop is not None and stop(t, y.tolist()):
@@ -460,11 +464,15 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         h = _initial_step(rhs, t, y, f, t_end, rtol, atol)
 
     # The float kernel steps lists; the array kernel steps arrays and hands
-    # rhs and stop the state as a list.
+    # rhs and stop the state as a list.  An rhs that does not return a list
+    # is converted on the float kernel, whose step would otherwise run on
+    # numpy scalars, which warn on overflow where Python floats do not.
     floats = y.size <= _FLOAT_KERNEL_MAX_DIM
     if floats:
         y, f = y.tolist(), f.tolist()
         step_rhs, step_stop = rhs, stop
+        if not isinstance(f_raw, list):
+            step_rhs = lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist()
     else:
         step_rhs = lambda t, y: rhs(t, y.tolist())
         step_stop = None if stop is None else lambda t, y: stop(t, y.tolist())

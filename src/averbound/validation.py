@@ -282,7 +282,9 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
         for k, i in enumerate(rows):
             fv[:, k] = spec.f(i, th)
             gv[k] = spec.g(i, th)
-            per_angle["f_g_periodic"][k, col] = max(
+            # np.maximum keeps a NaN residual of either f or g; Python's
+            # max would drop one met after a number.
+            per_angle["f_g_periodic"][k, col] = np.maximum(
                 np.max(np.abs(fv[:, k] - np.asarray(spec.f(i, th + TWO_PI),
                                                     dtype=float))),
                 abs(gv[k] - spec.g(i, th + TWO_PI)))
@@ -601,16 +603,18 @@ def analytic_crosscheck(example, traj: EstimatorTrajectory) -> ValidationReport:
     if example.closed_flow is None:
         raise ValueError(f"example {example.id!r} has no closed-form slow flow")
     i0 = traj.j[0]
-    max_j = max_r = max_k = 0.0
+    # Deviations of J, R and K per node; np.max keeps a NaN one, which then
+    # fails the report, where Python's max would drop it.
+    devs = []
     for tau, j, r, k in zip(traj.tau, traj.j, traj.r, traj.k):
         cj, cr, ck = example.closed_flow(i0, tau)
-        max_j = max(max_j, float(np.max(np.abs(j - cj))))
-        max_r = max(max_r, float(np.max(np.abs(r - cr))))
-        max_k = max(max_k, float(np.max(np.abs(k - ck))))
+        devs.append([np.max(np.abs(j - cj)), np.max(np.abs(r - cr)),
+                     np.max(np.abs(k - ck))])
+    max_j, max_r, max_k = np.max(devs, axis=0).tolist()
     return ValidationReport(
         name="analytic-crosscheck",
         samples=len(traj.tau),
         tolerance=CROSSCHECK_TOL,
-        max_residual=max(max_j, max_r, max_k),
+        max_residual=float(np.max([max_j, max_r, max_k])),
         details={"max_j": max_j, "max_r": max_r, "max_k": max_k},
     )

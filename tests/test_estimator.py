@@ -12,8 +12,9 @@ from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, assemble_slow_rhs, pack_state,
                                  unpack_state)
 from conftest import (analytic_partials_reference, cursor_reference,
-                      hermite_reference, invert_reference, slow_rhs_reference,
-                      toy_linear_decay, without_gradients)
+                      float_kernel_reference, hermite_reference,
+                      invert_reference, slow_rhs_reference, toy_linear_decay,
+                      without_gradients)
 
 
 def test_pack_unpack_roundtrip():
@@ -261,6 +262,22 @@ def test_crosscheck_requires_closed_forms(resonant, resonant_run):
         ab.analytic_crosscheck(stripped, est)
 
 
+def test_crosscheck_fails_on_a_nan_deviation(resonant, resonant_run):
+    # A closed form whose R is all NaN: the R deviation is NaN at every
+    # node and the report fails, where a fold by Python's max from 0.0
+    # would drop it and pass.
+    _, est, _, _ = resonant_run
+
+    def nan_r(i0, tau):
+        j, r, k = resonant.closed_flow(i0, tau)
+        return j, np.full_like(r, math.nan), k
+    res = ab.analytic_crosscheck(
+        dataclasses.replace(resonant, closed_flow=nan_r), est)
+    assert math.isnan(res.details["max_r"])
+    assert math.isnan(res.max_residual)
+    assert not res.passed
+
+
 def test_run_estimator_rejects_nonpositive_horizon(resonant):
     spec = resonant.make_system([2.0], 1e-2)
     with pytest.raises(ValueError):
@@ -413,6 +430,44 @@ def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case
                         _on_lists(slow_rhs_reference))
     ref = ab.run_estimator(spec, example.aux, bounds, u)
     _assert_same_run(new, ref, status)
+
+
+@pytest.mark.parametrize("d, kernel", [(1, "_float_kernel"),
+                                       (2, "_array_kernel")])
+def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
+    # The slow state [J, R, K, m, n] has d^2 + 2d + 2 components: five at
+    # one action step on the generated float step, ten at two on arrays.
+    used = []
+
+    def spy(name):
+        make = getattr(ode, name)
+
+        def wrapper(rhs, size, rtol, atol):
+            used.append((name, size))
+            return make(rhs, size, rtol, atol)
+        return wrapper
+    for name in ("_float_kernel", "_array_kernel"):
+        monkeypatch.setattr(ode, name, spy(name))
+    spec, aux, bounds = toy_linear_decay(d=d)
+    est = ab.run_estimator(spec, aux, bounds, 1.0)
+    slow = d * d + 2 * d + 2
+    assert est.status is EstimatorStatus.COMPLETED
+    assert est.traj.states.shape[1] == slow
+    assert {name for name, size in used if size == slow} == {kernel}
+
+
+@pytest.mark.parametrize("fig", ["1a", "3e"])
+def test_one_action_run_on_the_float_step_matches_the_loop_kernel(monkeypatch,
+                                                                  fig):
+    # A whole d = 1 estimator run, slow solve and stop predicate included,
+    # is bit for bit the run on the loop kernel the float step was
+    # generated from.
+    example, preset = ab.figure_preset(fig)
+    spec = example.make_system(preset.i0, preset.eps)
+    new = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
+    monkeypatch.setattr(ode, "_float_kernel", float_kernel_reference)
+    ref = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
+    _assert_same_run(new, ref, "completed")
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -314,8 +314,9 @@ def test_presets_listing_on_definition(vdp):
 
 
 def _majorant_expressions(name, jj, rr, kk):
-    """a_hat and b_hat of a d = 1 example as sympy expressions in J, r and
-    K, transcribed from the closed forms the example states."""
+    """a_hat, b_hat and c_hat of a d = 1 example as sympy expressions in J,
+    r and K, transcribed from the closed forms the example states; the
+    radicands are the expanded forms, not the examples' Horner forms."""
     import sympy as sp
     if name == "vdp":
         x = jj + rr
@@ -328,6 +329,21 @@ def _majorant_expressions(name, jj, rr, kk):
             + 6 * jj ** 2 * rr ** 2 * (372 + 530 * rr + 231 * rr ** 2)
             + 12 * jj * rr ** 3 * (216 + 213 * rr + 46 * rr ** 2)
             + rr ** 4 * (1404 + 690 * rr + 91 * rr ** 2)) / 96
+        c = sp.sqrt(
+            6512 * jj ** 8 + 24 * jj ** 7 * (671 + 2096 * rr)
+            + 24 * jj ** 6 * (1693 + 5484 * rr + 6956 * rr ** 2)
+            + 8 * jj ** 5 * (1812 + 31188 * rr + 39375 * rr ** 2
+                             + 38726 * rr ** 3)
+            + 12 * jj ** 4 * (768 + 4436 * rr + 61358 * rr ** 2
+                              + 37966 * rr ** 3 + 29997 * rr ** 4)
+            + 8 * jj ** 3 * rr * (4680 + 39948 * rr + 125584 * rr ** 2
+                                  + 62193 * rr ** 3 + 35046 * rr ** 4)
+            + 12 * jj ** 2 * rr ** 2 * (1824 + 52152 * rr + 61180 * rr ** 2
+                                        + 37311 * rr ** 3 + 12021 * rr ** 4)
+            + jj * rr ** 3 * (119808 + 445536 * rr + 425592 * rr ** 2
+                              + 210995 * rr ** 3 + 41976 * rr ** 4)
+            + 4 * rr ** 4 * (21600 + 33024 * rr + 30127 * rr ** 2
+                             + 10383 * rr ** 3 + 1377 * rr ** 4)) / 384
     elif name in ("af_plus", "af_minus"):
         a = (jj + rr) / 2 - kk
         b = sp.sqrt(
@@ -335,26 +351,43 @@ def _majorant_expressions(name, jj, rr, kk):
             + (38 + 85 * rr + 300 * rr ** 2) * jj ** 2
             + (65 + 33 * rr + 200 * rr ** 2) * jj * rr
             + (32 + 27 * rr + 50 * rr ** 2) * rr ** 2) / (8 * sp.sqrt(2))
+        c = sp.sqrt(
+            4608 * jj ** 8 + (3904 + 36864 * rr) * jj ** 7
+            + (1520 + 23296 * rr + 129024 * rr ** 2) * jj ** 6
+            + (1856 + 5696 * rr + 57792 * rr ** 2 + 258048 * rr ** 3) * jj ** 5
+            + (4853 + 5352 * rr + 10032 * rr ** 2 + 76160 * rr ** 3
+               + 322560 * rr ** 4) * jj ** 4
+            + (3086 + 7824 * rr + 11008 * rr ** 2 + 56000 * rr ** 3
+               + 258048 * rr ** 4) * jj ** 3 * rr
+            + (1862 + 2976 * rr + 9808 * rr ** 2 + 21504 * rr ** 3
+               + 129024 * rr ** 4) * jj ** 2 * rr ** 2
+            + (1024 + 2312 * rr + 5440 * rr ** 2 + 7168 * rr ** 3
+               + 36864 * rr ** 4) * jj * rr ** 3
+            + (512 + 752 * rr + 1296 * rr ** 2 + 1280 * rr ** 3
+               + 4608 * rr ** 4) * rr ** 4) / (16 * sp.sqrt(2))
     else:
         a = 1 / (jj - rr)
         b = 2 / (jj - rr) ** 3
-    return a, b
+        c = 12 / (jj - rr) ** 4
+    return a, b, c
 
 
 @pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant"])
 def test_majorant_gradients_are_the_sympy_derivatives(request, name):
-    # The float majorants equal their sympy expressions to 1e-13, and the
-    # hand-written a_grad and b_grad equal the expressions' derivatives to
-    # 1e-12 relative, over the sample box and radii up to 0.98 rho_hat.
-    # Neither majorant reads R, so its partial is exactly zero.
+    # The float majorants a_hat, b_hat and c_hat equal their sympy
+    # expressions to 1e-13, and the hand-written a_grad and b_grad equal the
+    # expressions' derivatives to 1e-12 relative, over the sample box and
+    # radii up to 0.98 rho_hat.  Neither a_hat nor b_hat reads R, so its
+    # partial is exactly zero.
     sp = pytest.importorskip("sympy")
     import mpmath
     ex = request.getfixturevalue(name)
     bounds = ex.bounds
     jj, rr, kk, rm = sp.symbols("J r K R", real=True)
-    a, b = _majorant_expressions(name, jj, rr, kk)
+    a, b, c = _majorant_expressions(name, jj, rr, kk)
     assert not (a.has(rm) or b.has(rm))
-    exprs = {"a": a, "b": b, "a_J": sp.diff(a, jj), "a_K": sp.diff(a, kk),
+    exprs = {"a": a, "b": b, "c": c, "a_J": sp.diff(a, jj),
+             "a_K": sp.diff(a, kk),
              "a_r": sp.diff(a, rr), "b_J": sp.diff(b, jj),
              "b_r": sp.diff(b, rr)}
     exact = {key: sp.lambdify((jj, rr, kk), e, "mpmath")
@@ -375,6 +408,7 @@ def test_majorant_gradients_are_the_sympy_derivatives(request, name):
                 args = (j_val, r_val, k_val)
                 assert close(bounds.a_hat(j, rmat, k, r_val), "a", args, 1e-13)
                 assert close(bounds.b_hat(j, r_val), "b", args, 1e-13)
+                assert close(bounds.c_hat(j, r_val), "c", args, 1e-13)
                 (ga_j,), ((ga_r,),), (ga_k,), ga_rad = bounds.a_grad(
                     j, rmat, k, r_val)
                 (gb_j,), gb_rad = bounds.b_grad(j, r_val)

@@ -2,6 +2,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,15 +28,19 @@ def test_exponential_endpoint_error():
     assert abs(traj.states[-1, 0] - math.e) < 1e-7
 
 
-# State sizes that select each step kernel: the float one and the array one.
-KERNEL_SIZES = [2, ode._FLOAT_KERNEL_MAX_DIM + 1]
-# Each float size has its own generated step; then one array size.
+# State sizes that select each step kernel: the float one at two and at
+# five components (the slow state at one action), the array one at ten (the
+# slow state at two actions).
+KERNEL_SIZES = [2, 5, 10]
+# Each float size has its own generated step; then the smallest array size
+# and ten, the estimator's slow state at two actions.
 FLOAT_SIZES = list(range(1, ode._FLOAT_KERNEL_MAX_DIM + 1))
-ALL_SIZES = FLOAT_SIZES + [ode._FLOAT_KERNEL_MAX_DIM + 1]
+ARRAY_SIZES = [ode._FLOAT_KERNEL_MAX_DIM + 1, 10]
+ALL_SIZES = FLOAT_SIZES + ARRAY_SIZES
 
 
 def test_kernel_sizes_select_both_kernels():
-    assert KERNEL_SIZES[0] <= ode._FLOAT_KERNEL_MAX_DIM < KERNEL_SIZES[1]
+    assert KERNEL_SIZES[1] <= ode._FLOAT_KERNEL_MAX_DIM < KERNEL_SIZES[2]
 
 
 @pytest.mark.parametrize("size", ALL_SIZES)
@@ -240,6 +245,25 @@ def test_overflowing_state_halves_the_step(size):
         out[1] = 1e308
         return out
     with np.errstate(over="ignore", invalid="ignore"):
+        traj = ode.integrate(problem(rhs, np.zeros(size), 10.0), first_step=0.1)
+    assert traj.status is ode.Status.STEP_FAILURE
+    assert np.all(np.isfinite(traj.states))
+    assert traj.stats.nan_retries > 0
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES[:2])
+@pytest.mark.parametrize("returns", [list, np.array])
+def test_overflow_on_the_float_step_is_a_step_failure(size, returns):
+    # The overflow of the test above, with warnings as errors, on float
+    # kernel sizes (five is the slow state at one action): an rhs that
+    # returns an ndarray is stepped on Python floats, as a list rhs is, so
+    # the overflow halves the step instead of raising a RuntimeWarning.
+    def rhs(t, y):
+        out = [0.0] * size
+        out[1] = 1e308
+        return returns(out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = ode.integrate(problem(rhs, np.zeros(size), 10.0), first_step=0.1)
     assert traj.status is ode.Status.STEP_FAILURE
     assert np.all(np.isfinite(traj.states))

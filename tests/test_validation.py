@@ -98,6 +98,18 @@ def test_identity_suite_flags_non_periodic_f(vdp):
     assert report.details["per_identity"]["f_g_periodic"] == pytest.approx(2 * math.pi)
 
 
+def test_identity_suite_flags_g_nan_only_at_the_next_period(vdp):
+    # g is NaN at theta + 2 pi alone, and f is periodic: the f_g_periodic
+    # residual is NaN, where a max over f and g that drops it would pass.
+    spec = vdp.make_system([1.0], 1e-2)
+    g = spec.g
+    spec = dataclasses.replace(
+        spec, g=lambda i, th: math.nan if th >= TWO_PI else g(i, th))
+    report = verify_identities(spec, vdp.aux, vdp.sample_box)
+    assert math.isnan(report.details["per_identity"]["f_g_periodic"])
+    assert not report.passed
+
+
 def test_injected_fault_in_s_detected(vdp):
     spec = vdp.make_system([1.0], 1e-2)
     bad = _perturbed(vdp.aux, "s", lambda i, th: np.array([1e-3 * math.sin(th)]))
