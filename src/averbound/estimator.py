@@ -19,8 +19,10 @@ fails along the way.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -158,6 +160,14 @@ def _analytic_partials(bounds: BoundBundle, j, rows, k, r, eps,
         for g, x in zip(ga_r[a], drows[a]):
             sum_r += g * x
     return dal_dr, float(sum_j + sum_r + sum_k + eps * sum_b)
+
+
+def _difference_partials(bounds: BoundBundle, j, rows, k, r, eps,
+                         dj, drows, dk):
+    """(d(offset)/dr, d(offset)/dtau) by central differences, for a bundle
+    without gradients: the pair :func:`_analytic_partials` returns."""
+    return (_dalpha_dr(bounds, j, rows, k, r, eps),
+            _alpha_tau_derivative(bounds, j, rows, k, r, eps, dj, drows, dk))
 
 
 def _inverse_norms(rows):
@@ -301,6 +311,13 @@ def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
     fall below ``tol`` within ``_FIXED_POINT_MAX_ITER`` iterations.
     """
     verify_window(spec, bounds, window)
+    return _iterate_fixed_point(spec, bounds, window, tol)
+
+
+def _iterate_fixed_point(spec: SystemSpec, bounds: BoundBundle,
+                         window: ContractionWindow, tol: float = 1e-12) -> float:
+    """The iteration of :func:`find_fixed_point` on a window already
+    verified."""
     eps = spec.epsilon
     j0, rmat0, k0 = _window_alpha0(spec)
     eps_m = eps * window.slope_bound
@@ -352,12 +369,93 @@ def unpack_state(y: np.ndarray, d: int):
     return j, rmat, k, y.T[-2], y.T[-1]
 
 
-def _split_state(y: list, d: int):
-    """(J, rows of R, K, m, n) of one packed state given as a list of
-    floats, at the offsets of :func:`unpack_state`."""
-    r0, k0 = _offsets(d)
-    return (y[:r0], [y[i:i + d] for i in range(r0, k0, d)], y[k0:k0 + d],
-            y[-2], y[-1])
+def _slow_rhs_lines(d: int):
+    """The generated blocks of the slow right-hand side for d actions, and
+    the names of the products' entries in packed order.
+
+    The first splits the state ``y`` into named floats at the offsets of
+    :func:`unpack_state` and forms the lists ``j``, ``rows`` and ``k``.
+    The second unpacks ``amat`` (dfbar(J) as rows of floats) and ``pb``
+    (pbar(J)) the same way, so a member of the wrong shape raises
+    ``ValueError``, and writes out dfbar R, dfbar K + pbar and R . dR as
+    ``drows``, ``dk`` and ``r_dot_dr``: each entry ``0.0 + a * b + ...``,
+    summed from 0.0 left to right, R taken row by row, and pbar added after
+    the sum.
+    """
+    ix = range(d)
+    rs = [[f"r{a}_{b}" for b in ix] for a in ix]
+    amat = [[f"a{a}_{b}" for b in ix] for a in ix]
+    drs = [[f"d{a}_{b}" for b in ix] for a in ix]
+    js, ks, ps, dks = ([f"{x}{a}" for a in ix] for x in ("j", "k", "p", "dk"))
+
+    def seq(names):
+        return "[" + ", ".join(names) + "]"
+
+    def rows_of(rows):
+        return "[" + ", ".join(seq(row) for row in rows) + "]"
+
+    def dot(pairs):
+        return "0.0" + "".join(f" + {x} * {z}" for x, z in pairs)
+
+    flat_rs = [x for row in rs for x in row]
+    flat_drs = [x for row in drs for x in row]
+    split = [f"{seq(js + flat_rs + ks + ['m', 'n'])} = y",
+             f"j = {seq(js)}",
+             f"rows = {rows_of(rs)}",
+             f"k = {seq(ks)}"]
+    products = [f"{rows_of(amat)} = amat", f"{seq(ps)} = pb"]
+    for a in ix:
+        products += [f"{drs[a][b]} = {dot((amat[a][c], rs[c][b]) for c in ix)}"
+                     for b in ix]
+        products.append(f"{dks[a]} = {dot((amat[a][c], ks[c]) for c in ix)}"
+                        f" + {ps[a]}")
+    products += [f"drows = {rows_of(drs)}",
+                 f"dk = {seq(dks)}",
+                 f"r_dot_dr = {dot(zip(flat_rs, flat_drs))}"]
+    return split, products, flat_drs + dks
+
+
+def _slow_rhs_source(d: int) -> str:
+    """Source of ``make(eps, fbar, dfbar, pbar, partials, bounds, latest)``,
+    which returns the slow right-hand side for d actions as straight-line
+    code: the blocks of :func:`_slow_rhs_lines` and the bound equation.
+    The right-hand side records the state it was handed and its
+    d(offset)/dr in ``latest``.
+    """
+    split, products, entries = _slow_rhs_lines(d)
+    body = split + [
+        "amat = dfbar(j).tolist()",
+        "dj = fbar(j)",
+        "pb = pbar(j).tolist()",
+    ] + products + [
+        "norm_r, norm_rinv = norms(rows)",
+        "radius = eps * n",
+        "gam = growth(bounds, j, radius, n)",
+        "dm = norm_rinv * gam",
+        "dal_dr, dal_dtau = partials(bounds, j, rows, k, radius, eps, dj, drows, dk)",
+        "latest[0] = y",
+        "latest[1] = dal_dr",
+        "denom = 1.0 - eps * dal_dr",
+        "num = (dal_dtau + eps * norm_r * norm_rinv * gam",
+        "       + eps * r_dot_dr / norm_r * m)",
+        # denom is +0.0 when eps * d(offset)/dr is exactly 1, and num * inf
+        # is then what numpy's num / 0.0 gives (+-inf, or NaN for a zero or
+        # NaN num), without Python's ZeroDivisionError.
+        "dn = num / denom if denom else num * inf",
+        f"return [*dj, {', '.join(entries)}, dm, dn]",
+    ]
+    return "\n".join(["def make(eps, fbar, dfbar, pbar, partials, bounds, latest):",
+                      "    def rhs(tau, y):"]
+                     + ["        " + line for line in body]
+                     + ["    return rhs", ""])
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_slow_rhs(d: int):
+    namespace = {"norms": _inverse_norms, "growth": growth_value,
+                 "inf": math.inf}
+    exec(compile(_slow_rhs_source(d), f"<slow rhs, d = {d}>", "exec"), namespace)
+    return namespace["make"]
 
 
 def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
@@ -377,72 +475,24 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
     step ``_FD_STEP`` times the argument scale.  J, K and the rows of R
     reach the bundles as lists.
 
-    Each entry of the products dfbar R, dfbar K and R . dR is summed on
-    floats from 0.0, left to right.  That is numpy's result bit for bit
-    wherever each sum has at most one nonzero term, as with a diagonal
-    dfbar, and at d = 1.  For a full dfbar at d >= 2, numpy's ``@`` runs
-    through BLAS, whose fused multiply-adds can round the last bit
-    differently.
+    The code is generated once per d (:func:`_slow_rhs_source`): the state
+    is split at offsets fixed there, and the products dfbar R, dfbar K +
+    pbar and R . dR are written out, each entry summed on floats from 0.0,
+    left to right.  That is numpy's result bit for bit wherever each sum
+    has at most one nonzero term, as with a diagonal dfbar, and at d = 1.
+    For a full dfbar at d >= 2, numpy's ``@`` runs through BLAS, whose
+    fused multiply-adds can round the last bit differently.
+
+    The returned callable's ``latest`` is [state, d(offset)/dr] of its
+    latest evaluation, which the stop predicate reads at the same state.
     """
-    eps = spec.epsilon
-    d = spec.d
-    analytic = bounds.a_grad is not None
-    fbar, dfbar, pbar = aux.fbar, aux.dfbar, aux.pbar
-
-    def rhs(tau: float, y: list) -> list:
-        j, rows, k, m, n = _split_state(y, d)
-        amat = dfbar(j).tolist()
-        dj = fbar(j)
-        pb = pbar(j).tolist()
-        drows = []
-        dk = []
-        # strict: a dfbar or pbar of the wrong shape raises, as numpy's @
-        # and + did, rather than being cut to fit.
-        for arow, p in zip(amat, pb, strict=True):
-            drow = []
-            for b in range(d):
-                acc = 0.0
-                for a_c, row in zip(arow, rows, strict=True):
-                    acc += a_c * row[b]
-                drow.append(acc)
-            drows.append(drow)
-            acc = 0.0
-            for a_c, k_c in zip(arow, k):
-                acc += a_c * k_c
-            dk.append(acc + p)
-
-        norm_r, norm_rinv = _inverse_norms(rows)
-        radius = eps * n
-        gam = growth_value(bounds, j, radius, n)
-        dm = norm_rinv * gam
-
-        if analytic:
-            dal_dr, dal_dtau = _analytic_partials(bounds, j, rows, k, radius,
-                                                  eps, dj, drows, dk)
-        else:
-            dal_dr = _dalpha_dr(bounds, j, rows, k, radius, eps)
-            dal_dtau = _alpha_tau_derivative(bounds, j, rows, k, radius, eps,
-                                             dj, drows, dk)
-        denom = 1.0 - eps * dal_dr
-        r_dot_dr = 0.0
-        for row, drow in zip(rows, drows):
-            for r_c, dr_c in zip(row, drow):
-                r_dot_dr += r_c * dr_c
-        num = (dal_dtau + eps * norm_r * norm_rinv * gam
-               + eps * r_dot_dr / norm_r * m)
-        # denom is +0.0 when eps * d(offset)/dr is exactly 1, and num * inf
-        # is then what numpy's num / 0.0 gives (+-inf, or NaN for a zero or
-        # NaN num), without Python's ZeroDivisionError.
-        dn = num / denom if denom else num * math.inf
-
-        out = [*dj]
-        for drow in drows:
-            out += drow
-        out += dk
-        out.append(dm)
-        out.append(dn)
-        return out
-
+    make = _compile_slow_rhs(spec.d)
+    partials = (_analytic_partials if bounds.a_grad is not None
+                else _difference_partials)
+    latest = [None, None]
+    rhs = make(spec.epsilon, aux.fbar, aux.dfbar, aux.pbar, partials, bounds,
+               latest)
+    rhs.latest = latest
     return rhs
 
 
@@ -497,20 +547,42 @@ class EstimatorTrajectory:
         return np.column_stack([taus, self.traj.sample_many(taus)])
 
 
-def _make_stop_predicate(spec, bounds):
+def _same_floats(a: list, b) -> bool:
+    """Whether ``b`` is the list of floats ``a`` bit for bit: ``==`` alone
+    takes -0.0 for 0.0."""
+    return a is b or (a == b
+                      and array("d", a).tobytes() == array("d", b).tobytes())
+
+
+def _make_stop_predicate(spec, bounds, rhs=None):
     """The stop predicate of the slow solve, on a state given as a list of
     floats: the first failed validity condition, as a
-    :class:`ViolationKind`, or None."""
+    :class:`ViolationKind`, or None.
+
+    d(offset)/dr is taken from ``rhs.latest`` (see
+    :func:`assemble_slow_rhs`) when the right-hand side's latest evaluation
+    was at this very state: at the initial state that is the initial call,
+    and at an accepted state the last (FSAL) stage of the step.  Elsewhere,
+    as at the bisection points of the stop localisation, or when ``rhs``
+    records nothing, the predicate evaluates it itself.
+    """
     eps = spec.epsilon
     d = spec.d
+    r0, k0 = _offsets(d)
+    latest = getattr(rhs, "latest", None)
 
     def violation(tau, y):
-        j, rows, k, m, n = _split_state(y, d)
+        n = y[-1]
         if n <= 0.0:
             return ViolationKind.N_NONPOSITIVE
+        j = y[:r0]
         if not n < bounds.rho_hat(j) / eps:
             return ViolationKind.N_EXCEEDS_RHO_OVER_EPS
-        dal = _dalpha_dr(bounds, j, rows, k, eps * n, eps)
+        if latest is not None and _same_floats(y, latest[0]):
+            dal = latest[1]
+        else:
+            rows = [y[i:i + d] for i in range(r0, k0, d)]
+            dal = _dalpha_dr(bounds, j, rows, y[k0:k0 + d], eps * n, eps)
         if not dal < 1.0 / eps:
             return ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
         return None
@@ -547,18 +619,21 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
         raise ValueError("U must be positive")
     _check_theta0(spec, aux)
     t_start = time.perf_counter()
-    window_mode = "explicit"
     if window is None:
+        # auto_window has verified its window on the sampled levels.
         window = auto_window(spec, bounds)
         window_mode = "auto"
-    ell0 = find_fixed_point(spec, bounds, window)
+        ell0 = _iterate_fixed_point(spec, bounds, window)
+    else:
+        window_mode = "explicit"
+        ell0 = find_fixed_point(spec, bounds, window)
 
     d = spec.d
     y0 = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, ell0)
     rhs = assemble_slow_rhs(spec, aux, bounds)
     problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u)
     traj = ode.integrate(problem, rtol=rtol, atol=atol,
-                         stop=_make_stop_predicate(spec, bounds))
+                         stop=_make_stop_predicate(spec, bounds, rhs))
 
     if traj.status is ode.Status.COMPLETED:
         status, kind = EstimatorStatus.COMPLETED, None

@@ -23,6 +23,7 @@ trajectories.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -476,11 +477,14 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     else:
         step_rhs = lambda t, y: rhs(t, y.tolist())
         step_stop = None if stop is None else lambda t, y: stop(t, y.tolist())
+    size = len(y)
     kernel = _float_kernel if floats else _array_kernel
-    step = kernel(step_rhs, len(y), rtol, atol)
-    times = [t]
-    states = [y if floats else y.copy()]
-    derivs = [f if floats else f.copy()]
+    step = kernel(step_rhs, size, rtol, atol)
+    # Accepted nodes, one flat buffer of doubles each: a row of Python
+    # floats takes about five times the memory of its eight-byte values.
+    times = array("d", (t,))
+    states = array("d", y)
+    derivs = array("d", f)
     fac_old = 1e-4
     just_rejected = False
     steps = nan_retries = 0
@@ -512,8 +516,8 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
 
         t_new = t + h
         times.append(t_new)
-        states.append(y_new)
-        derivs.append(f_new)
+        states.extend(y_new)
+        derivs.extend(f_new)
         if h_lo is None or h < h_lo:
             h_lo = h
         if h_hi is None or h > h_hi:
@@ -523,8 +527,8 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
             stop_time, y_stop, f_stop, stop_reason = _localize_stop(
                 stop, reason, t, t_new, *map(np.asarray, (y, y_new, f, f_new)))
             times[-1] = stop_time
-            states[-1] = y_stop
-            derivs[-1] = f_stop
+            states[-size:] = array("d", y_stop)
+            derivs[-size:] = array("d", f_stop)
             status = Status.STOPPED
             break
 
@@ -540,11 +544,17 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         y = y_new
         f = f_new
 
+    if len(derivs) != len(states):
+        # Only a later slope list longer than the state gets this far: a
+        # shorter one raises IndexError inside the float step.
+        raise ValueError(f"rhs must return {size} values at every call")
     accepted = len(times) - 1
+    # A copy each, not a view: a view would keep the buffer's spare capacity
+    # alive with the trajectory, and the chunked direct run keeps many.
     return Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=np.asarray(states, dtype=float),
-        derivs=np.asarray(derivs, dtype=float),
+        times=np.frombuffer(times).copy(),
+        states=np.frombuffer(states).reshape(-1, size).copy(),
+        derivs=np.frombuffer(derivs).reshape(-1, size).copy(),
         status=status,
         stop_time=stop_time,
         stop_reason=stop_reason,

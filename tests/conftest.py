@@ -534,6 +534,34 @@ def without_gradients(bounds):
     return dataclasses.replace(bounds, a_grad=None, b_grad=None)
 
 
+def slow_products_reference(amat, pb, rows, k):
+    """dfbar R, dfbar K + pbar and R . dR as the slow right-hand side
+    formed them in loops before it wrote them out per d: (rows of dR, dK,
+    R . dR), each entry summed on floats from 0.0, left to right, R taken
+    row by row, pbar added after the sum.  ``amat`` is dfbar as rows of
+    floats."""
+    d = len(rows)
+    drows = []
+    dk = []
+    for arow, p in zip(amat, pb, strict=True):
+        drow = []
+        for b in range(d):
+            acc = 0.0
+            for a_c, row in zip(arow, rows, strict=True):
+                acc += a_c * row[b]
+            drow.append(acc)
+        drows.append(drow)
+        acc = 0.0
+        for a_c, k_c in zip(arow, k):
+            acc += a_c * k_c
+        dk.append(acc + p)
+    r_dot_dr = 0.0
+    for row, drow in zip(rows, drows):
+        for r_c, dr_c in zip(row, drow):
+            r_dot_dr += r_c * dr_c
+    return drows, dk, r_dot_dr
+
+
 def slow_rhs_reference(spec, aux, bounds):
     """``estimator.assemble_slow_rhs`` as it was before it read n, the
     entries of R and the finite-difference weights as Python floats, and

@@ -441,3 +441,17 @@ def test_config_via_main_runs(tmp_path):
         f"system = resonant\ni0 = 2\neps = 1e-2\nu = 1\nout = {out}\n")
     assert run_cli("estimate", "--config", str(cfg_path)) == 0
     assert out.exists()
+
+
+def test_main_parses_with_one_parser_per_process(monkeypatch, tmp_path):
+    # main reuses the parser built at import; build_parser stays public.
+    def refuse():
+        raise AssertionError("parser built again")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    out = tmp_path / "3e.csv"
+    assert run_cli("estimate", "--figure", "3e", "--out", str(out)) == cli.EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        run_cli("estimate", "--no-such-flag")
+    assert exc.value.code == cli.EXIT_ERROR
+    assert out.exists()

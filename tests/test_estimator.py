@@ -13,8 +13,8 @@ from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  unpack_state)
 from conftest import (analytic_partials_reference, cursor_reference,
                       float_kernel_reference, hermite_reference,
-                      invert_reference, slow_rhs_reference, toy_linear_decay,
-                      without_gradients)
+                      invert_reference, slow_products_reference,
+                      slow_rhs_reference, toy_linear_decay, without_gradients)
 
 
 def test_pack_unpack_roundtrip():
@@ -677,6 +677,181 @@ def test_slow_rhs_products_match_numpy_to_one_ulp_for_a_full_dfbar():
                           <= ulps * np.spacing(np.abs(want[products]))), trial
         else:
             assert got[products].tobytes() == want[products].tobytes(), trial
+
+
+def _generated_products(d):
+    """The generated split and product blocks of the slow right-hand side
+    for d actions, as ``block(y, amat, pb) -> (drows, dk, r_dot_dr)``."""
+    split, products, _ = estimator._slow_rhs_lines(d)
+    lines = split + products + ["return drows, dk, r_dot_dr"]
+    namespace = {}
+    exec("def block(y, amat, pb):\n" + "\n".join("    " + line for line in lines),
+         namespace)
+    return namespace["block"]
+
+
+def _same_float(x, y):
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   2.5e-310, -1.1e-308]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generated_products_equal_the_loop_reference(d):
+    # The written-out products are the loops they replaced, bit for bit:
+    # every sign of zero, every infinity and every NaN, on random entries
+    # mixed with signed zeros, infinities, NaN and subnormals.
+    rng = np.random.default_rng(2500 + d)
+    block = _generated_products(d)
+
+    def draw(count):
+        out = []
+        for _ in range(count):
+            if rng.random() < 0.3:
+                out.append(_SPECIAL_FLOATS[rng.integers(len(_SPECIAL_FLOATS))])
+            else:
+                out.append(float(rng.standard_normal() * 10.0 ** rng.uniform(-8, 8)))
+        return out
+
+    specials = 0
+    for trial in range(2000):
+        y = draw(d * d + 2 * d + 2)
+        amat = [draw(d) for _ in range(d)]
+        pb = draw(d)
+        rows = [y[d + a * d:d + (a + 1) * d] for a in range(d)]
+        k = y[d + d * d:2 * d + d * d]
+        drows, dk, r_dot_dr = block(y, amat, pb)
+        ref_rows, ref_dk, ref_dot = slow_products_reference(amat, pb, rows, k)
+        got = [x for row in drows for x in row] + dk + [r_dot_dr]
+        want = [x for row in ref_rows for x in row] + ref_dk + [ref_dot]
+        assert all(type(x) is float for x in got), trial
+        assert all(map(_same_float, got, want)), (trial, got, want)
+        specials += any(math.isnan(x) or math.isinf(x) or x == 0.0 for x in got)
+    assert specials > 100
+
+
+def _dalpha_majorants(bounds):
+    return ("a_grad", "b_grad") if bounds.a_grad is not None else ("a_hat", "b_hat")
+
+
+@pytest.mark.parametrize("name,i0,u,gradients,status,stats", [
+    ("vdp", [0.5], 10.0, True, "completed",
+     {"accepted": 202, "rejected": 1, "rhs_evals": 1220, "stop_calls": 203}),
+    ("euler", [4.0, 1.0], 1.0, False, "completed",
+     {"accepted": 73, "rejected": 0, "rhs_evals": 440, "stop_calls": 74}),
+    ("af_plus", [0.8], 2.0, True, "domain_violation",
+     {"accepted": 168, "rejected": 0, "rhs_evals": 1010, "stop_calls": 191}),
+])
+def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
+                                                  i0, u, gradients, status,
+                                                  stats):
+    # At the initial state and at every accepted state the right-hand side
+    # has just been evaluated there (the initial call, then each step's FSAL
+    # stage), and the stop predicate takes its d(offset)/dr: the predicate
+    # calls the dalpha/dr majorants only at the stop localisation's
+    # bisection points.  The step counts are those of the run that
+    # evaluated d(offset)/dr in the predicate at every state.
+    example = request.getfixturevalue(name)
+    bounds = example.bounds if gradients else without_gradients(example.bounds)
+    counted = _dalpha_majorants(bounds)
+    state = {"in_stop": False, "localizing": False, "calls": 0}
+    predicate_calls = []           # (localizing, majorant calls)
+
+    def count(fn):
+        def wrapper(*args):
+            state["calls"] += state["in_stop"]
+            return fn(*args)
+        return wrapper
+
+    bounds = dataclasses.replace(bounds, **{f: count(getattr(bounds, f))
+                                            for f in counted})
+    make_predicate = estimator._make_stop_predicate
+
+    def spied_predicate(*args):
+        predicate = make_predicate(*args)
+
+        def spy(tau, y):
+            state["in_stop"], state["calls"] = True, 0
+            try:
+                return predicate(tau, y)
+            finally:
+                state["in_stop"] = False
+                predicate_calls.append((state["localizing"], state["calls"]))
+        return spy
+
+    localize = ode._localize_stop
+
+    def spied_localize(*args):
+        state["localizing"] = True
+        try:
+            return localize(*args)
+        finally:
+            state["localizing"] = False
+
+    monkeypatch.setattr(estimator, "_make_stop_predicate", spied_predicate)
+    monkeypatch.setattr(ode, "_localize_stop", spied_localize)
+    spec = example.make_system(i0, 1e-2)
+    est = ab.run_estimator(spec, example.aux, bounds, u)
+    assert est.status.value == status
+    got = est.traj.stats.to_dict()
+    assert {key: got[key] for key in stats} == stats
+    on_grid = [calls for localizing, calls in predicate_calls if not localizing]
+    bisections = [calls for localizing, calls in predicate_calls if localizing]
+    assert len(on_grid) == stats["accepted"] + 1
+    assert not any(on_grid)
+    assert len(bisections) == stats["stop_calls"] - stats["accepted"] - 1
+    if status == "domain_violation":
+        # the bisection points short of the crossing pass the tube check
+        # and evaluate d(offset)/dr there
+        assert sum(bisections) > 0
+
+
+def test_stop_predicate_evaluates_dalpha_dr_without_a_record(vdp):
+    # A right-hand side that records nothing leaves the predicate to
+    # evaluate d(offset)/dr itself, with the same verdict.
+    spec = vdp.make_system([0.5], 1e-2)
+    eps = spec.epsilon
+    bounds = dataclasses.replace(vdp.bounds, a_grad=lambda j, rmat, k, r: (
+        (0.0,), ((0.0,),), (0.0,), 2.0 / eps), b_grad=lambda j, r: ((0.0,), 0.0))
+    y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5).tolist()
+    rhs = assemble_slow_rhs(spec, vdp.aux, bounds)
+    rhs(0.0, y)
+    recorded = estimator._make_stop_predicate(spec, bounds, rhs)
+    alone = estimator._make_stop_predicate(spec, bounds, lambda tau, y: y)
+    assert recorded(0.0, list(y)) is alone(0.0, list(y)) is (
+        ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS)
+    # a state equal by == but for the sign of a zero is not the recorded one
+    rhs.latest[1] = 0.0
+    assert recorded(0.0, list(y)) is None
+    y_neg = list(y)
+    y_neg[2] = -0.0          # K
+    assert recorded(0.0, y_neg) is ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_run_estimator_samples_the_window_once(monkeypatch, resonant, explicit):
+    # The auto window is verified by the sample that sets its slope bound,
+    # and is not sampled again before the fixed point; an explicit window
+    # is verified by one sample.
+    spec = resonant.make_system([2.0], 1e-2)
+    window = ab.auto_window(spec, resonant.bounds) if explicit else None
+    calls = []
+    sampled_slope = estimator._sampled_slope
+
+    def counting(*args):
+        calls.append(args)
+        return sampled_slope(*args)
+
+    monkeypatch.setattr(estimator, "_sampled_slope", counting)
+    est = ab.run_estimator(spec, resonant.aux, resonant.bounds, 1.0,
+                           window=window)
+    assert len(calls) == 1
+    assert est.window_mode == ("explicit" if explicit else "auto")
+    assert est.ell0 == ab.find_fixed_point(spec, resonant.bounds, est.window)
 
 
 def test_three_action_system_runs_to_completion():

@@ -116,6 +116,44 @@ def test_stop_localisation_keeps_the_cubic_slope():
     assert traj.derivs[-1, 0] == pytest.approx(0.75, abs=1e-9)
 
 
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_stop_row_replaces_the_last_accepted_row(monkeypatch, size):
+    # The accepted nodes are kept in flat buffers; at a stop the last row of
+    # each is overwritten, in place, with what the localisation returned.
+    localize = ode._localize_stop
+    found = []
+
+    def spy(*args):
+        found.append(localize(*args))
+        return found[-1]
+
+    monkeypatch.setattr(ode, "_localize_stop", spy)
+    traj = ode.integrate(problem(lambda t, y: [3 * t * t] * size,
+                                 np.zeros(size), 2.0),
+                         stop=lambda t, y: y[-1] >= 0.125)
+    (t_stop, y_stop, f_stop, _), = found
+    rows = traj.stats.accepted + 1
+    assert traj.times.shape == (rows,) and traj.states.shape == (rows, size)
+    assert traj.derivs.shape == (rows, size)
+    assert traj.times[-1] == t_stop and traj.times[-2] < t_stop
+    assert traj.states[-1].tobytes() == np.asarray(y_stop, dtype=float).tobytes()
+    assert traj.derivs[-1].tobytes() == np.asarray(f_stop, dtype=float).tobytes()
+    assert np.all(traj.states[:-1] < 0.125)
+
+
+def test_a_later_slope_longer_than_the_state_is_refused():
+    # Only the first slope's length is checked as it arrives; a later one
+    # with an extra entry is refused when the run ends, not stored.
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return [-y[0], -y[1]] + ([0.0] if calls[0] > 5 else [])
+
+    with pytest.raises(ValueError, match="rhs must return 2 values"):
+        ode.integrate(problem(rhs, [1.0, 1.0], 1.0))
+
+
 def test_sample_at_grid_time_is_exact():
     traj = ode.integrate(problem(lambda t, y: y, [1.0], 1.0))
     idx = len(traj.times) // 2
