@@ -6,14 +6,19 @@ and the angle against a precomputed averaged trajectory:
     dL/dt     = f(I, Theta) - fbar(J(eps*t)),                      L(0) = 0
     dTheta/dt = omega(I) + eps * g(I, Theta),        I := J(eps*t) + eps*L
 
-The averaged actions are sampled from the slow trajectory's dense output.
-The state is stepped as a list of Python floats, and ``f``, ``g``,
-``omega``, ``in_domain`` and ``fbar`` are handed the actions as a list.
-This is the expensive comparison run used to validate the certified bound;
-it honours a wall-clock budget and flags runs cut short by it.
+The right-hand side and stop predicate are straight-line code, generated
+once per d (:func:`_direct_rhs_source`).  They read the averaged actions
+J(eps*t) inline from the slow trajectory's dense output: they keep the
+interval of its cubic that the last query fell in, and leave it only when a
+query falls outside.  The state is stepped as a list of Python floats, and
+``f``, ``g``, ``omega``, ``in_domain`` and ``fbar`` are handed the actions
+as a list.  This is the expensive comparison run used to validate the
+certified bound; it honours a wall-clock budget and flags runs cut short by
+it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -81,51 +86,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     d = spec.d
     t_end = u / eps
     start = time.perf_counter()
-    sample_avg = avg_traj.sampler()
-    tau_max = avg_traj.t_final
-    f_sys, g_sys, omega, fbar = spec.f, spec.g, spec.omega, aux.fbar
-    in_domain = spec.in_domain
-    sample_into = sample_avg.into
-    # J(eps*t) and fbar(J) as Python floats, each with the slow time it was
-    # taken at.  The last two stages of a step and the stop check after it
-    # share one time, so there J is sampled and fbar called once.
-    # The lists are built by plain loops: comprehensions cost about a third
-    # more per call at d = 1 and 2.
-    jl = [0.0] * d
-    fb = None
-    tau_j = tau_fb = math.nan
-    comps = range(d)
-
-    def rhs(t: float, y: list) -> list:
-        nonlocal fb, tau_j, tau_fb
-        tau = eps * t
-        if tau != tau_j:
-            sample_into(tau if tau < tau_max else tau_max, jl, d)
-            tau_j = tau
-        actions = []
-        for k in comps:
-            actions.append(jl[k] + eps * y[k])
-        theta = y[d]
-        fa = f_sys(actions, theta)
-        if tau != tau_fb:
-            fb = fbar(jl)
-            tau_fb = tau
-        out = []
-        for k in comps:
-            out.append(fa[k] - fb[k])
-        out.append(omega(actions) + eps * g_sys(actions, theta))
-        return out
-
-    def stop(t: float, y: list) -> bool:
-        nonlocal tau_j
-        tau = eps * t
-        if tau != tau_j:
-            sample_into(tau if tau < tau_max else tau_max, jl, d)
-            tau_j = tau
-        actions = []
-        for k in comps:
-            actions.append(jl[k] + eps * y[k])
-        return not in_domain(actions)
+    rhs, stop = _direct_rhs(spec, aux, avg_traj)
 
     chunk = t_end / _BUDGET_CHUNKS
     y = np.concatenate([np.zeros(d), [spec.theta0]])
@@ -163,6 +124,85 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         budget_exceeded=budget_hit,
         wall_time_s=time.perf_counter() - start,
     )
+
+
+def _direct_rhs_source(d: int) -> str:
+    """Source of ``make(eps, f_sys, g_sys, omega, fbar, in_domain, interval,
+    tau_max)``, which returns the direct right-hand side and stop predicate
+    for d actions as straight-line code.
+
+    Both read J(eps*t) inline, as ``j0, j1, ...``, from the interval of the
+    averaged cubic they hold in closure cells: its ends ``t_lo``, ``t_hi``,
+    its length ``h`` and its coefficient rows ``c0``..``c3``.  A query
+    outside [t_lo, t_hi] takes the interval ``interval`` (the sampler's
+    :meth:`~averbound.ode.CubicSampler.interval`) returns, which moves the
+    sampler's cursor as its ``into`` would; inside, the cursor would not
+    move.  So each j<k> is ``into``'s value bit for bit, node times
+    included.  The query is clamped at ``tau_max``; J and fbar(J) are each
+    kept with the unclamped slow time they were taken at, since the last
+    two stages of a step and the stop check after it share one time.
+    """
+    ix = range(d)
+
+    def seq(names):
+        return "[" + ", ".join(names) + "]"
+
+    js = [f"j{k}" for k in ix]
+    cells = ["t_lo", "t_hi", "h", "c0", "c1", "c2", "c3", *js, "tau_j"]
+    read_j = [
+        "tau = eps * t",
+        "if tau != tau_j:",
+        "    q = tau if tau < tau_max else tau_max",
+        "    if not t_lo <= q <= t_hi:",
+        "        t_lo, t_hi, h, c0, c1, c2, c3 = interval(q)",
+        "    s = (q - t_lo) / h",
+    ] + [f"    j{k} = ((c3[{k}] * s + c2[{k}]) * s + c1[{k}]) * s + c0[{k}]"
+         for k in ix] + [
+        "    tau_j = tau",
+        f"actions = {seq(f'j{k} + eps * y[{k}]' for k in ix)}",
+    ]
+    out = [f"fa[{k}] - fb[{k}]" for k in ix]
+    out.append("omega(actions) + eps * g_sys(actions, theta)")
+    rhs = [f"nonlocal {', '.join(cells)}, fb, tau_fb"] + read_j + [
+        f"theta = y[{d}]",
+        "fa = f_sys(actions, theta)",
+        "if tau != tau_fb:",
+        f"    fb = fbar({seq(js)})",
+        "    tau_fb = tau",
+        f"return {seq(out)}",
+    ]
+    stop = [f"nonlocal {', '.join(cells)}"] + read_j + [
+        "return not in_domain(actions)",
+    ]
+    return "\n".join(
+        ["def make(eps, f_sys, g_sys, omega, fbar, in_domain, interval, tau_max):",
+         # NaN ends take the first query to interval()
+         "    t_lo = t_hi = h = tau_j = tau_fb = nan",
+         "    c0 = c1 = c2 = c3 = fb = None",
+         f"    {' = '.join(js)} = 0.0",
+         "    def rhs(t, y):"]
+        + ["        " + line for line in rhs]
+        + ["    def stop(t, y):"]
+        + ["        " + line for line in stop]
+        + ["    return rhs, stop", ""])
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_direct_rhs(d: int):
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(compile(_direct_rhs_source(d), f"<direct rhs, d = {d}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _direct_rhs(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory):
+    """The direct right-hand side and stop predicate on lists of Python
+    floats, against the averaged trajectory ``avg_traj``: the pair
+    :func:`_compile_direct_rhs` generates for ``spec.d``, reading J from a
+    fresh :class:`~averbound.ode.CubicSampler` of ``avg_traj``."""
+    make = _compile_direct_rhs(spec.d)
+    return make(spec.epsilon, spec.f, spec.g, spec.omega, aux.fbar,
+                spec.in_domain, ode.CubicSampler(avg_traj).interval,
+                avg_traj.t_final)
 
 
 def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Trajectory:

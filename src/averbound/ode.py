@@ -137,6 +137,11 @@ class CubicSampler:
 
     Precomputes the per-interval cubic coefficients once and walks a cursor
     between calls, so repeated nearby queries cost a few float operations.
+    It is the one home of the per-interval coefficients and of the cursor
+    rule: a query t stays on the cursor's interval i while
+    ``times[i] <= t <= times[i+1]``.  The direct run's generated right-hand
+    side reads its intervals through :meth:`interval` and evaluates the
+    cubic inline; :meth:`into` is the reference it equals bit for bit.
     """
 
     __slots__ = ("times", "_tlist", "_h", "_c0", "_c1", "_c2", "_c3",
@@ -181,6 +186,16 @@ class CubicSampler:
         out = [0.0]
         self.into(t, out, 1)
         return out[0]
+
+    def interval(self, t: float) -> tuple:
+        """The interval ``into`` reads at t, moving the cursor as it does:
+        ``(t_lo, t_hi, h, c0, c1, c2, c3)``, its ends, its length and its
+        coefficient rows, with ``t_hi`` infinite on the last interval.  Until
+        the cursor moves, ``into`` stays on it at every t_lo <= t <= t_hi."""
+        i = self._locate(t)
+        t_hi = self._tlist[i + 1] if i < self._last else math.inf
+        return (self._tlist[i], t_hi, self._h[i],
+                self._c0[i], self._c1[i], self._c2[i], self._c3[i])
 
     def into(self, t: float, out, count: int) -> None:
         """Write the first ``count`` interpolated components into ``out``, a
@@ -290,15 +305,16 @@ class Trajectory:
                     h, states[i], states[i + 1], derivs[i], derivs[i + 1]), s)
         return out
 
+    # Kept while perfbench/tracer.py patches it (ROADMAP item 3).
     def sampler(self) -> CubicSampler:
-        """Cursor-based evaluator for one query at a time, for the direct
-        right-hand side only.
+        """Cursor-based evaluator for one query at a time.
 
         Between nodes its ``into`` equals :meth:`sample_many` bit for bit;
         at a node it may differ in the last bit, where :meth:`sample_many`
         returns the stored state.  A query near the previous one costs well
         under a microsecond, far less than a one-point :meth:`sample`;
-        batches go through :meth:`sample_many`.
+        batches go through :meth:`sample_many`.  The direct run builds its
+        own :class:`CubicSampler` and reads it inline, not through here.
         """
         return CubicSampler(self)
 

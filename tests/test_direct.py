@@ -25,7 +25,7 @@ def test_angle_free_perturbation_keeps_error_zero(d):
     assert dtraj.theta[0] == spec.theta0
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_registered_system_matches_the_numpy_reference(monkeypatch, d):
     # A registered system whose callables index their actions runs through
     # the one list rhs, handed lists, and steps to the same bits as the
@@ -116,22 +116,34 @@ def test_replaced_callables_reach_the_fast_time_runs():
 
 def test_slow_samples_are_reused_within_a_step(monkeypatch):
     # The last two stages of a step run at t + h, and so does the stop
-    # check after it: J(eps*t) is sampled and fbar called once there.  A
-    # later chunk starts at the time its predecessor ended on.
+    # check after it: J(eps*t) is read and fbar called once there.  A later
+    # chunk starts at the time its predecessor ended on.  The right-hand
+    # side reads J inline from the averaged cubic's coefficient rows, c0[k]
+    # once per action and read, so the reads are counted on those rows.
     spec, aux, _ = toy_linear_decay()
     avg = ab.run_averaged(spec, aux, 5.0)
-    counts = {"fbar": 0, "into": 0, "f": 0}
+    counts = {"fbar": 0, "j": 0, "f": 0}
 
     def counted(name, fn):
         def wrapped(*args):
             counts[name] += 1
             return fn(*args)
         return wrapped
+
+    class CountedRow(list):
+        def __getitem__(self, k):
+            counts["j"] += 1
+            return list.__getitem__(self, k)
+
+    init = ode.CubicSampler.__init__
+
+    def counted_init(self, traj):
+        init(self, traj)
+        self._c0 = [CountedRow(row) for row in self._c0]
     aux = dataclasses.replace(aux, fbar=counted("fbar", aux.fbar))
     spec = dataclasses.replace(spec, f=counted("f", spec.f))
     counts["f"] = 0    # the spec calls f once, at i0
-    monkeypatch.setattr(ode.CubicSampler, "into",
-                        counted("into", ode.CubicSampler.into))
+    monkeypatch.setattr(ode.CubicSampler, "__init__", counted_init)
     dtraj = ab.run_direct(spec, aux, avg, 5.0)
     assert dtraj.status is ode.Status.COMPLETED
     stats = dtraj.traj.stats
@@ -139,8 +151,51 @@ def test_slow_samples_are_reused_within_a_step(monkeypatch):
     starts = direct._BUDGET_CHUNKS + 1
     assert counts["f"] == stats.rhs_evals == 6 * attempts + starts
     assert counts["fbar"] <= 5 * attempts + starts
-    assert counts["into"] <= 5 * attempts + starts
+    assert counts["j"] <= 5 * attempts + starts
     assert counts["fbar"] >= 5 * stats.accepted
+    assert counts["j"] >= 5 * stats.accepted
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_inline_reading_equals_the_cursor_sampler(d):
+    # With eps = 1 (tau = t), f returning the actions, fbar zeros and
+    # y = 0, the right-hand side's first d values are J(t), and the stop
+    # predicate hands in_domain J(t).  Both equal CubicSampler.into, fed the
+    # same queries clamped at tau_max, bit for bit: at every averaged node
+    # and midpoint, forward and backward as rejected steps go, in a
+    # shuffled order, and at and past tau_max.
+    spec, aux, _ = toy_linear_decay(d=d)
+    spec = dataclasses.replace(spec, i0=np.linspace(1.0, 2.0, d))
+    avg = ab.run_averaged(spec, aux, 5.0)
+    seen = []
+
+    def in_domain(i):
+        seen.append(list(i))
+        return True
+    spec = dataclasses.replace(spec, epsilon=1.0, f=lambda i, th: list(i),
+                               in_domain=in_domain)
+    aux = dataclasses.replace(aux, fbar=lambda i: [0.0] * d)
+    rhs, stop = direct._direct_rhs(spec, aux, avg)
+    ref = ode.CubicSampler(avg)
+    tau_max = avg.t_final
+    nodes = avg.times.tolist()
+    mids = (0.5 * (avg.times[1:] + avg.times[:-1])).tolist()
+    forward = [t for pair in zip(nodes, mids) for t in pair] + nodes[-1:]
+    queries = (forward + forward[::-1]
+               + np.random.default_rng(3).permutation(forward).tolist()
+               + [mids[2], nodes[2], mids[1], nodes[3], nodes[1]]
+               + [tau_max, tau_max + 0.25, 2.0 * tau_max, tau_max])
+    assert len(avg.times) > 10
+    zeros = [0.0] * (d + 1)
+    for n, t in enumerate(queries):
+        want = [0.0] * d
+        ref.into(min(t, tau_max), want, d)
+        if n % 2:
+            assert not stop(t, zeros)
+            got = seen.pop()
+        else:
+            got = rhs(t, zeros)[:d]
+        assert got == want, (n, t)
 
 
 def test_initial_angle_rate_is_unperturbed_frequency(resonant_run):
