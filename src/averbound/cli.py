@@ -28,8 +28,8 @@ import numpy as np
 from . import export
 from .direct import DEFAULT_BUDGET_S, DirectTrajectory, envelope, run_direct
 from .estimator import (AVERAGED_TIGHTENING, ContractionWindow, EstimatorStatus,
-                        EstimatorTrajectory, run_averaged, run_estimator,
-                        unpack_state)
+                        EstimatorTrajectory, report_columns, run_averaged,
+                        run_estimator, unpack_state)
 from .examples import ExampleDefinition, figure_ids, figure_preset, make_example
 from .model import SystemSpec
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL, Status, Trajectory
@@ -283,15 +283,6 @@ def _verify_defaults(example: ExampleDefinition) -> Dict:
 # Table builders
 
 
-def _estimate_columns(d: int):
-    cols = ["tau"]
-    cols += [f"J_{i + 1}" for i in range(d)]
-    cols += [f"R_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-    cols += [f"K_{i + 1}" for i in range(d)]
-    cols += ["m", "n"]
-    return cols
-
-
 def _direct_table(dtraj: DirectTrajectory) -> np.ndarray:
     t = dtraj.t
     l = dtraj.l
@@ -343,7 +334,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     spec = cfg.system()
     est = _run_estimator_pipeline(cfg, spec)
     out = _out_path(cfg, "estimate")
-    export.write_table(out, _estimate_columns(spec.d), est.report_grid(),
+    export.write_table(out, report_columns(spec.d), est.report_grid(),
                        cfg.format)
     export.write_json(_sidecar_path(out), {
         "ell0": est.ell0,

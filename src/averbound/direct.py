@@ -19,7 +19,6 @@ it.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -143,10 +142,6 @@ def _direct_rhs_source(d: int) -> str:
     two stages of a step and the stop check after it share one time.
     """
     ix = range(d)
-
-    def seq(names):
-        return "[" + ", ".join(names) + "]"
-
     js = [f"j{k}" for k in ix]
     cells = ["t_lo", "t_hi", "h", "c0", "c1", "c2", "c3", *js, "tau_j"]
     read_j = [
@@ -159,7 +154,7 @@ def _direct_rhs_source(d: int) -> str:
     ] + [f"    j{k} = ((c3[{k}] * s + c2[{k}]) * s + c1[{k}]) * s + c0[{k}]"
          for k in ix] + [
         "    tau_j = tau",
-        f"actions = {seq(f'j{k} + eps * y[{k}]' for k in ix)}",
+        f"actions = {ode._seq(f'j{k} + eps * y[{k}]' for k in ix)}",
     ]
     out = [f"fa[{k}] - fb[{k}]" for k in ix]
     out.append("omega(actions) + eps * g_sys(actions, theta)")
@@ -167,9 +162,9 @@ def _direct_rhs_source(d: int) -> str:
         f"theta = y[{d}]",
         "fa = f_sys(actions, theta)",
         "if tau != tau_fb:",
-        f"    fb = fbar({seq(js)})",
+        f"    fb = fbar({ode._seq(js)})",
         "    tau_fb = tau",
-        f"return {seq(out)}",
+        f"return {ode._seq(out)}",
     ]
     stop = [f"nonlocal {', '.join(cells)}"] + read_j + [
         "return not in_domain(actions)",
@@ -189,9 +184,7 @@ def _direct_rhs_source(d: int) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _compile_direct_rhs(d: int):
-    namespace = {"inf": math.inf, "nan": math.nan}
-    exec(compile(_direct_rhs_source(d), f"<direct rhs, d = {d}>", "exec"), namespace)
-    return namespace["make"]
+    return ode._compile_factory(_direct_rhs_source(d), f"<direct rhs, d = {d}>")
 
 
 def _direct_rhs(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory):

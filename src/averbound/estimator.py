@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ode
+from .ode import _compile_factory, _dot, _seq
 from .model import (IDENTITY_TOL, AuxiliaryBundle, BoundBundle, SystemSpec,
                     frobenius, growth_value, offset_value)
 
@@ -369,6 +370,14 @@ def unpack_state(y: np.ndarray, d: int):
     return j, rmat, k, y.T[-2], y.T[-1]
 
 
+def report_columns(d: int) -> list:
+    """Names of the columns of :meth:`EstimatorTrajectory.report_grid`."""
+    ix = range(1, d + 1)
+    return (["tau"] + [f"J_{a}" for a in ix]
+            + [f"R_{a}{b}" for a in ix for b in ix]
+            + [f"K_{a}" for a in ix] + ["m", "n"])
+
+
 def _slow_rhs_lines(d: int):
     """The generated blocks of the slow right-hand side for d actions, and
     the names of the products' entries in packed order.
@@ -378,9 +387,8 @@ def _slow_rhs_lines(d: int):
     The second unpacks ``amat`` (dfbar(J) as rows of floats) and ``pb``
     (pbar(J)) the same way, so a member of the wrong shape raises
     ``ValueError``, and writes out dfbar R, dfbar K + pbar and R . dR as
-    ``drows``, ``dk`` and ``r_dot_dr``: each entry ``0.0 + a * b + ...``,
-    summed from 0.0 left to right, R taken row by row, and pbar added after
-    the sum.
+    ``drows``, ``dk`` and ``r_dot_dr``: each entry a sum by ``ode._dot``,
+    R taken row by row, and pbar added after the sum.
     """
     ix = range(d)
     rs = [[f"r{a}_{b}" for b in ix] for a in ix]
@@ -388,30 +396,24 @@ def _slow_rhs_lines(d: int):
     drs = [[f"d{a}_{b}" for b in ix] for a in ix]
     js, ks, ps, dks = ([f"{x}{a}" for a in ix] for x in ("j", "k", "p", "dk"))
 
-    def seq(names):
-        return "[" + ", ".join(names) + "]"
-
     def rows_of(rows):
-        return "[" + ", ".join(seq(row) for row in rows) + "]"
-
-    def dot(pairs):
-        return "0.0" + "".join(f" + {x} * {z}" for x, z in pairs)
+        return _seq(_seq(row) for row in rows)
 
     flat_rs = [x for row in rs for x in row]
     flat_drs = [x for row in drs for x in row]
-    split = [f"{seq(js + flat_rs + ks + ['m', 'n'])} = y",
-             f"j = {seq(js)}",
+    split = [f"{_seq(js + flat_rs + ks + ['m', 'n'])} = y",
+             f"j = {_seq(js)}",
              f"rows = {rows_of(rs)}",
-             f"k = {seq(ks)}"]
-    products = [f"{rows_of(amat)} = amat", f"{seq(ps)} = pb"]
+             f"k = {_seq(ks)}"]
+    products = [f"{rows_of(amat)} = amat", f"{_seq(ps)} = pb"]
     for a in ix:
-        products += [f"{drs[a][b]} = {dot((amat[a][c], rs[c][b]) for c in ix)}"
+        products += [f"{drs[a][b]} = {_dot((amat[a][c], rs[c][b]) for c in ix)}"
                      for b in ix]
-        products.append(f"{dks[a]} = {dot((amat[a][c], ks[c]) for c in ix)}"
+        products.append(f"{dks[a]} = {_dot((amat[a][c], ks[c]) for c in ix)}"
                         f" + {ps[a]}")
     products += [f"drows = {rows_of(drs)}",
-                 f"dk = {seq(dks)}",
-                 f"r_dot_dr = {dot(zip(flat_rs, flat_drs))}"]
+                 f"dk = {_seq(dks)}",
+                 f"r_dot_dr = {_dot(zip(flat_rs, flat_drs))}"]
     return split, products, flat_drs + dks
 
 
@@ -452,10 +454,8 @@ def _slow_rhs_source(d: int) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _compile_slow_rhs(d: int):
-    namespace = {"norms": _inverse_norms, "growth": growth_value,
-                 "inf": math.inf}
-    exec(compile(_slow_rhs_source(d), f"<slow rhs, d = {d}>", "exec"), namespace)
-    return namespace["make"]
+    return _compile_factory(_slow_rhs_source(d), f"<slow rhs, d = {d}>",
+                            norms=_inverse_norms, growth=growth_value)
 
 
 def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,

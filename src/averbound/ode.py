@@ -8,20 +8,21 @@ bisection on the dense output and the trajectory is truncated there.
 One step is taken by a step kernel chosen by the state size: states of at
 most ``_FLOAT_KERNEL_MAX_DIM`` components are stepped on lists of Python
 floats, larger ones on numpy arrays.  Both read the one tableau and serve
-the one step-size controller.  The float step is straight-line code,
-generated from the tableau once per state size at import and compiled,
-so the tableau is written down only here.  The right-hand side and stop
-predicate take the state as a list of Python floats on either kernel: the
-array kernel converts at its edge.  So the fast-time states and the slow
-state of a one-action (d = 1) estimator, five components, step on floats;
-the slow state of two actions, ten components, steps on arrays and is
-handed over as a list.
+the one step-size controller.  The float step is straight-line code that
+``_seq``, ``_dot`` and ``_compile_factory`` write and compile from the
+tableau on first use per state size, as they do every generated kernel.
+The right-hand side and stop predicate take the state as a list of Python
+floats on either kernel: the array kernel converts at its edge.  So the
+fast-time states and the slow state of a one-action (d = 1) estimator, five
+components, step on floats; the slow state of two actions, ten components,
+steps on arrays and is handed over as a list.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
 """
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import asdict, dataclass
@@ -34,27 +35,20 @@ __all__ = ["Status", "IvpProblem", "StepStats", "Trajectory", "integrate"]
 
 DEFAULT_RTOL, DEFAULT_ATOL = 1e-9, 1e-12
 
-# Dormand-Prince 5(4) tableau: (node, row of weights) for each stage after
-# the first.  The last row holds the propagating weights; its stage at t + h
-# is the FSAL derivative of the next step.
+# Dormand-Prince 5(4) tableau, stated once: (node, row of weights) for
+# each stage after the first.  The last row holds the propagating weights;
+# its stage at t + h is the FSAL derivative of the next step.
 _STAGES = (
-    (1 / 5, np.array([1 / 5])),
-    (3 / 10, np.array([3 / 40, 9 / 40])),
-    (4 / 5, np.array([44 / 45, -56 / 15, 32 / 9])),
-    (8 / 9, np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729])),
-    (1.0, np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                    -5103 / 18656])),
-    (1.0, np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                    11 / 84])),
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
 )
 # Difference between the propagating and the embedded weights (k2 drops out).
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
-# The same weights as (stage index, weight) pairs of Python floats, zero
-# weights dropped, for the float kernel.
-_FLOAT_STAGES = tuple((c, tuple((j, a) for j, a in enumerate(row.tolist()) if a))
-                      for c, row in _STAGES)
-_FLOAT_E = tuple((j, a) for j, a in enumerate(_E.tolist()) if a)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
 # Largest state stepped on Python floats.  For y' = -y one step of
 # integrate took, in us, on the generated float step / on the array kernel:
 # 6 / 23 at two components, 8 / 23 at four, 9 / 23 at five and 15 / 24 at
@@ -217,8 +211,8 @@ class StepStats:
     ``stop_calls`` counts the stop predicate's evaluations, those of the
     stop localisation included.  ``h_min``/``h_max`` are the smallest and
     largest accepted step sizes, None when no step was accepted.
-    ``rhs_error`` is the last exception a step retry absorbed, as
-    ``"ZeroDivisionError: float division by zero"``, None when none did.
+    ``rhs_error`` is the last exception a retry or the first-step probe
+    absorbed, ``"ZeroDivisionError: float division by zero"``, or None.
     """
 
     accepted: int = 0
@@ -320,17 +314,22 @@ class Trajectory:
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
+    """The first step size, and the exception of its probe of ``rhs`` as
+    ``rhs_error`` keeps it, or None; a raising or NaN probe leaves d1 alone."""
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.max(np.abs(y0) / scale))
     d1 = float(np.max(np.abs(f0) / scale))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
     y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(t0 + h0, y1.tolist()), dtype=float)
-    d2 = float(np.max(np.abs(f1 - f0) / scale)) / h0
-    dmax = max(d1, d2)
+    try:
+        f1 = np.asarray(rhs(t0 + h0, y1.tolist()), dtype=float)
+        d2, error = float(np.max(np.abs(f1 - f0) / scale)) / h0, None
+    except _RHS_ERRORS as exc:
+        d2, error = math.nan, f"{type(exc).__name__}: {exc}"
+    dmax = d1 if math.isnan(d2) else max(d1, d2)
     h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
-    return min(100 * h0, h1, t_end - t0)
+    return min(100 * h0, h1, t_end - t0), error
 
 
 def _array_kernel(rhs, size, rtol, atol):
@@ -344,8 +343,9 @@ def _array_kernel(rhs, size, rtol, atol):
     kmat = np.empty((len(_STAGES) + 1, size))   # stage derivatives
     # Node, weights and kmat views per stage, made once per call: indexing
     # kmat inside the loop cost ~5% more per step on a two-component state.
-    stages = [(c, row, kmat[:s], kmat[s])
+    stages = [(c, np.array(row), kmat[:s], kmat[s])
               for s, (c, row) in enumerate(_STAGES, start=1)]
+    error = np.array(_E)
 
     def step(t, y, f, h):
         kmat[0] = f
@@ -354,42 +354,63 @@ def _array_kernel(rhs, size, rtol, atol):
             y_new += y
             k[...] = rhs(t + c * h, y_new)
         scale = np.maximum(np.abs(y_new), np.abs(y)) * rtol + atol
-        err = float((np.abs(np.dot(_E * h, kmat)) / scale).max())
+        err = float((np.abs(np.dot(error * h, kmat)) / scale).max())
         if not np.isfinite(y_new).all():
             err = math.nan
         return err, y_new, kmat[-1].copy()
     return step
 
 
-def _float_step_source(size):
+def _seq(names):
+    """A list display of ``names``."""
+    return "[" + ", ".join(names) + "]"
+
+
+def _dot(pairs):
+    """``0.0 + x * z + ...`` over ``pairs``: a sum from 0.0, left to right."""
+    return "0.0" + "".join(f" + {x} * {z}" for x, z in pairs)
+
+
+def _compile_factory(source, label, **names):
+    """``make`` from ``source``, with globals ``inf``, ``nan`` and ``names``."""
+    namespace = {"inf": math.inf, "nan": math.nan, **names}
+    exec(compile(source, label, "exec"), namespace)
+    return namespace["make"]
+
+
+def _float_step_source(stages, error, size):
     """Source of ``make(rhs, rtol, atol)``, which returns the step of
     :func:`_array_kernel` on lists of Python floats for states of ``size``
-    components, written out as straight-line code.
+    components as straight-line code, for a tableau as ``_STAGES``, ``_E``.
 
-    Each stage forms its weights times h once, as ``w<j> = a * h``, and each
-    component as ``y<i> + (0.0 + w<j> * k<j>_<i> + ...)``: the nonzero
-    weights of ``_FLOAT_STAGES`` in order, each float written by ``repr``.
-    The leading ``0.0 +`` keeps the sign of a zero sum.  The slope of every
-    stage is read by index, so a short list from the rhs raises
-    ``IndexError``.  The error norm runs over ``_FLOAT_E`` the same way.
+    Each stage forms its nonzero weights times h once, as ``w<j> = a * h``,
+    and each component as ``y<i> + (0.0 + w<j> * k<j>_<i> + ...)``: the
+    nonzero weights in order, each float written by ``repr``.  The leading
+    ``0.0 +`` keeps the sign of a zero sum.  The slope of every stage is
+    read by index, so a short list from the rhs raises ``IndexError``.  The
+    error norm runs over the nonzero ``error`` weights the same way.
     """
     comps = range(size)
+
+    def weighted(weights, i):
+        return _dot((f"w{j}", f"k{j}_{i}") for j, _ in weights)
+
     body = [f"y{i} = y[{i}]" for i in comps]
     body += [f"k0_{i} = f[{i}]" for i in comps]
-    for s, (c, weights) in enumerate(_FLOAT_STAGES, start=1):
+    for s, (c, row) in enumerate(stages, start=1):
+        weights = [(j, a) for j, a in enumerate(row) if a]
         body += [f"w{j} = {a!r} * h" for j, a in weights]
-        for i in comps:
-            terms = "".join(f" + w{j} * k{j}_{i}" for j, _ in weights)
-            body.append(f"z{i} = y{i} + (0.0{terms})")
-        body.append(f"ys = [{', '.join(f'z{i}' for i in comps)}]")
+        body += [f"z{i} = y{i} + ({weighted(weights, i)})" for i in comps]
+        body.append(f"ys = {_seq(f'z{i}' for i in comps)}")
         body.append(f"k = rhs(t + {c!r} * h, ys)")
         body += [f"k{s}_{i} = k[{i}]" for i in comps]
-    body += [f"w{j} = {a!r} * h" for j, a in _FLOAT_E]
+    weights = [(j, a) for j, a in enumerate(error) if a]
+    body += [f"w{j} = {a!r} * h" for j, a in weights]
     body.append("err = 0.0")
     for i in comps:
-        terms = "".join(f" + w{j} * k{j}_{i}" for j, _ in _FLOAT_E)
         body += [
-            f"e = abs(0.0{terms}) / (max(abs(z{i}), abs(y{i})) * rtol + atol)",
+            f"e = abs({weighted(weights, i)})"
+            f" / (max(abs(z{i}), abs(y{i})) * rtol + atol)",
             # Python's max drops a NaN met after a number, so a NaN error
             # and a non-finite y_new are tested for explicitly.
             f"if e != e or not abs(z{i}) < inf:",
@@ -404,16 +425,10 @@ def _float_step_source(size):
                      + ["    return step", ""])
 
 
-def _compile_float_step(size):
-    namespace = {"inf": math.inf, "nan": math.nan}
-    exec(compile(_float_step_source(size), f"<ode float step, size {size}>",
-                 "exec"), namespace)
-    return namespace["make"]
-
-
-# The generated step of each state size the float kernel takes, 1 first.
-_FLOAT_STEPS = tuple(_compile_float_step(size)
-                     for size in range(1, _FLOAT_KERNEL_MAX_DIM + 1))
+@functools.lru_cache(maxsize=None)
+def _compile_float_step(stages, error, size):
+    return _compile_factory(_float_step_source(stages, error, size),
+                            f"<ode float step, size {size}>")
 
 
 def _float_kernel(rhs, size, rtol, atol):
@@ -422,10 +437,10 @@ def _float_kernel(rhs, size, rtol, atol):
 
     ``y``, ``f`` and the returned ``y_new``/``f_new`` are lists, and ``rhs``
     takes and returns lists.  The step is straight-line code generated from
-    the tableau once per state size (:func:`_float_step_source`): written
-    out, it costs less than half what loops over the weights did.
+    the tableau (:func:`_float_step_source`), compiled once per state size:
+    written out, it costs less than half what loops over the weights did.
     """
-    return _FLOAT_STEPS[size - 1](rhs, rtol, atol)
+    return _compile_float_step(_STAGES, _E, size)(rhs, rtol, atol)
 
 
 def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
@@ -444,9 +459,10 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     as a non-finite initial state or slope gives, counts as one), or
     ``_MAX_STEPS`` step attempts.  Exceptions,
     a NaN error estimate in any component and a non-finite new state make
-    the step retry at half size rather than abort.  The result's ``stats``
-    counts the steps and the right-hand-side and stop calls, and keeps the
-    last exception a retry absorbed.
+    the step retry at half size rather than abort, and one at the probe of
+    the first step size leaves the estimate from the initial slope.  The
+    result's ``stats`` counts the steps and the right-hand-side and stop
+    calls, and keeps the last exception absorbed.
     """
     user_rhs, user_stop = problem.rhs, stop
     rhs_evals = stop_calls = 0
@@ -476,9 +492,9 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     span = t_end - problem.t0
     h_min = _HMIN_REL * span
     if first_step is not None and first_step > 0.0:
-        h = min(first_step, span)
+        h, rhs_error = min(first_step, span), None
     else:
-        h = _initial_step(rhs, t, y, f, t_end, rtol, atol)
+        h, rhs_error = _initial_step(rhs, t, y, f, t_end, rtol, atol)
 
     # The float kernel steps lists; the array kernel steps arrays and hands
     # rhs and stop the state as a list.  An rhs that does not return a list
@@ -506,7 +522,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     steps = nan_retries = 0
     h_lo = h_hi = None
     status = Status.COMPLETED
-    stop_time = stop_reason = rhs_error = None
+    stop_time = stop_reason = None
 
     while t < t_end:
         if steps >= _MAX_STEPS or not h >= h_min:   # rejects NaN as well

@@ -9,7 +9,7 @@ import averbound as ab
 from averbound import estimator, validation
 from averbound.estimator import unpack_state
 from averbound.model import TWO_PI, frobenius, growth_value, offset_value
-from averbound.ode import _FLOAT_E, _FLOAT_STAGES
+from averbound.ode import _E, _STAGES
 
 
 @pytest.fixture(scope="session")
@@ -98,13 +98,23 @@ def cursor_reference(traj, ts):
     return out
 
 
+def _nonzero(row):
+    return [(j, a) for j, a in enumerate(row) if a]
+
+
+# The tableau of ``ode`` as (stage index, weight) pairs, zero weights dropped.
+_REF_STAGES = [(c, _nonzero(row)) for c, row in _STAGES]
+_REF_E = _nonzero(_E)
+
+
 def float_kernel_reference(rhs, size, rtol, atol):
     """``ode._float_kernel`` as loops over the weights, as it was before the
     step was generated as straight-line code: the reference that step must
-    match bit for bit."""
+    match bit for bit.  It reads the one tableau ``ode._STAGES``/``ode._E``
+    and drops the zero weights itself."""
     def step(t, y, f, h):
         ks = [f]
-        for c, weights in _FLOAT_STAGES:
+        for c, weights in _REF_STAGES:
             terms = [(a * h, ks[j]) for j, a in weights]
             ys = []
             i = 0
@@ -115,7 +125,7 @@ def float_kernel_reference(rhs, size, rtol, atol):
                 ys.append(b + acc)
                 i += 1
             ks.append(rhs(t + c * h, ys))
-        terms = [(a * h, ks[j]) for j, a in _FLOAT_E]
+        terms = [(a * h, ks[j]) for j, a in _REF_E]
         err = 0.0
         i = 0
         for yn, b in zip(ys, y):

@@ -10,7 +10,7 @@ import averbound as ab
 from averbound import estimator, ode
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, assemble_slow_rhs, pack_state,
-                                 unpack_state)
+                                 report_columns, unpack_state)
 from conftest import (analytic_partials_reference, cursor_reference,
                       float_kernel_reference, hermite_reference,
                       invert_reference, slow_products_reference,
@@ -30,6 +30,23 @@ def test_pack_unpack_roundtrip():
     gj, gr, gk, gm, gn = unpack_state(grid, 2)
     assert np.array_equal(gr[1], 2 * r) and np.array_equal(gn, [0.25, 0.5])
     assert all(np.shares_memory(part, grid) for part in (gj, gr, gk, gm, gn))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_report_columns_name_the_packed_state(d):
+    # Each column's name is the part unpack_state reads there, after tau.
+    names = np.array(report_columns(d)[1:], dtype=object)
+    j, rmat, k, m, n = unpack_state(names, d)
+    assert report_columns(d)[0] == "tau" and len(names) == d * d + 2 * d + 2
+    assert j.tolist() == [f"J_{a}" for a in range(1, d + 1)]
+    assert rmat[d - 1, 0] == f"R_{d}1" and rmat[0, d - 1] == f"R_1{d}"
+    assert k.tolist() == [f"K_{a}" for a in range(1, d + 1)]
+    assert (m, n) == ("m", "n")
+
+
+def test_report_columns_of_two_actions():
+    assert report_columns(2) == ["tau", "J_1", "J_2", "R_11", "R_12", "R_21",
+                                 "R_22", "K_1", "K_2", "m", "n"]
 
 
 def test_slow_rhs_vdp_initial_drift(vdp):

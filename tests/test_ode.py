@@ -1,8 +1,12 @@
 """Integrator unit tests: accuracy, dense output, stop handling, determinism."""
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,3 +687,93 @@ def test_short_rhs_list_raises_index_error(monkeypatch, size, kernel):
     monkeypatch.setattr(ode, "_float_kernel", kernel)
     with pytest.raises(IndexError):
         ode.integrate(ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0))
+
+
+# The one tableau, and the laziness of the code generated from it.
+
+def test_the_tableau_is_scipys_rk45():
+    # scipy's RK45 is the same Dormand-Prince pair.  Each stage after the
+    # first is its node and its row of A; the last, the FSAL stage at
+    # t + h, has the propagating weights B.
+    from scipy.integrate._ivp.rk import RK45
+    stages = ode._STAGES
+    assert len(stages) == RK45.n_stages
+    for s, (c, row) in enumerate(stages[:-1], start=1):
+        assert _bits([c, *row]) == _bits([RK45.C[s], *RK45.A[s, :s]])
+        assert not RK45.A[s, s:].any()
+    assert _bits([*stages[-1][1]]) == _bits(RK45.B)
+    assert stages[-1][0] == RK45.C[-1] == 1.0
+    # scipy's E is the embedded minus the propagating weights: each value
+    # is that of ode._E negated, its zero weight equal whatever the sign.
+    assert list(ode._E) == (-RK45.E).tolist()
+    assert _bits([a for a in ode._E if a]) == _bits([-a for a in RK45.E if a])
+
+
+def test_import_compiles_no_generated_kernel():
+    code = ("import averbound\n"
+            "from averbound import direct, estimator, ode\n"
+            "print(*(f.cache_info().currsize for f in (\n"
+            "    ode._compile_float_step, estimator._compile_slow_rhs,\n"
+            "    direct._compile_direct_rhs)))\n")
+    src = str(Path(ode.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["0", "0", "0"]
+
+
+def test_two_runs_at_one_size_compile_one_step(monkeypatch):
+    compiled = []
+    factory = ode._compile_factory
+
+    def counted(source, label, **names):
+        compiled.append(label)
+        return factory(source, label, **names)
+    monkeypatch.setattr(ode, "_compile_factory", counted)
+    ode._compile_float_step.cache_clear()
+    for _ in range(2):
+        traj = ode.integrate(problem(lambda t, y: [-y[0], -y[1], -y[2]],
+                                     np.ones(3), 1.0))
+        assert traj.status is ode.Status.COMPLETED
+    info = ode._compile_float_step.cache_info()
+    assert compiled == ["<ode float step, size 3>"]
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+# The probe of the first step size.
+
+def test_a_raising_probe_is_absorbed():
+    # y' = 1/(1e-3 - y) from 0 reaches its pole at t = 5e-7.  The probe, an
+    # Euler step of 1e-6, lands on it exactly; the run then ends as the one
+    # given that first step does, in step underflow before the pole.
+    def rhs(t, y):
+        return [1.0 / (1e-3 - y[0])]
+    probed = ode.integrate(problem(rhs, [0.0], 1.0))
+    given = ode.integrate(problem(rhs, [0.0], 1.0), first_step=1e-6)
+    for traj in (probed, given):
+        assert traj.status is ode.Status.STEP_FAILURE
+        assert traj.stats.accepted > 0 and np.all(traj.states < 1e-3)
+    assert probed.stats.rhs_error == "ZeroDivisionError: float division by zero"
+    assert given.stats.rhs_error is None
+
+
+def test_a_raising_or_nan_probe_leaves_the_first_derivative_estimate():
+    y0, f0 = np.array([0.5, 2.0]), np.array([3.0, -1.0])
+    args = (0.0, y0, f0, 1.0, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+
+    def raising(t, y):
+        raise ZeroDivisionError("float division by zero")
+    h_raise, error = ode._initial_step(raising, *args)
+    h_nan, no_error = ode._initial_step(lambda t, y: [math.nan, 0.0], *args)
+    scale = ode.DEFAULT_ATOL + ode.DEFAULT_RTOL * np.abs(y0)
+    d0 = float(np.max(np.abs(y0) / scale))
+    d1 = float(np.max(np.abs(f0) / scale))
+    want = min(100 * (0.01 * d0 / d1), (0.01 / d1) ** 0.2, 1.0)
+    assert h_raise == h_nan == want
+    assert error == "ZeroDivisionError: float division by zero"
+    assert no_error is None
+    # A finite probe with a larger estimate takes that one.
+    h_probe, _ = ode._initial_step(lambda t, y: [1e3, 0.0], *args)
+    assert h_probe < want
