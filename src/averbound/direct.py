@@ -225,24 +225,29 @@ def envelope(dtraj: DirectTrajectory, window: float) -> List[Tuple[float, float]
     Partitions the covered slow-time span into windows of the given width
     and returns, per nonempty window, the slow time of the largest |L|
     sample and its value.  NaN samples are passed over; a window of NaN
-    samples only gives its first time and NaN.
+    samples only gives its first time and NaN.  A window so narrow that a
+    window index overflows a 64-bit integer is refused.
     """
     if not window > 0.0:
         raise ValueError("window width must be positive")
     taus = dtraj.eps * dtraj.t
     if taus.size == 0:
         raise ValueError("empty trajectory")
+    span = float(taus[-1])
+    if not max(abs(float(taus[0])), abs(span)) / window < 2.0 ** 63:
+        raise ValueError(f"window width {window!r} is too small for the slow "
+                         f"span {span!r}: its window index overflows")
     mags = dtraj.abs_l
-    idx = np.floor(taus / window).astype(int)
+    idx = np.floor(taus / window).astype(np.int64)
     # a grid point sitting exactly on the right endpoint joins the last
     # full window instead of forming a one-sample bin
-    span = float(taus[-1])
     last_full = max(int(np.ceil(span / window - 1e-12)) - 1, 0)
     np.minimum(idx, last_full, out=idx)
-    out: List[Tuple[float, float]] = []
     ranked = np.where(np.isnan(mags), -np.inf, mags)
-    for w in np.unique(idx):
-        mask = idx == w
-        local = np.argmax(ranked[mask])
-        out.append((float(taus[mask][local]), float(mags[mask][local])))
+    # The grid is sorted, so each window is one slice of it.
+    ends = [0, *(np.flatnonzero(np.diff(idx)) + 1).tolist(), idx.size]
+    out: List[Tuple[float, float]] = []
+    for lo, hi in zip(ends, ends[1:]):
+        i = lo + int(np.argmax(ranked[lo:hi]))
+        out.append((float(taus[i]), float(mags[i])))
     return out

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -484,7 +483,8 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
     fused multiply-adds can round the last bit differently.
 
     The returned callable's ``latest`` is [state, d(offset)/dr] of its
-    latest evaluation, which the stop predicate reads at the same state.
+    latest evaluation, which the stop predicate reads when it is handed
+    the same list.
     """
     make = _compile_slow_rhs(spec.d)
     partials = (_analytic_partials if bounds.a_grad is not None
@@ -547,13 +547,6 @@ class EstimatorTrajectory:
         return np.column_stack([taus, self.traj.sample_many(taus)])
 
 
-def _same_floats(a: list, b) -> bool:
-    """Whether ``b`` is the list of floats ``a`` bit for bit: ``==`` alone
-    takes -0.0 for 0.0."""
-    return a is b or (a == b
-                      and array("d", a).tobytes() == array("d", b).tobytes())
-
-
 def _make_stop_predicate(spec, bounds, rhs=None):
     """The stop predicate of the slow solve, on a state given as a list of
     floats: the first failed validity condition, as a
@@ -561,10 +554,12 @@ def _make_stop_predicate(spec, bounds, rhs=None):
 
     d(offset)/dr is taken from ``rhs.latest`` (see
     :func:`assemble_slow_rhs`) when the right-hand side's latest evaluation
-    was at this very state: at the initial state that is the initial call,
-    and at an accepted state the last (FSAL) stage of the step.  Elsewhere,
-    as at the bisection points of the stop localisation, or when ``rhs``
-    records nothing, the predicate evaluates it itself.
+    was handed this very list, as :func:`ode.integrate` hands both one list
+    per state: at the initial state that is the initial call, and at an
+    accepted state the last (FSAL) stage of the step.  Elsewhere, as at the
+    bisection points of the stop localisation or for an equal copy of the
+    list, or when ``rhs`` records nothing, the predicate evaluates it
+    itself.
     """
     eps = spec.epsilon
     d = spec.d
@@ -578,7 +573,7 @@ def _make_stop_predicate(spec, bounds, rhs=None):
         j = y[:r0]
         if not n < bounds.rho_hat(j) / eps:
             return ViolationKind.N_EXCEEDS_RHO_OVER_EPS
-        if latest is not None and _same_floats(y, latest[0]):
+        if latest is not None and y is latest[0]:
             dal = latest[1]
         else:
             rows = [y[i:i + d] for i in range(r0, k0, d)]

@@ -5,17 +5,17 @@ step-size control, and an optional stop predicate.  When the predicate
 becomes true at an accepted step, the crossing time is localized by
 bisection on the dense output and the trajectory is truncated there.
 
-One step is taken by a step kernel chosen by the state size: states of at
-most ``_FLOAT_KERNEL_MAX_DIM`` components are stepped on lists of Python
-floats, larger ones on numpy arrays.  Both read the one tableau and serve
-the one step-size controller.  The float step is straight-line code that
-``_seq``, ``_dot`` and ``_compile_factory`` write and compile from the
-tableau on first use per state size, as they do every generated kernel.
-The right-hand side and stop predicate take the state as a list of Python
-floats on either kernel: the array kernel converts at its edge.  So the
-fast-time states and the slow state of a one-action (d = 1) estimator, five
-components, step on floats; the slow state of two actions, ten components,
-steps on arrays and is handed over as a list.
+One step is taken by a step kernel chosen by the state size.  Both step
+lists of Python floats: each state is one list, which the stage reaching it
+hands the right-hand side and the stop predicate then gets, the same
+object.  States of at most ``_FLOAT_KERNEL_MAX_DIM`` components are summed
+on floats by the float step, straight-line code that ``_seq``, ``_dot`` and
+``_compile_factory`` write and compile from the tableau on first use per
+state size, as they do every generated kernel; larger ones by
+``_array_kernel``, the only step code that builds numpy rows.  Both read the
+one tableau and serve the one step-size controller.  So the fast-time
+states and the five-component slow state of one action (d = 1) are summed
+on floats; the ten-component slow state of two actions by numpy.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -49,7 +49,7 @@ _STAGES = (
 # Difference between the propagating and the embedded weights (k2 drops out).
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
       -1 / 40)
-# Largest state stepped on Python floats.  For y' = -y one step of
+# Largest state summed on Python floats.  For y' = -y one step of
 # integrate took, in us, on the generated float step / on the array kernel:
 # 6 / 23 at two components, 8 / 23 at four, 9 / 23 at five and 15 / 24 at
 # ten (best of 21 interleaved runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).
@@ -90,9 +90,9 @@ class IvpProblem:
 
     ``rhs`` and the stop predicate of :func:`integrate` take the state as a
     list of Python floats, and ``rhs`` returns its ``y0.size`` floats as a
-    new list or a 1-D array on every call.  The float kernel converts an
-    array result to a list of floats, so its steps are taken on Python
-    floats either way.  Array code like ``2 * y`` repeats a list instead of
+    new list or a 1-D array on every call.  :func:`integrate` converts an
+    array result to a list of floats, so the steps are taken on lists either
+    way.  Array code like ``2 * y`` repeats a list instead of
     doubling it; :func:`integrate` refuses the longer result at the first
     call.
     """
@@ -333,12 +333,13 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
 
 
 def _array_kernel(rhs, size, rtol, atol):
-    """One Dormand-Prince step on numpy arrays, for states of any size.
+    """One Dormand-Prince step for states of any size, summed by numpy.
 
     ``step(t, y, f, h)`` returns ``(err, y_new, f_new)``: the error norm of
     the step from (t, y) with slope f, the state at t + h and the slope
     there.  ``err`` is NaN when the error of any component is NaN or
-    ``y_new`` is not finite.
+    ``y_new`` is not finite.  All four are lists, as on the float step, and
+    ``y_new`` is the very list that the last stage handed ``rhs``.
     """
     kmat = np.empty((len(_STAGES) + 1, size))   # stage derivatives
     # Node, weights and kmat views per stage, made once per call: indexing
@@ -348,16 +349,18 @@ def _array_kernel(rhs, size, rtol, atol):
     error = np.array(_E)
 
     def step(t, y, f, h):
+        y = np.array(y)
         kmat[0] = f
         for c, row, earlier, k in stages:
-            y_new = np.dot(row * h, earlier)
-            y_new += y
-            k[...] = rhs(t + c * h, y_new)
-        scale = np.maximum(np.abs(y_new), np.abs(y)) * rtol + atol
+            z = np.dot(row * h, earlier)
+            z += y
+            ys = z.tolist()
+            k[...] = rhs(t + c * h, ys)
+        scale = np.maximum(np.abs(z), np.abs(y)) * rtol + atol
         err = float((np.abs(np.dot(error * h, kmat)) / scale).max())
-        if not np.isfinite(y_new).all():
+        if not np.isfinite(z).all():
             err = math.nan
-        return err, y_new, kmat[-1].copy()
+        return err, ys, kmat[-1].tolist()
     return step
 
 
@@ -380,7 +383,7 @@ def _compile_factory(source, label, **names):
 
 def _float_step_source(stages, error, size):
     """Source of ``make(rhs, rtol, atol)``, which returns the step of
-    :func:`_array_kernel` on lists of Python floats for states of ``size``
+    :func:`_array_kernel` summed on Python floats for states of ``size``
     components as straight-line code, for a tableau as ``_STAGES``, ``_E``.
 
     Each stage forms its nonzero weights times h once, as ``w<j> = a * h``,
@@ -432,7 +435,7 @@ def _compile_float_step(stages, error, size):
 
 
 def _float_kernel(rhs, size, rtol, atol):
-    """The step of :func:`_array_kernel` on lists of Python floats, for
+    """The step of :func:`_array_kernel` summed on Python floats, for
     states of at most ``_FLOAT_KERNEL_MAX_DIM`` components.
 
     ``y``, ``f`` and the returned ``y_new``/``f_new`` are lists, and ``rhs``
@@ -481,12 +484,13 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
 
     t_end = problem.t_end
     t = problem.t0
-    y = problem.y0.copy()
-    f_raw = rhs(t, y.tolist())
-    f = np.asarray(f_raw, dtype=float)
-    if f.shape != y.shape:
-        raise ValueError(f"rhs must return shape {y.shape}, got {f.shape}")
-    if stop is not None and stop(t, y.tolist()):
+    y = problem.y0.tolist()     # one list per state, for rhs and stop alike
+    f_raw = rhs(t, y)
+    f0 = np.asarray(f_raw, dtype=float)
+    if f0.shape != problem.y0.shape:
+        raise ValueError(
+            f"rhs must return shape {problem.y0.shape}, got {f0.shape}")
+    if stop is not None and stop(t, y):
         raise ValueError("stop predicate already true at the initial state")
 
     span = t_end - problem.t0
@@ -494,23 +498,16 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     if first_step is not None and first_step > 0.0:
         h, rhs_error = min(first_step, span), None
     else:
-        h, rhs_error = _initial_step(rhs, t, y, f, t_end, rtol, atol)
+        h, rhs_error = _initial_step(rhs, t, problem.y0, f0, t_end, rtol, atol)
 
-    # The float kernel steps lists; the array kernel steps arrays and hands
-    # rhs and stop the state as a list.  An rhs that does not return a list
-    # is converted on the float kernel, whose step would otherwise run on
-    # numpy scalars, which warn on overflow where Python floats do not.
-    floats = y.size <= _FLOAT_KERNEL_MAX_DIM
-    if floats:
-        y, f = y.tolist(), f.tolist()
-        step_rhs, step_stop = rhs, stop
-        if not isinstance(f_raw, list):
-            step_rhs = lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist()
-    else:
-        step_rhs = lambda t, y: rhs(t, y.tolist())
-        step_stop = None if stop is None else lambda t, y: stop(t, y.tolist())
+    # Both kernels step lists.  An rhs that does not return a list has each
+    # result converted, so the float step does not run on numpy scalars,
+    # which warn on overflow where Python floats do not.
+    f = f0.tolist()
+    step_rhs = rhs if isinstance(f_raw, list) else (
+        lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
     size = len(y)
-    kernel = _float_kernel if floats else _array_kernel
+    kernel = _float_kernel if size <= _FLOAT_KERNEL_MAX_DIM else _array_kernel
     step = kernel(step_rhs, size, rtol, atol)
     # Accepted nodes, one flat buffer of doubles each: a row of Python
     # floats takes about five times the memory of its eight-byte values.
@@ -555,7 +552,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         if h_hi is None or h > h_hi:
             h_hi = h
 
-        if stop is not None and (reason := step_stop(t_new, y_new)):
+        if stop is not None and (reason := stop(t_new, y_new)):
             stop_time, y_stop, f_stop, stop_reason = _localize_stop(
                 stop, reason, t, t_new, *map(np.asarray, (y, y_new, f, f_new)))
             times[-1] = stop_time

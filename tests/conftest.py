@@ -211,6 +211,24 @@ def direct_reference(spec, aux, avg_traj):
     return rhs, stop
 
 
+def envelope_reference(dtraj, window):
+    """``direct.envelope`` as it was before it took one slice per window: a
+    mask over the whole grid per distinct window index."""
+    taus = dtraj.eps * dtraj.t
+    mags = dtraj.abs_l
+    idx = np.floor(taus / window).astype(int)
+    span = float(taus[-1])
+    last_full = max(int(np.ceil(span / window - 1e-12)) - 1, 0)
+    np.minimum(idx, last_full, out=idx)
+    out = []
+    ranked = np.where(np.isnan(mags), -np.inf, mags)
+    for w in np.unique(idx):
+        mask = idx == w
+        local = np.argmax(ranked[mask])
+        out.append((float(taus[mask][local]), float(mags[mask][local])))
+    return out
+
+
 def _d_theta(fn, i, th):
     return validation._five_point(lambda dx: fn(i, th + dx), validation._FD_REL)
 

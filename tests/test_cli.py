@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,21 @@ def test_compare_outputs(tmp_path):
     assert_step_stats(sidecar["direct_stats"],
                       initial_calls=direct._BUDGET_CHUNKS + 1)
     assert_step_stats(sidecar["averaged_stats"], initial_calls=2)
+
+
+@pytest.mark.parametrize("window", ["1e-20", "1e-300"])
+def test_compare_refuses_a_window_too_small_to_index(tmp_path, capsys, window):
+    # Both runs complete; the envelope then refuses the window with one
+    # error line, and no numpy warning, rather than a traceback.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("compare", "--figure", "2a", "--env-window", window,
+                       "--out", str(tmp_path / "c.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: window width {float(window)!r} is too small")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_compare_domain_violation_propagates(tmp_path, capsys):

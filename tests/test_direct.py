@@ -9,7 +9,7 @@ import averbound as ab
 from averbound import direct, ode
 from averbound.direct import DirectTrajectory, envelope
 
-from conftest import direct_reference, toy_linear_decay
+from conftest import direct_reference, envelope_reference, toy_linear_decay
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -340,3 +340,31 @@ def test_envelope_rejects_bad_window(resonant_run):
     _, _, _, dtraj = resonant_run
     with pytest.raises(ValueError):
         envelope(dtraj, 0.0)
+    # a window index past the int64 range is refused, not cast to garbage
+    for window in (1e-20, 1e-300):
+        with pytest.raises(ValueError, match="window index overflows"):
+            envelope(dtraj, window)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_envelope_matches_the_mask_reference(seed):
+    # Seeded grids with NaN |L|, ties (equal |L| of either sign), nodes on
+    # window edges and one on the right end of the span, at windows from
+    # below the node spacing to beyond the span: the same pairs bit for
+    # bit as the mask over the whole grid per window.
+    rng = np.random.default_rng(seed)
+    inner = rng.uniform(0.0, 100.0, int(rng.integers(0, 600)))
+    edges = 12.5 * rng.integers(1, 8, 3)         # on edges of 1/8 windows
+    ts = np.unique(np.concatenate([[0.0, 100.0], inner, edges]))
+    l_vals = rng.choice([-1.0, -0.5, 0.5, 1.0], ts.size)
+    drawn = rng.random(ts.size) < 0.5
+    l_vals[drawn] = rng.standard_normal(int(drawn.sum()))
+    l_vals[rng.random(ts.size) < 0.15] = math.nan
+    dtraj = _synthetic_direct(ts, l_vals)
+    span = dtraj.eps * ts[-1]                     # 1.0
+    spacing = dtraj.eps * np.diff(ts).min()
+    for window in (spacing / 3, spacing, 1e-3, 1 / 64, 0.125, 0.3, span,
+                   3 * span):
+        got = envelope(dtraj, window)
+        want = envelope_reference(dtraj, window)
+        assert np.array(got).tobytes() == np.array(want).tobytes()

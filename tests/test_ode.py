@@ -373,6 +373,33 @@ def test_rhs_and_stop_get_lists_on_both_kernels(size):
     assert set(seen) == {list}
 
 
+@pytest.mark.parametrize("size", FLOAT_SIZES + [10, 17])
+def test_stop_gets_the_list_the_rhs_got_at_each_node(size):
+    # One list per state, on either kernel: at t0 and at every accepted
+    # node the stop predicate is handed the very list the right-hand side
+    # was last handed, by the initial call and then by each step's last
+    # (FSAL) stage, rejected steps in between.  The estimator's stop
+    # predicate reuses d(offset)/dr on this identity.
+    handed = [None]
+    seen = []
+
+    def rhs(t, y):
+        handed[0] = y
+        return [math.sin(t + i) - v for i, v in enumerate(y)]
+
+    def stop(t, y):
+        seen.append((t, y, y is handed[0]))
+        return False
+    traj = ode.integrate(problem(rhs, np.linspace(0.2, 0.8, size), 5.0),
+                         stop=stop, first_step=2.0)
+    assert traj.status is ode.Status.COMPLETED
+    assert traj.stats.rejected > 0
+    assert len(seen) == traj.stats.accepted + 1
+    assert all(same for _, _, same in seen)
+    assert [t for t, _, _ in seen] == traj.times.tolist()
+    assert np.array_equal(np.array([y for _, y, _ in seen]), traj.states)
+
+
 @pytest.mark.parametrize("size", [1, 5])
 def test_array_arithmetic_on_the_list_state_is_refused(size):
     # 2 * y repeats a list instead of doubling it; the first call's result
