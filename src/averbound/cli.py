@@ -26,7 +26,8 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import export
-from .direct import DEFAULT_BUDGET_S, DirectTrajectory, envelope, run_direct
+from .direct import (DEFAULT_BUDGET_S, DirectTrajectory, check_window,
+                     envelope, run_direct)
 from .estimator import (AVERAGED_TIGHTENING, ContractionWindow, EstimatorStatus,
                         EstimatorTrajectory, report_columns, run_averaged,
                         run_estimator, unpack_state)
@@ -215,6 +216,12 @@ def _resolve(raw: Mapping[str, Tuple[str, str]], command: Optional[str],
     if cfg.i0.shape != (example.d,):
         raise ConfigError(f"{origin.get('i0', where)}: i0 must have {example.d} "
                           f"component(s), got {cfg.i0.size}")
+    if cfg.env_window is not None:
+        # refused here, before any solve, rather than by compare's envelope
+        try:
+            check_window(cfg.env_window, cfg.u)
+        except ValueError as exc:
+            raise ConfigError(f"{origin['env_window']}: {exc}") from None
     return cfg
 
 

@@ -106,10 +106,9 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         if piece.status is not ode.Status.COMPLETED:
             break
         t = piece.t_final
-        y = piece.states[-1].copy()
-        if len(piece.times) > 1:
-            # last step is clipped to the chunk end; take the recent maximum
-            h_warm = float(np.max(np.diff(piece.times[-6:])))
+        y = piece.states[-1]
+        # last step is clipped to the chunk end; take the recent maximum
+        h_warm = float(np.max(np.diff(piece.times[-6:])))
         if time.perf_counter() - start > time_budget:
             budget_hit = True
             status = ode.Status.STEP_FAILURE
@@ -219,6 +218,15 @@ def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Traject
     )
 
 
+def check_window(window: float, span: float) -> None:
+    """Refuse a positive envelope window width so narrow that the index of
+    a window over slow times up to ``span`` in magnitude overflows a 64-bit
+    integer."""
+    if not span / window < 2.0 ** 63:
+        raise ValueError(f"window width {window!r} is too small for the slow "
+                         f"span {span!r}: its window index overflows")
+
+
 def envelope(dtraj: DirectTrajectory, window: float) -> List[Tuple[float, float]]:
     """Windowed peaks of |L| in slow time.
 
@@ -234,9 +242,7 @@ def envelope(dtraj: DirectTrajectory, window: float) -> List[Tuple[float, float]
     if taus.size == 0:
         raise ValueError("empty trajectory")
     span = float(taus[-1])
-    if not max(abs(float(taus[0])), abs(span)) / window < 2.0 ** 63:
-        raise ValueError(f"window width {window!r} is too small for the slow "
-                         f"span {span!r}: its window index overflows")
+    check_window(window, max(abs(float(taus[0])), abs(span)))
     mags = dtraj.abs_l
     idx = np.floor(taus / window).astype(np.int64)
     # a grid point sitting exactly on the right endpoint joins the last

@@ -135,11 +135,12 @@ class CubicSampler:
     rule: a query t stays on the cursor's interval i while
     ``times[i] <= t <= times[i+1]``.  The direct run's generated right-hand
     side reads its intervals through :meth:`interval` and evaluates the
-    cubic inline; :meth:`into` is the reference it equals bit for bit.
+    cubic inline; :meth:`into`, the same read plus the Horner loop, is the
+    reference it equals bit for bit.
     """
 
     __slots__ = ("times", "_tlist", "_h", "_c0", "_c1", "_c2", "_c3",
-                 "_idx", "_last", "_dim")
+                 "_idx", "_last")
 
     def __init__(self, traj: "Trajectory"):
         t, y, f = traj.times, traj.states, traj.derivs
@@ -153,9 +154,12 @@ class CubicSampler:
                                                     f[:-1], f[1:]))
         self._idx = 0
         self._last = len(t) - 2
-        self._dim = y.shape[1]
 
-    def _locate(self, t: float) -> int:
+    def interval(self, t: float) -> tuple:
+        """The interval ``into`` reads at t, moving the cursor to it:
+        ``(t_lo, t_hi, h, c0, c1, c2, c3)``, its ends, its length and its
+        coefficient rows, with ``t_hi`` infinite on the last interval.  Until
+        the cursor moves, ``into`` stays on it at every t_lo <= t <= t_hi."""
         times = self._tlist
         i = self._idx
         if t >= times[i]:
@@ -166,37 +170,15 @@ class CubicSampler:
             while i > 0 and t < times[i]:
                 i -= 1
         self._idx = i
-        return i
-
-    # Kept while perfbench/tracer.py wraps it (ROADMAP item 3).
-    def __call__(self, t: float) -> np.ndarray:
-        out = np.empty(self._dim)
-        self.into(t, out, self._dim)
-        return out
-
-    # Kept while perfbench/tracer.py wraps it (ROADMAP item 3).
-    def value1(self, t: float) -> float:
-        """First state component as a plain float."""
-        out = [0.0]
-        self.into(t, out, 1)
-        return out[0]
-
-    def interval(self, t: float) -> tuple:
-        """The interval ``into`` reads at t, moving the cursor as it does:
-        ``(t_lo, t_hi, h, c0, c1, c2, c3)``, its ends, its length and its
-        coefficient rows, with ``t_hi`` infinite on the last interval.  Until
-        the cursor moves, ``into`` stays on it at every t_lo <= t <= t_hi."""
-        i = self._locate(t)
-        t_hi = self._tlist[i + 1] if i < self._last else math.inf
-        return (self._tlist[i], t_hi, self._h[i],
+        t_hi = times[i + 1] if i < self._last else math.inf
+        return (times[i], t_hi, self._h[i],
                 self._c0[i], self._c1[i], self._c2[i], self._c3[i])
 
     def into(self, t: float, out, count: int) -> None:
         """Write the first ``count`` interpolated components into ``out``, a
         list or an array, as Python floats."""
-        i = self._locate(t)
-        s = (t - self._tlist[i]) / self._h[i]
-        c0, c1, c2, c3 = self._c0[i], self._c1[i], self._c2[i], self._c3[i]
+        t_lo, _, h, c0, c1, c2, c3 = self.interval(t)
+        s = (t - t_lo) / h
         for k in range(count):
             out[k] = ((c3[k] * s + c2[k]) * s + c1[k]) * s + c0[k]
 
@@ -305,10 +287,9 @@ class Trajectory:
 
         Between nodes its ``into`` equals :meth:`sample_many` bit for bit;
         at a node it may differ in the last bit, where :meth:`sample_many`
-        returns the stored state.  A query near the previous one costs well
-        under a microsecond, far less than a one-point :meth:`sample`;
-        batches go through :meth:`sample_many`.  The direct run builds its
-        own :class:`CubicSampler` and reads it inline, not through here.
+        returns the stored state.  Batches go through :meth:`sample_many`.
+        The direct run builds its own :class:`CubicSampler` and reads it
+        inline, not through here.
         """
         return CubicSampler(self)
 

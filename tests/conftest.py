@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import averbound as ab
-from averbound import estimator, validation
+from averbound import estimator, ode, validation
 from averbound.estimator import unpack_state
 from averbound.model import TWO_PI, frobenius, growth_value, offset_value
 from averbound.ode import _E, _STAGES
@@ -84,7 +84,7 @@ def cursor_reference(traj, ts):
     times = traj.times
     t0, t1 = times[0], times[-1]
     slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-    samp = traj.sampler()
+    samp = ode.CubicSampler(traj)
     out = np.empty((len(ts), traj.states.shape[1]))
     for row, t in zip(out, ts):
         if t < t0 - slack or t > t1 + slack:
@@ -189,7 +189,7 @@ def direct_reference(spec, aux, avg_traj):
     list right-hand side must match bit for bit.  Both read J(eps*t) from
     one fresh cursor sampler, as the direct run does."""
     eps, d = spec.epsilon, spec.d
-    sample = avg_traj.sampler()
+    sample = ode.CubicSampler(avg_traj)
     tau_max = avg_traj.t_final
     jbuf = np.empty(d)
 

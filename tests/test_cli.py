@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -104,6 +105,52 @@ def test_estimate_domain_violation_exit_code(tmp_path):
     assert sidecar["tau_final"] < 1.0
 
 
+def test_estimate_step_failure_exits_1(tmp_path):
+    # Euler-top from the 4b data at U = 10 ends in step_failure, where
+    # 1 - eps * d(offset)/dr nears zero.
+    code = run_cli("estimate", "--example", "euler-top", "--mu", "1",
+                   "--l1", "2", "--l2", "-1", "--i0", "4,1", "--eps", "1e-2",
+                   "--u", "10", "--out", str(tmp_path / "edge.csv"))
+    assert code == 1
+    sidecar = json.loads((tmp_path / "edge.json").read_text())
+    assert sidecar["status"] == "step_failure"
+    assert sidecar["violation_kind"] is None
+    assert sidecar["tau_final"] == pytest.approx(1.383028, rel=1e-6)
+
+
+def test_estimate_json_format(tmp_path):
+    # The table a json run writes reads back as the csv run's, and its
+    # sidecar takes the .meta.json name.
+    out, ref_out = tmp_path / "est.json", tmp_path / "csv" / "est.csv"
+    assert run_cli("estimate", "--figure", "3e", "--format", "json",
+                   "--out", str(out)) == 0
+    assert run_cli("estimate", "--figure", "3e", "--out", str(ref_out)) == 0
+    table, ref = export.read_table(out), export.read_table(ref_out)
+    assert list(table) == ["tau", "J_1", "R_11", "K_1", "m", "n"]
+    for name in ref:
+        assert np.array_equal(table[name], ref[name])
+    sidecar = json.loads((tmp_path / "est.meta.json").read_text())
+    assert sidecar["status"] == "completed"
+
+
+def test_default_output_paths(tmp_path, monkeypatch):
+    # Without --out a run writes into the working directory, under a name
+    # made of the command, the label and the format.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("estimate", "--figure", "3e") == 0
+    (tmp_path / "json").mkdir()
+    monkeypatch.chdir(tmp_path / "json")
+    assert run_cli("estimate", "--figure", "3e", "--format", "json") == 0
+    written = sorted(str(path.relative_to(tmp_path))
+                     for path in tmp_path.rglob("*.*"))
+    assert written == ["averbound_estimate_figure-3e.csv",
+                       "averbound_estimate_figure-3e.json",
+                       "json/averbound_estimate_figure-3e.json",
+                       "json/averbound_estimate_figure-3e.meta.json"]
+    table = export.read_table(tmp_path / written[2])
+    assert list(table) == ["tau", "J_1", "R_11", "K_1", "m", "n"]
+
+
 def test_estimate_long_resonant_preset_is_fast(tmp_path):
     # the slow-time run over U=200 finishes in a fraction of a second
     out = tmp_path / "long.csv"
@@ -172,16 +219,24 @@ def test_compare_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("window", ["1e-20", "1e-300"])
-def test_compare_refuses_a_window_too_small_to_index(tmp_path, capsys, window):
-    # Both runs complete; the envelope then refuses the window with one
-    # error line, and no numpy warning, rather than a traceback.
+def test_compare_refuses_a_window_too_small_to_index(tmp_path, capsys,
+                                                      monkeypatch, window):
+    # The window is refused with one error line naming the flag, before
+    # either solve runs, and with no numpy warning rather than a traceback.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the window was refused")
+
+    monkeypatch.setattr(cli, "run_estimator", no_solve)
+    monkeypatch.setattr(cli, "run_direct", no_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli("compare", "--figure", "2a", "--env-window", window,
                        "--out", str(tmp_path / "c.csv"))
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: window width {float(window)!r} is too small")
+    assert err == (f"error: --env-window: window width {float(window)!r} is "
+                   f"too small for the slow span 0.9: its window index "
+                   f"overflows\n")
     assert err.count("\n") == 1
     assert not (tmp_path / "c.csv").exists()
 
@@ -226,6 +281,19 @@ def test_verify_vdp_all_pass(tmp_path):
     assert_step_stats(payload["averaged_stats"], initial_calls=2)
     assert_step_stats(payload["direct_stats"],
                       initial_calls=direct._BUDGET_CHUNKS + 1)
+
+
+def test_verify_exits_1_when_the_averaged_actions_leave_the_domain(tmp_path,
+                                                                  capsys):
+    # At the verify defaults, I0 = 1 and U = 1, action-freq at kappa = +1
+    # blows up at tau = 1/I0 = U: the averaged solve stops before U.
+    out = tmp_path / "v.json"
+    code = run_cli("verify", "--example", "action-freq", "--kappa", "1",
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: averaged actions left the domain before U\n"
+    assert not out.exists()
 
 
 def test_absorbed_rhs_error_reaches_the_sidecar(tmp_path):
@@ -342,6 +410,10 @@ def test_config_file_explicit_system(tmp_path):
      "eps must be a finite number"),
     ("system = euler-top\nmu = 1\ni0 = 4,4\neps = 1e-2\nu = 1\n",
      "requires parameters"),
+    ("system = resonant\ni0 =\neps = 1e-2\nu = 1\n", ":2: empty key or value"),
+    # a window whose index overflows names its line, before any solve
+    ("figure = 2a\nenv_window = 1e-20\n",
+     ":2: window width 1e-20 is too small for the slow span 0.9"),
 ])
 def test_config_file_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "bad.cfg"
@@ -378,6 +450,15 @@ _RESONANT = ["--i0", "2", "--eps", "1e-2", "--u", "1"]
      None, "i0 must be a finite number"),
     (["--figure", "3e", "--window", "0.5,nan,0.26"], None,
      "window must be a finite number"),
+    (["--example", "euler-top", "--mu", "1", "--l1", "2", "--l2", "-1",
+      "--i0", "4", "--eps", "1e-2", "--u", "1"], None,
+     "^--i0: i0 must have 2 component\\(s\\), got 1$"),
+    (["--example", "resonant", "--i0", "two", "--eps", "1e-2", "--u", "1"],
+     None, "i0 must be comma-separated numbers, got 'two'"),
+    (["--figure", "2a", "--env-window", "1e-20"], None,
+     "^--env-window: window width 1e-20 is too small for the slow span 0.9"),
+    (["--u", "200"], "system = vdp\ni0 = 4\neps = 1e-3\nenv_window = 1e-20\n",
+     ":4: window width 1e-20 is too small for the slow span 200.0"),
 ])
 def test_flag_errors(tmp_path, flags, body, fragment):
     if body is not None:
@@ -386,6 +467,18 @@ def test_flag_errors(tmp_path, flags, body, fragment):
         flags = flags + ["--config", str(cfg_path)]
     args = build_parser().parse_args(["estimate"] + flags)
     with pytest.raises(ConfigError, match=fragment):
+        resolve_config(args)
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_is_a_config_error(tmp_path, name):
+    # a missing file and a directory alike
+    path = tmp_path / name
+    prefix = re.escape(f"cannot read config {path}: ")
+    with pytest.raises(ConfigError, match="^" + prefix):
+        load_user_system(path)
+    args = build_parser().parse_args(["estimate", "--config", str(path)])
+    with pytest.raises(ConfigError, match="^cannot read config "):
         resolve_config(args)
 
 

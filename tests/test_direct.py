@@ -283,7 +283,7 @@ def test_domain_exit_stops_run():
     assert not dtraj.budget_exceeded
     # the run ends where the actions reach the boundary
     t_stop = dtraj.t[-1]
-    i_stop = avg.sample(1e-2 * t_stop)[0] + 1e-2 * dtraj.l[-1, 0]
+    i_stop = avg.sample_many([1e-2 * t_stop])[0, 0] + 1e-2 * dtraj.l[-1, 0]
     assert abs(i_stop) < 1e-6
 
 

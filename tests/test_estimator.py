@@ -848,6 +848,16 @@ def test_stop_predicate_evaluates_dalpha_dr_without_a_record(vdp):
     assert recorded(0.0, list(y)) is ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
 
 
+def test_stop_predicate_refuses_a_nonpositive_n(vdp):
+    spec = vdp.make_system([0.5], 1e-2)
+    stop = estimator._make_stop_predicate(spec, vdp.bounds)
+    y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5).tolist()
+    assert stop(0.0, y) is None
+    for n in (0.0, -0.0, -1e-300):
+        y[-1] = n
+        assert stop(0.0, y) is ViolationKind.N_NONPOSITIVE
+
+
 @pytest.mark.parametrize("explicit", [False, True])
 def test_run_estimator_samples_the_window_once(monkeypatch, resonant, explicit):
     # The auto window is verified by the sample that sets its slope bound,

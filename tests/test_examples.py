@@ -247,11 +247,6 @@ def test_make_example_rejects_unknown_parameters(name, params, unknown):
         make_example(name, params)
 
 
-def _resample(traj, ts):
-    samp = traj.sampler()
-    return np.array([samp(t) for t in ts])
-
-
 def test_vdp_change_of_variables_residual(vdp):
     # Along a fast run the physical coordinates must satisfy the oscillator
     # equation; first derivatives by central differences on a uniform grid,
@@ -262,9 +257,8 @@ def test_vdp_change_of_variables_residual(vdp):
     dtraj = ab.run_direct(spec, vdp.aux, avg, u)
     h = 5e-3
     ts = np.arange(0.0, u / eps + h / 2, h)
-    fast = _resample(dtraj.traj, ts)
-    savg = avg.sampler()
-    actions = np.array([savg.value1(eps * t) for t in ts]) + eps * fast[:, 0]
+    fast = dtraj.traj.sample_many(ts)
+    actions = avg.sample_many(eps * ts)[:, 0] + eps * fast[:, 0]
     theta = fast[:, 1]
     x = np.sqrt(2 * actions) * np.cos(theta)
     v = np.sqrt(2 * actions) * np.sin(theta)
@@ -287,10 +281,8 @@ def test_euler_top_change_of_variables_residual(euler):
     dtraj = ab.run_direct(spec, euler.aux, avg, u)
     h = 5e-4
     ts = np.arange(0.0, u / eps + h / 2, h)
-    fast = _resample(dtraj.traj, ts)
-    savg = avg.sampler()
-    jv = np.array([savg(eps * t) for t in ts])
-    actions = jv + eps * fast[:, :2]
+    fast = dtraj.traj.sample_many(ts)
+    actions = avg.sample_many(eps * ts) + eps * fast[:, :2]
     theta = fast[:, 2]
     p = actions[:, 0] * np.cos(theta)
     q = actions[:, 0] * np.sin(theta)

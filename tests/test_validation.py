@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import averbound as ab
-from averbound import cli, ode
+from averbound import cli, ode, validation
 from averbound.direct import DirectTrajectory
 from averbound.model import TWO_PI
 from averbound.validation import (ValidationReport, verify_bound_domination,
@@ -87,6 +87,21 @@ def test_checks_broadcast_members_that_ignore_the_actions(d):
     assert integral.max_residual <= 1e-12
     for report in (identities, domination, integral):
         assert report.passed
+
+
+def test_bound_domination_at_three_actions():
+    # Past d = 2 the increments take a seeded fan of 16 unit directions.
+    spec, aux, bounds = toy_linear_decay(d=3)
+    est = ab.run_estimator(spec, aux, bounds, 1.0)
+    report = verify_bound_domination(spec, aux, bounds, est)
+    assert report.passed and report.violations == 0
+    assert report.samples == 248_000
+    assert report.to_dict() == domination_reference(spec, aux, bounds,
+                                                    est).to_dict()
+    dirs = validation._directions(3)
+    assert dirs.shape == (16, 3)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(dirs, validation._directions(3))
 
 
 def test_identity_suite_flags_non_periodic_f(vdp):
