@@ -34,7 +34,9 @@ from .estimator import (AVERAGED_TIGHTENING, ContractionWindow, EstimatorStatus,
 from .examples import ExampleDefinition, figure_ids, figure_preset, make_example
 from .model import SystemSpec
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL, Status, Trajectory
-from .validation import (ENVELOPE_WINDOWS, analytic_crosscheck,
+# compare calls _headline_bound; verify_headline_bound stays a name here
+# while perfbench/tracer.py wraps it (ROADMAP item 3).
+from .validation import (ENVELOPE_WINDOWS, _headline_bound, analytic_crosscheck,
                          verify_bound_domination, verify_headline_bound,
                          verify_identities, verify_integral_identity)
 
@@ -415,8 +417,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     avg, dtraj, t_direct = _run_direct_pipeline(cfg, spec)
 
     win = cfg.env_window if cfg.env_window is not None else cfg.u / ENVELOPE_WINDOWS
-    report = verify_headline_bound(est, dtraj, window=win)
-    taus, peaks = np.array(envelope(dtraj, win)).T
+    pairs = envelope(dtraj, win)
+    report = _headline_bound(est, dtraj, win, pairs)
+    taus, peaks = np.array(pairs).T
     n_vals = unpack_state(est.traj.sample_many(taus), spec.d)[4]
     rows = np.column_stack([taus, n_vals, peaks])
 

@@ -6,19 +6,22 @@ and the angle against a precomputed averaged trajectory:
     dL/dt     = f(I, Theta) - fbar(J(eps*t)),                      L(0) = 0
     dTheta/dt = omega(I) + eps * g(I, Theta),        I := J(eps*t) + eps*L
 
-The right-hand side and stop predicate are straight-line code, generated
-once per d (:func:`_direct_rhs_source`).  They read the averaged actions
-J(eps*t) inline from the slow trajectory's dense output: they keep the
-interval of its cubic that the last query fell in, and leave it only when a
-query falls outside.  The state is stepped as a list of Python floats, and
-``f``, ``g``, ``omega``, ``in_domain`` and ``fbar`` are handed the actions
-as a list.  This is the expensive comparison run used to validate the
-certified bound; it honours a wall-clock budget and flags runs cut short by
-it.
+The right-hand side, stop predicate and step are straight-line code,
+generated together once per d (:func:`_direct_rhs_source`).  The step is
+the Dormand-Prince float step of :mod:`~averbound.ode` with the right-hand
+side written into each stage, bit for bit the step on the right-hand side.
+All three read the averaged actions J(eps*t) inline from the slow
+trajectory's dense output: they share the interval of its cubic that the
+last query fell in, and leave it only when a query falls outside.  The
+state is stepped as a list of Python floats, and ``f``, ``g``, ``omega``,
+``in_domain`` and ``fbar`` are handed the actions as a list.  This is the
+expensive comparison run used to validate the certified bound; it honours a
+wall-clock budget and flags runs cut short by it.
 """
 from __future__ import annotations
 
 import functools
+import textwrap
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -85,7 +88,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     d = spec.d
     t_end = u / eps
     start = time.perf_counter()
-    rhs, stop = _direct_rhs(spec, aux, avg_traj)
+    rhs, stop, kernel = _direct_functions(spec, aux, avg_traj, rtol, atol)
 
     chunk = t_end / _BUDGET_CHUNKS
     y = np.concatenate([np.zeros(d), [spec.theta0]])
@@ -99,8 +102,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
         if t_end - t_next < 0.5 * chunk:
             t_next = t_end
         problem = ode.IvpProblem(rhs=rhs, t0=t, y0=y, t_end=t_next)
-        piece = ode.integrate(problem, rtol=rtol, atol=atol, stop=stop,
-                              first_step=h_warm)
+        piece = ode._integrate(problem, rtol, atol, stop, h_warm, kernel)
         pieces.append(piece)
         status = piece.status
         if piece.status is not ode.Status.COMPLETED:
@@ -126,59 +128,90 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
 
 def _direct_rhs_source(d: int) -> str:
     """Source of ``make(eps, f_sys, g_sys, omega, fbar, in_domain, interval,
-    tau_max)``, which returns the direct right-hand side and stop predicate
-    for d actions as straight-line code.
+    tau_max, rtol, atol)``, which returns the direct right-hand side, stop
+    predicate and step for d actions as straight-line code: ``rhs, stop,
+    (step, stage_calls)``, the step and its stage counter as
+    :func:`ode._integrate` takes them.
 
-    Both read J(eps*t) inline, as ``j0, j1, ...``, from the interval of the
-    averaged cubic they hold in closure cells: its ends ``t_lo``, ``t_hi``,
-    its length ``h`` and its coefficient rows ``c0``..``c3``.  A query
-    outside [t_lo, t_hi] takes the interval ``interval`` (the sampler's
-    :meth:`~averbound.ode.CubicSampler.interval`) returns, which moves the
-    sampler's cursor as its ``into`` would; inside, the cursor would not
-    move.  So each j<k> is ``into``'s value bit for bit, node times
-    included.  The query is clamped at ``tau_max``; J and fbar(J) are each
-    kept with the unclamped slow time they were taken at, since the last
-    two stages of a step and the stop check after it share one time.
+    The step is the generated float step of :mod:`~averbound.ode` with the
+    right-hand side written into each stage (:func:`ode._float_step_source`
+    with a stage hook): the same operations on the same floats as a stage
+    that calls ``rhs``, so it takes the same steps bit for bit.  All three
+    read J(eps*t) inline, as ``j0, j1, ...``, from the interval of the
+    averaged cubic they share in closure cells: its ends ``t_lo``,
+    ``t_hi``, its length ``width`` and its coefficient rows ``c0``..``c3``.
+    A query outside [t_lo, t_hi] takes the interval ``interval`` (the
+    sampler's :meth:`~averbound.ode.CubicSampler.interval`) returns, which
+    moves the sampler's cursor as its ``into`` would; inside, the cursor
+    would not move.  So each j<k> is ``into``'s value bit for bit, node
+    times included.  The query is clamped at ``tau_max``; J and fbar(J) are
+    each kept with the unclamped slow time they were taken at, since the
+    last two stages of a step and the stop check after it share one time.
     """
     ix = range(d)
     js = [f"j{k}" for k in ix]
-    cells = ["t_lo", "t_hi", "h", "c0", "c1", "c2", "c3", *js, "tau_j"]
-    read_j = [
-        "tau = eps * t",
-        "if tau != tau_j:",
-        "    q = tau if tau < tau_max else tau_max",
-        "    if not t_lo <= q <= t_hi:",
-        "        t_lo, t_hi, h, c0, c1, c2, c3 = interval(q)",
-        "    s = (q - t_lo) / h",
-    ] + [f"    j{k} = ((c3[{k}] * s + c2[{k}]) * s + c1[{k}]) * s + c0[{k}]"
-         for k in ix] + [
-        "    tau_j = tau",
-        f"actions = {ode._seq(f'j{k} + eps * y[{k}]' for k in ix)}",
-    ]
-    out = [f"fa[{k}] - fb[{k}]" for k in ix]
-    out.append("omega(actions) + eps * g_sys(actions, theta)")
-    rhs = [f"nonlocal {', '.join(cells)}, fb, tau_fb"] + read_j + [
-        f"theta = y[{d}]",
-        "fa = f_sys(actions, theta)",
-        "if tau != tau_fb:",
-        f"    fb = fbar({ode._seq(js)})",
-        "    tau_fb = tau",
-        f"return {ode._seq(out)}",
-    ]
-    stop = [f"nonlocal {', '.join(cells)}"] + read_j + [
-        "return not in_domain(actions)",
-    ]
+    cells = ["t_lo", "t_hi", "width", "c0", "c1", "c2", "c3", *js, "tau_j"]
+
+    def read_j(time, state):
+        """Lines that bind ``tau`` and J at the fast time ``time``, and
+        ``actions`` from the state components ``state``."""
+        return [
+            f"tau = eps * {time}",
+            "if tau != tau_j:",
+            "    q = tau if tau < tau_max else tau_max",
+            "    if not t_lo <= q <= t_hi:",
+            "        t_lo, t_hi, width, c0, c1, c2, c3 = interval(q)",
+            "    s = (q - t_lo) / width",
+        ] + [f"    j{k} = ((c3[{k}] * s + c2[{k}]) * s + c1[{k}]) * s + c0[{k}]"
+             for k in ix] + [
+            "    tau_j = tau",
+            f"actions = {ode._seq(f'j{k} + eps * {state[k]}' for k in ix)}",
+        ]
+
+    def slope(time, state):
+        """Lines that evaluate the right-hand side at ``time`` and
+        ``state``, and the expressions of its d + 1 values."""
+        theta = state[d]
+        return read_j(time, state) + [
+            f"fa = f_sys(actions, {theta})",
+            "if tau != tau_fb:",
+            f"    fb = fbar({ode._seq(js)})",
+            "    tau_fb = tau",
+        ], [*(f"fa[{k}] - fb[{k}]" for k in ix),
+            f"omega(actions) + eps * g_sys(actions, {theta})"]
+
+    ys = [f"y[{i}]" for i in range(d + 1)]
+    lines, values = slope("t", ys)
+    rhs = [f"nonlocal {', '.join(cells)}, fb, tau_fb", *lines,
+           f"return {ode._seq(values)}"]
+    stop = [f"nonlocal {', '.join(cells)}", *read_j("t", ys),
+            "return not in_domain(actions)"]
+
+    def stage(s, node, last):
+        zs = [f"z{i}" for i in range(d + 1)]
+        lines, values = slope(f"(t + {node!r} * h)", zs)
+        ks = [f"k{s}_{i}" for i in range(d + 1)]
+        lines += [f"{k} = {value}" for k, value in zip(ks, values)]
+        if last:
+            lines += [f"ys = {ode._seq(zs)}", f"k = {ode._seq(ks)}"]
+        return lines
+
+    step = ode._float_step_source(ode._STAGES, ode._E, d + 1, stage,
+                                  (*cells, "fb", "tau_fb"))
     return "\n".join(
-        ["def make(eps, f_sys, g_sys, omega, fbar, in_domain, interval, tau_max):",
+        ["def make(eps, f_sys, g_sys, omega, fbar, in_domain, interval, tau_max,",
+         "         rtol, atol):",
          # NaN ends take the first query to interval()
-         "    t_lo = t_hi = h = tau_j = tau_fb = nan",
+         "    t_lo = t_hi = width = tau_j = tau_fb = nan",
          "    c0 = c1 = c2 = c3 = fb = None",
          f"    {' = '.join(js)} = 0.0",
+         "    calls = 0",
          "    def rhs(t, y):"]
         + ["        " + line for line in rhs]
         + ["    def stop(t, y):"]
         + ["        " + line for line in stop]
-        + ["    return rhs, stop", ""])
+        + [textwrap.indent(step, "    "),
+           "    return rhs, stop, (step, lambda: calls)", ""])
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,15 +219,23 @@ def _compile_direct_rhs(d: int):
     return ode._compile_factory(_direct_rhs_source(d), f"<direct rhs, d = {d}>")
 
 
-def _direct_rhs(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory):
-    """The direct right-hand side and stop predicate on lists of Python
-    floats, against the averaged trajectory ``avg_traj``: the pair
-    :func:`_compile_direct_rhs` generates for ``spec.d``, reading J from a
-    fresh :class:`~averbound.ode.CubicSampler` of ``avg_traj``."""
+def _direct_functions(spec: SystemSpec, aux: AuxiliaryBundle,
+                      avg_traj: ode.Trajectory, rtol: float, atol: float):
+    """The direct right-hand side, stop predicate and step on lists of
+    Python floats, against the averaged trajectory ``avg_traj``: the three
+    :func:`_compile_direct_rhs` generates for ``spec.d``, reading J from
+    one fresh :class:`~averbound.ode.CubicSampler` of ``avg_traj``."""
     make = _compile_direct_rhs(spec.d)
     return make(spec.epsilon, spec.f, spec.g, spec.omega, aux.fbar,
                 spec.in_domain, ode.CubicSampler(avg_traj).interval,
-                avg_traj.t_final)
+                avg_traj.t_final, rtol, atol)
+
+
+def _direct_rhs(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory):
+    """The right-hand side and stop predicate of :func:`_direct_functions`
+    alone; only the step reads the tolerances."""
+    return _direct_functions(spec, aux, avg_traj, ode.DEFAULT_RTOL,
+                             ode.DEFAULT_ATOL)[:2]
 
 
 def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Trajectory:

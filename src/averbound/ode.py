@@ -13,9 +13,16 @@ on floats by the float step, straight-line code that ``_seq``, ``_dot`` and
 ``_compile_factory`` write and compile from the tableau on first use per
 state size, as they do every generated kernel; larger ones by
 ``_array_kernel``, the only step code that builds numpy rows.  Both read the
-one tableau and serve the one step-size controller.  So the fast-time
-states and the five-component slow state of one action (d = 1) are summed
-on floats; the ten-component slow state of two actions by numpy.
+one tableau and serve the one step-size controller.  So the five-component
+slow state of one action (d = 1) is summed on floats, and the ten-component
+slow state of two actions by numpy.
+
+What each stage of the float step does with its state is a hook of its
+generator, :func:`_float_step_source`.  The default hook calls the
+right-hand side; a caller may write its right-hand side into the stages
+instead and hand the step to :func:`_integrate`, as the direct run does.
+Each step counts its own stage evaluations, which ``StepStats.rhs_evals``
+reports with the initial slope and the probe of the first step size.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -316,11 +324,13 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
 def _array_kernel(rhs, size, rtol, atol):
     """One Dormand-Prince step for states of any size, summed by numpy.
 
-    ``step(t, y, f, h)`` returns ``(err, y_new, f_new)``: the error norm of
-    the step from (t, y) with slope f, the state at t + h and the slope
-    there.  ``err`` is NaN when the error of any component is NaN or
-    ``y_new`` is not finite.  All four are lists, as on the float step, and
-    ``y_new`` is the very list that the last stage handed ``rhs``.
+    Returns ``(step, stage_calls)``.  ``step(t, y, f, h)`` returns ``(err,
+    y_new, f_new)``: the error norm of the step from (t, y) with slope f,
+    the state at t + h and the slope there.  ``err`` is NaN when the error
+    of any component is NaN or ``y_new`` is not finite.  All four are
+    lists, as on the float step, and ``y_new`` is the very list that the
+    last stage handed ``rhs``.  ``stage_calls()`` is the number of calls of
+    ``rhs`` the steps have made, a raising one included.
     """
     kmat = np.empty((len(_STAGES) + 1, size))   # stage derivatives
     # Node, weights and kmat views per stage, made once per call: indexing
@@ -328,21 +338,24 @@ def _array_kernel(rhs, size, rtol, atol):
     stages = [(c, np.array(row), kmat[:s], kmat[s])
               for s, (c, row) in enumerate(_STAGES, start=1)]
     error = np.array(_E)
+    calls = 0
 
     def step(t, y, f, h):
+        nonlocal calls
         y = np.array(y)
         kmat[0] = f
         for c, row, earlier, k in stages:
             z = np.dot(row * h, earlier)
             z += y
             ys = z.tolist()
+            calls += 1
             k[...] = rhs(t + c * h, ys)
         scale = np.maximum(np.abs(z), np.abs(y)) * rtol + atol
         err = float((np.abs(np.dot(error * h, kmat)) / scale).max())
         if not np.isfinite(z).all():
             err = math.nan
         return err, ys, kmat[-1].tolist()
-    return step
+    return step, lambda: calls
 
 
 def _seq(names):
@@ -362,62 +375,90 @@ def _compile_factory(source, label, **names):
     return namespace["make"]
 
 
-def _float_step_source(stages, error, size):
-    """Source of ``make(rhs, rtol, atol)``, which returns the step of
-    :func:`_array_kernel` summed on Python floats for states of ``size``
-    components as straight-line code, for a tableau as ``_STAGES``, ``_E``.
+def _rhs_stage(size):
+    """The stage hook of a step on ``rhs`` for states of ``size``
+    components: each stage hands ``rhs`` its state as the list ``ys`` and
+    reads the slope list ``k`` by index, so a short list raises
+    ``IndexError``.  The last stage's ``ys`` and ``k`` are the new state and
+    its slope."""
+    comps = range(size)
+
+    def stage(s, node, last):
+        return [f"ys = {_seq(f'z{i}' for i in comps)}",
+                f"k = rhs(t + {node!r} * h, ys)",
+                *(f"k{s}_{i} = k[{i}]" for i in comps)]
+    return stage
+
+
+def _float_step_source(stages, error, size, stage=None, cells=()):
+    """Source of ``step(t, y, f, h)``, the step of :func:`_array_kernel`
+    summed on Python floats for states of ``size`` components as
+    straight-line code, for a tableau as ``_STAGES``, ``_E``.  It is to be
+    nested in a function that binds ``rtol``, ``atol``, the stage counter
+    ``calls`` and the names ``stage`` reads.
 
     Each stage forms its nonzero weights times h once, as ``w<j> = a * h``,
     and each component as ``y<i> + (0.0 + w<j> * k<j>_<i> + ...)``: the
     nonzero weights in order, each float written by ``repr``.  The leading
-    ``0.0 +`` keeps the sign of a zero sum.  The slope of every stage is
-    read by index, so a short list from the rhs raises ``IndexError``.  The
-    error norm runs over the nonzero ``error`` weights the same way.
+    ``0.0 +`` keeps the sign of a zero sum.  Then it counts one call in
+    ``calls`` and runs the lines ``stage(s, node, last)`` returns, which
+    bind the slope ``k<s>_<i>`` of every component at t + node * h from the
+    stage state ``z<i>``; after the last stage, ``ys`` and ``k`` must name
+    the new state and its slope as lists.  The default hook,
+    :func:`_rhs_stage`, calls ``rhs``.  ``cells`` are the further names of
+    the enclosing function the hook's lines assign.  The error norm runs
+    over the nonzero ``error`` weights the same way.
     """
+    stage = _rhs_stage(size) if stage is None else stage
     comps = range(size)
 
     def weighted(weights, i):
         return _dot((f"w{j}", f"k{j}_{i}") for j, _ in weights)
 
-    body = [f"y{i} = y[{i}]" for i in comps]
+    body = [f"nonlocal {', '.join(('calls', *cells))}"]
+    body += [f"y{i} = y[{i}]" for i in comps]
     body += [f"k0_{i} = f[{i}]" for i in comps]
     for s, (c, row) in enumerate(stages, start=1):
         weights = [(j, a) for j, a in enumerate(row) if a]
         body += [f"w{j} = {a!r} * h" for j, a in weights]
         body += [f"z{i} = y{i} + ({weighted(weights, i)})" for i in comps]
-        body.append(f"ys = {_seq(f'z{i}' for i in comps)}")
-        body.append(f"k = rhs(t + {c!r} * h, ys)")
-        body += [f"k{s}_{i} = k[{i}]" for i in comps]
+        body.append("calls += 1")
+        body += stage(s, c, s == len(stages))
     weights = [(j, a) for j, a in enumerate(error) if a]
     body += [f"w{j} = {a!r} * h" for j, a in weights]
     body.append("err = 0.0")
     for i in comps:
         body += [
+            f"a = abs(z{i})",
+            f"b = abs(y{i})",
+            # max(a, b), NaN included: max keeps a unless b > a.
             f"e = abs({weighted(weights, i)})"
-            f" / (max(abs(z{i}), abs(y{i})) * rtol + atol)",
-            # Python's max drops a NaN met after a number, so a NaN error
-            # and a non-finite y_new are tested for explicitly.
-            f"if e != e or not abs(z{i}) < inf:",
+            " / ((b if b > a else a) * rtol + atol)",
+            # e > err passes over a NaN, so a NaN error and a non-finite
+            # y_new are tested for explicitly.
+            "if e != e or not a < inf:",
             "    return nan, ys, k",
             "if e > err:",
             "    err = e",
         ]
     body.append("return err, ys, k")
-    return "\n".join(["def make(rhs, rtol, atol):",
-                      "    def step(t, y, f, h):"]
-                     + ["        " + line for line in body]
-                     + ["    return step", ""])
+    return "\n".join(["def step(t, y, f, h):"]
+                     + ["    " + line for line in body])
 
 
 @functools.lru_cache(maxsize=None)
 def _compile_float_step(stages, error, size):
-    return _compile_factory(_float_step_source(stages, error, size),
-                            f"<ode float step, size {size}>")
+    step = textwrap.indent(_float_step_source(stages, error, size), "    ")
+    return _compile_factory(
+        "\n".join(["def make(rhs, rtol, atol):", "    calls = 0", step,
+                   "    return step, lambda: calls", ""]),
+        f"<ode float step, size {size}>")
 
 
 def _float_kernel(rhs, size, rtol, atol):
     """The step of :func:`_array_kernel` summed on Python floats, for
-    states of at most ``_FLOAT_KERNEL_MAX_DIM`` components.
+    states of at most ``_FLOAT_KERNEL_MAX_DIM`` components, with its stage
+    counter, as :func:`_array_kernel` returns them.
 
     ``y``, ``f`` and the returned ``y_new``/``f_new`` are lists, and ``rhs``
     takes and returns lists.  The step is straight-line code generated from
@@ -448,48 +489,60 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     result's ``stats`` counts the steps and the right-hand-side and stop
     calls, and keeps the last exception absorbed.
     """
-    user_rhs, user_stop = problem.rhs, stop
-    rhs_evals = stop_calls = 0
+    return _integrate(problem, rtol, atol, stop, first_step, None)
 
-    def rhs(t, y):
-        nonlocal rhs_evals
-        rhs_evals += 1
-        return user_rhs(t, y)
 
-    def counted_stop(t, y):
-        nonlocal stop_calls
-        stop_calls += 1
-        return user_stop(t, y)
+def _integrate(problem, rtol, atol, stop, first_step, kernel):
+    """:func:`integrate`, stepped by ``kernel`` when it is given.
 
-    stop = None if user_stop is None else counted_stop
-
+    ``kernel`` is a step and its stage counter, as :func:`_float_kernel`
+    returns them, for states of ``problem.y0.size`` components: a fused
+    step that evaluates ``problem.rhs`` inline, bit for bit, in each stage.
+    ``problem.rhs`` itself is then called only for the initial slope and
+    the probe of the first step size.  The counter may run on from earlier
+    runs; the stats count only its calls in this one.
+    """
+    rhs = problem.rhs
     t_end = problem.t_end
     t = problem.t0
     y = problem.y0.tolist()     # one list per state, for rhs and stop alike
     f_raw = rhs(t, y)
+    rhs_evals, stop_calls = 1, 0
+
+    def counted_stop(t, y):     # the calls of the stop localisation
+        nonlocal stop_calls
+        stop_calls += 1
+        return stop(t, y)
+
     f0 = np.asarray(f_raw, dtype=float)
     if f0.shape != problem.y0.shape:
         raise ValueError(
             f"rhs must return shape {problem.y0.shape}, got {f0.shape}")
-    if stop is not None and stop(t, y):
-        raise ValueError("stop predicate already true at the initial state")
+    if stop is not None:
+        stop_calls += 1
+        if stop(t, y):
+            raise ValueError("stop predicate already true at the initial state")
 
     span = t_end - problem.t0
     h_min = _HMIN_REL * span
     if first_step is not None and first_step > 0.0:
         h, rhs_error = min(first_step, span), None
     else:
+        rhs_evals += 1
         h, rhs_error = _initial_step(rhs, t, problem.y0, f0, t_end, rtol, atol)
 
-    # Both kernels step lists.  An rhs that does not return a list has each
-    # result converted, so the float step does not run on numpy scalars,
-    # which warn on overflow where Python floats do not.
-    f = f0.tolist()
-    step_rhs = rhs if isinstance(f_raw, list) else (
-        lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
     size = len(y)
-    kernel = _float_kernel if size <= _FLOAT_KERNEL_MAX_DIM else _array_kernel
-    step = kernel(step_rhs, size, rtol, atol)
+    if kernel is None:
+        # Both kernels step lists.  An rhs that does not return a list has
+        # each result converted, so the float step does not run on numpy
+        # scalars, which warn on overflow where Python floats do not.
+        step_rhs = rhs if isinstance(f_raw, list) else (
+            lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
+        make = _float_kernel if size <= _FLOAT_KERNEL_MAX_DIM else _array_kernel
+        kernel = make(step_rhs, size, rtol, atol)
+    step, stage_calls = kernel
+    stage_calls_before = stage_calls()
+    f = f0.tolist()
     # Accepted nodes, one flat buffer of doubles each: a row of Python
     # floats takes about five times the memory of its eight-byte values.
     times = array("d", (t,))
@@ -533,14 +586,17 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         if h_hi is None or h > h_hi:
             h_hi = h
 
-        if stop is not None and (reason := stop(t_new, y_new)):
-            stop_time, y_stop, f_stop, stop_reason = _localize_stop(
-                stop, reason, t, t_new, *map(np.asarray, (y, y_new, f, f_new)))
-            times[-1] = stop_time
-            states[-size:] = array("d", y_stop)
-            derivs[-size:] = array("d", f_stop)
-            status = Status.STOPPED
-            break
+        if stop is not None:
+            stop_calls += 1
+            if reason := stop(t_new, y_new):
+                stop_time, y_stop, f_stop, stop_reason = _localize_stop(
+                    counted_stop, reason, t, t_new,
+                    *map(np.asarray, (y, y_new, f, f_new)))
+                times[-1] = stop_time
+                states[-size:] = array("d", y_stop)
+                derivs[-size:] = array("d", f_stop)
+                status = Status.STOPPED
+                break
 
         # PI controller (accepted step).
         fac = (err ** _EXPO) / (fac_old ** _BETA) if err > 0.0 else 1 / _FAC_MAX
@@ -559,6 +615,7 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
         # shorter one raises IndexError inside the float step.
         raise ValueError(f"rhs must return {size} values at every call")
     accepted = len(times) - 1
+    rhs_evals += stage_calls() - stage_calls_before
     # A copy each, not a view: a view would keep the buffer's spare capacity
     # alive with the trajectory, and the chunked direct run keeps many.
     return Trajectory(

@@ -548,6 +548,15 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     A NaN gap or ratio ranks below every number, so the worst gap and the
     tightness describe the finite part of the run.
     """
+    return _headline_bound(est, dtraj, window, None)
+
+
+def _headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
+                    window: Optional[float],
+                    peaks: Optional[list]) -> ValidationReport:
+    """:func:`verify_headline_bound`, reading the tightness from ``peaks``,
+    ``direct.envelope(dtraj, window)`` when the caller has it already, or
+    from a fresh envelope when it is None."""
     eps = dtraj.eps
     t_hi = min(dtraj.t[-1], est.tau_final / eps)
     mask = dtraj.t <= t_hi * (1 + 1e-12)
@@ -565,7 +574,9 @@ def verify_headline_bound(est: EstimatorTrajectory, dtraj: DirectTrajectory,
     tightness = 0.0
     tight_at = None
     if span > 0.0:
-        taus, peaks = np.array(envelope(dtraj, win)).T
+        if peaks is None:
+            peaks = envelope(dtraj, win)
+        taus, peaks = np.array(peaks).T
         inside = (eps * ts[0] <= taus) & (taus <= span)
         taus, peaks = taus[inside], peaks[inside]
         ratios = peaks / unpack_state(est.traj.sample_many(taus), est.d)[4]

@@ -110,9 +110,12 @@ _REF_E = _nonzero(_E)
 def float_kernel_reference(rhs, size, rtol, atol):
     """``ode._float_kernel`` as loops over the weights, as it was before the
     step was generated as straight-line code: the reference that step must
-    match bit for bit.  It reads the one tableau ``ode._STAGES``/``ode._E``
-    and drops the zero weights itself."""
+    match bit for bit, with its count of ``rhs`` calls.  It reads the one
+    tableau ``ode._STAGES``/``ode._E`` and drops the zero weights itself."""
+    calls = 0
+
     def step(t, y, f, h):
+        nonlocal calls
         ks = [f]
         for c, weights in _REF_STAGES:
             terms = [(a * h, ks[j]) for j, a in weights]
@@ -124,6 +127,7 @@ def float_kernel_reference(rhs, size, rtol, atol):
                     acc += w * k[i]
                 ys.append(b + acc)
                 i += 1
+            calls += 1
             ks.append(rhs(t + c * h, ys))
         terms = [(a * h, ks[j]) for j, a in _REF_E]
         err = 0.0
@@ -140,7 +144,7 @@ def float_kernel_reference(rhs, size, rtol, atol):
             if e > err:
                 err = e
         return err, ys, ks[-1]
-    return step
+    return step, lambda: calls
 
 
 def toy_linear_decay(eps=1e-2, i0=2.0, d=1):

@@ -9,12 +9,15 @@ import averbound as ab
 from averbound import direct, ode
 from averbound.direct import DirectTrajectory, envelope
 
-from conftest import direct_reference, envelope_reference, toy_linear_decay
+from conftest import (direct_reference, envelope_reference,
+                      float_kernel_reference, toy_linear_decay)
 
 
-@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("d", [1, 2, 4, 5])
 def test_angle_free_perturbation_keeps_error_zero(d):
-    # At d = 4 the direct state has five components, past the float kernel.
+    # At d = 4 the direct state has five components, the largest the float
+    # kernel of ode takes; at d = 5 it has six.  The direct run steps every
+    # d on its own generated float step.
     spec, aux, bounds = toy_linear_decay(d=d)
     avg = ab.run_averaged(spec, aux, 5.0)
     dtraj = ab.run_direct(spec, aux, avg, 5.0)
@@ -49,21 +52,87 @@ def test_registered_system_matches_the_numpy_reference(monkeypatch, d):
     dtraj = ab.run_direct(spec, example.aux, avg, u)
     assert dtraj.status is ode.Status.COMPLETED
 
-    integrate = ode.integrate
+    integrate = ode._integrate
     rhs, stop = direct_reference(spec, example.aux, avg)
 
-    def on_numpy(problem, **kwargs):
-        # The numpy reference, adapted at its edge to the list states.
-        kwargs["stop"] = lambda t, y: stop(t, np.array(y))
+    def on_numpy(problem, rtol, atol, _, first_step, kernel):
+        # The numpy reference, adapted at its edge to the list states, on
+        # the step that calls rhs in place of the fused one.
+        assert kernel is not None
         return integrate(dataclasses.replace(
-            problem, rhs=lambda t, y: rhs(t, np.array(y)).tolist()), **kwargs)
-    monkeypatch.setattr(ode, "integrate", on_numpy)
+            problem, rhs=lambda t, y: rhs(t, np.array(y)).tolist()),
+            rtol, atol, lambda t, y: stop(t, np.array(y)), first_step, None)
+    monkeypatch.setattr(ode, "_integrate", on_numpy)
     ref = ab.run_direct(spec, example.aux, avg, u)
     assert np.array_equal(dtraj.t, ref.t)
     assert np.array_equal(dtraj.l, ref.l)
     assert np.array_equal(dtraj.traj.states, ref.traj.states)
     assert np.array_equal(dtraj.traj.derivs, ref.traj.derivs)
     assert dtraj.abs_l.max() > 0.01
+
+
+def _angle_system(d, raise_at=()):
+    """A d-action system whose error L grows, with fbar = -I, and the list
+    whose one item counts the calls of its f from then on.  f raises
+    ``ValueError`` at the calls numbered in ``raise_at``."""
+    spec, aux, _ = toy_linear_decay(d=d)
+    calls = [0]
+
+    def f(i, th):
+        calls[0] += 1
+        if calls[0] in raise_at:
+            raise ValueError("f refused")
+        return [2.0 * x * math.cos(th) - x for x in i]
+    spec = dataclasses.replace(
+        spec, i0=np.linspace(1.0, 2.0, d), theta0=0.3, f=f,
+        omega=lambda i: 1.0 + sum(x * x for x in i),
+        g=lambda i, th: sum(x * x for x in i) * math.sin(th))
+    calls[0] = 0       # the spec calls f once, at i0
+    return spec, aux, calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("raise_at", [(), (40, 1003)])
+def test_fused_step_matches_the_loop_kernel_on_the_rhs(monkeypatch, d,
+                                                       raise_at):
+    # The step with the right-hand side written into its stages takes the
+    # steps that conftest's loop kernel takes on the generated right-hand
+    # side, bit for bit: the same nodes, states, slopes and counts.  Calls
+    # 40 and 1003 of f fall mid-step (a start takes calls 1 and 2, every
+    # step attempt 6): each raises ValueError in a stage, and the step is
+    # retried at half size.
+    u = 2.0
+
+    def run():
+        spec, aux, f_calls = _angle_system(d, raise_at)
+        avg = ab.run_averaged(spec, aux, u)
+        return ab.run_direct(spec, aux, avg, u), f_calls[0]
+    fused, fused_calls = run()
+    integrate = ode._integrate
+
+    def on_reference(problem, rtol, atol, stop, first_step, kernel):
+        size = problem.y0.size
+        return integrate(problem, rtol, atol, stop, first_step,
+                         float_kernel_reference(problem.rhs, size, rtol, atol))
+    monkeypatch.setattr(ode, "_integrate", on_reference)
+    ref, ref_calls = run()
+    for dtraj in (fused, ref):
+        assert dtraj.status is ode.Status.COMPLETED
+        assert dtraj.abs_l.max() > 0.01
+    assert fused.t.tobytes() == ref.t.tobytes()
+    assert fused.traj.states.tobytes() == ref.traj.states.tobytes()
+    assert fused.traj.derivs.tobytes() == ref.traj.derivs.tobytes()
+    assert fused.traj.stats == ref.traj.stats
+    stats = fused.traj.stats
+    # Every evaluation is counted, a raising one included.
+    assert stats.rhs_evals == fused_calls == ref_calls
+    assert stats.nan_retries == len(raise_at)
+    full = 6 * (stats.accepted + stats.rejected) + direct._BUDGET_CHUNKS + 1
+    if raise_at:
+        assert stats.rhs_error == "ValueError: f refused"
+        assert stats.rhs_evals < full
+    else:
+        assert stats.rhs_evals == full
 
 
 def test_stats_sum_over_the_chunks():

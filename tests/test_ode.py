@@ -607,9 +607,11 @@ def _steps_agree(make_rhs, size, t, y, f, h):
         def recording(t, y):
             seen.append(_bits([t, *y]))
             return rhs(t, y)
-        step = kernel(recording, size, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+        step, stage_calls = kernel(recording, size, ode.DEFAULT_RTOL,
+                                   ode.DEFAULT_ATOL)
         err, y_new, f_new = step(t, list(y), list(f), h)
         assert type(y_new) is list and len(y_new) == size
+        assert stage_calls() == len(seen)
         results.append((seen, _bits([err, *y_new, *f_new])))
     assert results[0] == results[1]
     seen, (err, *_) = results[0]
@@ -671,6 +673,40 @@ def test_float_step_keeps_the_sign_of_zero(size):
                              0.0, y, y, 0.1)
     assert err == 0.0
     assert seen[0][1:] == _bits([0.0] * size)
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_float_step_rejects_a_nan_error_in_the_last_component(size):
+    # A NaN slope in the last component at the FSAL stage reaches only that
+    # component's error: the state stays finite and every earlier
+    # component's error is a number, so the norm must not pass it over.
+    def make():
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            out = _smooth(t, y)
+            if len(calls) == 6:
+                out[-1] = math.nan
+            return out
+        return rhs
+    y = [0.5] * size
+    err, _ = _steps_agree(make, size, 1.0, y, _smooth(1.0, y), 0.1)
+    assert math.isnan(err)
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_float_step_rejects_an_infinite_state_with_a_finite_error(size):
+    # A constant slope of 1e307 over h = 1 takes the last component from
+    # 1.7e308 past the largest float; the error weights sum to zero, so its
+    # error is a finite sum over an infinite scale, 0.  Only the state
+    # itself shows the overflow.
+    def rhs(t, y):
+        return [-v for v in y[:-1]] + [1e307]
+    y = [0.5] * (size - 1) + [1.7e308]
+    err, seen = _steps_agree(lambda: rhs, size, 0.0, y, rhs(0.0, y), 1.0)
+    assert math.isnan(err)
+    assert struct.unpack("<d", seen[-1][-1])[0] == math.inf
 
 
 def _run_both(monkeypatch, problem_for, **kwargs):
