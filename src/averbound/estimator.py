@@ -16,11 +16,18 @@ as one of the validity conditions
     0 < n < rho_hat(J)/eps,      d(offset)/dr (eps*n) < 1/eps
 
 fails along the way.
+
+The slow right-hand side is straight-line code, generated once per d and
+per form of the offset partials (by the bundle's gradients or by central
+differences) with every operation of an evaluation written out; at d = 1
+the same evaluation is written into each stage of the Dormand-Prince step
+the slow solve takes (:func:`assemble_slow_rhs`, :func:`_slow_functions`).
 """
 from __future__ import annotations
 
 import functools
 import math
+import textwrap
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +38,7 @@ import numpy as np
 from . import ode
 from .ode import _compile_factory, _dot, _seq
 from .model import (IDENTITY_TOL, AuxiliaryBundle, BoundBundle, SystemSpec,
-                    frobenius, growth_value, offset_value)
+                    frobenius, offset_value)
 
 __all__ = [
     "ContractionError",
@@ -99,108 +106,17 @@ def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps) -> float:
             - offset_value(bounds, j, rmat, k, r - h, eps)) / (2 * h)
 
 
-def _alpha_tau_derivative(bounds: BoundBundle, j, rows, k, r, eps,
-                          dj, drows, dk) -> float:
-    """Chain-rule derivative of the offset bound along the slow flow, by
-    central differences.
-
-    Contracts the partial derivatives with respect to J, R and K with the
-    supplied slow-flow derivatives dJ/dtau, dR/dtau, dK/dtau.  Every
-    argument is a list of floats (R and dR/dtau as rows); the perturbed
-    points handed to the bound functions are list copies.
-    """
-    total = 0.0
-    for i, step in enumerate(dj):
-        if step == 0.0:
-            continue
-        h = _FD_STEP * max(1.0, abs(j[i]))
-        jp = list(j); jp[i] += h
-        jm = list(j); jm[i] -= h
-        total += step * (offset_value(bounds, jp, rows, k, r, eps)
-                         - offset_value(bounds, jm, rows, k, r, eps)) / (2 * h)
-    for a, drow in enumerate(drows):
-        for b, step in enumerate(drow):
-            if step == 0.0:
-                continue
-            h = _FD_STEP * max(1.0, abs(rows[a][b]))
-            rp = [list(row) for row in rows]; rp[a][b] += h
-            rm = [list(row) for row in rows]; rm[a][b] -= h
-            total += step * (bounds.a_hat(j, rp, k, r)
-                             - bounds.a_hat(j, rm, k, r)) / (2 * h)
-    for i, step in enumerate(dk):
-        if step == 0.0:
-            continue
-        h = _FD_STEP * max(1.0, abs(k[i]))
-        kp = list(k); kp[i] += h
-        km = list(k); km[i] -= h
-        total += step * (bounds.a_hat(j, rows, kp, r)
-                         - bounds.a_hat(j, rows, km, r)) / (2 * h)
-    return float(total)
-
-
-def _analytic_partials(bounds: BoundBundle, j, rows, k, r, eps,
-                       dj, drows, dk):
-    """(d(offset)/dr, d(offset)/dtau) from one ``a_grad`` and one ``b_grad``
-    call.
-
-    d(offset)/dtau is np.sum(dA/dJ * dJ) + np.sum(dA/dR * dR) +
-    np.sum(dA/dK * dK) + eps * np.sum(dB/dJ * dJ), with the slow-flow
-    derivatives dJ, dR (as rows) and dK, lists of floats.  Each sum runs on
-    Python floats, from 0.0 and left to right over R in row order: at d = 1
-    and d = 2 that is np.sum's order, so every bit is the same.
-    """
-    ga_j, ga_r, ga_k, ga_rad = bounds.a_grad(j, rows, k, r)
-    gb_j, gb_rad = bounds.b_grad(j, r)
-    dal_dr = float(ga_rad + eps * gb_rad)
-    sum_j = sum_r = sum_k = sum_b = 0.0
-    for a, step in enumerate(dj):
-        sum_j += ga_j[a] * step
-        sum_k += ga_k[a] * dk[a]
-        sum_b += gb_j[a] * step
-        for g, x in zip(ga_r[a], drows[a]):
-            sum_r += g * x
-    return dal_dr, float(sum_j + sum_r + sum_k + eps * sum_b)
-
-
-def _difference_partials(bounds: BoundBundle, j, rows, k, r, eps,
-                         dj, drows, dk):
-    """(d(offset)/dr, d(offset)/dtau) by central differences, for a bundle
-    without gradients: the pair :func:`_analytic_partials` returns."""
-    return (_dalpha_dr(bounds, j, rows, k, r, eps),
-            _alpha_tau_derivative(bounds, j, rows, k, r, eps, dj, drows, dk))
-
-
 def _inverse_norms(rows):
     """The Frobenius norms (|R|, |R^-1|) of the condition check, for R given
-    as a list of rows of floats.
-
-    At d = 1 and d = 2 they are taken on Python floats, with the operations
-    of an ndarray R^-1 and :func:`frobenius` in the same order (a sum of
-    fewer than eight squares runs left to right in numpy too), so every
-    bit is the same.  Larger R is inverted by ``np.linalg.solve``.
-    """
-    d = len(rows)
-    if d == 1:
-        val = rows[0][0]
-        if val == 0.0:
-            raise SingularMatrixError("fundamental matrix is zero")
-        inv = 1.0 / val
-        norm_r, norm_inv = math.sqrt(val * val), math.sqrt(inv * inv)
-    elif d == 2:
-        (r00, r01), (r10, r11) = rows
-        det = r00 * r11 - r01 * r10
-        if det == 0.0:
-            raise SingularMatrixError("fundamental matrix is singular")
-        i00, i01, i10, i11 = r11 / det, -r01 / det, -r10 / det, r00 / det
-        norm_r = math.sqrt(r00 * r00 + r01 * r01 + r10 * r10 + r11 * r11)
-        norm_inv = math.sqrt(i00 * i00 + i01 * i01 + i10 * i10 + i11 * i11)
-    else:
-        rmat = np.array(rows)
-        try:
-            inv = np.linalg.solve(rmat, np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(str(exc)) from exc
-        norm_r, norm_inv = frobenius(rmat), frobenius(inv)
+    as a list of three or more rows of floats, inverted by
+    ``np.linalg.solve``.  At d = 1 and d = 2 the slow right-hand side
+    writes them out on floats (:func:`_norm_lines`)."""
+    rmat = np.array(rows)
+    try:
+        inv = np.linalg.solve(rmat, np.eye(len(rows)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    norm_r, norm_inv = frobenius(rmat), frobenius(inv)
     if norm_r * norm_inv > _COND_LIMIT:
         raise SingularMatrixError("condition estimate of R exceeds 1e12")
     return norm_r, norm_inv
@@ -377,84 +293,285 @@ def report_columns(d: int) -> list:
             + [f"K_{a}" for a in ix] + ["m", "n"])
 
 
-def _slow_rhs_lines(d: int):
+def _state_names(d: int) -> list:
+    """Names of the floats of a packed state of d actions, in packed
+    order: ``j<a>``, ``r<a>_<b>`` row by row, ``k<a>``, ``m`` and ``n``."""
+    ix = range(d)
+    return ([f"j{a}" for a in ix] + [f"r{a}_{b}" for a in ix for b in ix]
+            + [f"k{a}" for a in ix] + ["m", "n"])
+
+
+def _state_parts(d: int, state):
+    """The names ``state`` of a packed state's floats as (J, rows of R,
+    K, m, n), split by :func:`unpack_state`."""
+    j, rmat, k, m, n = unpack_state(np.array(state, dtype=object), d)
+    return j.tolist(), rmat.tolist(), k.tolist(), m, n
+
+
+def _rows_of(rows):
+    return _seq(_seq(row) for row in rows)
+
+
+def _slow_rhs_lines(d: int, state=None):
     """The generated blocks of the slow right-hand side for d actions, and
     the names of the products' entries in packed order.
 
-    The first splits the state ``y`` into named floats at the offsets of
-    :func:`unpack_state` and forms the lists ``j``, ``rows`` and ``k``.
+    ``state`` names the floats of the packed state in packed order; by
+    default (``_state_names``) the first block splits the state ``y`` into
+    them, at the offsets of :func:`unpack_state`.  The first block then
+    forms the lists ``j``, ``rows`` and ``kvec`` of J, the rows of R and K.
     The second unpacks ``amat`` (dfbar(J) as rows of floats) and ``pb``
     (pbar(J)) the same way, so a member of the wrong shape raises
-    ``ValueError``, and writes out dfbar R, dfbar K + pbar and R . dR as
-    ``drows``, ``dk`` and ``r_dot_dr``: each entry a sum by ``ode._dot``,
-    R taken row by row, and pbar added after the sum.
+    ``ValueError``, and writes out the entries of dfbar R and dfbar K +
+    pbar, as ``d<a>_<b>`` and ``dk<a>``, and R . dR as ``r_dot_dr``: each
+    a sum by ``ode._dot``, R taken row by row, and pbar added after the
+    sum.
     """
     ix = range(d)
-    rs = [[f"r{a}_{b}" for b in ix] for a in ix]
+    split = []
+    if state is None:
+        state = _state_names(d)
+        split.append(f"{_seq(state)} = y")
+    js, rs, ks, _, _ = _state_parts(d, state)
     amat = [[f"a{a}_{b}" for b in ix] for a in ix]
     drs = [[f"d{a}_{b}" for b in ix] for a in ix]
-    js, ks, ps, dks = ([f"{x}{a}" for a in ix] for x in ("j", "k", "p", "dk"))
-
-    def rows_of(rows):
-        return _seq(_seq(row) for row in rows)
-
+    ps, dks = ([f"{x}{a}" for a in ix] for x in ("p", "dk"))
     flat_rs = [x for row in rs for x in row]
     flat_drs = [x for row in drs for x in row]
-    split = [f"{_seq(js + flat_rs + ks + ['m', 'n'])} = y",
-             f"j = {_seq(js)}",
-             f"rows = {rows_of(rs)}",
-             f"k = {_seq(ks)}"]
-    products = [f"{rows_of(amat)} = amat", f"{_seq(ps)} = pb"]
+    split += [f"j = {_seq(js)}",
+              f"rows = {_rows_of(rs)}",
+              f"kvec = {_seq(ks)}"]
+    products = [f"{_rows_of(amat)} = amat", f"{_seq(ps)} = pb"]
     for a in ix:
         products += [f"{drs[a][b]} = {_dot((amat[a][c], rs[c][b]) for c in ix)}"
                      for b in ix]
         products.append(f"{dks[a]} = {_dot((amat[a][c], ks[c]) for c in ix)}"
                         f" + {ps[a]}")
-    products += [f"drows = {rows_of(drs)}",
-                 f"dk = {_seq(dks)}",
-                 f"r_dot_dr = {_dot(zip(flat_rs, flat_drs))}"]
+    products.append(f"r_dot_dr = {_dot(zip(flat_rs, flat_drs))}")
     return split, products, flat_drs + dks
 
 
-def _slow_rhs_source(d: int) -> str:
-    """Source of ``make(eps, fbar, dfbar, pbar, partials, bounds, latest)``,
-    which returns the slow right-hand side for d actions as straight-line
-    code: the blocks of :func:`_slow_rhs_lines` and the bound equation.
-    The right-hand side records the state it was handed and its
-    d(offset)/dr in ``latest``.
+def _norm_lines(rs):
+    """Lines that bind ``norm_r`` and ``norm_rinv``, the Frobenius norms of
+    R and R^-1 for R given as the rows ``rs`` of named floats, and raise
+    :class:`SingularMatrixError` for a singular or ill-conditioned R.
+
+    At d = 1 and d = 2 they are written out on floats, with the operations
+    of an ndarray R^-1 and :func:`frobenius` in the same order (a sum of
+    fewer than eight squares runs left to right in numpy too), so every
+    bit is the same.  A larger R, as the list ``rows``, goes to
+    :func:`_inverse_norms`, bound as ``norms``.
     """
-    split, products, entries = _slow_rhs_lines(d)
-    body = split + [
+    check = [f"if norm_r * norm_rinv > {_COND_LIMIT!r}:",
+             "    raise SingularMatrixError("
+             "'condition estimate of R exceeds 1e12')"]
+    if len(rs) == 1:
+        (r00,), = rs
+        return [f"if {r00} == 0.0:",
+                "    raise SingularMatrixError('fundamental matrix is zero')",
+                f"inv = 1.0 / {r00}",
+                f"norm_r = sqrt({r00} * {r00})",
+                "norm_rinv = sqrt(inv * inv)", *check]
+    if len(rs) == 2:
+        (r00, r01), (r10, r11) = rs
+        return [f"det = {r00} * {r11} - {r01} * {r10}",
+                "if det == 0.0:",
+                "    raise SingularMatrixError('fundamental matrix is singular')",
+                f"i00, i01 = {r11} / det, -{r01} / det",
+                f"i10, i11 = -{r10} / det, {r00} / det",
+                f"norm_r = sqrt({r00} * {r00} + {r01} * {r01}"
+                f" + {r10} * {r10} + {r11} * {r11})",
+                "norm_rinv = sqrt(i00 * i00 + i01 * i01 + i10 * i10 + i11 * i11)",
+                *check]
+    return ["norm_r, norm_rinv = norms(rows)"]
+
+
+def _partials_lines(d, analytic, state, djs, drs, dks):
+    """Lines that bind the offset partials ``dal_dr`` (d(offset)/dr) and
+    ``dal_dtau`` (d(offset)/dtau) at (J, R, K, ``radius``), for the state
+    floats named ``state`` and the slow-flow entries named ``djs`` (dJ),
+    ``drs`` (dR, row by row) and ``dks`` (dK).
+
+    With gradients (``analytic``): one ``a_grad`` and one ``b_grad`` call,
+    and d(offset)/dtau = sum(dA/dJ dJ) + sum(dA/dR dR) + sum(dA/dK dK) +
+    eps * sum(dB/dJ dJ), each sum from 0.0, left to right, R in row order:
+    at d = 1 and d = 2 that is np.sum's order.  Every gradient entry is
+    read by index, so a part too short raises ``IndexError``.
+
+    Without: central differences with step ``_FD_STEP`` times max(1,
+    |argument|), first of the offset a_hat + eps * b_hat in r, then, for
+    each nonzero slow-flow entry in packed order, of the offset in that J
+    entry or of a_hat in that R or K entry, weighted by the entry and
+    summed from 0.0.  The perturbed arguments are list displays.
+    """
+    if analytic:
+        def contract(grad, entries):
+            return f"({_dot((grad(i), x) for i, x in enumerate(entries))})"
+        sum_j, sum_r, sum_k, sum_b = (
+            contract(lambda i: f"ga_j[{i}]", djs),
+            contract(lambda i: f"ga_r[{i // d}][{i % d}]", drs),
+            contract(lambda i: f"ga_k[{i}]", dks),
+            contract(lambda i: f"gb_j[{i}]", djs))
+        return ["ga_j, ga_r, ga_k, ga_rad = a_grad(j, rows, kvec, radius)",
+                "gb_j, gb_rad = b_grad(j, radius)",
+                "dal_dr = float(ga_rad + eps * gb_rad)",
+                f"dal_dtau = float({sum_j} + {sum_r} + {sum_k}",
+                f"                 + eps * {sum_b})"]
+
+    js, rs, ks, _, _ = _state_parts(d, state)
+
+    def offset(jarg, rarg):
+        return (f"float(a_hat({jarg}, rows, kvec, {rarg})"
+                f" + eps * b_hat({jarg}, {rarg}))")
+
+    def central(x, shifted, value, step=None):
+        """The central difference of ``value(arg)`` in the float ``x``,
+        where ``shifted(x')`` is the argument with x' in place of x: bound
+        to ``dal_dr``, or, for a nonzero ``step``, weighted by it and added
+        to ``dal_dtau``."""
+        lines = [f"ax = abs({x})",
+                 # max(1.0, ax), NaN included: max keeps 1.0 unless ax > 1.0
+                 f"fd = {_FD_STEP!r} * (ax if ax > 1.0 else 1.0)",
+                 f"up = {shifted(x + ' + fd')}",
+                 f"down = {shifted(x + ' - fd')}"]
+        quotient = f"({value('up')} - {value('down')}) / (2 * fd)"
+        if step is None:
+            return lines + [f"dal_dr = {quotient}"]
+        return [f"if {step} != 0.0:", *("    " + line for line in lines),
+                f"    dal_dtau += {step} * {quotient}"]
+
+    def swap(names, i, arg):
+        return [arg if c == i else name for c, name in enumerate(names)]
+
+    flat_rs = [x for row in rs for x in row]
+
+    def rows_swap(i, arg):
+        flat = swap(flat_rs, i, arg)
+        return _rows_of(flat[a * d:(a + 1) * d] for a in range(d))
+
+    lines = central("radius", lambda arg: arg, lambda arg: offset("j", arg))
+    lines.append("dal_dtau = 0.0")
+    for i, (x, step) in enumerate(zip(js, djs)):
+        lines += central(x, lambda arg: _seq(swap(js, i, arg)),
+                         lambda arg: offset(arg, "radius"), step)
+    for i, (x, step) in enumerate(zip(flat_rs, drs)):
+        lines += central(x, lambda arg: rows_swap(i, arg),
+                         lambda arg: f"a_hat(j, {arg}, kvec, radius)", step)
+    for i, (x, step) in enumerate(zip(ks, dks)):
+        lines += central(x, lambda arg: _seq(swap(ks, i, arg)),
+                         lambda arg: f"a_hat(j, rows, {arg}, radius)", step)
+    return lines + ["dal_dtau = float(dal_dtau)"]
+
+
+def _slow_evaluation(d, analytic, state=None, record="y"):
+    """Lines of one evaluation of the slow right-hand side for d actions,
+    and the expressions of its values in packed order: the blocks of
+    :func:`_slow_rhs_lines`, :func:`_norm_lines` and
+    :func:`_partials_lines` and the bound equation.
+
+    ``state`` names the state's floats, as in :func:`_slow_rhs_lines`.
+    After the partials the evaluation records the state list named
+    ``record`` and its d(offset)/dr in ``latest``; with ``record`` None it
+    records nothing.
+    """
+    split, products, entries = _slow_rhs_lines(d, state)
+    names = _state_names(d) if state is None else state
+    _, rs, _, m, n = _state_parts(d, names)
+    size = len(names)
+    djs = [f"dj{a}" for a in range(d)]
+    lines = split + [
         "amat = dfbar(j).tolist()",
         "dj = fbar(j)",
+        # An fbar of another length would make the packed derivative as
+        # much shorter or longer: the message is the integrator's for that.
+        f"if len(dj) != {d}:",
+        f"    raise ValueError(f'rhs must return shape ({size},), "
+        f"got ({{len(dj) + {size - d}}},)')",
+        f"{_seq(djs)} = dj",
         "pb = pbar(j).tolist()",
-    ] + products + [
-        "norm_r, norm_rinv = norms(rows)",
-        "radius = eps * n",
-        "gam = growth(bounds, j, radius, n)",
+    ] + products + _norm_lines(rs) + [
+        f"radius = eps * {n}",
+        f"gam = float(c_hat(j, radius) + d_hat(j, radius) * {n}",
+        f"            + 0.5 * e_hat(j, radius) * {n} * {n})",
         "dm = norm_rinv * gam",
-        "dal_dr, dal_dtau = partials(bounds, j, rows, k, radius, eps, dj, drows, dk)",
-        "latest[0] = y",
-        "latest[1] = dal_dr",
+    ] + _partials_lines(d, analytic, names, djs, entries[:d * d], entries[d * d:])
+    if record is not None:
+        lines += [f"latest[0] = {record}", "latest[1] = dal_dr"]
+    lines += [
         "denom = 1.0 - eps * dal_dr",
         "num = (dal_dtau + eps * norm_r * norm_rinv * gam",
-        "       + eps * r_dot_dr / norm_r * m)",
+        f"       + eps * r_dot_dr / norm_r * {m})",
         # denom is +0.0 when eps * d(offset)/dr is exactly 1, and num * inf
         # is then what numpy's num / 0.0 gives (+-inf, or NaN for a zero or
         # NaN num), without Python's ZeroDivisionError.
         "dn = num / denom if denom else num * inf",
-        f"return [*dj, {', '.join(entries)}, dm, dn]",
     ]
-    return "\n".join(["def make(eps, fbar, dfbar, pbar, partials, bounds, latest):",
-                      "    def rhs(tau, y):"]
-                     + ["        " + line for line in body]
-                     + ["    return rhs", ""])
+    return lines, [*djs, *entries, "dm", "dn"]
+
+
+def _slow_rhs_source(d: int, analytic: bool) -> str:
+    """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
+    e_hat, a_grad, b_grad, latest, rtol, atol)``, which returns the slow
+    right-hand side for d actions as straight-line code, with its offset
+    partials by gradients (``analytic``) or by central differences, and a
+    step kernel: ``rhs, (step, stage_calls)``, as :func:`ode._integrate`
+    takes them, or ``rhs, None``.
+
+    The right-hand side is one evaluation of :func:`_slow_evaluation`; it
+    records the state it was handed and its d(offset)/dr in ``latest``.
+    For a state that the float step sums (d = 1) the step is the generated
+    float step of :mod:`~averbound.ode` with that evaluation written into
+    each stage: the same operations on the same floats as a stage that
+    calls ``rhs``, so it takes the same steps bit for bit.  Its last stage
+    alone records in ``latest``: the new state is the only stage state the
+    stop predicate is handed.  A larger state is left to ``ode``'s kernels.
+    """
+    lines, values = _slow_evaluation(d, analytic)
+    size = len(values)
+    source = ["def make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat, e_hat,",
+              "         a_grad, b_grad, latest, rtol, atol):",
+              "    def rhs(tau, y):",
+              *("        " + line for line in lines),
+              f"        return {_seq(values)}"]
+    if size > ode._FLOAT_KERNEL_MAX_DIM:
+        return "\n".join(source + ["    return rhs, None", ""])
+
+    def stage(s, node, last):
+        zs = [f"z{i}" for i in range(size)]
+        ks = [f"k{s}_{i}" for i in range(size)]
+        body, values = _slow_evaluation(d, analytic, zs, "ys" if last else None)
+        body += [f"{k} = {value}" for k, value in zip(ks, values)]
+        if last:
+            body = [f"ys = {_seq(zs)}", *body, f"k = {_seq(ks)}"]
+        return body
+
+    step = ode._float_step_source(ode._STAGES, ode._E, size, stage)
+    return "\n".join(source + ["    calls = 0", textwrap.indent(step, "    "),
+                               "    return rhs, (step, lambda: calls)", ""])
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_slow_rhs(d: int):
-    return _compile_factory(_slow_rhs_source(d), f"<slow rhs, d = {d}>",
-                            norms=_inverse_norms, growth=growth_value)
+def _compile_slow_rhs(d: int, analytic: bool):
+    form = "gradients" if analytic else "differences"
+    return _compile_factory(_slow_rhs_source(d, analytic),
+                            f"<slow rhs, d = {d}, {form}>", norms=_inverse_norms,
+                            sqrt=math.sqrt, SingularMatrixError=SingularMatrixError)
+
+
+def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
+                    rtol: float, atol: float):
+    """The slow right-hand side on lists of Python floats, with ``latest``
+    set, and its fused step kernel or None: the two that
+    :func:`_compile_slow_rhs` generates for ``spec.d`` and the bundle's
+    form, the kernel stepping at ``rtol`` and ``atol``."""
+    make = _compile_slow_rhs(spec.d, bounds.a_grad is not None)
+    latest = [None, None]
+    rhs, kernel = make(spec.epsilon, aux.fbar, aux.dfbar, aux.pbar,
+                       bounds.a_hat, bounds.b_hat, bounds.c_hat, bounds.d_hat,
+                       bounds.e_hat, bounds.a_grad, bounds.b_grad, latest,
+                       rtol, atol)
+    rhs.latest = latest
+    return rhs, kernel
 
 
 def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
@@ -474,26 +591,25 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
     step ``_FD_STEP`` times the argument scale.  J, K and the rows of R
     reach the bundles as lists.
 
-    The code is generated once per d (:func:`_slow_rhs_source`): the state
-    is split at offsets fixed there, and the products dfbar R, dfbar K +
-    pbar and R . dR are written out, each entry summed on floats from 0.0,
-    left to right.  That is numpy's result bit for bit wherever each sum
-    has at most one nonzero term, as with a diagonal dfbar, and at d = 1.
-    For a full dfbar at d >= 2, numpy's ``@`` runs through BLAS, whose
-    fused multiply-adds can round the last bit differently.
+    The code is generated once per d and per form of the partials
+    (:func:`_slow_rhs_source`), with every operation of an evaluation
+    written out: the state is split at offsets fixed there; the products
+    dfbar R, dfbar K + pbar and R . dR are each summed on floats from 0.0,
+    left to right; the growth kernel, the norms of R and R^-1 (up to
+    d = 2) and the partials are inline too.  That is numpy's result bit for
+    bit wherever each sum has at most one nonzero term, as with a diagonal
+    dfbar, and at d = 1.  For a full dfbar at d >= 2, numpy's ``@`` runs
+    through BLAS, whose fused multiply-adds can round the last bit
+    differently.  At d = 1 the slow solve steps on the same evaluation
+    written into the stages of the Dormand-Prince step
+    (:func:`_slow_functions`).
 
     The returned callable's ``latest`` is [state, d(offset)/dr] of its
     latest evaluation, which the stop predicate reads when it is handed
     the same list.
     """
-    make = _compile_slow_rhs(spec.d)
-    partials = (_analytic_partials if bounds.a_grad is not None
-                else _difference_partials)
-    latest = [None, None]
-    rhs = make(spec.epsilon, aux.fbar, aux.dfbar, aux.pbar, partials, bounds,
-               latest)
-    rhs.latest = latest
-    return rhs
+    return _slow_functions(spec, aux, bounds, ode.DEFAULT_RTOL,
+                           ode.DEFAULT_ATOL)[0]
 
 
 def _frozen(view: np.ndarray) -> np.ndarray:
@@ -625,10 +741,10 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
 
     d = spec.d
     y0 = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, ell0)
-    rhs = assemble_slow_rhs(spec, aux, bounds)
+    rhs, kernel = _slow_functions(spec, aux, bounds, rtol, atol)
     problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u)
-    traj = ode.integrate(problem, rtol=rtol, atol=atol,
-                         stop=_make_stop_predicate(spec, bounds, rhs))
+    traj = ode._integrate(problem, rtol, atol,
+                          _make_stop_predicate(spec, bounds, rhs), None, kernel)
 
     if traj.status is ode.Status.COMPLETED:
         status, kind = EstimatorStatus.COMPLETED, None

@@ -20,7 +20,8 @@ slow state of two actions by numpy.
 What each stage of the float step does with its state is a hook of its
 generator, :func:`_float_step_source`.  The default hook calls the
 right-hand side; a caller may write its right-hand side into the stages
-instead and hand the step to :func:`_integrate`, as the direct run does.
+instead and hand the step to :func:`_integrate`, as the direct run and the
+slow solve at d = 1 do.
 Each step counts its own stage evaluations, which ``StepStats.rhs_evals``
 reports with the initial slope and the probe of the first step size.
 
@@ -80,7 +81,8 @@ _STOP_REL = 1e-10             # relative localization width for stop times
 _STOP_BISECTIONS = 40
 # Times per block in Trajectory.sample_many: bounds its (block, dim)
 # temporaries whatever the batch size, e.g. every node of a fast-time run.
-_SAMPLE_BLOCK = 256
+# The estimator's report grid (REPORT_GRID_POINTS, 2048 times) is one block.
+_SAMPLE_BLOCK = 2048
 
 _RHS_ERRORS = (ArithmeticError, ValueError)
 

@@ -560,6 +560,68 @@ def analytic_partials_reference(bounds, j, rmat, k, r, eps, dj, drmat, dk):
     return dal_dr, float(total + eps * np.sum(bounds.b_grad(j, r)[0] * dj))
 
 
+def alpha_tau_derivative_reference(bounds, j, rows, k, r, eps, dj, drows, dk):
+    """``estimator._alpha_tau_derivative`` as it was before the slow
+    right-hand side wrote its central differences out: d(offset)/dtau by
+    central differences on lists of floats (R and dR/dtau as rows), the
+    perturbed points list copies, zero slow-flow entries skipped."""
+    fd = estimator._FD_STEP
+    total = 0.0
+    for i, step in enumerate(dj):
+        if step == 0.0:
+            continue
+        h = fd * max(1.0, abs(j[i]))
+        jp = list(j); jp[i] += h
+        jm = list(j); jm[i] -= h
+        total += step * (offset_value(bounds, jp, rows, k, r, eps)
+                         - offset_value(bounds, jm, rows, k, r, eps)) / (2 * h)
+    for a, drow in enumerate(drows):
+        for b, step in enumerate(drow):
+            if step == 0.0:
+                continue
+            h = fd * max(1.0, abs(rows[a][b]))
+            rp = [list(row) for row in rows]; rp[a][b] += h
+            rm = [list(row) for row in rows]; rm[a][b] -= h
+            total += step * (bounds.a_hat(j, rp, k, r)
+                             - bounds.a_hat(j, rm, k, r)) / (2 * h)
+    for i, step in enumerate(dk):
+        if step == 0.0:
+            continue
+        h = fd * max(1.0, abs(k[i]))
+        kp = list(k); kp[i] += h
+        km = list(k); km[i] -= h
+        total += step * (bounds.a_hat(j, rows, kp, r)
+                         - bounds.a_hat(j, rows, km, r)) / (2 * h)
+    return float(total)
+
+
+def difference_partials_reference(bounds, j, rows, k, r, eps, dj, drows, dk):
+    """``estimator._difference_partials`` as it was: (d(offset)/dr,
+    d(offset)/dtau) by central differences, d(offset)/dr first."""
+    return (estimator._dalpha_dr(bounds, j, rows, k, r, eps),
+            alpha_tau_derivative_reference(bounds, j, rows, k, r, eps, dj,
+                                           drows, dk))
+
+
+def analytic_partials_loop_reference(bounds, j, rows, k, r, eps, dj, drows, dk):
+    """``estimator._analytic_partials`` as it was before the slow
+    right-hand side wrote its sums out: one ``a_grad`` and one ``b_grad``
+    call, each sum on Python floats from 0.0, left to right, R in row
+    order.  It contracted dR with ``zip``, so it cut a short row of dA/dR
+    to fit without an error."""
+    ga_j, ga_r, ga_k, ga_rad = bounds.a_grad(j, rows, k, r)
+    gb_j, gb_rad = bounds.b_grad(j, r)
+    dal_dr = float(ga_rad + eps * gb_rad)
+    sum_j = sum_r = sum_k = sum_b = 0.0
+    for a, step in enumerate(dj):
+        sum_j += ga_j[a] * step
+        sum_k += ga_k[a] * dk[a]
+        sum_b += gb_j[a] * step
+        for g, x in zip(ga_r[a], drows[a]):
+            sum_r += g * x
+    return dal_dr, float(sum_j + sum_r + sum_k + eps * sum_b)
+
+
 def without_gradients(bounds):
     """``bounds`` without ``a_grad`` and ``b_grad``: the estimator takes
     central differences."""

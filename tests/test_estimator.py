@@ -1,6 +1,7 @@
 """Slow-system assembly and estimator-run tests."""
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from averbound import estimator, ode
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, assemble_slow_rhs, pack_state,
                                  report_columns, unpack_state)
-from conftest import (analytic_partials_reference, cursor_reference,
-                      float_kernel_reference, hermite_reference,
-                      invert_reference, slow_products_reference,
-                      slow_rhs_reference, toy_linear_decay, without_gradients)
+from conftest import (analytic_partials_loop_reference,
+                      analytic_partials_reference, cursor_reference,
+                      difference_partials_reference, float_kernel_reference,
+                      hermite_reference, invert_reference,
+                      slow_products_reference, slow_rhs_reference,
+                      toy_linear_decay, without_gradients)
 
 
 def test_pack_unpack_roundtrip():
@@ -386,13 +389,15 @@ def _difference_gradients(bounds, h=1e-6):
 
 
 def _on_lists(make_rhs):
-    """A slow right-hand-side factory on ndarrays, such as
-    ``slow_rhs_reference``, adapted at its edge to the list states of the
-    slow solve."""
-    def make(spec, aux, bounds):
+    """A stand-in for ``estimator._slow_functions`` from a slow
+    right-hand-side factory on ndarrays, such as ``slow_rhs_reference``:
+    its right-hand side adapted at its edge to the list states of the slow
+    solve, and no fused kernel, so that ``ode`` steps that right-hand side
+    itself."""
+    def functions(spec, aux, bounds, rtol, atol):
         ref = make_rhs(spec, aux, bounds)
-        return lambda tau, y: ref(tau, np.array(y)).tolist()
-    return make
+        return (lambda tau, y: ref(tau, np.array(y)).tolist()), None
+    return functions
 
 
 def _assert_same_run(new, ref, status):
@@ -418,7 +423,7 @@ def test_slow_rhs_matches_the_numpy_scalar_reference(monkeypatch, case):
     spec = example.make_system(i0, eps)
     bounds = without_gradients(example.bounds)
     new = ab.run_estimator(spec, example.aux, bounds, u)
-    monkeypatch.setattr(estimator, "assemble_slow_rhs",
+    monkeypatch.setattr(estimator, "_slow_functions",
                         _on_lists(slow_rhs_reference))
     ref = ab.run_estimator(spec, example.aux, bounds, u)
     _assert_same_run(new, ref, status)
@@ -443,7 +448,7 @@ def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case
     if bounds.a_grad is None:
         bounds = _difference_gradients(bounds)
     new = ab.run_estimator(spec, example.aux, bounds, u)
-    monkeypatch.setattr(estimator, "assemble_slow_rhs",
+    monkeypatch.setattr(estimator, "_slow_functions",
                         _on_lists(slow_rhs_reference))
     ref = ab.run_estimator(spec, example.aux, bounds, u)
     _assert_same_run(new, ref, status)
@@ -454,6 +459,17 @@ def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case
 def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
     # The slow state [J, R, K, m, n] has d^2 + 2d + 2 components: five at
     # one action step on the generated float step, ten at two on arrays.
+    # At one action the slow solve takes the float step with the
+    # right-hand side written into its stages from _slow_functions; the
+    # plain right-hand side alone is stepped by the kernel ode picks.
+    functions = estimator._slow_functions
+    fused = []
+
+    def plain(*args):
+        rhs, step = functions(*args)
+        fused.append(step is not None)
+        return rhs, None
+    monkeypatch.setattr(estimator, "_slow_functions", plain)
     used = []
 
     def spy(name):
@@ -471,28 +487,60 @@ def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
     assert est.status is EstimatorStatus.COMPLETED
     assert est.traj.states.shape[1] == slow
     assert {name for name, size in used if size == slow} == {kernel}
+    assert fused == [d == 1]
 
 
 @pytest.mark.parametrize("fig", ["1a", "3e"])
 def test_one_action_run_on_the_float_step_matches_the_loop_kernel(monkeypatch,
                                                                   fig):
     # A whole d = 1 estimator run, slow solve and stop predicate included,
-    # is bit for bit the run on the loop kernel the float step was
-    # generated from.
+    # is bit for bit the run of the loop kernel the float step was
+    # generated from, stepping the plain right-hand side.
     example, preset = ab.figure_preset(fig)
     spec = example.make_system(preset.i0, preset.eps)
     new = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
-    monkeypatch.setattr(ode, "_float_kernel", float_kernel_reference)
+    functions = estimator._slow_functions
+
+    def on_loop_kernel(spec, aux, bounds, rtol, atol):
+        rhs, fused = functions(spec, aux, bounds, rtol, atol)
+        assert fused is not None
+        return rhs, float_kernel_reference(rhs, 5, rtol, atol)
+    monkeypatch.setattr(estimator, "_slow_functions", on_loop_kernel)
     ref = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
     _assert_same_run(new, ref, "completed")
+
+
+def _generated_partials(d, analytic):
+    """The generated offset partials of the slow right-hand side for d
+    actions, by gradients or by central differences, as ``block(y, dj,
+    drows, dk, radius, eps, bounds) -> (dal_dr, dal_dtau)``, with y the
+    state as a list and dj, drows (rows) and dk the slow flow."""
+    ix = range(d)
+    djs = [f"dj{a}" for a in ix]
+    drs = [f"d{a}_{b}" for a in ix for b in ix]
+    dks = [f"dk{a}" for a in ix]
+    lines = estimator._slow_rhs_lines(d)[0] + [
+        f"[{', '.join(djs)}] = dj",
+        f"[{', '.join(drs)}] = [x for row in drows for x in row]",
+        f"[{', '.join(dks)}] = dk",
+        "a_hat, b_hat = bounds.a_hat, bounds.b_hat",
+        "a_grad, b_grad = bounds.a_grad, bounds.b_grad",
+    ] + estimator._partials_lines(d, analytic, estimator._state_names(d),
+                                  djs, drs, dks) + ["return dal_dr, dal_dtau"]
+    namespace = {}
+    exec("def block(y, dj, drows, dk, radius, eps, bounds):\n"
+         + "\n".join("    " + line for line in lines), namespace)
+    return namespace["block"]
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_analytic_partials_equal_the_np_sum_reference(d):
     # Random gradients and slow-flow derivatives of every scale, with the
     # gradient parts as ndarrays or as (nested) tuples of floats.  The
-    # estimator hands its helper lists, the reference ndarrays.
+    # estimator's generated block and the loop it replaced get lists, the
+    # reference ndarrays.
     rng = np.random.default_rng(20 + d)
+    block = _generated_partials(d, analytic=True)
     j, k = np.full(d, 2.0), np.zeros(d)
     rmat = np.eye(d)
     base = toy_linear_decay(d=d)[2]
@@ -508,20 +556,25 @@ def test_analytic_partials_equal_the_np_sum_reference(d):
             base, a_grad=lambda *args: (ga_j, ga_r, ga_k, ga_rad),
             b_grad=lambda *args: (gb_j, gb_rad))
         dj, drmat, dk = draw(d), draw(d, d), draw(d)
-        got = estimator._analytic_partials(bounds, j.tolist(), rmat.tolist(),
-                                           k.tolist(), 0.1, 1e-2, dj.tolist(),
-                                           drmat.tolist(), dk.tolist())
+        y = pack_state(j, rmat, k, 0.0, 10.0).tolist()
+        got = block(y, dj.tolist(), drmat.tolist(), dk.tolist(), 0.1, 1e-2,
+                    bounds)
+        loop = analytic_partials_loop_reference(
+            bounds, j.tolist(), rmat.tolist(), k.tolist(), 0.1, 1e-2,
+            dj.tolist(), drmat.tolist(), dk.tolist())
         want = analytic_partials_reference(bounds, j, rmat, k, 0.1, 1e-2,
                                            dj, drmat, dk)
         assert all(type(x) is float for x in got)
         assert got == want
+        assert loop == want
 
 
 @pytest.mark.parametrize("name", ["vdp", "af_plus", "af_minus", "resonant"])
 def test_slow_rhs_calls_each_gradient_once(request, name):
     # One a_grad and one b_grad call per evaluation, and with c_hat, d_hat
     # and e_hat for the growth kernel that makes five majorant calls: no
-    # a_hat, b_hat or rho_hat.
+    # a_hat, b_hat or rho_hat.  The same holds for each stage of the step
+    # with the right-hand side written into its stages.
     example = request.getfixturevalue(name)
     calls = {}
 
@@ -541,6 +594,15 @@ def test_slow_rhs_calls_each_gradient_once(request, name):
         rhs(0.0, y.tolist())
     assert calls == {"a_grad": 3, "b_grad": 3, "c_hat": 3, "d_hat": 3,
                      "e_hat": 3}
+    rhs, (step, stage_calls) = estimator._slow_functions(
+        spec, example.aux, bounds, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+    y = y.tolist()
+    f = rhs(0.0, y)
+    calls.clear()
+    step(0.0, y, f, 1e-3)
+    assert stage_calls() == 6
+    assert calls == {"a_grad": 6, "b_grad": 6, "c_hat": 6, "d_hat": 6,
+                     "e_hat": 6}
 
 
 def test_slow_rhs_is_infinite_where_the_bound_equation_is_singular():
@@ -644,7 +706,7 @@ def test_slow_solve_hands_the_bundles_lists(monkeypatch, request, name, i0, u,
     aux = dataclasses.replace(example.aux, **{
         field: spy(field, getattr(example.aux, field))
         for field in ("fbar", "dfbar", "pbar")})
-    integrate = ode.integrate
+    integrate = ode._integrate
 
     def solve(*args, **kwargs):
         in_solve[0] = True
@@ -653,7 +715,7 @@ def test_slow_solve_hands_the_bundles_lists(monkeypatch, request, name, i0, u,
         finally:
             in_solve[0] = False
 
-    monkeypatch.setattr(ode, "integrate", solve)
+    monkeypatch.setattr(ode, "_integrate", solve)
     spec = example.make_system(i0, 1e-2)
     est = ab.run_estimator(spec, aux, bounds, u)
     assert est.status.value == status
@@ -699,8 +761,11 @@ def test_slow_rhs_products_match_numpy_to_one_ulp_for_a_full_dfbar():
 def _generated_products(d):
     """The generated split and product blocks of the slow right-hand side
     for d actions, as ``block(y, amat, pb) -> (drows, dk, r_dot_dr)``."""
-    split, products, _ = estimator._slow_rhs_lines(d)
-    lines = split + products + ["return drows, dk, r_dot_dr"]
+    split, products, entries = estimator._slow_rhs_lines(d)
+    drs, dks = entries[:d * d], entries[d * d:]
+    drows = [f"[{', '.join(drs[a * d:(a + 1) * d])}]" for a in range(d)]
+    lines = split + products + [
+        f"return [{', '.join(drows)}], [{', '.join(dks)}], r_dot_dr"]
     namespace = {}
     exec("def block(y, amat, pb):\n" + "\n".join("    " + line for line in lines),
          namespace)
@@ -908,9 +973,27 @@ def test_three_action_gradients_of_constant_majorants_change_nothing():
     _assert_same_run(new, ref, "completed")
 
 
+def _generated_norms(d):
+    """The generated norms block of the slow right-hand side for d actions
+    (written out at d <= 2, a call of ``_inverse_norms`` after), as
+    ``norms(rows) -> (|R|, |R^-1|)`` for R as a list of rows."""
+    split = estimator._slow_rhs_lines(d)[0]
+    rs = [[f"r{a}_{b}" for b in range(d)] for a in range(d)]
+    lines = (split + estimator._norm_lines(rs)
+             + ["return norm_r, norm_rinv"])
+    namespace = {"norms": estimator._inverse_norms, "sqrt": math.sqrt,
+                 "SingularMatrixError": SingularMatrixError}
+    exec("def block(y):\n" + "\n".join("    " + line for line in lines),
+         namespace)
+    block = namespace["block"]
+    return lambda rows: block([0.0] * d + [x for row in rows for x in row]
+                              + [0.0] * (d + 2))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_inverse_norms_match_the_reference(d):
     rng = np.random.default_rng(100 + d)
+    norms = _generated_norms(d)
     for _ in range(3000):
         rmat = (rng.standard_normal((d, d))
                 * 10.0 ** rng.uniform(-3.0, 3.0, (d, d)))
@@ -918,9 +1001,9 @@ def test_inverse_norms_match_the_reference(d):
             expected = invert_reference(rmat)[1:]
         except SingularMatrixError as exc:
             with pytest.raises(SingularMatrixError, match=str(exc)):
-                estimator._inverse_norms(rmat.tolist())
+                norms(rmat.tolist())
             continue
-        got = estimator._inverse_norms(rmat.tolist())
+        got = norms(rmat.tolist())
         assert all(type(x) is float for x in got)
         assert got == expected
 
@@ -936,4 +1019,145 @@ def test_inverse_norms_raise_for_singular_and_ill_conditioned(rmat, message):
     with pytest.raises(SingularMatrixError, match=message):
         invert_reference(rmat)
     with pytest.raises(SingularMatrixError, match=message):
-        estimator._inverse_norms(rmat.tolist())
+        _generated_norms(len(rmat))(rmat.tolist())
+
+
+def _logging_bounds(d, log):
+    """Smooth majorants of every argument that append each call, its
+    arguments written with ``repr`` (so -0.0 shows), to ``log``."""
+    def a_hat(j, rows, k, r):
+        log.append(("a_hat", repr((j, rows, k, r))))
+        return (math.sin(sum(j)) * r + math.cos(sum(x * x for row in rows
+                                                     for x in row))
+                + math.exp(-sum(k) * r))
+
+    def b_hat(j, r):
+        log.append(("b_hat", repr((j, r))))
+        return math.cos(j[0] * r) + sum(j) ** 3
+    return dataclasses.replace(toy_linear_decay(d=d)[2], a_hat=a_hat,
+                               b_hat=b_hat, a_grad=None, b_grad=None)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_difference_block_makes_the_calls_of_the_loops(d):
+    # The written-out central differences call a_hat and b_hat with the
+    # same arguments, in the same order, as the loops they replaced, and
+    # give the same partials bit for bit.  A zero or -0.0 slow-flow entry
+    # is skipped; a -0.0 or a NaN in the state is perturbed as it was.
+    rng = np.random.default_rng(3100 + d)
+    block = _generated_partials(d, analytic=False)
+    size = d * d + 2 * d + 2
+    skipped = 0
+    for trial in range(300):
+        y = (rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 2, size)).tolist()
+        flow = (rng.standard_normal(size - 2)
+                * 10.0 ** rng.uniform(-2, 2, size - 2)).tolist()
+        for i in rng.choice(size - 2, 2, replace=False):
+            flow[i] = (0.0, -0.0)[trial % 2]
+        y[rng.integers(size - 2)] = -0.0
+        if trial % 3 == 0:     # max(1.0, |nan|) is 1.0
+            y[rng.integers(size - 2)] = math.nan
+        dj, flat_dr, dk = flow[:d], flow[d:d + d * d], flow[d + d * d:]
+        drows = [flat_dr[a * d:(a + 1) * d] for a in range(d)]
+        radius = abs(y[-1]) * 1e-2
+        got_log, want_log = [], []
+        got = block(y, dj, drows, dk, radius, 1e-2, _logging_bounds(d, got_log))
+        j, rmat, k, _, _ = unpack_state(np.array(y), d)
+        want = difference_partials_reference(
+            _logging_bounds(d, want_log), j.tolist(), rmat.tolist(),
+            k.tolist(), radius, 1e-2, dj, drows, dk)
+        assert all(type(x) is float for x in got)
+        assert _bits_of(got) == _bits_of(want), trial
+        assert got_log == want_log, trial
+        # two b_hat calls for r and two per nonzero J entry; two a_hat calls
+        # for r and two per nonzero entry
+        nonzero = sum(x != 0.0 for x in flow)
+        assert len(got_log) == 4 + 2 * nonzero + 2 * sum(x != 0.0 for x in dj)
+        skipped += nonzero == size - 4
+    assert skipped == 300
+
+
+def _bits_of(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+def _one_action_run(dfbar_fails=(), fused=True, monkeypatch=None):
+    """vdp at preset 1a's data to U = 2 on the step with the right-hand
+    side written into its stages, or, with ``fused`` False, on ode's float
+    step stepping the plain right-hand side.  dfbar returns a (1, 2) array
+    at the calls numbered in ``dfbar_fails``, which fails the unpacking of
+    a stage with ``ValueError``."""
+    example, preset = ab.figure_preset("1a")
+    calls = [0]
+
+    def dfbar(j):
+        calls[0] += 1
+        return np.ones((1, 2)) if calls[0] in dfbar_fails else example.aux.dfbar(j)
+    aux = dataclasses.replace(example.aux, dfbar=dfbar)
+    spec = example.make_system(preset.i0, preset.eps)
+    if not fused:
+        functions = estimator._slow_functions
+        monkeypatch.setattr(estimator, "_slow_functions",
+                            lambda *args: (functions(*args)[0], None))
+    est = ab.run_estimator(spec, aux, example.bounds, 2.0)
+    if not fused:
+        monkeypatch.undo()
+    return est, calls[0]
+
+
+@pytest.mark.parametrize("dfbar_fails", [(), (40, 203)])
+def test_fused_slow_step_matches_the_plain_step(monkeypatch, dfbar_fails):
+    # At d = 1 the slow solve steps on the float step with the right-hand
+    # side written into its stages: bit for bit the float step calling the
+    # plain right-hand side, StepStats included.  dfbar calls 40 and 203
+    # fall mid-step (a start takes calls 1 and 2, each step attempt 6):
+    # each fails one stage with ValueError, and the step is retried at half
+    # size on either step.
+    new, new_calls = _one_action_run(dfbar_fails)
+    ref, ref_calls = _one_action_run(dfbar_fails, False, monkeypatch)
+    _assert_same_run(new, ref, "completed")
+    assert new_calls == ref_calls > 203
+    assert new.traj.stats.nan_retries == len(dfbar_fails)
+    if dfbar_fails:
+        assert new.traj.stats.rhs_error.startswith("ValueError: too many values")
+
+
+def test_fused_slow_step_propagates_a_singular_matrix_error():
+    # A stage state whose R is exactly zero raises SingularMatrixError,
+    # which is no retry: it leaves the step and the integrator, after the
+    # same stage count on the fused step and on the plain one.  Slope -5 in
+    # R over h = 1 takes R = 1 to 1 + 0.2 * -5 = 0 at the first stage.
+    example, preset = ab.figure_preset("1a")
+    spec = example.make_system(preset.i0, preset.eps)
+    rhs, fused = estimator._slow_functions(spec, example.aux, example.bounds,
+                                           ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+    y0 = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5)
+    f0 = rhs(0.0, y0.tolist())
+    f0[1] = -5.0
+    problem = ode.IvpProblem(lambda tau, y: f0 if y[1] == 1.0 else rhs(tau, y),
+                             0.0, y0, 2.0)
+    plain = ode._float_kernel(rhs, 5, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+    for step, stage_calls in (fused, plain):
+        with pytest.raises(SingularMatrixError, match="fundamental matrix is zero"):
+            ode._integrate(problem, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL, None,
+                           1.0, (step, stage_calls))
+        assert stage_calls() == 1
+
+
+@pytest.mark.parametrize("part", ["dJ", "dR"])
+def test_short_gradient_part_raises_index_error(part):
+    # Every entry of dA/dJ and dA/dR is read by index: a part one entry
+    # short per row is a bug in the bundle, which leaves the run as
+    # IndexError.  A short dR row was once cut to fit by zip.
+    example = ab.make_euler_top(1.0, 2.0, -1.0)
+    full = _difference_gradients(example.bounds)
+
+    def a_grad(j, rmat, k, r):
+        ga_j, ga_r, ga_k, ga_rad = full.a_grad(j, rmat, k, r)
+        if part == "dJ":
+            return ga_j[:1], ga_r, ga_k, ga_rad
+        return ga_j, ga_r[:, :1], ga_k, ga_rad
+    bounds = dataclasses.replace(full, a_grad=a_grad)
+    spec = example.make_system([4.0, 1.0], 1e-2)
+    with pytest.raises(IndexError):
+        ab.run_estimator(spec, example.aux, bounds, 1.0)
