@@ -11,9 +11,8 @@ from .model import (AuxiliaryBundle, BoundBundle, SystemSpec, frobenius,
                     growth_value, offset_value)
 from .ode import IvpProblem, Status, Trajectory, integrate
 from .estimator import (ContractionWindow, EstimatorStatus,
-                        EstimatorTrajectory, ViolationKind, assemble_slow_rhs,
-                        auto_window, find_fixed_point, run_averaged,
-                        run_estimator)
+                        EstimatorTrajectory, ViolationKind, auto_window,
+                        find_fixed_point, run_averaged, run_estimator)
 from .direct import DirectTrajectory, envelope, run_direct
 from .examples import (ExampleDefinition, FigurePreset, figure_ids,
                        figure_preset, make_action_freq, make_euler_top,
@@ -29,8 +28,8 @@ __all__ = [
     "frobenius", "growth_value", "offset_value",
     "IvpProblem", "Status", "Trajectory", "integrate",
     "ContractionWindow", "EstimatorStatus", "EstimatorTrajectory",
-    "ViolationKind", "analytic_crosscheck", "assemble_slow_rhs",
-    "auto_window", "find_fixed_point", "run_averaged", "run_estimator",
+    "ViolationKind", "analytic_crosscheck", "auto_window",
+    "find_fixed_point", "run_averaged", "run_estimator",
     "DirectTrajectory", "envelope", "run_direct",
     "ExampleDefinition", "FigurePreset", "figure_ids",
     "figure_preset", "make_action_freq", "make_euler_top", "make_example",

@@ -134,13 +134,12 @@ def _direct_rhs_source(d: int) -> str:
     :func:`ode._integrate` takes them.
 
     The step is the generated float step of :mod:`~averbound.ode` with the
-    right-hand side written into each stage (:func:`ode._float_step_source`
-    with a stage hook): the same operations on the same floats as a stage
-    that calls ``rhs``, so it takes the same steps bit for bit.  All three
-    read J(eps*t) inline, as ``j0, j1, ...``, from the interval of the
-    averaged cubic they share in closure cells: its ends ``t_lo``,
-    ``t_hi``, its length ``width`` and its coefficient rows ``c0``..``c3``.
-    A query outside [t_lo, t_hi] takes the interval ``interval`` (the
+    right-hand side written into each stage (:func:`ode._inline_stage`):
+    the same operations on the same floats as a stage that calls ``rhs``,
+    so it takes the same steps bit for bit.  All three read J(eps*t)
+    inline, as ``j0, j1, ...``, from the interval of the averaged cubic
+    they share in closure cells: its ends ``t_lo``, ``t_hi``, its length
+    ``width`` and its coefficient rows ``c0``..``c3``.  A query outside [t_lo, t_hi] takes the interval ``interval`` (the
     sampler's :meth:`~averbound.ode.CubicSampler.interval`) returns, which
     moves the sampler's cursor as its ``into`` would; inside, the cursor
     would not move.  So each j<k> is ``into``'s value bit for bit, node
@@ -187,15 +186,8 @@ def _direct_rhs_source(d: int) -> str:
     stop = [f"nonlocal {', '.join(cells)}", *read_j("t", ys),
             "return not in_domain(actions)"]
 
-    def stage(s, node, last):
-        zs = [f"z{i}" for i in range(d + 1)]
-        lines, values = slope(f"(t + {node!r} * h)", zs)
-        ks = [f"k{s}_{i}" for i in range(d + 1)]
-        lines += [f"{k} = {value}" for k, value in zip(ks, values)]
-        if last:
-            lines += [f"ys = {ode._seq(zs)}", f"k = {ode._seq(ks)}"]
-        return lines
-
+    stage = ode._inline_stage(d + 1,
+                              lambda time, state, last: slope(time, state))
     step = ode._float_step_source(ode._STAGES, ode._E, d + 1, stage,
                                   (*cells, "fb", "tau_fb"))
     return "\n".join(
@@ -229,13 +221,6 @@ def _direct_functions(spec: SystemSpec, aux: AuxiliaryBundle,
     return make(spec.epsilon, spec.f, spec.g, spec.omega, aux.fbar,
                 spec.in_domain, ode.CubicSampler(avg_traj).interval,
                 avg_traj.t_final, rtol, atol)
-
-
-def _direct_rhs(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory):
-    """The right-hand side and stop predicate of :func:`_direct_functions`
-    alone; only the step reads the tolerances."""
-    return _direct_functions(spec, aux, avg_traj, ode.DEFAULT_RTOL,
-                             ode.DEFAULT_ATOL)[:2]
 
 
 def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Trajectory:

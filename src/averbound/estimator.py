@@ -21,7 +21,8 @@ The slow right-hand side is straight-line code, generated once per d and
 per form of the offset partials (by the bundle's gradients or by central
 differences) with every operation of an evaluation written out; at d = 1
 the same evaluation is written into each stage of the Dormand-Prince step
-the slow solve takes (:func:`assemble_slow_rhs`, :func:`_slow_functions`).
+the slow solve takes.  :func:`_slow_functions` hands the slow solve its
+right-hand side, step kernel and stop predicate.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import textwrap
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "EstimatorTrajectory",
     "auto_window",
     "find_fixed_point",
-    "assemble_slow_rhs",
     "run_estimator",
     "run_averaged",
 ]
@@ -513,18 +513,18 @@ def _slow_rhs_source(d: int, analytic: bool) -> str:
     """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
     e_hat, a_grad, b_grad, latest, rtol, atol)``, which returns the slow
     right-hand side for d actions as straight-line code, with its offset
-    partials by gradients (``analytic``) or by central differences, and a
-    step kernel: ``rhs, (step, stage_calls)``, as :func:`ode._integrate`
-    takes them, or ``rhs, None``.
+    partials by gradients (``analytic``) or by central differences, and at
+    d = 1 a step kernel: ``rhs, (step, stage_calls)``, as
+    :func:`ode._integrate` takes them, or ``rhs, None`` from d = 2 on.
 
     The right-hand side is one evaluation of :func:`_slow_evaluation`; it
     records the state it was handed and its d(offset)/dr in ``latest``.
-    For a state that the float step sums (d = 1) the step is the generated
-    float step of :mod:`~averbound.ode` with that evaluation written into
-    each stage: the same operations on the same floats as a stage that
-    calls ``rhs``, so it takes the same steps bit for bit.  Its last stage
-    alone records in ``latest``: the new state is the only stage state the
-    stop predicate is handed.  A larger state is left to ``ode``'s kernels.
+    At d = 1 the step is the generated float step of :mod:`~averbound.ode`
+    with that evaluation written into each stage
+    (:func:`ode._inline_stage`): the same operations on the same floats as
+    a stage that calls ``rhs``, so it takes the same steps bit for bit.
+    Its last stage alone records in ``latest``: the new state is the only
+    stage state the stop predicate is handed.
     """
     lines, values = _slow_evaluation(d, analytic)
     size = len(values)
@@ -533,18 +533,11 @@ def _slow_rhs_source(d: int, analytic: bool) -> str:
               "    def rhs(tau, y):",
               *("        " + line for line in lines),
               f"        return {_seq(values)}"]
-    if size > ode._FLOAT_KERNEL_MAX_DIM:
+    if d > 1:
         return "\n".join(source + ["    return rhs, None", ""])
 
-    def stage(s, node, last):
-        zs = [f"z{i}" for i in range(size)]
-        ks = [f"k{s}_{i}" for i in range(size)]
-        body, values = _slow_evaluation(d, analytic, zs, "ys" if last else None)
-        body += [f"{k} = {value}" for k, value in zip(ks, values)]
-        if last:
-            body = [f"ys = {_seq(zs)}", *body, f"k = {_seq(ks)}"]
-        return body
-
+    stage = ode._inline_stage(size, lambda time, state, last: _slow_evaluation(
+        d, analytic, state, "ys" if last else None))
     step = ode._float_step_source(ode._STAGES, ode._E, size, stage)
     return "\n".join(source + ["    calls = 0", textwrap.indent(step, "    "),
                                "    return rhs, (step, lambda: calls)", ""])
@@ -560,27 +553,13 @@ def _compile_slow_rhs(d: int, analytic: bool):
 
 def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
                     rtol: float, atol: float):
-    """The slow right-hand side on lists of Python floats, with ``latest``
-    set, and its fused step kernel or None: the two that
-    :func:`_compile_slow_rhs` generates for ``spec.d`` and the bundle's
-    form, the kernel stepping at ``rtol`` and ``atol``."""
-    make = _compile_slow_rhs(spec.d, bounds.a_grad is not None)
-    latest = [None, None]
-    rhs, kernel = make(spec.epsilon, aux.fbar, aux.dfbar, aux.pbar,
-                       bounds.a_hat, bounds.b_hat, bounds.c_hat, bounds.d_hat,
-                       bounds.e_hat, bounds.a_grad, bounds.b_grad, latest,
-                       rtol, atol)
-    rhs.latest = latest
-    return rhs, kernel
+    """The right-hand side, step kernel and stop predicate of the slow
+    solve, ``(rhs, kernel, stop)``, as :func:`ode._integrate` takes them.
 
-
-def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
-                      bounds: BoundBundle) -> Callable:
-    """Right side of the packed slow system [J, R, K, m, n], on lists of
-    Python floats: it takes the state as a list and returns a new one.
-
-    Implements dJ = fbar(J), dR = dfbar(J) R, dK = dfbar(J) K + pbar(J),
-    dm = |R^-1| * growth, and the bound equation
+    ``rhs`` is the right side of the packed slow system [J, R, K, m, n], on
+    lists of Python floats: it takes the state as a list and returns a new
+    one.  It implements dJ = fbar(J), dR = dfbar(J) R, dK = dfbar(J) K +
+    pbar(J), dm = |R^-1| * growth, and the bound equation
 
         dn = (d(offset)/dtau + eps |R||R^-1| growth + eps (R . dR)/|R| m)
              / (1 - eps * d(offset)/dr)
@@ -592,7 +571,7 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
     reach the bundles as lists.
 
     The code is generated once per d and per form of the partials
-    (:func:`_slow_rhs_source`), with every operation of an evaluation
+    (:func:`_compile_slow_rhs`), with every operation of an evaluation
     written out: the state is split at offsets fixed there; the products
     dfbar R, dfbar K + pbar and R . dR are each summed on floats from 0.0,
     left to right; the growth kernel, the norms of R and R^-1 (up to
@@ -600,16 +579,27 @@ def assemble_slow_rhs(spec: SystemSpec, aux: AuxiliaryBundle,
     bit wherever each sum has at most one nonzero term, as with a diagonal
     dfbar, and at d = 1.  For a full dfbar at d >= 2, numpy's ``@`` runs
     through BLAS, whose fused multiply-adds can round the last bit
-    differently.  At d = 1 the slow solve steps on the same evaluation
-    written into the stages of the Dormand-Prince step
-    (:func:`_slow_functions`).
+    differently.
 
-    The returned callable's ``latest`` is [state, d(offset)/dr] of its
-    latest evaluation, which the stop predicate reads when it is handed
-    the same list.
+    At d = 1 ``kernel`` is the float step with the same evaluation written
+    into each stage.  From d = 2 on it is ``ode._array_kernel`` on ``rhs``,
+    which sums the stages with numpy: the last bits of the d = 2 solve
+    decide the exit code of euler-top runs next to the pole of the bound
+    ODE (ROADMAP items 2 and 5).  Either steps at ``rtol`` and ``atol``.
+    ``stop`` reads ``latest``, the record [state, d(offset)/dr] of the
+    latest evaluation that ``rhs`` and the fused step write
+    (:func:`_make_stop_predicate`).
     """
-    return _slow_functions(spec, aux, bounds, ode.DEFAULT_RTOL,
-                           ode.DEFAULT_ATOL)[0]
+    d = spec.d
+    make = _compile_slow_rhs(d, bounds.a_grad is not None)
+    latest = [None, None]
+    rhs, kernel = make(spec.epsilon, aux.fbar, aux.dfbar, aux.pbar,
+                       bounds.a_hat, bounds.b_hat, bounds.c_hat, bounds.d_hat,
+                       bounds.e_hat, bounds.a_grad, bounds.b_grad, latest,
+                       rtol, atol)
+    if kernel is None:
+        kernel = ode._array_kernel(rhs, d * d + 2 * d + 2, rtol, atol)
+    return rhs, kernel, _make_stop_predicate(spec, bounds, latest)
 
 
 def _frozen(view: np.ndarray) -> np.ndarray:
@@ -663,24 +653,23 @@ class EstimatorTrajectory:
         return np.column_stack([taus, self.traj.sample_many(taus)])
 
 
-def _make_stop_predicate(spec, bounds, rhs=None):
+def _make_stop_predicate(spec, bounds, latest):
     """The stop predicate of the slow solve, on a state given as a list of
     floats: the first failed validity condition, as a
     :class:`ViolationKind`, or None.
 
-    d(offset)/dr is taken from ``rhs.latest`` (see
-    :func:`assemble_slow_rhs`) when the right-hand side's latest evaluation
-    was handed this very list, as :func:`ode.integrate` hands both one list
-    per state: at the initial state that is the initial call, and at an
-    accepted state the last (FSAL) stage of the step.  Elsewhere, as at the
-    bisection points of the stop localisation or for an equal copy of the
-    list, or when ``rhs`` records nothing, the predicate evaluates it
-    itself.
+    ``latest`` is the record [state, d(offset)/dr] that the slow
+    right-hand side writes at each evaluation.  d(offset)/dr is taken from
+    it when the latest evaluation was handed this very list, as
+    :func:`ode.integrate` hands both one list per state: at the initial
+    state that is the initial call, and at an accepted state the last
+    (FSAL) stage of the step.  Elsewhere, as at the bisection points of the
+    stop localisation, for an equal copy of the list or with a record that
+    holds nothing yet, the predicate evaluates it itself.
     """
     eps = spec.epsilon
     d = spec.d
     r0, k0 = _offsets(d)
-    latest = getattr(rhs, "latest", None)
 
     def violation(tau, y):
         n = y[-1]
@@ -689,7 +678,7 @@ def _make_stop_predicate(spec, bounds, rhs=None):
         j = y[:r0]
         if not n < bounds.rho_hat(j) / eps:
             return ViolationKind.N_EXCEEDS_RHO_OVER_EPS
-        if latest is not None and y is latest[0]:
+        if y is latest[0]:
             dal = latest[1]
         else:
             rows = [y[i:i + d] for i in range(r0, k0, d)]
@@ -741,10 +730,9 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
 
     d = spec.d
     y0 = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, ell0)
-    rhs, kernel = _slow_functions(spec, aux, bounds, rtol, atol)
+    rhs, kernel, stop = _slow_functions(spec, aux, bounds, rtol, atol)
     problem = ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=u)
-    traj = ode._integrate(problem, rtol, atol,
-                          _make_stop_predicate(spec, bounds, rhs), None, kernel)
+    traj = ode._integrate(problem, rtol, atol, stop, None, kernel)
 
     if traj.status is ode.Status.COMPLETED:
         status, kind = EstimatorStatus.COMPLETED, None

@@ -5,23 +5,21 @@ step-size control, and an optional stop predicate.  When the predicate
 becomes true at an accepted step, the crossing time is localized by
 bisection on the dense output and the trajectory is truncated there.
 
-One step is taken by a step kernel chosen by the state size.  Both step
-lists of Python floats: each state is one list, which the stage reaching it
-hands the right-hand side and the stop predicate then gets, the same
-object.  States of at most ``_FLOAT_KERNEL_MAX_DIM`` components are summed
-on floats by the float step, straight-line code that ``_seq``, ``_dot`` and
-``_compile_factory`` write and compile from the tableau on first use per
-state size, as they do every generated kernel; larger ones by
-``_array_kernel``, the only step code that builds numpy rows.  Both read the
-one tableau and serve the one step-size controller.  So the five-component
-slow state of one action (d = 1) is summed on floats, and the ten-component
-slow state of two actions by numpy.
+One step is taken by the float step, straight-line code on Python floats
+that ``_seq``, ``_dot`` and ``_compile_factory`` write and compile from the
+tableau on first use per state size, as they do every generated kernel.
+It is the one kernel :func:`integrate` takes, at every state size.  It
+steps lists of Python floats: each state is one list, which the stage
+reaching it hands the right-hand side and the stop predicate then gets,
+the same object.  ``_array_kernel`` sums the same step with numpy rows;
+only the slow solve of two or more actions asks for it, by name, to keep
+the last bits of its ten-component state (ROADMAP items 2 and 5).
 
 What each stage of the float step does with its state is a hook of its
 generator, :func:`_float_step_source`.  The default hook calls the
 right-hand side; a caller may write its right-hand side into the stages
-instead and hand the step to :func:`_integrate`, as the direct run and the
-slow solve at d = 1 do.
+instead (:func:`_inline_stage`) and hand the step to :func:`_integrate`,
+as the direct run and the slow solve at d = 1 do.
 Each step counts its own stage evaluations, which ``StepStats.rhs_evals``
 reports with the initial slope and the probe of the first step size.
 
@@ -58,17 +56,6 @@ _STAGES = (
 # Difference between the propagating and the embedded weights (k2 drops out).
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
       -1 / 40)
-# Largest state summed on Python floats.  For y' = -y one step of
-# integrate took, in us, on the generated float step / on the array kernel:
-# 6 / 23 at two components, 8 / 23 at four, 9 / 23 at five and 15 / 24 at
-# ten (best of 21 interleaved runs, 2-vCPU Xeon, Python 3.11, numpy 2.4).
-# Five takes the d = 1 slow state [J, R, K, m, n] onto the float step.  The
-# limit stops there although the float step stays ahead at ten: the d = 2
-# slow state (ten components) would then sum its stages in another order
-# than np.dot does, and its last bits decide the exit code of euler-top
-# runs on the knife edge of the bound ODE's pole (top-a at I0 = 3.055,2.886,
-# eps = 0.007384, U = 1.838 went from exit 1 to exit 2).
-_FLOAT_KERNEL_MAX_DIM = 5
 
 _SAFETY = 0.9
 _BETA = 0.04                  # integral gain of the PI controller
@@ -324,15 +311,14 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
 
 
 def _array_kernel(rhs, size, rtol, atol):
-    """One Dormand-Prince step for states of any size, summed by numpy.
+    """The step of :func:`_float_kernel` summed by numpy, with its stage
+    counter, as :func:`_float_kernel` returns them.
 
-    Returns ``(step, stage_calls)``.  ``step(t, y, f, h)`` returns ``(err,
-    y_new, f_new)``: the error norm of the step from (t, y) with slope f,
-    the state at t + h and the slope there.  ``err`` is NaN when the error
-    of any component is NaN or ``y_new`` is not finite.  All four are
-    lists, as on the float step, and ``y_new`` is the very list that the
-    last stage handed ``rhs``.  ``stage_calls()`` is the number of calls of
-    ``rhs`` the steps have made, a raising one included.
+    It is the kernel of the slow solve at d >= 2 alone, which asks for it
+    by name (``estimator._slow_functions``): its ten-component state at
+    d = 2 keeps numpy's sums, whose last bits decide the exit code of
+    euler-top runs next to the pole of the bound ODE.  It goes with ROADMAP
+    items 2 and 5.
     """
     kmat = np.empty((len(_STAGES) + 1, size))   # stage derivatives
     # Node, weights and kmat views per stage, made once per call: indexing
@@ -377,6 +363,29 @@ def _compile_factory(source, label, **names):
     return namespace["make"]
 
 
+def _inline_stage(size, evaluate):
+    """The stage hook of a step with its right-hand side written into each
+    stage, for states of ``size`` components.
+
+    ``evaluate(time, state, last)`` returns the lines of one evaluation at
+    the time expression ``time`` and the state floats named ``state``, and
+    the expressions of its ``size`` values; ``last`` is true at the last
+    stage.  The hook binds each value to ``k<s>_<i>``, and at the last stage
+    ``ys`` to the list of the stage state, before the evaluation, which may
+    record it, and ``k`` to the list of its slope, after it.
+    """
+    zs = [f"z{i}" for i in range(size)]
+
+    def stage(s, node, last):
+        ks = [f"k{s}_{i}" for i in range(size)]
+        lines, values = evaluate(f"(t + {node!r} * h)", zs, last)
+        lines = lines + [f"{k} = {value}" for k, value in zip(ks, values)]
+        if last:
+            lines = [f"ys = {_seq(zs)}", *lines, f"k = {_seq(ks)}"]
+        return lines
+    return stage
+
+
 def _rhs_stage(size):
     """The stage hook of a step on ``rhs`` for states of ``size``
     components: each stage hands ``rhs`` its state as the list ``ys`` and
@@ -393,11 +402,11 @@ def _rhs_stage(size):
 
 
 def _float_step_source(stages, error, size, stage=None, cells=()):
-    """Source of ``step(t, y, f, h)``, the step of :func:`_array_kernel`
-    summed on Python floats for states of ``size`` components as
-    straight-line code, for a tableau as ``_STAGES``, ``_E``.  It is to be
-    nested in a function that binds ``rtol``, ``atol``, the stage counter
-    ``calls`` and the names ``stage`` reads.
+    """Source of ``step(t, y, f, h)``, the step of :func:`_float_kernel`
+    for states of ``size`` components as straight-line code, for a tableau
+    as ``_STAGES``, ``_E``.  It is to be nested in a function that binds
+    ``rtol``, ``atol``, the stage counter ``calls`` and the names ``stage``
+    reads.
 
     Each stage forms its nonzero weights times h once, as ``w<j> = a * h``,
     and each component as ``y<i> + (0.0 + w<j> * k<j>_<i> + ...)``: the
@@ -407,7 +416,8 @@ def _float_step_source(stages, error, size, stage=None, cells=()):
     bind the slope ``k<s>_<i>`` of every component at t + node * h from the
     stage state ``z<i>``; after the last stage, ``ys`` and ``k`` must name
     the new state and its slope as lists.  The default hook,
-    :func:`_rhs_stage`, calls ``rhs``.  ``cells`` are the further names of
+    :func:`_rhs_stage`, calls ``rhs``; :func:`_inline_stage` writes an
+    evaluation into the stage instead.  ``cells`` are the further names of
     the enclosing function the hook's lines assign.  The error norm runs
     over the nonzero ``error`` weights the same way.
     """
@@ -458,14 +468,19 @@ def _compile_float_step(stages, error, size):
 
 
 def _float_kernel(rhs, size, rtol, atol):
-    """The step of :func:`_array_kernel` summed on Python floats, for
-    states of at most ``_FLOAT_KERNEL_MAX_DIM`` components, with its stage
-    counter, as :func:`_array_kernel` returns them.
+    """One Dormand-Prince step for states of ``size`` components, summed on
+    Python floats: the kernel of :func:`integrate` at every state size.
 
-    ``y``, ``f`` and the returned ``y_new``/``f_new`` are lists, and ``rhs``
-    takes and returns lists.  The step is straight-line code generated from
-    the tableau (:func:`_float_step_source`), compiled once per state size:
-    written out, it costs less than half what loops over the weights did.
+    Returns ``(step, stage_calls)``.  ``step(t, y, f, h)`` returns ``(err,
+    y_new, f_new)``: the error norm of the step from (t, y) with slope f,
+    the state at t + h and the slope there.  ``err`` is NaN when the error
+    of any component is NaN or ``y_new`` is not finite.  All four are
+    lists, ``rhs`` takes and returns lists, and ``y_new`` is the very list
+    that the last stage handed ``rhs``.  ``stage_calls()`` is the number of
+    calls of ``rhs`` the steps have made, a raising one included.  The step
+    is straight-line code generated from the tableau
+    (:func:`_float_step_source`), compiled once per state size: written
+    out, it costs less than half what loops over the weights did.
     """
     return _compile_float_step(_STAGES, _E, size)(rhs, rtol, atol)
 
@@ -499,10 +514,12 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel):
 
     ``kernel`` is a step and its stage counter, as :func:`_float_kernel`
     returns them, for states of ``problem.y0.size`` components: a fused
-    step that evaluates ``problem.rhs`` inline, bit for bit, in each stage.
-    ``problem.rhs`` itself is then called only for the initial slope and
-    the probe of the first step size.  The counter may run on from earlier
-    runs; the stats count only its calls in this one.
+    step that evaluates ``problem.rhs`` inline, bit for bit, in each stage,
+    so that ``problem.rhs`` itself is called only for the initial slope and
+    the probe of the first step size, or ``_array_kernel`` on
+    ``problem.rhs``.  Without one, the float step steps on ``problem.rhs``.
+    The counter may run on from earlier runs; the stats count only its
+    calls in this one.
     """
     rhs = problem.rhs
     t_end = problem.t_end
@@ -535,13 +552,12 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel):
 
     size = len(y)
     if kernel is None:
-        # Both kernels step lists.  An rhs that does not return a list has
-        # each result converted, so the float step does not run on numpy
-        # scalars, which warn on overflow where Python floats do not.
+        # An rhs that does not return a list has each result converted, so
+        # the float step does not run on numpy scalars, which warn on
+        # overflow where Python floats do not.
         step_rhs = rhs if isinstance(f_raw, list) else (
             lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
-        make = _float_kernel if size <= _FLOAT_KERNEL_MAX_DIM else _array_kernel
-        kernel = make(step_rhs, size, rtol, atol)
+        kernel = _float_kernel(step_rhs, size, rtol, atol)
     step, stage_calls = kernel
     stage_calls_before = stage_calls()
     f = f0.tolist()

@@ -657,10 +657,10 @@ def slow_products_reference(amat, pb, rows, k):
 
 
 def slow_rhs_reference(spec, aux, bounds):
-    """``estimator.assemble_slow_rhs`` as it was before it read n, the
-    entries of R and the finite-difference weights as Python floats, and
-    before it took both offset partials from one ``a_grad`` and one
-    ``b_grad`` call: every number a numpy scalar, the inverse an ndarray,
+    """The slow right-hand side of ``estimator._slow_functions`` as it was
+    before it read n, the entries of R and the finite-difference weights as
+    Python floats, and before it took both offset partials from one
+    ``a_grad`` and one ``b_grad`` call: every number a numpy scalar, the inverse an ndarray,
     the contractions by ``np.sum`` and the state packed by
     ``np.concatenate``.  It takes and returns ndarrays; the tests adapt it
     at its edge to the list states of the slow solve.  It is the reference

@@ -244,7 +244,8 @@ def test_inline_reading_equals_the_cursor_sampler(d):
     spec = dataclasses.replace(spec, epsilon=1.0, f=lambda i, th: list(i),
                                in_domain=in_domain)
     aux = dataclasses.replace(aux, fbar=lambda i: [0.0] * d)
-    rhs, stop = direct._direct_rhs(spec, aux, avg)
+    rhs, stop = direct._direct_functions(spec, aux, avg, ode.DEFAULT_RTOL,
+                                         ode.DEFAULT_ATOL)[:2]
     ref = ode.CubicSampler(avg)
     tau_max = avg.t_final
     nodes = avg.times.tolist()

@@ -10,14 +10,21 @@ from scipy.integrate import simpson
 import averbound as ab
 from averbound import estimator, ode
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
-                                 ViolationKind, assemble_slow_rhs, pack_state,
-                                 report_columns, unpack_state)
+                                 ViolationKind, pack_state, report_columns,
+                                 unpack_state)
 from conftest import (analytic_partials_loop_reference,
                       analytic_partials_reference, cursor_reference,
                       difference_partials_reference, float_kernel_reference,
                       hermite_reference, invert_reference,
                       slow_products_reference, slow_rhs_reference,
                       toy_linear_decay, without_gradients)
+
+
+def _slow_rhs(spec, aux, bounds):
+    """The slow right-hand side of ``estimator._slow_functions`` at the
+    default tolerances."""
+    return estimator._slow_functions(spec, aux, bounds, ode.DEFAULT_RTOL,
+                                     ode.DEFAULT_ATOL)[0]
 
 
 def test_pack_unpack_roundtrip():
@@ -54,7 +61,7 @@ def test_report_columns_of_two_actions():
 
 def test_slow_rhs_vdp_initial_drift(vdp):
     spec = vdp.make_system([4.0], 1e-2)
-    rhs = assemble_slow_rhs(spec, vdp.aux, vdp.bounds)
+    rhs = _slow_rhs(spec, vdp.aux, vdp.bounds)
     y0 = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 1.0)
     out = rhs(0.0, y0.tolist())
     assert out[0] == pytest.approx(-4.0)      # fbar(4) = 4*(1 - 2)
@@ -62,7 +69,7 @@ def test_slow_rhs_vdp_initial_drift(vdp):
 
 def test_slow_rhs_resonant_keeps_r_and_k_frozen(resonant):
     spec = resonant.make_system([2.0], 1e-2)
-    rhs = assemble_slow_rhs(spec, resonant.aux, resonant.bounds)
+    rhs = _slow_rhs(spec, resonant.aux, resonant.bounds)
     y0 = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5)
     out = rhs(0.3, y0.tolist())
     j, r, k, m, n = unpack_state(np.array(out), 1)
@@ -73,7 +80,7 @@ def test_slow_rhs_resonant_keeps_r_and_k_frozen(resonant):
 def test_slow_rhs_scalar_norm_identities(resonant):
     # For d=1 and R=2: |R||R^-1| = 1 and the m-equation uses |R^-1| = 1/2.
     spec = resonant.make_system([2.0], 1e-2)
-    rhs = assemble_slow_rhs(spec, resonant.aux, resonant.bounds)
+    rhs = _slow_rhs(spec, resonant.aux, resonant.bounds)
     n_val = 0.5
     y = pack_state(spec.i0, 2.0 * np.eye(1), np.zeros(1), 0.0, n_val)
     out = rhs(0.0, y.tolist())
@@ -83,7 +90,7 @@ def test_slow_rhs_scalar_norm_identities(resonant):
 
 def test_singular_fundamental_matrix_raises(resonant):
     spec = resonant.make_system([2.0], 1e-2)
-    rhs = assemble_slow_rhs(spec, resonant.aux, resonant.bounds)
+    rhs = _slow_rhs(spec, resonant.aux, resonant.bounds)
     y = pack_state(spec.i0, np.zeros((1, 1)), np.zeros(1), 0.0, 0.5)
     with pytest.raises(SingularMatrixError):
         rhs(0.0, y.tolist())
@@ -392,11 +399,18 @@ def _on_lists(make_rhs):
     """A stand-in for ``estimator._slow_functions`` from a slow
     right-hand-side factory on ndarrays, such as ``slow_rhs_reference``:
     its right-hand side adapted at its edge to the list states of the slow
-    solve, and no fused kernel, so that ``ode`` steps that right-hand side
-    itself."""
+    solve; no fused kernel at d = 1, so that ``ode`` steps that right-hand
+    side on its float step, and ``ode._array_kernel`` from d = 2 on, as the
+    slow solve takes there; and a stop predicate with a record that holds
+    nothing, so that it evaluates d(offset)/dr itself."""
     def functions(spec, aux, bounds, rtol, atol):
         ref = make_rhs(spec, aux, bounds)
-        return (lambda tau, y: ref(tau, np.array(y)).tolist()), None
+        rhs = lambda tau, y: ref(tau, np.array(y)).tolist()
+        d = spec.d
+        kernel = (None if d == 1 else
+                  ode._array_kernel(rhs, d * d + 2 * d + 2, rtol, atol))
+        return rhs, kernel, estimator._make_stop_predicate(spec, bounds,
+                                                           [None, None])
     return functions
 
 
@@ -455,21 +469,14 @@ def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case
 
 
 @pytest.mark.parametrize("d, kernel", [(1, "_float_kernel"),
-                                       (2, "_array_kernel")])
+                                       (2, "_array_kernel"),
+                                       (3, "_array_kernel")])
 def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
-    # The slow state [J, R, K, m, n] has d^2 + 2d + 2 components: five at
-    # one action step on the generated float step, ten at two on arrays.
-    # At one action the slow solve takes the float step with the
-    # right-hand side written into its stages from _slow_functions; the
-    # plain right-hand side alone is stepped by the kernel ode picks.
-    functions = estimator._slow_functions
-    fused = []
-
-    def plain(*args):
-        rhs, step = functions(*args)
-        fused.append(step is not None)
-        return rhs, None
-    monkeypatch.setattr(estimator, "_slow_functions", plain)
+    # The slow state [J, R, K, m, n] has d^2 + 2d + 2 components.  At one
+    # action the slow solve steps on the generated float step with the
+    # right-hand side written into its stages, which ode builds no kernel
+    # for; from two actions on _slow_functions builds ode._array_kernel
+    # itself, once, at the slow state size.
     used = []
 
     def spy(name):
@@ -481,13 +488,24 @@ def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
         return wrapper
     for name in ("_float_kernel", "_array_kernel"):
         monkeypatch.setattr(ode, name, spy(name))
+    integrate = ode._integrate
+    steps = []
+
+    def spied_integrate(problem, rtol, atol, stop, first_step, kernel):
+        steps.append(kernel[0])
+        return integrate(problem, rtol, atol, stop, first_step, kernel)
+    monkeypatch.setattr(ode, "_integrate", spied_integrate)
     spec, aux, bounds = toy_linear_decay(d=d)
     est = ab.run_estimator(spec, aux, bounds, 1.0)
     slow = d * d + 2 * d + 2
     assert est.status is EstimatorStatus.COMPLETED
     assert est.traj.states.shape[1] == slow
-    assert {name for name, size in used if size == slow} == {kernel}
-    assert fused == [d == 1]
+    (step,) = steps
+    if kernel == "_float_kernel":
+        assert used == []
+        assert step.__code__.co_filename.startswith(f"<slow rhs, d = {d},")
+    else:
+        assert used == [(kernel, slow)]
 
 
 @pytest.mark.parametrize("fig", ["1a", "3e"])
@@ -502,9 +520,9 @@ def test_one_action_run_on_the_float_step_matches_the_loop_kernel(monkeypatch,
     functions = estimator._slow_functions
 
     def on_loop_kernel(spec, aux, bounds, rtol, atol):
-        rhs, fused = functions(spec, aux, bounds, rtol, atol)
+        rhs, fused, stop = functions(spec, aux, bounds, rtol, atol)
         assert fused is not None
-        return rhs, float_kernel_reference(rhs, 5, rtol, atol)
+        return rhs, float_kernel_reference(rhs, 5, rtol, atol), stop
     monkeypatch.setattr(estimator, "_slow_functions", on_loop_kernel)
     ref = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
     _assert_same_run(new, ref, "completed")
@@ -588,14 +606,13 @@ def test_slow_rhs_calls_each_gradient_once(request, name):
         f.name: counting(f.name, getattr(example.bounds, f.name))
         for f in dataclasses.fields(example.bounds)})
     spec = example.make_system([0.9], 1e-2)
-    rhs = assemble_slow_rhs(spec, example.aux, bounds)
+    rhs, (step, stage_calls), _ = estimator._slow_functions(
+        spec, example.aux, bounds, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
     for n_val in (0.1, 0.5, 1.0):
         y = pack_state(spec.i0, 1.3 * np.eye(1), np.full(1, 0.2), 0.1, n_val)
         rhs(0.0, y.tolist())
     assert calls == {"a_grad": 3, "b_grad": 3, "c_hat": 3, "d_hat": 3,
                      "e_hat": 3}
-    rhs, (step, stage_calls) = estimator._slow_functions(
-        spec, example.aux, bounds, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
     y = y.tolist()
     f = rhs(0.0, y)
     calls.clear()
@@ -615,7 +632,7 @@ def test_slow_rhs_is_infinite_where_the_bound_equation_is_singular():
     bounds = dataclasses.replace(bounds, a_hat=lambda j, rmat, k, r: 2.0 * r,
                                  b_hat=lambda j, r: 0.0)
     y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.0)
-    out = assemble_slow_rhs(spec, aux, bounds)(0.0, y.tolist())
+    out = _slow_rhs(spec, aux, bounds)(0.0, y.tolist())
     with np.errstate(divide="ignore"):
         ref = slow_rhs_reference(spec, aux, bounds)(0.0, y)
     assert np.array(out).tobytes() == ref.tobytes()
@@ -749,7 +766,7 @@ def test_slow_rhs_products_match_numpy_to_one_ulp_for_a_full_dfbar():
         trial_aux = dataclasses.replace(aux, dfbar=lambda i: amat,
                                         pbar=lambda i: pb)
         y = pack_state(spec.i0, rmat, k, 0.0, 0.5)
-        got = np.array(assemble_slow_rhs(spec, trial_aux, bounds)(0.0, y.tolist()))
+        got = np.array(_slow_rhs(spec, trial_aux, bounds)(0.0, y.tolist()))
         want = slow_rhs_reference(spec, trial_aux, bounds)(0.0, y)
         if full:
             assert np.all(np.abs(got[products] - want[products])
@@ -893,29 +910,30 @@ def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
 
 
 def test_stop_predicate_evaluates_dalpha_dr_without_a_record(vdp):
-    # A right-hand side that records nothing leaves the predicate to
-    # evaluate d(offset)/dr itself, with the same verdict as one that does.
+    # A record that holds nothing leaves the predicate to evaluate
+    # d(offset)/dr itself, with the same verdict as the slow solve's
+    # predicate on the record its right-hand side wrote.
     spec = vdp.make_system([0.5], 1e-2)
     eps = spec.epsilon
     bounds = dataclasses.replace(vdp.bounds, a_grad=lambda j, rmat, k, r: (
         (0.0,), ((0.0,),), (0.0,), 2.0 / eps), b_grad=lambda j, r: ((0.0,), 0.0))
     y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5).tolist()
-    rhs = assemble_slow_rhs(spec, vdp.aux, bounds)
+    rhs, _, recorded = estimator._slow_functions(
+        spec, vdp.aux, bounds, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
     rhs(0.0, y)
-    recorded = estimator._make_stop_predicate(spec, bounds, rhs)
-    alone = estimator._make_stop_predicate(spec, bounds, lambda tau, y: y)
+    alone = estimator._make_stop_predicate(spec, bounds, [None, None])
     assert recorded(0.0, y) is alone(0.0, list(y)) is (
         ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS)
-    # only the very list the right-hand side was handed reuses its record;
-    # an equal copy is evaluated
-    rhs.latest[1] = 0.0
+    # only the very list the record holds reuses its d(offset)/dr; an equal
+    # copy is evaluated
+    recorded = estimator._make_stop_predicate(spec, bounds, [y, 0.0])
     assert recorded(0.0, y) is None
     assert recorded(0.0, list(y)) is ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
 
 
 def test_stop_predicate_refuses_a_nonpositive_n(vdp):
     spec = vdp.make_system([0.5], 1e-2)
-    stop = estimator._make_stop_predicate(spec, vdp.bounds)
+    stop = estimator._make_stop_predicate(spec, vdp.bounds, [None, None])
     y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5).tolist()
     assert stop(0.0, y) is None
     for n in (0.0, -0.0, -1e-300):
@@ -1097,8 +1115,11 @@ def _one_action_run(dfbar_fails=(), fused=True, monkeypatch=None):
     spec = example.make_system(preset.i0, preset.eps)
     if not fused:
         functions = estimator._slow_functions
-        monkeypatch.setattr(estimator, "_slow_functions",
-                            lambda *args: (functions(*args)[0], None))
+
+        def plain(*args):
+            rhs, _, stop = functions(*args)
+            return rhs, None, stop
+        monkeypatch.setattr(estimator, "_slow_functions", plain)
     est = ab.run_estimator(spec, aux, example.bounds, 2.0)
     if not fused:
         monkeypatch.undo()
@@ -1129,7 +1150,7 @@ def test_fused_slow_step_propagates_a_singular_matrix_error():
     # R over h = 1 takes R = 1 to 1 + 0.2 * -5 = 0 at the first stage.
     example, preset = ab.figure_preset("1a")
     spec = example.make_system(preset.i0, preset.eps)
-    rhs, fused = estimator._slow_functions(spec, example.aux, example.bounds,
+    rhs, fused, _ = estimator._slow_functions(spec, example.aux, example.bounds,
                                            ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
     y0 = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5)
     f0 = rhs(0.0, y0.tolist())

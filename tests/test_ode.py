@@ -32,22 +32,41 @@ def test_exponential_endpoint_error():
     assert abs(traj.states[-1, 0] - math.e) < 1e-7
 
 
-# State sizes that select each step kernel: the float one at two and at
-# five components (the slow state at one action), the array one at ten (the
-# slow state at two actions).
-KERNEL_SIZES = [2, 5, 10]
-# Each float size has its own generated step; then the smallest array size
-# and ten, the estimator's slow state at two actions.
-FLOAT_SIZES = list(range(1, ode._FLOAT_KERNEL_MAX_DIM + 1))
-ARRAY_SIZES = [ode._FLOAT_KERNEL_MAX_DIM + 1, 10]
-ALL_SIZES = FLOAT_SIZES + ARRAY_SIZES
+# State sizes, each with its own generated float step, the one kernel of
+# integrate: one to six components, five being the slow state at one
+# action, then ten and seventeen, the slow states at two and three actions.
+SIZES = [1, 2, 3, 4, 5, 6, 10, 17]
 
 
-def test_kernel_sizes_select_both_kernels():
-    assert KERNEL_SIZES[1] <= ode._FLOAT_KERNEL_MAX_DIM < KERNEL_SIZES[2]
+def _on_array_kernel(prob, stop=None, first_step=None):
+    """``ode.integrate`` stepped by ``ode._array_kernel``, which the slow
+    solve builds for itself from two actions on."""
+    rtol, atol = ode.DEFAULT_RTOL, ode.DEFAULT_ATOL
+    kernel = ode._array_kernel(prob.rhs, prob.y0.size, rtol, atol)
+    return ode._integrate(prob, rtol, atol, stop, first_step, kernel)
 
 
-@pytest.mark.parametrize("size", ALL_SIZES)
+@pytest.mark.parametrize("size", [6, 10, 17])
+def test_integrate_never_builds_the_array_kernel(monkeypatch, size):
+    # Every state size steps on the float step, above five components too.
+    built = []
+
+    def spy(name):
+        make = getattr(ode, name)
+
+        def wrapper(rhs, size, rtol, atol):
+            built.append((name, size))
+            return make(rhs, size, rtol, atol)
+        return wrapper
+    for name in ("_float_kernel", "_array_kernel"):
+        monkeypatch.setattr(ode, name, spy(name))
+    for rhs in (lambda t, y: [-v for v in y], lambda t, y: -np.array(y)):
+        traj = ode.integrate(problem(rhs, np.ones(size), 1.0))
+        assert traj.status is ode.Status.COMPLETED
+    assert built == [("_float_kernel", size)] * 2
+
+
+@pytest.mark.parametrize("size", SIZES)
 def test_one_step_is_the_dormand_prince_stability_polynomial(size):
     # On y' = y one step multiplies y by R(h), the method's stability
     # polynomial; every tableau row enters its coefficients.  At h = 0.05,
@@ -120,7 +139,7 @@ def test_stop_localisation_keeps_the_cubic_slope():
     assert traj.derivs[-1, 0] == pytest.approx(0.75, abs=1e-9)
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_stop_row_replaces_the_last_accepted_row(monkeypatch, size):
     # The accepted nodes are kept in flat buffers; at a stop the last row of
     # each is overwritten, in place, with what the localisation returned.
@@ -198,7 +217,7 @@ def test_convergence_with_tolerance():
     assert errs[0] / errs[-1] > 10.0 ** (6 * 0.7)
 
 
-@pytest.mark.parametrize("size", ALL_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_determinism_bitwise(size):
     def rhs(t, y):
         out = [math.sin(t) * y[0]]
@@ -243,8 +262,18 @@ def test_nan_rhs_fails_at_once(monkeypatch):
     assert len(calls) < 10
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", SIZES[1:])
 def test_nan_in_one_component_halves_the_step(monkeypatch, size):
+    _nan_in_one_component_halves_the_step(monkeypatch, size, ode.integrate)
+
+
+@pytest.mark.parametrize("size", [6, 10])
+def test_array_kernel_halves_the_step_on_a_nan_in_one_component(monkeypatch,
+                                                                size):
+    _nan_in_one_component_halves_the_step(monkeypatch, size, _on_array_kernel)
+
+
+def _nan_in_one_component_halves_the_step(monkeypatch, size, run):
     # Past t_nan the second component of the FSAL stage (the last of each
     # attempt, at t + h) is NaN.  That stage enters the error estimate but
     # not y_new, so only the NaN error of that one component can reject the
@@ -259,7 +288,7 @@ def test_nan_in_one_component_halves_the_step(monkeypatch, size):
             out[1] = math.nan
         return out
     monkeypatch.setattr(ode, "_MAX_STEPS", 2000)
-    traj = ode.integrate(problem(rhs, np.ones(size), 1.0))
+    traj = run(problem(rhs, np.ones(size), 1.0))
     assert traj.status is ode.Status.STEP_FAILURE
     assert traj.t_final <= t_nan
     assert np.all(np.isfinite(traj.derivs))
@@ -277,8 +306,17 @@ def test_nan_in_one_component_halves_the_step(monkeypatch, size):
     assert ends[first + 1] - h_next == pytest.approx(ends[first] - h, abs=1e-12)
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", SIZES[1:])
 def test_overflowing_state_halves_the_step(size):
+    _overflowing_state_halves_the_step(size, ode.integrate)
+
+
+@pytest.mark.parametrize("size", [6, 10])
+def test_array_kernel_halves_the_step_on_an_overflowing_state(size):
+    _overflowing_state_halves_the_step(size, _on_array_kernel)
+
+
+def _overflowing_state_halves_the_step(size, run):
     # y' = 1e308 in the second component overflows the state near t = 1.8,
     # while the error estimate stays finite (0 over an infinite scale), so
     # only the check on y_new can reject the step.  The first step is given:
@@ -288,17 +326,16 @@ def test_overflowing_state_halves_the_step(size):
         out[1] = 1e308
         return out
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = ode.integrate(problem(rhs, np.zeros(size), 10.0), first_step=0.1)
+        traj = run(problem(rhs, np.zeros(size), 10.0), first_step=0.1)
     assert traj.status is ode.Status.STEP_FAILURE
     assert np.all(np.isfinite(traj.states))
     assert traj.stats.nan_retries > 0
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES[:2])
+@pytest.mark.parametrize("size", SIZES[1:])
 @pytest.mark.parametrize("returns", [list, np.array])
 def test_overflow_on_the_float_step_is_a_step_failure(size, returns):
-    # The overflow of the test above, with warnings as errors, on float
-    # kernel sizes (five is the slow state at one action): an rhs that
+    # The overflow of the test above, with warnings as errors: an rhs that
     # returns an ndarray is stepped on Python floats, as a list rhs is, so
     # the overflow halves the step instead of raising a RuntimeWarning.
     def rhs(t, y):
@@ -352,10 +389,10 @@ def test_first_step_is_honoured():
     assert traj.times[1] == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_rhs_and_stop_get_lists_on_both_kernels(size):
     # Every stage, the initial-step probe and the stop localisation hand
-    # over the state as a list of Python floats, on either kernel.
+    # over the state as a list of Python floats, at every size.
     seen = []
 
     def rhs(t, y):
@@ -374,13 +411,22 @@ def test_rhs_and_stop_get_lists_on_both_kernels(size):
     assert set(seen) == {list}
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES + [10, 17])
+@pytest.mark.parametrize("size", SIZES)
 def test_stop_gets_the_list_the_rhs_got_at_each_node(size):
-    # One list per state, on either kernel: at t0 and at every accepted
-    # node the stop predicate is handed the very list the right-hand side
-    # was last handed, by the initial call and then by each step's last
-    # (FSAL) stage, rejected steps in between.  The estimator's stop
-    # predicate reuses d(offset)/dr on this identity.
+    _stop_gets_the_list_the_rhs_got_at_each_node(size, ode.integrate)
+
+
+@pytest.mark.parametrize("size", [6, 10])
+def test_array_kernel_hands_stop_the_list_the_rhs_got(size):
+    _stop_gets_the_list_the_rhs_got_at_each_node(size, _on_array_kernel)
+
+
+def _stop_gets_the_list_the_rhs_got_at_each_node(size, run):
+    # One list per state: at t0 and at every accepted node the stop
+    # predicate is handed the very list the right-hand side was last
+    # handed, by the initial call and then by each step's last (FSAL)
+    # stage, rejected steps in between.  The estimator's stop predicate
+    # reuses d(offset)/dr on this identity.
     handed = [None]
     seen = []
 
@@ -391,8 +437,8 @@ def test_stop_gets_the_list_the_rhs_got_at_each_node(size):
     def stop(t, y):
         seen.append((t, y, y is handed[0]))
         return False
-    traj = ode.integrate(problem(rhs, np.linspace(0.2, 0.8, size), 5.0),
-                         stop=stop, first_step=2.0)
+    traj = run(problem(rhs, np.linspace(0.2, 0.8, size), 5.0), stop=stop,
+               first_step=2.0)
     assert traj.status is ode.Status.COMPLETED
     assert traj.stats.rejected > 0
     assert len(seen) == traj.stats.accepted + 1
@@ -410,10 +456,10 @@ def test_array_arithmetic_on_the_list_state_is_refused(size):
         ode.integrate(problem(lambda t, y: 2 * y, np.ones(size), 1.0))
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", SIZES[1:])
 def test_list_problem_matches_the_array_problem(size):
     # A right-hand side that returns a list steps to the same bits as its
-    # twin that returns the same floats as a 1-D array, on either kernel.
+    # twin that returns the same floats as a 1-D array.
     seen = set()
 
     def rhs_list(t, y):
@@ -451,7 +497,7 @@ def test_stop_calls_count_the_localisation():
     assert stats.stop_calls > stats.accepted + 1
 
 
-@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_absorbed_rhs_error_is_recorded(size):
     # Call 19 is a stage of the third attempt that enters its y_new.  There
     # numpy divides by zero to inf and Python floats raise; either way the
@@ -641,7 +687,7 @@ def _at_call(call, value):
     return make
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_float_step_matches_the_loop_kernel(size):
     rng = np.random.default_rng(size)
     for h in (1e-6, 0.01, 0.3, 2.0):
@@ -651,7 +697,7 @@ def test_float_step_matches_the_loop_kernel(size):
         assert math.isfinite(err) and len(seen) == 6
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("stage", range(1, 7))
 @pytest.mark.parametrize("value, h", [(math.nan, 0.1), (1e308, 10.0)])
 def test_float_step_matches_on_a_bad_stage(size, stage, value, h):
@@ -664,7 +710,7 @@ def test_float_step_matches_on_a_bad_stage(size, stage, value, h):
     assert not err <= 1.0
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_float_step_keeps_the_sign_of_zero(size):
     # The first stage is -0.0 + (0.0 + w * -0.0), which is +0.0; a sum
     # without the leading 0.0 would hand the rhs -0.0.
@@ -727,7 +773,7 @@ def _assert_same_run(a, b):
     assert a.stats == b.stats
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_integrate_on_the_float_step_matches_the_loop_kernel(monkeypatch, size):
     def problem_for():
         return ode.IvpProblem(_smooth, 0.0, np.linspace(0.2, 0.8, size), 5.0)
@@ -737,7 +783,7 @@ def test_integrate_on_the_float_step_matches_the_loop_kernel(monkeypatch, size):
     assert new.stats.accepted > 20
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_float_step_absorbs_the_same_rhs_errors(monkeypatch, size):
     # Call 19 divides by zero and call 40 returns NaN: each attempt is
     # retried at half size, with the same counts on either kernel.
@@ -759,7 +805,7 @@ def test_float_step_absorbs_the_same_rhs_errors(monkeypatch, size):
     assert new.stats.rhs_error == "ZeroDivisionError: float division by zero"
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("kernel", [ode._float_kernel, float_kernel_reference])
 def test_short_rhs_list_raises_index_error(monkeypatch, size, kernel):
     # A right-hand side that drops a component is a bug in the caller, not
