@@ -131,7 +131,18 @@ def register_system(name: str,
     must run on a list of floats as on an ndarray.  The members of ``aux``
     other than ``fbar`` and ``pbar`` must run on one point as on a stack of
     points, or return their one-point value for both when they do not read
-    the actions (:mod:`averbound.model`)."""
+    the actions (:mod:`averbound.model`).
+
+    The direct run writes each of those five into its step when it is a
+    plain ``def`` with positional parameters and no defaults whose body is
+    assignments to plain names and one ``return``, with no lambda,
+    comprehension, ``yield``, ``await`` or ``:=``, and whose source
+    :mod:`inspect` finds: ``i[k]`` reads the k-th action directly, and the
+    names it reads from its closure, module or built-ins are bound once,
+    when the run starts.  The run is bit for bit the one that calls it.
+    Any other callable, such as a lambda, a ``functools.wraps`` wrapper, a
+    body with an ``if`` or a loop, or a function made by ``exec``, is
+    called with the actions as a list."""
     _REGISTRY[name] = factory
 
 

@@ -318,7 +318,8 @@ def _array_kernel(rhs, size, rtol, atol):
     by name (``estimator._slow_functions``): its ten-component state at
     d = 2 keeps numpy's sums, whose last bits decide the exit code of
     euler-top runs next to the pole of the bound ODE.  It goes with ROADMAP
-    items 2 and 5.
+    items 2 and 5.  A right-hand side that returns fewer than ``size``
+    values raises ``IndexError``, as it does on the float step.
     """
     kmat = np.empty((len(_STAGES) + 1, size))   # stage derivatives
     # Node, weights and kmat views per stage, made once per call: indexing
@@ -337,7 +338,12 @@ def _array_kernel(rhs, size, rtol, atol):
             z += y
             ys = z.tolist()
             calls += 1
-            k[...] = rhs(t + c * h, ys)
+            out = rhs(t + c * h, ys)
+            # numpy's broadcast would raise ValueError, which is retried
+            if len(out) < size:
+                raise IndexError(f"rhs returned {len(out)} values for a "
+                                 f"state of {size}")
+            k[...] = out
         scale = np.maximum(np.abs(z), np.abs(y)) * rtol + atol
         err = float((np.abs(np.dot(error * h, kmat)) / scale).max())
         if not np.isfinite(z).all():

@@ -1,6 +1,8 @@
 """Fast-time comparison run: exactness, envelope, domain exit, budget."""
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -133,6 +135,254 @@ def test_fused_step_matches_the_loop_kernel_on_the_rhs(monkeypatch, d,
         assert stats.rhs_evals < full
     else:
         assert stats.rhs_evals == full
+
+
+def _called(fn):
+    """``fn`` behind the wrapper perfbench's tracer puts around it: the
+    direct step calls it."""
+    def wrapped(*args):
+        return fn(*args)
+    return wrapped
+
+
+def _members(spec, aux):
+    """f, fbar, omega, g and in_domain with the number of arguments each
+    takes, in the order the direct run evaluates them."""
+    return ((spec.f, 2), (aux.fbar, 1), (spec.omega, 1), (spec.g, 2),
+            (spec.in_domain, 1))
+
+
+def _assert_same_run(got, want):
+    assert got.status is want.status
+    assert got.t.tobytes() == want.t.tobytes()
+    assert got.traj.states.tobytes() == want.traj.states.tobytes()
+    assert got.traj.derivs.tobytes() == want.traj.derivs.tobytes()
+    assert got.traj.stats == want.traj.stats
+
+
+def _inline_and_called(spec, aux, u):
+    """The direct run as it is, and with every member behind
+    :func:`_called`, against one averaged run."""
+    avg = ab.run_averaged(spec, aux, u)
+    inline = ab.run_direct(spec, aux, avg, u)
+    called_spec = dataclasses.replace(
+        spec, f=_called(spec.f), g=_called(spec.g),
+        omega=_called(spec.omega), in_domain=_called(spec.in_domain))
+    called_aux = dataclasses.replace(aux, fbar=_called(aux.fbar))
+    assert not any(direct._written_in(fn, n)
+                   for fn, n in _members(called_spec, called_aux))
+    return inline, ab.run_direct(called_spec, called_aux, avg, u)
+
+
+@pytest.mark.parametrize("make, i0, u", [
+    (ab.make_vdp, (0.5,), 2.0),
+    (lambda: ab.make_action_freq(1), (1.0,), 0.5),
+    (lambda: ab.make_action_freq(-1), (1.0,), 2.0),
+    (ab.make_resonant, (2.0,), 2.0),
+    (lambda: ab.make_euler_top(1.0, 2.0, -1.0), (4.0, 1.0), 1.0),
+    (lambda: ab.make_euler_top(1.0, 1.1, -1.0), (4.0, 4.0), 1.0),
+], ids=["vdp", "action-freq+1", "action-freq-1", "resonant", "euler-top-a",
+        "euler-top-d"])
+def test_written_in_members_match_their_calls(make, i0, u):
+    # Every built-in member is written into the direct step, and the run
+    # equals the one that calls each member, bit for bit: nodes, states,
+    # slopes and step counts.
+    example = make()
+    spec = example.make_system(i0, 1e-2)
+    assert all(direct._written_in(fn, n)
+               for fn, n in _members(spec, example.aux))
+    inline, called = _inline_and_called(spec, example.aux, u)
+    assert inline.status is ode.Status.COMPLETED
+    _assert_same_run(inline, called)
+
+
+_GAIN = 2.0      # a module global that a written-in body reads
+
+
+def _shaped_members(rate):
+    """f, fbar, omega, g and in_domain of a two-action system with fbar =
+    -I, each written in, in shapes the built-ins do not use: a docstring,
+    chained and reused locals, a closure value and a module global, a
+    tuple display, a negative index, reads of the whole actions, a return
+    value that is no display and a conditional expression."""
+    def f(i, th):
+        """f = (I0 (rate cos - 1), I1 (gain cos - 1))."""
+        c = math.cos(th)
+        a = b = c * rate
+        a = a - 1.0 + 0.0 * b
+        return (i[0] * a, i[-1] * (_GAIN * c - 1.0))
+
+    def fbar(i):
+        return list(map(operator.neg, i))
+
+    def omega(i):
+        return 1.0 + sum(i) / len(i)
+
+    def g(i, th):
+        return math.sin(th) * i[1] if i[0] > 0.0 else 0.0
+
+    def in_domain(i):
+        lo = min(i)
+        return lo > 0.0
+    return f, fbar, omega, g, in_domain
+
+
+def _growing_members():
+    """f and fbar of a one-action system with fbar = I, which fbar returns
+    as it is handed it."""
+    def f(i, th):
+        return [i[0] * (1.0 + 2.0 * math.cos(th))]
+
+    def fbar(i):
+        return i
+    return f, fbar
+
+
+def test_written_in_shapes_match_their_calls():
+    spec, aux, _ = toy_linear_decay(d=2)
+    f, fbar, omega, g, in_domain = _shaped_members(0.5)
+    spec = dataclasses.replace(spec, i0=np.array([1.0, 2.0]), theta0=0.3,
+                               f=f, omega=omega, g=g, in_domain=in_domain)
+    aux = dataclasses.replace(aux, fbar=fbar)
+    assert all(direct._written_in(fn, n) for fn, n in _members(spec, aux))
+    inline, called = _inline_and_called(spec, aux, 2.0)
+    assert inline.status is ode.Status.COMPLETED
+    assert inline.abs_l.max() > 0.01
+    _assert_same_run(inline, called)
+
+
+def test_fbar_returning_its_argument_is_read_as_a_list():
+    # fbar's return value is the actions it is handed, no display of its
+    # own: fbar(J) is the list [j0], kept between stages as the called
+    # fbar's value is.  omega, g and in_domain (lambdas) stay calls.
+    spec, aux, _ = toy_linear_decay()
+    f, fbar = _growing_members()
+    spec = dataclasses.replace(spec, theta0=0.3, f=f)
+    aux = dataclasses.replace(aux, fbar=fbar)
+    assert direct._written_in(f, 2) and direct._written_in(fbar, 1)
+    inline, called = _inline_and_called(spec, aux, 1.0)
+    assert inline.status is ode.Status.COMPLETED
+    assert inline.abs_l.max() > 0.01
+    _assert_same_run(inline, called)
+
+
+def _vdp_f_branching(i, th):
+    x = i[0]
+    if th != th:
+        return [math.nan]
+    return [x * (1 - x / 2) - x * math.cos(2 * th)
+            + x * x / 2 * math.cos(4 * th)]
+
+
+def _vdp_f_defaulted(i, th, two=2):
+    x = i[0]
+    return [x * (1 - x / 2) - x * math.cos(2 * th)
+            + x * x / 2 * math.cos(4 * th)]
+
+
+def _vdp_f_forwarding(fn):
+    def forward(i, th):
+        return fn(i, th)
+    return functools.wraps(fn)(forward)
+
+
+def _vdp_f_executed():
+    namespace = {"math": math}
+    exec("def f(i, th):\n"
+         "    x = i[0]\n"
+         "    return [x * (1 - x / 2) - x * math.cos(2 * th)\n"
+         "            + x * x / 2 * math.cos(4 * th)]\n", namespace)
+    return namespace["f"]
+
+
+@pytest.mark.parametrize("shape", ["lambda", "wraps", "if", "default",
+                                   "exec"])
+def test_refused_shapes_are_called(shape):
+    # Each of these is van der Pol's f, which the direct step calls rather
+    # than writes in; the run equals the one with f written in, bit for bit.
+    example = ab.make_vdp()
+    spec = example.make_system((0.5,), 1e-2)
+    f = {
+        "lambda": lambda i, th: [
+            i[0] * (1 - i[0] / 2) - i[0] * math.cos(2 * th)
+            + i[0] * i[0] / 2 * math.cos(4 * th)],
+        "wraps": _vdp_f_forwarding(spec.f),
+        "if": _vdp_f_branching,
+        "default": _vdp_f_defaulted,
+        "exec": _vdp_f_executed(),
+    }[shape]
+    assert direct._written_in(spec.f, 2)
+    assert direct._written_in(f, 2) is None
+    u = 1.0
+    avg = ab.run_averaged(spec, example.aux, u)
+    want = ab.run_direct(spec, example.aux, avg, u)
+    got = ab.run_direct(dataclasses.replace(spec, f=f), example.aux, avg, u)
+    _assert_same_run(got, want)
+
+
+def _raising_at(c):
+    """f and g of a one-action system that raise at the action c, f by
+    dividing by zero and g from ``math.log``, with no effect on their
+    values elsewhere."""
+    def f(i, th):
+        return [2.0 * i[0] * math.cos(th) - i[0] + 0.0 * (1.0 / (i[0] - c))]
+
+    def g(i, th):
+        return 0.0 * math.sin(th) if i[0] != c else math.log(0.0)
+    return f, g
+
+
+def test_written_in_member_raises_as_its_call():
+    # c is the action at f's 40th evaluation, which falls mid-step (see
+    # test_fused_step_matches_the_loop_kernel_on_the_rhs): there the
+    # written-in f raises ZeroDivisionError as its call does, before g,
+    # which would raise ValueError, is reached; the step is retried at half
+    # size, and the two runs agree bit for bit.
+    spec, aux, _ = toy_linear_decay()
+    f, g = _raising_at(-1.0)
+    spec = dataclasses.replace(spec, theta0=0.3, f=f, g=g)
+    u = 2.0
+    avg = ab.run_averaged(spec, aux, u)
+    seen = []
+
+    def recording(i, th):
+        seen.append(i[0])
+        return f(i, th)
+    ab.run_direct(dataclasses.replace(spec, f=recording), aux, avg, u)
+    f, g = _raising_at(seen[39])
+    spec = dataclasses.replace(spec, f=f, g=g)
+    assert direct._written_in(f, 2) and direct._written_in(g, 2)
+    inline = ab.run_direct(spec, aux, avg, u)
+    called = ab.run_direct(
+        dataclasses.replace(spec, f=_called(f), g=_called(g)), aux, avg, u)
+    _assert_same_run(inline, called)
+    stats = inline.traj.stats
+    assert inline.status is ode.Status.COMPLETED
+    assert stats.rhs_error == "ZeroDivisionError: float division by zero"
+    assert stats.nan_retries == 1
+
+
+def test_one_compile_serves_every_parameter_set(monkeypatch):
+    # The generated source depends on the members' code, not on the values
+    # they read from outside: kappa = +1 and -1 share one compile, and so
+    # do two euler-top parameter sets.
+    compiled = []
+    factory = ode._compile_factory
+
+    def counted(source, label, **names):
+        compiled.append(label)
+        return factory(source, label, **names)
+    monkeypatch.setattr(ode, "_compile_factory", counted)
+    direct._compile_direct_rhs.cache_clear()
+    for example, i0 in ((ab.make_action_freq(1), (1.0,)),
+                        (ab.make_action_freq(-1), (1.0,)),
+                        (ab.make_euler_top(1.0, 2.0, -1.0), (4.0, 1.0)),
+                        (ab.make_euler_top(1.0, 1.1, -1.0), (4.0, 4.0))):
+        spec = example.make_system(i0, 1e-2)
+        avg = ab.run_averaged(spec, example.aux, 0.1)
+        assert ab.run_direct(spec, example.aux, avg, 0.1).status \
+            is ode.Status.COMPLETED
+    assert compiled == ["<direct rhs, d = 1>", "<direct rhs, d = 2>"]
 
 
 def test_stats_sum_over_the_chunks():

@@ -805,11 +805,15 @@ def test_float_step_absorbs_the_same_rhs_errors(monkeypatch, size):
     assert new.stats.rhs_error == "ZeroDivisionError: float division by zero"
 
 
-@pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("kernel", [ode._float_kernel, float_kernel_reference])
+@pytest.mark.parametrize("kernel, size", [
+    *((kernel, size) for kernel in (ode._float_kernel, float_kernel_reference)
+      for size in SIZES),
+    (ode._array_kernel, 6), (ode._array_kernel, 10)])
 def test_short_rhs_list_raises_index_error(monkeypatch, size, kernel):
     # A right-hand side that drops a component is a bug in the caller, not
-    # a step to retry: the IndexError leaves integrate.
+    # a step to retry: the IndexError leaves integrate, on _array_kernel
+    # too, where numpy's broadcast into the stage row would raise a
+    # ValueError that integrate retries.
     calls = []
 
     def rhs(t, y):
