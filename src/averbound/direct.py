@@ -6,15 +6,16 @@ and the angle against a precomputed averaged trajectory:
     dL/dt     = f(I, Theta) - fbar(J(eps*t)),                      L(0) = 0
     dTheta/dt = omega(I) + eps * g(I, Theta),        I := J(eps*t) + eps*L
 
-The right-hand side, stop predicate and step are straight-line code,
-generated together once per d and per code of the system's members
-(:func:`_direct_rhs_source`).  The step is the Dormand-Prince float step of
-:mod:`~averbound.ode` with the right-hand side written into each stage, bit
-for bit the step on the right-hand side.  All three read the averaged
-actions J(eps*t) inline from the slow trajectory's dense output: they share
-the interval of its cubic that the last query fell in, and leave it only
-when a query falls outside.  The state is stepped as a list of Python
-floats.
+The right-hand side, stop predicate and adaptive run are straight-line
+code, generated together once per d and per code of the system's members
+(:func:`_direct_rhs_source`).  The run is the Dormand-Prince float run of
+:mod:`~averbound.ode`, its whole step loop in one function, with the
+right-hand side written into each stage and the stop test into each
+accepted node: bit for bit the loop that steps on the right-hand side and
+calls the stop predicate.  All three read the averaged actions J(eps*t)
+inline from the slow trajectory's dense output: they share the interval of
+its cubic that the last query fell in, and leave it only when a query falls
+outside.  The state is stepped as Python floats.
 
 Each of ``f``, ``fbar``, ``omega``, ``g`` and ``in_domain`` that is a plain
 ``def`` of assignments and one ``return`` is written into the three too
@@ -139,7 +140,7 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
 
 # The prefix of the names each member's written-in body binds and reads,
 # in the order the right-hand side evaluates the members (f, fbar, omega,
-# g) and then in_domain; no step name starts with "_", and no prefix is
+# g) and then in_domain; no run name starts with "_", and no prefix is
 # another's start.
 _PREFIXES = ("_f_", "_fb_", "_om_", "_g_", "_dom_")
 # Expressions with a scope of their own, or that suspend or bind a name:
@@ -153,7 +154,7 @@ _FRAME_NAMES = frozenset({"locals", "vars", "dir", "eval", "exec", "globals",
 
 
 class _Body(NamedTuple):
-    """A function as the direct step writes it in: its parameters, its
+    """A function as the direct run writes it in: its parameters, its
     assignments ``(targets, value)`` in order, its return value and the
     names it reads from its closure, globals or built-ins."""
 
@@ -166,7 +167,7 @@ class _Body(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _inline_form(code, source: str) -> Optional[_Body]:
     """The body of the function of ``code`` with the source ``source``
-    when the direct step can write it in, else None.
+    when the direct run can write it in, else None.
 
     That is an undecorated ``def`` with positional parameters and no
     defaults whose body is assignments to plain names, each read only after
@@ -237,9 +238,33 @@ def _inline_form(code, source: str) -> Optional[_Body]:
                  result, tuple(sorted(free)))
 
 
+# The source of each member's code object that _written_in has read, or
+# None where it has none.
+_SOURCES: dict = {}
+
+
+def _source(fn) -> Optional[str]:
+    """The source of the plain function ``fn``, read once per code object,
+    or None when it has none.  A module file edited after the import is not
+    read again for code already seen."""
+    code = fn.__code__
+    try:
+        return _SOURCES[code]
+    except KeyError:
+        pass
+    try:
+        # on the function, which names its module: on its code, inspect
+        # looks the module up among all that are loaded
+        source = inspect.getsource(fn)
+    except (OSError, TypeError):
+        source = None
+    _SOURCES[code] = source
+    return source
+
+
 def _written_in(fn, nargs: int):
     """``fn``'s code and source, and the values of the names its body
-    reads from its closure, globals or built-ins, when the direct step
+    reads from its closure, globals or built-ins, when the direct run
     writes ``fn`` in for a call with ``nargs`` arguments
     (:func:`_inline_form`); None when it calls ``fn``.  A lambda, a
     ``functools.wraps`` wrapper, any other callable that is not a plain
@@ -247,11 +272,8 @@ def _written_in(fn, nargs: int):
     called."""
     if type(fn) is not types.FunctionType or hasattr(fn, "__wrapped__"):
         return None
-    try:
-        # on the function, which names its module: on its code, inspect
-        # looks the module up among all that are loaded
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
+    source = _source(fn)
+    if source is None:
         return None
     code = fn.__code__
     body = _inline_form(code, source)
@@ -328,9 +350,9 @@ def _items(value, d: int):
 def _direct_rhs_source(d: int, members: tuple) -> str:
     """Source of ``make(eps, f_sys, g_sys, omega, fbar, in_domain, interval,
     tau_max, rtol, atol, **outside)``, which returns the direct right-hand
-    side, stop predicate and step for d actions as straight-line code:
-    ``rhs, stop, (step, stage_calls)``, the step and its stage counter as
-    :func:`ode._integrate` takes them.
+    side, stop predicate and adaptive run for d actions as straight-line
+    code: ``rhs, stop, (run, stage_calls)``, the run and its stage counter
+    as :func:`ode._integrate` takes them.
 
     ``members`` holds, for f, fbar, omega, g and in_domain in that order,
     the code and source of a member written into the three, or None for a
@@ -345,14 +367,21 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
     as a called member's is, and indexed.  The members run in the order of
     the calls: f, fbar (when J moved), omega, then g.
 
-    The step is the generated float step of :mod:`~averbound.ode` with the
-    right-hand side written into each stage (:func:`ode._inline_stage`):
-    the same operations on the same floats as a stage that calls ``rhs``,
-    so it takes the same steps bit for bit.  All three read J(eps*t)
-    inline, as ``j0, j1, ...``, from the interval of the averaged cubic
-    they share in closure cells: its ends ``t_lo``, ``t_hi``, its length
-    ``width`` and its coefficient rows ``c0``..``c3``.  A query outside
-    [t_lo, t_hi] takes the interval ``interval`` (the sampler's
+    The run is the generated float run of :mod:`~averbound.ode`
+    (:func:`ode._float_run_source`), the whole step loop in one function,
+    with the right-hand side written into each stage
+    (:func:`ode._inline_stage`) and the stop predicate's test into each
+    accepted node: the same operations on the same floats as a loop that
+    calls ``rhs`` and ``stop``, so it takes the same steps bit for bit.
+    ``rhs`` and ``stop`` are still called outside the loop, for the initial
+    slope, the first-step probe, the initial-state check and the stop
+    localisation.  All three read J(eps*t) inline, as ``j0, j1, ...``, from
+    the interval of the averaged cubic they share in closure cells of
+    ``make``: its ends ``t_lo``, ``t_hi``, its length ``width`` and its
+    coefficient rows ``c0``..``c3``.  The run reads the cells into locals
+    on entry and writes them back when it returns, so the three see one
+    cursor history.  A query outside [t_lo, t_hi] takes the interval
+    ``interval`` (the sampler's
     :meth:`~averbound.ode.CubicSampler.interval`) returns, which moves the
     sampler's cursor as its ``into`` would; inside, the cursor would not
     move.  So each j<k> is ``into``'s value bit for bit, node times
@@ -441,16 +470,24 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
     stop = [f"nonlocal {', '.join(cells)}", *read_j("t"),
             *actions(ys, used), *test, "return not inside"]
 
+    # The run's stop check at each accepted node, on its new state floats.
+    zs = [f"z{i}" for i in range(d + 1)]
+    used = set()
+    test = value(dom, (on_actions,), "in_domain(actions)", used, "inside")[0]
+    at_node = [*read_j("t_new"), *actions(zs, used), *test,
+               "reason = not inside"]
+
     stage = ode._inline_stage(d + 1,
                               lambda time, state, last: slope(time, state))
-    step = ode._float_step_source(ode._STAGES, ode._E, d + 1, stage,
-                                  (*cells, *fbs, "tau_fb"))
     outside = [prefix + name for body, prefix in (f, fbar, omega, g, dom)
                if body is not None for name in body.free]
+    params = ["eps", "f_sys", "g_sys", "omega", "fbar", "in_domain",
+              "interval", "tau_max", "rtol", "atol", *outside]
+    written = [*cells, *fbs, "tau_fb", "calls"]
+    run = ode._float_run_source(ode._STAGES, ode._E, d + 1, stage, at_node,
+                                (*params, *written), written)
     return "\n".join(
-        ["def make(" + ", ".join(
-            ["eps", "f_sys", "g_sys", "omega", "fbar", "in_domain", "interval",
-             "tau_max", "rtol", "atol", *outside]) + "):",
+        ["def make(" + ", ".join(params) + "):",
          # NaN ends take the first query to interval()
          "    t_lo = t_hi = width = tau_j = tau_fb = nan",
          f"    {' = '.join(['c0', 'c1', 'c2', 'c3', *fbs])} = None",
@@ -460,8 +497,8 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
         + ["        " + line for line in rhs]
         + ["    def stop(t, y):"]
         + ["        " + line for line in stop]
-        + [textwrap.indent(step, "    "),
-           "    return rhs, stop, (step, lambda: calls)", ""])
+        + [textwrap.indent(run, "    "),
+           "    return rhs, stop, (run, lambda: calls)", ""])
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,7 +509,7 @@ def _compile_direct_rhs(d: int, members: tuple):
 
 def _direct_functions(spec: SystemSpec, aux: AuxiliaryBundle,
                       avg_traj: ode.Trajectory, rtol: float, atol: float):
-    """The direct right-hand side, stop predicate and step on lists of
+    """The direct right-hand side, stop predicate and run on lists of
     Python floats, against the averaged trajectory ``avg_traj``: the three
     :func:`_compile_direct_rhs` generates for ``spec.d`` and the members
     it writes in, reading J from one fresh

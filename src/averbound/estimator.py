@@ -20,9 +20,10 @@ fails along the way.
 The slow right-hand side is straight-line code, generated once per d and
 per form of the offset partials (by the bundle's gradients or by central
 differences) with every operation of an evaluation written out; at d = 1
-the same evaluation is written into each stage of the Dormand-Prince step
-the slow solve takes.  :func:`_slow_functions` hands the slow solve its
-right-hand side, step kernel and stop predicate.
+the same evaluation is written into each stage of the adaptive
+Dormand-Prince run the slow solve takes, its whole step loop generated in
+one function.  :func:`_slow_functions` hands the slow solve its right-hand
+side, run kernel and stop predicate.
 """
 from __future__ import annotations
 
@@ -509,27 +510,33 @@ def _slow_evaluation(d, analytic, state=None, record="y"):
     return lines, [*djs, *entries, "dm", "dn"]
 
 
+# The arguments of the generated slow ``make``, in order.
+_SLOW_PARAMS = ("eps", "fbar", "dfbar", "pbar", "a_hat", "b_hat", "c_hat",
+                "d_hat", "e_hat", "a_grad", "b_grad", "latest", "rtol", "atol")
+
+
 def _slow_rhs_source(d: int, analytic: bool) -> str:
     """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
     e_hat, a_grad, b_grad, latest, rtol, atol)``, which returns the slow
     right-hand side for d actions as straight-line code, with its offset
     partials by gradients (``analytic``) or by central differences, and at
-    d = 1 a step kernel: ``rhs, (step, stage_calls)``, as
+    d = 1 a run kernel: ``rhs, (run, stage_calls)``, as
     :func:`ode._integrate` takes them, or ``rhs, None`` from d = 2 on.
 
     The right-hand side is one evaluation of :func:`_slow_evaluation`; it
     records the state it was handed and its d(offset)/dr in ``latest``.
-    At d = 1 the step is the generated float step of :mod:`~averbound.ode`
+    At d = 1 the run is the generated float run of :mod:`~averbound.ode`,
+    the whole step loop in one function (:func:`ode._float_run_source`),
     with that evaluation written into each stage
     (:func:`ode._inline_stage`): the same operations on the same floats as
     a stage that calls ``rhs``, so it takes the same steps bit for bit.
     Its last stage alone records in ``latest``: the new state is the only
-    stage state the stop predicate is handed.
+    stage state the stop predicate is handed, and the run calls the
+    predicate at each accepted node with that very list.
     """
     lines, values = _slow_evaluation(d, analytic)
     size = len(values)
-    source = ["def make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat, e_hat,",
-              "         a_grad, b_grad, latest, rtol, atol):",
+    source = [f"def make({', '.join(_SLOW_PARAMS)}):",
               "    def rhs(tau, y):",
               *("        " + line for line in lines),
               f"        return {_seq(values)}"]
@@ -538,9 +545,11 @@ def _slow_rhs_source(d: int, analytic: bool) -> str:
 
     stage = ode._inline_stage(size, lambda time, state, last: _slow_evaluation(
         d, analytic, state, "ys" if last else None))
-    step = ode._float_step_source(ode._STAGES, ode._E, size, stage)
-    return "\n".join(source + ["    calls = 0", textwrap.indent(step, "    "),
-                               "    return rhs, (step, lambda: calls)", ""])
+    run = ode._float_run_source(ode._STAGES, ode._E, size, stage,
+                                reads=(*_SLOW_PARAMS, "calls"),
+                                cells=("calls",))
+    return "\n".join(source + ["    calls = 0", textwrap.indent(run, "    "),
+                               "    return rhs, (run, lambda: calls)", ""])
 
 
 @functools.lru_cache(maxsize=None)
@@ -553,7 +562,7 @@ def _compile_slow_rhs(d: int, analytic: bool):
 
 def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
                     rtol: float, atol: float):
-    """The right-hand side, step kernel and stop predicate of the slow
+    """The right-hand side, run kernel and stop predicate of the slow
     solve, ``(rhs, kernel, stop)``, as :func:`ode._integrate` takes them.
 
     ``rhs`` is the right side of the packed slow system [J, R, K, m, n], on
@@ -581,13 +590,14 @@ def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     through BLAS, whose fused multiply-adds can round the last bit
     differently.
 
-    At d = 1 ``kernel`` is the float step with the same evaluation written
+    At d = 1 ``kernel`` is the float run with the same evaluation written
     into each stage.  From d = 2 on it is ``ode._array_kernel`` on ``rhs``,
-    which sums the stages with numpy: the last bits of the d = 2 solve
-    decide the exit code of euler-top runs next to the pole of the bound
-    ODE (ROADMAP items 2 and 5).  Either steps at ``rtol`` and ``atol``.
+    the same loop around a step that sums the stages with numpy: the last
+    bits of the d = 2 solve decide the exit code of euler-top runs next to
+    the pole of the bound ODE (ROADMAP items 2 and 5).  Either steps at
+    ``rtol`` and ``atol``.
     ``stop`` reads ``latest``, the record [state, d(offset)/dr] of the
-    latest evaluation that ``rhs`` and the fused step write
+    latest evaluation that ``rhs`` and the fused run write
     (:func:`_make_stop_predicate`).
     """
     d = spec.d

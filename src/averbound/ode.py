@@ -5,23 +5,29 @@ step-size control, and an optional stop predicate.  When the predicate
 becomes true at an accepted step, the crossing time is localized by
 bisection on the dense output and the trajectory is truncated there.
 
-One step is taken by the float step, straight-line code on Python floats
-that ``_seq``, ``_dot`` and ``_compile_factory`` write and compile from the
-tableau on first use per state size, as they do every generated kernel.
-It is the one kernel :func:`integrate` takes, at every state size.  It
-steps lists of Python floats: each state is one list, which the stage
-reaching it hands the right-hand side and the stop predicate then gets,
-the same object.  ``_array_kernel`` sums the same step with numpy rows;
-only the slow solve of two or more actions asks for it, by name, to keep
-the last bits of its ten-component state (ROADMAP items 2 and 5).
+A run of :func:`integrate` is generated whole: the step attempts, the
+checks of the step cap and of step underflow, the retry at half size, the
+error norm, the stop check at each accepted node and the PI controller are
+straight-line code that ``_run_source`` writes, with ``_seq`` and ``_dot``,
+and ``_compile_factory`` compiles on first use per state size, as it does
+every generated kernel.  That run, the float run, steps on Python floats;
+it is the one kernel :func:`integrate` takes, at every state size.  Each
+state is one list, which the stage reaching it hands the right-hand side
+and the stop predicate then gets, the same object.  ``_array_kernel`` is
+the same generated loop around a step summed with numpy rows; only the
+slow solve of two or more actions asks for it, by name, to keep the last
+bits of its ten-component state (ROADMAP items 2 and 5).
 
-What each stage of the float step does with its state is a hook of its
-generator, :func:`_float_step_source`.  The default hook calls the
-right-hand side; a caller may write its right-hand side into the stages
-instead (:func:`_inline_stage`) and hand the step to :func:`_integrate`,
-as the direct run and the slow solve at d = 1 do.
-Each step counts its own stage evaluations, which ``StepStats.rhs_evals``
-reports with the initial slope and the probe of the first step size.
+What each stage of the float run does with its state is a hook of its
+generator, :func:`_float_run_source`, and so is the stop check at a node.
+The default stage hook calls the right-hand side and the default stop check
+calls the stop predicate; a caller may write its right-hand side into the
+stages instead (:func:`_inline_stage`), and its stop test into the node,
+and hand the run to :func:`_integrate`: the direct run writes in both, the
+slow solve at d = 1 its right-hand side.  :func:`_integrate` sets a run
+up, localises the stop it found, and builds the trajectory.  Each run
+counts its own stage evaluations, which ``StepStats.rhs_evals`` reports
+with the initial slope and the probe of the first step size.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -310,16 +316,16 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end - t0), error
 
 
-def _array_kernel(rhs, size, rtol, atol):
-    """The step of :func:`_float_kernel` summed by numpy, with its stage
-    counter, as :func:`_float_kernel` returns them.
+def _array_step(rhs, size, rtol, atol):
+    """The step of :func:`_float_kernel` summed by numpy, and its stage
+    counter: ``step(t, y, f, h)`` returns ``(err, y_new, f_new)``, the
+    error norm of the step from (t, y) with slope f (NaN when y_new is not
+    finite), the new state as the very list the last stage handed ``rhs``,
+    and its slope.
 
-    It is the kernel of the slow solve at d >= 2 alone, which asks for it
-    by name (``estimator._slow_functions``): its ten-component state at
-    d = 2 keeps numpy's sums, whose last bits decide the exit code of
-    euler-top runs next to the pole of the bound ODE.  It goes with ROADMAP
-    items 2 and 5.  A right-hand side that returns fewer than ``size``
-    values raises ``IndexError``, as it does on the float step.
+    A slope is read as the float step reads it: one shorter than the state
+    raises ``IndexError``, and a longer one at the last stage is returned
+    as it is, for the run to refuse.
     """
     kmat = np.empty((len(_STAGES) + 1, size))   # stage derivatives
     # Node, weights and kmat views per stage, made once per call: indexing
@@ -339,17 +345,47 @@ def _array_kernel(rhs, size, rtol, atol):
             ys = z.tolist()
             calls += 1
             out = rhs(t + c * h, ys)
+            n = len(out)
             # numpy's broadcast would raise ValueError, which is retried
-            if len(out) < size:
-                raise IndexError(f"rhs returned {len(out)} values for a "
+            if n < size:
+                raise IndexError(f"rhs returned {n} values for a "
                                  f"state of {size}")
-            k[...] = out
+            k[...] = out if n == size else out[:size]
         scale = np.maximum(np.abs(z), np.abs(y)) * rtol + atol
         err = float((np.abs(np.dot(error * h, kmat)) / scale).max())
         if not np.isfinite(z).all():
             err = math.nan
-        return err, ys, kmat[-1].tolist()
+        return err, ys, kmat[-1].tolist() if n == size else out
     return step, lambda: calls
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_array_run(size):
+    run = _run_source(size, [], [
+        "err, ys, k = step(t, y, f, h)",
+        "if err != err:",
+        *("    " + line for line in _NAN_RETRY),
+    ], ["y = ys", "f = k"], reads=("step",))
+    return _compile_factory(
+        "\n".join(["def make(step):", textwrap.indent(run, "    "),
+                   "    return run", ""]),
+        f"<ode array run, size {size}>")
+
+
+def _array_kernel(rhs, size, rtol, atol):
+    """The run of :func:`_float_kernel` with the numpy step of
+    :func:`_array_step` as its step, and the stage counter, as
+    :func:`_float_kernel` returns them: the loop is the one
+    :func:`_run_source` writes for every kernel.
+
+    It is the kernel of the slow solve at d >= 2 alone, which asks for it
+    by name (``estimator._slow_functions``): its ten-component state at
+    d = 2 keeps numpy's sums, whose last bits decide the exit code of
+    euler-top runs next to the pole of the bound ODE.  It goes with ROADMAP
+    items 2 and 5.
+    """
+    step, stage_calls = _array_step(rhs, size, rtol, atol)
+    return _compile_array_run(size)(step), stage_calls
 
 
 def _seq(names):
@@ -363,15 +399,17 @@ def _dot(pairs):
 
 
 def _compile_factory(source, label, **names):
-    """``make`` from ``source``, with globals ``inf``, ``nan`` and ``names``."""
-    namespace = {"inf": math.inf, "nan": math.nan, **names}
+    """``make`` from ``source``, with globals ``inf``, ``nan``, ``Status``,
+    ``RHS_ERRORS`` (``_RHS_ERRORS``) and ``names``."""
+    namespace = {"inf": math.inf, "nan": math.nan, "Status": Status,
+                 "RHS_ERRORS": _RHS_ERRORS, **names}
     exec(compile(source, label, "exec"), namespace)
     return namespace["make"]
 
 
 def _inline_stage(size, evaluate):
-    """The stage hook of a step with its right-hand side written into each
-    stage, for states of ``size`` components.
+    """The stage hook of a run with its right-hand side written into each
+    stage, for states of ``size`` components (:func:`_float_run_source`).
 
     ``evaluate(time, state, last)`` returns the lines of one evaluation at
     the time expression ``time`` and the state floats named ``state``, and
@@ -393,7 +431,7 @@ def _inline_stage(size, evaluate):
 
 
 def _rhs_stage(size):
-    """The stage hook of a step on ``rhs`` for states of ``size``
+    """The stage hook of a run on ``rhs`` for states of ``size``
     components: each stage hands ``rhs`` its state as the list ``ys`` and
     reads the slope list ``k`` by index, so a short list raises
     ``IndexError``.  The last stage's ``ys`` and ``k`` are the new state and
@@ -407,12 +445,137 @@ def _rhs_stage(size):
     return stage
 
 
-def _float_step_source(stages, error, size, stage=None, cells=()):
-    """Source of ``step(t, y, f, h)``, the step of :func:`_float_kernel`
-    for states of ``size`` components as straight-line code, for a tableau
-    as ``_STAGES``, ``_E``.  It is to be nested in a function that binds
-    ``rtol``, ``atol``, the stage counter ``calls`` and the names ``stage``
-    reads.
+# The retry of a step attempt at half size, after an exception of the
+# right-hand side, a NaN error or a non-finite state.
+_NAN_RETRY = ["h *= 0.5", "nan_retries += 1", "just_rejected = True",
+              "continue"]
+
+
+def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
+    """Source of ``get``, ``put`` and ``run``, the adaptive loop of
+    :func:`_integrate` for states of ``size`` components as straight-line
+    code, to be nested in a function ``make`` that binds the names
+    ``reads``; it is the one loop of every kernel.
+
+    ``run(t, y, f, h, t_end, h_min, max_steps, times, states, derivs,
+    stop)`` steps from t with the state list y, its slope list f and the
+    step size h until t_end, a stop or a failure, appending each accepted
+    node to the buffers ``times``, ``states`` and ``derivs``.  It returns
+    ``(status, steps, nan_retries, stop_calls, h_lo, h_hi, rhs_error,
+    reason, h)``: the :class:`Status`, the step attempts, the retries at
+    half size, the stop calls at the nodes, the smallest and largest
+    accepted step (inf and 0.0 when none was), the last exception a retry
+    absorbed or None, the stop value at the last node and the next step
+    size.
+
+    On entry it reads the names ``reads`` of ``make`` into locals, through
+    ``get``, and in a ``finally`` it writes the locals ``cells`` back to
+    ``make``, through ``put``, so that functions of ``make`` called outside
+    the loop see what the loop left there.  ``entry`` lines unpack y and f;
+    ``attempt`` lines take one step attempt from (t, h) inside the retry
+    handler, binding the error norm ``err``, the new state list ``ys`` and
+    its slope list ``k``, or run the lines ``_NAN_RETRY``; ``carry`` lines
+    take the accepted step's state and slope as the next step's.  At each
+    accepted node the ``stop`` lines, which bind ``reason``, decide a stop;
+    by default the node calls ``stop(t_new, ys)`` unless ``stop`` is None.
+
+    The controller is the PI controller of :func:`integrate` with ``min``
+    and ``max`` written as conditional expressions that keep the builtins'
+    rule, NaN included: ``min(a, b)`` is ``b if b < a else a`` and
+    ``max(a, b)`` is ``b if b > a else a``.
+    """
+    def block(lines, depth):
+        return ["    " * depth + line for line in lines]
+
+    grow, shrink = 1 / _FAC_MAX, 1 / _FAC_MIN
+    at_node = ["stop_calls += 1", *stop] if stop is not None else [
+        "if stop is not None:",
+        "    stop_calls += 1",
+        "    reason = stop(t_new, ys)"]
+    indent = "" if stop is not None else "    "
+    at_node += [f"{indent}if reason:",
+                f"{indent}    status = Status.STOPPED",
+                f"{indent}    break"]
+    loop = [
+        "while t < t_end:",
+        "    if steps >= max_steps or not h >= h_min:   # rejects NaN as well",
+        "        status = Status.STEP_FAILURE",
+        "        break",
+        "    if t_end - t < h:",
+        "        h = t_end - t",
+        "    steps += 1",
+        "    try:",
+        *block(attempt, 2),
+        "    except RHS_ERRORS as exc:",
+        "        rhs_error = f'{type(exc).__name__}: {exc}'",
+        *block(_NAN_RETRY, 2),
+        "    if not err <= 1.0:",
+        f"        fac = err ** {_EXPO!r} / {_SAFETY!r}",
+        f"        h = h / (fac if fac < {shrink!r} else {shrink!r})",
+        "        just_rejected = True",
+        "        continue",
+        f"    if len(k) != {size}:",
+        "        raise ValueError("
+        f"'rhs must return {size} values at every call')",
+        "    t_new = t + h",
+        "    add_time(t_new)",
+        "    add_state(ys)",
+        "    add_slope(k)",
+        "    if h < h_lo:",
+        "        h_lo = h",
+        "    if h > h_hi:",
+        "        h_hi = h",
+        *block(at_node, 1),
+        # PI controller (accepted step).
+        f"    fac = (err ** {_EXPO!r} / fac_old ** {_BETA!r} if err > 0.0"
+        f" else {grow!r}) / {_SAFETY!r}",
+        f"    fac = fac if fac < {shrink!r} else {shrink!r}",
+        f"    fac = fac if fac > {grow!r} else {grow!r}",
+        "    if just_rejected:",
+        "        fac = 1.0 if 1.0 > fac else fac   # no growth after a rejection",
+        "        just_rejected = False",
+        "    h = h / fac",
+        "    fac_old = 0.0001 if 0.0001 > err else err",
+        "    t = t_new",
+        *block(carry, 1),
+    ]
+    body = [f"{_seq(reads)} = get()"] if reads else []
+    body += entry + [
+        "add_time, add_state, add_slope = "
+        "times.append, states.extend, derivs.extend",
+        "steps = nan_retries = stop_calls = 0",
+        "fac_old = 0.0001",
+        "just_rejected = False",
+        "h_lo = inf",
+        "h_hi = 0.0",
+        "rhs_error = reason = None",
+        "status = Status.COMPLETED",
+    ]
+    if cells:
+        body += ["try:", *block(loop, 1), "finally:",
+                 f"    put({_seq(cells)})"]
+    else:
+        body += loop
+    body.append("return (status, steps, nan_retries, stop_calls, h_lo, h_hi,"
+                " rhs_error, reason, h)")
+    lines = ["def get():", f"    return {_seq(reads)}"]
+    if cells:
+        lines += ["def put(values):", f"    nonlocal {', '.join(cells)}",
+                  f"    {_seq(cells)} = values"]
+    lines += ["def run(t, y, f, h, t_end, h_min, max_steps, times, states,"
+              " derivs, stop):", *block(body, 1)]
+    return "\n".join(lines)
+
+
+def _float_run_source(stages, error, size, stage=None, stop=None, reads=(),
+                      cells=()):
+    """Source of the run of :func:`_float_kernel` for states of ``size``
+    components (:func:`_run_source`), whose step attempt is the
+    Dormand-Prince step as straight-line code, for a tableau as
+    ``_STAGES``, ``_E``.  The state and slope are carried from step to
+    step as the floats ``y<i>`` and ``k0_<i>``; the names ``reads`` must
+    include ``rtol``, ``atol``, the stage counter ``calls``, which
+    ``cells`` must include too, and the names ``stage`` and ``stop`` read.
 
     Each stage forms its nonzero weights times h once, as ``w<j> = a * h``,
     and each component as ``y<i> + (0.0 + w<j> * k<j>_<i> + ...)``: the
@@ -423,30 +586,30 @@ def _float_step_source(stages, error, size, stage=None, cells=()):
     stage state ``z<i>``; after the last stage, ``ys`` and ``k`` must name
     the new state and its slope as lists.  The default hook,
     :func:`_rhs_stage`, calls ``rhs``; :func:`_inline_stage` writes an
-    evaluation into the stage instead.  ``cells`` are the further names of
-    the enclosing function the hook's lines assign.  The error norm runs
-    over the nonzero ``error`` weights the same way.
+    evaluation into the stage instead.  The error norm runs over the
+    nonzero ``error`` weights the same way, and retries the attempt at
+    half size at the first component whose error is NaN or whose new state
+    is not finite, without forming the later components' errors.
     """
     stage = _rhs_stage(size) if stage is None else stage
     comps = range(size)
+    last = len(stages)
 
     def weighted(weights, i):
         return _dot((f"w{j}", f"k{j}_{i}") for j, _ in weights)
 
-    body = [f"nonlocal {', '.join(('calls', *cells))}"]
-    body += [f"y{i} = y[{i}]" for i in comps]
-    body += [f"k0_{i} = f[{i}]" for i in comps]
+    attempt = []
     for s, (c, row) in enumerate(stages, start=1):
         weights = [(j, a) for j, a in enumerate(row) if a]
-        body += [f"w{j} = {a!r} * h" for j, a in weights]
-        body += [f"z{i} = y{i} + ({weighted(weights, i)})" for i in comps]
-        body.append("calls += 1")
-        body += stage(s, c, s == len(stages))
+        attempt += [f"w{j} = {a!r} * h" for j, a in weights]
+        attempt += [f"z{i} = y{i} + ({weighted(weights, i)})" for i in comps]
+        attempt.append("calls += 1")
+        attempt += stage(s, c, s == last)
     weights = [(j, a) for j, a in enumerate(error) if a]
-    body += [f"w{j} = {a!r} * h" for j, a in weights]
-    body.append("err = 0.0")
+    attempt += [f"w{j} = {a!r} * h" for j, a in weights]
+    attempt.append("err = 0.0")
     for i in comps:
-        body += [
+        attempt += [
             f"a = abs(z{i})",
             f"b = abs(y{i})",
             # max(a, b), NaN included: max keeps a unless b > a.
@@ -455,40 +618,47 @@ def _float_step_source(stages, error, size, stage=None, cells=()):
             # e > err passes over a NaN, so a NaN error and a non-finite
             # y_new are tested for explicitly.
             "if e != e or not a < inf:",
-            "    return nan, ys, k",
+            *("    " + line for line in _NAN_RETRY),
             "if e > err:",
             "    err = e",
         ]
-    body.append("return err, ys, k")
-    return "\n".join(["def step(t, y, f, h):"]
-                     + ["    " + line for line in body])
+    return _run_source(
+        size,
+        [f"{_seq(f'y{i}' for i in comps)} = y",
+         f"{_seq(f'k0_{i}' for i in comps)} = f"],
+        attempt,
+        [f"y{i} = z{i}" for i in comps] + [f"k0_{i} = k{last}_{i}"
+                                           for i in comps],
+        stop, reads, cells)
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_float_step(stages, error, size):
-    step = textwrap.indent(_float_step_source(stages, error, size), "    ")
+def _compile_float_run(stages, error, size):
+    run = _float_run_source(stages, error, size,
+                            reads=("rhs", "rtol", "atol", "calls"),
+                            cells=("calls",))
     return _compile_factory(
-        "\n".join(["def make(rhs, rtol, atol):", "    calls = 0", step,
-                   "    return step, lambda: calls", ""]),
-        f"<ode float step, size {size}>")
+        "\n".join(["def make(rhs, rtol, atol):", "    calls = 0",
+                   textwrap.indent(run, "    "),
+                   "    return run, lambda: calls", ""]),
+        f"<ode float run, size {size}>")
 
 
 def _float_kernel(rhs, size, rtol, atol):
-    """One Dormand-Prince step for states of ``size`` components, summed on
-    Python floats: the kernel of :func:`integrate` at every state size.
+    """The adaptive run of :func:`integrate` for states of ``size``
+    components, its Dormand-Prince steps summed on Python floats: the
+    kernel of :func:`integrate` at every state size.
 
-    Returns ``(step, stage_calls)``.  ``step(t, y, f, h)`` returns ``(err,
-    y_new, f_new)``: the error norm of the step from (t, y) with slope f,
-    the state at t + h and the slope there.  ``err`` is NaN when the error
-    of any component is NaN or ``y_new`` is not finite.  All four are
-    lists, ``rhs`` takes and returns lists, and ``y_new`` is the very list
-    that the last stage handed ``rhs``.  ``stage_calls()`` is the number of
-    calls of ``rhs`` the steps have made, a raising one included.  The step
-    is straight-line code generated from the tableau
-    (:func:`_float_step_source`), compiled once per state size: written
-    out, it costs less than half what loops over the weights did.
+    Returns ``(run, stage_calls)``: ``run`` as :func:`_run_source` writes
+    it, and ``stage_calls()``, the number of calls of ``rhs`` the runs have
+    made, a raising one included.  ``rhs`` takes and returns lists, and at
+    each accepted node the stop predicate gets the very list that the last
+    stage handed ``rhs``.  The run is straight-line code generated from the
+    tableau (:func:`_float_run_source`), compiled once per state size:
+    written out, a step costs less than half what loops over the weights
+    did.
     """
-    return _compile_float_step(_STAGES, _E, size)(rhs, rtol, atol)
+    return _compile_float_run(_STAGES, _E, size)(rhs, rtol, atol)
 
 
 def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
@@ -516,14 +686,16 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
 
 
 def _integrate(problem, rtol, atol, stop, first_step, kernel):
-    """:func:`integrate`, stepped by ``kernel`` when it is given.
+    """:func:`integrate`, run by ``kernel`` when it is given.
 
-    ``kernel`` is a step and its stage counter, as :func:`_float_kernel`
-    returns them, for states of ``problem.y0.size`` components: a fused
-    step that evaluates ``problem.rhs`` inline, bit for bit, in each stage,
-    so that ``problem.rhs`` itself is called only for the initial slope and
-    the probe of the first step size, or ``_array_kernel`` on
-    ``problem.rhs``.  Without one, the float step steps on ``problem.rhs``.
+    ``kernel`` is a run and its stage counter, as :func:`_float_kernel`
+    returns them, for states of ``problem.y0.size`` components: a run that
+    evaluates ``problem.rhs`` inline, bit for bit, in each stage, so that
+    ``problem.rhs`` itself is called only for the initial slope and the
+    probe of the first step size, or ``_array_kernel`` on ``problem.rhs``.
+    Without one, the float run steps on ``problem.rhs``.  This function
+    sets the run up, localises a stop the run found, and builds the
+    :class:`Trajectory` and its :class:`StepStats`; the loop is the run's.
     The counter may run on from earlier runs; the stats count only its
     calls in this one.
     """
@@ -559,12 +731,12 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel):
     size = len(y)
     if kernel is None:
         # An rhs that does not return a list has each result converted, so
-        # the float step does not run on numpy scalars, which warn on
+        # the float run does not step on numpy scalars, which warn on
         # overflow where Python floats do not.
         step_rhs = rhs if isinstance(f_raw, list) else (
             lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
         kernel = _float_kernel(step_rhs, size, rtol, atol)
-    step, stage_calls = kernel
+    run, stage_calls = kernel
     stage_calls_before = stage_calls()
     f = f0.tolist()
     # Accepted nodes, one flat buffer of doubles each: a row of Python
@@ -572,72 +744,22 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel):
     times = array("d", (t,))
     states = array("d", y)
     derivs = array("d", f)
-    fac_old = 1e-4
-    just_rejected = False
-    steps = nan_retries = 0
-    h_lo = h_hi = None
-    status = Status.COMPLETED
+    status, steps, nan_retries, node_stops, h_lo, h_hi, error, reason, _ = run(
+        t, y, f, h, t_end, h_min, _MAX_STEPS, times, states, derivs, stop)
+    stop_calls += node_stops
+    if error is not None:
+        rhs_error = error
     stop_time = stop_reason = None
+    if status is Status.STOPPED:
+        # the last accepted step, from the last two rows of the buffers
+        rows = [np.asarray(buf[-2 * size:-size]) for buf in (states, derivs)]
+        stop_time, y_stop, f_stop, stop_reason = _localize_stop(
+            counted_stop, reason, times[-2], times[-1], rows[0],
+            np.asarray(states[-size:]), rows[1], np.asarray(derivs[-size:]))
+        times[-1] = stop_time
+        states[-size:] = array("d", y_stop)
+        derivs[-size:] = array("d", f_stop)
 
-    while t < t_end:
-        if steps >= _MAX_STEPS or not h >= h_min:   # rejects NaN as well
-            status = Status.STEP_FAILURE
-            break
-        h = min(h, t_end - t)
-        steps += 1
-
-        try:
-            err, y_new, f_new = step(t, y, f, h)
-        except _RHS_ERRORS as exc:
-            err = math.nan
-            rhs_error = f"{type(exc).__name__}: {exc}"
-
-        if not err <= 1.0:     # rejects NaN as well
-            if math.isnan(err):
-                h *= 0.5
-                nan_retries += 1
-            else:
-                h = h / min(1 / _FAC_MIN, (err ** _EXPO) / _SAFETY)
-            just_rejected = True
-            continue
-
-        t_new = t + h
-        times.append(t_new)
-        states.extend(y_new)
-        derivs.extend(f_new)
-        if h_lo is None or h < h_lo:
-            h_lo = h
-        if h_hi is None or h > h_hi:
-            h_hi = h
-
-        if stop is not None:
-            stop_calls += 1
-            if reason := stop(t_new, y_new):
-                stop_time, y_stop, f_stop, stop_reason = _localize_stop(
-                    counted_stop, reason, t, t_new,
-                    *map(np.asarray, (y, y_new, f, f_new)))
-                times[-1] = stop_time
-                states[-size:] = array("d", y_stop)
-                derivs[-size:] = array("d", f_stop)
-                status = Status.STOPPED
-                break
-
-        # PI controller (accepted step).
-        fac = (err ** _EXPO) / (fac_old ** _BETA) if err > 0.0 else 1 / _FAC_MAX
-        fac = max(1 / _FAC_MAX, min(1 / _FAC_MIN, fac / _SAFETY))
-        if just_rejected:
-            fac = max(fac, 1.0)   # no growth right after a rejection
-        h = h / fac
-        fac_old = max(err, 1e-4)
-        just_rejected = False
-        t = t_new
-        y = y_new
-        f = f_new
-
-    if len(derivs) != len(states):
-        # Only a later slope list longer than the state gets this far: a
-        # shorter one raises IndexError inside the float step.
-        raise ValueError(f"rhs must return {size} values at every call")
     accepted = len(times) - 1
     rhs_evals += stage_calls() - stage_calls_before
     # A copy each, not a view: a view would keep the buffer's spare capacity
@@ -651,7 +773,9 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel):
         stop_reason=stop_reason,
         stats=StepStats(accepted=accepted, rejected=steps - accepted,
                         nan_retries=nan_retries, rhs_evals=rhs_evals,
-                        stop_calls=stop_calls, h_min=h_lo, h_max=h_hi,
+                        stop_calls=stop_calls,
+                        h_min=h_lo if accepted else None,
+                        h_max=h_hi if accepted else None,
                         rhs_error=rhs_error),
     )
 

@@ -1,6 +1,7 @@
 """Shared fixtures: example definitions and cached short runs."""
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -145,6 +146,144 @@ def float_kernel_reference(rhs, size, rtol, atol):
                 err = e
         return err, ys, ks[-1]
     return step, lambda: calls
+
+
+def one_step_run(run, t, y, f, h, stop=None):
+    """One step attempt of a generated ``run`` (``ode._run_source``) from
+    (t, y) with slope f and step size h: an endless span and a cap of one
+    attempt.  Returns the run's result and its node buffers ``(times,
+    states, derivs)``, which hold the new node when the step is accepted."""
+    buffers = array("d", (t,)), array("d", y), array("d", f)
+    return run(t, list(y), list(f), h, math.inf, 0.0, 1, *buffers,
+               stop), buffers
+
+
+def integrate_reference(problem, rtol=ode.DEFAULT_RTOL, atol=ode.DEFAULT_ATOL,
+                        stop=None, first_step=None, kernel=None):
+    """``ode._integrate`` as it was before the adaptive run was generated:
+    a Python loop over a step ``kernel``, ``(step, stage_calls)`` as
+    ``float_kernel_reference`` returns them (by default on ``problem.rhs``),
+    with the builtins ``min`` and ``max`` in the controller.  The generated
+    run must match it bit for bit: nodes, states, slopes, status, stop and
+    every ``StepStats`` field.  It reads ``ode._MAX_STEPS`` when it is
+    called, so a patched cap holds for both."""
+    rhs = problem.rhs
+    t_end = problem.t_end
+    t = problem.t0
+    y = problem.y0.tolist()
+    f_raw = rhs(t, y)
+    rhs_evals, stop_calls = 1, 0
+
+    def counted_stop(t, y):
+        nonlocal stop_calls
+        stop_calls += 1
+        return stop(t, y)
+
+    f0 = np.asarray(f_raw, dtype=float)
+    if f0.shape != problem.y0.shape:
+        raise ValueError(
+            f"rhs must return shape {problem.y0.shape}, got {f0.shape}")
+    if stop is not None:
+        stop_calls += 1
+        if stop(t, y):
+            raise ValueError("stop predicate already true at the initial state")
+
+    span = t_end - problem.t0
+    h_min = ode._HMIN_REL * span
+    if first_step is not None and first_step > 0.0:
+        h, rhs_error = min(first_step, span), None
+    else:
+        rhs_evals += 1
+        h, rhs_error = ode._initial_step(rhs, t, problem.y0, f0, t_end,
+                                         rtol, atol)
+
+    size = len(y)
+    if kernel is None:
+        step_rhs = rhs if isinstance(f_raw, list) else (
+            lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
+        kernel = float_kernel_reference(step_rhs, size, rtol, atol)
+    step, stage_calls = kernel
+    stage_calls_before = stage_calls()
+    f = f0.tolist()
+    times, states, derivs = [t], [y], [f]
+    fac_old = 1e-4
+    just_rejected = False
+    steps = nan_retries = 0
+    h_lo = h_hi = None
+    status = ode.Status.COMPLETED
+    stop_time = stop_reason = None
+
+    while t < t_end:
+        if steps >= ode._MAX_STEPS or not h >= h_min:
+            status = ode.Status.STEP_FAILURE
+            break
+        h = min(h, t_end - t)
+        steps += 1
+
+        try:
+            err, y_new, f_new = step(t, y, f, h)
+        except ode._RHS_ERRORS as exc:
+            err = math.nan
+            rhs_error = f"{type(exc).__name__}: {exc}"
+
+        if not err <= 1.0:
+            if math.isnan(err):
+                h *= 0.5
+                nan_retries += 1
+            else:
+                h = h / min(1 / ode._FAC_MIN, (err ** ode._EXPO) / ode._SAFETY)
+            just_rejected = True
+            continue
+
+        t_new = t + h
+        times.append(t_new)
+        states.append(y_new)
+        derivs.append(f_new)
+        if h_lo is None or h < h_lo:
+            h_lo = h
+        if h_hi is None or h > h_hi:
+            h_hi = h
+
+        if stop is not None:
+            stop_calls += 1
+            if reason := stop(t_new, y_new):
+                stop_time, y_stop, f_stop, stop_reason = ode._localize_stop(
+                    counted_stop, reason, t, t_new,
+                    *map(np.asarray, (y, y_new, f, f_new)))
+                times[-1] = stop_time
+                states[-1] = np.asarray(y_stop).tolist()
+                derivs[-1] = np.asarray(f_stop).tolist()
+                status = ode.Status.STOPPED
+                break
+
+        fac = ((err ** ode._EXPO) / (fac_old ** ode._BETA) if err > 0.0
+               else 1 / ode._FAC_MAX)
+        fac = max(1 / ode._FAC_MAX, min(1 / ode._FAC_MIN, fac / ode._SAFETY))
+        if just_rejected:
+            fac = max(fac, 1.0)
+        h = h / fac
+        fac_old = max(err, 1e-4)
+        just_rejected = False
+        t = t_new
+        y = y_new
+        f = f_new
+
+    if any(len(row) != size for row in derivs):
+        raise ValueError(f"rhs must return {size} values at every call")
+    accepted = len(times) - 1
+    rhs_evals += stage_calls() - stage_calls_before
+    return ode.Trajectory(
+        times=np.array(times),
+        states=np.array(states, dtype=float).reshape(-1, size),
+        derivs=np.array(derivs, dtype=float).reshape(-1, size),
+        status=status,
+        stop_time=stop_time,
+        stop_reason=stop_reason,
+        stats=ode.StepStats(accepted=accepted, rejected=steps - accepted,
+                            nan_retries=nan_retries, rhs_evals=rhs_evals,
+                            stop_calls=stop_calls, h_min=h_lo, h_max=h_hi,
+                            rhs_error=rhs_error),
+    )
 
 
 def toy_linear_decay(eps=1e-2, i0=2.0, d=1):

@@ -12,14 +12,15 @@ from averbound import direct, ode
 from averbound.direct import DirectTrajectory, envelope
 
 from conftest import (direct_reference, envelope_reference,
-                      float_kernel_reference, toy_linear_decay)
+                      float_kernel_reference, integrate_reference,
+                      toy_linear_decay)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 5])
 def test_angle_free_perturbation_keeps_error_zero(d):
     # At d = 4 the direct state has five components, the largest the float
     # kernel of ode takes; at d = 5 it has six.  The direct run steps every
-    # d on its own generated float step.
+    # d on its own generated float run.
     spec, aux, bounds = toy_linear_decay(d=d)
     avg = ab.run_averaged(spec, aux, 5.0)
     dtraj = ab.run_direct(spec, aux, avg, 5.0)
@@ -93,13 +94,27 @@ def _angle_system(d, raise_at=()):
     return spec, aux, calls
 
 
+def _on_reference(problem, rtol, atol, stop, first_step, kernel):
+    """``ode._integrate`` as conftest's loop, integrate_reference, with its
+    loop kernel on the generated right-hand side ``problem.rhs`` in place
+    of the generated run ``kernel``, or on its own when there is none, as
+    for the averaged run."""
+    if kernel is None:
+        return integrate_reference(problem, rtol, atol, stop, first_step)
+    size = problem.y0.size
+    return integrate_reference(
+        problem, rtol, atol, stop, first_step,
+        float_kernel_reference(problem.rhs, size, rtol, atol))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("raise_at", [(), (40, 1003)])
 def test_fused_step_matches_the_loop_kernel_on_the_rhs(monkeypatch, d,
                                                        raise_at):
-    # The step with the right-hand side written into its stages takes the
-    # steps that conftest's loop kernel takes on the generated right-hand
-    # side, bit for bit: the same nodes, states, slopes and counts.  Calls
+    # The run with the right-hand side written into its stages takes the
+    # steps that conftest's loop, integrate_reference, takes with its loop
+    # kernel on the generated right-hand side, bit for bit: the same nodes,
+    # states, slopes and counts.  Calls
     # 40 and 1003 of f fall mid-step (a start takes calls 1 and 2, every
     # step attempt 6): each raises ValueError in a stage, and the step is
     # retried at half size.
@@ -110,13 +125,7 @@ def test_fused_step_matches_the_loop_kernel_on_the_rhs(monkeypatch, d,
         avg = ab.run_averaged(spec, aux, u)
         return ab.run_direct(spec, aux, avg, u), f_calls[0]
     fused, fused_calls = run()
-    integrate = ode._integrate
-
-    def on_reference(problem, rtol, atol, stop, first_step, kernel):
-        size = problem.y0.size
-        return integrate(problem, rtol, atol, stop, first_step,
-                         float_kernel_reference(problem.rhs, size, rtol, atol))
-    monkeypatch.setattr(ode, "_integrate", on_reference)
+    monkeypatch.setattr(ode, "_integrate", _on_reference)
     ref, ref_calls = run()
     for dtraj in (fused, ref):
         assert dtraj.status is ode.Status.COMPLETED
@@ -383,6 +392,62 @@ def test_one_compile_serves_every_parameter_set(monkeypatch):
         assert ab.run_direct(spec, example.aux, avg, 0.1).status \
             is ode.Status.COMPLETED
     assert compiled == ["<direct rhs, d = 1>", "<direct rhs, d = 2>"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_domain_exit_matches_the_reference_loop(monkeypatch, d):
+    # The run's stop check at each node, with in_domain written in, ends
+    # the run where the reference loop's call of the stop predicate does:
+    # the same nodes, stop time, stop value and counts, bit for bit.  J
+    # decays as exp(-tau) from I0 = 1, and the first action, J + eps L,
+    # leaves the domain near tau = 0.27.
+    spec, aux, _ = _angle_system(d)
+    u = 2.0
+    avg = ab.run_averaged(spec, aux, u)
+
+    def in_domain(i):
+        return i[0] > 0.75
+    spec = dataclasses.replace(spec, in_domain=in_domain)
+    assert direct._written_in(in_domain, 1)
+    fused = ab.run_direct(spec, aux, avg, u)
+    monkeypatch.setattr(ode, "_integrate", _on_reference)
+    ref = ab.run_direct(spec, aux, avg, u)
+    assert fused.status is ode.Status.STOPPED
+    assert 0.2 < fused.eps * fused.t[-1] < 0.3
+    _assert_same_run(fused, ref)
+    assert fused.traj.stop_time == ref.traj.stop_time
+    assert fused.traj.stop_reason is ref.traj.stop_reason is True
+    stats = fused.traj.stats
+    assert stats.stop_calls > stats.accepted + 1     # the localisation ran
+
+
+def test_each_member_source_is_read_once(monkeypatch):
+    # The source of a member is read once per code object, on the
+    # function: a second run, and a second system with the same members'
+    # code (kappa = -1 after +1), read none.  A function without a source
+    # is remembered as such.
+    read = []
+    getsource = direct.inspect.getsource
+
+    def counted(fn):
+        read.append(fn.__name__)
+        return getsource(fn)
+    monkeypatch.setattr(direct.inspect, "getsource", counted)
+    monkeypatch.setattr(direct, "_SOURCES", {})
+    for kappa in (1, 1, -1):
+        example = ab.make_action_freq(kappa)
+        spec = example.make_system((1.0,), 1e-2)
+        avg = ab.run_averaged(spec, example.aux, 0.1)
+        assert ab.run_direct(spec, example.aux, avg, 0.1).status \
+            is ode.Status.COMPLETED
+    members = [fn for fn, _ in _members(spec, example.aux)]
+    assert sorted(read) == sorted(fn.__name__ for fn in members)
+    assert set(direct._SOURCES) == {fn.__code__ for fn in members}
+    executed = _vdp_f_executed()
+    for _ in range(2):
+        assert direct._written_in(executed, 2) is None
+    assert direct._SOURCES[executed.__code__] is None
+    assert read.count("f") == 2
 
 
 def test_stats_sum_over_the_chunks():

@@ -15,7 +15,8 @@ from averbound.estimator import (EstimatorStatus, SingularMatrixError,
 from conftest import (analytic_partials_loop_reference,
                       analytic_partials_reference, cursor_reference,
                       difference_partials_reference, float_kernel_reference,
-                      hermite_reference, invert_reference,
+                      hermite_reference, integrate_reference,
+                      invert_reference, one_step_run,
                       slow_products_reference, slow_rhs_reference,
                       toy_linear_decay, without_gradients)
 
@@ -473,7 +474,7 @@ def test_slow_rhs_analytic_branch_matches_the_np_sum_reference(monkeypatch, case
                                        (3, "_array_kernel")])
 def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
     # The slow state [J, R, K, m, n] has d^2 + 2d + 2 components.  At one
-    # action the slow solve steps on the generated float step with the
+    # action the slow solve steps on the generated float run with the
     # right-hand side written into its stages, which ode builds no kernel
     # for; from two actions on _slow_functions builds ode._array_kernel
     # itself, once, at the slow state size.
@@ -512,18 +513,19 @@ def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
 def test_one_action_run_on_the_float_step_matches_the_loop_kernel(monkeypatch,
                                                                   fig):
     # A whole d = 1 estimator run, slow solve and stop predicate included,
-    # is bit for bit the run of the loop kernel the float step was
-    # generated from, stepping the plain right-hand side.
+    # is bit for bit the run of conftest's loop, integrate_reference, with
+    # the loop kernel the float step was generated from, stepping the plain
+    # right-hand side.
     example, preset = ab.figure_preset(fig)
     spec = example.make_system(preset.i0, preset.eps)
     new = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
-    functions = estimator._slow_functions
 
-    def on_loop_kernel(spec, aux, bounds, rtol, atol):
-        rhs, fused, stop = functions(spec, aux, bounds, rtol, atol)
+    def on_loop_kernel(problem, rtol, atol, stop, first_step, fused):
         assert fused is not None
-        return rhs, float_kernel_reference(rhs, 5, rtol, atol), stop
-    monkeypatch.setattr(estimator, "_slow_functions", on_loop_kernel)
+        return integrate_reference(
+            problem, rtol, atol, stop, first_step,
+            float_kernel_reference(problem.rhs, 5, rtol, atol))
+    monkeypatch.setattr(ode, "_integrate", on_loop_kernel)
     ref = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
     _assert_same_run(new, ref, "completed")
 
@@ -591,8 +593,8 @@ def test_analytic_partials_equal_the_np_sum_reference(d):
 def test_slow_rhs_calls_each_gradient_once(request, name):
     # One a_grad and one b_grad call per evaluation, and with c_hat, d_hat
     # and e_hat for the growth kernel that makes five majorant calls: no
-    # a_hat, b_hat or rho_hat.  The same holds for each stage of the step
-    # with the right-hand side written into its stages.
+    # a_hat, b_hat or rho_hat.  The same holds for each stage of a step
+    # attempt of the run with the right-hand side written into its stages.
     example = request.getfixturevalue(name)
     calls = {}
 
@@ -606,7 +608,7 @@ def test_slow_rhs_calls_each_gradient_once(request, name):
         f.name: counting(f.name, getattr(example.bounds, f.name))
         for f in dataclasses.fields(example.bounds)})
     spec = example.make_system([0.9], 1e-2)
-    rhs, (step, stage_calls), _ = estimator._slow_functions(
+    rhs, (run, stage_calls), _ = estimator._slow_functions(
         spec, example.aux, bounds, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
     for n_val in (0.1, 0.5, 1.0):
         y = pack_state(spec.i0, 1.3 * np.eye(1), np.full(1, 0.2), 0.1, n_val)
@@ -616,7 +618,8 @@ def test_slow_rhs_calls_each_gradient_once(request, name):
     y = y.tolist()
     f = rhs(0.0, y)
     calls.clear()
-    step(0.0, y, f, 1e-3)
+    (_, steps, *_), _ = one_step_run(run, 0.0, y, f, 1e-3)
+    assert steps == 1
     assert stage_calls() == 6
     assert calls == {"a_grad": 6, "b_grad": 6, "c_hat": 6, "d_hat": 6,
                      "e_hat": 6}
@@ -1128,8 +1131,8 @@ def _one_action_run(dfbar_fails=(), fused=True, monkeypatch=None):
 
 @pytest.mark.parametrize("dfbar_fails", [(), (40, 203)])
 def test_fused_slow_step_matches_the_plain_step(monkeypatch, dfbar_fails):
-    # At d = 1 the slow solve steps on the float step with the right-hand
-    # side written into its stages: bit for bit the float step calling the
+    # At d = 1 the slow solve steps on the float run with the right-hand
+    # side written into its stages: bit for bit the float run calling the
     # plain right-hand side, StepStats included.  dfbar calls 40 and 203
     # fall mid-step (a start takes calls 1 and 2, each step attempt 6):
     # each fails one stage with ValueError, and the step is retried at half
@@ -1158,10 +1161,10 @@ def test_fused_slow_step_propagates_a_singular_matrix_error():
     problem = ode.IvpProblem(lambda tau, y: f0 if y[1] == 1.0 else rhs(tau, y),
                              0.0, y0, 2.0)
     plain = ode._float_kernel(rhs, 5, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
-    for step, stage_calls in (fused, plain):
+    for run, stage_calls in (fused, plain):
         with pytest.raises(SingularMatrixError, match="fundamental matrix is zero"):
             ode._integrate(problem, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL, None,
-                           1.0, (step, stage_calls))
+                           1.0, (run, stage_calls))
         assert stage_calls() == 1
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from averbound import ode
-from conftest import cursor_reference, float_kernel_reference, hermite_reference
+from conftest import (cursor_reference, float_kernel_reference,
+                      hermite_reference, integrate_reference, one_step_run)
 
 
 def problem(rhs, y0, t_end, t0=0.0):
@@ -32,7 +33,7 @@ def test_exponential_endpoint_error():
     assert abs(traj.states[-1, 0] - math.e) < 1e-7
 
 
-# State sizes, each with its own generated float step, the one kernel of
+# State sizes, each with its own generated float run, the one kernel of
 # integrate: one to six components, five being the slow state at one
 # action, then ten and seventeen, the slow states at two and three actions.
 SIZES = [1, 2, 3, 4, 5, 6, 10, 17]
@@ -48,7 +49,7 @@ def _on_array_kernel(prob, stop=None, first_step=None):
 
 @pytest.mark.parametrize("size", [6, 10, 17])
 def test_integrate_never_builds_the_array_kernel(monkeypatch, size):
-    # Every state size steps on the float step, above five components too.
+    # Every state size steps on the float run, above five components too.
     built = []
 
     def spy(name):
@@ -634,18 +635,37 @@ def test_nonfinite_rhs_region_triggers_failure_not_crash():
     assert np.all(np.isfinite(traj.states))
 
 
-# The generated float step against the loop kernel it replaced
-# (conftest.float_kernel_reference), bit for bit.
+# The generated float run against the loop kernel it replaced
+# (conftest.float_kernel_reference), bit for bit, one step attempt at a
+# time.
 
 def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
+def _next_step_reference(err, h):
+    """The step size after a first attempt of size h with the error norm
+    err, by the controller of conftest.integrate_reference: the builtins
+    min and max."""
+    if not err <= 1.0:
+        if math.isnan(err):
+            return h * 0.5
+        return h / min(1 / ode._FAC_MIN, (err ** ode._EXPO) / ode._SAFETY)
+    fac = ((err ** ode._EXPO) / (1e-4 ** ode._BETA) if err > 0.0
+           else 1 / ode._FAC_MAX)
+    return h / max(1 / ode._FAC_MAX, min(1 / ode._FAC_MIN, fac / ode._SAFETY))
+
+
 def _steps_agree(make_rhs, size, t, y, f, h):
-    """Step once with each kernel, each on a fresh rhs from ``make_rhs``;
-    assert that every stage's time and state and the results have equal
-    bits, and return the error norm and the stage inputs."""
-    results = []
+    """One step attempt of the generated run (a one-step run) and one step
+    of the loop kernel, each on a fresh rhs from ``make_rhs``.  Assert that
+    every stage's time and state have equal bits; that the run accepts the
+    step exactly when the kernel's error norm is at most 1, and retries it
+    at half size exactly when that norm is NaN; that an accepted node is
+    the kernel's new state and slope; and that the next step size is the
+    one the loop's controller takes from that norm.  Return the norm and
+    the stage inputs."""
+    seen_by = []
     for kernel in (ode._float_kernel, float_kernel_reference):
         rhs = make_rhs()
         seen = []
@@ -653,15 +673,27 @@ def _steps_agree(make_rhs, size, t, y, f, h):
         def recording(t, y):
             seen.append(_bits([t, *y]))
             return rhs(t, y)
-        step, stage_calls = kernel(recording, size, ode.DEFAULT_RTOL,
-                                   ode.DEFAULT_ATOL)
-        err, y_new, f_new = step(t, list(y), list(f), h)
-        assert type(y_new) is list and len(y_new) == size
+        fn, stage_calls = kernel(recording, size, ode.DEFAULT_RTOL,
+                                 ode.DEFAULT_ATOL)
+        if kernel is float_kernel_reference:
+            err, y_new, f_new = fn(t, list(y), list(f), h)
+            assert type(y_new) is list and len(y_new) == size
+        else:
+            result, (times, states, derivs) = one_step_run(fn, t, y, f, h)
         assert stage_calls() == len(seen)
-        results.append((seen, _bits([err, *y_new, *f_new])))
-    assert results[0] == results[1]
-    seen, (err, *_) = results[0]
-    return struct.unpack("<d", err)[0], seen
+        seen_by.append(seen)
+    assert seen_by[0] == seen_by[1]
+    status, steps, nan_retries, _, _, _, rhs_error, _, h_next = result
+    assert status is ode.Status.STEP_FAILURE and steps == 1
+    assert rhs_error is None
+    accepted = err <= 1.0
+    assert len(times) == 1 + accepted
+    assert nan_retries == math.isnan(err)
+    if accepted:
+        assert _bits(states[size:]) == _bits(y_new)
+        assert _bits(derivs[size:]) == _bits(f_new)
+    assert _bits([h_next]) == _bits([_next_step_reference(err, h)])
+    return err, seen_by[0]
 
 
 def _smooth(t, y):
@@ -755,14 +787,12 @@ def test_float_step_rejects_an_infinite_state_with_a_finite_error(size):
     assert struct.unpack("<d", seen[-1][-1])[0] == math.inf
 
 
-def _run_both(monkeypatch, problem_for, **kwargs):
-    """``ode.integrate`` on the generated step and on the loop kernel, each
-    on a fresh problem from ``problem_for``."""
-    new = ode.integrate(problem_for(), **kwargs)
-    monkeypatch.setattr(ode, "_float_kernel", float_kernel_reference)
-    ref = ode.integrate(problem_for(), **kwargs)
-    monkeypatch.undo()
-    return new, ref
+def _run_both(problem_for, **kwargs):
+    """``ode.integrate`` on the generated run and conftest's
+    ``integrate_reference`` on the loop kernel, each on a fresh problem
+    from ``problem_for``."""
+    return (ode.integrate(problem_for(), **kwargs),
+            integrate_reference(problem_for(), **kwargs))
 
 
 def _assert_same_run(a, b):
@@ -774,17 +804,17 @@ def _assert_same_run(a, b):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_integrate_on_the_float_step_matches_the_loop_kernel(monkeypatch, size):
+def test_integrate_on_the_float_step_matches_the_loop_kernel(size):
     def problem_for():
         return ode.IvpProblem(_smooth, 0.0, np.linspace(0.2, 0.8, size), 5.0)
-    new, ref = _run_both(monkeypatch, problem_for,
+    new, ref = _run_both(problem_for,
                          stop=lambda t, y: y[0] > 50.0)
     _assert_same_run(new, ref)
     assert new.stats.accepted > 20
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_float_step_absorbs_the_same_rhs_errors(monkeypatch, size):
+def test_float_step_absorbs_the_same_rhs_errors(size):
     # Call 19 divides by zero and call 40 returns NaN: each attempt is
     # retried at half size, with the same counts on either kernel.
     def problem_for():
@@ -799,7 +829,7 @@ def test_float_step_absorbs_the_same_rhs_errors(monkeypatch, size):
                 out[-1] = math.nan
             return out
         return ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0)
-    new, ref = _run_both(monkeypatch, problem_for)
+    new, ref = _run_both(problem_for)
     _assert_same_run(new, ref)
     assert new.stats.nan_retries == 2
     assert new.stats.rhs_error == "ZeroDivisionError: float division by zero"
@@ -820,9 +850,160 @@ def test_short_rhs_list_raises_index_error(monkeypatch, size, kernel):
         calls.append(t)
         out = _smooth(t, y)
         return out[:-1] if len(calls) > 4 else out
-    monkeypatch.setattr(ode, "_float_kernel", kernel)
+    problem = ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0)
     with pytest.raises(IndexError):
-        ode.integrate(ode.IvpProblem(rhs, 0.0, np.full(size, 0.5), 2.0))
+        if kernel is float_kernel_reference:
+            integrate_reference(problem)
+        else:
+            monkeypatch.setattr(ode, "_float_kernel", kernel)
+            ode.integrate(problem)
+
+
+# The generated run against conftest.integrate_reference, the Python loop
+# it replaced, on the float step and on _array_kernel: the same nodes,
+# states, slopes, status, stop and StepStats, bit for bit.
+
+def _on_kernel(kernel, problem, rtol=ode.DEFAULT_RTOL, atol=ode.DEFAULT_ATOL,
+               stop=None, first_step=None):
+    """The generated run and the reference loop, each on a fresh problem
+    from ``problem``: on the float step, or on _array_kernel, whose numpy
+    step the reference loop takes as its step."""
+    runs = []
+    for side in ("run", "reference"):
+        prob = problem()
+        size = prob.y0.size
+        if kernel == "float":
+            pair = None
+        elif side == "run":
+            pair = ode._array_kernel(prob.rhs, size, rtol, atol)
+        else:
+            pair = ode._array_step(prob.rhs, size, rtol, atol)
+        integrate = ode._integrate if side == "run" else integrate_reference
+        # numpy's sums warn where Python floats raise or give inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            runs.append(integrate(prob, rtol, atol, stop, first_step, pair))
+    return runs
+
+
+def _counted(rhs):
+    """A maker of fresh problems on ``rhs(calls, t, y)``, which is handed
+    the list of the times of its calls so far."""
+    def make(y0, t_end):
+        def problem():
+            calls = []
+
+            def counted(t, y):
+                calls.append(t)
+                return rhs(calls, t, y)
+            return ode.IvpProblem(counted, 0.0, y0, t_end)
+        return problem
+    return make
+
+
+def _nan_late(calls, t, y):
+    # A NaN slope in the last component at calls 30, 61 and 95: at the
+    # last stage of an attempt, the first and the fourth.
+    out = _smooth(t, y)
+    if len(calls) in (30, 61, 95):
+        out[-1] = math.nan
+    return out
+
+
+def _raising(calls, t, y):
+    # Call 19 divides by zero, call 40 raises ValueError.
+    if len(calls) == 19:
+        return [v / 0.0 for v in y]
+    if len(calls) == 40:
+        raise ValueError("refused")
+    return _smooth(t, y)
+
+
+def _nan_before_a_zero_scale(calls, t, y):
+    # From y = (1, 0, ...) with atol = 0, every component but the first
+    # stays 0 with a zero error scale, where the error divides by zero; the
+    # first component's error is NaN at every attempt's last stage, so the
+    # norm stops there and the division is never reached.
+    out = [-y[0]] + [0.0] * (len(y) - 1)
+    if (len(calls) - 1) % 6 == 0 and len(calls) > 1:
+        out[0] = math.nan
+    return out
+
+
+_CASES = {
+    "crossing": lambda size: (
+        _counted(lambda calls, t, y: _smooth(t, y))(
+            np.linspace(0.2, 0.8, size), 5.0),
+        {"stop": lambda t, y: "far" if y[0] * y[0] + t > 2.0 else None}),
+    "nan": lambda size: (
+        _counted(_nan_late)(np.linspace(0.2, 0.8, size), 1.5), {}),
+    "raising": lambda size: (
+        _counted(_raising)(np.full(size, 0.5), 2.0), {}),
+    "underflow": lambda size: (
+        _counted(lambda calls, t, y: [v * v for v in y])(np.ones(size), 2.0),
+        {}),
+    "max_steps": lambda size: (
+        _counted(lambda calls, t, y: _smooth(t, y))(np.full(size, 0.5), 5.0),
+        {}),
+    "zero_scale": lambda size: (
+        _counted(_nan_before_a_zero_scale)(
+            np.array([1.0] + [0.0] * (size - 1)), 1.0),
+        {"atol": 0.0, "first_step": 0.1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("kernel", ["float", "array"])
+def test_generated_run_matches_the_reference_loop(monkeypatch, kernel, size,
+                                                  case):
+    if case == "max_steps":
+        monkeypatch.setattr(ode, "_MAX_STEPS", 7)
+    problem, kwargs = _CASES[case](size)
+    new, ref = _on_kernel(kernel, problem, **kwargs)
+    assert new.status is ref.status
+    assert new.times.tobytes() == ref.times.tobytes()
+    assert new.states.tobytes() == ref.states.tobytes()
+    assert new.derivs.tobytes() == ref.derivs.tobytes()
+    assert new.stats == ref.stats
+    assert (new.stop_time, new.stop_reason) == (ref.stop_time, ref.stop_reason)
+    stats = new.stats
+    want = {"crossing": ode.Status.STOPPED, "nan": ode.Status.COMPLETED,
+            "raising": ode.Status.COMPLETED}.get(case, ode.Status.STEP_FAILURE)
+    assert new.status is want
+    if case == "crossing":
+        assert new.stop_reason == "far" and stats.stop_calls > stats.accepted + 1
+    if case == "nan":
+        assert stats.nan_retries > 0 and stats.rhs_error is None
+    if case == "raising":
+        assert stats.nan_retries == 2
+        assert stats.rhs_error == "ValueError: refused"
+    if case == "max_steps":
+        assert stats.accepted + stats.rejected == 7
+    if case == "zero_scale":
+        assert stats.accepted == 0 and stats.nan_retries > 0
+        assert stats.rhs_error is None
+
+
+@pytest.mark.parametrize("kernel", ["float", "array"])
+def test_a_slope_longer_than_the_state_is_refused_on_both_kernels(kernel):
+    # y' = -y at 6 components, with 7 values from the fifth call on, the
+    # third stage of the first attempt: the run checks the length of the
+    # slope it stores once per step, outside the retry handler, and refuses
+    # the first attempt's last slope.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        out = [-v for v in y]
+        return out + [0.0] if len(calls) >= 5 else out
+    problem = ode.IvpProblem(rhs, 0.0, np.ones(6), 1.0)
+    pair = (ode._array_kernel(rhs, 6, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+            if kernel == "array" else None)
+    with pytest.raises(ValueError, match=re.escape(
+            "rhs must return 6 values at every call")):
+        ode._integrate(problem, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL, None, None,
+                       pair)
+    assert len(calls) == 8
 
 
 # The one tableau, and the laziness of the code generated from it.
@@ -849,15 +1030,15 @@ def test_import_compiles_no_generated_kernel():
     code = ("import averbound\n"
             "from averbound import direct, estimator, ode\n"
             "print(*(f.cache_info().currsize for f in (\n"
-            "    ode._compile_float_step, estimator._compile_slow_rhs,\n"
-            "    direct._compile_direct_rhs)))\n")
+            "    ode._compile_float_run, ode._compile_array_run,\n"
+            "    estimator._compile_slow_rhs, direct._compile_direct_rhs)))\n")
     src = str(Path(ode.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0"]
 
 
 def test_two_runs_at_one_size_compile_one_step(monkeypatch):
@@ -868,13 +1049,13 @@ def test_two_runs_at_one_size_compile_one_step(monkeypatch):
         compiled.append(label)
         return factory(source, label, **names)
     monkeypatch.setattr(ode, "_compile_factory", counted)
-    ode._compile_float_step.cache_clear()
+    ode._compile_float_run.cache_clear()
     for _ in range(2):
         traj = ode.integrate(problem(lambda t, y: [-y[0], -y[1], -y[2]],
                                      np.ones(3), 1.0))
         assert traj.status is ode.Status.COMPLETED
-    info = ode._compile_float_step.cache_info()
-    assert compiled == ["<ode float step, size 3>"]
+    info = ode._compile_float_run.cache_info()
+    assert compiled == ["<ode float run, size 3>"]
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
