@@ -446,9 +446,9 @@ def _rhs_stage(size):
 
 
 # The retry of a step attempt at half size, after an exception of the
-# right-hand side, a NaN error or a non-finite state.
-_NAN_RETRY = ["h *= 0.5", "nan_retries += 1", "just_rejected = True",
-              "continue"]
+# right-hand side, a NaN error or a non-finite state: its error norm is NaN.
+_NAN_RETRY = ["err = nan", "h *= 0.5", "nan_retries += 1",
+              "just_rejected = True", "continue"]
 
 
 def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
@@ -462,11 +462,12 @@ def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
     step size h until t_end, a stop or a failure, appending each accepted
     node to the buffers ``times``, ``states`` and ``derivs``.  It returns
     ``(status, steps, nan_retries, stop_calls, h_lo, h_hi, rhs_error,
-    reason, h)``: the :class:`Status`, the step attempts, the retries at
-    half size, the stop calls at the nodes, the smallest and largest
+    reason, h, err)``: the :class:`Status`, the step attempts, the retries
+    at half size, the stop calls at the nodes, the smallest and largest
     accepted step (inf and 0.0 when none was), the last exception a retry
-    absorbed or None, the stop value at the last node and the next step
-    size.
+    absorbed or None, the stop value at the last node, the next step size
+    and the last attempt's error norm (NaN after a retry at half size, and
+    when no step was attempted).
 
     On entry it reads the names ``reads`` of ``make`` into locals, through
     ``get``, and in a ``finally`` it writes the locals ``cells`` back to
@@ -478,6 +479,8 @@ def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
     take the accepted step's state and slope as the next step's.  At each
     accepted node the ``stop`` lines, which bind ``reason``, decide a stop;
     by default the node calls ``stop(t_new, ys)`` unless ``stop`` is None.
+    The node's state is recorded after them, from ``ys`` as ``rhs`` and
+    ``stop`` leave it.
 
     The controller is the PI controller of :func:`integrate` with ``min``
     and ``max`` written as conditional expressions that keep the builtins'
@@ -488,14 +491,15 @@ def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
         return ["    " * depth + line for line in lines]
 
     grow, shrink = 1 / _FAC_MAX, 1 / _FAC_MIN
-    at_node = ["stop_calls += 1", *stop] if stop is not None else [
+    stopped = ["add_state(ys)", "if reason:", "    status = Status.STOPPED",
+               "    break"]
+    at_node = ["stop_calls += 1", *stop, *stopped] if stop is not None else [
         "if stop is not None:",
         "    stop_calls += 1",
-        "    reason = stop(t_new, ys)"]
-    indent = "" if stop is not None else "    "
-    at_node += [f"{indent}if reason:",
-                f"{indent}    status = Status.STOPPED",
-                f"{indent}    break"]
+        "    reason = stop(t_new, ys)",
+        *block(stopped, 1),
+        "else:",
+        "    add_state(ys)"]
     loop = [
         "while t < t_end:",
         "    if steps >= max_steps or not h >= h_min:   # rejects NaN as well",
@@ -519,7 +523,6 @@ def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
         f"'rhs must return {size} values at every call')",
         "    t_new = t + h",
         "    add_time(t_new)",
-        "    add_state(ys)",
         "    add_slope(k)",
         "    if h < h_lo:",
         "        h_lo = h",
@@ -549,6 +552,7 @@ def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
         "h_lo = inf",
         "h_hi = 0.0",
         "rhs_error = reason = None",
+        "err = nan",
         "status = Status.COMPLETED",
     ]
     if cells:
@@ -557,7 +561,7 @@ def _run_source(size, entry, attempt, carry, stop=None, reads=(), cells=()):
     else:
         body += loop
     body.append("return (status, steps, nan_retries, stop_calls, h_lo, h_hi,"
-                " rhs_error, reason, h)")
+                " rhs_error, reason, h, err)")
     lines = ["def get():", f"    return {_seq(reads)}"]
     if cells:
         lines += ["def put(values):", f"    nonlocal {', '.join(cells)}",
@@ -573,7 +577,9 @@ def _float_run_source(stages, error, size, stage=None, stop=None, reads=(),
     components (:func:`_run_source`), whose step attempt is the
     Dormand-Prince step as straight-line code, for a tableau as
     ``_STAGES``, ``_E``.  The state and slope are carried from step to
-    step as the floats ``y<i>`` and ``k0_<i>``; the names ``reads`` must
+    step as the floats ``y<i>`` and ``k0_<i>``, the state unpacked from
+    the list ``ys`` when the run hands that list to code it does not write
+    (``rhs`` or ``stop``), which may change it; the names ``reads`` must
     include ``rtol``, ``atol``, the stage counter ``calls``, which
     ``cells`` must include too, and the names ``stage`` and ``stop`` read.
 
@@ -591,6 +597,7 @@ def _float_run_source(stages, error, size, stage=None, stop=None, reads=(),
     half size at the first component whose error is NaN or whose new state
     is not finite, without forming the later components' errors.
     """
+    handed_out = stage is None or stop is None    # ys reaches rhs or stop
     stage = _rhs_stage(size) if stage is None else stage
     comps = range(size)
     last = len(stages)
@@ -622,14 +629,11 @@ def _float_run_source(stages, error, size, stage=None, stop=None, reads=(),
             "if e > err:",
             "    err = e",
         ]
+    state = _seq(f"y{i}" for i in comps)
+    carry = [f"{state} = ys"] if handed_out else [f"y{i} = z{i}" for i in comps]
     return _run_source(
-        size,
-        [f"{_seq(f'y{i}' for i in comps)} = y",
-         f"{_seq(f'k0_{i}' for i in comps)} = f"],
-        attempt,
-        [f"y{i} = z{i}" for i in comps] + [f"k0_{i} = k{last}_{i}"
-                                           for i in comps],
-        stop, reads, cells)
+        size, [f"{state} = y", f"{_seq(f'k0_{i}' for i in comps)} = f"], attempt,
+        carry + [f"k0_{i} = k{last}_{i}" for i in comps], stop, reads, cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -672,7 +676,9 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     the first node where it returns a truthy value ends the run, with the
     crossing localized on the dense output of the final step and the value
     there kept as ``stop_reason``.  ``stop`` takes the state as a list, as
-    ``rhs`` does; an exception it raises, at any state, propagates.  Failure
+    ``rhs`` does; an exception it raises, at any state, propagates.  Each
+    node is the state the run goes on from: the list the last stage of the
+    step handed ``rhs``, as ``rhs`` and ``stop`` leave it.  Failure
     modes: step-size underflow below 1e-14 times the span (a NaN step size,
     as a non-finite initial state or slope gives, counts as one), or
     ``_MAX_STEPS`` step attempts.  Exceptions,
@@ -744,7 +750,7 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel):
     times = array("d", (t,))
     states = array("d", y)
     derivs = array("d", f)
-    status, steps, nan_retries, node_stops, h_lo, h_hi, error, reason, _ = run(
+    status, steps, nan_retries, node_stops, h_lo, h_hi, error, reason, *_ = run(
         t, y, f, h, t_end, h_min, _MAX_STEPS, times, states, derivs, stop)
     stop_calls += node_stops
     if error is not None:

@@ -57,9 +57,3 @@ def test_summary_of_synthetic_pairs():
     assert text.startswith("validate jobs_per_s 3.1 -> 3.5 (+12.9%), "
                            "better in 3 of 4 pairs")
 
-
-def test_percentile_is_numpys_default():
-    values = [5.0, 1.0, 4.0, 2.0, 8.0, 3.0]
-    for q in (0, 25, 50, 75, 100):
-        assert bench_pairs.percentile(values, q) == pytest.approx(
-            np.percentile(values, q), rel=1e-15)

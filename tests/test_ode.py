@@ -659,31 +659,37 @@ def _next_step_reference(err, h):
 def _steps_agree(make_rhs, size, t, y, f, h):
     """One step attempt of the generated run (a one-step run) and one step
     of the loop kernel, each on a fresh rhs from ``make_rhs``.  Assert that
-    every stage's time and state have equal bits; that the run accepts the
-    step exactly when the kernel's error norm is at most 1, and retries it
-    at half size exactly when that norm is NaN; that an accepted node is
-    the kernel's new state and slope; and that the next step size is the
-    one the loop's controller takes from that norm.  Return the norm and
-    the stage inputs."""
-    seen_by = []
+    every stage's time, state and slope have equal bits, the last stage's
+    being the kernel's new state and its slope; that the run's error norm
+    has the bits of the kernel's; that the run accepts the step exactly
+    when that norm is at most 1, and retries it at half size exactly when
+    it is NaN; that an accepted node is the new state and slope; and that
+    the next step size is the one the loop's controller takes from the
+    norm.  Return the run's norm and the stage inputs."""
+    calls_by = []
     for kernel in (ode._float_kernel, float_kernel_reference):
         rhs = make_rhs()
-        seen = []
+        seen, slopes = [], []
 
         def recording(t, y):
             seen.append(_bits([t, *y]))
-            return rhs(t, y)
+            out = rhs(t, y)
+            slopes.append(_bits(out))
+            return out
         fn, stage_calls = kernel(recording, size, ode.DEFAULT_RTOL,
                                  ode.DEFAULT_ATOL)
         if kernel is float_kernel_reference:
-            err, y_new, f_new = fn(t, list(y), list(f), h)
+            err_reference, y_new, f_new = fn(t, list(y), list(f), h)
             assert type(y_new) is list and len(y_new) == size
+            assert seen[-1][1:] == _bits(y_new)
+            assert slopes[-1] == _bits(f_new)
         else:
             result, (times, states, derivs) = one_step_run(fn, t, y, f, h)
         assert stage_calls() == len(seen)
-        seen_by.append(seen)
-    assert seen_by[0] == seen_by[1]
-    status, steps, nan_retries, _, _, _, rhs_error, _, h_next = result
+        calls_by.append((seen, slopes))
+    assert calls_by[0] == calls_by[1]
+    status, steps, nan_retries, _, _, _, rhs_error, _, h_next, err = result
+    assert _bits([err]) == _bits([err_reference])
     assert status is ode.Status.STEP_FAILURE and steps == 1
     assert rhs_error is None
     accepted = err <= 1.0
@@ -693,7 +699,7 @@ def _steps_agree(make_rhs, size, t, y, f, h):
         assert _bits(states[size:]) == _bits(y_new)
         assert _bits(derivs[size:]) == _bits(f_new)
     assert _bits([h_next]) == _bits([_next_step_reference(err, h)])
-    return err, seen_by[0]
+    return err, calls_by[0][0]
 
 
 def _smooth(t, y):
@@ -929,11 +935,22 @@ def _nan_before_a_zero_scale(calls, t, y):
     return out
 
 
+def _rounding_stop(t, y):
+    # Rounds the first component of the list it is handed to 12 decimals
+    # and never stops the run: the node records the rounded state and the
+    # next step goes on from it.
+    y[0] = round(y[0], 12)
+
+
 _CASES = {
     "crossing": lambda size: (
         _counted(lambda calls, t, y: _smooth(t, y))(
             np.linspace(0.2, 0.8, size), 5.0),
         {"stop": lambda t, y: "far" if y[0] * y[0] + t > 2.0 else None}),
+    "changing_stop": lambda size: (
+        _counted(lambda calls, t, y: _smooth(t, y))(
+            np.linspace(0.2, 0.8, size), 1.0),
+        {"stop": _rounding_stop}),
     "nan": lambda size: (
         _counted(_nan_late)(np.linspace(0.2, 0.8, size), 1.5), {}),
     "raising": lambda size: (
@@ -968,10 +985,14 @@ def test_generated_run_matches_the_reference_loop(monkeypatch, kernel, size,
     assert (new.stop_time, new.stop_reason) == (ref.stop_time, ref.stop_reason)
     stats = new.stats
     want = {"crossing": ode.Status.STOPPED, "nan": ode.Status.COMPLETED,
-            "raising": ode.Status.COMPLETED}.get(case, ode.Status.STEP_FAILURE)
+            "raising": ode.Status.COMPLETED,
+            "changing_stop": ode.Status.COMPLETED}.get(
+                case, ode.Status.STEP_FAILURE)
     assert new.status is want
     if case == "crossing":
         assert new.stop_reason == "far" and stats.stop_calls > stats.accepted + 1
+    if case == "changing_stop":
+        assert stats.stop_calls == stats.accepted + 1 > 5
     if case == "nan":
         assert stats.nan_retries > 0 and stats.rhs_error is None
     if case == "raising":

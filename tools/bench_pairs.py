@@ -6,14 +6,15 @@
 
 The parent is unpacked with ``git archive`` into a temporary directory; the
 change side is the working tree.  For each workload, pair k runs
-``perfbench/run.py --workload W --seed S+k --seconds 23 --trace 0`` once
-in each tree, the parent first on odd seeds and the change first on even
-ones, one run at a time.  The result file has the layout of
-``BENCH_31.json`` to ``BENCH_33.json``: the command, the host, the order,
-the parent commit, per workload and end-to-end metric the median and
-quartiles of each side, the pairs the change is better and worse in and
-whether its median stays within the metric's bound of ``BENCHMARK.json``,
-and every run.
+``perfbench/run.py --workload W --seed S+k --trace 0`` once in each
+tree, at the benchmark's own run length, the parent first on odd seeds
+and the change first on even ones, one run at a time.  The result file
+has the layout of ``BENCH_31.json`` to ``BENCH_33.json``: the command
+with the run length the runs report, the host, the order, the parent
+commit, per workload and end-to-end metric the median and quartiles of
+each side, the pairs the change is better and worse in and whether its
+median stays within the metric's bound of ``BENCHMARK.json``, and every
+run.
 """
 from __future__ import annotations
 
@@ -22,24 +23,25 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0"
+COMMAND = "python3 perfbench/run.py --workload W --seed N --trace 0"
+# perfbench/run.py's first report line names the run length it ran at.
+SECONDS = re.compile(r"^# averbound benchmark: .* seconds=(\S+) ", re.M)
 
 
-def percentile(values, q):
-    """The q-th percentile of ``values`` by linear interpolation between
-    the closest ranks, as ``numpy.percentile`` takes it by default."""
-    xs = sorted(values)
-    pos = (len(xs) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+def quartiles(values):
+    """The 25th and 75th percentiles of ``values``, numpy's default
+    interpolation."""
+    return [float(q) for q in numpy.percentile(values, [25, 75])]
 
 
 def summarize(runs, metrics):
@@ -67,7 +69,8 @@ def summarize(runs, metrics):
                      for side in ("parent", "change")}
             if not sides["parent"] or not sides["change"]:
                 continue
-            parent, change = (percentile(sides[s], 50) for s in ("parent", "change"))
+            parent, change = (float(numpy.median(sides[s]))
+                              for s in ("parent", "change"))
             rel = (change - parent) / parent if parent else 0.0
             better = sum((p["change"][name] > p["parent"][name]) == higher
                          and p["change"][name] != p["parent"][name]
@@ -77,11 +80,9 @@ def summarize(runs, metrics):
             worsening = -rel if higher else rel
             table[name] = {
                 "parent_median": parent,
-                "parent_quartiles": [percentile(sides["parent"], 25),
-                                     percentile(sides["parent"], 75)],
+                "parent_quartiles": quartiles(sides["parent"]),
                 "change_median": change,
-                "change_quartiles": [percentile(sides["change"], 25),
-                                     percentile(sides["change"], 75)],
+                "change_quartiles": quartiles(sides["change"]),
                 "relative_change": rel,
                 "pairs_change_better": better,
                 "pairs_change_worse": worse,
@@ -120,16 +121,18 @@ def unpack(ref: str, into: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, side: str, workload: str, seed: int, seconds: float,
-             metrics) -> dict:
+def run_once(tree: Path, side: str, workload: str, seed: int, metrics) -> dict:
     """One ``perfbench/run.py`` run in ``tree``, as a record of its exit
-    code, its outcome and its end-to-end metrics."""
+    code, the run length it reported, its outcome and its end-to-end
+    metrics."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
+    seconds = SECONDS.search(proc.stdout)
     record = {"workload": workload, "seed": seed, "side": side,
-              "exit": proc.returncode}
+              "exit": proc.returncode,
+              "seconds": float(seconds.group(1)) if seconds else None}
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
@@ -142,7 +145,6 @@ def run_once(tree: Path, side: str, workload: str, seed: int, seconds: float,
 
 
 def host() -> str:
-    import numpy
     return (f"{os.cpu_count()}-CPU {platform.machine()} host, Python "
             f"{platform.python_version()}, numpy {numpy.__version__}; each "
             "side runs from its own copy of the tree in its own directory")
@@ -154,7 +156,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair; pair k takes seed + k")
-    parser.add_argument("--seconds", type=float, default=23.0)
     parser.add_argument("--workload", nargs="+",
                         default=["validate", "audit", "certify"])
     parser.add_argument("--out", required=True, type=Path)
@@ -182,13 +183,15 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
                     record = run_once(trees[side], side, workload, seed,
-                                      args.seconds, metrics)
+                                      metrics)
                     runs.append(record)
                     print(json.dumps(record), flush=True)
     summary = summarize(runs, metrics)
+    lengths = sorted({r["seconds"] for r in runs if r["seconds"] is not None})
     seeds = f"{args.seed}-{args.seed + args.pairs - 1}"
     doc = {
-        "command": COMMAND.format(seconds=f"{args.seconds:g}"),
+        "command": (f"{COMMAND}, at perfbench's default run length: "
+                    + ", ".join(f"--seconds {s:g}" for s in lengths)),
         "host": host(),
         "order": ("pairs alternate which side runs first: parent first on odd "
                   f"seeds, change first on even seeds. Seeds {seeds} "
