@@ -36,7 +36,7 @@ import textwrap
 import time
 import types
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,11 +86,11 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     """Integrate the error system on [0, u/eps) against ``avg_traj``.
 
     ``avg_traj`` must span [0, u] in slow time with the averaged actions in
-    its first d state components.  The run is split into chunks with the
-    wall clock checked in between; exceeding ``time_budget`` seconds aborts
-    with ``step_failure`` status and ``budget_exceeded`` set, keeping the
-    partial trajectory.  Leaving the action domain stops the run with
-    ``stopped_by_predicate``.
+    its first d state components.  One :func:`ode._integrate` call runs
+    the span in ``_BUDGET_CHUNKS`` chunks and checks the wall clock after
+    each; exceeding ``time_budget`` seconds aborts with ``step_failure``
+    status and ``budget_exceeded`` set, keeping the partial trajectory.
+    Leaving the action domain stops the run with ``stopped_by_predicate``.
     """
     if not u > 0.0:
         raise ValueError("U must be positive")
@@ -101,41 +101,18 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
     t_end = u / eps
     start = time.perf_counter()
     rhs, stop, kernel = _direct_functions(spec, aux, avg_traj, rtol, atol)
-
-    chunk = t_end / _BUDGET_CHUNKS
-    y = np.concatenate([np.zeros(d), [spec.theta0]])
-    t = 0.0
-    h_warm = None
-    pieces: List[ode.Trajectory] = []
     budget_hit = False
-    status = ode.Status.COMPLETED
-    while t < t_end:
-        t_next = min(t + chunk, t_end)
-        if t_end - t_next < 0.5 * chunk:
-            t_next = t_end
-        problem = ode.IvpProblem(rhs=rhs, t0=t, y0=y, t_end=t_next)
-        piece = ode._integrate(problem, rtol, atol, stop, h_warm, kernel)
-        pieces.append(piece)
-        status = piece.status
-        if piece.status is not ode.Status.COMPLETED:
-            break
-        t = piece.t_final
-        y = piece.states[-1]
-        # last step is clipped to the chunk end; take the recent maximum
-        h_warm = float(np.max(np.diff(piece.times[-6:])))
-        if time.perf_counter() - start > time_budget:
-            budget_hit = True
-            status = ode.Status.STEP_FAILURE
-            break
 
-    merged = _concat(pieces, status)
-    return DirectTrajectory(
-        d=d,
-        eps=eps,
-        traj=merged,
-        budget_exceeded=budget_hit,
-        wall_time_s=time.perf_counter() - start,
-    )
+    def out_of_time():
+        nonlocal budget_hit
+        budget_hit = time.perf_counter() - start > time_budget
+        return budget_hit
+    y0 = np.concatenate([np.zeros(d), [spec.theta0]])
+    traj = ode._integrate(ode.IvpProblem(rhs=rhs, t0=0.0, y0=y0, t_end=t_end),
+                          rtol, atol, stop, None, kernel, _BUDGET_CHUNKS,
+                          out_of_time)
+    return DirectTrajectory(d=d, eps=eps, traj=traj, budget_exceeded=budget_hit,
+                            wall_time_s=time.perf_counter() - start)
 
 
 # The prefix of the names each member's written-in body binds and reads,
@@ -373,8 +350,8 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
     (:func:`ode._inline_stage`) and the stop predicate's test into each
     accepted node: the same operations on the same floats as a loop that
     calls ``rhs`` and ``stop``, so it takes the same steps bit for bit.
-    ``rhs`` and ``stop`` are still called outside the loop, for the initial
-    slope, the first-step probe, the initial-state check and the stop
+    ``rhs`` and ``stop`` are still called outside the loop, at each chunk's
+    start (its slope and check), for the first-step probe and for the stop
     localisation.  All three read J(eps*t) inline, as ``j0, j1, ...``, from
     the interval of the averaged cubic they share in closure cells of
     ``make``: its ends ``t_lo``, ``t_hi``, its length ``width`` and its
@@ -524,27 +501,6 @@ def _direct_functions(spec: SystemSpec, aux: AuxiliaryBundle,
     return make(spec.epsilon, spec.f, spec.g, spec.omega, aux.fbar,
                 spec.in_domain, ode.CubicSampler(avg_traj).interval,
                 avg_traj.t_final, rtol, atol, **outside)
-
-
-def _concat(pieces: Sequence[ode.Trajectory], status: ode.Status) -> ode.Trajectory:
-    times = [pieces[0].times]
-    states = [pieces[0].states]
-    derivs = [pieces[0].derivs]
-    stats = pieces[0].stats
-    for piece in pieces[1:]:
-        times.append(piece.times[1:])
-        states.append(piece.states[1:])
-        derivs.append(piece.derivs[1:])
-        stats += piece.stats
-    return ode.Trajectory(
-        times=np.concatenate(times),
-        states=np.vstack(states),
-        derivs=np.vstack(derivs),
-        status=status,
-        stop_time=pieces[-1].stop_time,
-        stop_reason=pieces[-1].stop_reason,
-        stats=stats,
-    )
 
 
 def check_window(window: float, span: float) -> None:

@@ -25,9 +25,10 @@ calls the stop predicate; a caller may write its right-hand side into the
 stages instead (:func:`_inline_stage`), and its stop test into the node,
 and hand the run to :func:`_integrate`: the direct run writes in both, the
 slow solve at d = 1 its right-hand side.  :func:`_integrate` sets a run
-up, localises the stop it found, and builds the trajectory.  Each run
-counts its own stage evaluations, which ``StepStats.rhs_evals`` reports
-with the initial slope and the probe of the first step size.
+up, localises the stop it found, and builds the trajectory; it runs the
+direct run's budget chunks, one run each, into one set of node buffers.
+Each run counts its own stage evaluations, which ``StepStats.rhs_evals``
+reports with each chunk's initial slope and the probe of the first step.
 
 The integrator is deterministic: identical inputs produce bitwise-identical
 trajectories.
@@ -691,85 +692,124 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     return _integrate(problem, rtol, atol, stop, first_step, None)
 
 
-def _integrate(problem, rtol, atol, stop, first_step, kernel):
-    """:func:`integrate`, run by ``kernel`` when it is given.
+def _integrate(problem, rtol, atol, stop, first_step, kernel, chunks=1,
+               out_of_time=None):
+    """:func:`integrate`, run by ``kernel`` when it is given, in ``chunks``
+    chunks of the span, into one set of node buffers.
 
     ``kernel`` is a run and its stage counter, as :func:`_float_kernel`
     returns them, for states of ``problem.y0.size`` components: a run that
     evaluates ``problem.rhs`` inline, bit for bit, in each stage, so that
-    ``problem.rhs`` itself is called only for the initial slope and the
+    ``problem.rhs`` itself is called only at each chunk's start and for the
     probe of the first step size, or ``_array_kernel`` on ``problem.rhs``.
-    Without one, the float run steps on ``problem.rhs``.  This function
-    sets the run up, localises a stop the run found, and builds the
-    :class:`Trajectory` and its :class:`StepStats`; the loop is the run's.
-    The counter may run on from earlier runs; the stats count only its
-    calls in this one.
+    Without one, the float run steps on ``problem.rhs``.
+
+    A chunk from t ends at ``min(t + span / chunks, t_end)``; a tail
+    shorter than half a chunk joins the last.  Each chunk starts as a run
+    of its own from the node its predecessor ended on, with a fresh
+    controller: it calls ``problem.rhs`` and ``stop`` there, and its
+    underflow threshold and its ``_MAX_STEPS`` are its own.  A later chunk
+    starts with the largest step among its predecessor's last six nodes at
+    most.  ``out_of_time()``, when given, is asked after every chunk that
+    completes, the last included; a true answer ends the run with
+    ``step_failure``.  This function sets each chunk up, localises a stop
+    its run found and builds one :class:`Trajectory`; the loop is the
+    run's.  The counter may run on from earlier runs; the stats count only
+    its calls in this one.
     """
     rhs = problem.rhs
-    t_end = problem.t_end
-    t = problem.t0
+    t, t_end = problem.t0, problem.t_end
+    size = problem.y0.size
+    chunk = (t_end - t) / chunks
     y = problem.y0.tolist()     # one list per state, for rhs and stop alike
-    f_raw = rhs(t, y)
-    rhs_evals, stop_calls = 1, 0
+    rhs_evals = stop_calls = steps = nan_retries = 0
+    h_lo, h_hi = math.inf, 0.0
+    rhs_error = stop_time = stop_reason = None
+    warm = first_step
+    # Accepted nodes, one flat buffer of doubles each: a row of Python
+    # floats takes about five times the memory of its eight-byte values.
+    times, states, derivs = array("d", (t,)), array("d", y), array("d")
 
     def counted_stop(t, y):     # the calls of the stop localisation
         nonlocal stop_calls
         stop_calls += 1
         return stop(t, y)
 
-    f0 = np.asarray(f_raw, dtype=float)
-    if f0.shape != problem.y0.shape:
-        raise ValueError(
-            f"rhs must return shape {problem.y0.shape}, got {f0.shape}")
-    if stop is not None:
-        stop_calls += 1
-        if stop(t, y):
-            raise ValueError("stop predicate already true at the initial state")
-
-    span = t_end - problem.t0
-    h_min = _HMIN_REL * span
-    if first_step is not None and first_step > 0.0:
-        h, rhs_error = min(first_step, span), None
-    else:
+    while t < t_end:
+        t_next = min(t + chunk, t_end)
+        if t_end - t_next < 0.5 * chunk:
+            t_next = t_end
+        f_raw = rhs(t, y)
         rhs_evals += 1
-        h, rhs_error = _initial_step(rhs, t, problem.y0, f0, t_end, rtol, atol)
-
-    size = len(y)
-    if kernel is None:
-        # An rhs that does not return a list has each result converted, so
-        # the float run does not step on numpy scalars, which warn on
-        # overflow where Python floats do not.
-        step_rhs = rhs if isinstance(f_raw, list) else (
-            lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
-        kernel = _float_kernel(step_rhs, size, rtol, atol)
-    run, stage_calls = kernel
-    stage_calls_before = stage_calls()
-    f = f0.tolist()
-    # Accepted nodes, one flat buffer of doubles each: a row of Python
-    # floats takes about five times the memory of its eight-byte values.
-    times = array("d", (t,))
-    states = array("d", y)
-    derivs = array("d", f)
-    status, steps, nan_retries, node_stops, h_lo, h_hi, error, reason, *_ = run(
-        t, y, f, h, t_end, h_min, _MAX_STEPS, times, states, derivs, stop)
-    stop_calls += node_stops
-    if error is not None:
-        rhs_error = error
-    stop_time = stop_reason = None
-    if status is Status.STOPPED:
-        # the last accepted step, from the last two rows of the buffers
-        rows = [np.asarray(buf[-2 * size:-size]) for buf in (states, derivs)]
-        stop_time, y_stop, f_stop, stop_reason = _localize_stop(
-            counted_stop, reason, times[-2], times[-1], rows[0],
-            np.asarray(states[-size:]), rows[1], np.asarray(derivs[-size:]))
-        times[-1] = stop_time
-        states[-size:] = array("d", y_stop)
-        derivs[-size:] = array("d", f_stop)
+        f0 = np.asarray(f_raw, dtype=float)
+        if f0.shape != problem.y0.shape:
+            raise ValueError(
+                f"rhs must return shape {problem.y0.shape}, got {f0.shape}")
+        if stop is not None:
+            stop_calls += 1
+            if stop(t, y):
+                raise ValueError(
+                    "stop predicate already true at the initial state")
+        span = t_next - t
+        if warm is not None and warm > 0.0:
+            h = min(warm, span)
+        else:
+            rhs_evals += 1
+            # from the chunk's start as recorded, whatever rhs did to y
+            h, error = _initial_step(rhs, t, np.asarray(states[-size:]), f0,
+                                     t_next, rtol, atol)
+            if error is not None:
+                rhs_error = error
+        f = f0.tolist()
+        if not derivs:              # the first chunk, whose slope opens it
+            if kernel is None:
+                # An rhs that does not return a list has each result
+                # converted, so the float run does not step on numpy
+                # scalars, which warn on overflow where Python floats do not.
+                step_rhs = rhs if isinstance(f_raw, list) else (
+                    lambda t, y: np.asarray(rhs(t, y), dtype=float).tolist())
+                kernel = _float_kernel(step_rhs, size, rtol, atol)
+            run, stage_calls = kernel
+            derivs.extend(f)
+        first = len(times)          # the chunk's first new node
+        calls_before = stage_calls()
+        status, attempts, retries, node_stops, lo, hi, error, reason, *_ = run(
+            t, y, f, h, t_next, _HMIN_REL * span, _MAX_STEPS, times, states,
+            derivs, stop)
+        rhs_evals += stage_calls() - calls_before
+        steps += attempts
+        nan_retries += retries
+        stop_calls += node_stops
+        h_lo, h_hi = min(h_lo, lo), max(h_hi, hi)
+        if error is not None:
+            rhs_error = error
+        if status is Status.STOPPED:
+            # The last accepted step, from the last two rows of the buffers;
+            # the chunk's first starts from the slope the chunk started on.
+            y_prev, f_prev = (np.asarray(buf[-2 * size:-size])
+                              for buf in (states, derivs))
+            stop_time, y_stop, f_stop, stop_reason = _localize_stop(
+                counted_stop, reason, times[-2], times[-1], y_prev,
+                np.asarray(states[-size:]),
+                f0 if len(times) == first + 1 else f_prev,
+                np.asarray(derivs[-size:]))
+            times[-1] = stop_time
+            states[-size:] = array("d", y_stop)
+            derivs[-size:] = array("d", f_stop)
+        if status is not Status.COMPLETED:
+            break
+        if out_of_time is not None and out_of_time():
+            status = Status.STEP_FAILURE
+            break
+        # its last step is clipped to the chunk's end; take the recent largest
+        nodes = times[max(first - 1, len(times) - 6):]
+        warm = max(b - a for a, b in zip(nodes, nodes[1:]))
+        t = times[-1]
+        y = states[-size:].tolist()
 
     accepted = len(times) - 1
-    rhs_evals += stage_calls() - stage_calls_before
-    # A copy each, not a view: a view would keep the buffer's spare capacity
-    # alive with the trajectory, and the chunked direct run keeps many.
+    # A copy each, not a view: a view would keep the buffer's spare
+    # capacity alive with the trajectory.
     return Trajectory(
         times=np.frombuffer(times).copy(),
         states=np.frombuffer(states).reshape(-1, size).copy(),

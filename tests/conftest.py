@@ -1,13 +1,14 @@
 """Shared fixtures: example definitions and cached short runs."""
 import dataclasses
 import math
+import time
 from array import array
 
 import numpy as np
 import pytest
 
 import averbound as ab
-from averbound import estimator, ode, validation
+from averbound import direct, estimator, ode, validation
 from averbound.estimator import unpack_state
 from averbound.model import TWO_PI, frobenius, growth_value, offset_value
 from averbound.ode import _E, _STAGES
@@ -284,6 +285,94 @@ def integrate_reference(problem, rtol=ode.DEFAULT_RTOL, atol=ode.DEFAULT_ATOL,
                             stop_calls=stop_calls, h_min=h_lo, h_max=h_hi,
                             rhs_error=rhs_error),
     )
+
+
+def _concat_reference(pieces, status):
+    """The pieces of a chunked run as one trajectory: each later piece
+    without its first node, the end of its predecessor, and the stats
+    summed."""
+    times = [pieces[0].times]
+    states = [pieces[0].states]
+    derivs = [pieces[0].derivs]
+    stats = pieces[0].stats
+    for piece in pieces[1:]:
+        times.append(piece.times[1:])
+        states.append(piece.states[1:])
+        derivs.append(piece.derivs[1:])
+        stats += piece.stats
+    return ode.Trajectory(
+        times=np.concatenate(times),
+        states=np.vstack(states),
+        derivs=np.vstack(derivs),
+        status=status,
+        stop_time=pieces[-1].stop_time,
+        stop_reason=pieces[-1].stop_reason,
+        stats=stats,
+    )
+
+
+def chunks_reference(integrate_chunk, problem, first_step, chunks,
+                     out_of_time=None):
+    """The chunk loop of ``direct.run_direct`` as it was before
+    ``ode._integrate`` ran the chunks, and its ``_concat``: ``problem`` in
+    ``chunks`` chunks, each a problem of its own integrated by
+    ``integrate_chunk(chunk_problem, first_step)``, the later ones from the
+    largest of the last steps of their predecessor, merged into one
+    trajectory.  ``out_of_time()``, when given, is asked after every
+    completed chunk.  Returns the trajectory and whether ``out_of_time``
+    ended it."""
+    t_end = problem.t_end
+    chunk = (t_end - problem.t0) / chunks
+    y = problem.y0
+    t = problem.t0
+    h_warm = first_step
+    pieces = []
+    budget_hit = False
+    status = ode.Status.COMPLETED
+    while t < t_end:
+        t_next = min(t + chunk, t_end)
+        if t_end - t_next < 0.5 * chunk:
+            t_next = t_end
+        piece = integrate_chunk(
+            ode.IvpProblem(rhs=problem.rhs, t0=t, y0=y, t_end=t_next), h_warm)
+        pieces.append(piece)
+        status = piece.status
+        if piece.status is not ode.Status.COMPLETED:
+            break
+        t = piece.t_final
+        y = piece.states[-1]
+        # last step is clipped to the chunk end; take the recent maximum
+        h_warm = float(np.max(np.diff(piece.times[-6:])))
+        if out_of_time is not None and out_of_time():
+            budget_hit = True
+            status = ode.Status.STEP_FAILURE
+            break
+    return _concat_reference(pieces, status), budget_hit
+
+
+def run_direct_reference(spec, aux, avg_traj, u, rtol=ode.DEFAULT_RTOL,
+                         atol=ode.DEFAULT_ATOL,
+                         time_budget=direct.DEFAULT_BUDGET_S):
+    """``direct.run_direct`` as it was before ``ode._integrate`` ran its
+    chunks: one ``ode._integrate`` call per chunk, each building its own
+    trajectory, merged by ``chunks_reference``.  The run must match it bit
+    for bit: nodes, states, slopes, status, stop, every ``StepStats`` field
+    and ``budget_exceeded``.  It asks ``time.perf_counter`` as often as the
+    run does: at the start, after every completed chunk and at the end."""
+    eps, d = spec.epsilon, spec.d
+    start = time.perf_counter()
+    rhs, stop, kernel = direct._direct_functions(spec, aux, avg_traj, rtol,
+                                                 atol)
+    problem = ode.IvpProblem(rhs=rhs, t0=0.0, t_end=u / eps,
+                             y0=np.concatenate([np.zeros(d), [spec.theta0]]))
+    traj, budget_hit = chunks_reference(
+        lambda chunk, h_warm: ode._integrate(chunk, rtol, atol, stop, h_warm,
+                                             kernel),
+        problem, None, direct._BUDGET_CHUNKS,
+        lambda: time.perf_counter() - start > time_budget)
+    return direct.DirectTrajectory(
+        d=d, eps=eps, traj=traj, budget_exceeded=budget_hit,
+        wall_time_s=time.perf_counter() - start)
 
 
 def toy_linear_decay(eps=1e-2, i0=2.0, d=1):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import averbound as ab
 from averbound import direct, ode
 from averbound.direct import DirectTrajectory, envelope
 
-from conftest import (direct_reference, envelope_reference,
+from conftest import (chunks_reference, direct_reference, envelope_reference,
                       float_kernel_reference, integrate_reference,
-                      toy_linear_decay)
+                      run_direct_reference, toy_linear_decay)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 5])
@@ -58,13 +59,15 @@ def test_registered_system_matches_the_numpy_reference(monkeypatch, d):
     integrate = ode._integrate
     rhs, stop = direct_reference(spec, example.aux, avg)
 
-    def on_numpy(problem, rtol, atol, _, first_step, kernel):
+    def on_numpy(problem, rtol, atol, _, first_step, kernel, chunks,
+                 out_of_time):
         # The numpy reference, adapted at its edge to the list states, on
         # the step that calls rhs in place of the fused one.
         assert kernel is not None
         return integrate(dataclasses.replace(
             problem, rhs=lambda t, y: rhs(t, np.array(y)).tolist()),
-            rtol, atol, lambda t, y: stop(t, np.array(y)), first_step, None)
+            rtol, atol, lambda t, y: stop(t, np.array(y)), first_step, None,
+            chunks, out_of_time)
     monkeypatch.setattr(ode, "_integrate", on_numpy)
     ref = ab.run_direct(spec, example.aux, avg, u)
     assert np.array_equal(dtraj.t, ref.t)
@@ -94,17 +97,21 @@ def _angle_system(d, raise_at=()):
     return spec, aux, calls
 
 
-def _on_reference(problem, rtol, atol, stop, first_step, kernel):
-    """``ode._integrate`` as conftest's loop, integrate_reference, with its
-    loop kernel on the generated right-hand side ``problem.rhs`` in place
-    of the generated run ``kernel``, or on its own when there is none, as
-    for the averaged run."""
+def _on_reference(problem, rtol, atol, stop, first_step, kernel, chunks=1,
+                  out_of_time=None):
+    """``ode._integrate`` as conftest's loops: chunks_reference around
+    integrate_reference, with its loop kernel on the generated right-hand
+    side ``problem.rhs`` in place of the generated run ``kernel``, or on
+    its own when there is none, as for the averaged run."""
     if kernel is None:
+        assert chunks == 1
         return integrate_reference(problem, rtol, atol, stop, first_step)
     size = problem.y0.size
-    return integrate_reference(
-        problem, rtol, atol, stop, first_step,
-        float_kernel_reference(problem.rhs, size, rtol, atol))
+    return chunks_reference(
+        lambda chunk, h_warm: integrate_reference(
+            chunk, rtol, atol, stop, h_warm,
+            float_kernel_reference(chunk.rhs, size, rtol, atol)),
+        problem, first_step, chunks, out_of_time)[0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -473,6 +480,127 @@ def test_stats_sum_over_the_chunks():
     steps = np.diff(dtraj.t)
     assert stats.h_min == pytest.approx(steps.min(), rel=1e-9)
     assert stats.h_max == pytest.approx(steps.max(), rel=1e-9)
+
+
+# The direct run's chunks, run inside one ode._integrate call, against the
+# loop of one _integrate call per chunk that they replaced.
+
+_CHUNK_CASES = ["completed", "short_chunks", "exit", "exit_on_chunk_start",
+                "raises_in_two_chunks", "budget_after_first_chunk",
+                "budget_after_last_chunk"]
+
+
+def _chunk_case(d, case):
+    """The system and ``run_direct`` keywords of a chunk case, and the
+    list whose one item counts the calls of f.  Past ``completed`` and
+    ``exit``, the runs are loose, about three steps and 16 calls of f per
+    chunk, and f is off by 1e-12 at every other call, so that the slope a
+    chunk starts from differs from the one the run gave that node; with
+    ``raises_in_two_chunks`` f raises ValueError, naming the call, at
+    calls 40 and 1003."""
+    spec, aux, calls = _angle_system(d)
+    if case in ("completed", "exit"):
+        return spec, aux, {}, calls
+    angle_f = spec.f
+
+    def f(i, th):
+        out = angle_f(i, th)
+        if case == "raises_in_two_chunks" and calls[0] in (40, 1003):
+            raise ValueError(f"f refused at call {calls[0]}")
+        return [x + 1e-12 * (calls[0] % 2) for x in out]
+    kwargs = dict(rtol=1e-4, atol=1e-7)
+    if case == "budget_after_first_chunk":
+        kwargs["time_budget"] = 1e-9
+    return dataclasses.replace(spec, f=f), aux, kwargs, calls
+
+
+def _chunk_start_exit(spec, aux, avg, u, kwargs):
+    """``in_domain`` that leaves the domain on the first step of a chunk,
+    and the index of the node that chunk starts from: the first chunk from
+    t = 100 on whose first step takes the first action, read at the nodes
+    of a run without the exit, below its every earlier value, cut halfway
+    there."""
+    dtraj = ab.run_direct(spec, aux, avg, u, **kwargs)
+    chunk = u / spec.epsilon / direct._BUDGET_CHUNKS
+    action = (avg.sample_many(dtraj.eps * dtraj.t)[:, 0]
+              + spec.epsilon * dtraj.l[:, 0])
+    lowest = np.minimum.accumulate(action)
+    for k in range(128, direct._BUDGET_CHUNKS):
+        start = int(np.argmin(abs(dtraj.t - k * chunk)))
+        if action[start + 1] < lowest[start]:
+            break
+    cut = 0.5 * (lowest[start] + action[start + 1])
+
+    def in_domain(i):
+        return i[0] > cut
+    return in_domain, start
+
+
+@pytest.mark.parametrize("case", _CHUNK_CASES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_run_direct_matches_the_chunk_loop(monkeypatch, d, case):
+    # One _integrate call running all the chunks into one set of node
+    # buffers gives what conftest's run_direct_reference, one _integrate
+    # call per chunk merged by _concat, gives: the same nodes, states,
+    # slopes, status, stop, StepStats and budget flag, bit for bit.
+    spec, aux, kwargs, calls = _chunk_case(d, case)
+    u = 2.0
+    avg = ab.run_averaged(spec, aux, u)
+    chunk = u / spec.epsilon / direct._BUDGET_CHUNKS
+    if case.startswith("exit"):
+        if case == "exit":
+            def in_domain(i):
+                return i[0] > 0.75
+        else:
+            in_domain, start = _chunk_start_exit(spec, aux, avg, u, kwargs)
+        spec = dataclasses.replace(spec, in_domain=in_domain)
+    if case == "budget_after_last_chunk":
+        # The clock reads 0 until the check after the last chunk: the run
+        # asks it at its start, after every chunk and at its end.
+        clock = []
+
+        def perf_counter():
+            clock.append(None)
+            return 1e9 if len(clock) == last else 0.0
+        last = None
+        monkeypatch.setattr(time, "perf_counter", perf_counter)
+        ab.run_direct(spec, aux, avg, u, **kwargs)
+        last = len(clock) - 1
+    runs = []
+    for run in (ab.run_direct, run_direct_reference):
+        if case == "budget_after_last_chunk":
+            clock.clear()
+        calls[0] = 0
+        runs.append(run(spec, aux, avg, u, **kwargs))
+    got, want = runs
+    _assert_same_run(got, want)
+    assert got.traj.stop_time == want.traj.stop_time
+    assert got.traj.stop_reason == want.traj.stop_reason
+    assert got.budget_exceeded is want.budget_exceeded
+    stats = got.traj.stats
+    if case == "short_chunks":
+        # some chunk has at most four steps, so fewer than six nodes
+        assert stats.accepted < 5 * direct._BUDGET_CHUNKS
+    if case.startswith("exit"):
+        assert got.status is ode.Status.STOPPED
+        assert got.traj.stop_time == got.t[-1]
+    if case == "exit_on_chunk_start":
+        assert len(got.t) == start + 2
+        assert got.t[-2] / chunk == pytest.approx(round(got.t[-2] / chunk),
+                                                 rel=1e-12)
+    if case == "raises_in_two_chunks":
+        assert stats.nan_retries == 2
+        assert stats.rhs_error == "ValueError: f refused at call 1003"
+        assert got.status is ode.Status.COMPLETED
+    if case == "budget_after_first_chunk":
+        assert got.t[-1] == pytest.approx(chunk, rel=1e-12)
+    if case.startswith("budget"):
+        assert got.budget_exceeded
+        assert got.status is ode.Status.STEP_FAILURE
+    else:
+        assert not got.budget_exceeded
+    if case == "budget_after_last_chunk":
+        assert got.t[-1] == u / spec.epsilon
 
 
 def test_replaced_callables_reach_the_fast_time_runs():

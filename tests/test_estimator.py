@@ -492,9 +492,11 @@ def test_slow_state_size_selects_the_step_kernel(monkeypatch, d, kernel):
     integrate = ode._integrate
     steps = []
 
-    def spied_integrate(problem, rtol, atol, stop, first_step, kernel):
+    def spied_integrate(problem, rtol, atol, stop, first_step, kernel,
+                        chunks=1, out_of_time=None):
         steps.append(kernel[0])
-        return integrate(problem, rtol, atol, stop, first_step, kernel)
+        return integrate(problem, rtol, atol, stop, first_step, kernel,
+                         chunks, out_of_time)
     monkeypatch.setattr(ode, "_integrate", spied_integrate)
     spec, aux, bounds = toy_linear_decay(d=d)
     est = ab.run_estimator(spec, aux, bounds, 1.0)
@@ -520,8 +522,10 @@ def test_one_action_run_on_the_float_step_matches_the_loop_kernel(monkeypatch,
     spec = example.make_system(preset.i0, preset.eps)
     new = ab.run_estimator(spec, example.aux, example.bounds, preset.u)
 
-    def on_loop_kernel(problem, rtol, atol, stop, first_step, fused):
-        assert fused is not None
+    def on_loop_kernel(problem, rtol, atol, stop, first_step, fused,
+                       chunks=1, out_of_time=None):
+        # the slow solve is one chunk, with no clock
+        assert fused is not None and chunks == 1 and out_of_time is None
         return integrate_reference(
             problem, rtol, atol, stop, first_step,
             float_kernel_reference(problem.rhs, 5, rtol, atol))
