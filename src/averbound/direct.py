@@ -18,29 +18,26 @@ its cubic that the last query fell in, and leave it only when a query falls
 outside.  The state is stepped as Python floats.
 
 Each of ``f``, ``fbar``, ``omega``, ``g`` and ``in_domain`` that is a plain
-``def`` of assignments and one ``return`` is written into the three too
-(:func:`_inline_form`): its own expressions, read from its source, on the
-same floats in the same order, so the run is bit for bit the one that
-calls it.  Any other member, a lambda or a wrapper among them, is called
-and handed the actions as a list.  This is the expensive comparison run
-used to validate the certified bound; it honours a wall-clock budget and
-flags runs cut short by it.
+``def`` of assignments and one ``return`` is written into the three too,
+with the helpers it calls, by the inliner the slow solve shares
+(:mod:`~averbound.inline`): its own expressions, read from its source, on
+the same floats in the same order, so the run is bit for bit the one that
+calls it.  Any other member, a lambda, a wrapper or a constant member
+among them, is called and handed the actions as a list.  This is the
+expensive comparison run used to validate the certified bound; it honours
+a wall-clock budget and flags runs cut short by it.
 """
 from __future__ import annotations
 
-import ast
-import copy
 import functools
-import inspect
 import textwrap
 import time
-import types
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from . import ode
+from . import inline, ode
 from .model import AuxiliaryBundle, SystemSpec
 
 __all__ = ["DirectTrajectory", "run_direct", "envelope"]
@@ -120,208 +117,6 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
 # g) and then in_domain; no run name starts with "_", and no prefix is
 # another's start.
 _PREFIXES = ("_f_", "_fb_", "_om_", "_g_", "_dom_")
-# Expressions with a scope of their own, or that suspend or bind a name:
-# a body with one is called, not written in.
-_OWN_SCOPE = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
-              ast.GeneratorExp, ast.Yield, ast.YieldFrom, ast.Await,
-              ast.NamedExpr)
-# Names that read or run code in the caller's frame.
-_FRAME_NAMES = frozenset({"locals", "vars", "dir", "eval", "exec", "globals",
-                          "super", "__class__"})
-
-
-class _Body(NamedTuple):
-    """A function as the direct run writes it in: its parameters, its
-    assignments ``(targets, value)`` in order, its return value and the
-    names it reads from its closure, globals or built-ins."""
-
-    params: Tuple[str, ...]
-    assigns: Tuple[Tuple[Tuple[str, ...], ast.expr], ...]
-    value: ast.expr
-    free: Tuple[str, ...]
-
-
-@functools.lru_cache(maxsize=None)
-def _inline_form(code, source: str) -> Optional[_Body]:
-    """The body of the function of ``code`` with the source ``source``
-    when the direct run can write it in, else None.
-
-    That is an undecorated ``def`` with positional parameters and no
-    defaults whose body is assignments to plain names, each read only after
-    it is bound, and then one ``return``, with no lambda, comprehension,
-    ``yield``, ``await``, ``:=`` or frame-reading built-in in it.
-    Compiled where its closure names are bound, ``source`` must give
-    ``code``'s constants, names and variables, so a file edited since the
-    import is seldom read for the code that runs.  (Its bytecode is not
-    compared: a method call on a name the module imports compiles
-    differently outside that module.)
-    """
-    source = textwrap.dedent(source)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
-    fdef = tree.body[0] if len(tree.body) == 1 else None
-    if (not isinstance(fdef, ast.FunctionDef) or fdef.decorator_list
-            or fdef.name != code.co_name):
-        return None
-    args = fdef.args
-    if args.vararg or args.kwarg or args.kwonlyargs or args.defaults:
-        return None
-    params = tuple(a.arg for a in args.posonlyargs + args.args)
-    body = fdef.body
-    first = body[0]
-    if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-            and isinstance(first.value.value, str)):
-        body = body[1:]                                   # the docstring
-    if (not body or not isinstance(body[-1], ast.Return)
-            or body[-1].value is None):
-        return None
-    assigns, result = body[:-1], body[-1].value
-    if not all(isinstance(s, ast.Assign)
-               and all(isinstance(t, ast.Name) for t in s.targets)
-               for s in assigns):
-        return None
-    local = {t.id for s in assigns for t in s.targets}
-    if local & set(params):
-        return None
-    bound, free = set(), set()
-    for value, targets in [*((s.value, s.targets) for s in assigns),
-                           (result, [])]:
-        for node in ast.walk(value):
-            if isinstance(node, _OWN_SCOPE):
-                return None
-            if isinstance(node, ast.Name):
-                if node.id in local and node.id not in bound:
-                    return None
-                if node.id not in local and node.id not in params:
-                    free.add(node.id)
-        bound.update(t.id for t in targets)
-    if free & _FRAME_NAMES:
-        return None
-    outer = ["def _outer():"]
-    if code.co_freevars:
-        outer.append(f"    {' = '.join(code.co_freevars)} = None")
-    outer.append(textwrap.indent(source, "    "))
-    [own] = (c for c in compile("\n".join(outer), code.co_filename, "exec",
-                                dont_inherit=True).co_consts
-             if isinstance(c, types.CodeType))
-    [inner] = (c for c in own.co_consts if isinstance(c, types.CodeType))
-    if any(getattr(inner, k) != getattr(code, k)
-           for k in ("co_consts", "co_names", "co_varnames", "co_freevars")):
-        return None
-    return _Body(params, tuple((tuple(t.id for t in s.targets), s.value)
-                               for s in assigns),
-                 result, tuple(sorted(free)))
-
-
-# The source of each member's code object that _written_in has read, or
-# None where it has none.
-_SOURCES: dict = {}
-
-
-def _source(fn) -> Optional[str]:
-    """The source of the plain function ``fn``, read once per code object,
-    or None when it has none.  A module file edited after the import is not
-    read again for code already seen."""
-    code = fn.__code__
-    try:
-        return _SOURCES[code]
-    except KeyError:
-        pass
-    try:
-        # on the function, which names its module: on its code, inspect
-        # looks the module up among all that are loaded
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        source = None
-    _SOURCES[code] = source
-    return source
-
-
-def _written_in(fn, nargs: int):
-    """``fn``'s code and source, and the values of the names its body
-    reads from its closure, globals or built-ins, when the direct run
-    writes ``fn`` in for a call with ``nargs`` arguments
-    (:func:`_inline_form`); None when it calls ``fn``.  A lambda, a
-    ``functools.wraps`` wrapper, any other callable that is not a plain
-    function, and a function whose outside names are not all bound are
-    called."""
-    if type(fn) is not types.FunctionType or hasattr(fn, "__wrapped__"):
-        return None
-    source = _source(fn)
-    if source is None:
-        return None
-    code = fn.__code__
-    body = _inline_form(code, source)
-    if body is None or len(body.params) != nargs:
-        return None
-    cells = dict(zip(code.co_freevars, fn.__closure__ or ()))
-    values = {}
-    for name in body.free:
-        if name in cells:
-            try:
-                values[name] = cells[name].cell_contents
-            except ValueError:                            # an empty cell
-                return None
-        elif name in fn.__globals__:
-            values[name] = fn.__globals__[name]
-        elif name in fn.__builtins__:
-            values[name] = fn.__builtins__[name]
-        else:
-            return None
-    return (code, source), values
-
-
-class _Bind(ast.NodeTransformer):
-    """One call of a written-in body: a parameter read as ``p[k]`` becomes
-    the k-th of its component names, any other read of it the whole
-    argument, and every other name takes the member's prefix.  ``used``
-    collects the component and whole-argument names written."""
-
-    def __init__(self, params, args, prefix, used):
-        # parameter -> (components, whole)
-        self.args = dict(zip(params, args))
-        self.prefix = prefix
-        self.used = used
-
-    def visit_Subscript(self, node):
-        name, index = node.value, node.slice
-        if (isinstance(name, ast.Name) and name.id in self.args
-                and isinstance(index, ast.Constant) and type(index.value) is int
-                and 0 <= index.value < len(self.args[name.id][0])):
-            comp = self.args[name.id][0][index.value]
-            self.used.add(comp)
-            return ast.Name(comp, ast.Load())
-        return self.generic_visit(node)
-
-    def visit_Name(self, node):
-        if node.id in self.args:
-            whole = self.args[node.id][1]
-            self.used.add(whole)
-            return ast.parse(whole, mode="eval").body
-        return ast.Name(self.prefix + node.id, node.ctx)
-
-
-def _write_in(body: _Body, prefix: str, args, used: set):
-    """The lines of ``body``'s assignments for one call with ``args``, one
-    ``(components, whole)`` pair per parameter (:class:`_Bind`), and the
-    function that writes any other node of ``body`` for that call."""
-    bind = _Bind(body.params, args, prefix, used)
-
-    def write(node):
-        return ast.unparse(bind.visit(copy.deepcopy(node)))
-    return ([" = ".join([*(prefix + t for t in targets), write(value)])
-             for targets, value in body.assigns], write)
-
-
-def _items(value, d: int):
-    """The d items of ``value`` when it is a list or tuple display of d
-    items, none of them starred, else None."""
-    if (isinstance(value, (ast.List, ast.Tuple)) and len(value.elts) == d
-            and not any(isinstance(e, ast.Starred) for e in value.elts)):
-        return value.elts
-    return None
 
 
 def _direct_rhs_source(d: int, members: tuple) -> str:
@@ -332,16 +127,17 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
     as :func:`ode._integrate` takes them.
 
     ``members`` holds, for f, fbar, omega, g and in_domain in that order,
-    the code and source of a member written into the three, or None for a
-    member they call (:func:`_written_in`).  A written-in member's names
-    take its prefix (``_PREFIXES``), and those it reads from outside are
-    arguments ``outside`` of ``make``, so the source depends on the code
-    alone.  Its action parameter read as ``i[k]`` becomes ``i<k>``, the
-    action ``j<k> + eps * z<k>`` bound once per evaluation, and any other
-    read of it the list ``actions`` the called members get; fbar's reads
-    ``j<k>``.  A return value that is a display of d items (f, fbar) binds
-    one name per item, ``fa<k>`` or ``fb<k>``; any other is bound whole,
-    as a called member's is, and indexed.  The members run in the order of
+    the key of a member written into the three, or None for a member they
+    call (:func:`inline.written_in`).  A written-in member's names take
+    its prefix (``_PREFIXES``), and those it and its helpers read from
+    outside are arguments ``outside`` of ``make``
+    (:func:`inline.outside`), so the source depends on the code alone.
+    Its action parameter read as ``i[k]`` becomes ``i<k>``, the action
+    ``j<k> + eps * z<k>`` bound once per evaluation, and any other read of
+    it the list ``actions`` the called members get; fbar's reads ``j<k>``.
+    A return value that is a display of d items (f, fbar) binds one name
+    per item, ``fa_<k>`` or ``fb_<k>``, a constant item read as itself;
+    any other is bound whole, as a called member's is, and indexed.  The members run in the order of
     the calls: f, fbar (when J moved), omega, then g.
 
     The run is the generated float run of :mod:`~averbound.ode`
@@ -368,12 +164,12 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
     """
     ix = range(d)
     js = [f"j{k}" for k in ix]
-    # (body or None, prefix) of f, fbar, omega, g and in_domain
-    f, fbar, omega, g, dom = (
-        (None if member is None else _inline_form(*member), prefix)
-        for member, prefix in zip(members, _PREFIXES))
-    fb_items = fbar[0] is not None and _items(fbar[0].value, d) is not None
-    fbs = [f"fb{k}" for k in ix] if fb_items else ["fb"]
+    # (key or None, prefix) of f, fbar, omega, g and in_domain
+    f, fbar, omega, g, dom = zip(members, _PREFIXES)
+    fb_items = (fbar[0] is not None
+                and inline.items(inline.inline_form(*fbar[0][:2]).value, d)
+                is not None)
+    fbs = [f"fb_{k}" for k in ix] if fb_items else ["fb"]
     cells = ["t_lo", "t_hi", "width", "c0", "c1", "c2", "c3", *js, "tau_j"]
 
     def read_j(time):
@@ -401,23 +197,18 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
         return lines
 
     def value(member, args, call, used, name, split=False):
-        """Lines that bind a member's value to ``name``, written in with
-        ``args`` or called as ``call``, and the expressions that read its d
-        values; with ``split``, a written-in display of d items binds one
-        name per item, ``name<k>``."""
-        body, prefix = member
-        if body is None:
+        """Lines that evaluate a member, written in with ``args`` or called
+        as ``call``, and the expression of its value, or with ``split`` the
+        expressions of its d items: a written-in display of d items binds
+        one name per item, ``name_<k>`` (:func:`inline.write`), and
+        any other value is bound to ``name`` and indexed."""
+        pattern = [None] * d if split else None
+        key, prefix = member
+        if key is None:
             used.add("actions")
-            lines = [f"{name} = {call}"]
-        else:
-            lines, write = _write_in(body, prefix, args, used)
-            items = _items(body.value, d) if split else None
-            if items is not None:
-                return (lines + [f"{name}{k} = {write(v)}"
-                                 for k, v in enumerate(items)],
-                        [f"{name}{k}" for k in ix])
-            lines.append(f"{name} = {write(body.value)}")
-        return lines, [f"{name}[{k}]" for k in ix]
+            lines, parts = inline.read(name, pattern, name)
+            return [f"{name} = {call}", *lines], parts
+        return inline.write(key, prefix, args, used, name, pattern)
 
     on_actions = ([f"i{k}" for k in ix], "actions")
 
@@ -433,31 +224,36 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
                              f"fbar({ode._seq(js)})", set(), "fb", split=True)
         lines += ["if tau != tau_fb:", *("    " + line for line in fb_lines),
                   "    tau_fb = tau"]
-        lines += value(omega, (on_actions,), "omega(actions)", used, "om")[0]
-        lines += value(g, on_both, f"g_sys(actions, {theta})", used, "gv")[0]
-        return (read_j(time) + actions(state, used) + lines,
-                [*(f"{fa[k]} - {fb[k]}" for k in ix), "om + eps * gv"])
+        om_lines, om = value(omega, (on_actions,), "omega(actions)", used,
+                             "om")
+        g_lines, gv = value(g, on_both, f"g_sys(actions, {theta})", used,
+                            "gv")
+        return (read_j(time) + actions(state, used) + lines + om_lines
+                + g_lines,
+                [*(f"{fa[k]} - {fb[k]}" for k in ix), f"{om} + eps * {gv}"])
 
     ys = [f"y[{i}]" for i in range(d + 1)]
     lines, values = slope("t", ys)
     rhs = [f"nonlocal {', '.join(cells + fbs)}, tau_fb", *lines,
            f"return {ode._seq(values)}"]
     used = set()
-    test = value(dom, (on_actions,), "in_domain(actions)", used, "inside")[0]
+    test, inside = value(dom, (on_actions,), "in_domain(actions)", used,
+                         "inside")
     stop = [f"nonlocal {', '.join(cells)}", *read_j("t"),
-            *actions(ys, used), *test, "return not inside"]
+            *actions(ys, used), *test, f"return not {inside}"]
 
     # The run's stop check at each accepted node, on its new state floats.
     zs = [f"z{i}" for i in range(d + 1)]
     used = set()
-    test = value(dom, (on_actions,), "in_domain(actions)", used, "inside")[0]
+    test, inside = value(dom, (on_actions,), "in_domain(actions)", used,
+                         "inside")
     at_node = [*read_j("t_new"), *actions(zs, used), *test,
-               "reason = not inside"]
+               f"reason = not {inside}"]
 
     stage = ode._inline_stage(d + 1,
                               lambda time, state, last: slope(time, state))
-    outside = [prefix + name for body, prefix in (f, fbar, omega, g, dom)
-               if body is not None for name in body.free]
+    outside = [name for key, prefix in (f, fbar, omega, g, dom)
+               if key is not None for name in inline.outside(key, prefix)]
     params = ["eps", "f_sys", "g_sys", "omega", "fbar", "in_domain",
               "interval", "tau_max", "rtol", "atol", *outside]
     written = [*cells, *fbs, "tau_fb", "calls"]
@@ -492,12 +288,14 @@ def _direct_functions(spec: SystemSpec, aux: AuxiliaryBundle,
     it writes in, reading J from one fresh
     :class:`~averbound.ode.CubicSampler` of ``avg_traj``."""
     members = (spec.f, aux.fbar, spec.omega, spec.g, spec.in_domain)
-    written = [_written_in(fn, nargs)
+    written = [inline.written_in(fn, nargs)
                for fn, nargs in zip(members, (2, 1, 1, 2, 1))]
-    make = _compile_direct_rhs(spec.d, tuple(w and w[0] for w in written))
-    outside = {prefix + name: value
-               for w, prefix in zip(written, _PREFIXES) if w
-               for name, value in w[1].items()}
+    # a constant member is called
+    written = [None if w is None or w.key is inline.CONSTANT else w
+               for w in written]
+    make = _compile_direct_rhs(spec.d, tuple(w and w.key for w in written))
+    outside = {name: value for w, prefix in zip(written, _PREFIXES) if w
+               for name, value in inline.arguments(w, prefix).items()}
     return make(spec.epsilon, spec.f, spec.g, spec.omega, aux.fbar,
                 spec.in_domain, ode.CubicSampler(avg_traj).interval,
                 avg_traj.t_final, rtol, atol, **outside)

@@ -17,13 +17,16 @@ as one of the validity conditions
 
 fails along the way.
 
-The slow right-hand side is straight-line code, generated once per d and
-per form of the offset partials (by the bundle's gradients or by central
-differences) with every operation of an evaluation written out; at d = 1
-the same evaluation is written into each stage of the adaptive
-Dormand-Prince run the slow solve takes, its whole step loop generated in
-one function.  :func:`_slow_functions` hands the slow solve its right-hand
-side, run kernel and stop predicate.
+The slow right-hand side is straight-line code, generated once per d, per
+form of the offset partials (by the bundle's gradients or by central
+differences) and per code of the members it writes in, with every
+operation of an evaluation written out; at d = 1 the same evaluation is
+written into each stage of the adaptive Dormand-Prince run the slow solve
+takes, its whole step loop generated in one function.  ``fbar``,
+``dfbar``, ``pbar`` and the majorants and gradients an evaluation calls
+are written in where the inliner the direct run uses can
+(:mod:`~averbound.inline`), and called otherwise.  :func:`_slow_functions`
+hands the slow solve its right-hand side, run kernel and stop predicate.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ode
+from . import inline, ode
 from .ode import _compile_factory, _dot, _seq
 from .model import (IDENTITY_TOL, AuxiliaryBundle, BoundBundle, SystemSpec,
                     frobenius, offset_value)
@@ -313,41 +316,58 @@ def _rows_of(rows):
     return _seq(_seq(row) for row in rows)
 
 
-def _slow_rhs_lines(d: int, state=None):
-    """The generated blocks of the slow right-hand side for d actions, and
-    the names of the products' entries in packed order.
+_LISTS = ("j", "rows", "kvec")
 
-    ``state`` names the floats of the packed state in packed order; by
-    default (``_state_names``) the first block splits the state ``y`` into
-    them, at the offsets of :func:`unpack_state`.  The first block then
-    forms the lists ``j``, ``rows`` and ``kvec`` of J, the rows of R and K.
-    The second unpacks ``amat`` (dfbar(J) as rows of floats) and ``pb``
-    (pbar(J)) the same way, so a member of the wrong shape raises
-    ``ValueError``, and writes out the entries of dfbar R and dfbar K +
-    pbar, as ``d<a>_<b>`` and ``dk<a>``, and R . dR as ``r_dot_dr``: each
-    a sum by ``ode._dot``, R taken row by row, and pbar added after the
-    sum.
-    """
-    ix = range(d)
+
+def _split_lines(d: int, state=None, lists=_LISTS):
+    """Lines that split the state ``y`` into the floats of a packed state
+    of d actions, named in packed order (``_state_names``), at the offsets
+    of :func:`unpack_state`, unless ``state`` names them already; and then
+    form those of the lists ``j``, ``rows`` and ``kvec`` of J, the rows of
+    R and K that ``lists`` names."""
     split = []
     if state is None:
         state = _state_names(d)
         split.append(f"{_seq(state)} = y")
     js, rs, ks, _, _ = _state_parts(d, state)
-    amat = [[f"a{a}_{b}" for b in ix] for a in ix]
+    return split + [f"{name} = {value}" for name, value in
+                    zip(_LISTS, (_seq(js), _rows_of(rs), _seq(ks)))
+                    if name in lists]
+
+
+def _slow_rhs_lines(d: int, state=None, amat=None, pb=None):
+    """The generated blocks of the slow right-hand side for d actions, and
+    the names of the products' entries in packed order.
+
+    ``state`` names the floats of the packed state in packed order, and
+    the first block is :func:`_split_lines`.  The second writes out the
+    entries of dfbar R and dfbar K + pbar, as ``d<a>_<b>`` and ``dk<a>``,
+    and R . dR as ``r_dot_dr``: each a sum by ``ode._dot``, R taken row by
+    row, and pbar added after the sum.  ``amat`` holds the expressions of
+    dfbar(J)'s entries, row by row, and ``pb`` those of pbar(J); by default
+    the block first unpacks them from the lists ``amat`` (dfbar(J) as rows
+    of floats) and ``pb`` (pbar(J)), so a member of the wrong shape raises
+    ``ValueError``.
+    """
+    ix = range(d)
+    split = _split_lines(d, state)
+    js, rs, ks, _, _ = _state_parts(d, state or _state_names(d))
+    products = []
+    if amat is None:
+        amat = [[f"a{a}_{b}" for b in ix] for a in ix]
+        products.append(f"{_rows_of(amat)} = amat")
+    if pb is None:
+        pb = [f"p{a}" for a in ix]
+        products.append(f"{_seq(pb)} = pb")
     drs = [[f"d{a}_{b}" for b in ix] for a in ix]
-    ps, dks = ([f"{x}{a}" for a in ix] for x in ("p", "dk"))
+    dks = [f"dk{a}" for a in ix]
     flat_rs = [x for row in rs for x in row]
     flat_drs = [x for row in drs for x in row]
-    split += [f"j = {_seq(js)}",
-              f"rows = {_rows_of(rs)}",
-              f"kvec = {_seq(ks)}"]
-    products = [f"{_rows_of(amat)} = amat", f"{_seq(ps)} = pb"]
     for a in ix:
         products += [f"{drs[a][b]} = {_dot((amat[a][c], rs[c][b]) for c in ix)}"
                      for b in ix]
         products.append(f"{dks[a]} = {_dot((amat[a][c], ks[c]) for c in ix)}"
-                        f" + {ps[a]}")
+                        f" + {pb[a]}")
     products.append(f"r_dot_dr = {_dot(zip(flat_rs, flat_drs))}")
     return split, products, flat_drs + dks
 
@@ -387,11 +407,125 @@ def _norm_lines(rs):
     return ["norm_r, norm_rinv = norms(rows)"]
 
 
-def _partials_lines(d, analytic, state, djs, drs, dks):
+# The members the slow evaluation calls, in the order of the arguments of
+# the generated make: the bundle each comes from, the number of arguments
+# of its calls and the prefix of the names of its written-in body.  No
+# name of the evaluation starts with "_", and no prefix is another's start.
+_SLOW_MEMBERS = (("fbar", "aux", 1, "_fb_"), ("dfbar", "aux", 1, "_dfb_"),
+                 ("pbar", "aux", 1, "_pb_"), ("a_hat", "bounds", 4, "_ah_"),
+                 ("b_hat", "bounds", 2, "_bh_"), ("c_hat", "bounds", 2, "_ch_"),
+                 ("d_hat", "bounds", 2, "_dh_"), ("e_hat", "bounds", 2, "_eh_"),
+                 ("a_grad", "bounds", 4, "_ag_"), ("b_grad", "bounds", 2, "_bg_"))
+_PREFIXES = {name: prefix for name, _, _, prefix in _SLOW_MEMBERS}
+# The members the partials of each form call: by gradients, by differences.
+_PARTIALS = {True: ("a_grad", "b_grad"), False: ("a_hat", "b_hat")}
+
+
+def _constant_pattern(name: str, d: int):
+    """How the evaluation reads a member made by ``examples.constant``:
+    dfbar and pbar as lists of the shape of one point (:func:`inline.read`),
+    the majorants whole, and fbar and the gradients not at all (they are
+    called)."""
+    if name == "dfbar":
+        return ((None,) * d,) * d
+    if name == "pbar":
+        return (None,) * d
+    return None if name.endswith("_hat") else False
+
+
+def _constant_names(prefix: str, pattern, index=()):
+    """The names of make's arguments that hold a constant member's parts,
+    nested as ``pattern`` is: the prefix and the indices of each part, or
+    ``<prefix>value`` for the value itself."""
+    if pattern is None:
+        return prefix + ("_".join(map(str, index)) if index else "value")
+    return [_constant_names(prefix, sub, (*index, k))
+            for k, sub in enumerate(pattern)]
+
+
+def _flat(parts) -> list:
+    return [parts] if type(parts) is str else [x for p in parts
+                                                 for x in _flat(p)]
+
+
+def _constant_arguments(prefix: str, value, pattern):
+    """make's arguments for a constant member of ``value`` read as
+    ``pattern``, by :func:`_constant_names`, or None when its list is not
+    of the pattern's shape (the member is then called, and fails as it
+    does)."""
+    if pattern is None:
+        return {prefix + "value": value}
+    out = {}
+
+    def walk(part, sub, name):
+        if sub is None:
+            out[name] = part
+            return True
+        return (type(part) is list and len(part) == len(sub)
+                and all(walk(x, s, n) for x, s, n in zip(part, sub, name)))
+    return out if walk(value.tolist(), pattern,
+                       _constant_names(prefix, pattern)) else None
+
+
+class _Calls:
+    """The member calls of one slow evaluation: each member called by its
+    name, or written in (:mod:`~averbound.inline`) under its key in
+    ``keys``, with the names of its body prefixed (``_SLOW_MEMBERS``).
+    ``used`` collects the names the written lines read, so that the
+    evaluation forms the lists ``j``, ``rows`` and ``kvec`` and the
+    perturbed arguments of the differences only where they are read."""
+
+    def __init__(self, keys=None):
+        self.keys = keys or {}
+        self.used = set()
+
+    def _call(self, name, args):
+        wholes = [whole for _, whole in args]
+        self.used.update(wholes)
+        return f"{name}({', '.join(wholes)})"
+
+    def value(self, name, args, bind, pattern=None):
+        """Lines that evaluate ``name`` on ``args``, one ``(components,
+        whole)`` pair per parameter, and the expressions of the parts of
+        its value that ``pattern`` reads (:func:`inline.read`), bound to
+        names that start with ``bind``."""
+        key, prefix = self.keys.get(name), _PREFIXES[name]
+        if key is None:
+            lines, parts = inline.read(bind, pattern, bind)
+            return [f"{bind} = {self._call(name, args)}", *lines], parts
+        if key is inline.CONSTANT:
+            return [], _constant_names(prefix, pattern)
+        return inline.write(key, prefix, args, self.used, bind, pattern)
+
+    def array(self, name, args, bind, pattern):
+        """Lines that evaluate ``name`` on ``args`` and read the parts the
+        tuple ``pattern`` unpacks of its value as a list, ``.tolist()``;
+        their expressions; and the lines of the unpacking, which the caller
+        places after the calls of the members that follow."""
+        key, prefix = self.keys.get(name), _PREFIXES[name]
+        if key is None:
+            unpack, parts = inline.read(bind, pattern, bind)
+            return [f"{bind} = {self._call(name, args)}.tolist()"], parts, unpack
+        if key is inline.CONSTANT:
+            return [], _constant_names(prefix, pattern), []
+        return inline.write(key, prefix, args, self.used, bind, pattern,
+                            array=True)
+
+    def displays(self, name, n):
+        """Whether ``name`` is written in and returns a display of n
+        items."""
+        key = self.keys.get(name)
+        return (key is not None and key is not inline.CONSTANT
+                and inline.items(inline.inline_form(*key[:2]).value, n)
+                is not None)
+
+
+def _partials_lines(d, analytic, state, djs, drs, dks, calls=None):
     """Lines that bind the offset partials ``dal_dr`` (d(offset)/dr) and
     ``dal_dtau`` (d(offset)/dtau) at (J, R, K, ``radius``), for the state
-    floats named ``state`` and the slow-flow entries named ``djs`` (dJ),
-    ``drs`` (dR, row by row) and ``dks`` (dK).
+    floats named ``state`` and the slow-flow entries ``djs`` (dJ), ``drs``
+    (dR, row by row) and ``dks`` (dK), with the member calls of ``calls``
+    (:class:`_Calls`; by default every member is called).
 
     With gradients (``analytic``): one ``a_grad`` and one ``b_grad`` call,
     and d(offset)/dtau = sum(dA/dJ dJ) + sum(dA/dR dR) + sum(dA/dK dK) +
@@ -405,37 +539,58 @@ def _partials_lines(d, analytic, state, djs, drs, dks):
     entry or of a_hat in that R or K entry, weighted by the entry and
     summed from 0.0.  The perturbed arguments are list displays.
     """
-    if analytic:
-        def contract(grad, entries):
-            return f"({_dot((grad(i), x) for i, x in enumerate(entries))})"
-        sum_j, sum_r, sum_k, sum_b = (
-            contract(lambda i: f"ga_j[{i}]", djs),
-            contract(lambda i: f"ga_r[{i // d}][{i % d}]", drs),
-            contract(lambda i: f"ga_k[{i}]", dks),
-            contract(lambda i: f"gb_j[{i}]", djs))
-        return ["ga_j, ga_r, ga_k, ga_rad = a_grad(j, rows, kvec, radius)",
-                "gb_j, gb_rad = b_grad(j, radius)",
-                "dal_dr = float(ga_rad + eps * gb_rad)",
-                f"dal_dtau = float({sum_j} + {sum_r} + {sum_k}",
-                f"                 + eps * {sum_b})"]
-
+    calls = _Calls() if calls is None else calls
     js, rs, ks, _, _ = _state_parts(d, state)
+    on_j, on_rows, on_k, on_radius = ((js, "j"), ((), "rows"), (ks, "kvec"),
+                                      ((), "radius"))
+    if analytic:
+        vec = [None] * d
+        lines, (ga_j, ga_r, ga_k, ga_rad) = calls.value(
+            "a_grad", [on_j, on_rows, on_k, on_radius], "ga",
+            (vec, [vec] * d, vec, None))
+        b_lines, (gb_j, gb_rad) = calls.value("b_grad", [on_j, on_radius],
+                                              "gb", (vec, None))
 
-    def offset(jarg, rarg):
-        return (f"float(a_hat({jarg}, rows, kvec, {rarg})"
-                f" + eps * b_hat({jarg}, {rarg}))")
+        def contract(grad, entries):
+            return f"({_dot(zip(grad, entries))})"
+        sum_j, sum_r, sum_k, sum_b = (
+            contract(ga_j, djs), contract(sum(ga_r, []), drs),
+            contract(ga_k, dks), contract(gb_j, djs))
+        return lines + b_lines + [
+            f"dal_dr = float({ga_rad} + eps * {gb_rad})",
+            f"dal_dtau = float({sum_j} + {sum_r} + {sum_k}",
+            f"                 + eps * {sum_b})"]
 
-    def central(x, shifted, value, step=None):
-        """The central difference of ``value(arg)`` in the float ``x``,
-        where ``shifted(x')`` is the argument with x' in place of x: bound
-        to ``dal_dr``, or, for a nonzero ``step``, weighted by it and added
-        to ``dal_dtau``."""
+    def offset(jarg, rarg, side):
+        """The lines of a_hat + eps * b_hat at (J, R, K, r) with J and r
+        the argument pairs ``jarg`` and ``rarg``, and its expression."""
+        a_lines, a = calls.value("a_hat", [jarg, on_rows, on_k, rarg],
+                                 f"ah_{side}")
+        b_lines, b = calls.value("b_hat", [jarg, rarg], f"bh_{side}")
+        return a_lines + b_lines, f"float({a} + eps * {b})"
+
+    def central(x, perturbed, value, step=None):
+        """The central difference of ``value(pair)`` in the float ``x``,
+        where ``perturbed(arg)`` is the argument pair with ``arg`` in place
+        of x and its list display, or None: bound to ``dal_dr``, or, for a
+        nonzero ``step``, weighted by it and added to ``dal_dtau``.  The
+        value above is bound before the one below is evaluated."""
         lines = [f"ax = abs({x})",
                  # max(1.0, ax), NaN included: max keeps 1.0 unless ax > 1.0
                  f"fd = {_FD_STEP!r} * (ax if ax > 1.0 else 1.0)",
-                 f"up = {shifted(x + ' + fd')}",
-                 f"down = {shifted(x + ' - fd')}"]
-        quotient = f"({value('up')} - {value('down')}) / (2 * fd)"
+                 f"up = {x} + fd",
+                 f"down = {x} - fd"]
+        ends = []
+        for side in ("up", "down"):
+            pair, display = perturbed(side)
+            calls.used.discard(pair[1])
+            side_lines, expr = value(pair, side)
+            if display is not None and pair[1] in calls.used:
+                side_lines = [f"{pair[1]} = {display}", *side_lines]
+            ends.append((side_lines, expr))
+        (up_lines, upper), (down_lines, lower) = ends
+        lines += [*up_lines, f"upper = {upper}", *down_lines]
+        quotient = f"(upper - {lower}) / (2 * fd)"
         if step is None:
             return lines + [f"dal_dr = {quotient}"]
         return [f"if {step} != 0.0:", *("    " + line for line in lines),
@@ -446,56 +601,84 @@ def _partials_lines(d, analytic, state, djs, drs, dks):
 
     flat_rs = [x for row in rs for x in row]
 
-    def rows_swap(i, arg):
-        flat = swap(flat_rs, i, arg)
-        return _rows_of(flat[a * d:(a + 1) * d] for a in range(d))
-
-    lines = central("radius", lambda arg: arg, lambda arg: offset("j", arg))
+    lines = central("radius", lambda side: (((), side), None),
+                    lambda pair, side: offset(on_j, pair, side))
     lines.append("dal_dtau = 0.0")
     for i, (x, step) in enumerate(zip(js, djs)):
-        lines += central(x, lambda arg: _seq(swap(js, i, arg)),
-                         lambda arg: offset(arg, "radius"), step)
+        lines += central(
+            x, lambda side: ((swap(js, i, side), f"{side}_j"),
+                             _seq(swap(js, i, side))),
+            lambda pair, side: offset(pair, on_radius, side), step)
     for i, (x, step) in enumerate(zip(flat_rs, drs)):
-        lines += central(x, lambda arg: rows_swap(i, arg),
-                         lambda arg: f"a_hat(j, {arg}, kvec, radius)", step)
+        def rows_swap(side):
+            flat = swap(flat_rs, i, side)
+            return (((), f"{side}_rows"),
+                    _rows_of(flat[a * d:(a + 1) * d] for a in range(d)))
+        lines += central(x, rows_swap, lambda pair, side: calls.value(
+            "a_hat", [on_j, pair, on_k, on_radius], f"ah_{side}"), step)
     for i, (x, step) in enumerate(zip(ks, dks)):
-        lines += central(x, lambda arg: _seq(swap(ks, i, arg)),
-                         lambda arg: f"a_hat(j, rows, {arg}, radius)", step)
+        lines += central(
+            x, lambda side: ((swap(ks, i, side), f"{side}_k"),
+                             _seq(swap(ks, i, side))),
+            lambda pair, side: calls.value(
+                "a_hat", [on_j, on_rows, pair, on_radius], f"ah_{side}"), step)
     return lines + ["dal_dtau = float(dal_dtau)"]
 
 
-def _slow_evaluation(d, analytic, state=None, record="y"):
+def _slow_evaluation(d, analytic, keys=None, state=None, record="y"):
     """Lines of one evaluation of the slow right-hand side for d actions,
     and the expressions of its values in packed order: the blocks of
     :func:`_slow_rhs_lines`, :func:`_norm_lines` and
     :func:`_partials_lines` and the bound equation.
 
+    ``keys`` holds, by member name, the key of each member written in
+    (:class:`_Calls`); the others are called.  The members are evaluated in
+    the order of the calls: dfbar, fbar, pbar, c_hat, d_hat, e_hat and the
+    partials' members, each value bound before the arithmetic that follows
+    its call in the statement.  An fbar that returns a display of d items
+    binds one name per item; any other fbar's value is checked for its
+    length and unpacked, as dfbar's and pbar's lists are after pbar's call.
     ``state`` names the state's floats, as in :func:`_slow_rhs_lines`.
     After the partials the evaluation records the state list named
     ``record`` and its d(offset)/dr in ``latest``; with ``record`` None it
     records nothing.
     """
-    split, products, entries = _slow_rhs_lines(d, state)
     names = _state_names(d) if state is None else state
-    _, rs, _, m, n = _state_parts(d, names)
+    js, rs, _, m, n = _state_parts(d, names)
     size = len(names)
-    djs = [f"dj{a}" for a in range(d)]
-    lines = split + [
-        "amat = dfbar(j).tolist()",
-        "dj = fbar(j)",
-        # An fbar of another length would make the packed derivative as
-        # much shorter or longer: the message is the integrator's for that.
-        f"if len(dj) != {d}:",
-        f"    raise ValueError(f'rhs must return shape ({size},), "
-        f"got ({{len(dj) + {size - d}}},)')",
-        f"{_seq(djs)} = dj",
-        "pb = pbar(j).tolist()",
-    ] + products + _norm_lines(rs) + [
+    calls = _Calls(keys)
+    on_j, on_radius = (js, "j"), ((), "radius")
+    lines, amat, amat_unpack = calls.array("dfbar", [on_j], "amat",
+                                           ((None,) * d,) * d)
+    if calls.displays("fbar", d):
+        fb_lines, djs = calls.value("fbar", [on_j], "dj", [None] * d)
+        lines += fb_lines
+    else:
+        fb_lines, dj = calls.value("fbar", [on_j], "dj")
+        djs = [f"dj{a}" for a in range(d)]
+        lines += fb_lines + [
+            # An fbar of another length would make the packed derivative as
+            # much shorter or longer: the message is the integrator's for that.
+            f"if len({dj}) != {d}:",
+            f"    raise ValueError(f'rhs must return shape ({size},), "
+            f"got ({{len({dj}) + {size - d}}},)')",
+            f"{_seq(djs)} = {dj}"]
+    pb_lines, pb, pb_unpack = calls.array("pbar", [on_j], "pb", (None,) * d)
+    lines += pb_lines + amat_unpack + pb_unpack
+    _, products, entries = _slow_rhs_lines(d, state, amat, pb)
+    growth = [calls.value(name, [on_j, on_radius], bind)
+              for name, bind in (("c_hat", "ch"), ("d_hat", "dh"),
+                                 ("e_hat", "eh"))]
+    (c_lines, ch), (d_lines, dh), (e_lines, eh) = growth
+    lines += products + _norm_lines(rs) + [
         f"radius = eps * {n}",
-        f"gam = float(c_hat(j, radius) + d_hat(j, radius) * {n}",
-        f"            + 0.5 * e_hat(j, radius) * {n} * {n})",
+        *c_lines, *d_lines,
+        f"gam = {ch} + {dh} * {n}",
+        *e_lines,
+        f"gam = float(gam + 0.5 * {eh} * {n} * {n})",
         "dm = norm_rinv * gam",
-    ] + _partials_lines(d, analytic, names, djs, entries[:d * d], entries[d * d:])
+    ] + _partials_lines(d, analytic, names, djs, entries[:d * d],
+                        entries[d * d:], calls)
     if record is not None:
         lines += [f"latest[0] = {record}", "latest[1] = dal_dr"]
     lines += [
@@ -507,21 +690,45 @@ def _slow_evaluation(d, analytic, state=None, record="y"):
         # NaN num), without Python's ZeroDivisionError.
         "dn = num / denom if denom else num * inf",
     ]
-    return lines, [*djs, *entries, "dm", "dn"]
+    return (_split_lines(d, state, calls.used) + lines,
+            [*djs, *entries, "dm", "dn"])
 
 
-# The arguments of the generated slow ``make``, in order.
+# The arguments of the generated slow ``make`` before those of the
+# written-in members, in order.
 _SLOW_PARAMS = ("eps", "fbar", "dfbar", "pbar", "a_hat", "b_hat", "c_hat",
                 "d_hat", "e_hat", "a_grad", "b_grad", "latest", "rtol", "atol")
 
 
-def _slow_rhs_source(d: int, analytic: bool) -> str:
+def _slow_outside(d: int, keys: dict) -> list:
+    """The names of make's arguments that the written-in members read:
+    the names their bodies read from outside (:func:`inline.outside`), and
+    the parts of the constant members (:func:`_constant_names`)."""
+    names = []
+    for name, _, _, prefix in _SLOW_MEMBERS:
+        key = keys.get(name)
+        if key is inline.CONSTANT:
+            names += _flat(_constant_names(prefix, _constant_pattern(name, d)))
+        elif key is not None:
+            names += inline.outside(key, prefix)
+    return names
+
+
+def _slow_rhs_source(d: int, analytic: bool, members: tuple = ()) -> str:
     """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
-    e_hat, a_grad, b_grad, latest, rtol, atol)``, which returns the slow
-    right-hand side for d actions as straight-line code, with its offset
-    partials by gradients (``analytic``) or by central differences, and at
-    d = 1 a run kernel: ``rhs, (run, stage_calls)``, as
+    e_hat, a_grad, b_grad, latest, rtol, atol, **outside)``, which returns
+    the slow right-hand side for d actions as straight-line code, with its
+    offset partials by gradients (``analytic``) or by central differences,
+    and at d = 1 a run kernel: ``rhs, (run, stage_calls)``, as
     :func:`ode._integrate` takes them, or ``rhs, None`` from d = 2 on.
+
+    ``members`` holds, for the members of ``_SLOW_MEMBERS`` in that order,
+    the key of each member written in (:func:`inline.written_in`), or None
+    for a member the code calls; by default every member is called.  A
+    written-in member's names take its prefix, and those it reads from
+    outside, and the parts of a constant member, are the arguments
+    ``outside`` (:func:`_slow_outside`), so the source depends on the
+    members' code alone.
 
     The right-hand side is one evaluation of :func:`_slow_evaluation`; it
     records the state it was handed and its d(offset)/dr in ``latest``.
@@ -534,9 +741,11 @@ def _slow_rhs_source(d: int, analytic: bool) -> str:
     stage state the stop predicate is handed, and the run calls the
     predicate at each accepted node with that very list.
     """
-    lines, values = _slow_evaluation(d, analytic)
+    keys = dict(zip((name for name, *_ in _SLOW_MEMBERS), members))
+    params = (*_SLOW_PARAMS, *_slow_outside(d, keys))
+    lines, values = _slow_evaluation(d, analytic, keys)
     size = len(values)
-    source = [f"def make({', '.join(_SLOW_PARAMS)}):",
+    source = [f"def make({', '.join(params)}):",
               "    def rhs(tau, y):",
               *("        " + line for line in lines),
               f"        return {_seq(values)}"]
@@ -544,20 +753,44 @@ def _slow_rhs_source(d: int, analytic: bool) -> str:
         return "\n".join(source + ["    return rhs, None", ""])
 
     stage = ode._inline_stage(size, lambda time, state, last: _slow_evaluation(
-        d, analytic, state, "ys" if last else None))
+        d, analytic, keys, state, "ys" if last else None))
     run = ode._float_run_source(ode._STAGES, ode._E, size, stage,
-                                reads=(*_SLOW_PARAMS, "calls"),
-                                cells=("calls",))
+                                reads=(*params, "calls"), cells=("calls",))
     return "\n".join(source + ["    calls = 0", textwrap.indent(run, "    "),
                                "    return rhs, (run, lambda: calls)", ""])
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_slow_rhs(d: int, analytic: bool):
+def _compile_slow_rhs(d: int, analytic: bool, members: tuple = ()):
     form = "gradients" if analytic else "differences"
-    return _compile_factory(_slow_rhs_source(d, analytic),
+    return _compile_factory(_slow_rhs_source(d, analytic, members),
                             f"<slow rhs, d = {d}, {form}>", norms=_inverse_norms,
                             sqrt=math.sqrt, SingularMatrixError=SingularMatrixError)
+
+
+def _slow_members(d: int, aux: AuxiliaryBundle, bounds: BoundBundle,
+                  analytic: bool):
+    """The keys of the slow members the generated code writes in, in the
+    order of ``_SLOW_MEMBERS`` (None for a member it calls), and make's
+    arguments that they read.  A member the form of the partials does not
+    call is None, and so is a constant member that the evaluation does not
+    read as a constant or whose value is not of the shape it reads."""
+    bundles = {"aux": aux, "bounds": bounds}
+    unused = _PARTIALS[not analytic]
+    keys, arguments = [], {}
+    for name, bundle, nargs, prefix in _SLOW_MEMBERS:
+        member = (None if name in unused
+                  else inline.written_in(getattr(bundles[bundle], name), nargs))
+        if member is not None and member.key is inline.CONSTANT:
+            pattern = _constant_pattern(name, d)
+            parts = (None if pattern is False else
+                     _constant_arguments(prefix, member.values, pattern))
+            member = None if parts is None else member
+            arguments.update(parts or {})
+        elif member is not None:
+            arguments.update(inline.arguments(member, prefix))
+        keys.append(None if member is None else member.key)
+    return tuple(keys), arguments
 
 
 def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
@@ -579,16 +812,22 @@ def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     step ``_FD_STEP`` times the argument scale.  J, K and the rows of R
     reach the bundles as lists.
 
-    The code is generated once per d and per form of the partials
-    (:func:`_compile_slow_rhs`), with every operation of an evaluation
-    written out: the state is split at offsets fixed there; the products
-    dfbar R, dfbar K + pbar and R . dR are each summed on floats from 0.0,
-    left to right; the growth kernel, the norms of R and R^-1 (up to
-    d = 2) and the partials are inline too.  That is numpy's result bit for
-    bit wherever each sum has at most one nonzero term, as with a diagonal
-    dfbar, and at d = 1.  For a full dfbar at d >= 2, numpy's ``@`` runs
-    through BLAS, whose fused multiply-adds can round the last bit
-    differently.
+    The code is generated once per d, per form of the partials and per
+    code of the members it writes in (:func:`_compile_slow_rhs`,
+    :func:`_slow_members`), with every operation of an evaluation written
+    out: the state is split at offsets fixed there; the products dfbar R,
+    dfbar K + pbar and R . dR are each summed on floats from 0.0, left to
+    right; the growth kernel, the norms of R and R^-1 (up to d = 2) and
+    the partials are inline too.  Each of fbar, dfbar, pbar and the
+    majorants and gradients the evaluation calls is written in as the
+    direct run writes its members (:mod:`~averbound.inline`) where it can
+    be, bit for bit the evaluation that calls it; the values the members
+    read from outside are arguments, so kappa = +1 and -1 share one
+    compile, as do all euler-top parameter sets.  That is numpy's result
+    bit for bit wherever each sum has at most one nonzero term, as with a
+    diagonal dfbar, and at d = 1.  For a full dfbar at d >= 2, numpy's
+    ``@`` runs through BLAS, whose fused multiply-adds can round the last
+    bit differently.
 
     At d = 1 ``kernel`` is the float run with the same evaluation written
     into each stage.  From d = 2 on it is ``ode._array_kernel`` on ``rhs``,
@@ -601,12 +840,14 @@ def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     (:func:`_make_stop_predicate`).
     """
     d = spec.d
-    make = _compile_slow_rhs(d, bounds.a_grad is not None)
+    analytic = bounds.a_grad is not None
+    members, arguments = _slow_members(d, aux, bounds, analytic)
+    make = _compile_slow_rhs(d, analytic, members)
     latest = [None, None]
     rhs, kernel = make(spec.epsilon, aux.fbar, aux.dfbar, aux.pbar,
                        bounds.a_hat, bounds.b_hat, bounds.c_hat, bounds.d_hat,
                        bounds.e_hat, bounds.a_grad, bounds.b_grad, latest,
-                       rtol, atol)
+                       rtol, atol, **arguments)
     if kernel is None:
         kernel = ode._array_kernel(rhs, d * d + 2 * d + 2, rtol, atol)
     return rhs, kernel, _make_stop_predicate(spec, bounds, latest)

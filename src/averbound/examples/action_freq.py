@@ -138,6 +138,9 @@ def make(params) -> ExampleDefinition:
         x = float(j[0])
         return 0.5 * (3 * x * x + 3 * x * r + r * r)
 
+    def e_hat(j, r):
+        return 2.0
+
     def rho_hat(j):
         return float(j[0])
 
@@ -152,7 +155,7 @@ def make(params) -> ExampleDefinition:
                           g_script=g_script,
                           h_script=constant(np.full((1, 1, 1), 2.0 * kap)))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
-                         c_hat=c_hat, d_hat=d_hat, e_hat=lambda j, r: 2.0,
+                         c_hat=c_hat, d_hat=d_hat, e_hat=e_hat,
                          a_grad=a_grad, b_grad=b_grad)
     return ExampleDefinition(
         id="action-freq", d=1, params={"kappa": int(kappa)}, omega=omega,

@@ -160,6 +160,12 @@ def make(params) -> ExampleDefinition:
                + c2 * j2 * r + c0 * r * r)
         return am * math.sqrt(num) / (32 * (j1 - r) ** 2 * (j2 - r) ** 2)
 
+    def d_hat(j, r):
+        return 0.0
+
+    def e_hat(j, r):
+        return 0.0
+
     def closed_flow(i0, tau):
         e1, e2 = math.exp(-l1 * tau), math.exp(-l2 * tau)
         return (np.array([i0[0] * e1, i0[1] * e2]), np.diag([e1, e2]),
@@ -172,8 +178,7 @@ def make(params) -> ExampleDefinition:
         g_script=constant(np.zeros((2, 2))),
         h_script=constant(np.zeros((2, 2, 2))))
     bounds = BoundBundle(rho_hat=rho_hat, a_hat=a_hat, b_hat=b_hat,
-                         c_hat=c_hat, d_hat=lambda j, r: 0.0,
-                         e_hat=lambda j, r: 0.0)
+                         c_hat=c_hat, d_hat=d_hat, e_hat=e_hat)
     return ExampleDefinition(
         id="euler-top", d=2, params={"mu": mu, "lambda1": l1, "lambda2": l2},
         omega=omega, f=f, g=g, in_domain=in_domain, aux=aux,

@@ -63,6 +63,30 @@ def _u(i, th):
                      * (-10 + 15 * np.cos(th) - 6 * np.cos(2 * th) + np.cos(3 * th))])
 
 
+def _rho_hat(j):
+    return float(j[0])
+
+
+def _a_hat(j, rmat, k, r):
+    return 1.0 / (float(j[0]) - r)
+
+
+def _b_hat(j, r):
+    return 2.0 / (float(j[0]) - r) ** 3
+
+
+def _c_hat(j, r):
+    return 12.0 / (float(j[0]) - r) ** 4
+
+
+def _d_hat(j, r):
+    return 0.0
+
+
+def _e_hat(j, r):
+    return 0.0
+
+
 def _a_grad(j, rmat, k, r):
     # a_hat = 1 / (J - r): its J and r derivatives differ only in sign.
     slope = 1.0 / (float(j[0]) - r) ** 2
@@ -90,16 +114,9 @@ def make(params) -> ExampleDefinition:
         m_script=constant(np.zeros((1, 1))),
         g_script=constant(np.zeros((1, 1))),
         h_script=constant(np.zeros((1, 1, 1))))
-    bounds = BoundBundle(
-        rho_hat=lambda j: float(j[0]),
-        a_hat=lambda j, rmat, k, r: 1.0 / (float(j[0]) - r),
-        b_hat=lambda j, r: 2.0 / (float(j[0]) - r) ** 3,
-        c_hat=lambda j, r: 12.0 / (float(j[0]) - r) ** 4,
-        d_hat=lambda j, r: 0.0,
-        e_hat=lambda j, r: 0.0,
-        a_grad=_a_grad,
-        b_grad=_b_grad,
-    )
+    bounds = BoundBundle(rho_hat=_rho_hat, a_hat=_a_hat, b_hat=_b_hat,
+                         c_hat=_c_hat, d_hat=_d_hat, e_hat=_e_hat,
+                         a_grad=_a_grad, b_grad=_b_grad)
     return ExampleDefinition(
         id="resonant", d=1, params={}, omega=_omega, f=_f, g=_g,
         in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,

@@ -164,6 +164,14 @@ def _c_hat(j, r):
     return math.sqrt(p) / 384
 
 
+def _d_hat(j, r):
+    return 0.0
+
+
+def _e_hat(j, r):
+    return 1.0
+
+
 def _rho_hat(j):
     return float(j[0])
 
@@ -188,9 +196,8 @@ def make(params) -> ExampleDefinition:
         # fbar is quadratic, so the second-order remainder is the constant -1.
         h_script=constant(np.full((1, 1, 1), -1.0)))
     bounds = BoundBundle(rho_hat=_rho_hat, a_hat=_a_hat, b_hat=_b_hat,
-                         c_hat=_c_hat, d_hat=lambda j, r: 0.0,
-                         e_hat=lambda j, r: 1.0, a_grad=_a_grad,
-                         b_grad=_b_grad)
+                         c_hat=_c_hat, d_hat=_d_hat, e_hat=_e_hat,
+                         a_grad=_a_grad, b_grad=_b_grad)
     return ExampleDefinition(
         id="vdp", d=1, params={}, omega=_omega, f=_f, g=_g,
         in_domain=_in_domain, aux=aux, bounds=bounds, sample_box=SAMPLE_BOX,

@@ -71,6 +71,10 @@ _FAC_MIN = 0.2                # largest allowed step shrink factor is 1/5
 _FAC_MAX = 10.0               # largest allowed step growth factor
 _HMIN_REL = 1e-14             # step underflow threshold, relative to the span
 _MAX_STEPS = 10_000_000       # step attempts of one integrate call
+# Bytes the node buffers of one _integrate call may hold, over all its
+# chunks: 8 per time and per state and slope component, about 13 million
+# nodes of a two-component state.
+_NODE_BYTES_MAX = 1 << 29
 _STOP_REL = 1e-10             # relative localization width for stop times
 _STOP_BISECTIONS = 40
 # Times per block in Trajectory.sample_many: bounds its (block, dim)
@@ -198,7 +202,9 @@ class StepStats:
     stop localisation included.  ``h_min``/``h_max`` are the smallest and
     largest accepted step sizes, None when no step was accepted.
     ``rhs_error`` is the last exception a retry or the first-step probe
-    absorbed, ``"ZeroDivisionError: float division by zero"``, or None.
+    absorbed, ``"ZeroDivisionError: float division by zero"``, or None; a
+    run that ends because its node buffers are full
+    (``_NODE_BYTES_MAX``) says so there.
     """
 
     accepted: int = 0
@@ -681,8 +687,9 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     node is the state the run goes on from: the list the last stage of the
     step handed ``rhs``, as ``rhs`` and ``stop`` leave it.  Failure
     modes: step-size underflow below 1e-14 times the span (a NaN step size,
-    as a non-finite initial state or slope gives, counts as one), or
-    ``_MAX_STEPS`` step attempts.  Exceptions,
+    as a non-finite initial state or slope gives, counts as one),
+    ``_MAX_STEPS`` step attempts, or node buffers that reach
+    ``_NODE_BYTES_MAX`` bytes, which ``stats.rhs_error`` names.  Exceptions,
     a NaN error estimate in any component and a non-finite new state make
     the step retry at half size rather than abort, and one at the probe of
     the first step size leaves the estimate from the initial slope.  The
@@ -708,7 +715,11 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel, chunks=1,
     shorter than half a chunk joins the last.  Each chunk starts as a run
     of its own from the node its predecessor ended on, with a fresh
     controller: it calls ``problem.rhs`` and ``stop`` there, and its
-    underflow threshold and its ``_MAX_STEPS`` are its own.  A later chunk
+    underflow threshold and its ``_MAX_STEPS`` are its own.  The node
+    buffers of all chunks together hold at most ``_NODE_BYTES_MAX`` bytes:
+    each chunk's run may attempt no more steps than the buffers have room
+    for nodes, and one that uses them all ends the run with
+    ``step_failure`` and the cap named in ``rhs_error``.  A later chunk
     starts with the largest step among its predecessor's last six nodes at
     most.  ``out_of_time()``, when given, is asked after every chunk that
     completes, the last included; a true answer ends the run with
@@ -772,9 +783,14 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel, chunks=1,
             run, stage_calls = kernel
             derivs.extend(f)
         first = len(times)          # the chunk's first new node
+        # Each accepted attempt appends one node, so an attempt budget of
+        # the nodes the buffers have room for keeps them within the cap.
+        room = (_NODE_BYTES_MAX - 8 * (len(times) + len(states) + len(derivs))
+                ) // (8 * (1 + 2 * size))
+        max_steps = min(_MAX_STEPS, max(room, 0))
         calls_before = stage_calls()
         status, attempts, retries, node_stops, lo, hi, error, reason, *_ = run(
-            t, y, f, h, t_next, _HMIN_REL * span, _MAX_STEPS, times, states,
+            t, y, f, h, t_next, _HMIN_REL * span, max_steps, times, states,
             derivs, stop)
         rhs_evals += stage_calls() - calls_before
         steps += attempts
@@ -783,6 +799,10 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel, chunks=1,
         h_lo, h_hi = min(h_lo, lo), max(h_hi, hi)
         if error is not None:
             rhs_error = error
+        if (status is Status.STEP_FAILURE
+                and attempts == max_steps < _MAX_STEPS):
+            rhs_error = (f"node buffers full: {_NODE_BYTES_MAX} bytes "
+                         "(ode._NODE_BYTES_MAX)")
         if status is Status.STOPPED:
             # The last accepted step, from the last two rows of the buffers;
             # the chunk's first starts from the slope the chunk started on.

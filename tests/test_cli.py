@@ -323,6 +323,21 @@ def test_absorbed_rhs_error_reaches_the_sidecar(tmp_path):
     assert sidecar["averaged_stats"]["rhs_error"] is None
 
 
+def test_full_node_buffers_reach_the_sidecar(tmp_path, monkeypatch):
+    # A direct run whose node buffers fill ends in step_failure, exits 1,
+    # and its sidecar names the cap.
+    monkeypatch.setattr(ode, "_NODE_BYTES_MAX", 1000 * 8 * 5)
+    out = tmp_path / "capped.csv"
+    code = run_cli("direct", "--figure", "1a", "--out", str(out))
+    assert code == 1
+    sidecar = json.loads((tmp_path / "capped.json").read_text())
+    assert sidecar["status"] == "step_failure"
+    assert not sidecar["budget_exceeded"]
+    assert sidecar["direct_stats"]["rhs_error"] == (
+        "node buffers full: 40000 bytes (ode._NODE_BYTES_MAX)")
+    assert sidecar["averaged_stats"]["rhs_error"] is None
+
+
 def test_verify_euler_top_params(tmp_path):
     code = run_cli("verify", "--example", "euler-top", "--mu", "1",
                    "--l1", "2", "--l2", "-1", "--i0", "4,4",

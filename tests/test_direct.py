@@ -10,6 +10,7 @@ import pytest
 
 import averbound as ab
 from averbound import direct, ode
+from averbound import inline as inliner
 from averbound.direct import DirectTrajectory, envelope
 
 from conftest import (chunks_reference, direct_reference, envelope_reference,
@@ -185,7 +186,7 @@ def _inline_and_called(spec, aux, u):
         spec, f=_called(spec.f), g=_called(spec.g),
         omega=_called(spec.omega), in_domain=_called(spec.in_domain))
     called_aux = dataclasses.replace(aux, fbar=_called(aux.fbar))
-    assert not any(direct._written_in(fn, n)
+    assert not any(inliner.written_in(fn, n)
                    for fn, n in _members(called_spec, called_aux))
     return inline, ab.run_direct(called_spec, called_aux, avg, u)
 
@@ -205,7 +206,7 @@ def test_written_in_members_match_their_calls(make, i0, u):
     # slopes and step counts.
     example = make()
     spec = example.make_system(i0, 1e-2)
-    assert all(direct._written_in(fn, n)
+    assert all(inliner.written_in(fn, n)
                for fn, n in _members(spec, example.aux))
     inline, called = _inline_and_called(spec, example.aux, u)
     assert inline.status is ode.Status.COMPLETED
@@ -260,7 +261,7 @@ def test_written_in_shapes_match_their_calls():
     spec = dataclasses.replace(spec, i0=np.array([1.0, 2.0]), theta0=0.3,
                                f=f, omega=omega, g=g, in_domain=in_domain)
     aux = dataclasses.replace(aux, fbar=fbar)
-    assert all(direct._written_in(fn, n) for fn, n in _members(spec, aux))
+    assert all(inliner.written_in(fn, n) for fn, n in _members(spec, aux))
     inline, called = _inline_and_called(spec, aux, 2.0)
     assert inline.status is ode.Status.COMPLETED
     assert inline.abs_l.max() > 0.01
@@ -275,7 +276,7 @@ def test_fbar_returning_its_argument_is_read_as_a_list():
     f, fbar = _growing_members()
     spec = dataclasses.replace(spec, theta0=0.3, f=f)
     aux = dataclasses.replace(aux, fbar=fbar)
-    assert direct._written_in(f, 2) and direct._written_in(fbar, 1)
+    assert inliner.written_in(f, 2) and inliner.written_in(fbar, 1)
     inline, called = _inline_and_called(spec, aux, 1.0)
     assert inline.status is ode.Status.COMPLETED
     assert inline.abs_l.max() > 0.01
@@ -327,8 +328,8 @@ def test_refused_shapes_are_called(shape):
         "default": _vdp_f_defaulted,
         "exec": _vdp_f_executed(),
     }[shape]
-    assert direct._written_in(spec.f, 2)
-    assert direct._written_in(f, 2) is None
+    assert inliner.written_in(spec.f, 2)
+    assert inliner.written_in(f, 2) is None
     u = 1.0
     avg = ab.run_averaged(spec, example.aux, u)
     want = ab.run_direct(spec, example.aux, avg, u)
@@ -367,7 +368,7 @@ def test_written_in_member_raises_as_its_call():
     ab.run_direct(dataclasses.replace(spec, f=recording), aux, avg, u)
     f, g = _raising_at(seen[39])
     spec = dataclasses.replace(spec, f=f, g=g)
-    assert direct._written_in(f, 2) and direct._written_in(g, 2)
+    assert inliner.written_in(f, 2) and inliner.written_in(g, 2)
     inline = ab.run_direct(spec, aux, avg, u)
     called = ab.run_direct(
         dataclasses.replace(spec, f=_called(f), g=_called(g)), aux, avg, u)
@@ -415,7 +416,7 @@ def test_domain_exit_matches_the_reference_loop(monkeypatch, d):
     def in_domain(i):
         return i[0] > 0.75
     spec = dataclasses.replace(spec, in_domain=in_domain)
-    assert direct._written_in(in_domain, 1)
+    assert inliner.written_in(in_domain, 1)
     fused = ab.run_direct(spec, aux, avg, u)
     monkeypatch.setattr(ode, "_integrate", _on_reference)
     ref = ab.run_direct(spec, aux, avg, u)
@@ -434,13 +435,13 @@ def test_each_member_source_is_read_once(monkeypatch):
     # code (kappa = -1 after +1), read none.  A function without a source
     # is remembered as such.
     read = []
-    getsource = direct.inspect.getsource
+    getsource = inliner.inspect.getsource
 
     def counted(fn):
         read.append(fn.__name__)
         return getsource(fn)
-    monkeypatch.setattr(direct.inspect, "getsource", counted)
-    monkeypatch.setattr(direct, "_SOURCES", {})
+    monkeypatch.setattr(inliner.inspect, "getsource", counted)
+    monkeypatch.setattr(inliner, "_SOURCES", {})
     for kappa in (1, 1, -1):
         example = ab.make_action_freq(kappa)
         spec = example.make_system((1.0,), 1e-2)
@@ -449,12 +450,40 @@ def test_each_member_source_is_read_once(monkeypatch):
             is ode.Status.COMPLETED
     members = [fn for fn, _ in _members(spec, example.aux)]
     assert sorted(read) == sorted(fn.__name__ for fn in members)
-    assert set(direct._SOURCES) == {fn.__code__ for fn in members}
+    assert set(inliner._SOURCES) == {fn.__code__ for fn in members}
     executed = _vdp_f_executed()
     for _ in range(2):
-        assert direct._written_in(executed, 2) is None
-    assert direct._SOURCES[executed.__code__] is None
+        assert inliner.written_in(executed, 2) is None
+    assert inliner._SOURCES[executed.__code__] is None
     assert read.count("f") == 2
+
+
+def test_node_cap_holds_over_the_chunks(monkeypatch):
+    # The cap counts the nodes of every chunk: with room for half the
+    # nodes of the whole run, the run ends in step_failure several chunks
+    # in, its buffers within the cap, on the nodes of the run without a
+    # cap, and not by the clock.
+    example = ab.make_vdp()
+    spec = example.make_system((0.5,), 1e-2)
+    u = 1.0
+    avg = ab.run_averaged(spec, example.aux, u)
+    full = ab.run_direct(spec, example.aux, avg, u)
+    assert full.status is ode.Status.COMPLETED
+    nodes = full.t.size // 2
+    cap = nodes * 8 * (1 + 2 * 2)
+    monkeypatch.setattr(ode, "_NODE_BYTES_MAX", cap)
+    capped = ab.run_direct(spec, example.aux, avg, u)
+    traj = capped.traj
+    assert capped.status is ode.Status.STEP_FAILURE
+    assert not capped.budget_exceeded
+    assert traj.stats.rhs_error == (f"node buffers full: {cap} bytes "
+                                    "(ode._NODE_BYTES_MAX)")
+    assert traj.times.nbytes + traj.states.nbytes + traj.derivs.nbytes <= cap
+    assert nodes - 10 < traj.times.size <= nodes
+    assert capped.t[-1] > 10 * u / spec.epsilon / direct._BUDGET_CHUNKS
+    n = traj.times.size
+    assert traj.times.tobytes() == full.traj.times[:n].tobytes()
+    assert traj.states.tobytes() == full.traj.states[:n].tobytes()
 
 
 def test_stats_sum_over_the_chunks():

@@ -1,14 +1,22 @@
 """Slow-system assembly and estimator-run tests."""
 import dataclasses
+import functools
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 import averbound as ab
-from averbound import estimator, ode
+from averbound import cli, estimator, ode
+from averbound import inline as inliner
+from averbound.examples import vdp
 from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  ViolationKind, pack_state, report_columns,
                                  unpack_state)
@@ -1189,3 +1197,213 @@ def test_short_gradient_part_raises_index_error(part):
     spec = example.make_system([4.0, 1.0], 1e-2)
     with pytest.raises(IndexError):
         ab.run_estimator(spec, example.aux, bounds, 1.0)
+
+
+def _wrapped(fn):
+    """``fn`` behind ``functools.wraps``, which the inliner refuses: the
+    slow solve calls it."""
+    if fn is None:
+        return None
+
+    @functools.wraps(fn)
+    def call(*args):
+        return fn(*args)
+    return call
+
+
+def _called_bundles(aux, bounds):
+    """``aux`` and ``bounds`` with every member behind :func:`_wrapped`."""
+    return tuple(dataclasses.replace(bundle, **{
+        f.name: _wrapped(getattr(bundle, f.name))
+        for f in dataclasses.fields(bundle)}) for bundle in (aux, bounds))
+
+
+def _written_keys(spec, aux, bounds):
+    """The keys of the members the slow solve of ``spec`` writes in, by
+    name, None for those it calls, without the pair its partials do not
+    call."""
+    analytic = bounds.a_grad is not None
+    keys, _ = estimator._slow_members(spec.d, aux, bounds, analytic)
+    names = [name for name, *_ in estimator._SLOW_MEMBERS]
+    return {name: key for name, key in zip(names, keys)
+            if name not in estimator._PARTIALS[not analytic]}
+
+
+def _assert_same_solve(got, want):
+    assert got.status is want.status
+    assert got.violation_kind == want.violation_kind
+    assert got.ell0 == want.ell0
+    for part in ("times", "states", "derivs"):
+        assert (getattr(got.traj, part).tobytes()
+                == getattr(want.traj, part).tobytes()), part
+    assert got.traj.stats == want.traj.stats
+    assert got.traj.stop_time == want.traj.stop_time
+    assert got.traj.stop_reason == want.traj.stop_reason
+
+
+# (system, params, i0, eps, U, status) of the slow solves whose members
+# are written in: the presets' data, two stops, and the 4b data at U = 10.
+_WRITTEN_CASES = {
+    "vdp-1a": ("vdp", {}, [0.5], 1e-2, 10.0, "completed"),
+    "vdp-1c": ("vdp", {}, [4.0], 1e-2, 200.0, "completed"),
+    "af-plus-2a": ("action-freq", {"kappa": 1}, [1.0], 1e-2, 0.9,
+                   "completed"),
+    "af-plus-stop": ("action-freq", {"kappa": 1}, [0.8], 1e-2, 2.0,
+                     "domain_violation"),
+    "af-minus-2d": ("action-freq", {"kappa": -1}, [1.0], 1e-2, 200.0,
+                    "completed"),
+    "resonant-3a": ("resonant", {}, [0.5], 1e-2, 10.0, "completed"),
+    "resonant-3e": ("resonant", {}, [2.0], 1e-2, 10.0, "completed"),
+    "euler-top-4a": ("euler-top", _ET_A, [4.0, 4.0], 1e-2, 1.0, "completed"),
+    "euler-top-4d": ("euler-top", _ET_D, [4.0, 4.0], 1e-3, 3.0, "completed"),
+    "euler-top-4b-u10": ("euler-top", _ET_A, [4.0, 1.0], 1e-2, 10.0,
+                         "step_failure"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITTEN_CASES))
+def test_written_in_members_equal_their_calls(case):
+    # Every member of each built-in that the slow solve evaluates is
+    # written into its right-hand side, and at d = 1 into each stage of its
+    # run, helpers included; the solve is bit for bit the one that calls
+    # every member: nodes, slopes, step counts and the stop.
+    name, params, i0, eps, u, status = _WRITTEN_CASES[case]
+    example = ab.make_example(name, params)
+    spec = example.make_system(i0, eps)
+    aux, bounds = example.aux, example.bounds
+    keys = _written_keys(spec, aux, bounds)
+    assert all(key is not None for key in keys.values()), keys
+    if name == "vdp":
+        assert [h for h, _ in keys["a_grad"][2]] == ["_a_radicand"]
+        assert [h for h, _ in keys["b_grad"][2]] == ["_b_hat"]
+    written = ab.run_estimator(spec, aux, bounds, u)
+    called_aux, called_bounds = _called_bundles(aux, bounds)
+    assert not any(_written_keys(spec, called_aux, called_bounds).values())
+    called = ab.run_estimator(spec, called_aux, called_bounds, u)
+    assert written.status.value == status
+    _assert_same_solve(written, called)
+    if case == "af-plus-stop":
+        assert abs(written.tau_final - 1.19446) < 1e-5
+        assert written.violation_kind is not None
+    if case == "euler-top-4b-u10":
+        stats = written.traj.stats
+        assert (stats.accepted, stats.rejected) == (174, 72)
+        assert abs(written.tau_final - 1.383028) < 1e-6
+
+
+def _raising_bounds(c):
+    """vdp's c_hat and a_grad, raising at the action c: c_hat by dividing
+    by zero, and a_grad from ``math.log``, with their values unchanged
+    elsewhere.  c_hat calls vdp's own c_hat from its closure, which is
+    written in with it."""
+    c_hat_of, a_grad_of = vdp._c_hat, vdp._a_grad
+
+    def c_hat(j, r):
+        x = float(j[0])
+        return c_hat_of(j, r) + 0.0 * (1.0 / (x - c))
+
+    def a_grad(j, rmat, k, r):
+        return a_grad_of(j, rmat, k, r) if j[0] != c else math.log(0.0)
+    return c_hat, a_grad
+
+
+def test_written_in_member_raises_at_the_call_that_raises():
+    # c is J at c_hat's 40th evaluation, mid-step: there the written-in
+    # c_hat raises ZeroDivisionError as its call does, before a_grad, which
+    # would raise ValueError, is reached; the step is retried at half size,
+    # and the two solves agree bit for bit.
+    example = ab.make_vdp()
+    spec = example.make_system([0.5], 1e-2)
+    seen = []
+
+    def recording(j, r):
+        seen.append(j[0])
+        return vdp._c_hat(j, r)
+    bounds = dataclasses.replace(example.bounds, c_hat=recording)
+    ab.run_estimator(spec, example.aux, bounds, 2.0)
+    c_hat, a_grad = _raising_bounds(seen[39])
+    bounds = dataclasses.replace(example.bounds, c_hat=c_hat, a_grad=a_grad)
+    keys = _written_keys(spec, example.aux, bounds)
+    assert keys["c_hat"] is not None and keys["a_grad"] is not None
+    assert [h for h, _ in keys["c_hat"][2]] == ["c_hat_of"]
+    written = ab.run_estimator(spec, example.aux, bounds, 2.0)
+    called = ab.run_estimator(spec, example.aux, dataclasses.replace(
+        bounds, c_hat=_wrapped(c_hat), a_grad=_wrapped(a_grad)), 2.0)
+    _assert_same_solve(written, called)
+    stats = written.traj.stats
+    assert written.status is EstimatorStatus.COMPLETED
+    assert stats.rhs_error == "ZeroDivisionError: float division by zero"
+    assert stats.nan_retries == 1
+
+
+def _c_hat_defaulted(j, r, scale=1.0):
+    return vdp._c_hat(j, r)
+
+
+def _c_hat_forwarding(*args):
+    return vdp._c_hat(*args)
+
+
+@pytest.mark.parametrize("shape", ["args", "lambda", "default"])
+def test_refused_members_are_called(shape):
+    # A *args wrapper (as perfbench's tracer puts around members), a lambda
+    # and a default argument are called; the solve equals the one with
+    # vdp's c_hat written in, bit for bit.
+    c_hat = {"args": _c_hat_forwarding,
+             "lambda": lambda j, r: vdp._c_hat(j, r),
+             "default": _c_hat_defaulted}[shape]
+    example = ab.make_vdp()
+    spec = example.make_system([4.0], 1e-2)
+    bounds = dataclasses.replace(example.bounds, c_hat=c_hat)
+    assert inliner.written_in(c_hat, 2) is None
+    assert _written_keys(spec, example.aux, bounds)["c_hat"] is None
+    got = ab.run_estimator(spec, example.aux, bounds, 10.0)
+    want = ab.run_estimator(spec, example.aux, example.bounds, 10.0)
+    _assert_same_solve(got, want)
+
+
+_SHARED = {
+    "kappa+1": ["--example", "action-freq", "--kappa", "1", "--i0", "0.8",
+                "--eps", "1e-2", "--u", "0.5"],
+    "kappa-1": ["--example", "action-freq", "--kappa", "-1", "--i0", "0.8",
+                "--eps", "1e-2", "--u", "0.5"],
+    "top-a": ["--example", "euler-top", "--mu", "1", "--l1", "2", "--l2",
+              "-1", "--i0", "4,1", "--eps", "1e-2", "--u", "0.5"],
+    "top-d": ["--example", "euler-top", "--mu", "1", "--l1", "1.1", "--l2",
+              "-1", "--i0", "4,4", "--eps", "1e-2", "--u", "0.5"],
+}
+
+
+def _estimate(tmp_path, name, tag, alone=False):
+    """The table and the sidecar, wall time aside, of ``estimate`` on the
+    job ``name``: in this process, or ``alone`` in a process of its own."""
+    out = tmp_path / f"{name}-{tag}.csv"
+    argv = ["estimate", *_SHARED[name], "--out", str(out)]
+    if alone:
+        src = str(Path(estimator.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, path) if p)}
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from averbound.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", *argv],
+                       env=env, check=True, capture_output=True)
+    else:
+        assert cli.main(argv) == 0
+    sidecar = json.loads(out.with_suffix(".json").read_text())
+    sidecar.pop("wall_time_s")
+    return out.read_bytes(), sidecar
+
+
+def test_shared_compiles_keep_their_parameters(tmp_path):
+    # kappa = +1 and -1 share one compile of the slow source, and so do two
+    # euler-top parameter sets: each job, run after the other in one
+    # process, writes what it writes alone, in a process of its own, so no
+    # value a member reads from outside was kept from the first job.
+    for first, second in (("kappa+1", "kappa-1"), ("top-a", "top-d")):
+        estimator._compile_slow_rhs.cache_clear()
+        pair = [_estimate(tmp_path, name, "pair") for name in (first, second)]
+        assert estimator._compile_slow_rhs.cache_info().misses == 1
+        assert pair[0] != pair[1]
+        assert pair == [_estimate(tmp_path, name, "alone", alone=True)
+                        for name in (first, second)]

@@ -242,6 +242,44 @@ def test_max_steps_exhaustion(monkeypatch):
     assert traj.times[-1] < 10.0
 
 
+def _node_bytes(traj):
+    return traj.times.nbytes + traj.states.nbytes + traj.derivs.nbytes
+
+
+def test_node_buffers_stop_at_their_cap(monkeypatch):
+    # Room for 100 nodes of a two-component state: the run, which needs
+    # far more, ends in step_failure with its buffers within the cap, says
+    # why, and took the steps of the run without a cap until then.
+    rhs = lambda t, y: [y[1], -y[0]]
+    full = ode.integrate(problem(rhs, [1.0, 0.0], 200.0))
+    assert full.status is ode.Status.COMPLETED and full.times.size > 1000
+    monkeypatch.setattr(ode, "_NODE_BYTES_MAX", 100 * 8 * 5)
+    traj = ode.integrate(problem(rhs, [1.0, 0.0], 200.0))
+    assert traj.status is ode.Status.STEP_FAILURE
+    assert _node_bytes(traj) <= 100 * 8 * 5
+    stats = traj.stats
+    # the first node was in the buffers before the run: room for 99
+    assert stats.accepted + stats.rejected == 99
+    assert stats.rhs_error == ("node buffers full: 4000 bytes "
+                               "(ode._NODE_BYTES_MAX)")
+    n = traj.times.size
+    assert traj.times.tobytes() == full.times[:n].tobytes()
+    assert traj.states.tobytes() == full.states[:n].tobytes()
+
+
+def test_a_run_within_the_node_cap_does_not_name_it(monkeypatch):
+    # The cap leaves a run that fits alone, and the step cap's failure is
+    # not reported as the buffers'.
+    monkeypatch.setattr(ode, "_NODE_BYTES_MAX", 100 * 8 * 3)
+    traj = ode.integrate(problem(lambda t, y: [-y[0]], [1.0], 1.0))
+    assert traj.status is ode.Status.COMPLETED
+    assert traj.stats.rhs_error is None
+    monkeypatch.setattr(ode, "_MAX_STEPS", 3)
+    traj = ode.integrate(problem(lambda t, y: y, [1.0], 10.0))
+    assert traj.status is ode.Status.STEP_FAILURE
+    assert traj.stats.rhs_error is None
+
+
 def test_blowup_gives_step_failure():
     # y' = y^2 blows up at t=1; the step size underflows before that.
     traj = ode.integrate(problem(lambda t, y: [v * v for v in y], [1.0], 2.0))
