@@ -19,8 +19,7 @@ outside.  The state is stepped as Python floats.
 
 Each of ``f``, ``fbar``, ``omega``, ``g`` and ``in_domain`` that is a plain
 ``def`` of assignments and one ``return`` is written into the three too,
-with the helpers it calls, by the inliner the slow solve shares
-(:mod:`~averbound.inline`): its own expressions, read from its source, on
+by the inliner the slow solve shares (:mod:`~averbound.inline`): its own expressions, read from its source, on
 the same floats in the same order, so the run is bit for bit the one that
 calls it.  Any other member, a lambda, a wrapper or a constant member
 among them, is called and handed the actions as a list.  This is the
@@ -129,9 +128,9 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
     ``members`` holds, for f, fbar, omega, g and in_domain in that order,
     the key of a member written into the three, or None for a member they
     call (:func:`inline.written_in`).  A written-in member's names take
-    its prefix (``_PREFIXES``), and those it and its helpers read from
-    outside are arguments ``outside`` of ``make``
-    (:func:`inline.outside`), so the source depends on the code alone.
+    its prefix (``_PREFIXES``), and those it reads from outside are
+    arguments ``outside`` of ``make`` (:func:`inline.outside`), so the
+    source depends on the code alone.
     Its action parameter read as ``i[k]`` becomes ``i<k>``, the action
     ``j<k> + eps * z<k>`` bound once per evaluation, and any other read of
     it the list ``actions`` the called members get; fbar's reads ``j<k>``.

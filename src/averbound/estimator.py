@@ -335,30 +335,20 @@ def _split_lines(d: int, state=None, lists=_LISTS):
                     if name in lists]
 
 
-def _slow_rhs_lines(d: int, state=None, amat=None, pb=None):
-    """The generated blocks of the slow right-hand side for d actions, and
-    the names of the products' entries in packed order.
+def _slow_rhs_lines(d: int, state, amat, pb):
+    """Lines that write out the products of the slow right-hand side for d
+    actions, and the names of their entries in packed order.
 
-    ``state`` names the floats of the packed state in packed order, and
-    the first block is :func:`_split_lines`.  The second writes out the
-    entries of dfbar R and dfbar K + pbar, as ``d<a>_<b>`` and ``dk<a>``,
-    and R . dR as ``r_dot_dr``: each a sum by ``ode._dot``, R taken row by
-    row, and pbar added after the sum.  ``amat`` holds the expressions of
-    dfbar(J)'s entries, row by row, and ``pb`` those of pbar(J); by default
-    the block first unpacks them from the lists ``amat`` (dfbar(J) as rows
-    of floats) and ``pb`` (pbar(J)), so a member of the wrong shape raises
-    ``ValueError``.
+    ``state`` names the floats of the packed state in packed order.  The
+    lines bind the entries of dfbar R and dfbar K + pbar, as ``d<a>_<b>``
+    and ``dk<a>``, and R . dR as ``r_dot_dr``: each a sum by ``ode._dot``,
+    R taken row by row, and pbar added after the sum.  ``amat`` holds the
+    expressions of dfbar(J)'s entries, row by row, and ``pb`` those of
+    pbar(J).
     """
     ix = range(d)
-    split = _split_lines(d, state)
-    js, rs, ks, _, _ = _state_parts(d, state or _state_names(d))
+    _, rs, ks, _, _ = _state_parts(d, state)
     products = []
-    if amat is None:
-        amat = [[f"a{a}_{b}" for b in ix] for a in ix]
-        products.append(f"{_rows_of(amat)} = amat")
-    if pb is None:
-        pb = [f"p{a}" for a in ix]
-        products.append(f"{_seq(pb)} = pb")
     drs = [[f"d{a}_{b}" for b in ix] for a in ix]
     dks = [f"dk{a}" for a in ix]
     flat_rs = [x for row in rs for x in row]
@@ -369,13 +359,14 @@ def _slow_rhs_lines(d: int, state=None, amat=None, pb=None):
         products.append(f"{dks[a]} = {_dot((amat[a][c], ks[c]) for c in ix)}"
                         f" + {pb[a]}")
     products.append(f"r_dot_dr = {_dot(zip(flat_rs, flat_drs))}")
-    return split, products, flat_drs + dks
+    return products, flat_drs + dks
 
 
-def _norm_lines(rs):
+def _norm_lines(rs, used: set):
     """Lines that bind ``norm_r`` and ``norm_rinv``, the Frobenius norms of
     R and R^-1 for R given as the rows ``rs`` of named floats, and raise
-    :class:`SingularMatrixError` for a singular or ill-conditioned R.
+    :class:`SingularMatrixError` for a singular or ill-conditioned R; the
+    lists they read are added to ``used`` (:func:`_split_lines`).
 
     At d = 1 and d = 2 they are written out on floats, with the operations
     of an ndarray R^-1 and :func:`frobenius` in the same order (a sum of
@@ -404,6 +395,7 @@ def _norm_lines(rs):
                 f" + {r10} * {r10} + {r11} * {r11})",
                 "norm_rinv = sqrt(i00 * i00 + i01 * i01 + i10 * i10 + i11 * i11)",
                 *check]
+    used.add("rows")
     return ["norm_r, norm_rinv = norms(rows)"]
 
 
@@ -475,8 +467,8 @@ class _Calls:
     evaluation forms the lists ``j``, ``rows`` and ``kvec`` and the
     perturbed arguments of the differences only where they are read."""
 
-    def __init__(self, keys=None):
-        self.keys = keys or {}
+    def __init__(self, keys):
+        self.keys = keys
         self.used = set()
 
     def _call(self, name, args):
@@ -520,12 +512,12 @@ class _Calls:
                 is not None)
 
 
-def _partials_lines(d, analytic, state, djs, drs, dks, calls=None):
+def _partials_lines(d, analytic, state, djs, drs, dks, calls):
     """Lines that bind the offset partials ``dal_dr`` (d(offset)/dr) and
     ``dal_dtau`` (d(offset)/dtau) at (J, R, K, ``radius``), for the state
     floats named ``state`` and the slow-flow entries ``djs`` (dJ), ``drs``
     (dR, row by row) and ``dks`` (dK), with the member calls of ``calls``
-    (:class:`_Calls`; by default every member is called).
+    (:class:`_Calls`).
 
     With gradients (``analytic``): one ``a_grad`` and one ``b_grad`` call,
     and d(offset)/dtau = sum(dA/dJ dJ) + sum(dA/dR dR) + sum(dA/dK dK) +
@@ -539,7 +531,6 @@ def _partials_lines(d, analytic, state, djs, drs, dks, calls=None):
     entry or of a_hat in that R or K entry, weighted by the entry and
     summed from 0.0.  The perturbed arguments are list displays.
     """
-    calls = _Calls() if calls is None else calls
     js, rs, ks, _, _ = _state_parts(d, state)
     on_j, on_rows, on_k, on_radius = ((js, "j"), ((), "rows"), (ks, "kvec"),
                                       ((), "radius"))
@@ -625,7 +616,7 @@ def _partials_lines(d, analytic, state, djs, drs, dks, calls=None):
     return lines + ["dal_dtau = float(dal_dtau)"]
 
 
-def _slow_evaluation(d, analytic, keys=None, state=None, record="y"):
+def _slow_evaluation(d, analytic, keys, state=None, record="y"):
     """Lines of one evaluation of the slow right-hand side for d actions,
     and the expressions of its values in packed order: the blocks of
     :func:`_slow_rhs_lines`, :func:`_norm_lines` and
@@ -665,12 +656,12 @@ def _slow_evaluation(d, analytic, keys=None, state=None, record="y"):
             f"{_seq(djs)} = {dj}"]
     pb_lines, pb, pb_unpack = calls.array("pbar", [on_j], "pb", (None,) * d)
     lines += pb_lines + amat_unpack + pb_unpack
-    _, products, entries = _slow_rhs_lines(d, state, amat, pb)
+    products, entries = _slow_rhs_lines(d, names, amat, pb)
     growth = [calls.value(name, [on_j, on_radius], bind)
               for name, bind in (("c_hat", "ch"), ("d_hat", "dh"),
                                  ("e_hat", "eh"))]
     (c_lines, ch), (d_lines, dh), (e_lines, eh) = growth
-    lines += products + _norm_lines(rs) + [
+    lines += products + _norm_lines(rs, calls.used) + [
         f"radius = eps * {n}",
         *c_lines, *d_lines,
         f"gam = {ch} + {dh} * {n}",
@@ -714,7 +705,7 @@ def _slow_outside(d: int, keys: dict) -> list:
     return names
 
 
-def _slow_rhs_source(d: int, analytic: bool, members: tuple = ()) -> str:
+def _slow_rhs_source(d: int, analytic: bool, members: tuple) -> str:
     """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
     e_hat, a_grad, b_grad, latest, rtol, atol, **outside)``, which returns
     the slow right-hand side for d actions as straight-line code, with its
@@ -724,7 +715,7 @@ def _slow_rhs_source(d: int, analytic: bool, members: tuple = ()) -> str:
 
     ``members`` holds, for the members of ``_SLOW_MEMBERS`` in that order,
     the key of each member written in (:func:`inline.written_in`), or None
-    for a member the code calls; by default every member is called.  A
+    for a member the code calls.  A
     written-in member's names take its prefix, and those it reads from
     outside, and the parts of a constant member, are the arguments
     ``outside`` (:func:`_slow_outside`), so the source depends on the
@@ -761,7 +752,7 @@ def _slow_rhs_source(d: int, analytic: bool, members: tuple = ()) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_slow_rhs(d: int, analytic: bool, members: tuple = ()):
+def _compile_slow_rhs(d: int, analytic: bool, members: tuple):
     form = "gradients" if analytic else "differences"
     return _compile_factory(_slow_rhs_source(d, analytic, members),
                             f"<slow rhs, d = {d}, {form}>", norms=_inverse_norms,

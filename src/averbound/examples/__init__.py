@@ -144,11 +144,10 @@ def register_system(name: str,
     ``:=``, and whose source :mod:`inspect` finds: ``i[k]`` reads the k-th
     action directly, ``j1, j2 = j`` names the actions without a list, and
     the names it reads from its closure, module or built-ins are bound
-    once, when the run starts.  The helpers such a body calls are written
-    in with it where the call is evaluated unconditionally; a returned
-    tuple or list display binds one name per part the step reads, and a
-    returned ``np.array(<display>)`` of ``dfbar`` or ``pbar`` binds the
-    float of each item.  A member made by :func:`constant` is read once
+    once, when the run starts; a helper such a body calls is one of them,
+    and is called.  A returned tuple or list display binds one name per
+    part the step reads, and a returned ``np.array(<display>)`` of
+    ``dfbar`` or ``pbar`` binds the float of each item.  A member made by :func:`constant` is read once
     per run.  The run is bit for bit the one that calls each member.  Any
     other callable, such as a lambda, a ``functools.wraps`` wrapper, a
     body with an ``if`` or a loop, or a function made by ``exec``, is

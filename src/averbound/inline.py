@@ -16,11 +16,6 @@ What is written in:
   (:func:`inline_form`).  An assignment may unpack into plain names; one
   that unpacks a parameter whose components the caller names
   (``j1, j2 = j``) binds those names, with no list in between;
-* each plain ``def`` helper it calls by a name it reads from its module or
-  closure (vdp's ``_a_radicand``, ``_b_hat`` inside ``_b_grad``), where the
-  call is evaluated unconditionally: the parts of the statement evaluated
-  before the call are bound first, so the order of evaluation is the
-  call's;
 * a returned tuple or list display, nested ones included, binds one name
   per part the caller reads, and a returned ``np.array(<display>)`` that
   the caller reads as a list (``.tolist()``) binds ``float(item)`` per
@@ -29,11 +24,11 @@ What is written in:
 * a member made by :func:`averbound.examples.constant`, whose value the
   caller binds once per run.
 
-A written-in body's names take a prefix per member (a helper's the
-member's prefix and its position, ``_ag_0_``), and the names it reads from
-its closure, module or built-ins are arguments of the generated ``make``,
-so the generated source depends on the members' code alone.  Every other
-callable is called: a lambda, a ``functools.wraps`` wrapper, a ``*args``
+A written-in body's names take a prefix per member, and the names it
+reads from its closure, module or built-ins are arguments of the
+generated ``make``, so the generated source depends on the members' code
+alone; a helper the body calls (vdp's ``_a_radicand``) is one of them, and
+is called.  Every other callable is called: a lambda, a ``functools.wraps`` wrapper, a ``*args``
 wrapper, a default argument, a body with an ``if`` or a loop, a decorated
 ``def`` and a function made by ``exec``, whose source cannot be found.
 """
@@ -62,9 +57,6 @@ _OWN_SCOPE = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
 # Names that read or run code in the caller's frame.
 _FRAME_NAMES = frozenset({"locals", "vars", "dir", "eval", "exec", "globals",
                           "super", "__class__"})
-# Helpers are written in up to this depth of calls; deeper ones, and a
-# helper already being written in, are called.
-_HELPER_DEPTH = 4
 # The key of a member made by examples.constant.
 CONSTANT = "constant"
 _CONSTANT_CODE = constant(0.0).__code__
@@ -73,15 +65,13 @@ _CONSTANT_CODE = constant(0.0).__code__
 class _Body(NamedTuple):
     """A function as the generated code writes it in: its parameters, its
     assignments ``(targets, value)`` in order, each target a name or a
-    tuple of names it unpacks into, its return value, the names it reads
-    from its closure, globals or built-ins, and those of them it calls
-    with positional arguments, with their number."""
+    tuple of names it unpacks into, its return value and the names it
+    reads from its closure, globals or built-ins."""
 
     params: Tuple[str, ...]
     assigns: Tuple[Tuple[tuple, ast.expr], ...]
     value: ast.expr
     free: Tuple[str, ...]
-    calls: Tuple[Tuple[str, int], ...]
 
 
 def _target(node):
@@ -144,7 +134,7 @@ def inline_form(code, source: str) -> Optional[_Body]:
     local = {name for ts in targets for t in ts for name in _names(t)}
     if local & set(params):
         return None
-    bound, free, calls = set(), set(), {}
+    bound, free = set(), set()
     for value, ts in [*zip((s.value for s in assigns), targets),
                       (result, ())]:
         for node in ast.walk(value):
@@ -155,10 +145,6 @@ def inline_form(code, source: str) -> Optional[_Body]:
                     return None
                 if node.id not in local and node.id not in params:
                     free.add(node.id)
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and not node.keywords
-                    and not any(isinstance(a, ast.Starred) for a in node.args)):
-                calls.setdefault(node.func.id, set()).add(len(node.args))
         bound.update(name for t in ts for name in _names(t))
     if free & _FRAME_NAMES:
         return None
@@ -176,10 +162,7 @@ def inline_form(code, source: str) -> Optional[_Body]:
            for k in ("co_consts", "co_names", "co_varnames", "co_freevars")):
         return None
     return _Body(params, tuple(zip(targets, (s.value for s in assigns))),
-                 result, tuple(sorted(free)),
-                 tuple(sorted((name, n) for name, counts in calls.items()
-                              if name in free and len(counts) == 1
-                              for n in counts)))
+                 result, tuple(sorted(free)))
 
 
 # The source of each member's code object that written_in has read, or
@@ -210,13 +193,11 @@ class Member(NamedTuple):
     """A member that generated code writes in.
 
     ``key`` is what the generated source depends on: :data:`CONSTANT` for
-    a member made by ``examples.constant``, else ``(code, source, helpers,
-    array)``, with ``helpers`` the ``(name, key)`` of each helper written
-    in, by name, and ``array`` true when the body returns
+    a member made by ``examples.constant``, else ``(code, source,
+    array)``, with ``array`` true when the body returns
     ``np.array(<display>)`` with ``np`` the numpy module.  ``values`` is
-    the constant's value, or ``(outside, helpers)``: the values of the
-    names the body reads from outside, and each helper's ``values``, by
-    name."""
+    the constant's value, or the values of the names the body reads from
+    outside, by name."""
 
     key: object
     values: object
@@ -234,16 +215,14 @@ def _is_numpy_array(value, outside) -> bool:
             and outside.get(value.func.value.id) is np)
 
 
-def written_in(fn, nargs: int, _stack=()) -> Optional[Member]:
+def written_in(fn, nargs: int) -> Optional[Member]:
     """``fn`` as generated code writes it in for a call with ``nargs``
     arguments, or None when the code calls it.
 
     A member made by ``examples.constant`` is written in as its value.  A
     plain function is written in when :func:`inline_form` accepts its body
     and every name the body reads from its closure, globals or built-ins
-    is bound; so are the helpers among those names that it calls with the
-    same number of arguments everywhere and that are written in
-    themselves.  A lambda, a ``functools.wraps`` wrapper and any other
+    is bound.  A lambda, a ``functools.wraps`` wrapper and any other
     callable that is not a plain function are called."""
     if type(fn) is not types.FunctionType or hasattr(fn, "__wrapped__"):
         return None
@@ -270,69 +249,39 @@ def written_in(fn, nargs: int, _stack=()) -> Optional[Member]:
             values[name] = fn.__builtins__[name]
         else:
             return None
-    helpers, helper_values = [], {}
-    if len(_stack) < _HELPER_DEPTH:
-        for name, n in body.calls:
-            helper = values[name]
-            if any(getattr(helper, "__code__", None) is c
-                   for c in (*_stack, code)):
-                continue
-            written = written_in(helper, n, (*_stack, code))
-            if written is not None and written.key is not CONSTANT:
-                helpers.append((name, written.key))
-                helper_values[name] = written.values
     array = _is_numpy_array(body.value, values)
-    return Member((code, source, tuple(helpers), array),
-                  (values, helper_values))
-
-
-def _helper_prefixes(key, prefix):
-    """``(name, key, prefix)`` of each helper of the member ``key``
-    written in with ``prefix``: the member's prefix and the helper's
-    position, which no name the member's body reads can take."""
-    return [(name, hkey, f"{prefix}{k}_")
-            for k, (name, hkey) in enumerate(key[2])]
+    return Member((code, source, array), values)
 
 
 def outside(key, prefix: str) -> list:
     """The names of the arguments of ``make`` that a member of ``key``
-    written in with ``prefix`` reads: the names its body, and each
-    helper's, reads from outside, prefixed."""
-    body = inline_form(*key[:2])
-    names = [prefix + name for name in body.free]
-    for _, hkey, hprefix in _helper_prefixes(key, prefix):
-        names += outside(hkey, hprefix)
-    return names
+    written in with ``prefix`` reads: the names its body reads from
+    outside, prefixed."""
+    return [prefix + name for name in inline_form(*key[:2]).free]
 
 
 def arguments(member: Member, prefix: str) -> dict:
     """The values of :func:`outside`'s names for ``member``."""
-    values, helper_values = member.values
-    out = {prefix + name: value for name, value in values.items()}
-    for name, hkey, hprefix in _helper_prefixes(member.key, prefix):
-        out.update(arguments(Member(hkey, helper_values[name]), hprefix))
-    return out
+    return {prefix + name: value for name, value in member.values.items()}
 
 
 class _Bind:
     """One call of a written-in body: a parameter read as ``p[k]`` becomes
     the k-th of its component names, any other read of it the whole
     argument, a local that unpacks a parameter into its components that
-    component, and every other name takes the member's prefix.  Each node
-    written for a component or a whole argument keeps its name as
-    ``_used``, so that the names the written code reads can be collected
-    at the end (:func:`_unparse`)."""
+    component, and every other name takes the member's prefix.  ``used``
+    collects the component and whole-argument names written."""
 
-    def __init__(self, params, args, prefix, alias):
+    def __init__(self, params, args, prefix, alias, used):
         # parameter -> (components, whole)
         self.args = dict(zip(params, args))
         self.prefix = prefix
         self.alias = alias
-        self.marked = set()         # the names the marked nodes keep
+        self.used = used
 
     def mark(self, expr: str):
-        self.marked.add(expr)
-        return _marked(expr)
+        self.used.add(expr)
+        return ast.parse(expr, mode="eval").body
 
     def __call__(self, node):
         """A copy of the tree ``node`` of a cached body with its names
@@ -341,10 +290,7 @@ class _Bind:
             return [self(item) for item in node]
         if isinstance(node, ast.Name):
             if node.id in self.args:
-                comps, whole = self.args[node.id]
-                new = self.mark(whole)
-                new.components = comps
-                return new
+                return self.mark(self.args[node.id][1])
             if node.id in self.alias:
                 return self.mark(self.alias[node.id])
             return ast.Name(self.prefix + node.id, node.ctx)
@@ -361,145 +307,11 @@ class _Bind:
                              for field, value in ast.iter_fields(node)})
 
 
-def _marked(expr: str):
-    node = ast.parse(expr, mode="eval").body
-    node._used = expr
-    return node
-
-
-def _unparse(node, used: set) -> str:
-    for sub in ast.walk(node):
-        if hasattr(sub, "_used"):
-            used.add(sub._used)
-    return ast.unparse(node)
-
-
-# Nodes whose children are all evaluated, in this order, before the node
-# itself; the children a helper call may be written into.  Of a
-# comparison, a boolean operation and a conditional expression only the
-# first part is evaluated unconditionally.
-def _children(node):
-    if isinstance(node, ast.BinOp):
-        return ["left", "right"]
-    if isinstance(node, ast.UnaryOp):
-        return ["operand"]
-    if isinstance(node, (ast.Attribute, ast.Starred)):
-        return ["value"]
-    if isinstance(node, ast.Subscript):
-        return ["value", "slice"]
-    if isinstance(node, ast.Compare):
-        return ["left", ("comparators", 0)]
-    if isinstance(node, ast.BoolOp):
-        return [("values", 0)]
-    if isinstance(node, ast.IfExp):
-        return ["test"]
-    if isinstance(node, (ast.Tuple, ast.List)):
-        return [("elts", k) for k in range(len(node.elts))]
-    if isinstance(node, ast.Call):
-        if node.keywords or any(isinstance(a, ast.Starred) for a in node.args):
-            return []
-        return ["func", *(("args", k) for k in range(len(node.args)))]
-    return []
-
-
-def _get(node, field):
-    if isinstance(field, tuple):
-        return getattr(node, field[0])[field[1]]
-    return getattr(node, field)
-
-
-def _set(node, field, value):
-    if isinstance(field, tuple):
-        getattr(node, field[0])[field[1]] = value
-    else:
-        setattr(node, field, value)
-
-
-class _Writer:
-    """Writes the expressions of one call of a written-in body: its names
-    bound (:class:`_Bind`) and each helper call that is evaluated
-    unconditionally written in, after lines that bind, in order, the parts
-    of the expression evaluated before it.  Temporaries are the prefix and
-    a number, which no name of the body can take."""
-
-    def __init__(self, key, prefix, args, used, alias):
-        self.bind = _Bind(inline_form(*key[:2]).params, args, prefix, alias)
-        self.helpers = {prefix + name: (hkey, hprefix) for name, hkey, hprefix
-                        in _helper_prefixes(key, prefix)}
-        self.prefix = prefix
-        self.used = used
-        self.count = 0
-
-    def temp(self):
-        self.count += 1
-        return f"{self.prefix}{self.count - 1}"
-
-    def __call__(self, node):
-        """Lines that evaluate ``node``'s helper calls, and its source."""
-        if not self.helpers:        # every marked node stays in the tree
-            node = self.bind(node)
-            self.used |= self.bind.marked
-            return [], ast.unparse(node)
-        lines, node = self.expand(self.bind(node))
-        return lines, _unparse(node, self.used)
-
-    def is_helper_call(self, node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in self.helpers and not node.keywords
-                and not any(isinstance(a, ast.Starred) for a in node.args)
-                and len(node.args) == len(inline_form(
-                    *self.helpers[node.func.id][0][:2]).params))
-
-    def reaches_helper(self, node):
-        """Whether a helper call is evaluated unconditionally in ``node``."""
-        return self.is_helper_call(node) or any(
-            self.reaches_helper(_get(node, f)) for f in _children(node))
-
-    def expand(self, node):
-        if not self.reaches_helper(node):
-            return [], node
-        fields = (_children(node) if not self.is_helper_call(node)
-                  else [("args", k) for k in range(len(node.args))])
-        lines, pending = [], []
-        for field in fields:
-            sub_lines, child = self.expand(_get(node, field))
-            _set(node, field, child)
-            if sub_lines:
-                for earlier in pending:        # evaluated before the call
-                    value = _get(node, earlier)
-                    if not isinstance(value, (ast.Name, ast.Constant)):
-                        name = self.temp()
-                        lines.append(f"{name} = {_unparse(value, self.used)}")
-                        _set(node, earlier, ast.Name(name, ast.Load()))
-                pending = []
-                lines += sub_lines
-            pending.append(field)
-        if not self.is_helper_call(node):
-            return lines, node
-        hkey, hprefix = self.helpers[node.func.id]
-        hargs = []
-        for arg in node.args:
-            if hasattr(arg, "components"):     # a parameter passed on
-                hargs.append((arg.components, arg._used))
-            elif isinstance(arg, (ast.Name, ast.Constant)):
-                hargs.append(((), _unparse(arg, self.used)))
-            else:
-                name = self.temp()
-                lines.append(f"{name} = {_unparse(arg, self.used)}")
-                hargs.append(((), name))
-        call_lines, value, writer = _write_call(hkey, hprefix, hargs,
-                                                self.used)
-        value_lines, source = writer(value)
-        name = self.temp()
-        return ([*lines, *call_lines, *value_lines, f"{name} = {source}"],
-                ast.Name(name, ast.Load()))
-
-
 def _write_call(key, prefix: str, args, used: set):
     """One call of the written-in member ``key`` with its names prefixed by
     ``prefix``: the lines of its assignments, its return value (a node of
-    the body) and its writer, ``writer(node) -> (lines, source)``, which
-    writes any node of the body for this call.
+    the body) and its writer, ``writer(node) -> source``, which writes any
+    node of the body for this call.
 
     ``args`` holds one ``(components, whole)`` pair per parameter: the
     names of its components, which ``p[k]`` reads, and the expression of
@@ -521,15 +333,14 @@ def _write_call(key, prefix: str, args, used: set):
             alias.update(zip(targets[0], args[value.id][0]))
         else:
             assigns.append((targets, value))
-    writer = _Writer(key, prefix, list(args.values()), used, alias)
-    lines = []
-    for targets, value in assigns:
-        value_lines, source = writer(value)
-        lines += value_lines
-        lines.append(" = ".join(
-            [*(prefix + t if isinstance(t, str)
-               else "[" + ", ".join(prefix + n for n in t) + "]"
-               for t in targets), source]))
+    bind = _Bind(body.params, list(args.values()), prefix, alias, used)
+
+    def writer(node):
+        return ast.unparse(bind(node))
+    lines = [" = ".join([*(prefix + t if isinstance(t, str)
+                           else "[" + ", ".join(prefix + n for n in t) + "]"
+                           for t in targets), writer(value)])
+             for targets, value in assigns]
     return lines, body.value, writer
 
 
@@ -592,11 +403,11 @@ def _bind_value(value, writer, pattern, name: str):
             lines += sub_lines
             out.append(part)
         return lines, out
-    lines, source = writer(value)
+    source = writer(value)
     if pattern is None and isinstance(value, ast.Constant):
-        return lines, source
+        return [], source
     read_lines, parts = read(name, pattern, name)
-    return [*lines, f"{name} = {source}", *read_lines], parts
+    return [f"{name} = {source}", *read_lines], parts
 
 
 def _array_items(value, pattern):
@@ -621,18 +432,16 @@ def _bind_array(key, value, writer, pattern, name: str):
     shape (``key``'s ``array``), each item is bound, in order, as
     ``float(item)`` to ``name_<k>...``, and nothing is left to unpack.
     Any other value is bound as ``name = <value>.tolist()``."""
-    nested = _array_items(value.args[0], pattern) if key[3] else None
+    nested = _array_items(value.args[0], pattern) if key[2] else None
     if nested is None:
-        lines, source = writer(value)
         unpack, parts = read(name, pattern, name)
-        return [*lines, f"{name} = ({source}).tolist()"], parts, unpack
+        return [f"{name} = ({writer(value)}).tolist()"], parts, unpack
 
     lines = []
 
     def leaves(node, sub, leaf):
         if sub is None:
-            node_lines, source = writer(node)
-            lines.extend([*node_lines, f"{leaf} = float({source})"])
+            lines.append(f"{leaf} = float({writer(node)})")
             return leaf
         return [leaves(item, s, f"{leaf}_{k}")
                 for k, (item, s) in enumerate(zip(node, sub))]

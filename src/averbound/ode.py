@@ -203,8 +203,8 @@ class StepStats:
     largest accepted step sizes, None when no step was accepted.
     ``rhs_error`` is the last exception a retry or the first-step probe
     absorbed, ``"ZeroDivisionError: float division by zero"``, or None; a
-    run that ends because its node buffers are full
-    (``_NODE_BYTES_MAX``) says so there.
+    run that ends because its step attempts reached the budget of its node
+    buffers (``_NODE_BYTES_MAX``) says so there.
     """
 
     accepted: int = 0
@@ -688,12 +688,12 @@ def integrate(problem: IvpProblem, rtol: float = DEFAULT_RTOL,
     step handed ``rhs``, as ``rhs`` and ``stop`` leave it.  Failure
     modes: step-size underflow below 1e-14 times the span (a NaN step size,
     as a non-finite initial state or slope gives, counts as one),
-    ``_MAX_STEPS`` step attempts, or node buffers that reach
-    ``_NODE_BYTES_MAX`` bytes, which ``stats.rhs_error`` names.  Exceptions,
-    a NaN error estimate in any component and a non-finite new state make
-    the step retry at half size rather than abort, and one at the probe of
-    the first step size leaves the estimate from the initial slope.  The
-    result's ``stats`` counts the steps and the right-hand-side and stop
+    ``_MAX_STEPS`` step attempts, or as many attempts as the node
+    buffers' ``_NODE_BYTES_MAX`` bytes hold nodes, which
+    ``stats.rhs_error`` names.  Exceptions, a NaN error estimate in any
+    component and a non-finite new state make the step retry at half size
+    rather than abort, and one at the probe of the first step size leaves
+    the estimate from the initial slope.  The result's ``stats`` counts the steps and the right-hand-side and stop
     calls, and keeps the last exception absorbed.
     """
     return _integrate(problem, rtol, atol, stop, first_step, None)
@@ -717,9 +717,15 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel, chunks=1,
     controller: it calls ``problem.rhs`` and ``stop`` there, and its
     underflow threshold and its ``_MAX_STEPS`` are its own.  The node
     buffers of all chunks together hold at most ``_NODE_BYTES_MAX`` bytes:
-    each chunk's run may attempt no more steps than the buffers have room
-    for nodes, and one that uses them all ends the run with
-    ``step_failure`` and the cap named in ``rhs_error``.  A later chunk
+    a node of a state of n components takes 8 (1 + 2n) bytes, and each
+    chunk's run may attempt no more steps than the rest of the cap holds
+    nodes, nor more than ``_MAX_STEPS``.  So the step cap falls with the
+    state's size: the first run of the 10-component slow state of d = 2
+    may attempt about 3.2 million steps, that of the 5-component one of
+    d = 1 about 6.1 million.  A rejected attempt spends the budget as an
+    accepted one does, so a run that spends it all may end with room left
+    in its buffers; it ends with ``step_failure``, and ``rhs_error`` names
+    the budget and the cap.  A later chunk
     starts with the largest step among its predecessor's last six nodes at
     most.  ``out_of_time()``, when given, is asked after every chunk that
     completes, the last included; a true answer ends the run with
@@ -801,8 +807,8 @@ def _integrate(problem, rtol, atol, stop, first_step, kernel, chunks=1,
             rhs_error = error
         if (status is Status.STEP_FAILURE
                 and attempts == max_steps < _MAX_STEPS):
-            rhs_error = (f"node buffers full: {_NODE_BYTES_MAX} bytes "
-                         "(ode._NODE_BYTES_MAX)")
+            rhs_error = ("step attempts reached the node budget of "
+                         f"ode._NODE_BYTES_MAX = {_NODE_BYTES_MAX} bytes")
         if status is Status.STOPPED:
             # The last accepted step, from the last two rows of the buffers;
             # the chunk's first starts from the slope the chunk started on.

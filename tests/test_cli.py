@@ -334,7 +334,8 @@ def test_full_node_buffers_reach_the_sidecar(tmp_path, monkeypatch):
     assert sidecar["status"] == "step_failure"
     assert not sidecar["budget_exceeded"]
     assert sidecar["direct_stats"]["rhs_error"] == (
-        "node buffers full: 40000 bytes (ode._NODE_BYTES_MAX)")
+        "step attempts reached the node budget of "
+        "ode._NODE_BYTES_MAX = 40000 bytes")
     assert sidecar["averaged_stats"]["rhs_error"] is None
 
 

@@ -476,8 +476,8 @@ def test_node_cap_holds_over_the_chunks(monkeypatch):
     traj = capped.traj
     assert capped.status is ode.Status.STEP_FAILURE
     assert not capped.budget_exceeded
-    assert traj.stats.rhs_error == (f"node buffers full: {cap} bytes "
-                                    "(ode._NODE_BYTES_MAX)")
+    assert traj.stats.rhs_error == ("step attempts reached the node budget "
+                                    f"of ode._NODE_BYTES_MAX = {cap} bytes")
     assert traj.times.nbytes + traj.states.nbytes + traj.derivs.nbytes <= cap
     assert nodes - 10 < traj.times.size <= nodes
     assert capped.t[-1] > 10 * u / spec.epsilon / direct._BUDGET_CHUNKS

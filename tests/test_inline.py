@@ -84,10 +84,10 @@ def _short_circuit(a, b):
     (_short_circuit, -1.0, 0.0, None),
     (_short_circuit, 1.0, 0.0, ZeroDivisionError),
 ])
-def test_helpers_keep_the_order_of_evaluation(fn, a, b, raises):
-    # A helper is written in where its call is evaluated unconditionally,
-    # after what its statement evaluates before it; in a conditional part
-    # it is called.  The first exception is the call's, and so is the value.
+def test_helper_calls_keep_the_order_of_evaluation(fn, a, b, raises):
+    # A helper the body calls is called where the body calls it, in a
+    # conditional part too.  The first exception is the call's, and so is
+    # the value.
     written, _ = _written(fn, 2)
     if raises is None:
         assert _bits(written(a, b)) == _bits(fn(a, b))
@@ -107,16 +107,13 @@ def _source(fn, nargs):
     return "\n".join(lines)
 
 
-def test_a_helper_is_written_in_with_its_prefix():
-    # _spilled's helper is written in: its local y takes the helper's
-    # prefix, and nothing calls it.  _guarded's, in a conditional part, is
-    # called, from make's arguments.
-    spilled, guarded = _source(_spilled, 2), _source(_guarded, 2)
+def test_a_helper_is_called_from_make():
+    # The helper _spilled calls is one of make's arguments, under the
+    # member's prefix, and the written code calls it.
     member = inline.written_in(_spilled, 2)
-    assert [name for name, _ in member.key[2]] == ["_reciprocal"]
-    assert "_m_0_y = 1.0 / a1" in spilled
-    assert "_reciprocal(" not in spilled
-    assert "_m__reciprocal(a1)" in guarded
+    assert "_m__reciprocal" in inline.outside(member.key, "_m_")
+    assert inline.arguments(member, "_m_")["_m__reciprocal"] is _reciprocal
+    assert "_m__reciprocal(a1)" in _source(_spilled, 2)
 
 
 def _recursive(x):
@@ -132,8 +129,7 @@ def test_a_recursive_helper_is_called():
     # name from a closure, not its globals: its code differs, and it is
     # called.  The member that calls it is written in.
     assert inline.written_in(_recursive, 1) is None
-    member = inline.written_in(_calls_recursive, 1)
-    assert member.key[2] == ()
+    assert inline.written_in(_calls_recursive, 1) is not None
     written, _ = _written(_calls_recursive, 1)
     assert _bits(written(5.5)) == _bits(_calls_recursive(5.5))
 
@@ -242,7 +238,7 @@ def test_array_returns_read_as_lists(fn, items):
     # is read through .tolist() and unpacked, and fails as the call's list
     # does.
     member = inline.written_in(fn, 1)
-    assert member.key[3] is (fn is not _dfbar_other)
+    assert member.key[2] is (fn is not _dfbar_other)
     written, _ = _written(fn, 1, ((None, None), (None, None)), array=True)
     for i in ([0.5, 2.0], [-1.5, 3.0]):
         try:

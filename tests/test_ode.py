@@ -260,8 +260,8 @@ def test_node_buffers_stop_at_their_cap(monkeypatch):
     stats = traj.stats
     # the first node was in the buffers before the run: room for 99
     assert stats.accepted + stats.rejected == 99
-    assert stats.rhs_error == ("node buffers full: 4000 bytes "
-                               "(ode._NODE_BYTES_MAX)")
+    assert stats.rhs_error == ("step attempts reached the node budget of "
+                               "ode._NODE_BYTES_MAX = 4000 bytes")
     n = traj.times.size
     assert traj.times.tobytes() == full.times[:n].tobytes()
     assert traj.states.tobytes() == full.states[:n].tobytes()
