@@ -319,7 +319,7 @@ def _rows_of(rows):
 _LISTS = ("j", "rows", "kvec")
 
 
-def _split_lines(d: int, state=None, lists=_LISTS):
+def _split_lines(d: int, state, lists):
     """Lines that split the state ``y`` into the floats of a packed state
     of d actions, named in packed order (``_state_names``), at the offsets
     of :func:`unpack_state`, unless ``state`` names them already; and then

@@ -28,9 +28,10 @@ A written-in body's names take a prefix per member, and the names it
 reads from its closure, module or built-ins are arguments of the
 generated ``make``, so the generated source depends on the members' code
 alone; a helper the body calls (vdp's ``_a_radicand``) is one of them, and
-is called.  Every other callable is called: a lambda, a ``functools.wraps`` wrapper, a ``*args``
-wrapper, a default argument, a body with an ``if`` or a loop, a decorated
-``def`` and a function made by ``exec``, whose source cannot be found.
+is called.  Every other callable is called: a lambda, a
+``functools.wraps`` wrapper, a ``*args`` wrapper, a default argument, a
+body with an ``if`` or a loop, a decorated ``def`` and a function made by
+``exec``, whose source cannot be found.
 """
 from __future__ import annotations
 

@@ -551,7 +551,7 @@ def _generated_partials(d, analytic):
     djs = [f"dj{a}" for a in ix]
     drs = [f"d{a}_{b}" for a in ix for b in ix]
     dks = [f"dk{a}" for a in ix]
-    lines = estimator._split_lines(d) + [
+    lines = estimator._split_lines(d, None, estimator._LISTS) + [
         f"[{', '.join(djs)}] = dj",
         f"[{', '.join(drs)}] = [x for row in drows for x in row]",
         f"[{', '.join(dks)}] = dk",
@@ -801,7 +801,7 @@ def _generated_products(d):
         d, estimator._state_names(d), amat, pb)
     drs, dks = entries[:d * d], entries[d * d:]
     drows = [f"[{', '.join(drs[a * d:(a + 1) * d])}]" for a in range(d)]
-    lines = estimator._split_lines(d) + [
+    lines = estimator._split_lines(d, None, estimator._LISTS) + [
         f"{estimator._rows_of(amat)} = amat",
         f"{estimator._seq(pb)} = pb"] + products + [
         f"return [{', '.join(drows)}], [{', '.join(dks)}], r_dot_dr"]
@@ -1018,7 +1018,7 @@ def _generated_norms(d):
     (written out at d <= 2, a call of ``_inverse_norms`` after), as
     ``norms(rows) -> (|R|, |R^-1|)`` for R as a list of rows."""
     rs = [[f"r{a}_{b}" for b in range(d)] for a in range(d)]
-    lines = (estimator._split_lines(d) + estimator._norm_lines(rs, set())
+    lines = (estimator._split_lines(d, None, estimator._LISTS) + estimator._norm_lines(rs, set())
              + ["return norm_r, norm_rinv"])
     namespace = {"norms": estimator._inverse_norms, "sqrt": math.sqrt,
                  "SingularMatrixError": SingularMatrixError}
