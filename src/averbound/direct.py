@@ -17,14 +17,16 @@ inline from the slow trajectory's dense output: they share the interval of
 its cubic that the last query fell in, and leave it only when a query falls
 outside.  The state is stepped as Python floats.
 
-Each of ``f``, ``fbar``, ``omega``, ``g`` and ``in_domain`` that is a plain
-``def`` of assignments and one ``return`` is written into the three too,
-by the inliner the slow solve shares (:mod:`~averbound.inline`): its own expressions, read from its source, on
-the same floats in the same order, so the run is bit for bit the one that
-calls it.  Any other member, a lambda, a wrapper or a constant member
-among them, is called and handed the actions as a list.  This is the
-expensive comparison run used to validate the certified bound; it honours
-a wall-clock budget and flags runs cut short by it.
+``f``, ``fbar``, ``omega``, ``g`` and ``in_domain`` are evaluated by the
+rule the slow solve shares (:mod:`~averbound.inline`, table
+:data:`~averbound.inline.DIRECT`): a plain ``def`` of assignments and one
+``return`` is written into the three, its own expressions, read from its
+source, on the same floats in the same order, so the run is bit for bit
+the one that calls it; a member made by ``examples.constant`` is bound
+once per run, as the parts of its value the run reads; any other member,
+a lambda or a wrapper, is called and handed the actions as a list.  This
+is the expensive comparison run used to validate the certified bound; it
+honours a wall-clock budget and flags runs cut short by it.
 """
 from __future__ import annotations
 
@@ -111,32 +113,27 @@ def run_direct(spec: SystemSpec, aux: AuxiliaryBundle, avg_traj: ode.Trajectory,
                             wall_time_s=time.perf_counter() - start)
 
 
-# The prefix of the names each member's written-in body binds and reads,
-# in the order the right-hand side evaluates the members (f, fbar, omega,
-# g) and then in_domain; no run name starts with "_", and no prefix is
-# another's start.
-_PREFIXES = ("_f_", "_fb_", "_om_", "_g_", "_dom_")
-
-
-def _direct_rhs_source(d: int, members: tuple) -> str:
+def _direct_rhs_source(d: int, keys: tuple) -> str:
     """Source of ``make(eps, f_sys, g_sys, omega, fbar, in_domain, interval,
     tau_max, rtol, atol, **outside)``, which returns the direct right-hand
     side, stop predicate and adaptive run for d actions as straight-line
     code: ``rhs, stop, (run, stage_calls)``, the run and its stage counter
     as :func:`ode._integrate` takes them.
 
-    ``members`` holds, for f, fbar, omega, g and in_domain in that order,
-    the key of a member written into the three, or None for a member they
-    call (:func:`inline.written_in`).  A written-in member's names take
-    its prefix (``_PREFIXES``), and those it reads from outside are
-    arguments ``outside`` of ``make`` (:func:`inline.outside`), so the
-    source depends on the code alone.
+    ``keys`` holds the key of each member of :data:`inline.DIRECT` (f,
+    fbar, omega, g and in_domain), as :func:`inline.members` picks them:
+    a member written into the three, a constant bound once per run, or
+    None for a member they call.  The names a written-in member reads
+    from outside and a constant's parts are the arguments ``outside`` of
+    ``make`` (:func:`inline.outside`), so the source depends on the code
+    alone.
     Its action parameter read as ``i[k]`` becomes ``i<k>``, the action
     ``j<k> + eps * z<k>`` bound once per evaluation, and any other read of
     it the list ``actions`` the called members get; fbar's reads ``j<k>``.
-    A return value that is a display of d items (f, fbar) binds one name
-    per item, ``fa_<k>`` or ``fb_<k>``, a constant item read as itself;
-    any other is bound whole, as a called member's is, and indexed.  The members run in the order of
+    The d items of f's and fbar's values are read by index: a returned
+    display of d items binds one name per item, ``fa_<k>`` or ``fb_<k>``,
+    a constant item read as itself; any other value is bound whole, as a
+    called member's is, and indexed.  The members run in the order of
     the calls: f, fbar (when J moved), omega, then g.
 
     The run is the generated float run of :mod:`~averbound.ode`
@@ -163,12 +160,9 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
     """
     ix = range(d)
     js = [f"j{k}" for k in ix]
-    # (key or None, prefix) of f, fbar, omega, g and in_domain
-    f, fbar, omega, g, dom = zip(members, _PREFIXES)
-    fb_items = (fbar[0] is not None
-                and inline.items(inline.inline_form(*fbar[0][:2]).value, d)
-                is not None)
-    fbs = [f"fb_{k}" for k in ix] if fb_items else ["fb"]
+    fbs = ([f"fb_{k}" for k in ix]
+           if inline.Calls(inline.DIRECT, keys, d).by_items("fbar", d)
+           else ["fb"])
     cells = ["t_lo", "t_hi", "width", "c0", "c1", "c2", "c3", *js, "tau_j"]
 
     def read_j(time):
@@ -195,20 +189,6 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
                 f"i{k}" if f"i{k}" in used else comps[k] for k in ix))
         return lines
 
-    def value(member, args, call, used, name, split=False):
-        """Lines that evaluate a member, written in with ``args`` or called
-        as ``call``, and the expression of its value, or with ``split`` the
-        expressions of its d items: a written-in display of d items binds
-        one name per item, ``name_<k>`` (:func:`inline.write`), and
-        any other value is bound to ``name`` and indexed."""
-        pattern = [None] * d if split else None
-        key, prefix = member
-        if key is None:
-            used.add("actions")
-            lines, parts = inline.read(name, pattern, name)
-            return [f"{name} = {call}", *lines], parts
-        return inline.write(key, prefix, args, used, name, pattern)
-
     on_actions = ([f"i{k}" for k in ix], "actions")
 
     def slope(time, state):
@@ -216,45 +196,39 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
         ``state``, and the expressions of its d + 1 values."""
         theta = state[d]
         on_both = (on_actions, ((), theta))
-        used = set()
-        lines, fa = value(f, on_both, f"f_sys(actions, {theta})", used,
-                          "fa", split=True)
-        fb_lines, fb = value(fbar, ((js, ode._seq(js)),),
-                             f"fbar({ode._seq(js)})", set(), "fb", split=True)
+        calls = inline.Calls(inline.DIRECT, keys, d)
+        lines, fa = calls.value("f", on_both, "fa")
+        fb_lines, fb = calls.value("fbar", ((js, ode._seq(js)),), "fb")
         lines += ["if tau != tau_fb:", *("    " + line for line in fb_lines),
                   "    tau_fb = tau"]
-        om_lines, om = value(omega, (on_actions,), "omega(actions)", used,
-                             "om")
-        g_lines, gv = value(g, on_both, f"g_sys(actions, {theta})", used,
-                            "gv")
-        return (read_j(time) + actions(state, used) + lines + om_lines
+        om_lines, om = calls.value("omega", (on_actions,), "om")
+        g_lines, gv = calls.value("g", on_both, "gv")
+        return (read_j(time) + actions(state, calls.used) + lines + om_lines
                 + g_lines,
                 [*(f"{fa[k]} - {fb[k]}" for k in ix), f"{om} + eps * {gv}"])
+
+    def domain(time, state):
+        """Lines that evaluate in_domain at ``time`` and ``state``, and the
+        expression of its value."""
+        calls = inline.Calls(inline.DIRECT, keys, d)
+        test, inside = calls.value("in_domain", (on_actions,), "inside")
+        return [*read_j(time), *actions(state, calls.used), *test], inside
 
     ys = [f"y[{i}]" for i in range(d + 1)]
     lines, values = slope("t", ys)
     rhs = [f"nonlocal {', '.join(cells + fbs)}, tau_fb", *lines,
            f"return {ode._seq(values)}"]
-    used = set()
-    test, inside = value(dom, (on_actions,), "in_domain(actions)", used,
-                         "inside")
-    stop = [f"nonlocal {', '.join(cells)}", *read_j("t"),
-            *actions(ys, used), *test, f"return not {inside}"]
-
+    test, inside = domain("t", ys)
+    stop = [f"nonlocal {', '.join(cells)}", *test, f"return not {inside}"]
     # The run's stop check at each accepted node, on its new state floats.
-    zs = [f"z{i}" for i in range(d + 1)]
-    used = set()
-    test, inside = value(dom, (on_actions,), "in_domain(actions)", used,
-                         "inside")
-    at_node = [*read_j("t_new"), *actions(zs, used), *test,
-               f"reason = not {inside}"]
+    test, inside = domain("t_new", [f"z{i}" for i in range(d + 1)])
+    at_node = [*test, f"reason = not {inside}"]
 
     stage = ode._inline_stage(d + 1,
                               lambda time, state, last: slope(time, state))
-    outside = [name for key, prefix in (f, fbar, omega, g, dom)
-               if key is not None for name in inline.outside(key, prefix)]
     params = ["eps", "f_sys", "g_sys", "omega", "fbar", "in_domain",
-              "interval", "tau_max", "rtol", "atol", *outside]
+              "interval", "tau_max", "rtol", "atol",
+              *inline.outside(inline.DIRECT, keys, d)]
     written = [*cells, *fbs, "tau_fb", "calls"]
     run = ode._float_run_source(ode._STAGES, ode._E, d + 1, stage, at_node,
                                 (*params, *written), written)
@@ -274,30 +248,29 @@ def _direct_rhs_source(d: int, members: tuple) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_direct_rhs(d: int, members: tuple):
-    return ode._compile_factory(_direct_rhs_source(d, members),
+def _compile_direct_rhs(d: int, keys: tuple):
+    return ode._compile_factory(_direct_rhs_source(d, keys),
                                 f"<direct rhs, d = {d}>")
+
+
+def _evaluated(spec: SystemSpec, aux: AuxiliaryBundle) -> tuple:
+    """The members the direct run evaluates, in the order of
+    :data:`inline.DIRECT`."""
+    return spec.f, aux.fbar, spec.omega, spec.g, spec.in_domain
 
 
 def _direct_functions(spec: SystemSpec, aux: AuxiliaryBundle,
                       avg_traj: ode.Trajectory, rtol: float, atol: float):
     """The direct right-hand side, stop predicate and run on lists of
     Python floats, against the averaged trajectory ``avg_traj``: the three
-    :func:`_compile_direct_rhs` generates for ``spec.d`` and the members
-    it writes in, reading J from one fresh
+    :func:`_compile_direct_rhs` generates for ``spec.d`` and the keys of
+    the members (:func:`inline.members`), reading J from one fresh
     :class:`~averbound.ode.CubicSampler` of ``avg_traj``."""
-    members = (spec.f, aux.fbar, spec.omega, spec.g, spec.in_domain)
-    written = [inline.written_in(fn, nargs)
-               for fn, nargs in zip(members, (2, 1, 1, 2, 1))]
-    # a constant member is called
-    written = [None if w is None or w.key is inline.CONSTANT else w
-               for w in written]
-    make = _compile_direct_rhs(spec.d, tuple(w and w.key for w in written))
-    outside = {name: value for w, prefix in zip(written, _PREFIXES) if w
-               for name, value in inline.arguments(w, prefix).items()}
-    return make(spec.epsilon, spec.f, spec.g, spec.omega, aux.fbar,
-                spec.in_domain, ode.CubicSampler(avg_traj).interval,
-                avg_traj.t_final, rtol, atol, **outside)
+    keys, arguments = inline.members(inline.DIRECT, _evaluated(spec, aux),
+                                     spec.d)
+    make = _compile_direct_rhs(spec.d, keys)
+    return make(spec.epsilon, interval=ode.CubicSampler(avg_traj).interval,
+                tau_max=avg_traj.t_final, rtol=rtol, atol=atol, **arguments)
 
 
 def check_window(window: float, span: float) -> None:

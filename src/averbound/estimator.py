@@ -24,9 +24,12 @@ operation of an evaluation written out; at d = 1 the same evaluation is
 written into each stage of the adaptive Dormand-Prince run the slow solve
 takes, its whole step loop generated in one function.  ``fbar``,
 ``dfbar``, ``pbar`` and the majorants and gradients an evaluation calls
-are written in where the inliner the direct run uses can
-(:mod:`~averbound.inline`), and called otherwise.  :func:`_slow_functions`
-hands the slow solve its right-hand side, run kernel and stop predicate.
+are evaluated by the rule the direct run shares (:mod:`~averbound.inline`,
+table :data:`~averbound.inline.SLOW`): written in where the member is a
+plain ``def`` of assignments and one ``return``, bound once per run where
+it is made by ``examples.constant``, and called otherwise.
+:func:`_slow_functions` hands the slow solve its right-hand side, run
+kernel and stop predicate.
 """
 from __future__ import annotations
 
@@ -399,125 +402,12 @@ def _norm_lines(rs, used: set):
     return ["norm_r, norm_rinv = norms(rows)"]
 
 
-# The members the slow evaluation calls, in the order of the arguments of
-# the generated make: the bundle each comes from, the number of arguments
-# of its calls and the prefix of the names of its written-in body.  No
-# name of the evaluation starts with "_", and no prefix is another's start.
-_SLOW_MEMBERS = (("fbar", "aux", 1, "_fb_"), ("dfbar", "aux", 1, "_dfb_"),
-                 ("pbar", "aux", 1, "_pb_"), ("a_hat", "bounds", 4, "_ah_"),
-                 ("b_hat", "bounds", 2, "_bh_"), ("c_hat", "bounds", 2, "_ch_"),
-                 ("d_hat", "bounds", 2, "_dh_"), ("e_hat", "bounds", 2, "_eh_"),
-                 ("a_grad", "bounds", 4, "_ag_"), ("b_grad", "bounds", 2, "_bg_"))
-_PREFIXES = {name: prefix for name, _, _, prefix in _SLOW_MEMBERS}
-# The members the partials of each form call: by gradients, by differences.
-_PARTIALS = {True: ("a_grad", "b_grad"), False: ("a_hat", "b_hat")}
-
-
-def _constant_pattern(name: str, d: int):
-    """How the evaluation reads a member made by ``examples.constant``:
-    dfbar and pbar as lists of the shape of one point (:func:`inline.read`),
-    the majorants whole, and fbar and the gradients not at all (they are
-    called)."""
-    if name == "dfbar":
-        return ((None,) * d,) * d
-    if name == "pbar":
-        return (None,) * d
-    return None if name.endswith("_hat") else False
-
-
-def _constant_names(prefix: str, pattern, index=()):
-    """The names of make's arguments that hold a constant member's parts,
-    nested as ``pattern`` is: the prefix and the indices of each part, or
-    ``<prefix>value`` for the value itself."""
-    if pattern is None:
-        return prefix + ("_".join(map(str, index)) if index else "value")
-    return [_constant_names(prefix, sub, (*index, k))
-            for k, sub in enumerate(pattern)]
-
-
-def _flat(parts) -> list:
-    return [parts] if type(parts) is str else [x for p in parts
-                                                 for x in _flat(p)]
-
-
-def _constant_arguments(prefix: str, value, pattern):
-    """make's arguments for a constant member of ``value`` read as
-    ``pattern``, by :func:`_constant_names`, or None when its list is not
-    of the pattern's shape (the member is then called, and fails as it
-    does)."""
-    if pattern is None:
-        return {prefix + "value": value}
-    out = {}
-
-    def walk(part, sub, name):
-        if sub is None:
-            out[name] = part
-            return True
-        return (type(part) is list and len(part) == len(sub)
-                and all(walk(x, s, n) for x, s, n in zip(part, sub, name)))
-    return out if walk(value.tolist(), pattern,
-                       _constant_names(prefix, pattern)) else None
-
-
-class _Calls:
-    """The member calls of one slow evaluation: each member called by its
-    name, or written in (:mod:`~averbound.inline`) under its key in
-    ``keys``, with the names of its body prefixed (``_SLOW_MEMBERS``).
-    ``used`` collects the names the written lines read, so that the
-    evaluation forms the lists ``j``, ``rows`` and ``kvec`` and the
-    perturbed arguments of the differences only where they are read."""
-
-    def __init__(self, keys):
-        self.keys = keys
-        self.used = set()
-
-    def _call(self, name, args):
-        wholes = [whole for _, whole in args]
-        self.used.update(wholes)
-        return f"{name}({', '.join(wholes)})"
-
-    def value(self, name, args, bind, pattern=None):
-        """Lines that evaluate ``name`` on ``args``, one ``(components,
-        whole)`` pair per parameter, and the expressions of the parts of
-        its value that ``pattern`` reads (:func:`inline.read`), bound to
-        names that start with ``bind``."""
-        key, prefix = self.keys.get(name), _PREFIXES[name]
-        if key is None:
-            lines, parts = inline.read(bind, pattern, bind)
-            return [f"{bind} = {self._call(name, args)}", *lines], parts
-        if key is inline.CONSTANT:
-            return [], _constant_names(prefix, pattern)
-        return inline.write(key, prefix, args, self.used, bind, pattern)
-
-    def array(self, name, args, bind, pattern):
-        """Lines that evaluate ``name`` on ``args`` and read the parts the
-        tuple ``pattern`` unpacks of its value as a list, ``.tolist()``;
-        their expressions; and the lines of the unpacking, which the caller
-        places after the calls of the members that follow."""
-        key, prefix = self.keys.get(name), _PREFIXES[name]
-        if key is None:
-            unpack, parts = inline.read(bind, pattern, bind)
-            return [f"{bind} = {self._call(name, args)}.tolist()"], parts, unpack
-        if key is inline.CONSTANT:
-            return [], _constant_names(prefix, pattern), []
-        return inline.write(key, prefix, args, self.used, bind, pattern,
-                            array=True)
-
-    def displays(self, name, n):
-        """Whether ``name`` is written in and returns a display of n
-        items."""
-        key = self.keys.get(name)
-        return (key is not None and key is not inline.CONSTANT
-                and inline.items(inline.inline_form(*key[:2]).value, n)
-                is not None)
-
-
 def _partials_lines(d, analytic, state, djs, drs, dks, calls):
     """Lines that bind the offset partials ``dal_dr`` (d(offset)/dr) and
     ``dal_dtau`` (d(offset)/dtau) at (J, R, K, ``radius``), for the state
     floats named ``state`` and the slow-flow entries ``djs`` (dJ), ``drs``
     (dR, row by row) and ``dks`` (dK), with the member calls of ``calls``
-    (:class:`_Calls`).
+    (:class:`inline.Calls`).
 
     With gradients (``analytic``): one ``a_grad`` and one ``b_grad`` call,
     and d(offset)/dtau = sum(dA/dJ dJ) + sum(dA/dR dR) + sum(dA/dK dK) +
@@ -535,12 +425,10 @@ def _partials_lines(d, analytic, state, djs, drs, dks, calls):
     on_j, on_rows, on_k, on_radius = ((js, "j"), ((), "rows"), (ks, "kvec"),
                                       ((), "radius"))
     if analytic:
-        vec = [None] * d
         lines, (ga_j, ga_r, ga_k, ga_rad) = calls.value(
-            "a_grad", [on_j, on_rows, on_k, on_radius], "ga",
-            (vec, [vec] * d, vec, None))
+            "a_grad", [on_j, on_rows, on_k, on_radius], "ga")
         b_lines, (gb_j, gb_rad) = calls.value("b_grad", [on_j, on_radius],
-                                              "gb", (vec, None))
+                                              "gb")
 
         def contract(grad, entries):
             return f"({_dot(zip(grad, entries))})"
@@ -622,13 +510,14 @@ def _slow_evaluation(d, analytic, keys, state=None, record="y"):
     :func:`_slow_rhs_lines`, :func:`_norm_lines` and
     :func:`_partials_lines` and the bound equation.
 
-    ``keys`` holds, by member name, the key of each member written in
-    (:class:`_Calls`); the others are called.  The members are evaluated in
+    ``keys`` holds the key of each member of :data:`inline.SLOW`
+    (:class:`inline.Calls`).  The members are evaluated in
     the order of the calls: dfbar, fbar, pbar, c_hat, d_hat, e_hat and the
     partials' members, each value bound before the arithmetic that follows
-    its call in the statement.  An fbar that returns a display of d items
-    binds one name per item; any other fbar's value is checked for its
-    length and unpacked, as dfbar's and pbar's lists are after pbar's call.
+    its call in the statement.  An fbar whose items are bound one by one
+    (a constant's parts, a written-in display of d items) gives one name
+    per item; any other fbar's value is checked for its length and
+    unpacked, as dfbar's and pbar's lists are after pbar's call.
     ``state`` names the state's floats, as in :func:`_slow_rhs_lines`.
     After the partials the evaluation records the state list named
     ``record`` and its d(offset)/dr in ``latest``; with ``record`` None it
@@ -637,15 +526,14 @@ def _slow_evaluation(d, analytic, keys, state=None, record="y"):
     names = _state_names(d) if state is None else state
     js, rs, _, m, n = _state_parts(d, names)
     size = len(names)
-    calls = _Calls(keys)
+    calls = inline.Calls(inline.SLOW, keys, d)
     on_j, on_radius = (js, "j"), ((), "radius")
-    lines, amat, amat_unpack = calls.array("dfbar", [on_j], "amat",
-                                           ((None,) * d,) * d)
-    if calls.displays("fbar", d):
-        fb_lines, djs = calls.value("fbar", [on_j], "dj", [None] * d)
+    lines, amat, amat_unpack = calls.value("dfbar", [on_j], "amat")
+    if calls.by_items("fbar", d):
+        fb_lines, djs = calls.value("fbar", [on_j], "dj")
         lines += fb_lines
     else:
-        fb_lines, dj = calls.value("fbar", [on_j], "dj")
+        fb_lines, dj = calls.value("fbar", [on_j], "dj", whole=True)
         djs = [f"dj{a}" for a in range(d)]
         lines += fb_lines + [
             # An fbar of another length would make the packed derivative as
@@ -654,7 +542,7 @@ def _slow_evaluation(d, analytic, keys, state=None, record="y"):
             f"    raise ValueError(f'rhs must return shape ({size},), "
             f"got ({{len({dj}) + {size - d}}},)')",
             f"{_seq(djs)} = {dj}"]
-    pb_lines, pb, pb_unpack = calls.array("pbar", [on_j], "pb", (None,) * d)
+    pb_lines, pb, pb_unpack = calls.value("pbar", [on_j], "pb")
     lines += pb_lines + amat_unpack + pb_unpack
     products, entries = _slow_rhs_lines(d, names, amat, pb)
     growth = [calls.value(name, [on_j, on_radius], bind)
@@ -685,27 +573,7 @@ def _slow_evaluation(d, analytic, keys, state=None, record="y"):
             [*djs, *entries, "dm", "dn"])
 
 
-# The arguments of the generated slow ``make`` before those of the
-# written-in members, in order.
-_SLOW_PARAMS = ("eps", "fbar", "dfbar", "pbar", "a_hat", "b_hat", "c_hat",
-                "d_hat", "e_hat", "a_grad", "b_grad", "latest", "rtol", "atol")
-
-
-def _slow_outside(d: int, keys: dict) -> list:
-    """The names of make's arguments that the written-in members read:
-    the names their bodies read from outside (:func:`inline.outside`), and
-    the parts of the constant members (:func:`_constant_names`)."""
-    names = []
-    for name, _, _, prefix in _SLOW_MEMBERS:
-        key = keys.get(name)
-        if key is inline.CONSTANT:
-            names += _flat(_constant_names(prefix, _constant_pattern(name, d)))
-        elif key is not None:
-            names += inline.outside(key, prefix)
-    return names
-
-
-def _slow_rhs_source(d: int, analytic: bool, members: tuple) -> str:
+def _slow_rhs_source(d: int, analytic: bool, keys: tuple) -> str:
     """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
     e_hat, a_grad, b_grad, latest, rtol, atol, **outside)``, which returns
     the slow right-hand side for d actions as straight-line code, with its
@@ -713,13 +581,13 @@ def _slow_rhs_source(d: int, analytic: bool, members: tuple) -> str:
     and at d = 1 a run kernel: ``rhs, (run, stage_calls)``, as
     :func:`ode._integrate` takes them, or ``rhs, None`` from d = 2 on.
 
-    ``members`` holds, for the members of ``_SLOW_MEMBERS`` in that order,
-    the key of each member written in (:func:`inline.written_in`), or None
-    for a member the code calls.  A
-    written-in member's names take its prefix, and those it reads from
-    outside, and the parts of a constant member, are the arguments
-    ``outside`` (:func:`_slow_outside`), so the source depends on the
-    members' code alone.
+    ``keys`` holds the key of each member of :data:`inline.SLOW`, as
+    :func:`inline.members` picks them: a member written in, a constant
+    bound once per run, or None for a member the code calls.  A written-in
+    member's names take its prefix, and those it reads from outside, and
+    a constant's parts, are the arguments ``outside``
+    (:func:`inline.outside`), so the source depends on the members' code
+    alone.
 
     The right-hand side is one evaluation of :func:`_slow_evaluation`; it
     records the state it was handed and its d(offset)/dr in ``latest``.
@@ -732,8 +600,8 @@ def _slow_rhs_source(d: int, analytic: bool, members: tuple) -> str:
     stage state the stop predicate is handed, and the run calls the
     predicate at each accepted node with that very list.
     """
-    keys = dict(zip((name for name, *_ in _SLOW_MEMBERS), members))
-    params = (*_SLOW_PARAMS, *_slow_outside(d, keys))
+    params = ("eps", *(slot.call for slot in inline.SLOW), "latest", "rtol",
+              "atol", *inline.outside(inline.SLOW, keys, d))
     lines, values = _slow_evaluation(d, analytic, keys)
     size = len(values)
     source = [f"def make({', '.join(params)}):",
@@ -752,36 +620,22 @@ def _slow_rhs_source(d: int, analytic: bool, members: tuple) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_slow_rhs(d: int, analytic: bool, members: tuple):
+def _compile_slow_rhs(d: int, analytic: bool, keys: tuple):
     form = "gradients" if analytic else "differences"
-    return _compile_factory(_slow_rhs_source(d, analytic, members),
+    return _compile_factory(_slow_rhs_source(d, analytic, keys),
                             f"<slow rhs, d = {d}, {form}>", norms=_inverse_norms,
                             sqrt=math.sqrt, SingularMatrixError=SingularMatrixError)
 
 
-def _slow_members(d: int, aux: AuxiliaryBundle, bounds: BoundBundle,
-                  analytic: bool):
-    """The keys of the slow members the generated code writes in, in the
-    order of ``_SLOW_MEMBERS`` (None for a member it calls), and make's
-    arguments that they read.  A member the form of the partials does not
-    call is None, and so is a constant member that the evaluation does not
-    read as a constant or whose value is not of the shape it reads."""
-    bundles = {"aux": aux, "bounds": bounds}
-    unused = _PARTIALS[not analytic]
-    keys, arguments = [], {}
-    for name, bundle, nargs, prefix in _SLOW_MEMBERS:
-        member = (None if name in unused
-                  else inline.written_in(getattr(bundles[bundle], name), nargs))
-        if member is not None and member.key is inline.CONSTANT:
-            pattern = _constant_pattern(name, d)
-            parts = (None if pattern is False else
-                     _constant_arguments(prefix, member.values, pattern))
-            member = None if parts is None else member
-            arguments.update(parts or {})
-        elif member is not None:
-            arguments.update(inline.arguments(member, prefix))
-        keys.append(None if member is None else member.key)
-    return tuple(keys), arguments
+def _evaluated(aux: AuxiliaryBundle, bounds: BoundBundle) -> tuple:
+    """The members the slow evaluation evaluates, in the order of
+    :data:`inline.SLOW`: its partials call a_grad and b_grad when the
+    bundle has them, and a_hat and b_hat otherwise; the pair they do not
+    call is None."""
+    pair = ((None, None) if bounds.a_grad is not None
+            else (bounds.a_hat, bounds.b_hat))
+    return (aux.fbar, aux.dfbar, aux.pbar, *pair, bounds.c_hat, bounds.d_hat,
+            bounds.e_hat, bounds.a_grad, bounds.b_grad)
 
 
 def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
@@ -805,20 +659,20 @@ def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
 
     The code is generated once per d, per form of the partials and per
     code of the members it writes in (:func:`_compile_slow_rhs`,
-    :func:`_slow_members`), with every operation of an evaluation written
+    :func:`inline.members`), with every operation of an evaluation written
     out: the state is split at offsets fixed there; the products dfbar R,
     dfbar K + pbar and R . dR are each summed on floats from 0.0, left to
     right; the growth kernel, the norms of R and R^-1 (up to d = 2) and
     the partials are inline too.  Each of fbar, dfbar, pbar and the
-    majorants and gradients the evaluation calls is written in as the
-    direct run writes its members (:mod:`~averbound.inline`) where it can
-    be, bit for bit the evaluation that calls it; the values the members
-    read from outside are arguments, so kappa = +1 and -1 share one
-    compile, as do all euler-top parameter sets.  That is numpy's result
-    bit for bit wherever each sum has at most one nonzero term, as with a
-    diagonal dfbar, and at d = 1.  For a full dfbar at d >= 2, numpy's
-    ``@`` runs through BLAS, whose fused multiply-adds can round the last
-    bit differently.
+    majorants and gradients the evaluation calls is written in, bound as a
+    constant or called by the rule of the direct run
+    (:func:`inline.members`), bit for bit the evaluation that calls it; the
+    values the members read from outside are arguments, so kappa = +1 and
+    -1 share one compile, as do all euler-top parameter sets.  That is
+    numpy's result bit for bit wherever each sum has at most one nonzero
+    term, as with a diagonal dfbar, and at d = 1.  For a full dfbar at
+    d >= 2, numpy's ``@`` runs through BLAS, whose fused multiply-adds can
+    round the last bit differently.
 
     At d = 1 ``kernel`` is the float run with the same evaluation written
     into each stage.  From d = 2 on it is ``ode._array_kernel`` on ``rhs``,
@@ -832,15 +686,13 @@ def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     """
     d = spec.d
     analytic = bounds.a_grad is not None
-    members, arguments = _slow_members(d, aux, bounds, analytic)
-    make = _compile_slow_rhs(d, analytic, members)
+    keys, arguments = inline.members(inline.SLOW, _evaluated(aux, bounds), d)
+    make = _compile_slow_rhs(d, analytic, keys)
     latest = [None, None]
-    rhs, kernel = make(spec.epsilon, aux.fbar, aux.dfbar, aux.pbar,
-                       bounds.a_hat, bounds.b_hat, bounds.c_hat, bounds.d_hat,
-                       bounds.e_hat, bounds.a_grad, bounds.b_grad, latest,
-                       rtol, atol, **arguments)
+    rhs, kernel = make(spec.epsilon, latest=latest, rtol=rtol, atol=atol,
+                       **arguments)
     if kernel is None:
-        kernel = ode._array_kernel(rhs, d * d + 2 * d + 2, rtol, atol)
+        kernel = ode._array_kernel(rhs, len(_state_names(d)), rtol, atol)
     return rhs, kernel, _make_stop_predicate(spec, bounds, latest)
 
 

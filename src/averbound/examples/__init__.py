@@ -133,25 +133,27 @@ def register_system(name: str,
     points, or return their one-point value for both when they do not read
     the actions (:mod:`averbound.model`).
 
-    The direct run writes each of those five into its step, and the slow
-    solve writes ``fbar``, ``dfbar``, ``pbar`` and the members of
-    ``bounds`` it evaluates (``a_grad``, ``b_grad`` or ``a_hat``,
-    ``b_hat``, and ``c_hat``, ``d_hat``, ``e_hat``) into its step, under
-    the same rules (:mod:`averbound.inline`).  A member is written in when
-    it is a plain ``def`` with positional parameters and no defaults whose
-    body is assignments to plain names, or unpackings into them, and one
-    ``return``, with no lambda, comprehension, ``yield``, ``await`` or
-    ``:=``, and whose source :mod:`inspect` finds: ``i[k]`` reads the k-th
-    action directly, ``j1, j2 = j`` names the actions without a list, and
-    the names it reads from its closure, module or built-ins are bound
-    once, when the run starts; a helper such a body calls is one of them,
-    and is called.  A returned tuple or list display binds one name per
-    part the step reads, and a returned ``np.array(<display>)`` of
-    ``dfbar`` or ``pbar`` binds the float of each item.  A member made by :func:`constant` is read once
-    per run.  The run is bit for bit the one that calls each member.  Any
-    other callable, such as a lambda, a ``functools.wraps`` wrapper, a
-    body with an ``if`` or a loop, or a function made by ``exec``, is
-    called, with the actions as a list."""
+    The direct run evaluates those five, and the slow solve ``fbar``,
+    ``dfbar``, ``pbar`` and the members of ``bounds`` it calls
+    (``a_grad``, ``b_grad`` or ``a_hat``, ``b_hat``, and ``c_hat``,
+    ``d_hat``, ``e_hat``), by one rule (:mod:`averbound.inline`).  A
+    member is written into the step when it is a plain ``def`` with
+    positional parameters and no defaults whose body is assignments to
+    plain names, or unpackings into them, and one ``return``, with no
+    lambda, comprehension, ``yield``, ``await`` or ``:=``, and whose
+    source :mod:`inspect` finds: ``i[k]`` reads the k-th action directly,
+    ``j1, j2 = j`` names the actions without a list, and the names it
+    reads from its closure, module or built-ins are bound once, when the
+    run starts; a helper such a body calls is one of them, and is called.
+    A returned tuple or list display binds one name per part the step
+    reads, and a returned ``np.array(<display>)`` of ``dfbar`` or ``pbar``
+    binds the float of each item.  A member made by :func:`constant` is
+    bound once per run in either solve, as the parts of its value the step
+    reads.  Any other callable, such as a lambda, a ``functools.wraps``
+    wrapper, a body with an ``if`` or a loop, or a function made by
+    ``exec``, is called, with the actions as a list, and so is a constant
+    of another shape.  The run is bit for bit the one that calls each
+    member."""
     _REGISTRY[name] = factory
 
 

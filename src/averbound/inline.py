@@ -1,37 +1,36 @@
-"""Members written into generated code: the one inliner of the direct run
-and the slow solve.
+"""Members in generated code: the one member rule and call writer of the
+direct run and the slow solve.
 
-The generated code of both solves evaluates each member of a system or a
-bundle either by calling it or by writing its body in: its own
-expressions, read from its source with :mod:`ast`, on the same floats in
-the same order, so the code is bit for bit the code that calls it, and a
-member that raises raises the same exception at the same evaluation.
-:func:`written_in` decides which, once per function, and :func:`write`
-writes one call of a member written in and binds the parts of its value
-that the caller reads.
-
-What is written in:
+Each solve lists its members in a table (:data:`DIRECT`, :data:`SLOW`,
+of :class:`Slot`), and one rule, the same in both, decides per run how
+its code evaluates each (:func:`members`):
 
 * a plain ``def`` whose body is assignments and one ``return``
-  (:func:`inline_form`).  An assignment may unpack into plain names; one
-  that unpacks a parameter whose components the caller names
-  (``j1, j2 = j``) binds those names, with no list in between;
-* a returned tuple or list display, nested ones included, binds one name
-  per part the caller reads, and a returned ``np.array(<display>)`` that
-  the caller reads as a list (``.tolist()``) binds ``float(item)`` per
-  item, which is what ``.tolist()`` of the float64 array of one point
-  gives;
-* a member made by :func:`averbound.examples.constant`, whose value the
-  caller binds once per run.
+  (:func:`inline_form`) is written in: its own expressions, read from its
+  source with :mod:`ast`, on the same floats in the same order, so the
+  code is bit for bit the code that calls it, and a member that raises
+  raises the same exception at the same evaluation;
+* a member made by :func:`averbound.examples.constant` is bound once per
+  run, as the parts of its value the evaluation reads, read as from the
+  call's value;
+* anything else is called: a lambda, a ``functools.wraps`` or ``*args``
+  wrapper, a default argument, a body with an ``if`` or a loop, a
+  decorated ``def``, a function made by ``exec``, whose source cannot be
+  found, and a constant of another shape, which fails as its call does.
 
-A written-in body's names take a prefix per member, and the names it
-reads from its closure, module or built-ins are arguments of the
-generated ``make``, so the generated source depends on the members' code
-alone; a helper the body calls (vdp's ``_a_radicand``) is one of them, and
-is called.  Every other callable is called: a lambda, a
-``functools.wraps`` wrapper, a ``*args`` wrapper, a default argument, a
-body with an ``if`` or a loop, a decorated ``def`` and a function made by
-``exec``, whose source cannot be found.
+:func:`outside` names the arguments of the generated ``make`` that these
+read, and :class:`Calls` writes each call of an evaluation.  In a body
+written in, an assignment may unpack into plain names, and one that
+unpacks a parameter whose components the caller names (``j1, j2 = j``)
+binds those names, with no list in between; a returned tuple or list
+display, nested ones included, binds one name per part the caller reads,
+and a returned ``np.array(<display>)`` read as a list (``.tolist()``)
+binds ``float(item)`` per item, which is what ``.tolist()`` of the
+float64 array of one point gives.  The body's names take the member's
+prefix, and the names it reads from its closure, module or built-ins are
+arguments of ``make``, so the source depends on the members' code alone;
+a helper the body calls (vdp's ``_a_radicand``) is one of them, and is
+called.
 """
 from __future__ import annotations
 
@@ -41,14 +40,14 @@ import inspect
 import re
 import textwrap
 import types
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .examples import constant
 
-__all__ = ["CONSTANT", "Member", "inline_form", "source_of", "written_in",
-           "outside", "arguments", "write", "items", "read"]
+__all__ = ["CONSTANT", "DIRECT", "SLOW", "Calls", "Member", "Slot",
+           "inline_form", "members", "outside", "source_of", "written_in"]
 
 # Expressions with a scope of their own, or that suspend or bind a name:
 # a body with one is called, not written in.
@@ -191,7 +190,7 @@ def source_of(fn) -> Optional[str]:
 
 
 class Member(NamedTuple):
-    """A member that generated code writes in.
+    """A member that generated code writes in, or binds as a constant.
 
     ``key`` is what the generated source depends on: :data:`CONSTANT` for
     a member made by ``examples.constant``, else ``(code, source,
@@ -220,11 +219,13 @@ def written_in(fn, nargs: int) -> Optional[Member]:
     """``fn`` as generated code writes it in for a call with ``nargs``
     arguments, or None when the code calls it.
 
-    A member made by ``examples.constant`` is written in as its value.  A
-    plain function is written in when :func:`inline_form` accepts its body
-    and every name the body reads from its closure, globals or built-ins
-    is bound.  A lambda, a ``functools.wraps`` wrapper and any other
-    callable that is not a plain function are called."""
+    A member made by ``examples.constant`` gives the key
+    :data:`CONSTANT` and its value, which :func:`members` binds once per
+    run if the evaluation can read it so.  A plain function is written in
+    when :func:`inline_form` accepts its body and every name the body
+    reads from its closure, globals or built-ins is bound.  A lambda, a
+    ``functools.wraps`` wrapper and any other callable that is not a plain
+    function are called."""
     if type(fn) is not types.FunctionType or hasattr(fn, "__wrapped__"):
         return None
     code = fn.__code__
@@ -252,18 +253,6 @@ def written_in(fn, nargs: int) -> Optional[Member]:
             return None
     array = _is_numpy_array(body.value, values)
     return Member((code, source, array), values)
-
-
-def outside(key, prefix: str) -> list:
-    """The names of the arguments of ``make`` that a member of ``key``
-    written in with ``prefix`` reads: the names its body reads from
-    outside, prefixed."""
-    return [prefix + name for name in inline_form(*key[:2]).free]
-
-
-def arguments(member: Member, prefix: str) -> dict:
-    """The values of :func:`outside`'s names for ``member``."""
-    return {prefix + name: value for name, value in member.values.items()}
 
 
 class _Bind:
@@ -345,7 +334,7 @@ def _write_call(key, prefix: str, args, used: set):
     return lines, body.value, writer
 
 
-def items(value, n: int):
+def _items(value, n: int):
     """The n items of ``value`` when it is a list or tuple display of n
     items, none of them starred, else None."""
     if (isinstance(value, (ast.List, ast.Tuple)) and len(value.elts) == n
@@ -354,7 +343,7 @@ def items(value, n: int):
     return None
 
 
-def read(source: str, pattern, name: str):
+def _read(source: str, pattern, name: str):
     """Lines that read the parts ``pattern`` names of the value of
     ``source``, and their expressions, nested as ``pattern`` is.
 
@@ -368,7 +357,7 @@ def read(source: str, pattern, name: str):
     if isinstance(pattern, list):
         lines, parts = [], []
         for k, sub in enumerate(pattern):
-            sub_lines, part = read(f"{source}[{k}]", sub, f"{name}_{k}")
+            sub_lines, part = _read(f"{source}[{k}]", sub, f"{name}_{k}")
             lines += sub_lines
             parts.append(part)
         return lines, parts
@@ -381,7 +370,7 @@ def read(source: str, pattern, name: str):
             pairs = [target(s, f"{sub_name}_{k}") for k, s in enumerate(sub)]
             return ("[" + ", ".join(t for t, _ in pairs) + "]",
                     [part for _, part in pairs])
-        sub_lines, part = read(sub_name, sub, sub_name)
+        sub_lines, part = _read(sub_name, sub, sub_name)
         later.extend(sub_lines)
         return sub_name, part
     targets, parts = target(pattern, name)
@@ -389,14 +378,14 @@ def read(source: str, pattern, name: str):
 
 
 def _bind_value(value, writer, pattern, name: str):
-    """Lines that bind the parts ``pattern`` reads (:func:`read`) of the
+    """Lines that bind the parts ``pattern`` reads (:func:`_read`) of the
     value of the written-in expression ``value``, and their expressions.
 
     A display with one item per part binds each item read as a whole to
     ``name_<k>`` (a constant is read as itself), nested displays included;
-    any other value is bound to ``name`` and read as :func:`read` reads
+    any other value is bound to ``name`` and read as :func:`_read` reads
     it, so a value of the wrong shape fails as the call's value does."""
-    parts = items(value, len(pattern)) if pattern is not None else None
+    parts = _items(value, len(pattern)) if pattern is not None else None
     if parts is not None:
         lines, out = [], []
         for k, (item, sub) in enumerate(zip(parts, pattern)):
@@ -407,7 +396,7 @@ def _bind_value(value, writer, pattern, name: str):
     source = writer(value)
     if pattern is None and isinstance(value, ast.Constant):
         return [], source
-    read_lines, parts = read(name, pattern, name)
+    read_lines, parts = _read(name, pattern, name)
     return [f"{name} = {source}", *read_lines], parts
 
 
@@ -417,7 +406,7 @@ def _array_items(value, pattern):
     else None."""
     if pattern is None:
         return value
-    parts = items(value, len(pattern))
+    parts = _items(value, len(pattern))
     if parts is None:
         return None
     out = [_array_items(item, sub) for item, sub in zip(parts, pattern)]
@@ -435,7 +424,7 @@ def _bind_array(key, value, writer, pattern, name: str):
     Any other value is bound as ``name = <value>.tolist()``."""
     nested = _array_items(value.args[0], pattern) if key[2] else None
     if nested is None:
-        unpack, parts = read(name, pattern, name)
+        unpack, parts = _read(name, pattern, name)
         return [f"{name} = ({writer(value)}).tolist()"], parts, unpack
 
     lines = []
@@ -449,20 +438,20 @@ def _bind_array(key, value, writer, pattern, name: str):
     return lines, leaves(nested, pattern, name), []
 
 
-# The lines of each written-in call as write() last wrote them, on
+# The lines of each written-in call as _write() last wrote them, on
 # placeholder names for its arguments, by member, prefix, number of
 # components of each argument, pattern, name and form.
 _TEMPLATES: dict = {}
 _PLACEHOLDER = re.compile(r"\b__p(\d+)(?:_(\d+))?__\b")
 
 
-def write(key, prefix: str, args, used: set, name: str, pattern=None,
-          array=False):
+def _write(key, prefix: str, args, used: set, name: str, pattern=None,
+           array=False):
     """Lines that evaluate one call of the written-in member ``key`` on
     ``args`` (:func:`_write_call`) and bind the parts ``pattern`` reads of
-    its value to names that start with ``name`` (:func:`_bind_value`), and
-    the parts' expressions; with ``array``, the parts of its value as a
-    list (:func:`_bind_array`), and then the lines of the unpacking too.
+    its value to names that start with ``name`` (:func:`_bind_value`), the
+    parts' expressions and the lines of the unpacking: with ``array``, of
+    the parts of its value as a list (:func:`_bind_array`), else none.
 
     The lines are written once per member, prefix, number of components
     of each argument, pattern, name and form, on placeholder names
@@ -499,5 +488,169 @@ def write(key, prefix: str, args, used: set, name: str, pattern=None,
         return _PLACEHOLDER.sub(actual, text)
     used.update(actual(match, True) for match in map(_PLACEHOLDER.fullmatch,
                                                       held) if match)
-    out = put(lines), put(parts)
-    return (*out, put(unpack)) if array else out
+    return put(lines), put(parts), put(unpack)
+
+
+class Slot(NamedTuple):
+    """One member of a solve's member table: its ``name`` on the system or
+    bundle, the name of ``make``'s argument that holds it and that the
+    code calls (``call``), its number of arguments, the ``prefix`` of its
+    written-in names and constant parts, and ``read(d)``, how the step
+    reads its value for d actions: a pattern of :func:`_read`, applied to
+    ``.tolist()`` of the value when ``array`` is set."""
+
+    name: str
+    call: str
+    nargs: int
+    prefix: str
+    read: Callable[[int], object]
+    array: bool = False
+
+
+def _whole(d):
+    return None
+
+
+def _listed(d):
+    return [None] * d
+
+
+# fbar's d items are read by index in both solves.
+_FBAR = Slot("fbar", "fbar", 1, "_fb_", _listed)
+# The members of the direct run, in the order its right-hand side
+# evaluates them (f, fbar, omega, g), then in_domain.
+DIRECT = (Slot("f", "f_sys", 2, "_f_", _listed), _FBAR,
+          Slot("omega", "omega", 1, "_om_", _whole),
+          Slot("g", "g_sys", 2, "_g_", _whole),
+          Slot("in_domain", "in_domain", 1, "_dom_", _whole))
+# The members of the slow evaluation, in the order of the arguments of its
+# make: dfbar and pbar are read as lists of the shape of one point, the
+# majorants whole and the gradients by index, each part of their tuple.
+SLOW = (_FBAR,
+        Slot("dfbar", "dfbar", 1, "_dfb_", lambda d: ((None,) * d,) * d, True),
+        Slot("pbar", "pbar", 1, "_pb_", lambda d: (None,) * d, True),
+        Slot("a_hat", "a_hat", 4, "_ah_", _whole),
+        Slot("b_hat", "b_hat", 2, "_bh_", _whole),
+        Slot("c_hat", "c_hat", 2, "_ch_", _whole),
+        Slot("d_hat", "d_hat", 2, "_dh_", _whole),
+        Slot("e_hat", "e_hat", 2, "_eh_", _whole),
+        Slot("a_grad", "a_grad", 4, "_ag_",
+             lambda d: ([None] * d, [[None] * d] * d, [None] * d, None)),
+        Slot("b_grad", "b_grad", 2, "_bg_", lambda d: ([None] * d, None)))
+
+
+def _constant_names(prefix: str, pattern, index=()):
+    """The names of make's arguments that hold a constant's parts, nested
+    as ``pattern`` is: the prefix and the indices of each part, or
+    ``<prefix>value`` for the value itself."""
+    if pattern is None:
+        return prefix + ("_".join(map(str, index)) if index else "value")
+    return [_constant_names(prefix, sub, (*index, k))
+            for k, sub in enumerate(pattern)]
+
+
+def _flat(parts) -> list:
+    return [parts] if type(parts) is str else [x for p in parts
+                                                 for x in _flat(p)]
+
+
+def _constant_arguments(slot: Slot, value, d: int):
+    """make's arguments for the constant ``value`` of ``slot`` at d
+    actions: the parts its read takes of the value, named by
+    :func:`_constant_names`; or None when the value is not of the read's
+    shape, item counts included (the member is then called)."""
+    pattern = slot.read(d)
+    out = {}
+
+    def walk(part, sub, name):
+        if sub is None:
+            out[name] = part
+            return True
+        return (np.ndim(part) > 0 and len(part) == len(sub)
+                and all(walk(x, s, n) for x, s, n in zip(part, sub, name)))
+    return out if walk(value.tolist() if slot.array else value, pattern,
+                       _constant_names(slot.prefix, pattern)) else None
+
+
+def members(table, fns, d: int):
+    """The keys of the members ``fns`` of ``table``, in its order, for the
+    code of d actions, and the arguments of its ``make``: each member by
+    its ``Slot.call`` and the values of :func:`outside`'s names.
+
+    A member is written in as :func:`written_in` decides.  One made by
+    ``examples.constant`` is bound once per run, as the parts its read
+    takes of the value (``Slot.read``), unless the value is not of that
+    shape.  Any other member is called, its key None; a member given as
+    None is one the code does not evaluate."""
+    keys, arguments = [], {}
+    for slot, fn in zip(table, fns):
+        arguments[slot.call] = fn
+        member = written_in(fn, slot.nargs)
+        values = None
+        if member is not None and member.key is CONSTANT:
+            values = _constant_arguments(slot, member.values, d)
+        elif member is not None:
+            values = {slot.prefix + name: value
+                      for name, value in member.values.items()}
+        keys.append(None if values is None else member.key)
+        arguments.update(values or {})
+    return tuple(keys), arguments
+
+
+def outside(table, keys, d: int) -> list:
+    """The names of ``make``'s arguments that the members of ``table``
+    with ``keys`` read, in table order: the names each written-in body
+    reads from outside, prefixed, and each constant's parts."""
+    names = []
+    for slot, key in zip(table, keys):
+        if key is CONSTANT:
+            names += _flat(_constant_names(slot.prefix, slot.read(d)))
+        elif key is not None:
+            names += [slot.prefix + name
+                      for name in inline_form(*key[:2]).free]
+    return names
+
+
+class Calls:
+    """The member calls of one evaluation of the code of d actions, each
+    member of ``table`` written in, read from its constant's parts or
+    called, by its key in ``keys`` (:func:`members`).  ``used`` collects
+    the arguments the written lines read, whole or by component; lines are
+    never written in the order of its items."""
+
+    def __init__(self, table, keys, d: int):
+        self.members = {slot.name: (slot, key)
+                        for slot, key in zip(table, keys)}
+        self.d = d
+        self.used = set()
+
+    def value(self, name, args, bind, whole=False):
+        """Lines that evaluate the member ``name`` on ``args``, one
+        ``(components, whole)`` pair per parameter, and the expressions of
+        the parts of its value its read takes, bound to names that start
+        with ``bind``; with ``whole``, of the value itself, which no
+        constant is read as.  A member read as a list (``Slot.array``)
+        gives the lines of the unpacking third, for the caller to place."""
+        slot, key = self.members[name]
+        pattern = None if whole else slot.read(self.d)
+        if key is CONSTANT:
+            out = [], _constant_names(slot.prefix, pattern), []
+        elif key is not None:
+            out = _write(key, slot.prefix, args, self.used, bind, pattern,
+                         slot.array)
+        else:
+            wholes = [arg for _, arg in args]
+            self.used.update(wholes)
+            call = f"{bind} = {slot.call}({', '.join(wholes)})"
+            lines, parts = _read(bind, pattern, bind)
+            out = (([call + ".tolist()"], parts, lines) if slot.array
+                   else ([call, *lines], parts, []))
+        return out if slot.array else out[:2]
+
+    def by_items(self, name, n: int) -> bool:
+        """Whether the n items of the value of ``name`` are bound one by
+        one: a constant's parts, or a written-in display of n items."""
+        _, key = self.members[name]
+        return key is CONSTANT or (
+            key is not None
+            and _items(inline_form(*key[:2]).value, n) is not None)

@@ -1,5 +1,7 @@
-"""The summary of tools/bench_pairs.py on synthetic runs."""
+"""tools/bench_pairs.py: the summary of synthetic runs, and the copy of
+the working tree it runs the change side from."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +59,34 @@ def test_summary_of_synthetic_pairs():
     assert text.startswith("validate jobs_per_s 3.1 -> 3.5 (+12.9%), "
                            "better in 3 of 4 pairs")
 
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c",
+                    "user.email=bench@example.com", *args], cwd=root,
+                   check=True, capture_output=True)
+
+
+def test_the_change_side_is_a_copy_of_the_working_tree(tmp_path):
+    # The copy carries an uncommitted edit and an untracked file, and
+    # leaves out bytecode under src/, an ignored file and a deleted one.
+    root, into = tmp_path / "repo", tmp_path / "copy"
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    (root / "src" / "pkg" / "gone.py").write_text("")
+    (root / ".gitignore").write_text("*.log\n")
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "seed")
+    (root / "src" / "pkg" / "mod.py").write_text("X = 2\n")
+    (root / "src" / "pkg" / "new.py").write_text("Y = 3\n")
+    (root / "src" / "pkg" / "gone.py").unlink()
+    (root / "run.log").write_text("ignored\n")
+    cache = root / "src" / "pkg" / "__pycache__"
+    cache.mkdir()
+    (cache / "mod.cpython-311.pyc").write_bytes(b"\0")
+    bench_pairs.copy_tree(root, into)
+    files = sorted(p.relative_to(into).as_posix()
+                   for p in into.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/pkg/mod.py", "src/pkg/new.py"]
+    assert (into / "src" / "pkg" / "mod.py").read_text() == "X = 2\n"

@@ -551,6 +551,7 @@ def _generated_partials(d, analytic):
     djs = [f"dj{a}" for a in ix]
     drs = [f"d{a}_{b}" for a in ix for b in ix]
     dks = [f"dk{a}" for a in ix]
+    called = inliner.Calls(inliner.SLOW, (None,) * len(inliner.SLOW), d)
     lines = estimator._split_lines(d, None, estimator._LISTS) + [
         f"[{', '.join(djs)}] = dj",
         f"[{', '.join(drs)}] = [x for row in drows for x in row]",
@@ -558,7 +559,7 @@ def _generated_partials(d, analytic):
         "a_hat, b_hat = bounds.a_hat, bounds.b_hat",
         "a_grad, b_grad = bounds.a_grad, bounds.b_grad",
     ] + estimator._partials_lines(d, analytic, estimator._state_names(d),
-                                  djs, drs, dks, estimator._Calls({})) + [
+                                  djs, drs, dks, called) + [
         "return dal_dr, dal_dtau"]
     namespace = {}
     exec("def block(y, dj, drows, dk, radius, eps, bounds):\n"
@@ -1228,11 +1229,10 @@ def _written_keys(spec, aux, bounds):
     """The keys of the members the slow solve of ``spec`` writes in, by
     name, None for those it calls, without the pair its partials do not
     call."""
-    analytic = bounds.a_grad is not None
-    keys, _ = estimator._slow_members(spec.d, aux, bounds, analytic)
-    names = [name for name, *_ in estimator._SLOW_MEMBERS]
-    return {name: key for name, key in zip(names, keys)
-            if name not in estimator._PARTIALS[not analytic]}
+    fns = estimator._evaluated(aux, bounds)
+    keys, _ = inliner.members(inliner.SLOW, fns, spec.d)
+    return {slot.name: key for slot, fn, key in zip(inliner.SLOW, fns, keys)
+            if fn is not None}
 
 
 def _assert_same_solve(got, want):

@@ -1,12 +1,17 @@
-"""The inliner: the forms it writes in, equal to their calls bit for bit."""
+"""The inliner: the forms it writes in, equal to their calls bit for bit,
+and the member tables of the two solves."""
+import dataclasses
+import functools
 import math
 import types
 
 import numpy as np
 import pytest
 
-from averbound import inline
+import averbound as ab
+from averbound import direct, estimator, inline
 from averbound.examples import constant
+from conftest import toy_linear_decay
 
 
 def _nested(parts):
@@ -15,16 +20,23 @@ def _nested(parts):
     return "[" + ", ".join(_nested(p) for p in parts) + "]"
 
 
+def _table(nargs, pattern=None, array=False):
+    """A member table of one member ``m`` of ``nargs`` arguments whose
+    value is read as ``pattern`` (as a list, ``.tolist()``, with
+    ``array``)."""
+    return (inline.Slot("m", "m", nargs, "_m_", lambda d: pattern, array),)
+
+
 def _written(fn, nargs, pattern=None, array=False, components=()):
     """``fn`` written in as a function of its ``nargs`` arguments that
     returns the parts of its value that ``pattern`` reads, nested as the
     pattern is (read as a list, ``.tolist()``, with ``array``), and the
     names the written code read.  The arguments whose positions
     ``components`` lists have their components named ``a<k>_<i>``."""
-    member = inline.written_in(fn, nargs)
-    assert member is not None and member.key is not inline.CONSTANT
+    table = _table(nargs, pattern, array)
+    keys, arguments = inline.members(table, [fn], 1)
+    assert keys[0] is not None and keys[0] is not inline.CONSTANT
     params = [f"a{k}" for k in range(nargs)]
-    used = set()
     args, split = [], []
     for k, param in enumerate(params):
         if k in components:
@@ -33,16 +45,17 @@ def _written(fn, nargs, pattern=None, array=False, components=()):
             args.append((comps, param))
         else:
             args.append(((), param))
-    lines, parts, *unpack = inline.write(member.key, "_m_", args, used, "v",
-                                         pattern, array)
+    calls = inline.Calls(table, keys, 1)
+    lines, parts, *unpack = calls.value("m", args, "v")
     body = split + lines + sum(unpack, []) + [f"return {_nested(parts)}"]
-    source = (f"def make({', '.join(inline.outside(member.key, '_m_'))}):\n"
+    make_params = ", ".join(["m", *inline.outside(table, keys, 1)])
+    source = (f"def make({make_params}):\n"
               f"    def call({', '.join(params)}):\n"
               + "".join(f"        {line}\n" for line in body)
               + "    return call\n")
     namespace = {}
     exec(source, namespace)
-    return namespace["make"](**inline.arguments(member, "_m_")), used
+    return namespace["make"](**arguments), calls.used
 
 
 def _bits(x):
@@ -101,18 +114,20 @@ def test_helper_calls_keep_the_order_of_evaluation(fn, a, b, raises):
 def _source(fn, nargs):
     """The lines of one call of ``fn`` written in on the arguments
     ``a0``, ``a1``, ..., its value bound to ``v``."""
-    member = inline.written_in(fn, nargs)
-    lines, source = inline.write(
-        member.key, "_m_", [((), f"a{k}") for k in range(nargs)], set(), "v")
+    table = _table(nargs)
+    keys, _ = inline.members(table, [fn], 1)
+    lines, _ = inline.Calls(table, keys, 1).value(
+        "m", [((), f"a{k}") for k in range(nargs)], "v")
     return "\n".join(lines)
 
 
 def test_a_helper_is_called_from_make():
     # The helper _spilled calls is one of make's arguments, under the
     # member's prefix, and the written code calls it.
-    member = inline.written_in(_spilled, 2)
-    assert "_m__reciprocal" in inline.outside(member.key, "_m_")
-    assert inline.arguments(member, "_m_")["_m__reciprocal"] is _reciprocal
+    table = _table(2)
+    keys, arguments = inline.members(table, [_spilled], 1)
+    assert "_m__reciprocal" in inline.outside(table, keys, 1)
+    assert arguments["_m__reciprocal"] is _reciprocal
     assert "_m__reciprocal(a1)" in _source(_spilled, 2)
 
 
@@ -256,9 +271,10 @@ def test_array_returns_read_as_lists(fn, items):
 
 
 def _array_source(fn):
-    member = inline.written_in(fn, 1)
-    lines, _, unpack = inline.write(member.key, "_m_", [((), "i")], set(),
-                                    "v", ((None, None), (None, None)), True)
+    table = _table(1, ((None, None), (None, None)), True)
+    keys, _ = inline.members(table, [fn], 1)
+    lines, _, unpack = inline.Calls(table, keys, 1).value("m", [((), "i")],
+                                                          "v")
     return "\n".join(lines + unpack)
 
 
@@ -283,3 +299,88 @@ def test_refused_forms_are_called():
     for fn in (lambda x: x, wrapper, looped, namespace["f"], math.log,
                types.MethodType(_log, 2.0)):
         assert inline.written_in(fn, 1) is None
+
+
+@pytest.mark.parametrize("table", [inline.DIRECT, inline.SLOW],
+                         ids=["direct", "slow"])
+def test_member_prefixes_keep_apart(table):
+    # The names a written-in body binds and reads, and a constant's parts,
+    # take the member's prefix: none is another's start, and each starts
+    # with "_", which no name of the generated evaluation does.
+    prefixes = [slot.prefix for slot in table]
+    assert all(prefix.startswith("_") for prefix in prefixes)
+    assert not any(a != b and b.startswith(a)
+                   for a in prefixes for b in prefixes)
+    assert len(set(prefixes)) == len(prefixes)
+    assert len({slot.name for slot in table}) == len(table)
+
+
+def _wrapped(fn):
+    """``fn`` behind ``functools.wraps``, which the inliner refuses."""
+    @functools.wraps(fn)
+    def call(*args):
+        return fn(*args)
+    return call
+
+
+def _constant_system(d):
+    """A system of d actions whose fbar, dfbar, pbar and c_hat are made by
+    ``examples.constant``; its other members are lambdas, which are
+    called."""
+    spec, aux, bounds = toy_linear_decay(d=d)
+    rates = [-0.1, -0.05][:d]
+    spec = dataclasses.replace(
+        spec, f=lambda i, th: [r * (1.0 + math.cos(th)) for r in rates])
+    aux = dataclasses.replace(
+        aux, fbar=constant(rates),
+        dfbar=constant([[-0.5, 0.25], [0.0, -0.75]][:d] if d == 2
+                       else [[-0.5]]),
+        pbar=constant([0.01, -0.02][:d]))
+    return spec, aux, dataclasses.replace(bounds, c_hat=constant(0.01))
+
+
+def _constant_keys(table, fns, d):
+    keys, _ = inline.members(table, fns, d)
+    return [slot.name for slot, key in zip(table, keys)
+            if key is inline.CONSTANT]
+
+
+def _same_trajectory(got, want):
+    for part in ("times", "states", "derivs"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    assert got.stats == want.stats
+    assert got.status is want.status
+    assert (got.stop_time, got.stop_reason) == (want.stop_time,
+                                                 want.stop_reason)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_constant_members_are_bound_once_in_both_solves(d):
+    # One rule in both solves: a constant member is bound once per run,
+    # as the parts its evaluation reads, and each solve equals the one that
+    # calls the same members (behind functools.wraps) bit for bit: nodes,
+    # slopes, step counts and the stop.
+    spec, aux, bounds = _constant_system(d)
+    assert _constant_keys(inline.DIRECT, direct._evaluated(spec, aux),
+                          d) == ["fbar"]
+    assert _constant_keys(inline.SLOW, estimator._evaluated(aux, bounds),
+                          d) == ["fbar", "dfbar", "pbar", "c_hat"]
+    called_aux = dataclasses.replace(aux, fbar=_wrapped(aux.fbar),
+                                     dfbar=_wrapped(aux.dfbar),
+                                     pbar=_wrapped(aux.pbar))
+    called_bounds = dataclasses.replace(bounds, c_hat=_wrapped(bounds.c_hat))
+    assert not any(inline.members(inline.SLOW, estimator._evaluated(
+        called_aux, called_bounds), d)[0])
+    assert not any(inline.members(inline.DIRECT, direct._evaluated(
+        spec, called_aux), d)[0])
+    runs = []
+    for run_aux, run_bounds in ((aux, bounds), (called_aux, called_bounds)):
+        est = ab.run_estimator(spec, run_aux, run_bounds, 2.0)
+        avg = ab.run_averaged(spec, run_aux, 2.0)
+        runs.append((est, ab.run_direct(spec, run_aux, avg, 2.0)))
+    (est, fast), (est_called, fast_called) = runs
+    assert est.status.value == "completed" and est.traj.stats.accepted > 5
+    assert est.ell0 == est_called.ell0
+    _same_trajectory(est.traj, est_called.traj)
+    assert fast.status is ab.Status.COMPLETED
+    _same_trajectory(fast.traj, fast_called.traj)

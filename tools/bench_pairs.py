@@ -4,8 +4,10 @@
         --workload validate audit certify --out BENCH_34.json \
         --claim-metric validate.jobs_per_s --claim "validate jobs_per_s rises"
 
-The parent is unpacked with ``git archive`` into a temporary directory; the
-change side is the working tree.  For each workload, pair k runs
+The parent is unpacked with ``git archive`` into a temporary directory,
+and the working tree is copied into another: its tracked files and the
+untracked ones git does not ignore, with no ``__pycache__``, so neither
+side imports bytecode the other lacks.  For each workload, pair k runs
 ``perfbench/run.py --workload W --seed S+k --trace 0`` once in each
 tree, at the benchmark's own run length, the parent first on odd seeds
 and the change first on even ones, one run at a time.  The result file
@@ -24,6 +26,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -121,6 +124,22 @@ def unpack(ref: str, into: Path) -> str:
     return commit
 
 
+def copy_tree(root: Path, into: Path) -> None:
+    """Copy the working tree of the repository at ``root`` into ``into``:
+    the tracked files as they are on disk and the untracked files git does
+    not ignore, leaving out deleted files and any ``__pycache__``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, check=True,
+                            capture_output=True, text=True).stdout
+    for name in dict.fromkeys(listed.split("\0")):
+        source = root / name
+        if (not name or "__pycache__" in Path(name).parts
+                or not source.is_file()):
+            continue
+        (into / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, into / name)
+
+
 def run_once(tree: Path, side: str, workload: str, seed: int, metrics) -> dict:
     """One ``perfbench/run.py`` run in ``tree``, as a record of its exit
     code, the run length it reported, its outcome and its end-to-end
@@ -174,9 +193,9 @@ def main(argv=None) -> int:
                           capture_output=True, text=True).stdout.strip()
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        parent_tree = Path(tmp)
-        parent = unpack(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        parent = unpack(args.parent, trees["parent"])
+        copy_tree(ROOT, trees["change"])
         for workload in args.workload:
             for k in range(args.pairs):
                 seed = args.seed + k
