@@ -224,8 +224,7 @@ def _direct_rhs_source(d: int, keys: tuple) -> str:
     test, inside = domain("t_new", [f"z{i}" for i in range(d + 1)])
     at_node = [*test, f"reason = not {inside}"]
 
-    stage = ode._inline_stage(d + 1,
-                              lambda time, state, last: slope(time, state))
+    stage = ode._inline_stage(d + 1, slope)
     params = ["eps", "f_sys", "g_sys", "omega", "fbar", "in_domain",
               "interval", "tau_max", "rtol", "atol",
               *inline.outside(inline.DIRECT, keys, d)]

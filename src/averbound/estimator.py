@@ -7,7 +7,8 @@ Solves, in the slow time tau = eps*t, the coupled system for
 * its inhomogeneous companion K driven by pbar,
 * the accumulated growth integral m,
 * the certified bound n, with n(0) = ell0 the fixed point of the
-  self-consistent level map ell -> offset_value(tau=0, eps*ell).
+  self-consistent level map ell -> a_hat + eps * b_hat at (I0, identity,
+  0, eps*ell).
 
 A successful run certifies |I(t) - J(eps*t)| <= eps * n(eps*t) for
 t in [0, U/eps); the run stops early (status ``domain_violation``) as soon
@@ -17,19 +18,15 @@ as one of the validity conditions
 
 fails along the way.
 
-The slow right-hand side is straight-line code, generated once per d, per
-form of the offset partials (by the bundle's gradients or by central
-differences) and per code of the members it writes in, with every
-operation of an evaluation written out; at d = 1 the same evaluation is
-written into each stage of the adaptive Dormand-Prince run the slow solve
-takes, its whole step loop generated in one function.  ``fbar``,
-``dfbar``, ``pbar`` and the majorants and gradients an evaluation calls
-are evaluated by the rule the direct run shares (:mod:`~averbound.inline`,
-table :data:`~averbound.inline.SLOW`): written in where the member is a
-plain ``def`` of assignments and one ``return``, bound once per run where
-it is made by ``examples.constant``, and called otherwise.
-:func:`_slow_functions` hands the slow solve its right-hand side, run
-kernel and stop predicate.
+The slow right-hand side and stop predicate are straight-line code
+generated per d, form of the offset partials (gradients or central
+differences) and member code (:func:`_slow_rhs_source`); at d = 1 both are
+written into the Dormand-Prince run itself.  The window and the fixed point
+take the offset and d(offset)/dr from code of the same builders
+(:func:`_window_source`).  Each member is evaluated by the rule the direct
+run shares (:mod:`~averbound.inline`, table :data:`~averbound.inline.SLOW`):
+written in where it is a plain ``def`` of assignments and one ``return``,
+bound once per run where made by ``examples.constant``, else called.
 """
 from __future__ import annotations
 
@@ -46,7 +43,7 @@ import numpy as np
 from . import inline, ode
 from .ode import _compile_factory, _dot, _seq
 from .model import (IDENTITY_TOL, AuxiliaryBundle, BoundBundle, SystemSpec,
-                    frobenius, offset_value)
+                    frobenius)
 
 __all__ = [
     "ContractionError",
@@ -101,18 +98,6 @@ class EstimatorStatus(str, Enum):
     STEP_FAILURE = "step_failure"
 
 
-# ---------------------------------------------------------------------------
-# Bound-function derivatives
-
-
-def _dalpha_dr(bounds: BoundBundle, j, rmat, k, r, eps) -> float:
-    if bounds.a_grad is not None:
-        return float(bounds.a_grad(j, rmat, k, r)[3] + eps * bounds.b_grad(j, r)[1])
-    h = _FD_STEP * max(1.0, abs(r))
-    return (offset_value(bounds, j, rmat, k, r + h, eps)
-            - offset_value(bounds, j, rmat, k, r - h, eps)) / (2 * h)
-
-
 def _inverse_norms(rows):
     """The Frobenius norms (|R|, |R^-1|) of the condition check, for R given
     as a list of three or more rows of floats, inverted by
@@ -137,9 +122,9 @@ def _inverse_norms(rows):
 class ContractionWindow:
     """Interval data certifying the level map is a contraction.
 
-    The map ell -> offset_value(0, eps*ell) is required to send
-    ``[ell_star - sigma, ell_star + sigma]`` into itself with Lipschitz
-    constant eps*slope_bound < 1.
+    The map ell -> offset(0, eps*ell), a_hat + eps * b_hat at (I0, identity,
+    0, eps*ell), must send ``[ell_star - sigma, ell_star + sigma]`` into
+    itself with Lipschitz constant eps*slope_bound < 1.
     """
 
     ell_star: float
@@ -150,23 +135,17 @@ class ContractionWindow:
         return self.ell_star - self.sigma, self.ell_star + self.sigma
 
 
-def _window_alpha0(spec: SystemSpec):
-    d = spec.d
-    return spec.i0, np.eye(d), np.zeros(d)
-
-
-def _sampled_slope(spec: SystemSpec, bounds: BoundBundle, lo: float, hi: float) -> float:
-    """Largest |d(offset)/dr| at radius eps*ell over ``_WINDOW_SAMPLES``
-    levels ell evenly spaced in [lo, hi]; NaN at the first NaN sample,
-    which Python's ``max`` would drop."""
+def _sampled_slope(spec: SystemSpec, slope, lo: float, hi: float) -> float:
+    """Largest |d(offset)/dr| by the window's ``slope`` at radius eps*ell
+    over ``_WINDOW_SAMPLES`` levels ell evenly spaced in [lo, hi]; NaN at
+    the first NaN sample, which Python's ``max`` would drop."""
     eps = spec.epsilon
-    j0, rmat0, k0 = _window_alpha0(spec)
     worst = 0.0
     for ell in np.linspace(lo, hi, _WINDOW_SAMPLES):
-        slope = abs(_dalpha_dr(bounds, j0, rmat0, k0, eps * ell, eps))
-        if math.isnan(slope):
-            return slope
-        worst = max(worst, slope)
+        value = abs(slope(eps * ell))
+        if math.isnan(value):
+            return value
+        worst = max(worst, value)
     return worst
 
 
@@ -178,21 +157,21 @@ def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
     slope bound below 1/eps, bounds the sampled slope ``worst`` (sampled
     here when not given) and maps into itself."""
     eps = spec.epsilon
-    j0, rmat0, k0 = _window_alpha0(spec)
+    offset, slope = _window_functions(spec, bounds)
     lo, hi = window.interval()
-    rho0 = bounds.rho_hat(j0)
+    rho0 = bounds.rho_hat(spec.i0)
     if not (0.0 < lo and hi < rho0 / eps):
         raise ContractionError(
             f"window [{lo}, {hi}] not inside (0, rho(0)/eps={rho0 / eps})")
     if not window.slope_bound < 1.0 / eps:
         raise ContractionError("slope bound must stay below 1/eps")
     if worst is None:
-        worst = _sampled_slope(spec, bounds, lo, hi)
+        worst = _sampled_slope(spec, slope, lo, hi)
     if not worst <= window.slope_bound + 1e-12:     # a NaN slope fails
         raise ContractionError(
             f"sampled level-map slope {worst} exceeds supplied bound "
             f"{window.slope_bound}")
-    a_star = offset_value(bounds, j0, rmat0, k0, eps * window.ell_star, eps)
+    a_star = offset(eps * window.ell_star)
     if not (abs(a_star - window.ell_star) + eps * window.slope_bound * window.sigma
             < window.sigma):
         raise ContractionError("window does not map into itself")
@@ -206,17 +185,17 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
     :class:`WindowError` when no valid window results.
     """
     eps = spec.epsilon
-    j0, rmat0, k0 = _window_alpha0(spec)
-    ell_star = offset_value(bounds, j0, rmat0, k0, 0.0, eps)
+    offset, slope = _window_functions(spec, bounds)
+    ell_star = offset(0.0)
     if not ell_star > 0.0:
         raise WindowError("offset bound at radius 0 must be positive")
     sigma = 0.5 * ell_star
     lo, hi = ell_star - sigma, ell_star + sigma
-    if not hi < bounds.rho_hat(j0) / eps:
+    if not hi < bounds.rho_hat(spec.i0) / eps:
         raise WindowError("proposed window exceeds the tube radius")
-    worst = _sampled_slope(spec, bounds, lo, hi)
-    slope = worst * (1.0 + 1e-9) + 1e-15
-    window = ContractionWindow(ell_star=ell_star, sigma=sigma, slope_bound=slope)
+    worst = _sampled_slope(spec, slope, lo, hi)
+    window = ContractionWindow(ell_star=ell_star, sigma=sigma,
+                               slope_bound=worst * (1.0 + 1e-9) + 1e-15)
     try:
         verify_window(spec, bounds, window, worst)
     except ContractionError as exc:
@@ -226,7 +205,7 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
 
 def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
                      window: ContractionWindow, tol: float = 1e-12) -> float:
-    """Initial bound level: the fixed point of ell -> offset_value(0, eps*ell).
+    """Initial bound level: the fixed point of ell -> offset(0, eps*ell).
 
     Iterates the map from ell_star after verifying the contraction window by
     sampling.  Convergence requires both the fixed-point residual and the
@@ -242,13 +221,13 @@ def _iterate_fixed_point(spec: SystemSpec, bounds: BoundBundle,
     """The iteration of :func:`find_fixed_point` on a window already
     verified."""
     eps = spec.epsilon
-    j0, rmat0, k0 = _window_alpha0(spec)
+    offset, _ = _window_functions(spec, bounds)
     eps_m = eps * window.slope_bound
 
     ell = window.ell_star
     first_gap = None
     for it in range(1, _FIXED_POINT_MAX_ITER + 1):
-        nxt = offset_value(bounds, j0, rmat0, k0, eps * ell, eps)
+        nxt = offset(eps * ell)
         if first_gap is None:
             first_gap = abs(nxt - ell)
         residual = abs(nxt - ell)
@@ -402,132 +381,171 @@ def _norm_lines(rs, used: set):
     return ["norm_r, norm_rinv = norms(rows)"]
 
 
+_ON_ROWS, _ON_RADIUS = ((), "rows"), ((), "radius")
+
+
+def _offset_lines(calls, on_j, on_k, rarg, side):
+    """The lines of the offset a_hat + eps * b_hat at (J, R, K, r), J, K
+    and r the argument pairs ``on_j``, ``on_k`` and ``rarg`` and R the list
+    ``rows``, into names that end in ``side``; and its expression."""
+    a_lines, a = calls.value("a_hat", [on_j, _ON_ROWS, on_k, rarg],
+                             f"ah_{side}")
+    b_lines, b = calls.value("b_hat", [on_j, rarg], f"bh_{side}")
+    return a_lines + b_lines, f"float({a} + eps * {b})"
+
+
+def _central_lines(calls, x, perturbed, value, step=None):
+    """The central difference of ``value(pair, side)`` (lines and an
+    expression) in the float ``x``, step ``_FD_STEP`` * max(1, |x|),
+    ``perturbed(side)`` giving the pair with ``side`` for x and its list
+    display, or None.  Bound to ``dal_dr``, or for a nonzero ``step``
+    added to ``dal_dtau`` times it; the upper value is bound first."""
+    lines = [f"ax = abs({x})",
+             # max(1.0, ax), NaN included: max keeps 1.0 unless ax > 1.0
+             f"fd = {_FD_STEP!r} * (ax if ax > 1.0 else 1.0)",
+             f"up = {x} + fd",
+             f"down = {x} - fd"]
+    ends = []
+    for side in ("up", "down"):
+        pair, display = perturbed(side)
+        calls.used.discard(pair[1])
+        side_lines, expr = value(pair, side)
+        if display is not None and pair[1] in calls.used:
+            side_lines = [f"{pair[1]} = {display}", *side_lines]
+        ends.append((side_lines, expr))
+    (up_lines, upper), (down_lines, lower) = ends
+    lines += [*up_lines, f"upper = {upper}", *down_lines]
+    quotient = f"(upper - {lower}) / (2 * fd)"
+    if step is None:
+        return lines + [f"dal_dr = {quotient}"]
+    return [f"if {step} != 0.0:", *("    " + line for line in lines),
+            f"    dal_dtau += {step} * {quotient}"]
+
+
+def _slope_lines(d, analytic, state, calls):
+    """Lines that bind ``dal_dr``, d(offset)/dr at (J, R, K, ``radius``)
+    for the state floats named ``state``, by the calls of ``calls``
+    (:class:`inline.Calls`): the r-parts of one ``a_grad`` and one
+    ``b_grad`` value (``analytic``), or the central difference of the
+    offset in r.  Also the parts (dA/dJ, dA/dR, dA/dK, dB/dJ) of the
+    gradients' values, or None."""
+    js, _, ks, _, _ = _state_parts(d, state)
+    on_j, on_k = (js, "j"), (ks, "kvec")
+    if not analytic:
+        return _central_lines(
+            calls, "radius", lambda side: (((), side), None),
+            lambda pair, side: _offset_lines(calls, on_j, on_k, pair,
+                                             side)), None
+    lines, (ga_j, ga_r, ga_k, ga_rad) = calls.value(
+        "a_grad", [on_j, _ON_ROWS, on_k, _ON_RADIUS], "ga")
+    b_lines, (gb_j, gb_rad) = calls.value("b_grad", [on_j, _ON_RADIUS], "gb")
+    return (lines + b_lines + [f"dal_dr = float({ga_rad} + eps * {gb_rad})"],
+            (ga_j, ga_r, ga_k, gb_j))
+
+
 def _partials_lines(d, analytic, state, djs, drs, dks, calls):
-    """Lines that bind the offset partials ``dal_dr`` (d(offset)/dr) and
-    ``dal_dtau`` (d(offset)/dtau) at (J, R, K, ``radius``), for the state
-    floats named ``state`` and the slow-flow entries ``djs`` (dJ), ``drs``
-    (dR, row by row) and ``dks`` (dK), with the member calls of ``calls``
-    (:class:`inline.Calls`).
+    """Lines that bind ``dal_dr`` (:func:`_slope_lines`) and ``dal_dtau``,
+    d(offset)/dtau at (J, R, K, ``radius``), for the state floats named
+    ``state``, the slow-flow entries ``djs`` (dJ), ``drs`` (dR, row by
+    row) and ``dks`` (dK), and the calls of ``calls``.
 
-    With gradients (``analytic``): one ``a_grad`` and one ``b_grad`` call,
-    and d(offset)/dtau = sum(dA/dJ dJ) + sum(dA/dR dR) + sum(dA/dK dK) +
-    eps * sum(dB/dJ dJ), each sum from 0.0, left to right, R in row order:
-    at d = 1 and d = 2 that is np.sum's order.  Every gradient entry is
-    read by index, so a part too short raises ``IndexError``.
-
-    Without: central differences with step ``_FD_STEP`` times max(1,
-    |argument|), first of the offset a_hat + eps * b_hat in r, then, for
-    each nonzero slow-flow entry in packed order, of the offset in that J
-    entry or of a_hat in that R or K entry, weighted by the entry and
-    summed from 0.0.  The perturbed arguments are list displays.
-    """
-    js, rs, ks, _, _ = _state_parts(d, state)
-    on_j, on_rows, on_k, on_radius = ((js, "j"), ((), "rows"), (ks, "kvec"),
-                                      ((), "radius"))
+    With gradients (``analytic``): sum(dA/dJ dJ) + sum(dA/dR dR) +
+    sum(dA/dK dK) + eps * sum(dB/dJ dJ), each sum from 0.0, left to right,
+    R in row order (np.sum's order at d = 1 and 2); every entry is read by
+    index, so a part too short raises ``IndexError``.  Without: for each
+    nonzero slow-flow entry in packed order, the central difference of the
+    offset in that J entry or of a_hat in that R or K entry, on list
+    displays, weighted by the entry and summed from 0.0."""
+    lines, grads = _slope_lines(d, analytic, state, calls)
     if analytic:
-        lines, (ga_j, ga_r, ga_k, ga_rad) = calls.value(
-            "a_grad", [on_j, on_rows, on_k, on_radius], "ga")
-        b_lines, (gb_j, gb_rad) = calls.value("b_grad", [on_j, on_radius],
-                                              "gb")
+        ga_j, ga_r, ga_k, gb_j = grads
 
         def contract(grad, entries):
             return f"({_dot(zip(grad, entries))})"
         sum_j, sum_r, sum_k, sum_b = (
             contract(ga_j, djs), contract(sum(ga_r, []), drs),
             contract(ga_k, dks), contract(gb_j, djs))
-        return lines + b_lines + [
-            f"dal_dr = float({ga_rad} + eps * {gb_rad})",
-            f"dal_dtau = float({sum_j} + {sum_r} + {sum_k}",
-            f"                 + eps * {sum_b})"]
-
-    def offset(jarg, rarg, side):
-        """The lines of a_hat + eps * b_hat at (J, R, K, r) with J and r
-        the argument pairs ``jarg`` and ``rarg``, and its expression."""
-        a_lines, a = calls.value("a_hat", [jarg, on_rows, on_k, rarg],
-                                 f"ah_{side}")
-        b_lines, b = calls.value("b_hat", [jarg, rarg], f"bh_{side}")
-        return a_lines + b_lines, f"float({a} + eps * {b})"
-
-    def central(x, perturbed, value, step=None):
-        """The central difference of ``value(pair)`` in the float ``x``,
-        where ``perturbed(arg)`` is the argument pair with ``arg`` in place
-        of x and its list display, or None: bound to ``dal_dr``, or, for a
-        nonzero ``step``, weighted by it and added to ``dal_dtau``.  The
-        value above is bound before the one below is evaluated."""
-        lines = [f"ax = abs({x})",
-                 # max(1.0, ax), NaN included: max keeps 1.0 unless ax > 1.0
-                 f"fd = {_FD_STEP!r} * (ax if ax > 1.0 else 1.0)",
-                 f"up = {x} + fd",
-                 f"down = {x} - fd"]
-        ends = []
-        for side in ("up", "down"):
-            pair, display = perturbed(side)
-            calls.used.discard(pair[1])
-            side_lines, expr = value(pair, side)
-            if display is not None and pair[1] in calls.used:
-                side_lines = [f"{pair[1]} = {display}", *side_lines]
-            ends.append((side_lines, expr))
-        (up_lines, upper), (down_lines, lower) = ends
-        lines += [*up_lines, f"upper = {upper}", *down_lines]
-        quotient = f"(upper - {lower}) / (2 * fd)"
-        if step is None:
-            return lines + [f"dal_dr = {quotient}"]
-        return [f"if {step} != 0.0:", *("    " + line for line in lines),
-                f"    dal_dtau += {step} * {quotient}"]
+        return lines + [f"dal_dtau = float({sum_j} + {sum_r} + {sum_k}",
+                        f"                 + eps * {sum_b})"]
 
     def swap(names, i, arg):
         return [arg if c == i else name for c, name in enumerate(names)]
 
+    js, rs, ks, _, _ = _state_parts(d, state)
+    on_j, on_k = (js, "j"), (ks, "kvec")
     flat_rs = [x for row in rs for x in row]
-
-    lines = central("radius", lambda side: (((), side), None),
-                    lambda pair, side: offset(on_j, pair, side))
     lines.append("dal_dtau = 0.0")
     for i, (x, step) in enumerate(zip(js, djs)):
-        lines += central(
-            x, lambda side: ((swap(js, i, side), f"{side}_j"),
-                             _seq(swap(js, i, side))),
-            lambda pair, side: offset(pair, on_radius, side), step)
+        lines += _central_lines(
+            calls, x, lambda side: ((swap(js, i, side), f"{side}_j"),
+                                    _seq(swap(js, i, side))),
+            lambda pair, side: _offset_lines(calls, pair, on_k, _ON_RADIUS,
+                                             side), step)
     for i, (x, step) in enumerate(zip(flat_rs, drs)):
         def rows_swap(side):
             flat = swap(flat_rs, i, side)
             return (((), f"{side}_rows"),
                     _rows_of(flat[a * d:(a + 1) * d] for a in range(d)))
-        lines += central(x, rows_swap, lambda pair, side: calls.value(
-            "a_hat", [on_j, pair, on_k, on_radius], f"ah_{side}"), step)
+        lines += _central_lines(calls, x, rows_swap, lambda pair, side: calls.value(
+            "a_hat", [on_j, pair, on_k, _ON_RADIUS], f"ah_{side}"), step)
     for i, (x, step) in enumerate(zip(ks, dks)):
-        lines += central(
-            x, lambda side: ((swap(ks, i, side), f"{side}_k"),
-                             _seq(swap(ks, i, side))),
+        lines += _central_lines(
+            calls, x, lambda side: ((swap(ks, i, side), f"{side}_k"),
+                                    _seq(swap(ks, i, side))),
             lambda pair, side: calls.value(
-                "a_hat", [on_j, on_rows, pair, on_radius], f"ah_{side}"), step)
+                "a_hat", [on_j, _ON_ROWS, pair, _ON_RADIUS], f"ah_{side}"),
+            step)
     return lines + ["dal_dtau = float(dal_dtau)"]
 
 
-def _slow_evaluation(d, analytic, keys, state=None, record="y"):
+def _stop_lines(d, analytic, keys, state=None):
+    """Lines that bind ``reason`` to the first validity condition that
+    fails, a :class:`ViolationKind`, or None: 0 < n, n < rho_hat(J)/eps,
+    d(offset)/dr < 1/eps, each tested where those before hold.  With
+    ``state`` None they test the list ``y``, taking d(offset)/dr from the
+    cell ``seen_dal_dr`` when ``y`` is ``seen``, else by
+    :func:`_slope_lines`; else the node floats ``state`` names, whose
+    last stage has bound ``dal_dr``."""
+    names = _state_names(d) if state is None else state
+    js, _, _, _, n = _state_parts(d, names)
+    calls = inline.Calls(inline.SLOW, keys, d)
+    slope = []
+    if state is None:
+        lines, _ = _slope_lines(d, analytic, names, calls)
+        slope = ["if y is not seen:", f"    radius = eps * {n}",
+                 *("    " + line for line in lines),
+                 "else:", "    dal_dr = seen_dal_dr"]
+    rho_lines, rho = calls.value("rho_hat", [(js, "j")], "rho")
+    return _split_lines(d, state, calls.used) + [
+        "reason = None",
+        f"if {n} <= 0.0:",
+        "    reason = ViolationKind.N_NONPOSITIVE",
+        "else:",
+        *("    " + line for line in rho_lines),
+        f"    if not {n} < {rho} / eps:",
+        "        reason = ViolationKind.N_EXCEEDS_RHO_OVER_EPS",
+        "    else:",
+        *("        " + line for line in slope),
+        "        if not dal_dr < 1.0 / eps:",
+        "            reason = ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS"]
+
+
+def _slow_evaluation(d, analytic, keys, state=None):
     """Lines of one evaluation of the slow right-hand side for d actions,
     and the expressions of its values in packed order: the blocks of
     :func:`_slow_rhs_lines`, :func:`_norm_lines` and
-    :func:`_partials_lines` and the bound equation.
-
-    ``keys`` holds the key of each member of :data:`inline.SLOW`
-    (:class:`inline.Calls`).  The members are evaluated in
-    the order of the calls: dfbar, fbar, pbar, c_hat, d_hat, e_hat and the
-    partials' members, each value bound before the arithmetic that follows
-    its call in the statement.  An fbar whose items are bound one by one
-    (a constant's parts, a written-in display of d items) gives one name
-    per item; any other fbar's value is checked for its length and
-    unpacked, as dfbar's and pbar's lists are after pbar's call.
-    ``state`` names the state's floats, as in :func:`_slow_rhs_lines`.
-    After the partials the evaluation records the state list named
-    ``record`` and its d(offset)/dr in ``latest``; with ``record`` None it
-    records nothing.
-    """
+    :func:`_partials_lines` and the bound equation, for the state floats
+    named ``state`` (split from ``y`` when None) and the member keys
+    ``keys``.  The members run in the order dfbar, fbar, pbar, c_hat,
+    d_hat, e_hat and the partials', each value bound before the arithmetic
+    after its call.  An fbar whose items are bound one by one (a
+    constant's parts, a written-in display of d items) gives one name per
+    item; any other is checked for its length and unpacked."""
     names = _state_names(d) if state is None else state
     js, rs, _, m, n = _state_parts(d, names)
     size = len(names)
     calls = inline.Calls(inline.SLOW, keys, d)
-    on_j, on_radius = (js, "j"), ((), "radius")
+    on_j = (js, "j")
     lines, amat, amat_unpack = calls.value("dfbar", [on_j], "amat")
     if calls.by_items("fbar", d):
         fb_lines, djs = calls.value("fbar", [on_j], "dj")
@@ -545,7 +563,7 @@ def _slow_evaluation(d, analytic, keys, state=None, record="y"):
     pb_lines, pb, pb_unpack = calls.value("pbar", [on_j], "pb")
     lines += pb_lines + amat_unpack + pb_unpack
     products, entries = _slow_rhs_lines(d, names, amat, pb)
-    growth = [calls.value(name, [on_j, on_radius], bind)
+    growth = [calls.value(name, [on_j, _ON_RADIUS], bind)
               for name, bind in (("c_hat", "ch"), ("d_hat", "dh"),
                                  ("e_hat", "eh"))]
     (c_lines, ch), (d_lines, dh), (e_lines, eh) = growth
@@ -557,10 +575,7 @@ def _slow_evaluation(d, analytic, keys, state=None, record="y"):
         f"gam = float(gam + 0.5 * {eh} * {n} * {n})",
         "dm = norm_rinv * gam",
     ] + _partials_lines(d, analytic, names, djs, entries[:d * d],
-                        entries[d * d:], calls)
-    if record is not None:
-        lines += [f"latest[0] = {record}", "latest[1] = dal_dr"]
-    lines += [
+                        entries[d * d:], calls) + [
         "denom = 1.0 - eps * dal_dr",
         "num = (dal_dtau + eps * norm_r * norm_rinv * gam",
         f"       + eps * r_dot_dr / norm_r * {m})",
@@ -575,48 +590,44 @@ def _slow_evaluation(d, analytic, keys, state=None, record="y"):
 
 def _slow_rhs_source(d: int, analytic: bool, keys: tuple) -> str:
     """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
-    e_hat, a_grad, b_grad, latest, rtol, atol, **outside)``, which returns
-    the slow right-hand side for d actions as straight-line code, with its
-    offset partials by gradients (``analytic``) or by central differences,
-    and at d = 1 a run kernel: ``rhs, (run, stage_calls)``, as
-    :func:`ode._integrate` takes them, or ``rhs, None`` from d = 2 on.
+    e_hat, a_grad, b_grad, rho_hat, rtol, atol, **outside)``, which returns
+    the slow right-hand side, stop predicate and run kernel for d actions,
+    the offset partials by gradients (``analytic``) or differences: ``rhs,
+    stop, (run, stage_calls)`` at d = 1, ``rhs, stop, None`` from d = 2 on.
+    ``keys`` are the members' keys (:func:`inline.members`), ``outside``
+    what written-in members read (:func:`inline.outside`).
 
-    ``keys`` holds the key of each member of :data:`inline.SLOW`, as
-    :func:`inline.members` picks them: a member written in, a constant
-    bound once per run, or None for a member the code calls.  A written-in
-    member's names take its prefix, and those it reads from outside, and
-    a constant's parts, are the arguments ``outside``
-    (:func:`inline.outside`), so the source depends on the members' code
-    alone.
-
-    The right-hand side is one evaluation of :func:`_slow_evaluation`; it
-    records the state it was handed and its d(offset)/dr in ``latest``.
-    At d = 1 the run is the generated float run of :mod:`~averbound.ode`,
-    the whole step loop in one function (:func:`ode._float_run_source`),
-    with that evaluation written into each stage
-    (:func:`ode._inline_stage`): the same operations on the same floats as
-    a stage that calls ``rhs``, so it takes the same steps bit for bit.
-    Its last stage alone records in ``latest``: the new state is the only
-    stage state the stop predicate is handed, and the run calls the
-    predicate at each accepted node with that very list.
-    """
-    params = ("eps", *(slot.call for slot in inline.SLOW), "latest", "rtol",
-              "atol", *inline.outside(inline.SLOW, keys, d))
+    ``rhs`` (:func:`_slow_evaluation`) keeps the list it was handed and its
+    d(offset)/dr in the cells ``seen`` and ``seen_dal_dr``, which ``stop``
+    (:func:`_stop_lines`) reads at the initial state and at each node of
+    ``ode._array_kernel``.  The d = 1 run is the float run
+    (:func:`ode._float_run_source`) with the evaluation written into each
+    stage and the stop test into each node: bit for bit a run that calls
+    ``rhs`` and ``stop``."""
+    params = ("eps", *(slot.call for slot in inline.SLOW), "rtol", "atol",
+              *inline.outside(inline.SLOW, keys, d))
     lines, values = _slow_evaluation(d, analytic, keys)
-    size = len(values)
     source = [f"def make({', '.join(params)}):",
+              "    seen = seen_dal_dr = None",
               "    def rhs(tau, y):",
+              "        nonlocal seen, seen_dal_dr",
               *("        " + line for line in lines),
-              f"        return {_seq(values)}"]
+              "        seen, seen_dal_dr = y, dal_dr",
+              f"        return {_seq(values)}",
+              "    def stop(tau, y):",
+              *("        " + line for line in _stop_lines(d, analytic, keys)),
+              "        return reason"]
     if d > 1:
-        return "\n".join(source + ["    return rhs, None", ""])
+        return "\n".join(source + ["    return rhs, stop, None", ""])
 
-    stage = ode._inline_stage(size, lambda time, state, last: _slow_evaluation(
-        d, analytic, keys, state, "ys" if last else None))
-    run = ode._float_run_source(ode._STAGES, ode._E, size, stage,
-                                reads=(*params, "calls"), cells=("calls",))
+    size = len(values)
+    stage = ode._inline_stage(size, lambda time, state: _slow_evaluation(
+        d, analytic, keys, state))
+    test = _stop_lines(d, analytic, keys, [f"z{i}" for i in range(size)])
+    run = ode._float_run_source(ode._STAGES, ode._E, size, stage, test,
+                                (*params, "calls"), ("calls",))
     return "\n".join(source + ["    calls = 0", textwrap.indent(run, "    "),
-                               "    return rhs, (run, lambda: calls)", ""])
+                               "    return rhs, stop, (run, lambda: calls)", ""])
 
 
 @functools.lru_cache(maxsize=None)
@@ -624,18 +635,70 @@ def _compile_slow_rhs(d: int, analytic: bool, keys: tuple):
     form = "gradients" if analytic else "differences"
     return _compile_factory(_slow_rhs_source(d, analytic, keys),
                             f"<slow rhs, d = {d}, {form}>", norms=_inverse_norms,
-                            sqrt=math.sqrt, SingularMatrixError=SingularMatrixError)
+                            sqrt=math.sqrt, SingularMatrixError=SingularMatrixError,
+                            ViolationKind=ViolationKind)
+
+
+def _window_source(d: int, analytic: bool, keys: tuple) -> str:
+    """Source of ``make(eps, j, rows, kvec, fbar, ..., rho_hat,
+    **outside)``, with the members of :func:`_slow_rhs_source`, which
+    returns ``offset(radius)``, a_hat + eps * b_hat at (J, R, K, r), and
+    ``slope(radius)``, its d(offset)/dr, by :func:`_offset_lines` and
+    :func:`_slope_lines`.  A called member gets J, R and K as handed to
+    ``make``, lists or ndarrays; a written-in one reads the items of J and
+    K, read once."""
+    names = _state_names(d)
+    js, _, ks, _, _ = _state_parts(d, names)
+    calls = inline.Calls(inline.SLOW, keys, d)
+    lines, value = _offset_lines(calls, (js, "j"), (ks, "kvec"), _ON_RADIUS,
+                                 "r")
+    offset = [*lines, f"return {value}"]
+    lines, _ = _slope_lines(d, analytic, names, calls)
+    source = ["def make(" + ", ".join(
+        ["eps", "j", "rows", "kvec", *(slot.call for slot in inline.SLOW),
+         *inline.outside(inline.SLOW, keys, d)]) + "):"]
+    source += [f"    {part} = {whole}[{a}]"
+               for parts, whole in ((js, "j"), (ks, "kvec"))
+               for a, part in enumerate(parts) if part in calls.used]
+    for name, body in (("offset", offset), ("slope", [*lines, "return dal_dr"])):
+        source += [f"    def {name}(radius):", *("        " + x for x in body)]
+    return "\n".join(source + ["    return offset, slope", ""])
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_window(d: int, analytic: bool, keys: tuple):
+    return _compile_factory(_window_source(d, analytic, keys), f"<window, d = "
+                            f"{d}, {'gradients' if analytic else 'differences'}>")
+
+
+def _members(fns: dict) -> tuple:
+    """The members ``fns`` in the order of :data:`inline.SLOW`, or None."""
+    return tuple(fns.get(slot.name) for slot in inline.SLOW)
 
 
 def _evaluated(aux: AuxiliaryBundle, bounds: BoundBundle) -> tuple:
-    """The members the slow evaluation evaluates, in the order of
-    :data:`inline.SLOW`: its partials call a_grad and b_grad when the
-    bundle has them, and a_hat and b_hat otherwise; the pair they do not
-    call is None."""
-    pair = ((None, None) if bounds.a_grad is not None
-            else (bounds.a_hat, bounds.b_hat))
-    return (aux.fbar, aux.dfbar, aux.pbar, *pair, bounds.c_hat, bounds.d_hat,
-            bounds.e_hat, bounds.a_grad, bounds.b_grad)
+    """The members the slow solve evaluates (:func:`_members`): its partials
+    call a_grad and b_grad when the bundle has them, else a_hat and b_hat."""
+    fns = {**vars(aux), **vars(bounds)}
+    if bounds.a_grad is not None:
+        del fns["a_hat"], fns["b_hat"]
+    return _members(fns)
+
+
+def _window_members(bounds: BoundBundle) -> tuple:
+    """The members the window evaluates (:func:`_members`)."""
+    return _members({name: getattr(bounds, name)
+                     for name in ("a_hat", "b_hat", "a_grad", "b_grad")})
+
+
+def _window_functions(spec: SystemSpec, bounds: BoundBundle):
+    """``offset`` and ``slope`` (:func:`_window_source`) of the bundle at
+    (J, R, K) = (I0, identity, 0), as ndarrays, and ``spec.epsilon``,
+    compiled once per d, form and key of a_hat, b_hat and the gradients."""
+    d = spec.d
+    keys, arguments = inline.members(inline.SLOW, _window_members(bounds), d)
+    make = _compile_window(d, bounds.a_grad is not None, keys)
+    return make(spec.epsilon, spec.i0, np.eye(d), np.zeros(d), **arguments)
 
 
 def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
@@ -643,57 +706,27 @@ def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     """The right-hand side, run kernel and stop predicate of the slow
     solve, ``(rhs, kernel, stop)``, as :func:`ode._integrate` takes them.
 
-    ``rhs`` is the right side of the packed slow system [J, R, K, m, n], on
-    lists of Python floats: it takes the state as a list and returns a new
-    one.  It implements dJ = fbar(J), dR = dfbar(J) R, dK = dfbar(J) K +
-    pbar(J), dm = |R^-1| * growth, and the bound equation
+    ``rhs`` maps the packed state [J, R, K, m, n], a list of floats, to a
+    new list: dJ = fbar(J), dR = dfbar(J) R, dK = dfbar(J) K + pbar(J),
+    dm = |R^-1| * growth and
 
         dn = (d(offset)/dtau + eps |R||R^-1| growth + eps (R . dR)/|R| m)
              / (1 - eps * d(offset)/dr)
 
-    with growth evaluated at (J, eps*n, n) and the offset partials taken at
-    (J, R, K, eps*n): by one call each of the bundle's ``a_grad`` and
-    ``b_grad`` when it has them, and otherwise by central differences with
-    step ``_FD_STEP`` times the argument scale.  J, K and the rows of R
-    reach the bundles as lists.
-
-    The code is generated once per d, per form of the partials and per
-    code of the members it writes in (:func:`_compile_slow_rhs`,
-    :func:`inline.members`), with every operation of an evaluation written
-    out: the state is split at offsets fixed there; the products dfbar R,
-    dfbar K + pbar and R . dR are each summed on floats from 0.0, left to
-    right; the growth kernel, the norms of R and R^-1 (up to d = 2) and
-    the partials are inline too.  Each of fbar, dfbar, pbar and the
-    majorants and gradients the evaluation calls is written in, bound as a
-    constant or called by the rule of the direct run
-    (:func:`inline.members`), bit for bit the evaluation that calls it; the
-    values the members read from outside are arguments, so kappa = +1 and
-    -1 share one compile, as do all euler-top parameter sets.  That is
-    numpy's result bit for bit wherever each sum has at most one nonzero
-    term, as with a diagonal dfbar, and at d = 1.  For a full dfbar at
-    d >= 2, numpy's ``@`` runs through BLAS, whose fused multiply-adds can
-    round the last bit differently.
-
-    At d = 1 ``kernel`` is the float run with the same evaluation written
-    into each stage.  From d = 2 on it is ``ode._array_kernel`` on ``rhs``,
-    the same loop around a step that sums the stages with numpy: the last
-    bits of the d = 2 solve decide the exit code of euler-top runs next to
-    the pole of the bound ODE (ROADMAP items 2 and 5).  Either steps at
-    ``rtol`` and ``atol``.
-    ``stop`` reads ``latest``, the record [state, d(offset)/dr] of the
-    latest evaluation that ``rhs`` and the fused run write
-    (:func:`_make_stop_predicate`).
-    """
+    with growth at (J, eps*n, n) and the partials at (J, R, K, eps*n); its
+    float sums are numpy's bit for bit at d = 1 and for a diagonal dfbar
+    (BLAS may round a full one's differently).  ``kernel`` is the d = 1
+    float run with the evaluation and stop test written in, or
+    ``ode._array_kernel`` on ``rhs``, whose numpy sums decide euler-top exit
+    codes next to the pole of the bound ODE (ROADMAP items 2 and 5).
+    ``stop`` returns the first failed validity condition, or None."""
     d = spec.d
-    analytic = bounds.a_grad is not None
     keys, arguments = inline.members(inline.SLOW, _evaluated(aux, bounds), d)
-    make = _compile_slow_rhs(d, analytic, keys)
-    latest = [None, None]
-    rhs, kernel = make(spec.epsilon, latest=latest, rtol=rtol, atol=atol,
-                       **arguments)
+    make = _compile_slow_rhs(d, bounds.a_grad is not None, keys)
+    rhs, stop, kernel = make(spec.epsilon, rtol=rtol, atol=atol, **arguments)
     if kernel is None:
         kernel = ode._array_kernel(rhs, len(_state_names(d)), rtol, atol)
-    return rhs, kernel, _make_stop_predicate(spec, bounds, latest)
+    return rhs, kernel, stop
 
 
 def _frozen(view: np.ndarray) -> np.ndarray:
@@ -745,43 +778,6 @@ class EstimatorTrajectory:
         """Rows [tau, J, R, K, m, n] at ``REPORT_GRID_POINTS`` uniform slow times."""
         taus = np.linspace(self.tau[0], self.tau[-1], REPORT_GRID_POINTS)
         return np.column_stack([taus, self.traj.sample_many(taus)])
-
-
-def _make_stop_predicate(spec, bounds, latest):
-    """The stop predicate of the slow solve, on a state given as a list of
-    floats: the first failed validity condition, as a
-    :class:`ViolationKind`, or None.
-
-    ``latest`` is the record [state, d(offset)/dr] that the slow
-    right-hand side writes at each evaluation.  d(offset)/dr is taken from
-    it when the latest evaluation was handed this very list, as
-    :func:`ode.integrate` hands both one list per state: at the initial
-    state that is the initial call, and at an accepted state the last
-    (FSAL) stage of the step.  Elsewhere, as at the bisection points of the
-    stop localisation, for an equal copy of the list or with a record that
-    holds nothing yet, the predicate evaluates it itself.
-    """
-    eps = spec.epsilon
-    d = spec.d
-    r0, k0 = _offsets(d)
-
-    def violation(tau, y):
-        n = y[-1]
-        if n <= 0.0:
-            return ViolationKind.N_NONPOSITIVE
-        j = y[:r0]
-        if not n < bounds.rho_hat(j) / eps:
-            return ViolationKind.N_EXCEEDS_RHO_OVER_EPS
-        if y is latest[0]:
-            dal = latest[1]
-        else:
-            rows = [y[i:i + d] for i in range(r0, k0, d)]
-            dal = _dalpha_dr(bounds, j, rows, y[k0:k0 + d], eps * n, eps)
-        if not dal < 1.0 / eps:
-            return ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
-        return None
-
-    return violation
 
 
 def _check_theta0(spec: SystemSpec, aux: AuxiliaryBundle) -> None:

@@ -133,11 +133,12 @@ def register_system(name: str,
     points, or return their one-point value for both when they do not read
     the actions (:mod:`averbound.model`).
 
-    The direct run evaluates those five, and the slow solve ``fbar``,
-    ``dfbar``, ``pbar`` and the members of ``bounds`` it calls
-    (``a_grad``, ``b_grad`` or ``a_hat``, ``b_hat``, and ``c_hat``,
-    ``d_hat``, ``e_hat``), by one rule (:mod:`averbound.inline`).  A
-    member is written into the step when it is a plain ``def`` with
+    The direct run evaluates those five, the slow solve ``fbar``,
+    ``dfbar``, ``pbar`` and the members of ``bounds`` it calls (the
+    gradients or ``a_hat``, ``b_hat``; ``c_hat`` ... ``e_hat``, ``rho_hat``)
+    and the window ``a_hat``, ``b_hat`` and the gradients, by one rule
+    (:mod:`averbound.inline`).
+    A member is written into the step when it is a plain ``def`` with
     positional parameters and no defaults whose body is assignments to
     plain names, or unpackings into them, and one ``return``, with no
     lambda, comprehension, ``yield``, ``await`` or ``:=``, and whose

@@ -523,9 +523,9 @@ DIRECT = (Slot("f", "f_sys", 2, "_f_", _listed), _FBAR,
           Slot("omega", "omega", 1, "_om_", _whole),
           Slot("g", "g_sys", 2, "_g_", _whole),
           Slot("in_domain", "in_domain", 1, "_dom_", _whole))
-# The members of the slow evaluation, in the order of the arguments of its
-# make: dfbar and pbar are read as lists of the shape of one point, the
-# majorants whole and the gradients by index, each part of their tuple.
+# The members of the slow solve and its window, in the order of the
+# arguments of their make: dfbar and pbar are read as lists of one point's
+# shape, the majorants whole and each part of the gradients' tuples by index.
 SLOW = (_FBAR,
         Slot("dfbar", "dfbar", 1, "_dfb_", lambda d: ((None,) * d,) * d, True),
         Slot("pbar", "pbar", 1, "_pb_", lambda d: (None,) * d, True),
@@ -536,7 +536,8 @@ SLOW = (_FBAR,
         Slot("e_hat", "e_hat", 2, "_eh_", _whole),
         Slot("a_grad", "a_grad", 4, "_ag_",
              lambda d: ([None] * d, [[None] * d] * d, [None] * d, None)),
-        Slot("b_grad", "b_grad", 2, "_bg_", lambda d: ([None] * d, None)))
+        Slot("b_grad", "b_grad", 2, "_bg_", lambda d: ([None] * d, None)),
+        Slot("rho_hat", "rho_hat", 1, "_rh_", _whole))
 
 
 def _constant_names(prefix: str, pattern, index=()):

@@ -23,8 +23,8 @@ generator, :func:`_float_run_source`, and so is the stop check at a node.
 The default stage hook calls the right-hand side and the default stop check
 calls the stop predicate; a caller may write its right-hand side into the
 stages instead (:func:`_inline_stage`), and its stop test into the node,
-and hand the run to :func:`_integrate`: the direct run writes in both, the
-slow solve at d = 1 its right-hand side.  :func:`_integrate` sets a run
+and hand the run to :func:`_integrate`, as the direct run and the slow
+solve at d = 1 do.  :func:`_integrate` sets a run
 up, localises the stop it found, and builds the trajectory; it runs the
 direct run's budget chunks, one run each, into one set of node buffers.
 Each run counts its own stage evaluations, which ``StepStats.rhs_evals``
@@ -418,18 +418,17 @@ def _inline_stage(size, evaluate):
     """The stage hook of a run with its right-hand side written into each
     stage, for states of ``size`` components (:func:`_float_run_source`).
 
-    ``evaluate(time, state, last)`` returns the lines of one evaluation at
-    the time expression ``time`` and the state floats named ``state``, and
-    the expressions of its ``size`` values; ``last`` is true at the last
-    stage.  The hook binds each value to ``k<s>_<i>``, and at the last stage
-    ``ys`` to the list of the stage state, before the evaluation, which may
-    record it, and ``k`` to the list of its slope, after it.
+    ``evaluate(time, state)`` returns the lines of one evaluation at the
+    time expression ``time`` and the state floats named ``state``, and the
+    expressions of its ``size`` values.  The hook binds each value to
+    ``k<s>_<i>``, and at the last stage ``ys`` to the list of the stage
+    state and ``k`` to the list of its slope.
     """
     zs = [f"z{i}" for i in range(size)]
 
     def stage(s, node, last):
         ks = [f"k{s}_{i}" for i in range(size)]
-        lines, values = evaluate(f"(t + {node!r} * h)", zs, last)
+        lines, values = evaluate(f"(t + {node!r} * h)", zs)
         lines = lines + [f"{k} = {value}" for k, value in zip(ks, values)]
         if last:
             lines = [f"ys = {_seq(zs)}", *lines, f"k = {_seq(ks)}"]

@@ -744,6 +744,18 @@ def invert_reference(rmat):
     return inv, norm_r, norm_inv
 
 
+def dalpha_dr_reference(bounds, j, rmat, k, r, eps) -> float:
+    """d(offset)/dr as the estimator took it in Python before the window
+    and the stop predicate used the generated slope: by the gradients'
+    r-parts when the bundle has them, else by the central difference of
+    ``offset_value`` with step ``_FD_STEP * max(1, |r|)``."""
+    if bounds.a_grad is not None:
+        return float(bounds.a_grad(j, rmat, k, r)[3] + eps * bounds.b_grad(j, r)[1])
+    h = estimator._FD_STEP * max(1.0, abs(r))
+    return (offset_value(bounds, j, rmat, k, r + h, eps)
+            - offset_value(bounds, j, rmat, k, r - h, eps)) / (2 * h)
+
+
 def _alpha_tau_reference(bounds, j, rmat, k, r, eps, dj, drmat, dk):
     """The finite-difference branch of ``_alpha_tau_derivative`` indexing
     ndarrays, as it was."""
@@ -779,9 +791,9 @@ def _alpha_tau_reference(bounds, j, rmat, k, r, eps, dj, drmat, dk):
 
 
 def analytic_partials_reference(bounds, j, rmat, k, r, eps, dj, drmat, dk):
-    """The analytic branches of ``_dalpha_dr`` and ``_alpha_tau_derivative``
-    as they were: (d(offset)/dr, d(offset)/dtau) by ``np.sum``, each
-    calling ``a_grad`` and ``b_grad`` itself."""
+    """The analytic branches of ``dalpha_dr_reference`` and
+    ``_alpha_tau_derivative`` as they were: (d(offset)/dr, d(offset)/dtau)
+    by ``np.sum``, each calling ``a_grad`` and ``b_grad`` itself."""
     dal_dr = float(bounds.a_grad(j, rmat, k, r)[3] + eps * bounds.b_grad(j, r)[1])
     ga_j, ga_r, ga_k, _ = bounds.a_grad(j, rmat, k, r)
     total = (np.sum(ga_j * dj) + np.sum(ga_r * drmat) + np.sum(ga_k * dk))
@@ -826,7 +838,7 @@ def alpha_tau_derivative_reference(bounds, j, rows, k, r, eps, dj, drows, dk):
 def difference_partials_reference(bounds, j, rows, k, r, eps, dj, drows, dk):
     """``estimator._difference_partials`` as it was: (d(offset)/dr,
     d(offset)/dtau) by central differences, d(offset)/dr first."""
-    return (estimator._dalpha_dr(bounds, j, rows, k, r, eps),
+    return (dalpha_dr_reference(bounds, j, rows, k, r, eps),
             alpha_tau_derivative_reference(bounds, j, rows, k, r, eps, dj,
                                            drows, dk))
 
@@ -911,7 +923,7 @@ def slow_rhs_reference(spec, aux, bounds):
         dm = norm_rinv * gam
 
         if bounds.a_grad is None:
-            dal_dr = estimator._dalpha_dr(bounds, j, rmat, k, radius, eps)
+            dal_dr = dalpha_dr_reference(bounds, j, rmat, k, radius, eps)
             dal_dtau = _alpha_tau_reference(bounds, j, rmat, k, radius, eps,
                                             dj, drmat, dk)
         else:

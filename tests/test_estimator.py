@@ -22,9 +22,9 @@ from averbound.estimator import (EstimatorStatus, SingularMatrixError,
                                  unpack_state)
 from conftest import (analytic_partials_loop_reference,
                       analytic_partials_reference, cursor_reference,
-                      difference_partials_reference, float_kernel_reference,
-                      hermite_reference, integrate_reference,
-                      invert_reference, one_step_run,
+                      dalpha_dr_reference, difference_partials_reference,
+                      float_kernel_reference, hermite_reference,
+                      integrate_reference, invert_reference, one_step_run,
                       slow_products_reference, slow_rhs_reference,
                       toy_linear_decay, without_gradients)
 
@@ -205,6 +205,37 @@ def test_nan_tube_radius_is_a_tube_violation():
     assert est.status is EstimatorStatus.DOMAIN_VIOLATION
     assert est.violation_kind is ViolationKind.N_EXCEEDS_RHO_OVER_EPS
     assert est.tau_final == pytest.approx(math.log(2.0 / 1.5), abs=1e-6)
+
+
+def _shrinking_tube(j):
+    return float(min(j[0], j[1])) - 1.5
+
+
+@pytest.mark.parametrize("rho_hat", [
+    _shrinking_tube, lambda j: float(min(j[0], j[1])) - 1.5],
+    ids=["def", "lambda"])
+def test_two_action_run_stops_where_the_tube_closes(rho_hat):
+    # A tube radius that shrinks as both actions decay from 2 to 1.5
+    # stops the d = 2 slow solve, on ode._array_kernel, by the tube
+    # condition: the stop predicate is called at each accepted node and at
+    # the bisection points of the stop localisation, with rho_hat written
+    # in (a plain def) or called (a lambda).  The stop time and the step
+    # counts are those the Python predicate gave before the predicate was
+    # generated code.
+    spec, aux, bounds = toy_linear_decay(d=2)
+    bounds = dataclasses.replace(bounds, rho_hat=rho_hat)
+    keys, _ = inliner.members(inliner.SLOW,
+                              estimator._evaluated(aux, bounds), 2)
+    key = dict(zip((slot.name for slot in inliner.SLOW), keys))["rho_hat"]
+    assert (key is None) is (rho_hat is not _shrinking_tube)
+    est = ab.run_estimator(spec, aux, bounds, 1.0)
+    assert est.status is EstimatorStatus.DOMAIN_VIOLATION
+    assert est.violation_kind is ViolationKind.N_EXCEEDS_RHO_OVER_EPS
+    assert est.tau_final == 0.287614405054952
+    assert est.traj.stats.to_dict() == {
+        "accepted": 12, "rejected": 0, "nan_retries": 0, "rhs_evals": 74,
+        "stop_calls": 42, "h_min": 0.0037139460514049793,
+        "h_max": 0.034760574867772, "rhs_error": None}
 
 
 _BUILTINS = [("vdp", {}), ("action-freq", {"kappa": 1}),
@@ -410,16 +441,18 @@ def _on_lists(make_rhs):
     its right-hand side adapted at its edge to the list states of the slow
     solve; no fused kernel at d = 1, so that ``ode`` steps that right-hand
     side on its float step, and ``ode._array_kernel`` from d = 2 on, as the
-    slow solve takes there; and a stop predicate with a record that holds
-    nothing, so that it evaluates d(offset)/dr itself."""
+    slow solve takes there; and the slow solve's own stop predicate, whose
+    right-hand side is never called, so that it holds no record of an
+    evaluation and evaluates d(offset)/dr itself."""
+    slow_functions = estimator._slow_functions
+
     def functions(spec, aux, bounds, rtol, atol):
         ref = make_rhs(spec, aux, bounds)
         rhs = lambda tau, y: ref(tau, np.array(y)).tolist()
         d = spec.d
         kernel = (None if d == 1 else
                   ode._array_kernel(rhs, d * d + 2 * d + 2, rtol, atol))
-        return rhs, kernel, estimator._make_stop_predicate(spec, bounds,
-                                                           [None, None])
+        return rhs, kernel, slow_functions(spec, aux, bounds, rtol, atol)[2]
     return functions
 
 
@@ -608,7 +641,9 @@ def test_slow_rhs_calls_each_gradient_once(request, name):
     # One a_grad and one b_grad call per evaluation, and with c_hat, d_hat
     # and e_hat for the growth kernel that makes five majorant calls: no
     # a_hat, b_hat or rho_hat.  The same holds for each stage of a step
-    # attempt of the run with the right-hand side written into its stages.
+    # attempt of the run with the right-hand side written into its stages;
+    # the stop test the run writes into the accepted node adds one rho_hat
+    # call and takes d(offset)/dr from the last stage.
     example = request.getfixturevalue(name)
     calls = {}
 
@@ -636,7 +671,7 @@ def test_slow_rhs_calls_each_gradient_once(request, name):
     assert steps == 1
     assert stage_calls() == 6
     assert calls == {"a_grad": 6, "b_grad": 6, "c_hat": 6, "d_hat": 6,
-                     "e_hat": 6}
+                     "e_hat": 6, "rho_hat": 1}
 
 
 def test_slow_rhs_is_infinite_where_the_bound_equation_is_singular():
@@ -873,28 +908,37 @@ def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
                                                   stats):
     # At the initial state and at every accepted state the right-hand side
     # has just been evaluated there (the initial call, then each step's FSAL
-    # stage), and the stop predicate takes its d(offset)/dr: the predicate
-    # calls the dalpha/dr majorants only at the stop localisation's
-    # bisection points.  The step counts are those of the run that
-    # evaluated d(offset)/dr in the predicate at every state.
+    # stage), and the stop test takes its d(offset)/dr: the stop calls the
+    # dalpha/dr majorants only at the stop localisation's bisection points.
+    # From d = 2 on the run calls the stop predicate at each accepted node;
+    # at d = 1 it tests each node inside its loop, on the last stage's
+    # d(offset)/dr, and the predicate is called only at the initial state
+    # and the bisection points.  There, with gradients, the slow solve
+    # calls each dalpha/dr majorant outside the localisation once per
+    # evaluation of the right-hand side, and so never at a node.  The step
+    # counts are those of the run that evaluated d(offset)/dr in the
+    # predicate at every state.
     example = request.getfixturevalue(name)
     bounds = example.bounds if gradients else without_gradients(example.bounds)
     counted = _dalpha_majorants(bounds)
     state = {"in_stop": False, "localizing": False, "calls": 0}
     predicate_calls = []           # (localizing, majorant calls)
+    solve_calls = dict.fromkeys(counted, 0)   # outside the localisation
 
-    def count(fn):
+    def count(field, fn):
         def wrapper(*args):
             state["calls"] += state["in_stop"]
+            solve_calls[field] += not state["localizing"]
             return fn(*args)
         return wrapper
 
-    bounds = dataclasses.replace(bounds, **{f: count(getattr(bounds, f))
+    bounds = dataclasses.replace(bounds, **{f: count(f, getattr(bounds, f))
                                             for f in counted})
-    make_predicate = estimator._make_stop_predicate
+    functions = estimator._slow_functions
 
-    def spied_predicate(*args):
-        predicate = make_predicate(*args)
+    def spied_functions(*args):
+        rhs, kernel, predicate = functions(*args)
+        solve_calls.update(dict.fromkeys(counted, 0))   # not the window's
 
         def spy(tau, y):
             state["in_stop"], state["calls"] = True, 0
@@ -903,7 +947,7 @@ def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
             finally:
                 state["in_stop"] = False
                 predicate_calls.append((state["localizing"], state["calls"]))
-        return spy
+        return rhs, kernel, spy
 
     localize = ode._localize_stop
 
@@ -914,7 +958,7 @@ def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
         finally:
             state["localizing"] = False
 
-    monkeypatch.setattr(estimator, "_make_stop_predicate", spied_predicate)
+    monkeypatch.setattr(estimator, "_slow_functions", spied_functions)
     monkeypatch.setattr(ode, "_localize_stop", spied_localize)
     spec = example.make_system(i0, 1e-2)
     est = ab.run_estimator(spec, example.aux, bounds, u)
@@ -923,9 +967,11 @@ def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
     assert {key: got[key] for key in stats} == stats
     on_grid = [calls for localizing, calls in predicate_calls if not localizing]
     bisections = [calls for localizing, calls in predicate_calls if localizing]
-    assert len(on_grid) == stats["accepted"] + 1
+    assert len(on_grid) == (1 if spec.d == 1 else stats["accepted"] + 1)
     assert not any(on_grid)
     assert len(bisections) == stats["stop_calls"] - stats["accepted"] - 1
+    if gradients:
+        assert solve_calls == dict.fromkeys(counted, stats["rhs_evals"])
     if status == "domain_violation":
         # the bisection points short of the crossing pass the tube check
         # and evaluate d(offset)/dr there
@@ -933,35 +979,103 @@ def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
 
 
 def test_stop_predicate_evaluates_dalpha_dr_without_a_record(vdp):
-    # A record that holds nothing leaves the predicate to evaluate
-    # d(offset)/dr itself, with the same verdict as the slow solve's
-    # predicate on the record its right-hand side wrote.
+    # A predicate whose right-hand side has not been called holds no
+    # record and evaluates d(offset)/dr itself, with the same verdict as
+    # the slow solve's predicate on the record its right-hand side wrote.
     spec = vdp.make_system([0.5], 1e-2)
     eps = spec.epsilon
+    slope = [2.0 / eps]
     bounds = dataclasses.replace(vdp.bounds, a_grad=lambda j, rmat, k, r: (
-        (0.0,), ((0.0,),), (0.0,), 2.0 / eps), b_grad=lambda j, r: ((0.0,), 0.0))
+        (0.0,), ((0.0,),), (0.0,), slope[0]), b_grad=lambda j, r: ((0.0,), 0.0))
     y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5).tolist()
-    rhs, _, recorded = estimator._slow_functions(
-        spec, vdp.aux, bounds, ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+
+    def functions():
+        return estimator._slow_functions(spec, vdp.aux, bounds,
+                                         ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+    rhs, _, recorded = functions()
     rhs(0.0, y)
-    alone = estimator._make_stop_predicate(spec, bounds, [None, None])
+    _, _, alone = functions()
     assert recorded(0.0, y) is alone(0.0, list(y)) is (
         ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS)
     # only the very list the record holds reuses its d(offset)/dr; an equal
     # copy is evaluated
-    recorded = estimator._make_stop_predicate(spec, bounds, [y, 0.0])
+    slope[0] = 0.0
+    rhs(0.0, y)
+    slope[0] = 2.0 / eps
     assert recorded(0.0, y) is None
     assert recorded(0.0, list(y)) is ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
 
 
 def test_stop_predicate_refuses_a_nonpositive_n(vdp):
     spec = vdp.make_system([0.5], 1e-2)
-    stop = estimator._make_stop_predicate(spec, vdp.bounds, [None, None])
+    stop = estimator._slow_functions(spec, vdp.aux, vdp.bounds,
+                                     ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)[2]
     y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5).tolist()
     assert stop(0.0, y) is None
     for n in (0.0, -0.0, -1e-300):
         y[-1] = n
         assert stop(0.0, y) is ViolationKind.N_NONPOSITIVE
+
+
+def _window_bounds(case, gradients, called):
+    """The spec and bundle of ``_SLOW_CASES[case]`` with gradients (taken
+    by differences where the example has none) or without, and with the
+    first member of the slope behind ``functools.wraps`` when ``called``,
+    so that the generated code calls it."""
+    name, params, i0, eps, _, _ = _SLOW_CASES[case]
+    example = _make(name, params)
+    bounds = example.bounds
+    if not gradients:
+        bounds = without_gradients(bounds)
+    elif bounds.a_grad is None:
+        bounds = _difference_gradients(bounds)
+    if called:
+        field = "a_grad" if gradients else "a_hat"
+        fn = getattr(bounds, field)
+        bounds = dataclasses.replace(
+            bounds, **{field: functools.wraps(fn)(lambda *args: fn(*args))})
+    return example.make_system(i0, eps), bounds
+
+
+@pytest.mark.parametrize("called", [False, True], ids=["written", "called"])
+@pytest.mark.parametrize("gradients", [True, False],
+                         ids=["gradients", "differences"])
+@pytest.mark.parametrize("case", ["vdp-1b", "af-plus", "resonant",
+                                  "euler-top-a"])
+def test_window_offset_and_slope_equal_the_references(case, gradients, called):
+    # The window and the fixed point take the offset and d(offset)/dr from
+    # code written by the slow solve's builders: bit for bit, and of the
+    # same type, offset_value and the Python slope they replaced, at the
+    # window's ndarray arguments and at lists, for members written in and
+    # called.  The radii run from 0 to 0.95 of the tube radius: past 1,
+    # where the step of the central difference scales with r, for vdp at
+    # I0 = 4 and resonant at I0 = 2.
+    spec, bounds = _window_bounds(case, gradients, called)
+    keys, arguments = inliner.members(
+        inliner.SLOW, estimator._window_members(bounds), spec.d)
+    written = {slot.name for slot, key in zip(inliner.SLOW, keys)
+               if key is not None}
+    assert "b_hat" in written
+    if called:
+        assert ("a_grad" if gradients else "a_hat") not in written
+    eps, d = spec.epsilon, spec.d
+    window = estimator._window_functions(spec, bounds)
+    lists = (spec.i0.tolist(), np.eye(d).tolist(), [0.25] * d)
+    points = [((spec.i0, np.eye(d), np.zeros(d)), window),
+              (lists, estimator._compile_window(d, gradients, keys)(
+                  eps, *lists, **arguments))]
+    ell_star = window[0](0.0)
+    radii = [0.0, *(eps * np.linspace(0.5 * ell_star, 1.5 * ell_star, 11)),
+             *np.linspace(0.05, 0.95, 7) * bounds.rho_hat(spec.i0)]
+    for (j, rmat, k), (offset, slope) in points:
+        for r in radii:
+            for got, want in ((offset(r),
+                               ab.offset_value(bounds, j, rmat, k, r, eps)),
+                              (slope(r),
+                               dalpha_dr_reference(bounds, j, rmat, k, r,
+                                                   eps))):
+                assert type(got) is type(want)
+                assert _bits_of([got]) == _bits_of([want]), (j, r)
 
 
 @pytest.mark.parametrize("explicit", [False, True])
