@@ -156,8 +156,16 @@ def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWind
     Raise :class:`ContractionError` unless ``window`` lies in the tube, has
     slope bound below 1/eps, bounds the sampled slope ``worst`` (sampled
     here when not given) and maps into itself."""
+    _check_window(spec, bounds, window, _window_functions(spec, bounds), worst)
+
+
+def _check_window(spec: SystemSpec, bounds: BoundBundle,
+                  window: ContractionWindow, functions,
+                  worst: Optional[float] = None) -> None:
+    """:func:`verify_window` with the window's ``(offset, slope)`` pair
+    built already (:func:`_window_functions`)."""
     eps = spec.epsilon
-    offset, slope = _window_functions(spec, bounds)
+    offset, slope = functions
     lo, hi = window.interval()
     rho0 = bounds.rho_hat(spec.i0)
     if not (0.0 < lo and hi < rho0 / eps):
@@ -185,7 +193,7 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
     :class:`WindowError` when no valid window results.
     """
     eps = spec.epsilon
-    offset, slope = _window_functions(spec, bounds)
+    offset, slope = functions = _window_functions(spec, bounds)
     ell_star = offset(0.0)
     if not ell_star > 0.0:
         raise WindowError("offset bound at radius 0 must be positive")
@@ -197,7 +205,7 @@ def auto_window(spec: SystemSpec, bounds: BoundBundle) -> ContractionWindow:
     window = ContractionWindow(ell_star=ell_star, sigma=sigma,
                                slope_bound=worst * (1.0 + 1e-9) + 1e-15)
     try:
-        verify_window(spec, bounds, window, worst)
+        _check_window(spec, bounds, window, functions, worst)
     except ContractionError as exc:
         raise WindowError(f"auto window construction failed: {exc}") from exc
     return window
@@ -212,16 +220,16 @@ def find_fixed_point(spec: SystemSpec, bounds: BoundBundle,
     a-posteriori contraction bound (eps*M)^(N-1) |l2 - l1| / (1 - eps*M) to
     fall below ``tol`` within ``_FIXED_POINT_MAX_ITER`` iterations.
     """
-    verify_window(spec, bounds, window)
-    return _iterate_fixed_point(spec, bounds, window, tol)
+    functions = _window_functions(spec, bounds)
+    _check_window(spec, bounds, window, functions)
+    return _iterate_fixed_point(spec, functions[0], window, tol)
 
 
-def _iterate_fixed_point(spec: SystemSpec, bounds: BoundBundle,
-                         window: ContractionWindow, tol: float = 1e-12) -> float:
-    """The iteration of :func:`find_fixed_point` on a window already
-    verified."""
+def _iterate_fixed_point(spec: SystemSpec, offset, window: ContractionWindow,
+                         tol: float = 1e-12) -> float:
+    """The iteration of :func:`find_fixed_point` with the window's
+    ``offset`` (:func:`_window_functions`) on a window already verified."""
     eps = spec.epsilon
-    offset, _ = _window_functions(spec, bounds)
     eps_m = eps * window.slope_bound
 
     ell = window.ell_star
@@ -813,7 +821,8 @@ def run_estimator(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
         # auto_window has verified its window on the sampled levels.
         window = auto_window(spec, bounds)
         window_mode = "auto"
-        ell0 = _iterate_fixed_point(spec, bounds, window)
+        ell0 = _iterate_fixed_point(
+            spec, _window_functions(spec, bounds)[0], window)
     else:
         window_mode = "explicit"
         ell0 = find_fixed_point(spec, bounds, window)

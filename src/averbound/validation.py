@@ -46,6 +46,10 @@ _QUAD_THETA = 256         # torus quadrature nodes (exact for short trig polys)
 # Domination grid: slow times, radii up to a fraction of rho, and angles.
 _DOM_TAUS, _DOM_RADII, _DOM_THETAS = 25, 10, 20
 _DOM_MAX_RADIUS_FRAC = 0.98
+# Largest stacked grid, in points, the members see in one call: as many
+# whole slow times as fit, and at least one.  The whole grid at once
+# (80,000 points at d = 2) falls out of cache and is slower.
+_DOM_BLOCK_POINTS = 8192
 # Domination slack: only count exceedances beyond roundoff, the a-majorants
 # of several examples are attained suprema.
 _DOM_REL_SLACK = 1e-12
@@ -151,20 +155,36 @@ def _point_max(stack):
 # Finite differences (5-point central: roundoff stays far below the 1e-8 gate)
 
 
+# Offsets of the stencil in steps h, in the order its terms are summed.
+_STENCIL = (2.0, 1.0, -1.0, -2.0)
+
+
+def _stencil_sum(values, h):
+    """The 5-point derivative from the values at the offsets ``_STENCIL``
+    times h."""
+    at_2h, at_h, at_mh, at_m2h = values
+    return (-at_2h + 8 * at_h - 8 * at_mh + at_m2h) / (12 * h)
+
+
 def _five_point(at, h):
     """Derivative at 0 of ``at``, a function of the offset, with step h: a
     float, or one step per point along the trailing axis of the values."""
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+    return _stencil_sum([at(c * h) for c in _STENCIL], h)
 
 
 def _d_action(fn, x, j):
-    """Derivative in action j of ``fn``, a map from a (d, N) stack to
-    values with a trailing N axis, at each point of the stack ``x``."""
-    def at(dx):
-        xp = x.copy()
-        xp[j] += dx
-        return fn(xp)
-    return _five_point(at, _FD_REL * np.abs(x[j]))
+    """Derivative in action j of ``fn``, a map from a (d, M) stack to
+    values with a trailing M axis, at each point of the (d, N) stack ``x``.
+
+    ``fn`` is called once, on the four offset copies of ``x`` side by side
+    as one (d, 4N) stack."""
+    d, npts = x.shape
+    h = _FD_REL * np.abs(x[j])
+    shifted = np.repeat(x[:, None, :], len(_STENCIL), axis=1)
+    shifted[j] += np.multiply.outer(_STENCIL, h)
+    values = fn(shifted.reshape(d, -1))
+    values = values.reshape(values.shape[:-1] + (len(_STENCIL), npts))
+    return _stencil_sum([values[..., k, :] for k in range(len(_STENCIL))], h)
 
 
 def _action_grid(box, per_axis: int) -> np.ndarray:
@@ -194,7 +214,9 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
 
     The sample actions form one (d, P) stack.  ``s`` ... ``u`` are called
     on it once per angle, always a float: the sample angles, the torus
-    quadrature nodes and the finite-difference offsets.  ``dfbar``,
+    quadrature nodes and the finite-difference offsets in the angle.  A
+    5-point difference in an action makes one call, on the four offset
+    copies of the stack side by side, a (d, 4P) stack.  ``dfbar``,
     ``m_script``, ``g_script`` and ``h_script`` are called on stacks too.
     The system callables, ``fbar`` and ``pbar`` are called per point.
     """
@@ -230,7 +252,7 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
                            0, -1)
 
     def member(fn, xs, th):
-        return _stacked(fn(xs, th), vec)
+        return _stacked(fn(xs, th), (d, xs.shape[1]))
 
     def d_theta(fn, th):
         return _five_point(lambda dx: member(fn, x, th + dx), _FD_REL)
@@ -255,7 +277,7 @@ def verify_identities(spec: SystemSpec, aux: AuxiliaryBundle,
         record(key, _point_max(member(fn, x, spec.theta0)), at_point(spec.theta0))
 
     def dfbar_at(xs):
-        return _stacked(aux.dfbar(xs), mat)
+        return _stacked(aux.dfbar(xs), (d, d, xs.shape[1]))
 
     jac = np.stack([_d_action(lambda xs: per_point(aux.fbar, xs), x, j)
                     for j in range(d)], axis=1)
@@ -371,14 +393,17 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
     Also spot-checks that c, d, e are non-decreasing in the radius.  A NaN
     left side or majorant counts as a violation.
 
-    Per slow time, each of s, w, v, u and q is called once on the stacked
-    (radius, direction, angle) grid, at most 10 x 16 x 20 points, and
-    g_script and h_script once on the stacked (radius, direction)
-    increments; the norms and margins are taken on arrays.
-    ``details["worst"]`` maps each row "a" ... "e" to its first
-    largest non-NaN margin in the order tau, radius, direction and, for the
-    rows a, b, c, angle; a row without a number keeps margin -inf (None
-    in :meth:`ValidationReport.to_dict`).
+    The slow times go in blocks of as many as fit in ``_DOM_BLOCK_POINTS``
+    points of the (tau, radius, direction, angle) grid, at least one; per
+    slow time that grid has at most 10 x 16 x 20 points.  Per block, each
+    of s, w, v, u and q is called once on the stacked grid, g_script and
+    h_script once on the stacked (tau, radius, direction) increments, and
+    dfbar and m_script once on the block's slow actions; the norms and
+    margins are taken on arrays.  The majorants are called per slow time
+    and radius.  ``details["worst"]`` maps each row "a" ... "e" to its
+    first largest non-NaN margin in the order tau, radius, direction and,
+    for the rows a, b, c, angle; a row without a number keeps margin -inf
+    (None in :meth:`ValidationReport.to_dict`).
     """
     d = spec.d
     s0 = aux.s(spec.i0, spec.theta0)
@@ -386,72 +411,84 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
     fracs = (np.arange(_DOM_RADII) + 0.5) / _DOM_RADII * _DOM_MAX_RADIUS_FRAC
     thetas = np.linspace(0.0, TWO_PI, _DOM_THETAS, endpoint=False)
     dirs = _directions(d)
-    # Increment m is radius m // len(dirs) in direction m % len(dirs);
-    # point k of the stacked grid is increment k // _DOM_THETAS at angle
-    # k % _DOM_THETAS.
+    # Increment m of a slow time is radius m // len(dirs) in direction
+    # m % len(dirs); point k of its stacked grid is increment
+    # k // _DOM_THETAS at angle k % _DOM_THETAS.  A block stacks the grids
+    # of its slow times one after another.
     n_inc = _DOM_RADII * len(dirs)
-    grid_thetas = np.tile(thetas, n_inc)
-    grid = (_DOM_RADII, len(dirs), _DOM_THETAS, d)
-    mat = (d, d, n_inc)
+    per_block = max(1, _DOM_BLOCK_POINTS // (n_inc * _DOM_THETAS))
+    packed = est.traj.sample_many(taus)
 
     violations = 0
     samples = 0
     worst = {row: {"margin": -np.inf} for row in _DOM_COLUMNS}
     monotone_bad = 0
 
-    for tau, packed in zip(taus, est.traj.sample_many(taus)):
-        j, rmat, kvec, _, _ = unpack_state(packed, d)
-        dfb = aux.dfbar(j)
-        msc = aux.m_script(j)
-        rho = bounds.rho_hat(j)
-        base = rmat @ s0 + kvec
-        radii = fracs * rho
+    for lo in range(0, _DOM_TAUS, per_block):
+        block_taus = taus[lo:lo + per_block]
+        nt = block_taus.size
+        js, rmats, kvecs, _, _ = unpack_state(packed[lo:lo + nt], d)
+        at_js = np.ascontiguousarray(js.T)
+        dfb = _leading(_stacked(aux.dfbar(at_js), (d, d, nt)))
+        msc = _leading(_stacked(aux.m_script(at_js), (d, d, nt)))
 
-        # Rows per radius: d, e, then a, b, c per angle.
-        bound = np.empty((_DOM_RADII, 2 + 3 * _DOM_THETAS))
-        prev = None
-        for row, r in zip(bound, radii):
-            a_val = bounds.a_hat(j, rmat, kvec, r)
-            b_val = bounds.b_hat(j, r)
-            c_val = bounds.c_hat(j, r)
-            d_val = bounds.d_hat(j, r)
-            e_val = bounds.e_hat(j, r)
-            if prev is not None:
-                if not (c_val >= prev[0] - 1e-12 and d_val >= prev[1] - 1e-12
-                        and e_val >= prev[2] - 1e-12):
-                    monotone_bad += 1
-            prev = (c_val, d_val, e_val)
-            row[:] = [d_val, e_val] + [a_val, b_val, c_val] * _DOM_THETAS
+        # Rows per slow time and radius: d, e, then a, b, c per angle.
+        radii = np.empty((nt, _DOM_RADII))
+        bound = np.empty((nt, _DOM_RADII, 2 + 3 * _DOM_THETAS))
+        for k, (j, rmat, kvec) in enumerate(zip(js, rmats, kvecs)):
+            radii[k] = fracs * bounds.rho_hat(j)
+            prev = None
+            for row, r in zip(bound[k], radii[k]):
+                a_val = bounds.a_hat(j, rmat, kvec, r)
+                b_val = bounds.b_hat(j, r)
+                c_val = bounds.c_hat(j, r)
+                d_val = bounds.d_hat(j, r)
+                e_val = bounds.e_hat(j, r)
+                if prev is not None:
+                    if not (c_val >= prev[0] - 1e-12 and d_val >= prev[1] - 1e-12
+                            and e_val >= prev[2] - 1e-12):
+                        monotone_bad += 1
+                prev = (c_val, d_val, e_val)
+                row[:] = [d_val, e_val] + [a_val, b_val, c_val] * _DOM_THETAS
 
-        steps = (radii[:, None, None] * dirs).reshape(n_inc, d)
-        at_j = np.repeat(j[:, None], n_inc, axis=1)
-        incs = np.ascontiguousarray(steps.T)
-        lhs = np.empty((_DOM_RADII, len(dirs), bound.shape[1]))
-        for col, fn, shape in ((0, aux.g_script, mat),
-                               (1, aux.h_script, (d,) + mat)):
+        steps = (radii[:, :, None, None] * dirs).reshape(nt, n_inc, d)
+        at_j = np.repeat(at_js, n_inc, axis=1)
+        incs = np.ascontiguousarray(steps.reshape(-1, d).T)
+        inc_shape = (d, d, nt * n_inc)
+        lhs = np.empty((nt, _DOM_RADII, len(dirs), bound.shape[2]))
+        for col, fn, shape in ((0, aux.g_script, inc_shape),
+                               (1, aux.h_script, (d,) + inc_shape)):
             value = _leading(_stacked(fn(at_j, incs), shape))
-            lhs[:, :, col] = _row_norms(value.reshape(_DOM_RADII, len(dirs), -1))
-        actions = np.repeat((j + steps).T, _DOM_THETAS, axis=1)
+            lhs[..., col] = _row_norms(value.reshape(lhs.shape[:3] + (-1,)))
+        actions = np.repeat((js[:, None] + steps).reshape(-1, d).T, _DOM_THETAS,
+                            axis=1)
+        grid = (nt, _DOM_RADII, len(dirs), _DOM_THETAS, d)
         sv, wv, vv, uv, qv = (
-            _stacked(fn(actions, grid_thetas), actions.shape).T.reshape(grid)
+            _stacked(fn(actions, np.tile(thetas, nt * n_inc)),
+                     actions.shape).T.reshape(grid)
             for fn in (aux.s, aux.w, aux.v, aux.u, aux.q))
-        lhs[:, :, 2::3] = _row_norms(sv - base)
-        lhs[:, :, 3::3] = _row_norms(wv - _mat_vec(dfb, vv))
-        lhs[:, :, 4::3] = _row_norms(uv - _mat_vec(dfb, wv + qv)
-                                     - _mat_vec(msc, vv))
+        # Each slow time's matrices and base point, broadcast over its grid.
+        dfb, msc = dfb[:, None, None, None], msc[:, None, None, None]
+        base = (rmats @ s0 + kvecs)[:, None, None, None]
+        lhs[..., 2::3] = _row_norms(sv - base)
+        lhs[..., 3::3] = _row_norms(wv - _mat_vec(dfb, vv))
+        lhs[..., 4::3] = _row_norms(uv - _mat_vec(dfb, wv + qv)
+                                    - _mat_vec(msc, vv))
 
-        margin = lhs - bound[:, None, :]
+        bound = bound[:, :, None, :]
+        margin = lhs - bound
         slack = _DOM_REL_SLACK * np.maximum(1.0, bound) + _DOM_ABS_SLACK
         samples += margin.size
-        violations += int(np.count_nonzero(~(margin <= slack[:, None, :])))
+        violations += int(np.count_nonzero(~(margin <= slack)))
 
         ranked = np.where(np.isnan(margin), -np.inf, margin)
         for row, columns in _DOM_COLUMNS.items():
-            block = ranked[:, :, columns]
-            irad, idir, col = np.unravel_index(int(np.argmax(block)), block.shape)
-            if block[irad, idir, col] > worst[row]["margin"]:
-                point = {"margin": block[irad, idir, col], "tau": tau,
-                         "r": radii[irad]}
+            part = ranked[..., columns]
+            at = np.unravel_index(int(np.argmax(part)), part.shape)
+            k, irad, idir, col = at
+            if part[at] > worst[row]["margin"]:
+                point = {"margin": part[at], "tau": block_taus[k],
+                         "r": radii[k, irad]}
                 if row in "abc":
                     point["theta"] = thetas[col]
                 point["direction"] = dirs[idir].tolist()
@@ -472,7 +509,8 @@ def verify_bound_domination(spec: SystemSpec, aux: AuxiliaryBundle,
 
 def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
                              est: EstimatorTrajectory, dtraj: DirectTrajectory,
-                             n_quad: int = 2048) -> ValidationReport:
+                             n_quad: int = 2048,
+                             refined: bool = False) -> ValidationReport:
     """Residual of the exact integral representation of the scaled error.
 
     Reconstructs I(t) = J(eps*t) + eps*L(t) on a uniform fast grid of
@@ -481,6 +519,13 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     The residual is quadrature-dominated: halving the step (doubling
     ``n_quad``) should shrink it by about four.
 
+    With ``refined``, the grid has ``2 * n_quad`` intervals.  The report is
+    still the one of ``n_quad`` intervals, read at every other node, which
+    are bitwise the nodes of that grid; its details gain
+    ``refined_residual``, the largest residual on all nodes, and
+    ``refinement_ratio``, the report's residual over that one (None when
+    it is 0).
+
     s, w, v, u, q, dfbar, m_script, g_script and h_script are each called
     once, on the whole grid of nodes, and the algebra after them runs on
     the stacked values.
@@ -488,7 +533,8 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     eps = spec.epsilon
     d = spec.d
     t_hi = min(dtraj.t[-1], est.tau_final / eps)
-    ts = np.linspace(0.0, t_hi, n_quad + 1)
+    every = 2 if refined else 1
+    ts = np.linspace(0.0, t_hi, every * n_quad + 1)
 
     s0 = aux.s(spec.i0, spec.theta0)
     samples_fast = dtraj.traj.sample_many(ts)
@@ -516,22 +562,34 @@ def verify_integral_identity(spec: SystemSpec, aux: AuxiliaryBundle,
     # The identity's right side without its memory term eps^2 R cumulative.
     local = sv - rmats @ s0 - kvecs - eps * (wv - _mat_vec(dfb, vv))
 
-    dt = np.diff(ts)
-    cumulative = np.zeros((ts.size, d))
-    cumulative[1:] = np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * dt[:, None], axis=0)
-    memory = _mat_vec(rmats, cumulative)
-    resid = np.max(np.abs(ell - (local + eps ** 2 * memory)), axis=1)
+    def residuals(nodes):
+        """The residual at each node of ``nodes``, a slice of the grid,
+        with the memory integral taken over those nodes alone."""
+        dt = np.diff(ts[nodes])
+        part = integrand[nodes]
+        cumulative = np.zeros((dt.size + 1, d))
+        cumulative[1:] = np.cumsum(0.5 * (part[1:] + part[:-1]) * dt[:, None],
+                                   axis=0)
+        memory = _mat_vec(rmats[nodes], cumulative)
+        return np.max(np.abs(ell[nodes] - (local[nodes] + eps ** 2 * memory)),
+                      axis=1)
 
+    resid = residuals(slice(None, None, every))
     worst_idx = int(np.argmax(resid))
-    return ValidationReport(
+    report = ValidationReport(
         name="integral-identity",
-        samples=ts.size,
+        samples=resid.size,
         tolerance=_INTEGRAL_TOL,
         max_residual=float(resid[worst_idx]),
-        details={"worst_t": float(ts[worst_idx]), "n_quad": n_quad,
+        details={"worst_t": float(ts[every * worst_idx]), "n_quad": n_quad,
                  "residual_at_t0": float(resid[0])},
     )
+    if refined:
+        fine = float(np.max(residuals(slice(None))))
+        report.details["refined_residual"] = fine
+        report.details["refinement_ratio"] = (
+            report.max_residual / fine if fine else None)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,62 @@ def test_integral_identity_equals_per_point_reference(default_runs, name, n_quad
     assert report.to_dict() == ref.to_dict()
 
 
+def _domination_case(case, default_runs):
+    """(spec, aux, bounds, est) of a domination case: the vdp and euler-top
+    defaults, the d = 3 toy, and vdp with an a majorant that is NaN before
+    the middle of the run and the example's own after it."""
+    if case == "toy-d3":
+        spec, aux, bounds = toy_linear_decay(d=3)
+        return spec, aux, bounds, ab.run_estimator(spec, aux, bounds, 1.0)
+    example, spec, est, _ = default_runs["euler" if case == "euler" else "vdp"]
+    bounds = example.bounds
+    if case == "vdp-nan":
+        middle = est.traj.sample_many([0.5 * est.tau_final])[0, 0]
+        a_hat = bounds.a_hat
+        bounds = dataclasses.replace(
+            bounds, a_hat=lambda j, rmat, k, r: (math.nan if j[0] < middle
+                                                 else a_hat(j, rmat, k, r)))
+    return spec, example.aux, bounds, est
+
+
+@pytest.mark.parametrize("case", ["vdp", "euler", "toy-d3", "vdp-nan"])
+def test_domination_is_the_same_for_every_block(default_runs, monkeypatch, case):
+    # The slow times go to the members in blocks of _DOM_BLOCK_POINTS
+    # points: one slow time per block, seven (the last block holds four)
+    # and all 25 give the report of the default size.  On vdp the d and e
+    # rows tie at margin 0 across slow times, and the first tie is kept.
+    spec, aux, bounds, est = _domination_case(case, default_runs)
+    expected = verify_bound_domination(spec, aux, bounds, est).to_dict()
+    per_tau = (validation._DOM_RADII * len(validation._directions(spec.d))
+               * validation._DOM_THETAS)
+    for points in (1, 7 * per_tau, validation._DOM_TAUS * per_tau):
+        monkeypatch.setattr(validation, "_DOM_BLOCK_POINTS", points)
+        assert verify_bound_domination(spec, aux, bounds, est).to_dict() == expected
+    if case == "vdp-nan":
+        worst = expected["details"]["worst"]["a"]
+        assert worst["margin"] is not None and worst["tau"] > 0.5 * est.tau_final
+        assert expected["violations"] > 0
+    else:
+        assert expected == domination_reference(spec, aux, bounds, est).to_dict()
+
+
+@pytest.mark.parametrize("n_quad", [2048, 333])
+@pytest.mark.parametrize("name", ["resonant", "euler"])
+def test_refined_integral_identity_equals_both_references(default_runs, name,
+                                                          n_quad):
+    # verify's report: the one of n_quad intervals, read at every other
+    # node of the grid of 2 * n_quad, with that grid's residual added.
+    example, spec, est, dtraj = default_runs[name]
+    report = verify_integral_identity(spec, example.aux, est, dtraj, n_quad,
+                                      refined=True)
+    base = integral_identity_reference(spec, example.aux, est, dtraj, n_quad)
+    fine = integral_identity_reference(spec, example.aux, est, dtraj, 2 * n_quad)
+    base.details["refined_residual"] = fine.max_residual
+    base.details["refinement_ratio"] = base.max_residual / fine.max_residual
+    assert report.to_dict() == base.to_dict()
+    assert list(report.details) == list(base.details)
+
+
 def test_integral_identity_residual(resonant, resonant_run):
     spec, est, _, dtraj = resonant_run
     report = verify_integral_identity(spec, resonant.aux, est, dtraj)
