@@ -365,18 +365,24 @@ def _run_estimator_pipeline(cfg: RunConfig, spec: SystemSpec) -> EstimatorTrajec
                          window=cfg.window, rtol=cfg.rtol, atol=cfg.atol)
 
 
-def _run_direct_pipeline(
-        cfg: RunConfig,
-        spec: SystemSpec) -> Tuple[Trajectory, DirectTrajectory, float]:
-    """Slow averaged solve (tolerances tightened by ``AVERAGED_TIGHTENING``)
-    plus the fast run on ``spec``: both trajectories and the seconds they
-    took."""
-    start = time.perf_counter()
+def _run_averaged_pipeline(cfg: RunConfig, spec: SystemSpec) -> Trajectory:
+    """The averaged solve, ``AVERAGED_TIGHTENING`` times tighter, to U."""
     avg = run_averaged(spec, cfg.example.aux, cfg.u,
                        rtol=cfg.rtol / AVERAGED_TIGHTENING,
                        atol=cfg.atol / AVERAGED_TIGHTENING)
     if avg.status is not Status.COMPLETED:
         raise RuntimeError("averaged actions left the domain before U")
+    return avg
+
+
+def _run_direct_pipeline(cfg: RunConfig, spec: SystemSpec,
+                         avg: Optional[Trajectory] = None
+                         ) -> Tuple[Trajectory, DirectTrajectory, float]:
+    """The averaged solve, unless given (``avg``), and the fast run on
+    ``spec``: both trajectories and the seconds they took."""
+    start = time.perf_counter()
+    if avg is None:
+        avg = _run_averaged_pipeline(cfg, spec)
     dtraj = run_direct(spec, cfg.example.aux, avg, cfg.u, rtol=cfg.rtol,
                        atol=cfg.atol, time_budget=cfg.budget)
     return avg, dtraj, time.perf_counter() - start
@@ -454,17 +460,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     identity is evaluated once, on the grid of twice its intervals, and
     reports the default grid with the refined residual (``refined``).
     Writes one JSON report; exits 1 when a check fails or a run cannot
-    be made."""
+    be made, the averaged solve first, before any check."""
     spec = cfg.system()
     example = cfg.example
-    reports = []
-
-    reports.append(verify_identities(spec, example.aux, example.sample_box))
+    avg = _run_averaged_pipeline(cfg, spec)
+    reports = [verify_identities(spec, example.aux, example.sample_box)]
 
     est = _run_estimator_pipeline(cfg, spec)
     reports.append(verify_bound_domination(spec, example.aux, example.bounds, est))
 
-    avg, dtraj, _ = _run_direct_pipeline(cfg, spec)
+    _, dtraj, _ = _run_direct_pipeline(cfg, spec, avg)
     reports.append(verify_integral_identity(spec, example.aux, est, dtraj,
                                             refined=True))
     if example.closed_flow is not None:
@@ -531,7 +536,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ValueError, RuntimeError, KeyError) as exc:
+    except (ValueError, RuntimeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

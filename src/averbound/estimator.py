@@ -19,10 +19,10 @@ as one of the validity conditions
 fails along the way.
 
 The slow right-hand side and stop predicate are straight-line code
-generated per d, form of the offset partials (gradients or central
-differences) and member code (:func:`_slow_rhs_source`); at d = 1 both are
-written into the Dormand-Prince run itself.  The window and the fixed point
-take the offset and d(offset)/dr from code of the same builders
+generated per d and member key, the keys giving the form of the offset
+partials (:func:`_slow_rhs_source`); at d = 1 both are written into the
+Dormand-Prince run itself.  The window and the fixed point take the offset
+and d(offset)/dr from code of the same builders over the bound's members
 (:func:`_window_source`).  Each member is evaluated by the rule the direct
 run shares (:mod:`~averbound.inline`, table :data:`~averbound.inline.SLOW`):
 written in where it is a plain ``def`` of assignments and one ``return``,
@@ -149,21 +149,20 @@ def _sampled_slope(spec: SystemSpec, slope, lo: float, hi: float) -> float:
     return worst
 
 
-def verify_window(spec: SystemSpec, bounds: BoundBundle, window: ContractionWindow,
-                  worst: Optional[float] = None) -> None:
+def verify_window(spec: SystemSpec, bounds: BoundBundle,
+                  window: ContractionWindow) -> None:
     """Check the contraction preconditions by sampling.
 
     Raise :class:`ContractionError` unless ``window`` lies in the tube, has
-    slope bound below 1/eps, bounds the sampled slope ``worst`` (sampled
-    here when not given) and maps into itself."""
-    _check_window(spec, bounds, window, _window_functions(spec, bounds), worst)
+    slope bound below 1/eps, bounds the sampled slope and maps into itself."""
+    _check_window(spec, bounds, window, _window_functions(spec, bounds))
 
 
 def _check_window(spec: SystemSpec, bounds: BoundBundle,
                   window: ContractionWindow, functions,
                   worst: Optional[float] = None) -> None:
     """:func:`verify_window` with the window's ``(offset, slope)`` pair
-    built already (:func:`_window_functions`)."""
+    built already (:func:`_window_functions`), and its sampled slope."""
     eps = spec.epsilon
     offset, slope = functions
     lo, hi = window.interval()
@@ -261,17 +260,12 @@ def pack_state(j, rmat, k, m, n) -> np.ndarray:
     return np.concatenate((j, rmat.ravel(), k, (m, n)))
 
 
-def _offsets(d: int):
-    """Where R and K start in a packed state of d actions: J fills the
-    first d components, R the next d*d row by row, K the d after them, and
-    m and n are the last two."""
-    return d, d + d * d
-
-
 def unpack_state(y: np.ndarray, d: int):
     """Views (J, R, K, m, n) of a packed state, or of a grid of them with one
-    state per row.  For a single state m and n are scalars."""
-    r0, k0 = _offsets(d)
+    state per row: J fills the first d components, R the next d*d row by
+    row, K the d after them, and m and n are the last two.  For a single
+    state m and n are scalars."""
+    r0, k0 = d, d + d * d
     j = y[..., :r0]
     rmat = y[..., r0:k0].reshape(y.shape[:-1] + (d, d))
     k = y[..., k0:k0 + d]
@@ -430,16 +424,21 @@ def _central_lines(calls, x, perturbed, value, step=None):
             f"    dal_dtau += {step} * {quotient}"]
 
 
-def _slope_lines(d, analytic, state, calls):
+def _form(calls) -> str:
+    """The offset partials' form: gradients where ``calls`` has a_grad."""
+    return "gradients" if "a_grad" in calls.members else "differences"
+
+
+def _slope_lines(d, state, calls):
     """Lines that bind ``dal_dr``, d(offset)/dr at (J, R, K, ``radius``)
     for the state floats named ``state``, by the calls of ``calls``
     (:class:`inline.Calls`): the r-parts of one ``a_grad`` and one
-    ``b_grad`` value (``analytic``), or the central difference of the
-    offset in r.  Also the parts (dA/dJ, dA/dR, dA/dK, dB/dJ) of the
+    ``b_grad`` value, or the central difference of the offset in r
+    (:func:`_form`).  Also the parts (dA/dJ, dA/dR, dA/dK, dB/dJ) of the
     gradients' values, or None."""
     js, _, ks, _, _ = _state_parts(d, state)
     on_j, on_k = (js, "j"), (ks, "kvec")
-    if not analytic:
+    if _form(calls) == "differences":
         return _central_lines(
             calls, "radius", lambda side: (((), side), None),
             lambda pair, side: _offset_lines(calls, on_j, on_k, pair,
@@ -451,21 +450,21 @@ def _slope_lines(d, analytic, state, calls):
             (ga_j, ga_r, ga_k, gb_j))
 
 
-def _partials_lines(d, analytic, state, djs, drs, dks, calls):
+def _partials_lines(d, state, djs, drs, dks, calls):
     """Lines that bind ``dal_dr`` (:func:`_slope_lines`) and ``dal_dtau``,
     d(offset)/dtau at (J, R, K, ``radius``), for the state floats named
     ``state``, the slow-flow entries ``djs`` (dJ), ``drs`` (dR, row by
     row) and ``dks`` (dK), and the calls of ``calls``.
 
-    With gradients (``analytic``): sum(dA/dJ dJ) + sum(dA/dR dR) +
+    With gradients: sum(dA/dJ dJ) + sum(dA/dR dR) +
     sum(dA/dK dK) + eps * sum(dB/dJ dJ), each sum from 0.0, left to right,
     R in row order (np.sum's order at d = 1 and 2); every entry is read by
     index, so a part too short raises ``IndexError``.  Without: for each
     nonzero slow-flow entry in packed order, the central difference of the
     offset in that J entry or of a_hat in that R or K entry, on list
     displays, weighted by the entry and summed from 0.0."""
-    lines, grads = _slope_lines(d, analytic, state, calls)
-    if analytic:
+    lines, grads = _slope_lines(d, state, calls)
+    if grads is not None:
         ga_j, ga_r, ga_k, gb_j = grads
 
         def contract(grad, entries):
@@ -506,23 +505,18 @@ def _partials_lines(d, analytic, state, djs, drs, dks, calls):
     return lines + ["dal_dtau = float(dal_dtau)"]
 
 
-def _stop_lines(d, analytic, keys, state=None):
+def _stop_lines(d, keys, state=None):
     """Lines that bind ``reason`` to the first validity condition that
     fails, a :class:`ViolationKind`, or None: 0 < n, n < rho_hat(J)/eps,
     d(offset)/dr < 1/eps, each tested where those before hold.  With
     ``state`` None they test the list ``y``, taking d(offset)/dr from the
-    cell ``seen_dal_dr`` when ``y`` is ``seen``, else by
-    :func:`_slope_lines`; else the node floats ``state`` names, whose
-    last stage has bound ``dal_dr``."""
+    cell ``seen_dal_dr`` once ``rhs`` has been handed ``y``; else the node
+    floats ``state`` names, whose last stage has bound ``dal_dr``."""
     names = _state_names(d) if state is None else state
     js, _, _, _, n = _state_parts(d, names)
     calls = inline.Calls(inline.SLOW, keys, d)
-    slope = []
-    if state is None:
-        lines, _ = _slope_lines(d, analytic, names, calls)
-        slope = ["if y is not seen:", f"    radius = eps * {n}",
-                 *("    " + line for line in lines),
-                 "else:", "    dal_dr = seen_dal_dr"]
+    slope = (["if y is not seen:", "    rhs(tau, y)", "dal_dr = seen_dal_dr"]
+             if state is None else [])
     rho_lines, rho = calls.value("rho_hat", [(js, "j")], "rho")
     return _split_lines(d, state, calls.used) + [
         "reason = None",
@@ -538,7 +532,7 @@ def _stop_lines(d, analytic, keys, state=None):
         "            reason = ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS"]
 
 
-def _slow_evaluation(d, analytic, keys, state=None):
+def _slow_evaluation(d, keys, state=None):
     """Lines of one evaluation of the slow right-hand side for d actions,
     and the expressions of its values in packed order: the blocks of
     :func:`_slow_rhs_lines`, :func:`_norm_lines` and
@@ -582,8 +576,8 @@ def _slow_evaluation(d, analytic, keys, state=None):
         *e_lines,
         f"gam = float(gam + 0.5 * {eh} * {n} * {n})",
         "dm = norm_rinv * gam",
-    ] + _partials_lines(d, analytic, names, djs, entries[:d * d],
-                        entries[d * d:], calls) + [
+    ] + _partials_lines(d, names, djs, entries[:d * d], entries[d * d:],
+                        calls) + [
         "denom = 1.0 - eps * dal_dr",
         "num = (dal_dtau + eps * norm_r * norm_rinv * gam",
         f"       + eps * r_dot_dr / norm_r * {m})",
@@ -596,25 +590,24 @@ def _slow_evaluation(d, analytic, keys, state=None):
             [*djs, *entries, "dm", "dn"])
 
 
-def _slow_rhs_source(d: int, analytic: bool, keys: tuple) -> str:
+def _slow_rhs_source(d: int, keys: tuple) -> str:
     """Source of ``make(eps, fbar, dfbar, pbar, a_hat, b_hat, c_hat, d_hat,
     e_hat, a_grad, b_grad, rho_hat, rtol, atol, **outside)``, which returns
-    the slow right-hand side, stop predicate and run kernel for d actions,
-    the offset partials by gradients (``analytic``) or differences: ``rhs,
-    stop, (run, stage_calls)`` at d = 1, ``rhs, stop, None`` from d = 2 on.
-    ``keys`` are the members' keys (:func:`inline.members`), ``outside``
-    what written-in members read (:func:`inline.outside`).
+    the slow right-hand side, stop predicate and run kernel for d actions:
+    ``rhs, stop, (run, stage_calls)`` at d = 1, ``rhs, stop, None`` from
+    d = 2 on.  ``keys`` are the members' keys (:func:`inline.members`),
+    which give the form of the offset partials (:func:`_form`), and
+    ``outside`` what written-in members read (:func:`inline.outside`).
 
     ``rhs`` (:func:`_slow_evaluation`) keeps the list it was handed and its
     d(offset)/dr in the cells ``seen`` and ``seen_dal_dr``, which ``stop``
-    (:func:`_stop_lines`) reads at the initial state and at each node of
-    ``ode._array_kernel``.  The d = 1 run is the float run
-    (:func:`ode._float_run_source`) with the evaluation written into each
-    stage and the stop test into each node: bit for bit a run that calls
-    ``rhs`` and ``stop``."""
+    (:func:`_stop_lines`) reads, handing ``rhs`` first a list it has not
+    seen.  The d = 1 run is the float run (:func:`ode._float_run_source`)
+    with the evaluation written into each stage and the stop test into each
+    node: bit for bit a run that calls ``rhs`` and ``stop``."""
     params = ("eps", *(slot.call for slot in inline.SLOW), "rtol", "atol",
               *inline.outside(inline.SLOW, keys, d))
-    lines, values = _slow_evaluation(d, analytic, keys)
+    lines, values = _slow_evaluation(d, keys)
     source = [f"def make({', '.join(params)}):",
               "    seen = seen_dal_dr = None",
               "    def rhs(tau, y):",
@@ -623,15 +616,15 @@ def _slow_rhs_source(d: int, analytic: bool, keys: tuple) -> str:
               "        seen, seen_dal_dr = y, dal_dr",
               f"        return {_seq(values)}",
               "    def stop(tau, y):",
-              *("        " + line for line in _stop_lines(d, analytic, keys)),
+              *("        " + line for line in _stop_lines(d, keys)),
               "        return reason"]
     if d > 1:
         return "\n".join(source + ["    return rhs, stop, None", ""])
 
     size = len(values)
     stage = ode._inline_stage(size, lambda time, state: _slow_evaluation(
-        d, analytic, keys, state))
-    test = _stop_lines(d, analytic, keys, [f"z{i}" for i in range(size)])
+        d, keys, state))
+    test = _stop_lines(d, keys, [f"z{i}" for i in range(size)])
     run = ode._float_run_source(ode._STAGES, ode._E, size, stage, test,
                                 (*params, "calls"), ("calls",))
     return "\n".join(source + ["    calls = 0", textwrap.indent(run, "    "),
@@ -639,32 +632,32 @@ def _slow_rhs_source(d: int, analytic: bool, keys: tuple) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_slow_rhs(d: int, analytic: bool, keys: tuple):
-    form = "gradients" if analytic else "differences"
-    return _compile_factory(_slow_rhs_source(d, analytic, keys),
+def _compile_slow_rhs(d: int, keys: tuple):
+    form = _form(inline.Calls(inline.SLOW, keys, d))
+    return _compile_factory(_slow_rhs_source(d, keys),
                             f"<slow rhs, d = {d}, {form}>", norms=_inverse_norms,
                             sqrt=math.sqrt, SingularMatrixError=SingularMatrixError,
                             ViolationKind=ViolationKind)
 
 
-def _window_source(d: int, analytic: bool, keys: tuple) -> str:
-    """Source of ``make(eps, j, rows, kvec, fbar, ..., rho_hat,
-    **outside)``, with the members of :func:`_slow_rhs_source`, which
-    returns ``offset(radius)``, a_hat + eps * b_hat at (J, R, K, r), and
-    ``slope(radius)``, its d(offset)/dr, by :func:`_offset_lines` and
-    :func:`_slope_lines`.  A called member gets J, R and K as handed to
-    ``make``, lists or ndarrays; a written-in one reads the items of J and
-    K, read once."""
+def _window_source(d: int, keys: tuple) -> str:
+    """Source of ``make(eps, j, rows, kvec, a_hat, b_hat, a_grad, b_grad,
+    **outside)``, with the members of :data:`inline.BOUND` and their keys
+    ``keys``, which returns ``offset(radius)``, a_hat + eps * b_hat at
+    (J, R, K, r), and ``slope(radius)``, its d(offset)/dr, by
+    :func:`_offset_lines` and :func:`_slope_lines`.  A called member gets
+    J, R and K as handed to ``make``, lists or ndarrays; a written-in one
+    reads the items of J and K, read once."""
     names = _state_names(d)
     js, _, ks, _, _ = _state_parts(d, names)
-    calls = inline.Calls(inline.SLOW, keys, d)
+    calls = inline.Calls(inline.BOUND, keys, d)
     lines, value = _offset_lines(calls, (js, "j"), (ks, "kvec"), _ON_RADIUS,
                                  "r")
     offset = [*lines, f"return {value}"]
-    lines, _ = _slope_lines(d, analytic, names, calls)
+    lines, _ = _slope_lines(d, names, calls)
     source = ["def make(" + ", ".join(
-        ["eps", "j", "rows", "kvec", *(slot.call for slot in inline.SLOW),
-         *inline.outside(inline.SLOW, keys, d)]) + "):"]
+        ["eps", "j", "rows", "kvec", *(slot.call for slot in inline.BOUND),
+         *inline.outside(inline.BOUND, keys, d)]) + "):"]
     source += [f"    {part} = {whole}[{a}]"
                for parts, whole in ((js, "j"), (ks, "kvec"))
                for a, part in enumerate(parts) if part in calls.used]
@@ -674,38 +667,32 @@ def _window_source(d: int, analytic: bool, keys: tuple) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _compile_window(d: int, analytic: bool, keys: tuple):
-    return _compile_factory(_window_source(d, analytic, keys), f"<window, d = "
-                            f"{d}, {'gradients' if analytic else 'differences'}>")
-
-
-def _members(fns: dict) -> tuple:
-    """The members ``fns`` in the order of :data:`inline.SLOW`, or None."""
-    return tuple(fns.get(slot.name) for slot in inline.SLOW)
+def _compile_window(d: int, keys: tuple):
+    return _compile_factory(_window_source(d, keys), f"<window, d = {d}>")
 
 
 def _evaluated(aux: AuxiliaryBundle, bounds: BoundBundle) -> tuple:
-    """The members the slow solve evaluates (:func:`_members`): its partials
-    call a_grad and b_grad when the bundle has them, else a_hat and b_hat."""
+    """The members the slow solve evaluates, in the order of
+    :data:`inline.SLOW`, None for those it does not: its partials call
+    a_grad and b_grad when the bundle has them, else a_hat and b_hat."""
     fns = {**vars(aux), **vars(bounds)}
     if bounds.a_grad is not None:
         del fns["a_hat"], fns["b_hat"]
-    return _members(fns)
+    return tuple(fns.get(slot.name) for slot in inline.SLOW)
 
 
 def _window_members(bounds: BoundBundle) -> tuple:
-    """The members the window evaluates (:func:`_members`)."""
-    return _members({name: getattr(bounds, name)
-                     for name in ("a_hat", "b_hat", "a_grad", "b_grad")})
+    """The members the window evaluates, those of :data:`inline.BOUND`."""
+    return tuple(getattr(bounds, slot.name) for slot in inline.BOUND)
 
 
 def _window_functions(spec: SystemSpec, bounds: BoundBundle):
     """``offset`` and ``slope`` (:func:`_window_source`) of the bundle at
     (J, R, K) = (I0, identity, 0), as ndarrays, and ``spec.epsilon``,
-    compiled once per d, form and key of a_hat, b_hat and the gradients."""
+    compiled once per d and key of a_hat, b_hat and the gradients."""
     d = spec.d
-    keys, arguments = inline.members(inline.SLOW, _window_members(bounds), d)
-    make = _compile_window(d, bounds.a_grad is not None, keys)
+    keys, arguments = inline.members(inline.BOUND, _window_members(bounds), d)
+    make = _compile_window(d, keys)
     return make(spec.epsilon, spec.i0, np.eye(d), np.zeros(d), **arguments)
 
 
@@ -730,7 +717,7 @@ def _slow_functions(spec: SystemSpec, aux: AuxiliaryBundle, bounds: BoundBundle,
     ``stop`` returns the first failed validity condition, or None."""
     d = spec.d
     keys, arguments = inline.members(inline.SLOW, _evaluated(aux, bounds), d)
-    make = _compile_slow_rhs(d, bounds.a_grad is not None, keys)
+    make = _compile_slow_rhs(d, keys)
     rhs, stop, kernel = make(spec.epsilon, rtol=rtol, atol=atol, **arguments)
     if kernel is None:
         kernel = ode._array_kernel(rhs, len(_state_names(d)), rtol, atol)

@@ -135,9 +135,9 @@ def register_system(name: str,
 
     The direct run evaluates those five, the slow solve ``fbar``,
     ``dfbar``, ``pbar`` and the members of ``bounds`` it calls (the
-    gradients or ``a_hat``, ``b_hat``; ``c_hat`` ... ``e_hat``, ``rho_hat``)
-    and the window ``a_hat``, ``b_hat`` and the gradients, by one rule
-    (:mod:`averbound.inline`).
+    gradients when given, else ``a_hat`` and ``b_hat``; ``c_hat`` ...
+    ``e_hat``, and ``rho_hat`` in its stop test) and the window ``a_hat``,
+    ``b_hat`` and the gradients, by one rule (:mod:`averbound.inline`).
     A member is written into the step when it is a plain ``def`` with
     positional parameters and no defaults whose body is assignments to
     plain names, or unpackings into them, and one ``return``, with no

@@ -2,8 +2,8 @@
 direct run and the slow solve.
 
 Each solve lists its members in a table (:data:`DIRECT`, :data:`SLOW`,
-of :class:`Slot`), and one rule, the same in both, decides per run how
-its code evaluates each (:func:`members`):
+and :data:`BOUND` for the window, of :class:`Slot`), and one rule, the
+same in all, decides per run how its code evaluates each (:func:`members`):
 
 * a plain ``def`` whose body is assignments and one ``return``
   (:func:`inline_form`) is written in: its own expressions, read from its
@@ -18,19 +18,20 @@ its code evaluates each (:func:`members`):
   decorated ``def``, a function made by ``exec``, whose source cannot be
   found, and a constant of another shape, which fails as its call does.
 
-:func:`outside` names the arguments of the generated ``make`` that these
-read, and :class:`Calls` writes each call of an evaluation.  In a body
-written in, an assignment may unpack into plain names, and one that
-unpacks a parameter whose components the caller names (``j1, j2 = j``)
-binds those names, with no list in between; a returned tuple or list
-display, nested ones included, binds one name per part the caller reads,
-and a returned ``np.array(<display>)`` read as a list (``.tolist()``)
-binds ``float(item)`` per item, which is what ``.tolist()`` of the
-float64 array of one point gives.  The body's names take the member's
-prefix, and the names it reads from its closure, module or built-ins are
-arguments of ``make``, so the source depends on the members' code alone;
-a helper the body calls (vdp's ``_a_radicand``) is one of them, and is
-called.
+A member given as None is absent (:data:`ABSENT`) and never evaluated:
+which are absent is the form of the code.  :func:`outside` names the
+arguments of the generated ``make`` that members read, and :class:`Calls`
+writes each call of an evaluation.  In a body written in, an assignment may
+unpack into plain names, and one that unpacks a parameter whose components
+the caller names (``j1, j2 = j``) binds those names, with no list in
+between; a returned tuple or list display, nested ones included, binds one
+name per part the caller reads, and a returned ``np.array(<display>)`` read
+as a list (``.tolist()``) binds ``float(item)`` per item, which is what
+``.tolist()`` of the float64 array of one point gives.  The body's names
+take the member's prefix, and the names it reads from its closure, module
+or built-ins are arguments of ``make``, so the source depends on the
+members' code alone; a helper the body calls (vdp's ``_a_radicand``) is one
+of them, and is called.
 """
 from __future__ import annotations
 
@@ -46,8 +47,9 @@ import numpy as np
 
 from .examples import constant
 
-__all__ = ["CONSTANT", "DIRECT", "SLOW", "Calls", "Member", "Slot",
-           "inline_form", "members", "outside", "source_of", "written_in"]
+__all__ = ["ABSENT", "BOUND", "CONSTANT", "DIRECT", "SLOW", "Calls",
+           "Member", "Slot", "inline_form", "members", "outside", "source_of",
+           "written_in"]
 
 # Expressions with a scope of their own, or that suspend or bind a name:
 # a body with one is called, not written in.
@@ -59,6 +61,8 @@ _FRAME_NAMES = frozenset({"locals", "vars", "dir", "eval", "exec", "globals",
                           "super", "__class__"})
 # The key of a member made by examples.constant.
 CONSTANT = "constant"
+# The key, falsy as a called member's (None), of a member given as None.
+ABSENT = False
 _CONSTANT_CODE = constant(0.0).__code__
 
 
@@ -523,9 +527,9 @@ DIRECT = (Slot("f", "f_sys", 2, "_f_", _listed), _FBAR,
           Slot("omega", "omega", 1, "_om_", _whole),
           Slot("g", "g_sys", 2, "_g_", _whole),
           Slot("in_domain", "in_domain", 1, "_dom_", _whole))
-# The members of the slow solve and its window, in the order of the
-# arguments of their make: dfbar and pbar are read as lists of one point's
-# shape, the majorants whole and each part of the gradients' tuples by index.
+# The members of the slow solve, in the order of the arguments of its make:
+# dfbar and pbar are read as lists of one point's shape, the majorants whole
+# and each part of the gradients' tuples by index.
 SLOW = (_FBAR,
         Slot("dfbar", "dfbar", 1, "_dfb_", lambda d: ((None,) * d,) * d, True),
         Slot("pbar", "pbar", 1, "_pb_", lambda d: (None,) * d, True),
@@ -538,6 +542,7 @@ SLOW = (_FBAR,
              lambda d: ([None] * d, [[None] * d] * d, [None] * d, None)),
         Slot("b_grad", "b_grad", 2, "_bg_", lambda d: ([None] * d, None)),
         Slot("rho_hat", "rho_hat", 1, "_rh_", _whole))
+BOUND = SLOW[3:5] + SLOW[8:10]   # the window's: a_hat, b_hat and gradients
 
 
 def _constant_names(prefix: str, pattern, index=()):
@@ -582,7 +587,7 @@ def members(table, fns, d: int):
     ``examples.constant`` is bound once per run, as the parts its read
     takes of the value (``Slot.read``), unless the value is not of that
     shape.  Any other member is called, its key None; a member given as
-    None is one the code does not evaluate."""
+    None is one the code does not evaluate, its key :data:`ABSENT`."""
     keys, arguments = [], {}
     for slot, fn in zip(table, fns):
         arguments[slot.call] = fn
@@ -593,7 +598,8 @@ def members(table, fns, d: int):
         elif member is not None:
             values = {slot.prefix + name: value
                       for name, value in member.values.items()}
-        keys.append(None if values is None else member.key)
+        keys.append(ABSENT if fn is None else
+                    None if values is None else member.key)
         arguments.update(values or {})
     return tuple(keys), arguments
 
@@ -606,7 +612,7 @@ def outside(table, keys, d: int) -> list:
     for slot, key in zip(table, keys):
         if key is CONSTANT:
             names += _flat(_constant_names(slot.prefix, slot.read(d)))
-        elif key is not None:
+        elif key:
             names += [slot.prefix + name
                       for name in inline_form(*key[:2]).free]
     return names
@@ -615,13 +621,13 @@ def outside(table, keys, d: int) -> list:
 class Calls:
     """The member calls of one evaluation of the code of d actions, each
     member of ``table`` written in, read from its constant's parts or
-    called, by its key in ``keys`` (:func:`members`).  ``used`` collects
-    the arguments the written lines read, whole or by component; lines are
-    never written in the order of its items."""
+    called, by its key in ``keys`` (:func:`members`); an :data:`ABSENT` one
+    raises ``KeyError``.  ``used`` collects the arguments the written lines
+    read, whole or by component; lines are never written in item order."""
 
     def __init__(self, table, keys, d: int):
         self.members = {slot.name: (slot, key)
-                        for slot, key in zip(table, keys)}
+                        for slot, key in zip(table, keys) if key is not ABSENT}
         self.d = d
         self.used = set()
 

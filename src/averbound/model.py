@@ -199,10 +199,11 @@ class BoundBundle:
     * ``b_grad(J, r) -> (dJ (d,), dr float)``,
 
     each array part an ndarray or a (nested) sequence of floats.  The slow
-    right-hand side evaluates each once per evaluation, for both
-    d(offset)/dr and d(offset)/dtau.  Central finite differences of
+    right-hand side evaluates each once per evaluation, for d(offset)/dr
+    (its stop test's too) and d(offset)/dtau.  Central differences of
     ``a_hat`` and ``b_hat`` serve only a bundle without gradients.  The slow
-    solve, its stop test and the window follow :mod:`averbound.inline`.
+    solve and the window (:data:`averbound.inline.BOUND`) follow
+    :mod:`averbound.inline`.
     """
 
     rho_hat: Callable[[Actions], float]

@@ -296,6 +296,40 @@ def test_verify_exits_1_when_the_averaged_actions_leave_the_domain(tmp_path,
     assert not out.exists()
 
 
+def test_verify_refuses_before_its_checks_when_the_averaged_solve_fails(
+        tmp_path, monkeypatch, capsys):
+    # The averaged solve runs first: the job above refuses before the
+    # identity suite and the estimator, whose results it could not report.
+    def refused(*args, **kwargs):
+        raise AssertionError("ran before the averaged solve refused")
+    monkeypatch.setattr(cli, "verify_identities", refused)
+    monkeypatch.setattr(cli, "run_estimator", refused)
+    out = tmp_path / "v.json"
+    code = run_cli("verify", "--example", "action-freq", "--kappa", "1",
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: averaged actions left the domain before U\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_an_unwritable_output_path_is_an_error_not_a_traceback(
+        tmp_path, capsys, command):
+    # The output's directory is an existing file: the write fails with an
+    # OSError, which main reports as it reports the other failures.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = (["--figure", "3e"] if command == "estimate"
+            else ["--example", "resonant", "--u", "0.5"])
+    code = run_cli(command, *argv, "--out", str(blocker / "x.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
 def test_absorbed_rhs_error_reaches_the_sidecar(tmp_path):
     # An f that divides by zero once, on the list of a fast-time call: the
     # step is retried at half size, and the sidecar names the exception.

@@ -579,20 +579,25 @@ def _generated_partials(d, analytic):
     """The generated offset partials of the slow right-hand side for d
     actions, by gradients or by central differences, as ``block(y, dj,
     drows, dk, radius, eps, bounds) -> (dal_dr, dal_dtau)``, with y the
-    state as a list and dj, drows (rows) and dk the slow flow."""
+    state as a list and dj, drows (rows) and dk the slow flow.  Every
+    member is called, except the pair the form does not take, whose key is
+    ``ABSENT``: the keys give the form."""
     ix = range(d)
     djs = [f"dj{a}" for a in ix]
     drs = [f"d{a}_{b}" for a in ix for b in ix]
     dks = [f"dk{a}" for a in ix]
-    called = inliner.Calls(inliner.SLOW, (None,) * len(inliner.SLOW), d)
+    absent = ("a_hat", "b_hat") if analytic else ("a_grad", "b_grad")
+    called = inliner.Calls(inliner.SLOW, tuple(
+        inliner.ABSENT if slot.name in absent else None
+        for slot in inliner.SLOW), d)
     lines = estimator._split_lines(d, None, estimator._LISTS) + [
         f"[{', '.join(djs)}] = dj",
         f"[{', '.join(drs)}] = [x for row in drows for x in row]",
         f"[{', '.join(dks)}] = dk",
         "a_hat, b_hat = bounds.a_hat, bounds.b_hat",
         "a_grad, b_grad = bounds.a_grad, bounds.b_grad",
-    ] + estimator._partials_lines(d, analytic, estimator._state_names(d),
-                                  djs, drs, dks, called) + [
+    ] + estimator._partials_lines(d, estimator._state_names(d), djs, drs,
+                                  dks, called) + [
         "return dal_dr, dal_dtau"]
     namespace = {}
     exec("def block(y, dj, drows, dk, radius, eps, bounds):\n"
@@ -978,32 +983,44 @@ def test_stop_predicate_reuses_the_fsal_dalpha_dr(monkeypatch, request, name,
         assert sum(bisections) > 0
 
 
-def test_stop_predicate_evaluates_dalpha_dr_without_a_record(vdp):
+def test_stop_predicate_evaluates_dalpha_dr_without_a_record(vdp, euler):
     # A predicate whose right-hand side has not been called holds no
-    # record and evaluates d(offset)/dr itself, with the same verdict as
-    # the slow solve's predicate on the record its right-hand side wrote.
-    spec = vdp.make_system([0.5], 1e-2)
-    eps = spec.epsilon
-    slope = [2.0 / eps]
-    bounds = dataclasses.replace(vdp.bounds, a_grad=lambda j, rmat, k, r: (
-        (0.0,), ((0.0,),), (0.0,), slope[0]), b_grad=lambda j, r: ((0.0,), 0.0))
-    y = pack_state(spec.i0, np.eye(1), np.zeros(1), 0.0, 0.5).tolist()
+    # record and hands the list to its right-hand side, with the same
+    # verdict as the slow solve's predicate on the record its right-hand
+    # side wrote.  vdp (one action) takes d(offset)/dr from a_grad and
+    # b_grad, euler-top (two actions) from central differences of a_hat
+    # and b_hat.
+    for example, i0 in ((vdp, [0.5]), (euler, [4.0, 1.0])):
+        spec = example.make_system(i0, 1e-2)
+        eps, d = spec.epsilon, spec.d
+        slope = [2.0 / eps]
+        if example.bounds.a_grad is not None:
+            bounds = dataclasses.replace(
+                example.bounds, a_grad=lambda j, rmat, k, r: (
+                    (0.0,) * d, ((0.0,) * d,) * d, (0.0,) * d, slope[0]),
+                b_grad=lambda j, r: ((0.0,) * d, 0.0))
+        else:
+            bounds = dataclasses.replace(
+                example.bounds, a_hat=lambda j, rmat, k, r: slope[0] * r,
+                b_hat=lambda j, r: 0.0)
+        y = pack_state(spec.i0, np.eye(d), np.zeros(d), 0.0, 0.5).tolist()
 
-    def functions():
-        return estimator._slow_functions(spec, vdp.aux, bounds,
-                                         ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
-    rhs, _, recorded = functions()
-    rhs(0.0, y)
-    _, _, alone = functions()
-    assert recorded(0.0, y) is alone(0.0, list(y)) is (
-        ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS)
-    # only the very list the record holds reuses its d(offset)/dr; an equal
-    # copy is evaluated
-    slope[0] = 0.0
-    rhs(0.0, y)
-    slope[0] = 2.0 / eps
-    assert recorded(0.0, y) is None
-    assert recorded(0.0, list(y)) is ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS
+        def functions():
+            return estimator._slow_functions(spec, example.aux, bounds,
+                                             ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+        rhs, _, recorded = functions()
+        rhs(0.0, y)
+        _, _, alone = functions()
+        assert recorded(0.0, y) is alone(0.0, list(y)) is (
+            ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS)
+        # only the very list the record holds reuses its d(offset)/dr; an
+        # equal copy is evaluated
+        slope[0] = 0.0
+        rhs(0.0, y)
+        slope[0] = 2.0 / eps
+        assert recorded(0.0, y) is None
+        assert (recorded(0.0, list(y))
+                is ViolationKind.DALPHA_DR_EXCEEDS_INV_EPS)
 
 
 def test_stop_predicate_refuses_a_nonpositive_n(vdp):
@@ -1052,9 +1069,8 @@ def test_window_offset_and_slope_equal_the_references(case, gradients, called):
     # I0 = 4 and resonant at I0 = 2.
     spec, bounds = _window_bounds(case, gradients, called)
     keys, arguments = inliner.members(
-        inliner.SLOW, estimator._window_members(bounds), spec.d)
-    written = {slot.name for slot, key in zip(inliner.SLOW, keys)
-               if key is not None}
+        inliner.BOUND, estimator._window_members(bounds), spec.d)
+    written = {slot.name for slot, key in zip(inliner.BOUND, keys) if key}
     assert "b_hat" in written
     if called:
         assert ("a_grad" if gradients else "a_hat") not in written
@@ -1062,7 +1078,7 @@ def test_window_offset_and_slope_equal_the_references(case, gradients, called):
     window = estimator._window_functions(spec, bounds)
     lists = (spec.i0.tolist(), np.eye(d).tolist(), [0.25] * d)
     points = [((spec.i0, np.eye(d), np.zeros(d)), window),
-              (lists, estimator._compile_window(d, gradients, keys)(
+              (lists, estimator._compile_window(d, keys)(
                   eps, *lists, **arguments))]
     ell_star = window[0](0.0)
     radii = [0.0, *(eps * np.linspace(0.5 * ell_star, 1.5 * ell_star, 11)),

@@ -315,6 +315,41 @@ def test_member_prefixes_keep_apart(table):
     assert len({slot.name for slot in table}) == len(table)
 
 
+@pytest.mark.parametrize("name,i0", [("vdp", [0.5]), ("euler", [4.0, 1.0])],
+                         ids=["gradients", "differences"])
+def test_calls_refuses_an_absent_member(request, name, i0):
+    # A member given as None has the falsy key ABSENT: make gets None for
+    # it, outside names no argument of it, and Calls writes no evaluation
+    # of it, so a builder that asks for it fails when the source is
+    # written.  The slow solve's keys leave out the pair its partials do
+    # not take, a_hat and b_hat with gradients and a_grad and b_grad
+    # without, and both its sources are written without asking for them.
+    example = request.getfixturevalue(name)
+    spec = example.make_system(i0, 1e-2)
+    d, bounds = spec.d, example.bounds
+    keys, arguments = inline.members(
+        inline.SLOW, estimator._evaluated(example.aux, bounds), d)
+    absent = [slot for slot, key in zip(inline.SLOW, keys)
+              if key is inline.ABSENT]
+    assert not inline.ABSENT
+    assert [slot.name for slot in absent] == (
+        ["a_hat", "b_hat"] if bounds.a_grad is not None
+        else ["a_grad", "b_grad"])
+    assert all(arguments[slot.call] is None for slot in absent)
+    assert not any(name.startswith(slot.prefix) for slot in absent
+                   for name in inline.outside(inline.SLOW, keys, d))
+    calls = inline.Calls(inline.SLOW, keys, d)
+    for slot in absent:
+        with pytest.raises(KeyError):
+            calls.value(slot.name, [([], "x")] * slot.nargs, "v")
+    estimator._slow_rhs_source(d, keys)
+    window_keys, _ = inline.members(inline.BOUND,
+                                    estimator._window_members(bounds), d)
+    assert [key is inline.ABSENT for key in window_keys] == (
+        [False] * 4 if bounds.a_grad is not None else [False, False, True, True])
+    estimator._window_source(d, window_keys)
+
+
 def _wrapped(fn):
     """``fn`` behind ``functools.wraps``, which the inliner refuses."""
     @functools.wraps(fn)
